@@ -36,16 +36,7 @@ use rete::ReteMatcher;
 use workloads::{Preset, WorkloadDriver};
 
 /// The eight node-activation kinds, in pipeline order.
-const KINDS: [rete::ActivationKind; 8] = [
-    rete::ActivationKind::ConstantTest,
-    rete::ActivationKind::AlphaMem,
-    rete::ActivationKind::JoinRight,
-    rete::ActivationKind::JoinLeft,
-    rete::ActivationKind::NegativeRight,
-    rete::ActivationKind::NegativeLeft,
-    rete::ActivationKind::BetaMem,
-    rete::ActivationKind::Terminal,
-];
+const KINDS: [rete::ActivationKind; 8] = rete::ActivationKind::ALL;
 
 /// Aggregates a trace into per-kind activation and work (primitive
 /// test) shares — the measured per-phase cost profile of the match.

@@ -25,7 +25,9 @@
 //! [`ParallelReteMatcher::enable_timing`] or the obs detail toggle
 //! turns them on, keeping the default hot path free of clock reads.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::hash::Hash;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -34,11 +36,12 @@ use std::time::Instant;
 use psm_obs::{FlightKind, NodeDelta, Obs, ProfileKind};
 
 use ops5::{
-    Change, Error, FxHashMap, Instantiation, MatchDelta, Matcher, PredOp, Program, Value, Wme,
-    WmeId, WorkingMemory,
+    Change, Error, FxHashMap, Instantiation, MatchDelta, Matcher, Program, Value, Wme, WmeId,
+    WorkingMemory,
 };
+use rete::kernel::{self, Work};
 use rete::network::NodeKind;
-use rete::{CompileOptions, JoinTest, Network, NodeId, Token};
+use rete::{ActivationKind, AlphaId, Bucket, CompileOptions, Network, NodeId, Sign, Token};
 
 use crate::pool::{PoolStats, WorkerPool};
 use crate::topology::ParallelTopology;
@@ -165,29 +168,6 @@ fn relock<'a, T>(m: &'a Mutex<T>, recovered: &AtomicU64) -> MutexGuard<'a, T> {
     })
 }
 
-/// Sign of a propagating change (local copy to keep the engine
-/// self-contained; mirrors `rete::token::Sign`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Sign {
-    Plus,
-    Minus,
-}
-
-impl Sign {
-    fn delta(self) -> i32 {
-        match self {
-            Sign::Plus => 1,
-            Sign::Minus => -1,
-        }
-    }
-    fn invert(self) -> Sign {
-        match self {
-            Sign::Plus => Sign::Minus,
-            Sign::Minus => Sign::Plus,
-        }
-    }
-}
-
 /// A pending node activation: the whole batch of payloads bound for one
 /// node in this phase fragment, executed under a single lock
 /// acquisition. Grouping amortizes dispatch, flight tracing, and the
@@ -236,69 +216,90 @@ impl TaskGroups {
     }
 }
 
-/// Entry of a negative node's left store.
-#[derive(Debug, Clone, Copy, Default)]
-struct NegEntry {
-    /// Signed presence of the token (−1 debt, 0 absent, 1 present).
+/// One entry of a node memory.
+#[derive(Debug, Default)]
+struct Entry {
+    /// Signed presence (−1 debt, 0 absent, 1 present): a debt-tolerant
+    /// multiset, so a retraction that overtakes its assertion nets out.
     presence: i32,
-    /// Net count of matching right-memory WMEs.
-    count: i32,
+    /// Negative-node left entries only: net count of matching
+    /// right-memory WMEs. A `Cell` because a right activation adjusts it
+    /// on the tokens it is scanning.
+    count: Cell<i32>,
 }
 
-/// Lock-protected state of one node.
-///
-/// The `*_idx` maps are the engine-side hashed join memories: value
-/// buckets over the *present* entries of `left`/`right`, keyed by the
-/// node's first equality test (see
-/// [`ParallelReteMatcher::index_tests`]). They are maintained exactly
-/// on presence transitions — debt entries (negative counts) are never
-/// indexed, and a bucket that drains to empty is pruned — so an
-/// activation probes one bucket instead of scanning the whole opposite
-/// memory. Both maps stay empty on nodes without an equality test,
-/// which fall back to the linear scan.
+/// One input memory of a two-input node: signed presence plus a hashed
+/// value-bucket index over the *present* entries, keyed by the node's
+/// index key ([`rete::NodeSpec::key`] — the same `(position,
+/// attribute)` keying as the sequential matcher's hashed memories, so
+/// both runtimes probe identical candidate sets). The index is
+/// maintained exactly on presence transitions — debt entries are never
+/// indexed, unkeyable entries (attribute absent: the equality test can
+/// never hold) are invisible to probes by construction, and a bucket
+/// that drains is pruned. It stays empty on nodes without a key, which
+/// scan every present entry instead.
 #[derive(Debug)]
-enum NodeSlot {
-    Join {
-        /// Signed token presence (debt-tolerant multiset).
-        left: FxHashMap<Token, i32>,
-        left_idx: FxHashMap<Value, Vec<Token>>,
-        /// Signed WME presence.
-        right: FxHashMap<WmeId, i32>,
-        right_idx: FxHashMap<Value, Vec<WmeId>>,
-    },
-    Negative {
-        left: FxHashMap<Token, NegEntry>,
-        left_idx: FxHashMap<Value, Vec<Token>>,
-        right: FxHashMap<WmeId, i32>,
-        right_idx: FxHashMap<Value, Vec<WmeId>>,
-    },
-    Terminal,
-    Inactive,
+struct Side<K> {
+    entries: FxHashMap<K, Entry>,
+    index: FxHashMap<Value, Bucket<K>>,
 }
 
-/// Appends `item` to the value bucket for `key` (no-op for unkeyable
-/// entries — an absent attribute can never satisfy the equality test,
-/// so such entries are invisible to indexed probes by construction).
-fn idx_insert<K>(idx: &mut FxHashMap<Value, Vec<K>>, key: Option<Value>, item: K) {
-    if let Some(k) = key {
-        idx.entry(k).or_default().push(item);
-    }
-}
-
-/// Removes `item` from the value bucket for `key`, pruning the bucket
-/// when it drains to empty so churn workloads cannot grow the index
-/// without bound.
-fn idx_remove<K: PartialEq>(idx: &mut FxHashMap<Value, Vec<K>>, key: Option<Value>, item: &K) {
-    if let Some(k) = key {
-        if let Some(bucket) = idx.get_mut(&k) {
-            if let Some(at) = bucket.iter().position(|x| x == item) {
-                bucket.swap_remove(at);
-            }
-            if bucket.is_empty() {
-                idx.remove(&k);
-            }
+impl<K> Default for Side<K> {
+    fn default() -> Self {
+        Side {
+            entries: FxHashMap::default(),
+            index: FxHashMap::default(),
         }
     }
+}
+
+impl<K: Clone + Eq + Hash> Side<K> {
+    /// Applies one signed arrival of `item`, indexed under `key`.
+    ///
+    /// Returns the entry's match count when presence made a net
+    /// transition — absent to present under `Plus`, present to absent
+    /// under `Minus` — which are the only arrivals that scan the
+    /// opposite side; `None` when the arrival merely netted against a
+    /// debt or a duplicate. Entries whose presence nets to zero are
+    /// dropped.
+    fn arrive(&mut self, item: &K, sign: Sign, key: Option<Value>) -> Option<i32> {
+        let entry = self.entries.entry(item.clone()).or_default();
+        entry.presence += sign.delta();
+        let (presence, count) = (entry.presence, entry.count.get());
+        if presence == 0 {
+            self.entries.remove(item);
+        }
+        if presence != i32::from(sign.is_plus()) {
+            return None;
+        }
+        if let Some(key) = key {
+            match sign {
+                Sign::Plus => Bucket::insert(&mut self.index, key, item.clone()),
+                Sign::Minus => Bucket::remove(&mut self.index, &key, item),
+            }
+        }
+        Some(count)
+    }
+
+    /// The present entries an opposite-side activation with key value
+    /// `key` must scan: that value's bucket on a `keyed` node (nothing
+    /// when the arrival itself is unkeyable), every present entry
+    /// otherwise.
+    fn candidates(&self, keyed: bool, key: Option<Value>) -> impl Iterator<Item = &K> {
+        let bucket = key.and_then(|k| self.index.get(&k));
+        let all = (!keyed).then(|| self.entries.iter().filter(|(_, e)| e.presence > 0));
+        let all = all.into_iter().flatten().map(|(item, _)| item);
+        bucket.map_or(&[][..], Bucket::as_slice).iter().chain(all)
+    }
+}
+
+/// Lock-protected state of one node: the private left (token) and right
+/// (WME) memories of a two-input node. Terminals hold an empty slot —
+/// their lock serializes nothing but keeps `exec` uniform.
+#[derive(Debug, Default)]
+struct NodeSlot {
+    left: Side<Token>,
+    right: Side<WmeId>,
 }
 
 /// Per-worker scratch, merged after each phase.
@@ -342,14 +343,6 @@ pub struct ParallelReteMatcher {
     network: Arc<Network>,
     topo: ParallelTopology,
     states: Vec<Mutex<NodeSlot>>,
-    /// Per-node index key: the first equality test of each two-input
-    /// node, chosen once at build time. A right WME is bucketed by
-    /// `own_attr`'s value, a left token by the value at
-    /// `(token_pos, token_attr)` — the same `(position, attribute)`
-    /// keying as the sequential matcher's hashed memories, so both
-    /// runtimes probe identical candidate sets. `None` (no equality
-    /// test) keeps the node on the linear scan path.
-    index_tests: Vec<Option<JoinTest>>,
     /// The engine's own WME store: tokens and right memories reference
     /// WMEs by id; workers read this immutably during a phase.
     store: Vec<Option<Wme>>,
@@ -366,9 +359,14 @@ pub struct ParallelReteMatcher {
     stats: ParallelStats,
     /// Per-worker counters accumulated across all phases.
     worker_totals: Vec<WorkerStats>,
-    /// Collect lock-wait / exec timing (off by default; clock reads on
-    /// the hot path are not free).
+    /// [`ParallelReteMatcher::enable_timing`] was called.
+    timing_enabled: bool,
+    /// Collect lock-wait / exec timing during the current batch: on
+    /// request or while the attached obs handle's detail toggle is on
+    /// (off by default; clock reads on the hot path are not free).
     timing: bool,
+    /// Reusable alpha-match buffer for [`Self::seed_tasks`].
+    alpha_buf: Vec<AlphaId>,
     /// Optional metrics sink; counters are published per phase (cold
     /// path), never per task.
     obs: Option<Arc<Obs>>,
@@ -417,106 +415,37 @@ impl ParallelReteMatcher {
     /// Builds the matcher over an already-compiled network.
     pub fn from_network(network: Arc<Network>, threads: usize) -> Self {
         let topo = ParallelTopology::from_network(&network);
-        let mut slots: Vec<NodeSlot> = network
-            .nodes
-            .iter()
-            .map(|spec| match spec.kind {
-                NodeKind::Join => {
-                    let mut left = FxHashMap::default();
-                    if spec.left.is_none() {
-                        // The dummy top token is always present. It is
-                        // never indexed: a node fed the top token has no
-                        // earlier positive CEs and therefore no equality
-                        // test to key on.
-                        left.insert(Token::top(), 1);
-                    }
-                    NodeSlot::Join {
-                        left,
-                        left_idx: FxHashMap::default(),
-                        right: FxHashMap::default(),
-                        right_idx: FxHashMap::default(),
-                    }
+        // Every node's left store is private, so each node whose left
+        // input passes the dummy top token holds its own copy. It is
+        // never indexed: such a node has no earlier positive CEs and
+        // therefore no equality test to key on.
+        let states = kernel::top_token_inputs(&network)
+            .into_iter()
+            .map(|holds_top| {
+                let mut slot = NodeSlot::default();
+                if holds_top {
+                    let present = Entry {
+                        presence: 1,
+                        count: Cell::new(0),
+                    };
+                    slot.left.entries.insert(Token::top(), present);
                 }
-                NodeKind::Negative => {
-                    let mut left = FxHashMap::default();
-                    if spec.left.is_none() {
-                        left.insert(
-                            Token::top(),
-                            NegEntry {
-                                presence: 1,
-                                count: 0,
-                            },
-                        );
-                    }
-                    NodeSlot::Negative {
-                        left,
-                        left_idx: FxHashMap::default(),
-                        right: FxHashMap::default(),
-                        right_idx: FxHashMap::default(),
-                    }
-                }
-                NodeKind::Terminal => NodeSlot::Terminal,
-                NodeKind::BetaMemory => NodeSlot::Inactive,
-            })
-            .collect();
-
-        // A leading negative node passes the top token at start-up (its
-        // right memory is empty); since every node's left store is
-        // private, propagate the top token through chains of leading
-        // negatives into their children.
-        let mut stack: Vec<NodeId> = network
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.kind == NodeKind::Negative && s.left.is_none())
-            .map(|(i, _)| NodeId(i as u32))
-            .collect();
-        while let Some(node) = stack.pop() {
-            for &child in &topo.token_children[node.index()] {
-                match &mut slots[child.index()] {
-                    NodeSlot::Join { left, .. } => {
-                        left.insert(Token::top(), 1);
-                    }
-                    NodeSlot::Negative { left, .. } => {
-                        left.insert(
-                            Token::top(),
-                            NegEntry {
-                                presence: 1,
-                                count: 0,
-                            },
-                        );
-                        stack.push(child);
-                    }
-                    NodeSlot::Terminal | NodeSlot::Inactive => {
-                        debug_assert!(false, "terminal cannot follow only negated CEs");
-                    }
-                }
-            }
-        }
-
-        let states = slots.into_iter().map(Mutex::new).collect();
-        let index_tests = network
-            .nodes
-            .iter()
-            .map(|spec| match spec.kind {
-                NodeKind::Join | NodeKind::Negative => {
-                    spec.tests.iter().copied().find(|t| t.op == PredOp::Eq)
-                }
-                NodeKind::Terminal | NodeKind::BetaMemory => None,
+                Mutex::new(slot)
             })
             .collect();
         let threads = threads.max(1);
         ParallelReteMatcher {
             topo,
             states,
-            index_tests,
             store: Vec::new(),
             threads,
             pool: None,
             pool_stats: PoolStats::default(),
             stats: ParallelStats::default(),
             worker_totals: vec![WorkerStats::default(); threads],
+            timing_enabled: false,
             timing: false,
+            alpha_buf: Vec::new(),
             obs: None,
             fault: None,
             phase_seq: 0,
@@ -593,7 +522,7 @@ impl ParallelReteMatcher {
     /// Enables lock-wait and task-execution timing (adds two clock
     /// reads per task; off by default).
     pub fn enable_timing(&mut self) {
-        self.timing = true;
+        self.timing_enabled = true;
     }
 
     /// Attaches an observability handle. Worker counters are published
@@ -621,15 +550,10 @@ impl ParallelReteMatcher {
     pub fn resident_tokens(&self) -> usize {
         self.states
             .iter()
-            .map(|slot| match &*relock(slot, &self.poison_recovered) {
-                NodeSlot::Join { left, .. } => {
-                    left.iter().filter(|(t, &p)| p > 0 && !t.is_empty()).count()
-                }
-                NodeSlot::Negative { left, .. } => left
-                    .iter()
-                    .filter(|(t, e)| e.presence > 0 && !t.is_empty())
-                    .count(),
-                NodeSlot::Terminal | NodeSlot::Inactive => 0,
+            .map(|slot| {
+                let slot = relock(slot, &self.poison_recovered);
+                let present = |(t, e): &(&Token, &Entry)| e.presence > 0 && !t.is_empty();
+                slot.left.entries.iter().filter(present).count()
             })
             .sum()
     }
@@ -654,13 +578,14 @@ impl ParallelReteMatcher {
         let wme = self.store[id.index()]
             .as_ref()
             .expect("ingested WME present");
-        let (alphas, tests) = self.network.alpha.matching(wme);
-        self.stats.constant_tests += tests;
-        for alpha in alphas {
+        let mut alphas = std::mem::take(&mut self.alpha_buf);
+        self.stats.constant_tests += self.network.alpha.matching_into(wme, &mut alphas);
+        for alpha in &alphas {
             for &succ in &self.network.alpha_successors[alpha.index()] {
                 out.push(succ, Payload::Right(id), sign);
             }
         }
+        self.alpha_buf = alphas;
     }
 
     /// Runs one phase: drain `tasks` (and their descendants) across the
@@ -907,16 +832,8 @@ impl ParallelReteMatcher {
         local.tasks += 1;
         let spec = self.network.node(task.node);
         let node = task.node.index() as u32;
-        let key_test = self.index_tests[task.node.index()];
-        // The profiler's node taxonomy; doubles as the activation-kind
-        // label prefix, so flight records and `/profile` rows name
-        // nodes identically across both runtimes.
-        let prof_kind = match spec.kind {
-            NodeKind::Join => ProfileKind::Join,
-            NodeKind::Negative => ProfileKind::Negative,
-            NodeKind::BetaMemory => ProfileKind::BetaMem,
-            NodeKind::Terminal => ProfileKind::Terminal,
-        };
+        let keyed = spec.key.is_some();
+        let resolve = |id| Some(self.wme(id));
         let flight_on = self.obs.as_ref().is_some_and(|o| o.flight.enabled());
         let prof_on = self.obs.as_ref().is_some_and(|o| o.profile.enabled());
         let children = &self.topo.token_children[task.node.index()];
@@ -940,20 +857,18 @@ impl ParallelReteMatcher {
             self.injected_faults.fetch_add(1, Ordering::Relaxed);
             panic!("injected fault: lock poison");
         }
+        let NodeSlot { left, right } = &mut *slot;
         for (payload, sign) in task.items {
             let right_side = matches!(payload, Payload::Right(_));
+            // The same activation vocabulary as the sequential matcher,
+            // so flight records and `/profile` rows name nodes
+            // identically across both runtimes.
+            let kind = ActivationKind::of(spec.kind, right_side);
             if flight_on {
                 if let Some(obs) = &self.obs {
                     obs.flight.record(FlightKind::Activation {
                         node,
-                        kind: match (prof_kind, right_side) {
-                            (ProfileKind::Join, true) => "join-R",
-                            (ProfileKind::Join, false) => "join-L",
-                            (ProfileKind::Negative, true) => "neg-R",
-                            (ProfileKind::Negative, false) => "neg-L",
-                            (ProfileKind::BetaMem, _) => "bmem",
-                            _ => "term",
-                        },
+                        kind: kind.label(),
                         wme: match &payload {
                             Payload::Right(id) => Some(id.index() as u32),
                             Payload::Left(_) => None,
@@ -961,326 +876,101 @@ impl ParallelReteMatcher {
                     });
                 }
             }
-            let pairs_before = local.pairs_scanned;
             let emitted_before = emitted.len();
-            match (&mut *slot, payload) {
-                (
-                    NodeSlot::Join {
-                        left,
-                        left_idx,
-                        right,
-                        right_idx,
-                    },
-                    Payload::Right(wme_id),
-                ) => {
-                    let (old, new) = bump(right, wme_id, sign.delta());
-                    // Scan (and maintain the index) only on a net
-                    // presence transition.
-                    if (old <= 0 && new == 1) || (old == 1 && new == 0) {
-                        let wme = self.wme(wme_id);
-                        let key = key_test.and_then(|t| wme.get(t.own_attr));
-                        match key_test {
-                            Some(_) => {
-                                // An unkeyable WME (attribute absent)
-                                // fails the equality test against every
-                                // token; probe nothing.
-                                if let Some(k) = &key {
-                                    if let Some(bucket) = left_idx.get(k) {
-                                        for token in bucket {
-                                            local.pairs_scanned += 1;
-                                            let (ok, n) = self.eval_tests(&spec.tests, token, wme);
-                                            local.join_tests += n;
-                                            if ok {
-                                                emitted.push((token.extended(wme_id), sign));
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            None => {
-                                for (token, &presence) in left.iter() {
-                                    if presence <= 0 {
-                                        continue;
-                                    }
-                                    local.pairs_scanned += 1;
-                                    let (ok, n) = self.eval_tests(&spec.tests, token, wme);
-                                    local.join_tests += n;
-                                    if ok {
-                                        emitted.push((token.extended(wme_id), sign));
-                                    }
-                                }
-                            }
-                        }
-                        if new == 1 {
-                            idx_insert(right_idx, key, wme_id);
-                        } else {
-                            idx_remove(right_idx, key, &wme_id);
-                        }
-                    }
-                    if new == 0 {
-                        right.remove(&wme_id);
-                    }
-                }
-                (
-                    NodeSlot::Join {
-                        left,
-                        left_idx,
-                        right,
-                        right_idx,
-                    },
-                    Payload::Left(token),
-                ) => {
-                    let (old, new) = bump_token(left, &token, sign.delta());
-                    if (old <= 0 && new == 1) || (old == 1 && new == 0) {
-                        let key = key_test.and_then(|t| self.left_key(t, &token));
-                        match key_test {
-                            Some(_) => {
-                                if let Some(k) = &key {
-                                    if let Some(bucket) = right_idx.get(k) {
-                                        for &wme_id in bucket {
-                                            local.pairs_scanned += 1;
-                                            let wme = self.wme(wme_id);
-                                            let (ok, n) = self.eval_tests(&spec.tests, &token, wme);
-                                            local.join_tests += n;
-                                            if ok {
-                                                emitted.push((token.extended(wme_id), sign));
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            None => {
-                                for (&wme_id, &presence) in right.iter() {
-                                    if presence <= 0 {
-                                        continue;
-                                    }
-                                    local.pairs_scanned += 1;
-                                    let wme = self.wme(wme_id);
-                                    let (ok, n) = self.eval_tests(&spec.tests, &token, wme);
-                                    local.join_tests += n;
-                                    if ok {
-                                        emitted.push((token.extended(wme_id), sign));
-                                    }
-                                }
-                            }
-                        }
-                        if new == 1 {
-                            idx_insert(left_idx, key, token.clone());
-                        } else {
-                            idx_remove(left_idx, key, &token);
-                        }
-                    }
-                    if new == 0 {
-                        left.remove(&token);
-                    }
-                }
-                (
-                    NodeSlot::Negative {
-                        left,
-                        left_idx,
-                        right,
-                        right_idx,
-                    },
-                    Payload::Right(wme_id),
-                ) => {
-                    let (old, new) = bump(right, wme_id, sign.delta());
+            // Every arm: apply the arrival to its own side (presence and
+            // index), then — usually only on a net presence transition —
+            // scan the opposite side's candidates for its key value.
+            let work = match (spec.kind, payload) {
+                (NodeKind::Join, Payload::Right(wme_id)) => {
                     let wme = self.wme(wme_id);
-                    let key = key_test.and_then(|t| wme.get(t.own_attr));
-                    if old <= 0 && new == 1 {
-                        idx_insert(right_idx, key, wme_id);
-                    } else if old == 1 && new == 0 {
-                        idx_remove(right_idx, key, &wme_id);
+                    let key = spec.key.and_then(|t| t.wme_key(wme));
+                    match right.arrive(&wme_id, sign, key) {
+                        None => Work::default(),
+                        Some(_) => {
+                            let extend =
+                                |token: &Token| emitted.push((token.extended(wme_id), sign));
+                            let candidates = left.candidates(keyed, key);
+                            kernel::scan_tokens(&spec.tests, candidates, wme, resolve, extend)
+                        }
                     }
-                    if new == 0 {
-                        right.remove(&wme_id);
+                }
+                (NodeKind::Join, Payload::Left(token)) => {
+                    let key = spec.key.and_then(|t| t.token_key(&token, resolve));
+                    match left.arrive(&token, sign, key) {
+                        None => Work::default(),
+                        Some(_) => {
+                            let extend = |wme_id| emitted.push((token.extended(wme_id), sign));
+                            let candidates = right.candidates(keyed, key).copied();
+                            kernel::scan_wmes(&spec.tests, &token, candidates, resolve, extend)
+                        }
                     }
+                }
+                (NodeKind::Negative, Payload::Right(wme_id)) => {
+                    let wme = self.wme(wme_id);
+                    let key = spec.key.and_then(|t| t.wme_key(wme));
+                    right.arrive(&wme_id, sign, key);
                     // Count adjustment is unconditional (every signed
                     // right activation shifts the match counts of the
                     // tokens it joins with).
-                    match key_test {
-                        Some(_) => {
-                            if let Some(k) = &key {
-                                if let Some(bucket) = left_idx.get(k) {
-                                    for token in bucket {
-                                        local.pairs_scanned += 1;
-                                        let (ok, n) = self.eval_tests(&spec.tests, token, wme);
-                                        local.join_tests += n;
-                                        if !ok {
-                                            continue;
-                                        }
-                                        let entry =
-                                            left.get_mut(token).expect("indexed token is present");
-                                        let old_blocked = entry.count >= 1;
-                                        entry.count += sign.delta();
-                                        let new_blocked = entry.count >= 1;
-                                        if old_blocked != new_blocked {
-                                            // Becoming blocked retracts;
-                                            // unblocking asserts.
-                                            let s =
-                                                if new_blocked { Sign::Minus } else { Sign::Plus };
-                                            debug_assert_eq!(s, sign.invert());
-                                            emitted.push((token.clone(), s));
-                                        }
-                                    }
-                                }
-                            }
+                    let recount = |token: &Token| {
+                        let count = &left.entries[token].count;
+                        let was_blocked = count.get() >= 1;
+                        count.set(count.get() + sign.delta());
+                        if was_blocked != (count.get() >= 1) {
+                            // Becoming blocked retracts; unblocking
+                            // asserts.
+                            emitted.push((token.clone(), sign.invert()));
                         }
-                        None => {
-                            for (token, entry) in left.iter_mut() {
-                                if entry.presence != 1 {
-                                    continue;
-                                }
-                                local.pairs_scanned += 1;
-                                let (ok, n) = self.eval_tests(&spec.tests, token, wme);
-                                local.join_tests += n;
-                                if !ok {
-                                    continue;
-                                }
-                                let old_blocked = entry.count >= 1;
-                                entry.count += sign.delta();
-                                let new_blocked = entry.count >= 1;
-                                if old_blocked != new_blocked {
-                                    let s = if new_blocked { Sign::Minus } else { Sign::Plus };
-                                    debug_assert_eq!(s, sign.invert());
-                                    emitted.push((token.clone(), s));
-                                }
+                    };
+                    let candidates = left.candidates(keyed, key);
+                    kernel::scan_tokens(&spec.tests, candidates, wme, resolve, recount)
+                }
+                (NodeKind::Negative, Payload::Left(token)) => {
+                    let key = spec.key.and_then(|t| t.token_key(&token, resolve));
+                    match (left.arrive(&token, sign, key), sign) {
+                        // A debt was cancelled, or a deletion raced
+                        // ahead and left one; net nothing happened.
+                        (None, _) => Work::default(),
+                        (Some(count), Sign::Minus) => {
+                            if count <= 0 {
+                                emitted.push((token, Sign::Minus));
                             }
+                            Work::default()
+                        }
+                        (Some(_), Sign::Plus) => {
+                            // Fresh net insert: count current matches.
+                            let mut count = 0i32;
+                            let tally = |wme_id| count += right.entries[&wme_id].presence;
+                            let candidates = right.candidates(keyed, key).copied();
+                            let work =
+                                kernel::scan_wmes(&spec.tests, &token, candidates, resolve, tally);
+                            left.entries[&token].count.set(count);
+                            if count <= 0 {
+                                emitted.push((token, Sign::Plus));
+                            }
+                            work
                         }
                     }
                 }
-                (
-                    NodeSlot::Negative {
-                        left,
-                        left_idx,
-                        right,
-                        right_idx,
-                    },
-                    Payload::Left(token),
-                ) => {
-                    match sign {
-                        Sign::Plus => {
-                            let entry = left.entry(token.clone()).or_default();
-                            entry.presence += 1;
-                            match entry.presence {
-                                1 => {
-                                    // Fresh net insert: count current matches.
-                                    let key = key_test.and_then(|t| self.left_key(t, &token));
-                                    let mut count = 0i32;
-                                    let mut tests = 0u64;
-                                    let mut scanned = 0u64;
-                                    match key_test {
-                                        Some(_) => {
-                                            if let Some(k) = &key {
-                                                if let Some(bucket) = right_idx.get(k) {
-                                                    for &wme_id in bucket {
-                                                        scanned += 1;
-                                                        let wme = self.wme(wme_id);
-                                                        let (ok, n) = self.eval_tests(
-                                                            &spec.tests,
-                                                            &token,
-                                                            wme,
-                                                        );
-                                                        tests += n;
-                                                        if ok {
-                                                            count += right
-                                                                .get(&wme_id)
-                                                                .copied()
-                                                                .unwrap_or(0);
-                                                        }
-                                                    }
-                                                }
-                                            }
-                                        }
-                                        None => {
-                                            for (&wme_id, &mult) in right.iter() {
-                                                if mult <= 0 {
-                                                    continue;
-                                                }
-                                                scanned += 1;
-                                                let wme = self.wme(wme_id);
-                                                let (ok, n) =
-                                                    self.eval_tests(&spec.tests, &token, wme);
-                                                tests += n;
-                                                if ok {
-                                                    count += mult;
-                                                }
-                                            }
-                                        }
-                                    }
-                                    local.pairs_scanned += scanned;
-                                    local.join_tests += tests;
-                                    entry.count = count;
-                                    idx_insert(left_idx, key, token.clone());
-                                    if count <= 0 {
-                                        emitted.push((token, Sign::Plus));
-                                    }
-                                }
-                                0 => {
-                                    // A debt cancelled; net nothing happened.
-                                    left.remove(&token);
-                                }
-                                _ => {
-                                    debug_assert!(false, "duplicate token insert at negative node")
-                                }
-                            }
-                        }
-                        Sign::Minus => {
-                            let entry = left.entry(token.clone()).or_default();
-                            entry.presence -= 1;
-                            match entry.presence {
-                                0 => {
-                                    let unblocked = entry.count <= 0;
-                                    let key = key_test.and_then(|t| self.left_key(t, &token));
-                                    idx_remove(left_idx, key, &token);
-                                    left.remove(&token);
-                                    if unblocked {
-                                        emitted.push((token, Sign::Minus));
-                                    }
-                                }
-                                -1 => { /* deletion raced ahead; keep the debt */ }
-                                _ => debug_assert!(false, "negative-node presence out of range"),
-                            }
-                        }
-                    }
-                }
-                (NodeSlot::Terminal, Payload::Left(token)) => {
+                (NodeKind::Terminal, Payload::Left(token)) => {
                     let inst = Instantiation::new(
                         self.topo.terminal_production[task.node.index()]
                             .expect("terminal has production"),
                         token.into_wmes(),
                     );
-                    let single = match sign {
-                        Sign::Plus => MatchDelta {
-                            added: vec![inst],
-                            removed: vec![],
-                        },
-                        Sign::Minus => MatchDelta {
-                            added: vec![],
-                            removed: vec![inst],
-                        },
-                    };
-                    local.delta.merge(single);
+                    local.delta.apply(inst, sign.is_plus());
+                    Work::default()
                 }
-                (slot, payload) => unreachable!(
-                    "invalid activation: {slot:?} with {payload:?}",
-                    slot = match slot {
-                        NodeSlot::Join { .. } => "join",
-                        NodeSlot::Negative { .. } => "negative",
-                        NodeSlot::Terminal => "terminal",
-                        NodeSlot::Inactive => "inactive",
-                    },
-                    payload = match payload {
-                        Payload::Right(_) => "right",
-                        Payload::Left(_) => "left",
-                    }
-                ),
-            }
+                (node_kind, _) => unreachable!("{kind:?} activation of a {node_kind:?} node"),
+            };
+            local.join_tests += work.tests as u64;
+            local.pairs_scanned += work.scanned as u64;
             if prof_on {
                 // One profiler delta per payload, so grouped execution
                 // reports the same per-activation rows as per-change
                 // dispatch did; terminals emit conflict-set changes
                 // instead of tokens.
-                let tokens_out = if prof_kind == ProfileKind::Terminal {
+                let tokens_out = if kind == ActivationKind::Terminal {
                     1
                 } else {
                     (emitted.len() - emitted_before) as u64
@@ -1288,8 +978,8 @@ impl ParallelReteMatcher {
                 let (_, d) = local
                     .prof
                     .entry(node)
-                    .or_insert((prof_kind, NodeDelta::default()));
-                d.record(right_side, local.pairs_scanned - pairs_before, tokens_out);
+                    .or_insert((kind.profile_kind().0, NodeDelta::default()));
+                d.record(right_side, work.scanned as u64, tokens_out);
             }
         }
         drop(slot);
@@ -1310,39 +1000,15 @@ impl ParallelReteMatcher {
             .collect()
     }
 
-    /// Resolves a left token's index key under `test`: the value at
-    /// `(token_pos, token_attr)`, read from the engine's own WME store.
-    /// The store retains every WME a resident token references until
-    /// the batch that retracts it completes, so the key resolves
-    /// identically at insert and removal time — the engine-side
-    /// analogue of the sequential matcher's captured insert-time keys.
-    fn left_key(&self, test: JoinTest, token: &Token) -> Option<Value> {
-        token
-            .wme_at(test.token_pos)
-            .and_then(|id| self.wme(id).get(test.token_attr))
-    }
-
+    /// Reads a WME from the engine's own store. The store retains every
+    /// WME a resident token references until the batch that retracts it
+    /// completes, so a token's index key resolves identically at insert
+    /// and removal time — the engine-side analogue of the sequential
+    /// matcher's captured insert-time keys.
     fn wme(&self, id: WmeId) -> &Wme {
         self.store[id.index()]
             .as_ref()
             .expect("token/right-memory WME resident in store")
-    }
-
-    fn eval_tests(&self, tests: &[JoinTest], token: &Token, wme: &Wme) -> (bool, u64) {
-        let mut n = 0u64;
-        for t in tests {
-            n += 1;
-            let own = wme.get(t.own_attr);
-            let other = token
-                .wme_at(t.token_pos)
-                .map(|id| self.wme(id))
-                .and_then(|w| w.get(t.token_attr));
-            match (own, other) {
-                (Some(a), Some(b)) if a.compare(t.op, b) => {}
-                _ => return (false, n),
-            }
-        }
-        (true, n)
     }
 }
 
@@ -1354,21 +1020,6 @@ impl Drop for PendingGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::AcqRel);
     }
-}
-
-/// Adjusts a signed-count map entry, returning `(old, new)` counts.
-fn bump(map: &mut FxHashMap<WmeId, i32>, key: WmeId, delta: i32) -> (i32, i32) {
-    let e = map.entry(key).or_insert(0);
-    let old = *e;
-    *e += delta;
-    (old, *e)
-}
-
-fn bump_token(map: &mut FxHashMap<Token, i32>, key: &Token, delta: i32) -> (i32, i32) {
-    let e = map.entry(key.clone()).or_insert(0);
-    let old = *e;
-    *e += delta;
-    (old, *e)
 }
 
 impl Matcher for ParallelReteMatcher {
@@ -1403,9 +1054,7 @@ impl Matcher for ParallelReteMatcher {
                 Change::Add(id) => self.seed_tasks(*id, Sign::Plus, &mut adds),
             }
         }
-        if let Some(obs) = &self.obs {
-            self.timing = self.timing || obs.detail();
-        }
+        self.timing = self.timing_enabled || self.obs.as_ref().is_some_and(|o| o.detail());
         let mut delta = self.run_phase("remove", removes.into_tasks());
         delta.merge(self.run_phase("add", adds.into_tasks()));
         for id in removed_ids {
@@ -1804,6 +1453,34 @@ mod tests {
             d2.canonicalize();
             assert_eq!(d1, d2);
         }
+    }
+
+    /// Sticky-timing regression: the obs detail toggle used to latch
+    /// per-task clock reads on for the matcher's lifetime.
+    #[test]
+    fn timing_stops_when_detail_is_switched_off() {
+        let (program, mut m) = parallel(EQ_PROGRAM, 2);
+        let obs = Arc::new(Obs::new(16));
+        m.attach_obs(Arc::clone(&obs));
+        let mut wm = WorkingMemory::new();
+        let mut syms = program.symbols.clone();
+        let mut exec_ns_after_add = |m: &mut ParallelReteMatcher, lit: &str| {
+            let (id, _) = wm.add(parse_wme(lit, &mut syms).unwrap());
+            m.process(&wm, &[Change::Add(id)]);
+            m.worker_totals_merged().exec_ns
+        };
+        assert_eq!(exec_ns_after_add(&mut m, "(a ^x 0)"), 0, "off by default");
+        obs.set_detail(true);
+        let timed = exec_ns_after_add(&mut m, "(a ^x 1)");
+        assert!(timed > 0, "detail turns task timing on");
+        obs.set_detail(false);
+        assert_eq!(
+            exec_ns_after_add(&mut m, "(a ^x 2)"),
+            timed,
+            "and off again"
+        );
+        m.enable_timing();
+        assert!(exec_ns_after_add(&mut m, "(a ^x 3)") > timed);
     }
 
     #[test]

@@ -68,6 +68,24 @@ impl MatchDelta {
         Self::default()
     }
 
+    /// Nets one later conflict-set change into the delta in place: an
+    /// instantiation that an earlier change of the batch removed and this
+    /// one adds back (or vice versa) cancels out instead of appearing on
+    /// both lists. This is what a terminal node calls per activation.
+    pub fn apply(&mut self, inst: Instantiation, added: bool) {
+        let (same, opposite) = if added {
+            (&mut self.added, &mut self.removed)
+        } else {
+            (&mut self.removed, &mut self.added)
+        };
+        match opposite.iter().position(|i| *i == inst) {
+            Some(pos) => {
+                opposite.swap_remove(pos);
+            }
+            None => same.push(inst),
+        }
+    }
+
     /// Merges `other` (which happened *after* `self`) into a net delta.
     ///
     /// An instantiation added by an earlier change and removed by a later
@@ -76,18 +94,10 @@ impl MatchDelta {
     /// without ordering information.
     pub fn merge(&mut self, other: MatchDelta) {
         for inst in other.removed {
-            if let Some(pos) = self.added.iter().position(|i| *i == inst) {
-                self.added.swap_remove(pos);
-            } else {
-                self.removed.push(inst);
-            }
+            self.apply(inst, false);
         }
         for inst in other.added {
-            if let Some(pos) = self.removed.iter().position(|i| *i == inst) {
-                self.removed.swap_remove(pos);
-            } else {
-                self.added.push(inst);
-            }
+            self.apply(inst, true);
         }
     }
 

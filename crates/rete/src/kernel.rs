@@ -1,0 +1,356 @@
+//! The two-input node, stated once.
+//!
+//! Everything about a join or negative node that does not depend on how
+//! its memories are reached: the index-key policy ([`index_key`], kept
+//! on [`NodeSpec::key`](crate::NodeSpec)), join-test evaluation, the
+//! two candidate scans that define what `join_tests` and
+//! `pairs_scanned` count, [`Sign`], [`ActivationKind`], which nodes
+//! start out holding the dummy top token, and the index [`Bucket`].
+//!
+//! Both runtimes are written on top of it and differ only in memory
+//! model and scheduling — [`ReteMatcher`](crate::ReteMatcher) with
+//! shared, FIFO-ordered alpha/beta memories (the "best known
+//! uniprocessor implementation"), `psm_core`'s engine with private
+//! signed-presence memories behind one lock per node. Each activation
+//! in either is "pick candidates (one index bucket, or the whole
+//! memory) → run a kernel scan → route the outputs".
+
+use std::borrow::Borrow;
+use std::hash::Hash;
+
+use ops5::{FxHashMap, PredOp, Value, Wme, WmeId};
+use psm_obs::ProfileKind;
+
+use crate::network::{JoinTest, Network, NodeKind};
+use crate::token::Token;
+
+/// The index key of a two-input node: its first equality join test, or
+/// `None` when it has none (predicate-only joins, and terminals and
+/// beta memories, which carry no tests) and so scans linearly.
+///
+/// A right-input WME is bucketed under its `own_attr` value and a
+/// left-input token under the value at `(token_pos, token_attr)`; the
+/// test holds exactly when the two are equal, so an activation need
+/// only look at the opposite bucket with its own key value.
+pub fn index_key(tests: &[JoinTest]) -> Option<JoinTest> {
+    tests.iter().copied().find(|t| t.op == PredOp::Eq)
+}
+
+impl JoinTest {
+    /// The value a right-input WME is indexed under (`None`: the
+    /// attribute is absent, so the test fails against every token).
+    pub fn wme_key(&self, wme: &Wme) -> Option<Value> {
+        wme.get(self.own_attr)
+    }
+
+    /// The value a left-input token is indexed under.
+    pub fn token_key<'a>(
+        &self,
+        token: &Token,
+        resolve: impl Fn(WmeId) -> Option<&'a Wme>,
+    ) -> Option<Value> {
+        token
+            .wme_at(self.token_pos)
+            .and_then(resolve)
+            .and_then(|w| w.get(self.token_attr))
+    }
+}
+
+/// Evaluates join tests with short-circuiting, returning success and the
+/// number of tests evaluated. `resolve` maps the token's WME ids to
+/// WMEs (the caller's working memory, or the engine's own store).
+pub fn eval_join_tests<'a>(
+    tests: &[JoinTest],
+    token: &Token,
+    wme: &Wme,
+    resolve: impl Fn(WmeId) -> Option<&'a Wme>,
+) -> (bool, u32) {
+    let mut n = 0u32;
+    for t in tests {
+        n += 1;
+        match (t.wme_key(wme), t.token_key(token, &resolve)) {
+            (Some(a), Some(b)) if a.compare(t.op, b) => {}
+            _ => return (false, n),
+        }
+    }
+    (true, n)
+}
+
+/// The work one scan performed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Work {
+    /// Join tests evaluated.
+    pub tests: u32,
+    /// Opposite-memory entries looked at.
+    pub scanned: u32,
+}
+
+/// Right activation: tests every candidate of the left input against
+/// `wme`, calling `hit` with each one that passes. A candidate is a
+/// token or any memory entry that lends one out, so `hit` can extend
+/// the token (join) or adjust the entry's match count (negative node).
+pub fn scan_tokens<'a, C: Borrow<Token>>(
+    tests: &[JoinTest],
+    candidates: impl IntoIterator<Item = C>,
+    wme: &Wme,
+    resolve: impl Fn(WmeId) -> Option<&'a Wme>,
+    mut hit: impl FnMut(C),
+) -> Work {
+    let mut work = Work::default();
+    for candidate in candidates {
+        work.scanned += 1;
+        let (ok, n) = eval_join_tests(tests, candidate.borrow(), wme, &resolve);
+        work.tests += n;
+        if ok {
+            hit(candidate);
+        }
+    }
+    work
+}
+
+/// Left activation: tests `token` against every candidate WME of the
+/// right input, calling `hit` with each one that passes.
+///
+/// # Panics
+///
+/// Panics if `resolve` cannot produce a candidate: right memories only
+/// hold live WMEs.
+pub fn scan_wmes<'a>(
+    tests: &[JoinTest],
+    token: &Token,
+    candidates: impl IntoIterator<Item = WmeId>,
+    resolve: impl Fn(WmeId) -> Option<&'a Wme>,
+    mut hit: impl FnMut(WmeId),
+) -> Work {
+    let mut work = Work::default();
+    for id in candidates {
+        work.scanned += 1;
+        let wme = resolve(id).expect("right-memory WME is live");
+        let (ok, n) = eval_join_tests(tests, token, wme, &resolve);
+        work.tests += n;
+        if ok {
+            hit(id);
+        }
+    }
+    work
+}
+
+/// For each node, whether its left input holds the dummy top token from
+/// the start: a two-input node compiled from a production's first CE,
+/// or one reached from there through a chain of leading negatives
+/// (their right memories begin empty, so the top token passes).
+pub fn top_token_inputs(network: &Network) -> Vec<bool> {
+    let mut reach = vec![false; network.nodes.len()];
+    // Nodes are created parents-before-children, so one forward pass
+    // settles the chain.
+    for (i, spec) in network.nodes.iter().enumerate() {
+        reach[i] = matches!(spec.kind, NodeKind::Join | NodeKind::Negative)
+            && match spec.left {
+                None => true,
+                Some(left) => network.node(left).kind == NodeKind::Negative && reach[left.index()],
+            };
+    }
+    reach
+}
+
+/// Sign of a change flowing through the network: assertion or retraction.
+///
+/// Retractions traverse the same paths as assertions and delete the
+/// matching state — the deletion strategy of the original Rete
+/// implementations (DESIGN.md §6).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Sign {
+    /// Assertion: insert state, add instantiations.
+    Plus,
+    /// Retraction: delete state, remove instantiations.
+    Minus,
+}
+
+impl Sign {
+    /// True for `Plus`.
+    pub fn is_plus(self) -> bool {
+        matches!(self, Sign::Plus)
+    }
+
+    /// The signed-presence step: `+1` or `-1`.
+    pub fn delta(self) -> i32 {
+        match self {
+            Sign::Plus => 1,
+            Sign::Minus => -1,
+        }
+    }
+
+    /// The opposite sign — what a negative node forwards when a right
+    /// match appears (retract) or disappears (re-assert).
+    pub fn invert(self) -> Sign {
+        match self {
+            Sign::Plus => Sign::Minus,
+            Sign::Minus => Sign::Plus,
+        }
+    }
+}
+
+/// What kind of node an activation ran on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ActivationKind {
+    /// Constant-test evaluation of one WME against the alpha network
+    /// (one record per change, covering all candidate alpha nodes).
+    ConstantTest,
+    /// An alpha-memory update (insert/delete of a WME).
+    AlphaMem,
+    /// A two-input node activated from the right (new WME).
+    JoinRight,
+    /// A two-input node activated from the left (new token).
+    JoinLeft,
+    /// A negative node activated from the right.
+    NegativeRight,
+    /// A negative node activated from the left.
+    NegativeLeft,
+    /// A beta-memory update (insert/delete of a token).
+    BetaMem,
+    /// A terminal node emitting a conflict-set change.
+    Terminal,
+}
+
+impl ActivationKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [ActivationKind; 8] = [
+        ActivationKind::ConstantTest,
+        ActivationKind::AlphaMem,
+        ActivationKind::JoinRight,
+        ActivationKind::JoinLeft,
+        ActivationKind::NegativeRight,
+        ActivationKind::NegativeLeft,
+        ActivationKind::BetaMem,
+        ActivationKind::Terminal,
+    ];
+
+    /// The kind of an activation of a beta node of kind `node`,
+    /// arriving on the right (WME) or left (token) input.
+    pub fn of(node: NodeKind, right_side: bool) -> ActivationKind {
+        match (node, right_side) {
+            (NodeKind::Join, true) => ActivationKind::JoinRight,
+            (NodeKind::Join, false) => ActivationKind::JoinLeft,
+            (NodeKind::Negative, true) => ActivationKind::NegativeRight,
+            (NodeKind::Negative, false) => ActivationKind::NegativeLeft,
+            (NodeKind::BetaMemory, _) => ActivationKind::BetaMem,
+            (NodeKind::Terminal, _) => ActivationKind::Terminal,
+        }
+    }
+
+    /// Short label for reports, traces, flight records and `/explain`.
+    pub fn label(self) -> &'static str {
+        match self {
+            ActivationKind::ConstantTest => "const",
+            ActivationKind::AlphaMem => "amem",
+            ActivationKind::JoinRight => "join-R",
+            ActivationKind::JoinLeft => "join-L",
+            ActivationKind::NegativeRight => "neg-R",
+            ActivationKind::NegativeLeft => "neg-L",
+            ActivationKind::BetaMem => "bmem",
+            ActivationKind::Terminal => "term",
+        }
+    }
+
+    /// The kind `label` names (inverse of [`ActivationKind::label`]).
+    pub fn from_label(label: &str) -> Option<ActivationKind> {
+        Self::ALL.into_iter().find(|k| k.label() == label)
+    }
+
+    /// The profiler's node taxonomy plus whether the activation arrived
+    /// on the right input, so the profile table, the flight recorder
+    /// and `/explain` name nodes identically under both runtimes.
+    pub fn profile_kind(self) -> (ProfileKind, bool) {
+        match self {
+            ActivationKind::JoinRight => (ProfileKind::Join, true),
+            ActivationKind::JoinLeft => (ProfileKind::Join, false),
+            ActivationKind::NegativeRight => (ProfileKind::Negative, true),
+            ActivationKind::NegativeLeft => (ProfileKind::Negative, false),
+            ActivationKind::BetaMem => (ProfileKind::BetaMem, false),
+            ActivationKind::Terminal => (ProfileKind::Terminal, false),
+            ActivationKind::ConstantTest | ActivationKind::AlphaMem => (ProfileKind::Other, true),
+        }
+    }
+}
+
+/// A hash-index bucket: one inline entry, or a spilled vector.
+///
+/// Index buckets follow the workload's join-value selectivity, and the
+/// empty-bucket pruning done on removal means a heap-allocated `Vec`
+/// bucket would be created and freed every time a value transitions
+/// between absent and singly-present; on churn-heavy workloads that
+/// malloc/free pair dominates index maintenance. `Bucket` stores the
+/// overwhelmingly common one-entry case inline and only allocates once
+/// a second entry arrives.
+///
+/// Invariant: a bucket holds at least one entry while resident in an
+/// index — [`Bucket::remove`] drops the map entry when it drains.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Bucket<T> {
+    /// Exactly one entry, stored inline (no heap allocation).
+    One(T),
+    /// Two or more entries.
+    Many(Vec<T>),
+}
+
+impl<T: PartialEq> Bucket<T> {
+    /// Adds `item` to the bucket of `key` in `index`, spilling to a
+    /// vector on the bucket's second entry.
+    pub fn insert<K: Eq + Hash>(index: &mut FxHashMap<K, Bucket<T>>, key: K, item: T) {
+        use std::collections::hash_map::Entry;
+        match index.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(Bucket::One(item));
+            }
+            Entry::Occupied(mut e) => match e.get_mut() {
+                Bucket::Many(vec) => vec.push(item),
+                one => {
+                    let Bucket::One(first) = std::mem::replace(one, Bucket::Many(Vec::new()))
+                    else {
+                        unreachable!("not Many, so One");
+                    };
+                    *one = Bucket::Many(vec![first, item]);
+                }
+            },
+        }
+    }
+
+    /// Removes the first entry equal to `item` (swap-remove order) from
+    /// the bucket of `key`, pruning the bucket when it drains to empty
+    /// so churn workloads cannot grow the index with every distinct
+    /// value ever seen.
+    pub fn remove<K: Eq + Hash>(index: &mut FxHashMap<K, Bucket<T>>, key: &K, item: &T) {
+        let drained = match index.get_mut(key) {
+            None => false,
+            Some(Bucket::One(v)) => v == item,
+            Some(Bucket::Many(vec)) => {
+                if let Some(pos) = vec.iter().position(|v| v == item) {
+                    vec.swap_remove(pos);
+                }
+                vec.is_empty()
+            }
+        };
+        if drained {
+            index.remove(key);
+        }
+    }
+
+    /// The entries as a slice.
+    pub fn as_slice(&self) -> &[T] {
+        match self {
+            Bucket::One(v) => std::slice::from_ref(v),
+            Bucket::Many(vec) => vec,
+        }
+    }
+
+    /// Builds a bucket from a decoded entry list (snapshot restore).
+    /// Returns `None` for an empty list — empty buckets are never
+    /// resident.
+    pub fn from_vec(mut entries: Vec<T>) -> Option<Self> {
+        match entries.len() {
+            0 => None,
+            1 => entries.pop().map(Bucket::One),
+            _ => Some(Bucket::Many(entries)),
+        }
+    }
+}

@@ -41,7 +41,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod alpha;
-mod bucket;
+pub mod kernel;
 pub mod network;
 pub mod profile;
 pub mod runtime;
@@ -51,10 +51,11 @@ pub mod token;
 pub mod trace;
 
 pub use alpha::{AlphaId, AlphaNetwork, AlphaNode, AlphaTest};
+pub use kernel::{ActivationKind, Bucket, Sign};
 pub use network::{CompileOptions, JoinTest, Network, NetworkStats, NodeId, NodeSpec};
 pub use profile::{HotNode, MatchProfile, NodeCost};
-pub use runtime::{profile_kind, MemoryStrategy, ReteMatcher};
+pub use runtime::{MemoryStrategy, ReteMatcher};
 pub use snapshot::ReteSnapshot;
 pub use stats::MatchStats;
 pub use token::Token;
-pub use trace::{ActivationKind, ActivationRecord, ChangeTrace, CycleTrace, Trace, TraceBuilder};
+pub use trace::{ActivationRecord, ChangeTrace, CycleTrace, Trace, TraceBuilder};

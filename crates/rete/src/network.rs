@@ -15,6 +15,7 @@ use ops5::{
 };
 
 use crate::alpha::{AlphaId, AlphaNetwork, AlphaTest};
+use crate::kernel;
 
 /// Handle to a beta-network node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -67,6 +68,10 @@ pub struct NodeSpec {
     pub left: Option<NodeId>,
     /// Variable-binding tests (Join/Negative only).
     pub tests: Vec<JoinTest>,
+    /// The equality test both runtimes index this node's memories by
+    /// ([`kernel::index_key`] of `tests`, chosen once here at compile
+    /// time); `None` means the node scans linearly.
+    pub key: Option<JoinTest>,
     /// For terminals: the production whose instantiations this node
     /// emits. For two-input nodes: the production that *first* requested
     /// the node — exact ownership when compiled with `share: false`
@@ -423,6 +428,7 @@ impl Compiler {
                     alpha: None,
                     left: None,
                     tests: Vec::new(),
+                    key: None,
                     production: Some(production.id),
                     children: Vec::new(),
                 });
@@ -456,6 +462,7 @@ impl Compiler {
             kind,
             alpha: Some(alpha),
             left,
+            key: kernel::index_key(&tests),
             tests,
             production: Some(owner),
             children: Vec::new(),
@@ -484,6 +491,7 @@ impl Compiler {
             alpha: None,
             left: None,
             tests: Vec::new(),
+            key: None,
             production: owner,
             children: Vec::new(),
         });

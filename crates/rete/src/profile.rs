@@ -10,19 +10,7 @@
 
 use psm_obs::{Histogram, HistogramSnapshot};
 
-use crate::trace::ActivationKind;
-
-/// All activation kinds, in discriminant order (used as array index).
-pub const KINDS: [ActivationKind; 8] = [
-    ActivationKind::ConstantTest,
-    ActivationKind::AlphaMem,
-    ActivationKind::JoinRight,
-    ActivationKind::JoinLeft,
-    ActivationKind::NegativeRight,
-    ActivationKind::NegativeLeft,
-    ActivationKind::BetaMem,
-    ActivationKind::Terminal,
-];
+use crate::kernel::ActivationKind;
 
 /// Accumulated cost of one node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -47,7 +35,7 @@ pub struct HotNode {
 /// Activation-time profile: per-node totals plus per-kind histograms.
 #[derive(Debug)]
 pub struct MatchProfile {
-    kinds: [Histogram; KINDS.len()],
+    kinds: [Histogram; ActivationKind::ALL.len()],
     nodes: Vec<NodeCost>,
 }
 
@@ -137,7 +125,7 @@ mod tests {
 
     #[test]
     fn kinds_cover_every_discriminant() {
-        for (i, k) in KINDS.iter().enumerate() {
+        for (i, k) in ActivationKind::ALL.iter().enumerate() {
             assert_eq!(*k as usize, i);
         }
     }

@@ -7,22 +7,23 @@
 //! schedules onto processors, and it gives the trace builder natural
 //! parent/child dependency edges.
 
-use std::collections::hash_map::Entry;
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ops5::{Change, Error, Instantiation, MatchDelta, Matcher, Program, Wme, WmeId, WorkingMemory};
-
-use ops5::{FxHashMap, PredOp, SymbolId, Value};
+use ops5::{
+    Change, Error, FxHashMap, Instantiation, MatchDelta, Matcher, Program, SymbolId, Value, Wme,
+    WmeId, WorkingMemory,
+};
 use psm_obs::{FlightKind, NodeDelta, Obs, ProfileKind};
 
-use crate::bucket::Bucket;
-use crate::network::{CompileOptions, JoinTest, Network, NodeId, NodeKind};
+use crate::kernel::{self, ActivationKind, Bucket, Sign, Work};
+use crate::network::{CompileOptions, Network, NodeId, NodeKind, NodeSpec};
 use crate::profile::MatchProfile;
 use crate::stats::MatchStats;
-use crate::token::{Sign, Token};
-use crate::trace::{ActivationKind, Trace, TraceBuilder};
+use crate::token::Token;
+use crate::trace::{Trace, TraceBuilder};
 
 /// How alpha and beta memories are organized.
 ///
@@ -79,6 +80,14 @@ pub(crate) struct NegEntry {
     pub(crate) count: u32,
 }
 
+/// Lets a negative node's right activation scan its entries in place:
+/// the kernel reads the token, the hit adjusts the count.
+impl Borrow<Token> for &mut NegEntry {
+    fn borrow(&self) -> &Token {
+        &self.token
+    }
+}
+
 /// A pending node activation.
 #[derive(Debug)]
 struct Task {
@@ -115,6 +124,9 @@ struct Scratch {
 #[derive(Debug)]
 pub struct ReteMatcher {
     network: Arc<Network>,
+    /// The dummy top token, the one left-input "memory entry" of every
+    /// first-CE join.
+    top: Token,
     pub(crate) alpha_mems: Vec<Vec<WmeId>>,
     /// Per-alpha `(attr, value)` buckets, maintained only under
     /// [`MemoryStrategy::Hashed`].
@@ -209,31 +221,21 @@ impl ReteMatcher {
 
     /// Builds a matcher over an already-compiled network.
     pub fn from_network(network: Arc<Network>) -> Self {
-        // Negative nodes reachable from the dummy top node through a
-        // chain of leading negatives hold the top token from the start
-        // (their right memories begin empty, so it passes).
-        let mut top_reaches = vec![false; network.nodes.len()];
-        // Nodes are created parents-before-children, so one forward pass
-        // settles the chain.
-        for (i, spec) in network.nodes.iter().enumerate() {
-            if spec.kind == NodeKind::Negative {
-                top_reaches[i] = match spec.left {
-                    None => true,
-                    Some(left) => top_reaches[left.index()],
-                };
-            }
-        }
+        // A negative node whose left input holds the top token holds it
+        // itself from the start (its right memory begins empty, so the
+        // token passes).
+        let holds_top = kernel::top_token_inputs(&network);
         let states = network
             .nodes
             .iter()
-            .enumerate()
-            .map(|(i, spec)| match spec.kind {
+            .zip(holds_top)
+            .map(|(spec, top)| match spec.kind {
                 NodeKind::BetaMemory => NodeState::Mem {
                     tokens: Vec::new(),
                     keys: Vec::new(),
                     index: FxHashMap::default(),
                 },
-                NodeKind::Negative => NodeState::Neg(if top_reaches[i] {
+                NodeKind::Negative => NodeState::Neg(if top {
                     vec![NegEntry {
                         token: Token::top(),
                         count: 0,
@@ -256,14 +258,8 @@ impl ReteMatcher {
                 let mut keys: Vec<(usize, SymbolId)> = spec
                     .children
                     .iter()
-                    .filter_map(|&child| {
-                        network
-                            .node(child)
-                            .tests
-                            .iter()
-                            .find(|t| t.op == PredOp::Eq)
-                            .map(|t| (t.token_pos, t.token_attr))
-                    })
+                    .filter_map(|&child| network.node(child).key)
+                    .map(|t| (t.token_pos, t.token_attr))
                     .collect();
                 keys.sort_unstable();
                 keys.dedup();
@@ -274,9 +270,7 @@ impl ReteMatcher {
         // equality probes of its successor two-input nodes.
         let mut alpha_keys: Vec<Vec<SymbolId>> = vec![Vec::new(); network.alpha.len()];
         for spec in &network.nodes {
-            if let (Some(alpha), Some(t)) =
-                (spec.alpha, spec.tests.iter().find(|t| t.op == PredOp::Eq))
-            {
+            if let (Some(alpha), Some(t)) = (spec.alpha, spec.key) {
                 let keys = &mut alpha_keys[alpha.index()];
                 if !keys.contains(&t.own_attr) {
                     keys.push(t.own_attr);
@@ -284,6 +278,7 @@ impl ReteMatcher {
             }
         }
         ReteMatcher {
+            top: Token::top(),
             alpha_mems: vec![Vec::new(); network.alpha.len()],
             alpha_index: vec![FxHashMap::default(); network.alpha.len()],
             alpha_keys,
@@ -330,14 +325,14 @@ impl ReteMatcher {
     }
 
     /// Flight-records one pending activation.
-    fn obs_flight_task(&self, task: &Task) {
+    fn obs_flight_task(&self, task: &Task, kind: ActivationKind) {
         let Some(obs) = &self.obs else { return };
         if !obs.flight.enabled() {
             return;
         }
         obs.flight.record(FlightKind::Activation {
             node: task.node.0,
-            kind: self.task_kind(task).label(),
+            kind: kind.label(),
             wme: match task.payload {
                 Payload::Right(id) => Some(id.index() as u32),
                 Payload::Left(_) => None,
@@ -358,22 +353,51 @@ impl ReteMatcher {
         });
     }
 
-    /// Accumulates one activation into the matcher-local profile
-    /// deltas — a no-op (one branch on an empty vec) unless the
-    /// attached `Obs` handle was built with profile capacity. Plain
-    /// non-atomic adds; [`flush_profile`](Self::flush_profile) pays the
-    /// atomics once per touched node per batch.
+    /// The one sink every beta-node activation reports through: folds it
+    /// into [`MatchStats`], the matcher-local profile deltas and the
+    /// trace, and returns its trace id (the parent of whatever it
+    /// spawned).
+    ///
+    /// The profile deltas are a no-op (one branch on an empty vec)
+    /// unless the attached `Obs` handle was built with profile
+    /// capacity, and plain non-atomic adds otherwise;
+    /// [`flush_profile`](Self::flush_profile) pays the atomics once per
+    /// touched node per batch.
     #[inline]
-    fn obs_profile(&mut self, kind: ActivationKind, node: u32, pairs: u32, outputs: u32) {
-        let Some(entry) = self.prof_local.get_mut(node as usize) else {
-            return;
-        };
-        let (pk, right) = profile_kind(kind);
-        if entry.1.tokens_in == 0 {
-            self.prof_touched.push(node);
+    fn observe(
+        &mut self,
+        kind: ActivationKind,
+        node: NodeId,
+        parent: Option<u32>,
+        work: Work,
+        outputs: u32,
+    ) -> Option<u32> {
+        let stats = &mut self.stats;
+        stats.join_tests += work.tests as u64;
+        stats.pairs_scanned += work.scanned as u64;
+        match kind {
+            ActivationKind::JoinRight | ActivationKind::NegativeRight => {
+                stats.right_activations += 1
+            }
+            ActivationKind::JoinLeft | ActivationKind::NegativeLeft => stats.left_activations += 1,
+            ActivationKind::BetaMem => stats.beta_mem_ops += 1,
+            ActivationKind::Terminal => stats.conflict_changes += 1,
+            ActivationKind::ConstantTest | ActivationKind::AlphaMem => {
+                unreachable!("alpha-side activations are recorded while seeding")
+            }
         }
-        entry.0 = pk;
-        entry.1.record(right, pairs as u64, outputs as u64);
+        if matches!(kind, ActivationKind::JoinRight | ActivationKind::JoinLeft) {
+            stats.tokens_created += outputs as u64;
+        }
+        if let Some(entry) = self.prof_local.get_mut(node.index()) {
+            let (pk, right) = kind.profile_kind();
+            if entry.1.tokens_in == 0 {
+                self.prof_touched.push(node.0);
+            }
+            entry.0 = pk;
+            entry.1.record(right, work.scanned as u64, outputs as u64);
+        }
+        self.trace_record(parent, kind, node.0, work.tests, work.scanned, outputs)
     }
 
     /// Flushes the matcher-local profile deltas into the attached
@@ -468,13 +492,13 @@ impl ReteMatcher {
         let alpha: usize = self
             .alpha_index
             .iter()
-            .flat_map(|index| index.values().map(Bucket::len))
+            .flat_map(|index| index.values().map(|b| b.as_slice().len()))
             .sum();
         let beta: usize = self
             .states
             .iter()
             .map(|s| match s {
-                NodeState::Mem { index, .. } => index.values().map(Bucket::len).sum(),
+                NodeState::Mem { index, .. } => index.values().map(|b| b.as_slice().len()).sum(),
                 _ => 0,
             })
             .sum();
@@ -594,22 +618,8 @@ impl ReteMatcher {
                         continue; // unprobeable: an Eq test on it would fail
                     };
                     match sign {
-                        Sign::Plus => match index.entry((attr, value)) {
-                            Entry::Occupied(mut e) => e.get_mut().push(id),
-                            Entry::Vacant(e) => {
-                                e.insert(Bucket::One(id));
-                            }
-                        },
-                        Sign::Minus => {
-                            // Prune buckets that drain to empty so churn
-                            // workloads don't grow the map with every
-                            // distinct value ever seen.
-                            if let Some(bucket) = index.get_mut(&(attr, value)) {
-                                if bucket.remove(&id) {
-                                    index.remove(&(attr, value));
-                                }
-                            }
-                        }
+                        Sign::Plus => Bucket::insert(index, (attr, value), id),
+                        Sign::Minus => Bucket::remove(index, &(attr, value), &id),
                     }
                 }
             }
@@ -660,13 +670,15 @@ impl ReteMatcher {
             .obs
             .as_ref()
             .is_some_and(|o| o.profile.enabled() && o.detail());
+        let timed = self.profile.is_some() || obs_latency;
         while let Some(task) = queue.pop_front() {
-            self.obs_flight_task(&task);
-            if self.profile.is_some() || obs_latency {
-                let kind = self.task_kind(&task);
-                let node = task.node.0;
-                let t0 = Instant::now();
-                self.run_task(&net, wm, task, queue, delta);
+            let right_side = matches!(task.payload, Payload::Right(_));
+            let kind = ActivationKind::of(net.node(task.node).kind, right_side);
+            self.obs_flight_task(&task, kind);
+            let node = task.node.0;
+            let started = timed.then(Instant::now);
+            self.run_task(&net, wm, task, kind, queue, delta);
+            if let Some(t0) = started {
                 let ns = t0.elapsed().as_nanos() as u64;
                 if let Some(p) = self.profile.as_mut() {
                     p.record(kind, node, ns);
@@ -676,8 +688,6 @@ impl ReteMatcher {
                         obs.profile.record_latency(node, ns);
                     }
                 }
-            } else {
-                self.run_task(&net, wm, task, queue, delta);
             }
         }
         self.scratch = scratch;
@@ -697,504 +707,264 @@ impl ReteMatcher {
         }
     }
 
-    /// The [`ActivationKind`] `task` will execute as (for profiling).
-    fn task_kind(&self, task: &Task) -> ActivationKind {
-        match (self.network.node(task.node).kind, &task.payload) {
-            (NodeKind::Join, Payload::Right(_)) => ActivationKind::JoinRight,
-            (NodeKind::Join, Payload::Left(_)) => ActivationKind::JoinLeft,
-            (NodeKind::Negative, Payload::Right(_)) => ActivationKind::NegativeRight,
-            (NodeKind::Negative, Payload::Left(_)) => ActivationKind::NegativeLeft,
-            (NodeKind::BetaMemory, _) => ActivationKind::BetaMem,
-            (NodeKind::Terminal, _) => ActivationKind::Terminal,
-        }
-    }
-
+    /// Executes one activation: the node's own memory update, or a
+    /// two-input scan, then routing of whatever it produced.
     fn run_task(
         &mut self,
         net: &Network,
         wm: &WorkingMemory,
         task: Task,
+        kind: ActivationKind,
         queue: &mut VecDeque<Task>,
         delta: &mut MatchDelta,
     ) {
         let spec = net.node(task.node);
         match (spec.kind, task.payload) {
-            (NodeKind::Join, Payload::Right(wme_id)) => {
-                let wme = wm.get(wme_id).expect("live wme");
-                self.stats.right_activations += 1;
-                let mut outputs = Vec::new();
-                let mut tests_n = 0u32;
-                let mut scanned = 0u32;
-                let hashed_left = self.hashed_left_tokens(spec.left, &spec.tests, wme);
-                let mut body = |token: &Token| {
-                    scanned += 1;
-                    let (ok, n) = eval_join_tests(wm, &spec.tests, token, wme);
-                    tests_n += n;
-                    if ok {
-                        outputs.push(token.extended(wme_id));
-                    }
-                };
-                match hashed_left {
-                    Some(tokens) => tokens.iter().for_each(&mut body),
-                    None => self.for_each_left_token(spec.left, body),
-                }
-                self.stats.join_tests += tests_n as u64;
-                self.stats.pairs_scanned += scanned as u64;
-                self.stats.tokens_created += outputs.len() as u64;
-                self.obs_profile(
-                    ActivationKind::JoinRight,
-                    task.node.0,
-                    scanned,
-                    outputs.len() as u32,
-                );
-                let act = self.trace_record(
-                    task.parent,
-                    ActivationKind::JoinRight,
-                    task.node.0,
-                    tests_n,
-                    scanned,
-                    outputs.len() as u32,
-                );
-                for token in outputs {
-                    self.dispatch_children(
-                        net,
-                        task.node,
-                        &spec.children,
-                        token,
-                        task.sign,
-                        act,
-                        queue,
-                    );
-                }
-            }
-            (NodeKind::Join, Payload::Left(token)) => {
-                self.stats.left_activations += 1;
-                let mut outputs = Vec::new();
-                let mut tests_n = 0u32;
-                let mut scanned = 0u32;
-                let alpha = spec.alpha.expect("join has alpha");
-                let candidates: &[WmeId] =
-                    match self.hashed_candidates(alpha, &spec.tests, &token, wm) {
-                        Some(v) => v,
-                        None => &self.alpha_mems[alpha.index()],
-                    };
-                for &wme_id in candidates {
-                    scanned += 1;
-                    let wme = wm.get(wme_id).expect("live wme in alpha memory");
-                    let (ok, n) = eval_join_tests(wm, &spec.tests, &token, wme);
-                    tests_n += n;
-                    if ok {
-                        outputs.push(token.extended(wme_id));
-                    }
-                }
-                self.stats.join_tests += tests_n as u64;
-                self.stats.pairs_scanned += scanned as u64;
-                self.stats.tokens_created += outputs.len() as u64;
-                self.obs_profile(
-                    ActivationKind::JoinLeft,
-                    task.node.0,
-                    scanned,
-                    outputs.len() as u32,
-                );
-                let act = self.trace_record(
-                    task.parent,
-                    ActivationKind::JoinLeft,
-                    task.node.0,
-                    tests_n,
-                    scanned,
-                    outputs.len() as u32,
-                );
-                for out in outputs {
-                    self.dispatch_children(
-                        net,
-                        task.node,
-                        &spec.children,
-                        out,
-                        task.sign,
-                        act,
-                        queue,
-                    );
-                }
-            }
             (NodeKind::BetaMemory, Payload::Left(token)) => {
-                self.stats.beta_mem_ops += 1;
-                let hashed = self.memory == MemoryStrategy::Hashed;
-                let node_keys = &self.mem_keys[task.node.index()];
-                let NodeState::Mem {
-                    tokens,
-                    keys,
-                    index,
-                } = &mut self.states[task.node.index()]
-                else {
-                    unreachable!("beta memory state")
-                };
-                match task.sign {
-                    Sign::Plus => {
-                        // Key values are resolved from the working
-                        // memory exactly once, here at insert time, and
-                        // carried with the entry; the WME is live per
-                        // the matcher contract and immutable after, so
-                        // the captured values stay authoritative for
-                        // the whole residency of the token.
-                        tokens.push(token.clone());
-                        if hashed {
-                            for &(pos, attr) in node_keys {
-                                let value = token
-                                    .wme_at(pos)
-                                    .and_then(|id| wm.get(id))
-                                    .and_then(|w| w.get(attr));
-                                if let Some(v) = value {
-                                    match index.entry((pos, attr, v)) {
-                                        Entry::Occupied(mut e) => e.get_mut().push(token.clone()),
-                                        Entry::Vacant(e) => {
-                                            e.insert(Bucket::One(token.clone()));
-                                        }
-                                    }
-                                }
-                                keys.push(value);
-                            }
-                        }
-                        self.stats.token_added();
-                    }
-                    Sign::Minus => {
-                        if let Some(at) = tokens.iter().position(|t| *t == token) {
-                            tokens.swap_remove(at);
-                            if hashed {
-                                // Remove bucket entries through the
-                                // captured insert-time keys — never by
-                                // re-resolving from `wm`, whose view may
-                                // already lack the referenced WMEs.
-                                let k = node_keys.len();
-                                for (j, &(pos, attr)) in node_keys.iter().enumerate() {
-                                    if let Some(v) = keys[at * k + j] {
-                                        let key = (pos, attr, v);
-                                        if let Some(bucket) = index.get_mut(&key) {
-                                            if bucket.remove(&token) {
-                                                index.remove(&key);
-                                            }
-                                        }
-                                    }
-                                }
-                                // Swap-remove the captured chunk to
-                                // mirror the token's swap_remove above.
-                                let last = keys.len() - k;
-                                for j in 0..k {
-                                    keys.swap(at * k + j, last + j);
-                                }
-                                keys.truncate(last);
-                            }
-                            self.stats.token_removed();
-                        } else {
-                            // Silent in earlier releases (debug_assert
-                            // only); now counted so chaos/failover
-                            // suites can gate on zero.
-                            self.stats.phantom_removes += 1;
-                        }
-                    }
-                }
-                self.obs_profile(
-                    ActivationKind::BetaMem,
-                    task.node.0,
-                    0,
-                    spec.children.len() as u32,
-                );
-                let act = self.trace_record(
-                    task.parent,
-                    ActivationKind::BetaMem,
-                    task.node.0,
-                    0,
-                    0,
-                    spec.children.len() as u32,
-                );
-                for &child in &spec.children {
-                    let child_spec = net.node(child);
-                    if child_spec.kind == NodeKind::Join {
-                        let alpha = child_spec.alpha.expect("join has alpha");
-                        if self.alpha_mems[alpha.index()].is_empty() {
-                            continue; // see dispatch_children
-                        }
-                    }
-                    queue.push_back(Task {
-                        node: child,
-                        payload: Payload::Left(token.clone()),
-                        sign: task.sign,
-                        parent: act,
-                    });
-                }
-            }
-            (NodeKind::Negative, Payload::Left(token)) => {
-                self.stats.left_activations += 1;
-                let alpha = spec.alpha.expect("negative has alpha");
-                let (propagate, tests_n, scanned) = match task.sign {
-                    Sign::Plus => {
-                        let mut count = 0u32;
-                        let mut tests_n = 0u32;
-                        let mut scanned = 0u32;
-                        let candidates: &[WmeId] =
-                            match self.hashed_candidates(alpha, &spec.tests, &token, wm) {
-                                Some(v) => v,
-                                None => &self.alpha_mems[alpha.index()],
-                            };
-                        for &wme_id in candidates {
-                            scanned += 1;
-                            let wme = wm.get(wme_id).expect("live wme");
-                            let (ok, n) = eval_join_tests(wm, &spec.tests, &token, wme);
-                            tests_n += n;
-                            if ok {
-                                count += 1;
-                            }
-                        }
-                        let NodeState::Neg(entries) = &mut self.states[task.node.index()] else {
-                            unreachable!("negative state")
-                        };
-                        entries.push(NegEntry {
-                            token: token.clone(),
-                            count,
-                        });
-                        self.stats.token_added();
-                        (count == 0, tests_n, scanned)
-                    }
-                    Sign::Minus => {
-                        let NodeState::Neg(entries) = &mut self.states[task.node.index()] else {
-                            unreachable!("negative state")
-                        };
-                        let mut was_zero = false;
-                        if let Some(pos) = entries.iter().position(|e| e.token == token) {
-                            was_zero = entries[pos].count == 0;
-                            entries.swap_remove(pos);
-                            self.stats.token_removed();
-                        } else {
-                            self.stats.phantom_removes += 1;
-                        }
-                        (was_zero, 0, 0)
-                    }
-                };
-                self.stats.join_tests += tests_n as u64;
-                self.stats.pairs_scanned += scanned as u64;
-                self.obs_profile(
-                    ActivationKind::NegativeLeft,
-                    task.node.0,
-                    scanned,
-                    u32::from(propagate),
-                );
-                let act = self.trace_record(
-                    task.parent,
-                    ActivationKind::NegativeLeft,
-                    task.node.0,
-                    tests_n,
-                    scanned,
-                    u32::from(propagate),
-                );
-                if propagate {
-                    self.dispatch_children(
-                        net,
-                        task.node,
-                        &spec.children,
-                        token,
-                        task.sign,
-                        act,
-                        queue,
-                    );
-                }
-            }
-            (NodeKind::Negative, Payload::Right(wme_id)) => {
-                self.stats.right_activations += 1;
-                let wme = wm.get(wme_id).expect("live wme");
-                // Collect flips first (borrow of entries), then dispatch.
-                let mut flips: Vec<Token> = Vec::new();
-                let mut tests_n = 0u32;
-                let mut scanned = 0u32;
-                {
-                    let NodeState::Neg(entries) = &mut self.states[task.node.index()] else {
-                        unreachable!("negative state")
-                    };
-                    for entry in entries.iter_mut() {
-                        scanned += 1;
-                        let (ok, n) = eval_join_tests(wm, &spec.tests, &entry.token, wme);
-                        tests_n += n;
-                        if !ok {
-                            continue;
-                        }
-                        match task.sign {
-                            Sign::Plus => {
-                                entry.count += 1;
-                                if entry.count == 1 {
-                                    flips.push(entry.token.clone());
-                                }
-                            }
-                            Sign::Minus => {
-                                debug_assert!(entry.count > 0, "negative count underflow");
-                                entry.count = entry.count.saturating_sub(1);
-                                if entry.count == 0 {
-                                    flips.push(entry.token.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-                self.stats.join_tests += tests_n as u64;
-                self.stats.pairs_scanned += scanned as u64;
-                self.obs_profile(
-                    ActivationKind::NegativeRight,
-                    task.node.0,
-                    scanned,
-                    flips.len() as u32,
-                );
-                let act = self.trace_record(
-                    task.parent,
-                    ActivationKind::NegativeRight,
-                    task.node.0,
-                    tests_n,
-                    scanned,
-                    flips.len() as u32,
-                );
-                // A new right match retracts instantiations; a removed
-                // one re-asserts them: the propagated sign is inverted.
-                let out_sign = match task.sign {
-                    Sign::Plus => Sign::Minus,
-                    Sign::Minus => Sign::Plus,
-                };
-                for token in flips {
-                    self.dispatch_children(
-                        net,
-                        task.node,
-                        &spec.children,
-                        token,
-                        out_sign,
-                        act,
-                        queue,
-                    );
-                }
+                self.update_beta_memory(task.node, &token, task.sign, wm);
+                let outputs = spec.children.len() as u32;
+                let act = self.observe(kind, task.node, task.parent, Work::default(), outputs);
+                self.enqueue_children(net, spec, token, task.sign, act, queue);
             }
             (NodeKind::Terminal, Payload::Left(token)) => {
-                self.stats.conflict_changes += 1;
-                self.obs_profile(ActivationKind::Terminal, task.node.0, 0, 1);
-                self.trace_record(task.parent, ActivationKind::Terminal, task.node.0, 0, 0, 1);
+                self.observe(kind, task.node, task.parent, Work::default(), 1);
                 let inst = Instantiation::new(
                     spec.production.expect("terminal has production"),
                     token.into_wmes(),
                 );
-                // Equivalent to `delta.merge(..)` with a single-entry
-                // delta — net out an earlier opposite change, without
-                // allocating a throwaway delta per conflict change.
-                match task.sign {
-                    Sign::Plus => {
-                        if let Some(pos) = delta.removed.iter().position(|i| *i == inst) {
-                            delta.removed.swap_remove(pos);
-                        } else {
-                            delta.added.push(inst);
-                        }
-                    }
-                    Sign::Minus => {
-                        if let Some(pos) = delta.added.iter().position(|i| *i == inst) {
-                            delta.added.swap_remove(pos);
-                        } else {
-                            delta.removed.push(inst);
-                        }
-                    }
+                delta.apply(inst, task.sign.is_plus());
+            }
+            (NodeKind::Join | NodeKind::Negative, payload) => {
+                let (work, outputs, sign) = self.two_input(spec, task.node, payload, task.sign, wm);
+                let act = self.observe(kind, task.node, task.parent, work, outputs.len() as u32);
+                for token in outputs {
+                    self.obs_flight_token(task.node, &token, sign);
+                    self.enqueue_children(net, spec, token, sign, act, queue);
                 }
             }
-            (kind, payload) => unreachable!(
-                "invalid activation: {kind:?} with {payload:?}",
-                kind = kind,
-                payload = match payload {
-                    Payload::Right(_) => "right",
-                    Payload::Left(_) => "left",
-                }
-            ),
+            (kind, Payload::Right(_)) => unreachable!("right activation of a {kind:?} node"),
         }
     }
 
-    /// Under [`MemoryStrategy::Hashed`], resolves the candidate tokens
-    /// of a *right* activation through the left beta memory's
-    /// `(position, attribute, value)` bucket for the first equality
-    /// join test. `None` means scan linearly (linear mode, dummy-top or
-    /// negative-node left input, or no equality test).
-    fn hashed_left_tokens(
-        &self,
-        left: Option<NodeId>,
-        tests: &[JoinTest],
-        wme: &Wme,
-    ) -> Option<&[Token]> {
-        if self.memory != MemoryStrategy::Hashed {
-            return None;
-        }
-        let id = left?;
-        let NodeState::Mem { index, .. } = &self.states[id.index()] else {
-            return None; // negative-node left inputs stay linear
-        };
-        let t = tests.iter().find(|t| t.op == PredOp::Eq)?;
-        Some(match wme.get(t.own_attr) {
-            Some(v) => index
-                .get(&(t.token_pos, t.token_attr, v))
-                .map_or(&[][..], Bucket::as_slice),
-            None => &[],
-        })
-    }
-
-    /// Under [`MemoryStrategy::Hashed`], resolves the candidate WMEs of
-    /// a left activation through the `(attr, value)` bucket of the first
-    /// equality join test. Returns `None` when linear scanning applies
-    /// (linear mode, or no equality test to index on); `Some(empty)`
-    /// when the token lacks the tested attribute (nothing can match).
-    fn hashed_candidates(
-        &self,
-        alpha: crate::alpha::AlphaId,
-        tests: &[JoinTest],
-        token: &Token,
+    /// Runs one join or negative activation as a kernel scan over this
+    /// matcher's memories, returning the scan's work, the tokens to
+    /// send downstream and their sign.
+    fn two_input(
+        &mut self,
+        spec: &NodeSpec,
+        node: NodeId,
+        payload: Payload,
+        sign: Sign,
         wm: &WorkingMemory,
-    ) -> Option<&[WmeId]> {
-        if self.memory != MemoryStrategy::Hashed {
-            return None;
+    ) -> (Work, Vec<Token>, Sign) {
+        let resolve = |id| wm.get(id);
+        let mut out = Vec::new();
+        match (spec.kind, payload) {
+            (NodeKind::Join, Payload::Right(wme_id)) => {
+                let wme = wm.get(wme_id).expect("live wme");
+                let candidates = self.left_tokens(spec, wme);
+                let extend = |token: &Token| out.push(token.extended(wme_id));
+                let work = kernel::scan_tokens(&spec.tests, candidates, wme, resolve, extend);
+                (work, out, sign)
+            }
+            (NodeKind::Join, Payload::Left(token)) => {
+                let candidates = self.right_wmes(spec, &token, wm).iter().copied();
+                let extend = |wme_id| out.push(token.extended(wme_id));
+                let work = kernel::scan_wmes(&spec.tests, &token, candidates, resolve, extend);
+                (work, out, sign)
+            }
+            (NodeKind::Negative, Payload::Right(wme_id)) => {
+                let wme = wm.get(wme_id).expect("live wme");
+                let recount = |entry: &mut NegEntry| {
+                    let flipped = match sign {
+                        Sign::Plus => {
+                            entry.count += 1;
+                            entry.count == 1
+                        }
+                        Sign::Minus => {
+                            debug_assert!(entry.count > 0, "negative count underflow");
+                            entry.count = entry.count.saturating_sub(1);
+                            entry.count == 0
+                        }
+                    };
+                    if flipped {
+                        out.push(entry.token.clone());
+                    }
+                };
+                let entries = self.neg_entries(node).iter_mut();
+                let work = kernel::scan_tokens(&spec.tests, entries, wme, resolve, recount);
+                // A new right match retracts instantiations; a removed
+                // one re-asserts them: the propagated sign is inverted.
+                (work, out, sign.invert())
+            }
+            (NodeKind::Negative, Payload::Left(token)) => {
+                let (work, propagate) = match sign {
+                    Sign::Plus => {
+                        let mut count = 0u32;
+                        let candidates = self.right_wmes(spec, &token, wm).iter().copied();
+                        let tally = |_| count += 1;
+                        let work =
+                            kernel::scan_wmes(&spec.tests, &token, candidates, resolve, tally);
+                        self.neg_entries(node).push(NegEntry {
+                            token: token.clone(),
+                            count,
+                        });
+                        self.stats.token_added();
+                        (work, count == 0)
+                    }
+                    Sign::Minus => {
+                        let entries = self.neg_entries(node);
+                        let mut was_zero = false;
+                        if let Some(pos) = entries.iter().position(|e| e.token == token) {
+                            was_zero = entries.swap_remove(pos).count == 0;
+                            self.stats.token_removed();
+                        } else {
+                            self.stats.phantom_removes += 1;
+                        }
+                        (Work::default(), was_zero)
+                    }
+                };
+                if propagate {
+                    out.push(token);
+                }
+                (work, out, sign)
+            }
+            (kind, _) => unreachable!("{kind:?} is not a two-input node"),
         }
-        let t = tests.iter().find(|t| t.op == PredOp::Eq)?;
-        let value = token
-            .wme_at(t.token_pos)
-            .and_then(|id| wm.get(id))
-            .and_then(|w| w.get(t.token_attr));
-        Some(match value {
-            Some(v) => self.alpha_index[alpha.index()]
-                .get(&(t.own_attr, v))
-                .map_or(&[][..], Bucket::as_slice),
-            None => &[],
-        })
     }
 
-    /// Iterates the tokens of a two-input node's left input: the dummy
-    /// top token, a beta memory, or a negative node's zero-count tokens.
-    fn for_each_left_token(&self, left: Option<NodeId>, mut f: impl FnMut(&Token)) {
-        match left {
-            None => f(&Token::top()),
-            Some(id) => match &self.states[id.index()] {
-                NodeState::Mem { tokens, .. } => tokens.iter().for_each(f),
-                NodeState::Neg(entries) => entries
-                    .iter()
-                    .filter(|e| e.count == 0)
-                    .for_each(|e| f(&e.token)),
-                NodeState::Stateless => unreachable!("left input must hold tokens"),
+    fn neg_entries(&mut self, node: NodeId) -> &mut Vec<NegEntry> {
+        match &mut self.states[node.index()] {
+            NodeState::Neg(entries) => entries,
+            _ => unreachable!("negative state"),
+        }
+    }
+
+    /// Inserts `token` into (or deletes it from) the beta memory `node`,
+    /// keeping the memory's hash buckets in step.
+    fn update_beta_memory(&mut self, node: NodeId, token: &Token, sign: Sign, wm: &WorkingMemory) {
+        let hashed = self.memory == MemoryStrategy::Hashed;
+        let node_keys = &self.mem_keys[node.index()];
+        let NodeState::Mem {
+            tokens,
+            keys,
+            index,
+        } = &mut self.states[node.index()]
+        else {
+            unreachable!("beta memory state")
+        };
+        match sign {
+            Sign::Plus => {
+                // Key values are resolved from the working memory
+                // exactly once, here at insert time, and carried with
+                // the entry; the WME is live per the matcher contract
+                // and immutable after, so the captured values stay
+                // authoritative for the whole residency of the token.
+                tokens.push(token.clone());
+                if hashed {
+                    for &(pos, attr) in node_keys {
+                        let value = token
+                            .wme_at(pos)
+                            .and_then(|id| wm.get(id))
+                            .and_then(|w| w.get(attr));
+                        if let Some(v) = value {
+                            Bucket::insert(index, (pos, attr, v), token.clone());
+                        }
+                        keys.push(value);
+                    }
+                }
+                self.stats.token_added();
+            }
+            Sign::Minus => {
+                let Some(at) = tokens.iter().position(|t| t == token) else {
+                    // Counted (not just debug-asserted) so chaos and
+                    // failover suites can gate on zero.
+                    self.stats.phantom_removes += 1;
+                    return;
+                };
+                tokens.swap_remove(at);
+                if hashed {
+                    // Remove bucket entries through the captured
+                    // insert-time keys — never by re-resolving from
+                    // `wm`, whose view may already lack the referenced
+                    // WMEs.
+                    let k = node_keys.len();
+                    for (j, &(pos, attr)) in node_keys.iter().enumerate() {
+                        if let Some(v) = keys[at * k + j] {
+                            Bucket::remove(index, &(pos, attr, v), token);
+                        }
+                    }
+                    // Swap-remove the captured chunk to mirror the
+                    // token's swap_remove above.
+                    let last = keys.len() - k;
+                    for j in 0..k {
+                        keys.swap(at * k + j, last + j);
+                    }
+                    keys.truncate(last);
+                }
+                self.stats.token_removed();
+            }
+        }
+    }
+
+    /// The candidate tokens of a *right* activation of `spec`: the
+    /// dummy top token, a negative node's zero-count tokens, or a beta
+    /// memory — under [`MemoryStrategy::Hashed`] only its
+    /// `(position, attribute, value)` bucket for the node's index key
+    /// (empty when `wme` lacks the keyed attribute: nothing can match).
+    fn left_tokens<'a>(&'a self, spec: &NodeSpec, wme: &Wme) -> impl Iterator<Item = &'a Token> {
+        let (tokens, negative): (&[Token], &[NegEntry]) = match spec.left {
+            None => (std::slice::from_ref(&self.top), &[]),
+            Some(left) => match (&self.states[left.index()], spec.key) {
+                (NodeState::Mem { index, .. }, Some(t))
+                    if self.memory == MemoryStrategy::Hashed =>
+                {
+                    let bucket = t
+                        .wme_key(wme)
+                        .and_then(|v| index.get(&(t.token_pos, t.token_attr, v)));
+                    (bucket.map_or(&[], Bucket::as_slice), &[])
+                }
+                (NodeState::Mem { tokens, .. }, _) => (tokens, &[]),
+                (NodeState::Neg(entries), _) => (&[], entries),
+                (NodeState::Stateless, _) => unreachable!("left input must hold tokens"),
             },
+        };
+        let unblocked = negative.iter().filter(|e| e.count == 0).map(|e| &e.token);
+        tokens.iter().chain(unblocked)
+    }
+
+    /// The candidate WMEs of a *left* activation of `spec`: its alpha
+    /// memory, or under [`MemoryStrategy::Hashed`] only the
+    /// `(attr, value)` bucket for the node's index key (empty when the
+    /// token lacks the keyed attribute: nothing can match).
+    fn right_wmes(&self, spec: &NodeSpec, token: &Token, wm: &WorkingMemory) -> &[WmeId] {
+        let alpha = spec.alpha.expect("two-input node has alpha").index();
+        match spec.key {
+            Some(t) if self.memory == MemoryStrategy::Hashed => t
+                .token_key(token, |id| wm.get(id))
+                .and_then(|v| self.alpha_index[alpha].get(&(t.own_attr, v)))
+                .map_or(&[], Bucket::as_slice),
+            _ => &self.alpha_mems[alpha],
         }
     }
 
-    /// Routes a token produced at `from` to a two-input node's children.
+    /// Left-activates the children of `spec` with `token`.
     ///
     /// A left activation of a *join* whose alpha memory is empty scans
     /// nothing and mutates nothing, so it is not enqueued at all. Alpha
     /// memories only change in the seed phase, before the queue drains,
     /// so the emptiness seen here is what the activation would see.
     /// Negative children always run — they record the token.
-    fn dispatch_children(
-        &mut self,
+    fn enqueue_children(
+        &self,
         net: &Network,
-        from: NodeId,
-        children: &[NodeId],
+        spec: &NodeSpec,
         token: Token,
         sign: Sign,
         parent: Option<u32>,
         queue: &mut VecDeque<Task>,
     ) {
-        self.obs_flight_token(from, &token, sign);
-        for &child in children {
+        for &child in &spec.children {
             let child_spec = net.node(child);
             if child_spec.kind == NodeKind::Join {
                 let alpha = child_spec.alpha.expect("join has alpha");
@@ -1210,46 +980,6 @@ impl ReteMatcher {
             });
         }
     }
-}
-
-/// Maps an activation kind to the profiler's node taxonomy plus the
-/// input side the activation arrived on. Both runtimes use this so the
-/// profile table, the flight recorder, and `/explain` agree on node
-/// naming.
-pub fn profile_kind(kind: ActivationKind) -> (ProfileKind, bool) {
-    match kind {
-        ActivationKind::JoinRight => (ProfileKind::Join, true),
-        ActivationKind::JoinLeft => (ProfileKind::Join, false),
-        ActivationKind::NegativeRight => (ProfileKind::Negative, true),
-        ActivationKind::NegativeLeft => (ProfileKind::Negative, false),
-        ActivationKind::BetaMem => (ProfileKind::BetaMem, false),
-        ActivationKind::Terminal => (ProfileKind::Terminal, false),
-        ActivationKind::ConstantTest | ActivationKind::AlphaMem => (ProfileKind::Other, true),
-    }
-}
-
-/// Evaluates join tests with short-circuiting, returning success and the
-/// number of tests evaluated.
-fn eval_join_tests(
-    wm: &WorkingMemory,
-    tests: &[JoinTest],
-    token: &Token,
-    wme: &Wme,
-) -> (bool, u32) {
-    let mut n = 0u32;
-    for t in tests {
-        n += 1;
-        let own = wme.get(t.own_attr);
-        let other = token
-            .wme_at(t.token_pos)
-            .and_then(|id| wm.get(id))
-            .and_then(|w| w.get(t.token_attr));
-        match (own, other) {
-            (Some(a), Some(b)) if a.compare(t.op, b) => {}
-            _ => return (false, n),
-        }
-    }
-    (true, n)
 }
 
 impl Matcher for ReteMatcher {

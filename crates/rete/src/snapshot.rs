@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use ops5::{ByteReader, ByteWriter, CodecError, FxHashMap, SymbolId, Value, WmeId};
 
-use crate::bucket::Bucket;
+use crate::kernel::Bucket;
 use crate::network::Network;
 use crate::runtime::{MemoryStrategy, NegEntry, NodeState, ReteMatcher};
 use crate::stats::MatchStats;
@@ -176,7 +176,7 @@ impl ReteMatcher {
                 w.u32(key.0.index() as u32);
                 key.1.encode(&mut w);
                 let bucket = &index[key];
-                w.usize(bucket.len());
+                w.usize(bucket.as_slice().len());
                 for &id in bucket.as_slice() {
                     w.u32(id.index() as u32);
                 }
@@ -198,7 +198,7 @@ impl ReteMatcher {
                     // chunk per token (none under the linear strategy;
                     // the runtime stores them flattened).
                     let width = self.mem_keys[node].len();
-                    let chunks = if width == 0 { 0 } else { keys.len() / width };
+                    let chunks = keys.len().checked_div(width).unwrap_or(0);
                     w.usize(chunks);
                     for chunk in keys.chunks_exact(width.max(1)).take(chunks) {
                         encode_captured_keys(&mut w, chunk);
@@ -211,7 +211,7 @@ impl ReteMatcher {
                         w.u32(key.1.index() as u32);
                         key.2.encode(&mut w);
                         let bucket = &index[key];
-                        w.usize(bucket.len());
+                        w.usize(bucket.as_slice().len());
                         for t in bucket.as_slice() {
                             encode_token(&mut w, t);
                         }

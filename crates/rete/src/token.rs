@@ -22,6 +22,9 @@ use ops5::WmeId;
 /// allocation churn. The allocation is freed when the last reference
 /// drops — there is no separate arena to reset, so snapshot/restore and
 /// partial retract never dangle.
+// The manual `PartialEq` is the derived one behind a pointer fast path,
+// so equal tokens still hash equally.
+#[allow(clippy::derived_hash_with_manual_eq)]
 #[derive(Debug, Clone, Eq, Hash, Default)]
 pub struct Token(Arc<[WmeId]>);
 
@@ -103,35 +106,6 @@ impl fmt::Display for Token {
     }
 }
 
-/// Sign of a change flowing through the network: assertion or retraction.
-///
-/// Retractions traverse the same paths as assertions and delete the
-/// matching state — the deletion strategy of the original Rete
-/// implementations (DESIGN.md §6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Sign {
-    /// Assertion: insert state, add instantiations.
-    Plus,
-    /// Retraction: delete state, remove instantiations.
-    Minus,
-}
-
-impl Sign {
-    /// True for `Plus`.
-    pub fn is_plus(self) -> bool {
-        matches!(self, Sign::Plus)
-    }
-}
-
-impl fmt::Display for Sign {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Sign::Plus => "+",
-            Sign::Minus => "-",
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,9 +146,5 @@ mod tests {
     fn display_shapes() {
         assert_eq!(format!("{}", Token::top()), "<>");
         assert_eq!(format!("{}", Token::from_wmes(vec![w(3), w(5)])), "<w3 w5>");
-        assert_eq!(format!("{}", Sign::Plus), "+");
-        assert_eq!(format!("{}", Sign::Minus), "-");
-        assert!(Sign::Plus.is_plus());
-        assert!(!Sign::Minus.is_plus());
     }
 }

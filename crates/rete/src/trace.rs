@@ -11,43 +11,7 @@
 
 use ops5::ProductionId;
 
-/// What kind of node an activation ran on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ActivationKind {
-    /// Constant-test evaluation of one WME against the alpha network
-    /// (one record per change, covering all candidate alpha nodes).
-    ConstantTest,
-    /// An alpha-memory update (insert/delete of a WME).
-    AlphaMem,
-    /// A two-input node activated from the right (new WME).
-    JoinRight,
-    /// A two-input node activated from the left (new token).
-    JoinLeft,
-    /// A negative node activated from the right.
-    NegativeRight,
-    /// A negative node activated from the left.
-    NegativeLeft,
-    /// A beta-memory update (insert/delete of a token).
-    BetaMem,
-    /// A terminal node emitting a conflict-set change.
-    Terminal,
-}
-
-impl ActivationKind {
-    /// Short label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ActivationKind::ConstantTest => "const",
-            ActivationKind::AlphaMem => "amem",
-            ActivationKind::JoinRight => "join-R",
-            ActivationKind::JoinLeft => "join-L",
-            ActivationKind::NegativeRight => "neg-R",
-            ActivationKind::NegativeLeft => "neg-L",
-            ActivationKind::BetaMem => "bmem",
-            ActivationKind::Terminal => "term",
-        }
-    }
-}
+use crate::kernel::ActivationKind;
 
 /// One node activation: the unit of work the parallel implementation
 /// schedules (average duration "only 50–100 machine instructions", §4).
@@ -230,17 +194,9 @@ impl Trace {
                         "-" => None,
                         s => Some(s.parse::<u32>().map_err(|_| err("bad parent"))?),
                     };
-                    let kind = match parts.next().ok_or_else(|| err("missing kind"))? {
-                        "const" => ActivationKind::ConstantTest,
-                        "amem" => ActivationKind::AlphaMem,
-                        "join-R" => ActivationKind::JoinRight,
-                        "join-L" => ActivationKind::JoinLeft,
-                        "neg-R" => ActivationKind::NegativeRight,
-                        "neg-L" => ActivationKind::NegativeLeft,
-                        "bmem" => ActivationKind::BetaMem,
-                        "term" => ActivationKind::Terminal,
-                        other => return Err(err(&format!("unknown kind `{other}`"))),
-                    };
+                    let label = parts.next().ok_or_else(|| err("missing kind"))?;
+                    let kind = ActivationKind::from_label(label)
+                        .ok_or_else(|| err(&format!("unknown kind `{label}`")))?;
                     let mut num = || -> Result<u32, String> {
                         parts
                             .next()
