@@ -119,19 +119,22 @@ fn run_preset(preset: Preset, variant: Variant, cycles: u64, linear: bool) -> Pr
     }
 }
 
-/// Scheduler health of the persistent-pool parallel engine on the
-/// blocks-world program (small batches — the regime where the old
-/// spawn-per-phase design let worker 0 drain everything solo).
+/// Scheduler health of the work-first parallel engine on the
+/// blocks-world program and the vt-small stream (small batches — the
+/// regime every workload we run lives in).
 struct EngineBaseline {
     threads: usize,
     iterations: usize,
     per_worker: Vec<WorkerStats>,
-    /// Threads spawned by the last matcher over its whole lifetime
-    /// (must equal `threads`: one spawn per worker, not per phase).
+    /// Helper threads spawned by the last matcher over its whole
+    /// lifetime (must equal `threads − 1`: the caller is worker 0).
     spawned_per_matcher: u64,
     respawns: u64,
+    helper_wakes: u64,
     live: usize,
     elapsed_s: f64,
+    /// 1-thread engine time over sequential Rete time, per program.
+    one_thread_overhead: [(&'static str, f64); 2],
 }
 
 impl EngineBaseline {
@@ -148,102 +151,125 @@ impl EngineBaseline {
         let t = self.totals();
         t.idle_spins as f64 / (t.tasks + t.idle_spins).max(1) as f64
     }
-
-    fn workers_with_tasks(&self) -> usize {
-        self.per_worker.iter().filter(|w| w.tasks > 0).count()
-    }
-
-    fn workers_with_steals(&self) -> usize {
-        self.per_worker.iter().filter(|w| w.steals > 0).count()
-    }
 }
 
-/// Idle-share ceiling for the blocks-world run, recalibrated for the
-/// persistent pool. The pre-pool seed recorded 0 idle spins *and* 0
-/// steals because non-zero workers never participated at all (spawn
-/// latency let worker 0 drain every phase solo) — the counters were
-/// fake, as ROADMAP noted. Under the pool, all workers participate and
-/// measured idle share is ~0.001 on 1 core / small batches; the ceiling
-/// leaves headroom for multi-core CI boxes while still catching a
-/// return of spin-heavy scheduling.
-const IDLE_SHARE_CEILING: f64 = 0.20;
+/// Ceiling on what the engine's data structures and dispatch may cost
+/// on one thread, relative to sequential Rete on the same input. The
+/// scheduler itself must cost nothing there (no thread is crossed);
+/// measured 1.5–1.8× on both programs (best of 15, 2-CPU host).
+const ONE_THREAD_OVERHEAD_CEILING: f64 = 2.0;
 
-/// Runs the parallel engine on the blocks-world program and asserts the
-/// pool's scheduler-health invariants (participation, real steals, one
-/// spawn per worker per matcher lifetime). Exits non-zero on violation
-/// so the CI bench job gates on them.
-fn run_parallel_engine(threads: usize, iterations: usize) -> EngineBaseline {
+/// Runs blocks-world to quiescence on the matcher `build` compiles;
+/// the seconds cover loading the working memory and the run.
+fn run_blocks<M: Matcher>(build: impl Fn(&ops5::Program) -> M) -> (Interpreter<M>, f64) {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let src = std::fs::read_to_string(format!("{root}/assets/blocks.ops")).expect("blocks.ops");
     let wm_src = std::fs::read_to_string(format!("{root}/assets/blocks.wm")).expect("blocks.wm");
+    let mut program = parse_program(&src).expect("blocks parses");
+    let initial = parse_wmes(&wm_src, &mut program.symbols).expect("wmes parse");
+    let matcher = build(&program);
+    let mut interp = Interpreter::new(program, matcher);
+    let started = Instant::now();
+    interp.insert_all(initial);
+    interp.run(10_000).expect("runs to quiescence");
+    let elapsed_s = started.elapsed().as_secs_f64();
+    (interp, elapsed_s)
+}
 
+fn engine_with(threads: usize) -> impl Fn(&ops5::Program) -> ParallelReteMatcher {
+    move |program| {
+        let options = ParallelOptions {
+            threads,
+            share: true,
+        };
+        ParallelReteMatcher::compile(program, options).expect("compiles")
+    }
+}
+
+/// Match time of 600 vt-small driver cycles on `matcher`.
+fn vt_small_match_s<M: Matcher>(workload: &GeneratedWorkload, mut matcher: M) -> f64 {
+    let mut driver = WorkloadDriver::new(workload.clone(), 0xBA5E);
+    driver.init(&mut matcher);
+    driver
+        .run_cycles(&mut matcher, 600)
+        .match_time
+        .as_secs_f64()
+}
+
+/// Runs the parallel engine on the blocks-world program and asserts
+/// what defines scheduler health under the work-first pool: helpers
+/// spawn once per matcher lifetime and none leaks or dies, nothing is
+/// injected or escapes, and on one thread the engine stays within
+/// [`ONE_THREAD_OVERHEAD_CEILING`] of sequential Rete. Who executed how
+/// many tasks is reported, not gated — on batches this small the right
+/// answer is "the caller, all of them". Panics on violation so the CI
+/// bench job gates on it.
+fn run_parallel_engine(threads: usize, iterations: usize) -> EngineBaseline {
     let mut per_worker = vec![WorkerStats::default(); threads];
-    let mut spawned_per_matcher = 0;
-    let mut respawns = 0;
-    let mut live = 0;
+    let (mut spawned_per_matcher, mut respawns, mut helper_wakes, mut live) = (0, 0, 0, 0);
     let started = Instant::now();
     for _ in 0..iterations {
-        let mut program = parse_program(&src).expect("blocks parses");
-        let initial = parse_wmes(&wm_src, &mut program.symbols).expect("wmes parse");
-        let matcher = ParallelReteMatcher::compile(
-            &program,
-            ParallelOptions {
-                threads,
-                share: true,
-            },
-        )
-        .expect("compiles");
-        let mut interp = Interpreter::new(program, matcher);
-        interp.insert_all(initial);
-        interp.run(10_000).expect("runs to quiescence");
-        let m = interp.matcher();
+        let (mut interp, _) = run_blocks(engine_with(threads));
+        let m = interp.matcher_mut();
         for (t, w) in per_worker.iter_mut().zip(m.worker_stats()) {
             t.merge(w);
         }
+        assert_eq!(m.take_faults(), 0, "nothing was injected");
         let pool = m.pool_stats();
         assert_eq!(
-            pool.spawned, threads as u64,
-            "one spawn per worker per matcher lifetime, not per phase"
+            pool.spawned,
+            threads as u64 - 1,
+            "one spawn per helper per matcher lifetime; the caller is worker 0"
         );
+        assert_eq!(pool.live, threads - 1, "no leaked or missing helper");
         spawned_per_matcher = pool.spawned;
         respawns += pool.respawns;
+        helper_wakes += pool.helper_wakes;
         live = pool.live;
     }
-    let b = EngineBaseline {
+    let elapsed_s = started.elapsed().as_secs_f64();
+    assert_eq!(respawns, 0, "no worker died in a fault-free run");
+
+    // Best of 15, alternated so both sides see the same machine.
+    let workload = GeneratedWorkload::generate(Preset::Vt.spec_small()).expect("vt generates");
+    let mut best = [[f64::INFINITY; 2]; 2];
+    for _ in 0..15 {
+        let blocks_par = run_blocks(engine_with(1)).1;
+        let blocks_seq = run_blocks(|p| ReteMatcher::compile(p).expect("compiles")).1;
+        let vt_par = vt_small_match_s(&workload, engine_with(1)(&workload.program));
+        let vt_seq = vt_small_match_s(
+            &workload,
+            ReteMatcher::compile(&workload.program).expect("compiles"),
+        );
+        for (b, t) in best
+            .iter_mut()
+            .zip([[blocks_par, blocks_seq], [vt_par, vt_seq]])
+        {
+            *b = [b[0].min(t[0]), b[1].min(t[1])];
+        }
+    }
+    let one_thread_overhead = [
+        ("blocks-world", best[0][0] / best[0][1]),
+        ("vt-small", best[1][0] / best[1][1]),
+    ];
+    for (program, x) in one_thread_overhead {
+        assert!(
+            x <= ONE_THREAD_OVERHEAD_CEILING,
+            "1-thread engine is {x:.2}x sequential Rete on {program} \
+             (ceiling {ONE_THREAD_OVERHEAD_CEILING})"
+        );
+    }
+    EngineBaseline {
         threads,
         iterations,
         per_worker,
         spawned_per_matcher,
         respawns,
+        helper_wakes,
         live,
-        elapsed_s: started.elapsed().as_secs_f64(),
-    };
-    // Participation: the worker-0 drain race is fixed — every worker
-    // executed work or (at minimum) probed every peer for it.
-    for (me, w) in b.per_worker.iter().enumerate() {
-        assert!(
-            w.tasks > 0 || w.steal_attempts > 0,
-            "worker {me} sat out the whole run: {w:?}"
-        );
+        elapsed_s,
+        one_thread_overhead,
     }
-    assert_eq!(
-        b.workers_with_tasks(),
-        threads,
-        "every worker executed tasks (pre-pool seed: worker 0 alone)"
-    );
-    assert!(
-        b.workers_with_steals() >= 2,
-        "steals must come from >= 2 distinct workers (pre-pool seed: 0 steals), got {}",
-        b.workers_with_steals()
-    );
-    assert!(
-        b.idle_share() <= IDLE_SHARE_CEILING,
-        "idle share {} above recalibrated ceiling {IDLE_SHARE_CEILING}",
-        b.idle_share()
-    );
-    assert_eq!(b.live, threads, "no leaked or missing worker threads");
-    assert_eq!(b.respawns, 0, "no worker died in a fault-free run");
-    b
 }
 
 /// Ceiling for the per-node join profiler's marginal overhead on a
@@ -436,17 +462,23 @@ fn main() {
     let totals = engine.totals();
     println!(
         "\nparallel engine (blocks-world, {} threads, {} iterations): \
-         tasks {}, steals {} from {} workers, steal attempts {}, idle share {}, \
-         spawns/matcher {} (respawns {})",
+         tasks {} ({} on the caller), steals {}, idle share {}, \
+         helper spawns/matcher {} (respawns {}, wakes {}); \
+         1-thread engine vs sequential: {} {}x, {} {}x (ceiling {}x)",
         engine.threads,
         engine.iterations,
         totals.tasks,
+        engine.per_worker[0].tasks,
         totals.steals,
-        engine.workers_with_steals(),
-        totals.steal_attempts,
         f(engine.idle_share(), 4),
         engine.spawned_per_matcher,
         engine.respawns,
+        engine.helper_wakes,
+        engine.one_thread_overhead[0].0,
+        f(engine.one_thread_overhead[0].1, 2),
+        engine.one_thread_overhead[1].0,
+        f(engine.one_thread_overhead[1].1, 2),
+        ONE_THREAD_OVERHEAD_CEILING,
     );
 
     // Overhead runs need windows long enough (~100 ms) that scheduler
@@ -517,9 +549,10 @@ fn main() {
     json.push_str(&format!(
         "}},\"engine\":{{\"program\":\"blocks-world\",\"threads\":{},\"iterations\":{},\
          \"tasks\":{},\"steals\":{},\"steal_attempts\":{},\"idle_spins\":{},\
-         \"idle_share\":{},\"idle_share_ceiling\":{},\"workers_with_tasks\":{},\
-         \"workers_with_steals\":{},\"spawned_per_matcher\":{},\"respawns\":{},\
-         \"live\":{},\"elapsed_s\":{},\"per_worker\":[",
+         \"idle_share\":{},\"spawned_per_matcher\":{},\"respawns\":{},\
+         \"helper_wakes\":{},\"live\":{},\"elapsed_s\":{},\
+         \"one_thread_overhead_x\":{{\"blocks-world\":{},\"vt-small\":{},\"ceiling\":{}}},\
+         \"per_worker\":[",
         engine.threads,
         engine.iterations,
         totals.tasks,
@@ -527,13 +560,14 @@ fn main() {
         totals.steal_attempts,
         totals.idle_spins,
         psm_obs::json::number(engine.idle_share()),
-        psm_obs::json::number(IDLE_SHARE_CEILING),
-        engine.workers_with_tasks(),
-        engine.workers_with_steals(),
         engine.spawned_per_matcher,
         engine.respawns,
+        engine.helper_wakes,
         engine.live,
         psm_obs::json::number(engine.elapsed_s),
+        psm_obs::json::number(engine.one_thread_overhead[0].1),
+        psm_obs::json::number(engine.one_thread_overhead[1].1),
+        psm_obs::json::number(ONE_THREAD_OVERHEAD_CEILING),
     ));
     for (i, w) in engine.per_worker.iter().enumerate() {
         if i > 0 {

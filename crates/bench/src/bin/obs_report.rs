@@ -352,9 +352,9 @@ fn engine_section() {
     );
     let pool = matcher.pool_stats();
     println!(
-        "\npool: {} threads spawned once for the matcher's lifetime \
-         ({} respawns, {} live)",
-        pool.spawned, pool.respawns, pool.live
+        "\npool: {} helper threads spawned once for the matcher's lifetime \
+         ({} respawns, {} live, {} phases woke them); the caller is worker 0",
+        pool.spawned, pool.respawns, pool.live, pool.helper_wakes
     );
     println!("\nmetrics registry snapshot:");
     for line in obs.metrics.snapshot().to_text().lines() {

@@ -1,26 +1,31 @@
-//! Pool smoke gate: the persistent worker pool must come up, match,
+//! Pool smoke gate: the work-first worker pool must come up, match,
 //! and tear down cleanly at every supported width on every preset.
 //!
 //! For each `threads` in {2, 8, 32} and every workload preset this
 //! compiles a [`ParallelReteMatcher`], drives it through a batch
-//! stream, and asserts the pool lifecycle contract:
+//! stream plus one bulk batch (so both scheduling paths run: the caller
+//! alone, and seeds dealt over every deque with the helpers woken), and
+//! asserts the pool lifecycle contract:
 //!
 //! * no worker panics escape (`take_faults() == 0` with no plan set);
-//! * the pool spawns exactly `threads` workers for the matcher's whole
-//!   lifetime (`spawned == threads`, `respawns == 0`) — the pre-pool
-//!   engine spawned `threads × phases` and would fail this instantly;
-//! * every configured worker is still live at the end (`live == threads`);
+//! * the pool spawns exactly `threads − 1` helpers for the matcher's
+//!   whole lifetime (`spawned == threads − 1`, `respawns == 0`) — the
+//!   calling thread is worker 0;
+//! * every helper is still live at the end (`live == threads − 1`);
+//! * the small batches of the stream woke nobody (`helper_wakes == 0`
+//!   before the bulk batch);
 //! * dropping the matcher joins the crew: the process thread count
 //!   (from `/proc/self/status`) returns to its pre-run level, so a
-//!   deadlocked or leaked worker fails the gate instead of lingering.
+//!   deadlocked or leaked helper fails the gate instead of lingering.
 //!
-//! Deadlocks are caught by the CI job's step timeout: a worker stuck
-//! on the phase gate or the drain loop hangs this binary.
+//! Deadlocks are caught by the CI job's step timeout: a helper stuck
+//! in the enter/close protocol or the drain loop hangs this binary.
 //!
 //! ```sh
 //! cargo run --release -p psm-bench --bin pool_smoke
 //! ```
 
+use ops5::{Change, Matcher};
 use psm_bench::print_table;
 use psm_core::{ParallelOptions, ParallelReteMatcher};
 use workloads::{GeneratedWorkload, Preset, WorkloadDriver};
@@ -69,6 +74,25 @@ fn smoke(preset: Preset, threads: usize) -> Vec<String> {
     let mut driver = WorkloadDriver::new(workload, 0x5E0C + threads as u64);
     driver.init(&mut matcher);
     driver.run_cycles(&mut matcher, CYCLES);
+    assert_eq!(
+        matcher.pool_stats().helper_wakes,
+        0,
+        "{} t{threads}: a small batch woke the helpers",
+        preset.name()
+    );
+    // One bulk batch: retract the whole working memory at once.
+    let bulk: Vec<Change> = driver
+        .working_memory()
+        .iter()
+        .map(|(id, _, _)| Change::Remove(id))
+        .collect();
+    matcher.process(driver.working_memory(), &bulk);
+    assert_eq!(
+        matcher.resident_tokens(),
+        0,
+        "{} t{threads}: tokens left after retracting everything",
+        preset.name()
+    );
 
     assert_eq!(
         matcher.take_faults(),
@@ -79,8 +103,8 @@ fn smoke(preset: Preset, threads: usize) -> Vec<String> {
     let stats = matcher.pool_stats();
     assert_eq!(
         stats.spawned,
-        threads as u64,
-        "{} t{threads}: pool must spawn exactly once per worker per matcher lifetime",
+        threads as u64 - 1,
+        "{} t{threads}: pool must spawn exactly once per helper per matcher lifetime",
         preset.name()
     );
     assert_eq!(
@@ -91,8 +115,8 @@ fn smoke(preset: Preset, threads: usize) -> Vec<String> {
     );
     assert_eq!(
         stats.live,
-        threads,
-        "{} t{threads}: final worker count must equal the configured threads",
+        threads - 1,
+        "{} t{threads}: every helper must still be live (the caller is worker 0)",
         preset.name()
     );
     let total = matcher.worker_totals_merged();
@@ -117,6 +141,7 @@ fn smoke(preset: Preset, threads: usize) -> Vec<String> {
         threads.to_string(),
         total.tasks.to_string(),
         total.steals.to_string(),
+        stats.helper_wakes.to_string(),
         stats.spawned.to_string(),
         stats.live.to_string(),
         joined,
@@ -133,13 +158,13 @@ fn main() {
     print_table(
         &format!("pool smoke: {CYCLES} cycles per preset, widths {WIDTHS:?}"),
         &[
-            "system", "threads", "tasks", "steals", "spawned", "live", "joined",
+            "system", "threads", "tasks", "steals", "wakes", "spawned", "live", "joined",
         ],
         &rows,
     );
     println!(
-        "\nall {} runs clean: spawn count == threads per matcher lifetime, \
-         no panics, no leaked threads.",
+        "\nall {} runs clean: spawn count == threads - 1 per matcher lifetime, \
+         no wake on small batches, no panics, no leaked threads.",
         rows.len()
     );
 }

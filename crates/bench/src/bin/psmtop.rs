@@ -340,14 +340,17 @@ fn render(prev: Option<&Frame>, cur: &Frame, addr: &str, clear: bool, trends: Op
     if workers.is_empty() {
         out.push_str("workers: none reported yet (no parallel run in registry)\n");
     } else {
-        // Pool lifecycle gauges: spawned is per matcher lifetime, so a
-        // healthy engine shows it flat at the thread count while
-        // batches keep flowing; respawns only move when a worker died.
+        // Pool lifecycle gauges: helpers are spawned once per matcher
+        // lifetime, so a healthy engine shows `spawned` flat at
+        // threads - 1 while batches keep flowing; respawns only move
+        // when a helper died, wakes only on bulk batches.
         let pool = |name: &str| cur.gauges.get(&format!("engine.pool.{name}")).copied();
         if let (Some(spawned), Some(live)) = (pool("spawned"), pool("live")) {
             out.push_str(&format!(
-                "pool: {live} live / {spawned} spawned this matcher, {} respawns\n\n",
-                pool("respawns").unwrap_or(0)
+                "pool: {live} helpers live / {spawned} spawned this matcher, \
+                 {} respawns, {} wakes\n\n",
+                pool("respawns").unwrap_or(0),
+                pool("helper_wakes").unwrap_or(0)
             ));
         }
         out.push_str("worker     tasks   steals  attempts     busy%    lock%    idle-spins\n");

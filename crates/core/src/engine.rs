@@ -10,13 +10,15 @@
 //! probes the bucket its equality key selects instead of scanning the
 //! whole opposite memory — the same `(position, attribute)` keying as
 //! the sequential matcher's `MemoryStrategy::Hashed` default. Tasks are
-//! dealt round-robin into per-worker deques and drained by a persistent
-//! [`WorkerPool`](crate::pool::WorkerPool) — the software analogue of
-//! the paper's hardware task scheduler. Workers park between phases and
-//! are released together through a phase-start barrier (no worker can
-//! pop before all are eligible), pop their own deque LIFO (locality),
-//! and steal FIFO from peers when it runs dry. Threads are spawned once
-//! per matcher lifetime, not per phase, and joined on drop.
+//! drained by a work-first [`WorkerPool`](crate::pool::WorkerPool) — the
+//! software analogue of the paper's hardware task scheduler. The thread
+//! that calls [`Matcher::process`] is worker 0 and starts draining at
+//! once; `threads − 1` helper threads stay parked and are woken only for
+//! a phase whose seed backlog repays a futex wake. Every worker pops its
+//! own deque LIFO (locality) and steals FIFO from peers when it runs
+//! dry. Deques, per-worker scratch, the per-node task grouping and the
+//! payload buffers all live as long as the matcher, so a steady-state
+//! phase neither hashes nor allocates to dispatch.
 //!
 //! Every worker keeps [`WorkerStats`] counters (tasks, steals, idle
 //! spins, queue depth, lock wait) that are merged after each phase and
@@ -33,6 +35,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
+use psm_obs::metrics::{Counter, Gauge};
 use psm_obs::{FlightKind, NodeDelta, Obs, ProfileKind};
 
 use ops5::{
@@ -43,7 +46,7 @@ use rete::kernel::{self, Work};
 use rete::network::NodeKind;
 use rete::{ActivationKind, AlphaId, Bucket, CompileOptions, Network, NodeId, Sign, Token};
 
-use crate::pool::{PoolStats, WorkerPool};
+use crate::pool::{lock, PoolStats, WorkerPool};
 use crate::topology::ParallelTopology;
 
 /// Configuration for the parallel engine.
@@ -94,11 +97,9 @@ pub struct WorkerStats {
     pub tasks: u64,
     /// Tasks taken from another worker's deque.
     pub steals: u64,
-    /// Peer deques probed for work (successful or not). Together with
-    /// `tasks` this witnesses participation: a released worker always
-    /// executes a task or probes every peer before it can go idle.
+    /// Peer deques probed for work (successful or not).
     pub steal_attempts: u64,
-    /// Empty polls (no task anywhere; the worker yielded).
+    /// Empty polls (no task anywhere while a peer still held work).
     pub idle_spins: u64,
     /// High-water mark of this worker's local deque.
     pub max_queue_depth: u64,
@@ -168,6 +169,14 @@ fn relock<'a, T>(m: &'a Mutex<T>, recovered: &AtomicU64) -> MutexGuard<'a, T> {
     })
 }
 
+/// [`lock`] (poison ignored and not counted as a recovery: a panicking
+/// task leaves the engine's own scratch consistent) through exclusive
+/// access, so without an atomic.
+fn unlocked<T>(m: &mut Mutex<T>) -> &mut T {
+    m.get_mut()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// A pending node activation: the whole batch of payloads bound for one
 /// node in this phase fragment, executed under a single lock
 /// acquisition. Grouping amortizes dispatch, flight tracing, and the
@@ -176,7 +185,7 @@ fn relock<'a, T>(m: &'a Mutex<T>, recovered: &AtomicU64) -> MutexGuard<'a, T> {
 #[derive(Debug)]
 struct Task {
     node: NodeId,
-    items: Vec<(Payload, Sign)>,
+    items: Vec<Item>,
 }
 
 #[derive(Debug)]
@@ -185,34 +194,57 @@ enum Payload {
     Left(Token),
 }
 
-/// Order-preserving grouping of activations by destination node: the
-/// builder behind batched change propagation. Payloads for the same
+/// One signed activation bound for a node.
+type Item = (Payload, Sign);
+
+/// Order-preserving grouping of seed activations by destination node:
+/// the builder behind batched change propagation. Payloads for the same
 /// node coalesce into one [`Task`] in first-seen node order, so a
 /// phase's task count scales with the touched-node set, not the change
-/// count.
-#[derive(Default)]
+/// count. Dense and persistent: a node-indexed position table instead
+/// of a per-batch hash map, emptied (not freed) when the phase takes
+/// its tasks.
 struct TaskGroups {
-    order: Vec<NodeId>,
-    items: FxHashMap<NodeId, Vec<(Payload, Sign)>>,
+    /// Node index → position of its task in `tasks`, or [`NO_TASK`].
+    pos: Vec<u32>,
+    tasks: Vec<Task>,
+    /// Payloads pushed since the tasks were last taken: the phase's
+    /// seed backlog.
+    payloads: usize,
 }
 
+const NO_TASK: u32 = u32::MAX;
+
 impl TaskGroups {
-    fn push(&mut self, node: NodeId, payload: Payload, sign: Sign) {
-        let bucket = self.items.entry(node).or_default();
-        if bucket.is_empty() {
-            self.order.push(node);
+    fn new(nodes: usize) -> Self {
+        TaskGroups {
+            pos: vec![NO_TASK; nodes],
+            tasks: Vec::new(),
+            payloads: 0,
         }
-        bucket.push((payload, sign));
     }
 
-    fn into_tasks(mut self) -> Vec<Task> {
-        self.order
-            .into_iter()
-            .map(|node| Task {
-                node,
-                items: self.items.remove(&node).expect("ordered node has items"),
-            })
-            .collect()
+    /// Adds one payload for `node`, opening the node's task with one
+    /// of `local`'s recycled buffers on first sight.
+    fn push(&mut self, node: NodeId, payload: Payload, sign: Sign, local: &mut WorkerLocal) {
+        let pos = &mut self.pos[node.index()];
+        if *pos == NO_TASK {
+            *pos = self.tasks.len() as u32;
+            let items = local.buffer();
+            self.tasks.push(Task { node, items });
+        }
+        self.tasks[*pos as usize].items.push((payload, sign));
+        self.payloads += 1;
+    }
+
+    /// Takes the tasks in first-seen node order; the groups are empty
+    /// again once the iterator is exhausted.
+    fn drain(&mut self) -> impl Iterator<Item = Task> + '_ {
+        self.payloads = 0;
+        let pos = &mut self.pos;
+        self.tasks
+            .drain(..)
+            .inspect(|task| pos[task.node.index()] = NO_TASK)
     }
 }
 
@@ -302,11 +334,11 @@ struct NodeSlot {
     right: Side<WmeId>,
 }
 
-/// Per-worker scratch, merged after each phase.
+/// Per-worker scratch. Lives as long as the matcher; the counters are
+/// merged into the matcher's totals and zeroed after each phase.
 #[derive(Default)]
 struct WorkerLocal {
     delta: MatchDelta,
-    tasks: u64,
     join_tests: u64,
     pairs_scanned: u64,
     worker: WorkerStats,
@@ -315,6 +347,117 @@ struct WorkerLocal {
     /// same cold-path discipline as the per-worker counters. Empty
     /// unless the attached `Obs` has profile capacity.
     prof: FxHashMap<u32, (ProfileKind, NodeDelta)>,
+    /// Scratch for the tokens one `exec` emits; empty between tasks.
+    emitted: Vec<(Token, Sign)>,
+    /// Drained payload buffers awaiting reuse by the next task this
+    /// worker builds (worker 0's also serve the seed grouping), and
+    /// their capacities summed.
+    free: Vec<Vec<Item>>,
+    free_items: usize,
+}
+
+/// Most items of payload-buffer capacity a worker keeps for reuse
+/// (24 B each, so 384 KiB per worker whatever bulk batch went through).
+/// The deepest phase of the vt stream holds 402 buffers of at most 16
+/// items at once (seed tasks plus queued children; 1000 cycles of
+/// `Preset::Vt.spec()`), 6.4 k items if every one were full, so that
+/// stream never returns a buffer to the allocator.
+const FREE_ITEMS: usize = 16 * 1024;
+
+impl WorkerLocal {
+    /// Keeps the emptied buffer of an executed task for reuse.
+    fn recycle(&mut self, items: Vec<Item>) {
+        debug_assert!(items.is_empty());
+        if self.free_items + items.capacity() <= FREE_ITEMS {
+            self.free_items += items.capacity();
+            self.free.push(items);
+        }
+    }
+
+    /// A buffer for the next task this worker builds.
+    fn buffer(&mut self) -> Vec<Item> {
+        let items = self.free.pop().unwrap_or_default();
+        self.free_items -= items.capacity();
+        items
+    }
+}
+
+/// Seed payloads from which a phase wakes the parked helpers. On the
+/// 2-CPU reference host a notify costs the caller 10 µs and the helper
+/// is running 45 µs (p50; 108 µs p90) after it, while a seed payload
+/// stands for ~0.45 µs of phase work (vt stream: 26 payloads per change,
+/// 143 per batch, 65 µs per batch). A vt-sized phase — 406 payloads at
+/// most — is over before a parked helper arrives: waking on every phase
+/// took `vt-stream-par2` from 72.2 k to 54.0 k changes/s (p50 64.6 →
+/// 85.6 µs, 4 of 4 pairs). At 1024 payloads the phase is ~0.46 ms of
+/// work and the wake a tenth of it — extrapolated, not swept: no
+/// benchmark workload seeds a phase that large yet (DESIGN.md §12).
+const WAKE_BACKLOG: usize = 1024;
+
+/// The additive [`WorkerStats`] fields, in the order [`Series`]
+/// publishes them.
+const COUNTERS: [&str; 6] = [
+    "tasks",
+    "steals",
+    "steal_attempts",
+    "idle_spins",
+    "exec_ns",
+    "lock_wait_ns",
+];
+
+/// Engine-wide gauges, in the order `run_phase` sets them.
+const GAUGES: [&str; 6] = [
+    "engine.faults_injected",
+    "engine.lock_poison_recovered",
+    "engine.pool.spawned",
+    "engine.pool.respawns",
+    "engine.pool.live",
+    "engine.pool.helper_wakes",
+];
+
+/// Registry handles for one [`WorkerStats`]-shaped series: the
+/// [`COUNTERS`] plus the queue-depth high-water gauge.
+struct Series([Arc<Counter>; 6], Arc<Gauge>);
+
+impl Series {
+    /// Resolves `<prefix><field><labels>` for every field.
+    fn resolve(obs: &Obs, prefix: &str, labels: &str) -> Self {
+        let name = |field| format!("{prefix}{field}{labels}");
+        Series(
+            COUNTERS.map(|field| obs.metrics.counter(&name(field))),
+            obs.metrics.gauge(&name("max_queue_depth")),
+        )
+    }
+
+    fn publish(&self, w: &WorkerStats) {
+        let values = [
+            w.tasks,
+            w.steals,
+            w.steal_attempts,
+            w.idle_spins,
+            w.exec_ns,
+            w.lock_wait_ns,
+        ];
+        for (counter, value) in self.0.iter().zip(values) {
+            counter.add(value);
+        }
+        self.1.fetch_max(w.max_queue_depth as i64);
+    }
+}
+
+/// The attached [`Obs`] with every `engine.*` handle the phase epilogue
+/// publishes into, resolved once at attach time: a registry lookup is a
+/// mutex plus a `String` allocation, which is too much to pay eighteen
+/// times on every phase.
+struct EngineMetrics {
+    obs: Arc<Obs>,
+    /// `engine.<field>`: all workers folded.
+    total: Series,
+    /// `engine.worker.<field>{worker="N"}`, for the live exporter; the
+    /// `{...}` suffix is the telemetry label convention (psm-telemetry
+    /// parses it back out when rendering exposition format).
+    workers: Vec<Series>,
+    gauges: [Arc<Gauge>; 6],
 }
 
 /// The parallel Rete matcher (node-activation granularity).
@@ -347,15 +490,24 @@ pub struct ParallelReteMatcher {
     /// WMEs by id; workers read this immutably during a phase.
     store: Vec<Option<Wme>>,
     threads: usize,
-    /// The persistent worker crew. Spawned lazily on the first
-    /// non-empty phase (a matcher that never runs costs no threads),
-    /// then reused for every subsequent phase and joined on drop.
-    /// `None` only before first use — `run_phase` takes it out while a
-    /// phase borrows `self` and always puts it back.
+    /// The worker pool: the caller plus `threads − 1` helpers. Created
+    /// lazily on the first non-empty phase (a matcher that never runs
+    /// costs no threads), then reused for every subsequent phase and
+    /// joined on drop. `None` only before first use — `run_phase` takes
+    /// it out while a phase borrows `self` and always puts it back.
     pool: Option<WorkerPool>,
     /// Pool lifetime counters, mirrored here so they survive pool
     /// hand-offs and stay readable without a pool (pre-first-phase).
     pool_stats: PoolStats,
+    /// One task deque per worker; empty between phases.
+    deques: Vec<Mutex<VecDeque<Task>>>,
+    /// One scratch block per worker. Worker `me` holds `locals[me]` for
+    /// as long as it is inside a phase, so the lock is never contended;
+    /// it exists to hand `&mut` scratch through the shared phase job.
+    locals: Vec<Mutex<WorkerLocal>>,
+    /// Seed activations of the batch being processed, per phase.
+    removes: TaskGroups,
+    adds: TaskGroups,
     stats: ParallelStats,
     /// Per-worker counters accumulated across all phases.
     worker_totals: Vec<WorkerStats>,
@@ -365,11 +517,11 @@ pub struct ParallelReteMatcher {
     /// request or while the attached obs handle's detail toggle is on
     /// (off by default; clock reads on the hot path are not free).
     timing: bool,
-    /// Reusable alpha-match buffer for [`Self::seed_tasks`].
+    /// Reusable alpha-match buffer for seeding.
     alpha_buf: Vec<AlphaId>,
     /// Optional metrics sink; counters are published per phase (cold
     /// path), never per task.
-    obs: Option<Arc<Obs>>,
+    obs: Option<EngineMetrics>,
     /// Optional fault-injection hook consulted once per task.
     fault: Option<Arc<dyn FaultInjector>>,
     /// Monotonic phase counter (two phases per processed batch), the
@@ -434,6 +586,7 @@ impl ParallelReteMatcher {
             })
             .collect();
         let threads = threads.max(1);
+        let nodes = network.nodes.len();
         ParallelReteMatcher {
             topo,
             states,
@@ -441,6 +594,10 @@ impl ParallelReteMatcher {
             threads,
             pool: None,
             pool_stats: PoolStats::default(),
+            deques: (0..threads).map(|_| Mutex::default()).collect(),
+            locals: (0..threads).map(|_| Mutex::default()).collect(),
+            removes: TaskGroups::new(nodes),
+            adds: TaskGroups::new(nodes),
             stats: ParallelStats::default(),
             worker_totals: vec![WorkerStats::default(); threads],
             timing_enabled: false,
@@ -457,10 +614,11 @@ impl ParallelReteMatcher {
     }
 
     /// Attaches (or clears) a fault-injection hook. With a hook
-    /// attached, worker panics are contained: the phase completes on the
-    /// surviving workers, the panic is counted, and the caller observes
-    /// it through [`ParallelReteMatcher::take_faults`] instead of an
-    /// unwind. Without a hook, unexpected panics propagate as before.
+    /// attached, worker panics are contained, whichever worker draws
+    /// them (the calling thread included): the rest of the phase still
+    /// drains, the panic is counted, and the caller observes it through
+    /// [`ParallelReteMatcher::take_faults`] instead of an unwind.
+    /// Without a hook, unexpected panics propagate.
     pub fn set_fault_injector(&mut self, injector: Option<Arc<dyn FaultInjector>>) {
         self.fault = injector;
     }
@@ -493,10 +651,12 @@ impl ParallelReteMatcher {
         self.threads
     }
 
-    /// Worker-pool lifetime counters: threads spawned (== `threads` on
-    /// a healthy run, however many phases executed), dead workers
-    /// respawned after injected or genuine panics, and live threads.
-    /// All zeros before the first non-empty phase (the pool is lazy).
+    /// Worker-pool lifetime counters: helper threads spawned
+    /// (== `threads − 1` on a healthy run, however many phases
+    /// executed), dead helpers respawned after injected or genuine
+    /// panics, live helper threads, and phases that woke parked
+    /// helpers. All zeros before the first non-empty phase (the pool is
+    /// lazy).
     pub fn pool_stats(&self) -> PoolStats {
         match &self.pool {
             Some(pool) => pool.stats(),
@@ -530,7 +690,13 @@ impl ParallelReteMatcher {
     /// per-phase event is emitted when the ring is enabled, and the
     /// handle's detail toggle drives timing collection.
     pub fn attach_obs(&mut self, obs: Arc<Obs>) {
-        self.obs = Some(obs);
+        let worker = |me| Series::resolve(&obs, "engine.worker.", &format!("{{worker=\"{me}\"}}"));
+        self.obs = Some(EngineMetrics {
+            total: Series::resolve(&obs, "engine.", ""),
+            workers: (0..self.threads).map(worker).collect(),
+            gauges: GAUGES.map(|name| obs.metrics.gauge(name)),
+            obs,
+        });
     }
 
     /// Attaches a debug [`ops5::effects::WriteSanitizer`]: every change
@@ -572,60 +738,68 @@ impl ParallelReteMatcher {
         }
     }
 
-    /// Seeds the right activations for one change into the phase's
-    /// per-node task groups.
-    fn seed_tasks(&mut self, id: WmeId, sign: Sign, out: &mut TaskGroups) {
-        let wme = self.store[id.index()]
-            .as_ref()
-            .expect("ingested WME present");
-        let mut alphas = std::mem::take(&mut self.alpha_buf);
-        self.stats.constant_tests += self.network.alpha.matching_into(wme, &mut alphas);
-        for alpha in &alphas {
-            for &succ in &self.network.alpha_successors[alpha.index()] {
-                out.push(succ, Payload::Right(id), sign);
+    /// Ingests the batch and groups its right activations per phase and
+    /// per node (removes into `self.removes`, adds into `self.adds`).
+    fn seed(&mut self, wm: &WorkingMemory, changes: &[Change]) {
+        for change in changes {
+            self.ingest(wm, change.wme());
+        }
+        let local = unlocked(&mut self.locals[0]);
+        for change in changes {
+            let (id, sign, out) = match *change {
+                Change::Remove(id) => (id, Sign::Minus, &mut self.removes),
+                Change::Add(id) => (id, Sign::Plus, &mut self.adds),
+            };
+            let wme = self.store[id.index()]
+                .as_ref()
+                .expect("ingested WME present");
+            self.stats.constant_tests += self.network.alpha.matching_into(wme, &mut self.alpha_buf);
+            for alpha in &self.alpha_buf {
+                for &succ in &self.network.alpha_successors[alpha.index()] {
+                    out.push(succ, Payload::Right(id), sign, local);
+                }
             }
         }
-        self.alpha_buf = alphas;
     }
 
-    /// Runs one phase: drain `tasks` (and their descendants) across the
-    /// persistent worker pool, returning the merged signed delta.
+    /// Runs one phase: drain the seed tasks grouped in `removes` or
+    /// `adds` (and their descendants) across the worker pool, returning
+    /// the merged signed delta.
     ///
-    /// Scheduling: seed tasks are dealt round-robin into the per-worker
-    /// deques (no shared injector — stealing itself is the load
-    /// balancer); spawned
-    /// children go to the spawning worker's own deque, popped LIFO for
-    /// locality. A worker whose deque runs dry steals FIFO from a peer
-    /// (oldest task first — the classic work-stealing discipline,
-    /// built on `std::sync` so the workspace has no external
-    /// dependencies). The pool's phase-start barrier guarantees every
-    /// worker is released before any of them pops, and the drain loop
-    /// attempts a pop (own deque, then every peer)
-    /// *before* consulting the termination flag — so on any non-empty
-    /// phase each worker either executes a task or records a probe of
-    /// every peer deque, never silently exits without looking. This is
-    /// the fix for the worker-0 small-batch drain race the old
-    /// spawn-per-phase design had.
-    fn run_phase(&mut self, label: &'static str, tasks: Vec<Task>) -> MatchDelta {
+    /// Scheduling: the calling thread is worker 0 and starts draining at
+    /// once. A small phase (seed backlog under [`WAKE_BACKLOG`]) puts
+    /// every seed task on the caller's own deque and wakes nobody; a
+    /// large one deals the seeds round-robin over all deques and wakes
+    /// the parked helpers, which join if they arrive before the phase
+    /// is drained. Spawned children go to the spawning worker's own
+    /// deque, popped LIFO for locality; a worker whose deque runs dry
+    /// steals FIFO from a peer (oldest first — classic work stealing,
+    /// on `std::sync` only). The phase is over when the caller finds no
+    /// task anywhere and `pending == 0` (nothing queued or in flight),
+    /// and the pool has seen every helper that entered leave: that is
+    /// the whole remove→add barrier.
+    fn run_phase(&mut self, sign: Sign) -> MatchDelta {
         self.phase_seq += 1;
-        if tasks.is_empty() {
+        let threads = self.threads;
+        let (label, seeds) = match sign {
+            Sign::Minus => ("remove", &mut self.removes),
+            Sign::Plus => ("add", &mut self.adds),
+        };
+        if seeds.tasks.is_empty() {
             return MatchDelta::new();
         }
+        let wake = threads > 1 && seeds.payloads >= WAKE_BACKLOG;
+        // A phase that wakes nobody runs on worker 0 alone.
+        let workers = if wake { threads } else { 1 };
+        let pending = AtomicUsize::new(seeds.tasks.len());
+        for (i, task) in seeds.drain().enumerate() {
+            unlocked(&mut self.deques[i % workers]).push_back(task);
+        }
         let phase_seq = self.phase_seq;
-        let threads = self.threads;
         let timing = self.timing;
-        let pending = AtomicUsize::new(tasks.len());
         let task_seq = AtomicU64::new(0);
-        let deques: Vec<Mutex<VecDeque<Task>>> = {
-            let mut qs: Vec<VecDeque<Task>> = (0..threads).map(|_| VecDeque::new()).collect();
-            for (i, t) in tasks.into_iter().enumerate() {
-                qs[i % threads].push_back(t);
-            }
-            qs.into_iter().map(Mutex::new).collect()
-        };
-        let merged: Mutex<Vec<(usize, WorkerLocal)>> = Mutex::new(Vec::new());
         // Take the pool out so the phase job below can borrow `self`
-        // shared; spawned lazily on the first non-empty phase.
+        // shared; created lazily on the first non-empty phase.
         let mut pool = self.pool.take().unwrap_or_else(|| WorkerPool::new(threads));
         // Per-node latency rides the existing per-task timing clock
         // reads, so it costs nothing extra beyond the histogram add;
@@ -634,180 +808,125 @@ impl ParallelReteMatcher {
             && self
                 .obs
                 .as_ref()
-                .is_some_and(|o| o.profile.enabled() && o.detail());
+                .is_some_and(|m| m.obs.profile.enabled() && m.obs.detail());
         let this: &ParallelReteMatcher = self;
         let job = |me: usize| {
-            let mut local = WorkerLocal::default();
+            let local = &mut *lock(&this.locals[me]);
+            let recovered = &this.poison_recovered;
             loop {
-                let recovered = &this.poison_recovered;
-                let mut next = relock(&deques[me], recovered).pop_back();
+                let mut next = relock(&this.deques[me], recovered).pop_back();
                 if next.is_none() {
-                    for k in 1..threads {
-                        let victim = (me + k) % threads;
+                    for k in 1..workers {
+                        let victim = (me + k) % workers;
                         local.worker.steal_attempts += 1;
-                        if let Some(t) = relock(&deques[victim], recovered).pop_front() {
+                        if let Some(t) = relock(&this.deques[victim], recovered).pop_front() {
                             local.worker.steals += 1;
                             next = Some(t);
                             break;
                         }
                     }
                 }
-                match next {
-                    Some(task) => {
-                        // Decrement on drop so a panicking task
-                        // cannot leave siblings spinning forever.
-                        let _guard = PendingGuard(&pending);
-                        let action = match &this.fault {
-                            Some(f) => {
-                                let seq = task_seq.fetch_add(1, Ordering::Relaxed);
-                                f.on_task(phase_seq, seq, me)
-                            }
-                            None => FaultAction::None,
-                        };
-                        match action {
-                            FaultAction::DropTask => {
-                                this.injected_faults.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                            FaultAction::PanicWorker => {
-                                this.injected_faults.fetch_add(1, Ordering::Relaxed);
-                                panic!("injected fault: worker panic");
-                            }
-                            FaultAction::None | FaultAction::PoisonLock => {}
-                        }
-                        let started = timing.then(Instant::now);
-                        let node = task.node.index() as u32;
-                        let children =
-                            this.exec(task, &mut local, action == FaultAction::PoisonLock);
-                        if let Some(t0) = started {
-                            let ns = t0.elapsed().as_nanos() as u64;
-                            local.worker.exec_ns += ns;
-                            if prof_latency {
-                                if let Some(obs) = &this.obs {
-                                    obs.profile.record_latency(node, ns);
-                                }
-                            }
-                        }
-                        if !children.is_empty() {
-                            pending.fetch_add(children.len(), Ordering::AcqRel);
-                            let mut q = relock(&deques[me], recovered);
-                            for c in children {
-                                q.push_back(c);
-                            }
-                            local.worker.max_queue_depth =
-                                local.worker.max_queue_depth.max(q.len() as u64);
-                        }
+                let Some(task) = next else {
+                    // Pops (including a probe of every peer) came up
+                    // empty. `pending` counts queued plus in-flight
+                    // tasks, so zero here means the phase is fully
+                    // drained; otherwise a peer is still executing and
+                    // may yet spawn children.
+                    if pending.load(Ordering::Acquire) == 0 {
+                        break;
                     }
-                    None => {
-                        // Pops (including a probe of every peer) came up
-                        // empty; only now consult the termination flag.
-                        // `pending` counts queued plus in-flight tasks,
-                        // so zero here means the phase is fully drained.
-                        if pending.load(Ordering::Acquire) == 0 {
-                            break;
+                    local.worker.idle_spins += 1;
+                    std::thread::yield_now();
+                    continue;
+                };
+                // Decrement on drop so a panicking task cannot leave
+                // siblings spinning forever.
+                let _guard = PendingGuard(&pending);
+                let action = match &this.fault {
+                    Some(f) => {
+                        let seq = task_seq.fetch_add(1, Ordering::Relaxed);
+                        f.on_task(phase_seq, seq, me)
+                    }
+                    None => FaultAction::None,
+                };
+                match action {
+                    FaultAction::DropTask => {
+                        this.injected_faults.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    }
+                    FaultAction::PanicWorker => {
+                        this.injected_faults.fetch_add(1, Ordering::Relaxed);
+                        panic!("injected fault: worker panic");
+                    }
+                    FaultAction::None | FaultAction::PoisonLock => {}
+                }
+                let started = timing.then(Instant::now);
+                let node = task.node.index() as u32;
+                let poison = action == FaultAction::PoisonLock;
+                this.exec(task, local, poison, &this.deques[me], &pending);
+                if let Some(t0) = started {
+                    let ns = t0.elapsed().as_nanos() as u64;
+                    local.worker.exec_ns += ns;
+                    if prof_latency {
+                        if let Some(m) = &this.obs {
+                            m.obs.profile.record_latency(node, ns);
                         }
-                        local.worker.idle_spins += 1;
-                        std::thread::yield_now();
                     }
                 }
             }
-            relock(&merged, &this.poison_recovered).push((me, local));
         };
-        // A worker panic (injected, or a genuine bug) kills that worker
-        // only; its siblings drain the remaining tasks (the
-        // `PendingGuard` keeps the pending count honest) and the pool
-        // respawns the dead at the phase barrier, handing back the
-        // panic payloads. With a fault injector attached the panic is
-        // contained here and surfaced through `take_faults`; without
-        // one it propagates unchanged.
-        let dead = pool.run(&job);
+        // A panic (injected, or a genuine bug) costs the task it struck
+        // and, on a helper, the thread: the other workers — and the
+        // caller, whose copy of the job the pool re-enters — drain the
+        // rest (the `PendingGuard` keeps `pending` honest), and the
+        // pool respawns dead helpers after the phase, handing back the
+        // payloads. With a fault injector attached the panic is
+        // contained and surfaced through `take_faults`, whoever drew
+        // it; without one it propagates, once the epilogue has run.
+        let dead = pool.run(wake, &job);
         self.pool_stats = pool.stats();
         self.pool = Some(pool);
-        if let Some((_, payload)) = dead.into_iter().next() {
-            if self.fault.is_none() {
-                resume_unwind(payload);
-            }
-        }
         let mut delta = MatchDelta::new();
         let mut phase_total = WorkerStats::default();
-        let merged = merged
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let obs = self.obs.clone();
-        for (me, local) in merged {
-            delta.merge(local.delta);
-            self.stats.tasks += local.tasks;
-            self.stats.join_tests += local.join_tests;
-            self.stats.pairs_scanned += local.pairs_scanned;
-            if let Some(obs) = &obs {
-                // Flush the worker's per-node profile deltas — once per
-                // phase, never per task.
-                for (node, (kind, d)) in &local.prof {
-                    obs.profile.add(*node, *kind, d);
-                }
+        for (me, local) in self.locals[..workers].iter_mut().enumerate() {
+            let local = unlocked(local);
+            if delta.is_empty() {
+                delta = std::mem::take(&mut local.delta);
+            } else {
+                delta.merge(std::mem::take(&mut local.delta));
             }
-            let mut worker = local.worker;
-            worker.tasks = local.tasks;
+            self.stats.join_tests += std::mem::take(&mut local.join_tests);
+            self.stats.pairs_scanned += std::mem::take(&mut local.pairs_scanned);
+            let worker = std::mem::take(&mut local.worker);
+            self.stats.tasks += worker.tasks;
             self.worker_totals[me].merge(&worker);
             phase_total.merge(&worker);
-            if let Some(obs) = &obs {
-                // Per-worker series for the live exporter; the `{...}`
-                // suffix is the telemetry label convention (psm-telemetry
-                // parses it back out when rendering exposition format).
-                obs.metrics
-                    .counter(&format!("engine.worker.tasks{{worker=\"{me}\"}}"))
-                    .add(worker.tasks);
-                obs.metrics
-                    .counter(&format!("engine.worker.steals{{worker=\"{me}\"}}"))
-                    .add(worker.steals);
-                obs.metrics
-                    .counter(&format!("engine.worker.steal_attempts{{worker=\"{me}\"}}"))
-                    .add(worker.steal_attempts);
-                obs.metrics
-                    .counter(&format!("engine.worker.idle_spins{{worker=\"{me}\"}}"))
-                    .add(worker.idle_spins);
-                obs.metrics
-                    .counter(&format!("engine.worker.exec_ns{{worker=\"{me}\"}}"))
-                    .add(worker.exec_ns);
-                obs.metrics
-                    .counter(&format!("engine.worker.lock_wait_ns{{worker=\"{me}\"}}"))
-                    .add(worker.lock_wait_ns);
-                obs.metrics
-                    .gauge(&format!("engine.worker.max_queue_depth{{worker=\"{me}\"}}"))
-                    .fetch_max(worker.max_queue_depth as i64);
+            if let Some(m) = &self.obs {
+                // Flush the worker's per-node profile deltas — once per
+                // phase, never per task.
+                for (node, (kind, d)) in local.prof.drain() {
+                    m.obs.profile.add(node, kind, &d);
+                }
+                m.workers[me].publish(&worker);
             }
         }
-        if let Some(obs) = &self.obs {
-            obs.metrics.counter("engine.tasks").add(phase_total.tasks);
-            obs.metrics.counter("engine.steals").add(phase_total.steals);
-            obs.metrics
-                .counter("engine.steal_attempts")
-                .add(phase_total.steal_attempts);
-            obs.metrics
-                .counter("engine.idle_spins")
-                .add(phase_total.idle_spins);
-            obs.metrics
-                .counter("engine.lock_wait_ns")
-                .add(phase_total.lock_wait_ns);
-            obs.metrics
-                .gauge("engine.max_queue_depth")
-                .fetch_max(phase_total.max_queue_depth as i64);
-            obs.metrics
-                .gauge("engine.faults_injected")
-                .set(self.injected_faults.load(Ordering::Relaxed) as i64);
-            obs.metrics
-                .gauge("engine.lock_poison_recovered")
-                .set(self.poison_recovered.load(Ordering::Relaxed) as i64);
-            obs.metrics
-                .gauge("engine.pool.spawned")
-                .set(self.pool_stats.spawned as i64);
-            obs.metrics
-                .gauge("engine.pool.respawns")
-                .set(self.pool_stats.respawns as i64);
-            obs.metrics
-                .gauge("engine.pool.live")
-                .set(self.pool_stats.live as i64);
-            obs.events.emit(
+        if let Some(m) = &self.obs {
+            m.total.publish(&phase_total);
+            let p = self.pool_stats;
+            let faults = self.injected_faults.load(Ordering::Relaxed);
+            let poison = self.poison_recovered.load(Ordering::Relaxed);
+            let values = [
+                faults,
+                poison,
+                p.spawned,
+                p.respawns,
+                p.live as u64,
+                p.helper_wakes,
+            ];
+            for (gauge, value) in m.gauges.iter().zip(values) {
+                gauge.set(value as i64);
+            }
+            m.obs.events.emit(
                 "engine.phase",
                 &[
                     ("kind", label.into()),
@@ -817,31 +936,50 @@ impl ParallelReteMatcher {
                 ],
             );
         }
+        if let (None, Some((_, payload))) = (&self.fault, dead.into_iter().next()) {
+            // Leave nothing of this batch behind: neither scratch (merged
+            // and cleared above) nor the add phase that will not run.
+            self.adds.drain().for_each(drop);
+            resume_unwind(payload);
+        }
         delta
     }
 
     /// Executes one grouped activation under its node's lock — every
     /// payload bound for the node this phase fragment, one lock
-    /// acquisition — returning spawned child tasks (one per child node,
-    /// carrying the whole emission batch).
-    fn exec(&self, task: Task, local: &mut WorkerLocal, poison: bool) -> Vec<Task> {
+    /// acquisition — and pushes the spawned child tasks (one per child
+    /// node, carrying the whole emission batch) onto `queue`, the
+    /// executing worker's own deque, counting them into `pending` first.
+    fn exec(
+        &self,
+        task: Task,
+        local: &mut WorkerLocal,
+        poison: bool,
+        queue: &Mutex<VecDeque<Task>>,
+        pending: &AtomicUsize,
+    ) {
+        let Task {
+            node: node_id,
+            mut items,
+        } = task;
         debug_assert!(
-            self.topo.active[task.node.index()],
+            self.topo.active[node_id.index()],
             "only active (two-input/terminal) nodes receive activations"
         );
-        local.tasks += 1;
-        let spec = self.network.node(task.node);
-        let node = task.node.index() as u32;
+        local.worker.tasks += 1;
+        let spec = self.network.node(node_id);
+        let node = node_id.index() as u32;
         let keyed = spec.key.is_some();
         let resolve = |id| Some(self.wme(id));
-        let flight_on = self.obs.as_ref().is_some_and(|o| o.flight.enabled());
-        let prof_on = self.obs.as_ref().is_some_and(|o| o.profile.enabled());
-        let children = &self.topo.token_children[task.node.index()];
+        let obs = self.obs.as_ref().map(|m| &*m.obs);
+        let flight_on = obs.is_some_and(|o| o.flight.enabled());
+        let prof_on = obs.is_some_and(|o| o.profile.enabled());
+        let children = &self.topo.token_children[node_id.index()];
         // Tokens emitted toward the children, in per-item order. Signs
         // ride along because a negative node inverts the sign of what it
         // forwards.
-        let mut emitted: Vec<(Token, Sign)> = Vec::new();
-        let mutex = &self.states[task.node.index()];
+        let mut emitted = std::mem::take(&mut local.emitted);
+        let mutex = &self.states[node_id.index()];
         let mut slot = if self.timing {
             let t0 = Instant::now();
             let guard = relock(mutex, &self.poison_recovered);
@@ -858,14 +996,14 @@ impl ParallelReteMatcher {
             panic!("injected fault: lock poison");
         }
         let NodeSlot { left, right } = &mut *slot;
-        for (payload, sign) in task.items {
+        for (payload, sign) in items.drain(..) {
             let right_side = matches!(payload, Payload::Right(_));
             // The same activation vocabulary as the sequential matcher,
             // so flight records and `/profile` rows name nodes
             // identically across both runtimes.
             let kind = ActivationKind::of(spec.kind, right_side);
             if flight_on {
-                if let Some(obs) = &self.obs {
+                if let Some(obs) = obs {
                     obs.flight.record(FlightKind::Activation {
                         node,
                         kind: kind.label(),
@@ -954,7 +1092,7 @@ impl ParallelReteMatcher {
                 }
                 (NodeKind::Terminal, Payload::Left(token)) => {
                     let inst = Instantiation::new(
-                        self.topo.terminal_production[task.node.index()]
+                        self.topo.terminal_production[node_id.index()]
                             .expect("terminal has production"),
                         token.into_wmes(),
                     );
@@ -983,21 +1121,25 @@ impl ParallelReteMatcher {
             }
         }
         drop(slot);
-        if emitted.is_empty() || children.is_empty() {
-            return Vec::new();
+        local.recycle(items);
+        if let (false, Some((&last, rest))) = (emitted.is_empty(), children.split_last()) {
+            // One child task per child node, carrying the whole emission
+            // batch in per-item order (token clones are refcount bumps;
+            // the last child takes the tokens themselves).
+            pending.fetch_add(children.len(), Ordering::AcqRel);
+            let mut q = relock(queue, &self.poison_recovered);
+            for &child in rest {
+                let mut items = local.buffer();
+                items.extend(emitted.iter().map(|(t, s)| (Payload::Left(t.clone()), *s)));
+                q.push_back(Task { node: child, items });
+            }
+            let mut items = local.buffer();
+            items.extend(emitted.drain(..).map(|(t, s)| (Payload::Left(t), s)));
+            q.push_back(Task { node: last, items });
+            local.worker.max_queue_depth = local.worker.max_queue_depth.max(q.len() as u64);
         }
-        // One child task per child node, carrying the whole emission
-        // batch in per-item order (token clones are refcount bumps).
-        children
-            .iter()
-            .map(|&child| Task {
-                node: child,
-                items: emitted
-                    .iter()
-                    .map(|(t, s)| (Payload::Left(t.clone()), *s))
-                    .collect(),
-            })
-            .collect()
+        emitted.clear();
+        local.emitted = emitted;
     }
 
     /// Reads a WME from the engine's own store. The store retains every
@@ -1039,26 +1181,14 @@ impl Matcher for ParallelReteMatcher {
         }
         self.stats.batches += 1;
         self.stats.changes += changes.len() as u64;
+        self.seed(wm, changes);
+        self.timing = self.timing_enabled || self.obs.as_ref().is_some_and(|m| m.obs.detail());
+        let mut delta = self.run_phase(Sign::Minus);
+        delta.merge(self.run_phase(Sign::Plus));
         for change in changes {
-            self.ingest(wm, change.wme());
-        }
-        let mut removes = TaskGroups::default();
-        let mut adds = TaskGroups::default();
-        let mut removed_ids = Vec::new();
-        for change in changes {
-            match change {
-                Change::Remove(id) => {
-                    self.seed_tasks(*id, Sign::Minus, &mut removes);
-                    removed_ids.push(*id);
-                }
-                Change::Add(id) => self.seed_tasks(*id, Sign::Plus, &mut adds),
+            if let Change::Remove(id) = change {
+                self.store[id.index()] = None;
             }
-        }
-        self.timing = self.timing_enabled || self.obs.as_ref().is_some_and(|o| o.detail());
-        let mut delta = self.run_phase("remove", removes.into_tasks());
-        delta.merge(self.run_phase("add", adds.into_tasks()));
-        for id in removed_ids {
-            self.store[id.index()] = None;
         }
         delta
     }
@@ -1151,84 +1281,212 @@ mod tests {
         assert_eq!(m.take_faults(), 1);
     }
 
+    /// Adds `n` WMEs cycling through `classes` as one batch (x drawn
+    /// from 0..3 so every join finds partners).
+    fn add_batch(
+        wm: &mut WorkingMemory,
+        syms: &mut SymbolTable,
+        classes: &[&str],
+        n: usize,
+    ) -> Vec<Change> {
+        (0..n)
+            .map(|i| {
+                let lit = format!("({} ^x {})", classes[i % classes.len()], i % 3);
+                Change::Add(wm.add(parse_wme(&lit, syms).unwrap()).0)
+            })
+            .collect()
+    }
+
     #[test]
-    fn every_worker_participates_on_small_batch() {
-        // The worker-0 drain-race regression: with the old
-        // spawn-per-phase design, worker 0 drained a small injector
-        // before its siblings finished spawning, so they exited with
-        // zero tasks, zero steals, and zero steal attempts — the
-        // counters measured spawn latency, not contention. Under the
-        // pool's release barrier, every worker is eligible before any
-        // pop; the drain loop then guarantees each worker executes at
-        // least one task or probes every peer deque before it can see
-        // the phase as drained.
-        let threads = 4;
-        let (program, mut m) = parallel(EQ_PROGRAM, threads);
+    fn vt_sized_batches_are_drained_by_the_caller_without_a_wake() {
+        // What defines scheduler health on a small batch: nobody is
+        // woken for microseconds of work. A phase under the wake
+        // threshold is never shown to the helpers, so the caller
+        // executes every task of the vt stream.
+        use workloads::{GeneratedWorkload, Preset, WorkloadDriver};
+        let workload = GeneratedWorkload::generate(Preset::Vt.spec_small()).unwrap();
+        let options = ParallelOptions {
+            threads: 2,
+            share: true,
+        };
+        let mut m = ParallelReteMatcher::compile(&workload.program, options).unwrap();
+        let mut driver = WorkloadDriver::new(workload, 3);
+        driver.init(&mut m);
+        driver.run_cycles(&mut m, 40);
+        assert_eq!(m.pool_stats().helper_wakes, 0, "no futex wake");
+        let workers = m.worker_stats();
+        assert!(workers[0].tasks > 0);
+        assert_eq!(workers[0].tasks, m.stats().tasks, "the caller ran it all");
+        let w = workers[0];
+        assert_eq!(
+            w.steals + w.steal_attempts + w.idle_spins,
+            0,
+            "no peer probed"
+        );
+    }
+
+    #[test]
+    fn small_batches_after_a_bulk_batch_stay_on_the_caller() {
+        // A bulk batch leaves the helper awake and polling; the stream
+        // that follows at once (the bulk WM retracted four WMEs at a
+        // time) must not keep it there. Small phases are never shown to
+        // helpers, so worker 1's counters — steal attempts and idle
+        // spins included: it does not even enter — stand still.
+        use workloads::{GeneratedWorkload, Preset};
+        let mut spec = Preset::Vt.spec_small();
+        spec.wm_size *= 4;
+        let workload = GeneratedWorkload::generate(spec).unwrap();
+        let options = ParallelOptions {
+            threads: 2,
+            share: true,
+        };
+        let mut m = ParallelReteMatcher::compile(&workload.program, options).unwrap();
         let mut wm = WorkingMemory::new();
-        let mut syms = program.symbols.clone();
-        // A batch of >= 2·threads seed tasks.
-        let mut batch = Vec::new();
-        for class in ["a", "b", "c", "goal"] {
-            for x in 0..2 {
-                let (id, _) = wm.add(parse_wme(&format!("({class} ^x {x})"), &mut syms).unwrap());
-                batch.push(Change::Add(id));
+        let adds: Vec<Change> = workload
+            .initial_wm(&mut Rng64::new(7))
+            .into_iter()
+            .map(|wme| Change::Add(wm.add(wme).0))
+            .collect();
+        let removes: Vec<Change> = adds.iter().map(|c| Change::Remove(c.wme())).collect();
+        let _ = m.process(&wm, &adds);
+        let (helper, wakes) = (m.worker_stats()[1], m.pool_stats().helper_wakes);
+        for small in removes.chunks(4) {
+            let _ = m.process(&wm, small);
+        }
+        assert_eq!(m.resident_tokens(), 0);
+        assert_eq!(m.worker_stats()[1], helper, "helper kept awake");
+        assert_eq!(m.pool_stats().helper_wakes, wakes);
+    }
+
+    #[test]
+    fn pool_spawns_helpers_once_per_matcher_lifetime() {
+        for threads in [1, 3] {
+            let (program, mut m) = parallel(EQ_PROGRAM, threads);
+            assert_eq!(m.pool_stats(), crate::PoolStats::default(), "pool is lazy");
+            let mut wm = WorkingMemory::new();
+            let mut syms = program.symbols.clone();
+            for x in 0..8 {
+                let (id, _) = wm.add(parse_wme(&format!("(a ^x {x})"), &mut syms).unwrap());
+                let _ = m.add_wme(&wm, id);
             }
-        }
-        assert!(batch.len() >= 2 * threads);
-        let _ = m.process(&wm, &batch);
-        for (me, w) in m.worker_stats().iter().enumerate() {
-            assert!(
-                w.tasks > 0 || w.steal_attempts > 0,
-                "worker {me} neither executed a task nor probed a peer: {w:?}"
-            );
+            let s = m.pool_stats();
+            assert_eq!(s.spawned as usize, threads - 1, "the caller is worker 0");
+            assert_eq!(s.live, threads - 1);
+            assert_eq!((s.respawns, s.helper_wakes), (0, 0));
+            assert_eq!(m.stats().batches, 8, "many batches ran on that one crew");
         }
     }
 
     #[test]
-    fn pool_spawns_once_per_matcher_lifetime() {
-        let (program, mut m) = parallel(EQ_PROGRAM, 3);
-        assert_eq!(m.pool_stats(), crate::PoolStats::default(), "pool is lazy");
-        let mut wm = WorkingMemory::new();
-        let mut syms = program.symbols.clone();
-        for x in 0..8 {
-            let (id, _) = wm.add(parse_wme(&format!("(a ^x {x})"), &mut syms).unwrap());
-            let _ = m.add_wme(&wm, id);
+    fn fault_drawn_by_the_caller_is_contained_and_kills_no_thread() {
+        for action in [FaultAction::PanicWorker, FaultAction::PoisonLock] {
+            let (program, mut m) = parallel(EQ_PROGRAM, 2);
+            let mut wm = WorkingMemory::new();
+            let mut syms = program.symbols.clone();
+            // Phase 2 = the "add" phase of the first batch; the batch is
+            // small, so the caller draws seq 0.
+            m.set_fault_injector(Some(Arc::new(OneShot {
+                phase: 2,
+                seq: 0,
+                action,
+            })));
+            let (id, _) = wm.add(parse_wme("(a ^x 1)", &mut syms).unwrap());
+            let _ = m.process(&wm, &[Change::Add(id)]); // no unwind
+            assert_eq!(m.take_faults(), 1, "{action:?} counted like any other");
+            for x in 2..6 {
+                let (id, _) = wm.add(parse_wme(&format!("(b ^x {x})"), &mut syms).unwrap());
+                let _ = m.add_wme(&wm, id);
+            }
+            assert_eq!(m.take_faults(), 0, "one-shot plan fired exactly once");
+            let s = m.pool_stats();
+            assert_eq!((s.spawned, s.respawns, s.live), (1, 0, 1), "{action:?}");
         }
-        let s = m.pool_stats();
-        assert_eq!(s.spawned, 3, "threads spawned once, not per phase");
-        assert_eq!(s.respawns, 0);
-        assert_eq!(s.live, 3);
-        assert_eq!(m.stats().batches, 8, "many batches ran on that one crew");
+    }
+
+    /// Panics the first task worker 1 draws; worker 0 waits inside its
+    /// own draw until that has happened, so the helper — not the
+    /// scheduler — decides who dies.
+    #[derive(Default)]
+    struct KillHelperOnce(std::sync::atomic::AtomicBool);
+
+    impl FaultInjector for KillHelperOnce {
+        fn on_task(&self, _phase: u64, _seq: u64, worker: usize) -> FaultAction {
+            if worker == 1 && !self.0.swap(true, Ordering::SeqCst) {
+                return FaultAction::PanicWorker;
+            }
+            while !self.0.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            FaultAction::None
+        }
     }
 
     #[test]
-    fn panicked_worker_is_respawned_and_pool_survives() {
+    fn dead_helper_is_respawned_under_its_index_and_pool_survives() {
         let (program, mut m) = parallel(EQ_PROGRAM, 2);
         let mut wm = WorkingMemory::new();
         let mut syms = program.symbols.clone();
-        // Kill a worker mid-phase on the first batch (phase 2 = its
-        // "add" phase), then keep the matcher running.
-        m.set_fault_injector(Some(Arc::new(OneShot {
-            phase: 2,
-            seq: 0,
-            action: FaultAction::PanicWorker,
-        })));
-        let (id, _) = wm.add(parse_wme("(a ^x 1)", &mut syms).unwrap());
-        let _ = m.process(&wm, &[Change::Add(id)]);
+        m.set_fault_injector(Some(Arc::new(KillHelperOnce::default())));
+        // A backlog large enough to wake the helper; half the seed
+        // tasks are dealt to its deque.
+        let bulk = add_batch(&mut wm, &mut syms, &["a", "b", "c"], 3 * WAKE_BACKLOG);
+        let _ = m.process(&wm, &bulk);
         assert_eq!(m.take_faults(), 1);
         let s = m.pool_stats();
-        assert_eq!(s.respawns, 1, "the dead worker was replaced");
-        assert_eq!(s.spawned, 3, "2 initial + 1 respawn");
-        assert_eq!(s.live, 2, "no thread leak");
-        // The pool survives >= 3 subsequent batches with a full crew.
-        for x in 2..6 {
-            let (id, _) = wm.add(parse_wme(&format!("(b ^x {x})"), &mut syms).unwrap());
-            let _ = m.add_wme(&wm, id);
-        }
-        assert_eq!(m.take_faults(), 0, "one-shot plan fired exactly once");
-        let s = m.pool_stats();
-        assert_eq!(s.respawns, 1);
-        assert_eq!(s.live, 2, "final worker count equals configured threads");
+        assert_eq!(s.respawns, 1, "the dead helper was replaced");
+        assert_eq!(s.spawned, 2, "1 initial + 1 respawn");
+        assert_eq!(s.live, 1, "no thread leak");
+        // The replacement answers to index 1 and the pool keeps going.
+        let more = add_batch(&mut wm, &mut syms, &["a", "goal"], 3 * WAKE_BACKLOG);
+        let _ = m.process(&wm, &more);
+        assert_eq!(m.take_faults(), 0);
+        assert!(m.worker_stats()[1].tasks > 0, "worker 1 executed tasks");
+        assert_eq!(m.pool_stats().live, 1);
+    }
+
+    #[test]
+    fn genuine_panic_propagates_without_an_injector() {
+        // A right activation of a terminal cannot come out of a
+        // compiled network; seeding one by hand stands in for an engine
+        // bug. With no injector attached it must unwind to the caller,
+        // after the rest of the phase drained.
+        let (program, mut m) = parallel("(p r (a ^x 1) --> (remove 1))", 2);
+        let mut seq = ReteMatcher::compile(&program).unwrap();
+        let mut wm = WorkingMemory::new();
+        let mut syms = program.symbols.clone();
+        let (id, _) = wm.add(parse_wme("(a ^x 1)", &mut syms).unwrap());
+        let _ = m.add_wme(&wm, id);
+        let _ = seq.add_wme(&wm, id);
+        let terminal = (0..m.network.nodes.len() as u32)
+            .map(NodeId)
+            .find(|&n| m.network.node(n).kind == NodeKind::Terminal)
+            .unwrap();
+        // The doomed phase also carries a real retraction, so it leaves
+        // a removal in its worker's scratch delta when it unwinds.
+        m.seed(&wm, &[Change::Remove(id)]);
+        let _ = seq.remove_wme(&wm, id);
+        let local = &mut WorkerLocal::default();
+        m.removes
+            .push(terminal, Payload::Right(id), Sign::Minus, local);
+        m.adds.push(terminal, Payload::Right(id), Sign::Plus, local);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.run_phase(Sign::Minus);
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(m.take_faults(), 0, "not an injected fault");
+        // The add phase that never ran is dropped, not replayed into
+        // the next batch.
+        let tasks = m.stats().tasks;
+        assert!(m.process(&wm, &[]).is_empty());
+        assert_eq!(m.stats().tasks, tasks);
+        // Nor does the unwound phase's half-built delta leak into the
+        // next non-empty one.
+        wm.remove(id);
+        let (next, _) = wm.add(parse_wme("(a ^x 1)", &mut syms).unwrap());
+        let (mut d, mut d_seq) = (m.add_wme(&wm, next), seq.add_wme(&wm, next));
+        d.canonicalize();
+        d_seq.canonicalize();
+        assert_eq!(d, d_seq, "stale removal merged");
     }
 
     #[test]
@@ -1353,6 +1611,47 @@ mod tests {
     fn equivalent_to_sequential_eight_threads() {
         for seed in 0..3 {
             equivalence_run(EQ_PROGRAM, 200 + seed, 50, 8);
+        }
+    }
+
+    /// The other scheduling path: a batch big enough to deal its seeds
+    /// over every deque and wake the helpers, against the sequential
+    /// matcher — 4× the vt-small initial WM as one add batch, then all
+    /// of it as one remove batch.
+    #[test]
+    fn bulk_batches_equivalent_to_sequential() {
+        use workloads::{GeneratedWorkload, Preset};
+        let mut spec = Preset::Vt.spec_small();
+        spec.wm_size *= 4;
+        let workload = GeneratedWorkload::generate(spec).unwrap();
+        let mut wm = WorkingMemory::new();
+        let adds: Vec<Change> = workload
+            .initial_wm(&mut Rng64::new(7))
+            .into_iter()
+            .map(|wme| Change::Add(wm.add(wme).0))
+            .collect();
+        let removes: Vec<Change> = adds.iter().map(|c| Change::Remove(c.wme())).collect();
+        let mut seq = ReteMatcher::compile(&workload.program).unwrap();
+        let mut expected = [seq.process(&wm, &adds), seq.process(&wm, &removes)];
+        expected.iter_mut().for_each(MatchDelta::canonicalize);
+        assert!(!expected[0].is_empty(), "the bulk batch matches something");
+        for threads in [1, 2, 8] {
+            let options = ParallelOptions {
+                threads,
+                share: true,
+            };
+            let mut par = ParallelReteMatcher::compile(&workload.program, options).unwrap();
+            for (batch, want) in [&adds, &removes].into_iter().zip(&expected) {
+                let mut got = par.process(&wm, batch);
+                got.canonicalize();
+                assert_eq!(&got, want, "threads={threads}");
+            }
+            assert_eq!(par.resident_tokens(), 0, "threads={threads}");
+            // Seeds dealt over every deque were run by a helper or
+            // stolen back by the caller: the bulk path was taken.
+            let spread = par.worker_stats()[1..].iter().any(|w| w.tasks > 0)
+                || par.worker_totals_merged().steals > 0;
+            assert_eq!(spread, threads > 1, "threads={threads}");
         }
     }
 

@@ -11,8 +11,14 @@
 //!   activations of *different* nodes and multiple activations of the
 //!   *same* node's siblings proceed concurrently, and multiple
 //!   working-memory changes from one firing are processed in parallel —
-//!   the three parallelism sources of §4. A work-stealing deque pool
-//!   plays the role of the paper's hardware task scheduler.
+//!   the three parallelism sources of §4. A work-first, work-stealing
+//!   [`WorkerPool`] plays the role of the paper's hardware task
+//!   scheduler: the thread that calls `process` is worker 0 and drains
+//!   at once, `threads − 1` helpers stay parked and are woken only for
+//!   a batch big enough to repay the wake, and dispatch reuses its
+//!   deques, scratch and buffers instead of hashing and allocating per
+//!   phase — so one thread costs what the engine's data structures
+//!   cost, and a small batch never pays for a second thread.
 //! * [`ProductionParallelMatcher`] — the coarse-grain alternative the
 //!   paper rejects: productions are partitioned, each partition matched
 //!   sequentially, partitions in parallel, with no sharing across

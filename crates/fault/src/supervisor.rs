@@ -148,8 +148,10 @@ pub struct FaultReport {
     pub deadline_misses: u64,
     /// Poisoned locks transparently recovered inside the engine.
     pub poison_recoveries: u64,
-    /// Worker threads the engine's persistent pool replaced after a
-    /// panic (injected or genuine) at a phase barrier.
+    /// Helper threads the engine's pool replaced after a panic
+    /// (injected or genuine). A fault drawn by the calling thread —
+    /// worker 0, which drains small batches alone — kills no thread and
+    /// does not count here.
     pub worker_respawns: u64,
 }
 

@@ -56,10 +56,9 @@ impl Token {
     /// The parent's storage is shared, not mutated: the extension is a
     /// fresh pool allocation referencing the same prefix WMEs.
     pub fn extended(&self, wme: WmeId) -> Token {
-        let mut v = Vec::with_capacity(self.0.len() + 1);
-        v.extend_from_slice(&self.0);
-        v.push(wme);
-        Token(v.into())
+        // An exact-size iterator collects straight into the `Arc`: one
+        // allocation, not a `Vec` plus the copy out of it.
+        Token(self.0.iter().copied().chain(std::iter::once(wme)).collect())
     }
 
     /// The WME at positive-CE position `i`.
