@@ -1,7 +1,7 @@
 //! Fault-injection report: how the paper's 32-processor machine and the
 //! real supervised engine degrade under injected faults.
 //!
-//! Two experiments, both fully seeded (same seeds every run):
+//! Three experiments, all fully seeded (same seeds every run):
 //!
 //! * **Kill sweep** — replay each preset's trace on the §6
 //!   32-processor PSM while 1..=8 of the processors fail-stop at the
@@ -15,9 +15,15 @@
 //!   finished on. Every run is verified against the fault-free
 //!   conflict set before it is reported.
 //!
+//! * **Checkpoint cost** — a fault-free supervised run of the full vt
+//!   stream with a replication store attached, every cycle timed from
+//!   outside and split into checkpoint cycles and plain ones. The run
+//!   fails (exit 1) when a checkpoint cycle's median exceeds
+//!   [`MAX_CHECKPOINT_RATIO`] plain cycles.
+//!
 //! Artifacts written to `--out DIR` (default `results/`):
 //!
-//! * `fault_report.json` — both experiments, machine-readable.
+//! * `fault_report.json` — all three experiments, machine-readable.
 //! * `ep-soar.faulted.trace.json` — Chrome trace of a faulted DES run
 //!   (4 processors killed + a bus stall), fault marks included.
 //!
@@ -40,6 +46,11 @@ use rete::ReteMatcher;
 use workloads::{GeneratedWorkload, Preset, WorkloadDriver};
 
 const MAX_KILLS: usize = 8;
+/// Ceiling on checkpoint-cycle median / plain-cycle median on the vt
+/// stream. A checkpoint that costs the WAL tail, one snapshot and one
+/// diff reads about 25; one that re-derives the committed state from
+/// bytes and serialises every image twice read about 105.
+const MAX_CHECKPOINT_RATIO: f64 = 40.0;
 
 fn out_dir() -> String {
     let args: Vec<String> = std::env::args().collect();
@@ -73,6 +84,19 @@ struct ChaosRun {
     delta_bytes_mean: u64,
     /// full_bytes_mean / delta_bytes_mean (0 when no deltas shipped).
     delta_ratio: f64,
+}
+
+struct CheckpointCost {
+    cycles: usize,
+    checkpoints: usize,
+    plain_cycle_p50_us: f64,
+    checkpoint_cycle_p50_us: f64,
+}
+
+impl CheckpointCost {
+    fn ratio(&self) -> f64 {
+        self.checkpoint_cycle_p50_us / self.plain_cycle_p50_us
+    }
 }
 
 /// Folds matcher deltas into a conflict-set accumulator so the
@@ -250,7 +274,65 @@ fn main() {
          \"ratio\" = full/delta."
     );
 
-    write_json(&out, &sweeps, &chaos);
+    // ---- checkpoint cost ------------------------------------------
+    let cost = checkpoint_cost(400);
+    println!(
+        "\ncheckpoint cost on the vt stream ({} cycles, {} checkpoints, replication attached): \
+         plain cycle p50 {:.0} us, checkpoint cycle p50 {:.0} us, ratio {:.1} (ceiling {})",
+        cost.cycles,
+        cost.checkpoints,
+        cost.plain_cycle_p50_us,
+        cost.checkpoint_cycle_p50_us,
+        cost.ratio(),
+        MAX_CHECKPOINT_RATIO
+    );
+
+    write_json(&out, &sweeps, &chaos, &cost);
+    if cost.ratio() > MAX_CHECKPOINT_RATIO {
+        eprintln!("FAIL: a checkpoint cycle costs more than {MAX_CHECKPOINT_RATIO} plain cycles");
+        std::process::exit(1);
+    }
+}
+
+/// Times every supervised cycle of a fault-free full-size vt run with
+/// a replication store attached, from outside, and splits the cycles
+/// by whether they took a checkpoint.
+fn checkpoint_cost(cycles: usize) -> CheckpointCost {
+    let workload = GeneratedWorkload::generate(Preset::Vt.spec()).expect("workload generates");
+    let config = SupervisorConfig {
+        threads: 2,
+        ..SupervisorConfig::default()
+    };
+    let mut sup = Supervisor::new(&workload.program, config).expect("program compiles");
+    sup.attach_replication(Arc::new(
+        ReplicationStore::new(ReplicationConfig::default()),
+    ));
+    let mut driver = WorkloadDriver::new(workload, 0x5EED);
+    driver.init(&mut sup);
+    let (mut plain, mut checkpointed) = (Vec::new(), Vec::new());
+    for _ in 0..cycles {
+        let batch = driver.next_batch();
+        let before = sup.report().checkpoints;
+        let started = std::time::Instant::now();
+        sup.process(driver.working_memory(), &batch);
+        let us = started.elapsed().as_secs_f64() * 1e6;
+        driver.commit_batch(&batch);
+        if sup.report().checkpoints > before {
+            checkpointed.push(us);
+        } else {
+            plain.push(us);
+        }
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    CheckpointCost {
+        cycles,
+        checkpoints: checkpointed.len(),
+        plain_cycle_p50_us: median(&mut plain),
+        checkpoint_cycle_p50_us: median(&mut checkpointed),
+    }
 }
 
 /// Runs one preset under a randomized fault plan and verifies the
@@ -334,7 +416,7 @@ fn sim_json(r: &SimResult) -> String {
     )
 }
 
-fn write_json(out: &str, sweeps: &[KillSweep], chaos: &[ChaosRun]) {
+fn write_json(out: &str, sweeps: &[KillSweep], chaos: &[ChaosRun], cost: &CheckpointCost) {
     let mut j = String::from("{\"kill_sweep\":[");
     for (i, s) in sweeps.iter().enumerate() {
         if i > 0 {
@@ -386,7 +468,17 @@ fn write_json(out: &str, sweeps: &[KillSweep], chaos: &[ChaosRun]) {
             c.conflict_matches_fault_free
         ));
     }
-    j.push_str("]}");
+    j.push_str(&format!(
+        "],\"checkpoint_cost\":{{\"preset\":\"vt\",\"cycles\":{},\"checkpoints\":{},\
+         \"plain_cycle_p50_us\":{},\"checkpoint_cycle_p50_us\":{},\"ratio\":{},\
+         \"max_ratio\":{}}}}}",
+        cost.cycles,
+        cost.checkpoints,
+        number(cost.plain_cycle_p50_us),
+        number(cost.checkpoint_cycle_p50_us),
+        number(cost.ratio()),
+        number(MAX_CHECKPOINT_RATIO)
+    ));
     let path = format!("{out}/fault_report.json");
     if std::fs::create_dir_all(out).is_ok() && std::fs::write(&path, j).is_ok() {
         println!("\nwrote {path}");

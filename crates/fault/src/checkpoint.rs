@@ -4,9 +4,9 @@
 //! a committed cycle: the working memory image (with future-id
 //! continuity), the sequential Rete matcher's dynamic state (alpha and
 //! beta memories, negation counts, statistics — see
-//! [`rete::ReteSnapshot`]), and the conflict set. Recovery restores the
-//! checkpoint and replays the WAL tail; because both sub-snapshots are
-//! canonical byte encodings, "recovered exactly" is checkable with
+//! [`rete::ReteSnapshot`]), and the conflict set. Cold recovery restores
+//! the checkpoint and replays the WAL tail; because both sub-snapshots
+//! are canonical byte encodings, "recovered exactly" is checkable with
 //! `==` on bytes.
 //!
 //! Serialized under magic `PSMC`, version 1.
@@ -48,14 +48,9 @@ impl Checkpoint {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_header(MAGIC, VERSION);
         w.u64(self.cycle);
-        w.usize(self.wm.len());
-        for &b in &self.wm {
-            w.u8(b);
-        }
-        let rete = self.rete.as_bytes();
-        w.usize(rete.len());
-        for &b in rete {
-            w.u8(b);
+        for blob in [&self.wm[..], self.rete.as_bytes()] {
+            w.usize(blob.len());
+            w.bytes(blob);
         }
         w.usize(self.conflict.len());
         for inst in &self.conflict {
@@ -80,11 +75,7 @@ impl Checkpoint {
         let cycle = r.u64()?;
         let read_blob = |r: &mut ByteReader<'_>| -> Result<Vec<u8>, CodecError> {
             let n = r.usize()?;
-            let mut v = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                v.push(r.u8()?);
-            }
-            Ok(v)
+            Ok(r.bytes(n)?.to_vec())
         };
         let wm = read_blob(&mut r)?;
         let rete = ReteSnapshot::from_bytes(read_blob(&mut r)?);
@@ -139,5 +130,15 @@ mod tests {
         let mut bytes = cp.to_bytes();
         bytes.truncate(bytes.len() - 1);
         assert!(Checkpoint::from_bytes(&bytes).is_err(), "eof");
+        // The working-memory blob's length field sits right after the
+        // header and the cycle; a huge value must fail before anything
+        // is allocated for it.
+        let mut bytes = cp.to_bytes();
+        bytes[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            Checkpoint::from_bytes(&bytes),
+            Err(CodecError::UnexpectedEof),
+            "blob length beyond the buffer"
+        );
     }
 }

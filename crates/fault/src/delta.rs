@@ -9,7 +9,9 @@
 //! parent checkpoint, as a greedy block-match diff over the canonical
 //! `PSMC` byte encoding:
 //!
-//! * the parent image is indexed in [`BLOCK`]-byte aligned blocks;
+//! * the parent image is indexed in [`BLOCK`]-byte aligned blocks, by
+//!   a word-wise 64-bit hash of each (a hit is verified against the
+//!   bytes, the first of equal blocks wins);
 //! * the child image is scanned byte-by-byte, emitting
 //!   [`DiffOp::Copy`] ranges (extended past the block while bytes keep
 //!   matching, rsync-style, so insertions that shift later content
@@ -23,12 +25,18 @@
 //! [`CheckpointChain`] strings deltas behind periodic full-snapshot
 //! anchors: every `anchor_every`-th checkpoint is stored whole (and
 //! prunes everything older), the rest as deltas against their
-//! predecessor. [`CheckpointChain::restore_tip`] re-derives the latest
-//! checkpoint purely from stored artifacts — the tests assert it is
-//! byte-identical to the live one.
+//! predecessor. The chain works on serialised images throughout — a
+//! push serialises and checksums the new checkpoint once and diffs it
+//! against the tip *image* — so its cost follows what changed, not the
+//! number of times the store is looked at.
+//! [`CheckpointChain::restore_tip`] re-derives the latest checkpoint
+//! purely from stored artifacts — the tests assert it is byte-identical
+//! to the live one.
 
-use ops5::{ByteReader, ByteWriter, CodecError};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::sync::Arc;
+
+use ops5::{ByteReader, ByteWriter, CodecError, FxHashMap};
 
 use crate::checkpoint::Checkpoint;
 use crate::segment::crc32;
@@ -52,6 +60,42 @@ pub enum DiffOp {
     Insert(Vec<u8>),
 }
 
+/// Hash of one [`BLOCK`], a word at a time. Only an index key: every
+/// hit is verified against the bytes, so a collision costs a missed
+/// match, never a wrong copy. The fold after each multiply is what
+/// keeps collisions out of real images: a `PSMC` image is mostly small
+/// little-endian integers at odd offsets, so blocks often differ only
+/// in the top bytes of a word, which a multiply alone never carries
+/// down.
+fn block_hash(block: &[u8]) -> u64 {
+    let mut h = 0u64;
+    for w in block.chunks_exact(8) {
+        let w = u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"));
+        h = (h ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+        h ^= h >> 32;
+    }
+    h
+}
+
+/// Length of the common prefix of `a` and `b`, compared a word at a
+/// time.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    while i + 8 <= n {
+        let x = u64::from_le_bytes(a[i..i + 8].try_into().expect("8 bytes"));
+        let y = u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
+        if x != y {
+            return i + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    while i < n && a[i] == b[i] {
+        i += 1;
+    }
+    i
+}
+
 /// Greedy block-match diff from `old` to `new`.
 ///
 /// Not minimal — matches only start at [`BLOCK`]-aligned offsets of
@@ -59,57 +103,43 @@ pub enum DiffOp {
 /// `new` already exists in `old`, which is exactly the checkpoint
 /// workload.
 pub fn diff(old: &[u8], new: &[u8]) -> Vec<DiffOp> {
-    let mut index: HashMap<&[u8], usize> = HashMap::new();
-    let mut at = 0;
-    while at + BLOCK <= old.len() {
+    let mut index: FxHashMap<u64, usize> = FxHashMap::default();
+    index.reserve(old.len() / BLOCK);
+    for (k, block) in old.chunks_exact(BLOCK).enumerate() {
         // First occurrence wins; ties don't matter for correctness.
-        index.entry(&old[at..at + BLOCK]).or_insert(at);
-        at += BLOCK;
+        index.entry(block_hash(block)).or_insert(k * BLOCK);
     }
 
     let mut ops: Vec<DiffOp> = Vec::new();
-    let mut pending: Vec<u8> = Vec::new();
-    let mut i = 0;
-    while i < new.len() {
-        let matched = if i + BLOCK <= new.len() {
-            index.get(&new[i..i + BLOCK]).copied()
-        } else {
-            None
-        };
-        match matched {
-            Some(off) => {
-                if !pending.is_empty() {
-                    ops.push(DiffOp::Insert(std::mem::take(&mut pending)));
-                }
-                // Extend the match past the block boundary.
-                let mut len = BLOCK;
-                while off + len < old.len() && i + len < new.len() && old[off + len] == new[i + len]
-                {
-                    len += 1;
-                }
-                // Coalesce with a preceding contiguous copy.
-                if let Some(DiffOp::Copy {
-                    off: prev_off,
-                    len: prev_len,
-                }) = ops.last_mut()
-                {
-                    if *prev_off + *prev_len == off {
-                        *prev_len += len;
-                        i += len;
-                        continue;
-                    }
-                }
-                ops.push(DiffOp::Copy { off, len });
-                i += len;
-            }
-            None => {
-                pending.push(new[i]);
+    // `new[literal..i]` is the literal run not yet emitted.
+    let (mut literal, mut i) = (0, 0);
+    while i + BLOCK <= new.len() {
+        let block = &new[i..i + BLOCK];
+        let off = match index.get(&block_hash(block)) {
+            Some(&off) if old[off..off + BLOCK] == *block => off,
+            _ => {
                 i += 1;
+                continue;
             }
+        };
+        if literal < i {
+            ops.push(DiffOp::Insert(new[literal..i].to_vec()));
+        }
+        // Extend the match past the block boundary.
+        let len = BLOCK + common_prefix(&old[off + BLOCK..], &new[i + BLOCK..]);
+        i += len;
+        literal = i;
+        // Coalesce with a preceding contiguous copy.
+        match ops.last_mut() {
+            Some(DiffOp::Copy {
+                off: prev_off,
+                len: prev_len,
+            }) if *prev_off + *prev_len == off => *prev_len += len,
+            _ => ops.push(DiffOp::Copy { off, len }),
         }
     }
-    if !pending.is_empty() {
-        ops.push(DiffOp::Insert(pending));
+    if literal < new.len() {
+        ops.push(DiffOp::Insert(new[literal..].to_vec()));
     }
     ops
 }
@@ -155,17 +185,41 @@ pub struct DeltaCheckpoint {
     pub ops: Vec<DiffOp>,
 }
 
+/// A serialised `PSMC` image plus the two facts chain links are made
+/// of: the cycle it commits and the CRC-32 of its bytes. Building one
+/// is the only place an image is serialised and checksummed.
+#[derive(Debug, Clone)]
+struct Image {
+    cycle: u64,
+    crc: u32,
+    /// Shared, not copied, while anchor and tip are the same image.
+    bytes: Arc<Vec<u8>>,
+}
+
+impl Image {
+    fn of(cp: &Checkpoint) -> Image {
+        let bytes = cp.to_bytes();
+        Image {
+            cycle: cp.cycle,
+            crc: crc32(&bytes),
+            bytes: Arc::new(bytes),
+        }
+    }
+}
+
 impl DeltaCheckpoint {
     /// Diffs `next` against `prev` (both as full checkpoints).
     pub fn encode(prev: &Checkpoint, next: &Checkpoint) -> DeltaCheckpoint {
-        let old = prev.to_bytes();
-        let new = next.to_bytes();
+        Self::between(&Image::of(prev), &Image::of(next))
+    }
+
+    fn between(old: &Image, new: &Image) -> DeltaCheckpoint {
         DeltaCheckpoint {
-            cycle: next.cycle,
-            parent: prev.cycle,
-            parent_crc: crc32(&old),
-            result_crc: crc32(&new),
-            ops: diff(&old, &new),
+            cycle: new.cycle,
+            parent: old.cycle,
+            parent_crc: old.crc,
+            result_crc: new.crc,
+            ops: diff(&old.bytes, &new.bytes),
         }
     }
 
@@ -179,18 +233,23 @@ impl DeltaCheckpoint {
     /// with the recorded result; any [`CodecError`] from decoding the
     /// reconstructed image.
     pub fn apply(&self, prev: &Checkpoint) -> Result<Checkpoint, CodecError> {
-        if prev.cycle != self.parent {
+        Checkpoint::from_bytes(&self.apply_image(prev.cycle, &prev.to_bytes())?)
+    }
+
+    /// [`DeltaCheckpoint::apply`] on serialised images: parent `PSMC`
+    /// bytes in, child `PSMC` bytes out, same three checks.
+    fn apply_image(&self, parent: u64, old: &[u8]) -> Result<Vec<u8>, CodecError> {
+        if parent != self.parent {
             return Err(CodecError::Invalid("delta applied to wrong parent cycle"));
         }
-        let old = prev.to_bytes();
-        if crc32(&old) != self.parent_crc {
+        if crc32(old) != self.parent_crc {
             return Err(CodecError::Invalid("delta parent CRC mismatch"));
         }
-        let new = apply(&old, &self.ops)?;
+        let new = apply(old, &self.ops)?;
         if crc32(&new) != self.result_crc {
             return Err(CodecError::Invalid("delta result CRC mismatch"));
         }
-        Checkpoint::from_bytes(&new)
+        Ok(new)
     }
 
     /// Serializes the delta (`PSMD` v1).
@@ -211,9 +270,7 @@ impl DeltaCheckpoint {
                 DiffOp::Insert(bytes) => {
                     w.u8(1);
                     w.usize(bytes.len());
-                    for &b in bytes {
-                        w.u8(b);
-                    }
+                    w.bytes(bytes);
                 }
             }
         }
@@ -248,14 +305,7 @@ impl DeltaCheckpoint {
                 },
                 1 => {
                     let m = r.usize()?;
-                    if m > r.remaining() {
-                        return Err(CodecError::UnexpectedEof);
-                    }
-                    let mut bytes = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        bytes.push(r.u8()?);
-                    }
-                    DiffOp::Insert(bytes)
+                    DiffOp::Insert(r.bytes(m)?.to_vec())
                 }
                 _ => return Err(CodecError::Invalid("unknown delta op tag")),
             });
@@ -293,15 +343,24 @@ impl ChainArtifact {
     }
 }
 
-/// A delta chain: one full anchor plus the deltas committed since,
-/// with the reconstructed tip cached for the next diff.
+/// A delta chain: one full anchor plus the deltas committed since.
+///
+/// Everything is held in shipped form — the anchor and the tip as
+/// `PSMC` images (one buffer while they coincide), each delta as its
+/// `PSMD` bytes — next to the [`ChainArtifact`] recorded when it was
+/// pushed, so reading the manifest or an artifact serialises and
+/// checksums nothing, and a push serialises and checksums the new image
+/// exactly once. Decoded checkpoints exist only on demand
+/// ([`CheckpointChain::tip`], [`CheckpointChain::restore_tip`]).
 #[derive(Debug, Clone)]
 pub struct CheckpointChain {
     anchor_every: u64,
-    anchor_bytes: Vec<u8>,
-    anchor_cycle: u64,
-    deltas: Vec<DeltaCheckpoint>,
-    tip: Checkpoint,
+    anchor: Image,
+    tip: Image,
+    /// `PSMD` bytes of the deltas since the anchor, oldest first.
+    deltas: Vec<Vec<u8>>,
+    /// The anchor's descriptor, then one per entry of `deltas`.
+    artifacts: Vec<ChainArtifact>,
     pushed: u64,
     full_bytes: u64,
     delta_bytes: u64,
@@ -314,19 +373,39 @@ impl CheckpointChain {
     /// snapshot every `anchor_every` pushes (the pushes in between
     /// store deltas).
     pub fn new(genesis: &Checkpoint, anchor_every: u64) -> Self {
-        let bytes = genesis.to_bytes();
-        CheckpointChain {
+        let image = Image::of(genesis);
+        let mut chain = CheckpointChain {
             anchor_every: anchor_every.max(1),
-            full_bytes: bytes.len() as u64,
-            full_count: 1,
-            anchor_bytes: bytes,
-            anchor_cycle: genesis.cycle,
+            anchor: image.clone(),
+            tip: image,
             deltas: Vec::new(),
-            tip: genesis.clone(),
+            artifacts: Vec::new(),
             pushed: 0,
+            full_bytes: 0,
             delta_bytes: 0,
+            full_count: 0,
             delta_count: 0,
-        }
+        };
+        chain.anchor_at_tip();
+        chain
+    }
+
+    /// Makes the tip the anchor (sharing its buffer) and prunes the
+    /// chain behind it.
+    fn anchor_at_tip(&mut self) -> ChainArtifact {
+        self.anchor = self.tip.clone();
+        let artifact = ChainArtifact {
+            cycle: self.anchor.cycle,
+            parent: None,
+            bytes: self.anchor.bytes.len(),
+            crc: self.anchor.crc,
+        };
+        self.full_bytes += artifact.bytes as u64;
+        self.full_count += 1;
+        self.deltas.clear();
+        self.artifacts.clear();
+        self.artifacts.push(artifact);
+        artifact
     }
 
     /// Appends `cp`, storing either a new full anchor (pruning the old
@@ -334,93 +413,73 @@ impl CheckpointChain {
     /// descriptor of what was stored.
     pub fn push(&mut self, cp: &Checkpoint) -> ChainArtifact {
         self.pushed += 1;
-        let artifact = if self.pushed.is_multiple_of(self.anchor_every) {
-            let bytes = cp.to_bytes();
-            let art = ChainArtifact {
-                cycle: cp.cycle,
-                parent: None,
-                bytes: bytes.len(),
-                crc: crc32(&bytes),
-            };
-            self.full_bytes += bytes.len() as u64;
-            self.full_count += 1;
-            self.anchor_bytes = bytes;
-            self.anchor_cycle = cp.cycle;
-            self.deltas.clear();
-            art
-        } else {
-            let delta = DeltaCheckpoint::encode(&self.tip, cp);
-            let bytes = delta.to_bytes();
-            let art = ChainArtifact {
-                cycle: cp.cycle,
-                parent: Some(delta.parent),
-                bytes: bytes.len(),
-                crc: crc32(&bytes),
-            };
-            self.delta_bytes += bytes.len() as u64;
-            self.delta_count += 1;
-            self.deltas.push(delta);
-            art
+        let image = Image::of(cp);
+        if self.pushed.is_multiple_of(self.anchor_every) {
+            self.tip = image;
+            return self.anchor_at_tip();
+        }
+        let delta = DeltaCheckpoint::between(&self.tip, &image);
+        let bytes = delta.to_bytes();
+        let artifact = ChainArtifact {
+            cycle: delta.cycle,
+            parent: Some(delta.parent),
+            bytes: bytes.len(),
+            crc: crc32(&bytes),
         };
-        self.tip = cp.clone();
+        self.delta_bytes += artifact.bytes as u64;
+        self.delta_count += 1;
+        self.deltas.push(bytes);
+        self.artifacts.push(artifact);
+        self.tip = image;
         artifact
     }
 
-    /// The cached latest checkpoint.
-    pub fn tip(&self) -> &Checkpoint {
-        &self.tip
+    /// The latest checkpoint, decoded from the tip image.
+    ///
+    /// # Errors
+    ///
+    /// Any [`CodecError`] from decoding the image (none for an image
+    /// this chain serialised itself).
+    pub fn tip(&self) -> Result<Checkpoint, CodecError> {
+        Checkpoint::from_bytes(&self.tip.bytes)
     }
 
     /// The anchor's cycle.
     pub fn anchor_cycle(&self) -> u64 {
-        self.anchor_cycle
+        self.anchor.cycle
     }
 
     /// Serialized artifact bytes for checkpoint `cycle`: the anchor's
     /// `PSMC` bytes or a stored delta's `PSMD` bytes.
     pub fn artifact_bytes(&self, cycle: u64) -> Option<Vec<u8>> {
-        if cycle == self.anchor_cycle {
-            return Some(self.anchor_bytes.clone());
+        match self.artifacts.iter().position(|a| a.cycle == cycle)? {
+            0 => Some(self.anchor.bytes.to_vec()),
+            k => Some(self.deltas[k - 1].clone()),
         }
-        self.deltas
-            .iter()
-            .find(|d| d.cycle == cycle)
-            .map(DeltaCheckpoint::to_bytes)
     }
 
     /// Descriptors for the anchor plus every stored delta, in replay
-    /// order.
-    pub fn artifacts(&self) -> Vec<ChainArtifact> {
-        let mut out = vec![ChainArtifact {
-            cycle: self.anchor_cycle,
-            parent: None,
-            bytes: self.anchor_bytes.len(),
-            crc: crc32(&self.anchor_bytes),
-        }];
-        for d in &self.deltas {
-            let bytes = d.to_bytes();
-            out.push(ChainArtifact {
-                cycle: d.cycle,
-                parent: Some(d.parent),
-                bytes: bytes.len(),
-                crc: crc32(&bytes),
-            });
-        }
-        out
+    /// order, as recorded when each was pushed.
+    pub fn artifacts(&self) -> &[ChainArtifact] {
+        &self.artifacts
     }
 
-    /// Rebuilds the tip purely from stored artifacts: decode the
-    /// anchor, then apply each delta with its CRC pair enforced.
+    /// Rebuilds the tip purely from stored artifacts: start from the
+    /// anchor image, apply each delta with its CRC pair enforced, then
+    /// decode.
     ///
     /// # Errors
     ///
     /// Any [`CodecError`] from a corrupt anchor or a failed chain link.
     pub fn restore_tip(&self) -> Result<Checkpoint, CodecError> {
-        let mut cp = Checkpoint::from_bytes(&self.anchor_bytes)?;
-        for d in &self.deltas {
-            cp = d.apply(&cp)?;
+        let mut cycle = self.anchor.cycle;
+        let mut image = Cow::Borrowed(&self.anchor.bytes[..]);
+        for bytes in &self.deltas {
+            let delta = DeltaCheckpoint::from_bytes(bytes)?;
+            image = Cow::Owned(delta.apply_image(cycle, &image)?);
+            cycle = delta.cycle;
         }
-        Ok(cp)
+        Checkpoint::from_bytes(&image)
     }
 
     /// Cumulative (bytes, count) of full-anchor artifacts stored.
@@ -438,6 +497,7 @@ impl CheckpointChain {
 mod tests {
     use super::*;
     use ops5::{Instantiation, ProductionId, WmeId, WorkingMemory};
+    use psm_obs::Rng64;
     use rete::ReteSnapshot;
 
     fn cp(cycle: u64, seed: u8, insts: usize) -> Checkpoint {
@@ -454,6 +514,15 @@ mod tests {
         }
     }
 
+    fn literal_bytes(ops: &[DiffOp]) -> usize {
+        ops.iter()
+            .map(|op| match op {
+                DiffOp::Insert(b) => b.len(),
+                DiffOp::Copy { .. } => 0,
+            })
+            .sum()
+    }
+
     #[test]
     fn diff_apply_roundtrips() {
         let old: Vec<u8> = (0..500u32).map(|i| i as u8).collect();
@@ -465,18 +534,105 @@ mod tests {
         new.extend_from_slice(&[1, 2, 3, 4, 5]);
         let ops = diff(&old, &new);
         assert_eq!(apply(&old, &ops).unwrap(), new);
-        let literal: usize = ops
-            .iter()
-            .map(|op| match op {
-                DiffOp::Insert(b) => b.len(),
-                DiffOp::Copy { .. } => 0,
-            })
-            .sum();
+        let literal = literal_bytes(&ops);
         assert!(
             literal < 150,
             "small edits stay small: {literal} literal bytes"
         );
         assert_eq!(apply(&[], &diff(&[], &[])).unwrap(), Vec::<u8>::new());
+    }
+
+    /// One random edit of `new`; returns the literal bytes it may cost
+    /// the diff. An edit leaves at most one more run of parent bytes
+    /// behind (a block move, being a delete and an insert of parent
+    /// content, at most three), and a run costs under `2 * BLOCK`
+    /// literal bytes: up to `BLOCK - 1` until its first aligned parent
+    /// block, or all of it when it is too short to hold one.
+    fn edit(new: &mut Vec<u8>, rng: &mut Rng64) -> usize {
+        let at = rng.gen_range(0..=new.len());
+        let end = (at + rng.gen_range(1..=40usize)).min(new.len());
+        match rng.gen_range(0..4u8) {
+            0 => {
+                let fresh: Vec<u8> = (at..at + 40).map(|_| rng.next_u64() as u8).collect();
+                new.splice(at..at, fresh);
+                40 + 2 * BLOCK
+            }
+            1 => {
+                new.drain(at..end);
+                2 * BLOCK
+            }
+            2 => {
+                for b in &mut new[at..end] {
+                    *b = rng.next_u64() as u8;
+                }
+                (end - at) + 2 * BLOCK
+            }
+            _ => {
+                let end = (at + rng.gen_range(1..=200usize)).min(new.len());
+                let moved: Vec<u8> = new.drain(at..end).collect();
+                let to = rng.gen_range(0..=new.len());
+                new.splice(to..to, moved);
+                4 * BLOCK
+            }
+        }
+    }
+
+    #[test]
+    fn diff_roundtrips_random_edits_and_stays_small() {
+        let mut rng = Rng64::new(0xD1FF);
+        for case in 0..600 {
+            // Lengths around and off the block grid, empty included.
+            let len = match case % 6 {
+                0 => 0,
+                1 => rng.gen_range(1..2 * BLOCK),
+                2 => BLOCK * rng.gen_range(1..40usize),
+                _ => rng.gen_range(0..3000usize),
+            };
+            // Every other parent is built from three motifs, one of them
+            // a constant block, so equal aligned blocks (index ties)
+            // are everywhere and a match regularly lands on an earlier
+            // twin of the block it came from.
+            let repetitive = case % 2 == 1;
+            let motifs: [Vec<u8>; 3] = [
+                vec![rng.next_u64() as u8; BLOCK],
+                (0..BLOCK).map(|_| rng.next_u64() as u8).collect(),
+                (0..BLOCK + 8).map(|_| rng.next_u64() as u8).collect(),
+            ];
+            let mut old: Vec<u8> = Vec::with_capacity(len + 2 * BLOCK);
+            while old.len() < len {
+                if repetitive {
+                    old.extend_from_slice(&motifs[rng.gen_range(0..3usize)]);
+                } else {
+                    old.push(rng.next_u64() as u8);
+                }
+            }
+            old.truncate(len);
+
+            let mut new = old.clone();
+            // The allowance of the parent's own first run (a parent
+            // shorter than a block is all literal).
+            let mut allowance = 2 * BLOCK;
+            for _ in 0..rng.gen_range(0..=4u32) {
+                allowance += edit(&mut new, &mut rng);
+            }
+            if case % 12 == 0 {
+                new.clear();
+            }
+
+            let ops = diff(&old, &new);
+            assert_eq!(apply(&old, &ops).unwrap(), new, "case {case}");
+            assert_eq!(diff(&old, &new), ops, "case {case}: deterministic");
+            let literal = literal_bytes(&ops);
+            // With twins a match may follow the wrong one and stop
+            // early, once per twin rather than once per edit, so the
+            // bound is only claimed where blocks are unique.
+            if !repetitive {
+                assert!(
+                    literal <= allowance,
+                    "case {case}: {literal} literal bytes, allowance {allowance}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -534,6 +690,20 @@ mod tests {
         let mut bad = bytes;
         bad.push(0);
         assert!(DeltaCheckpoint::from_bytes(&bad).is_err(), "trailing");
+        // An insert whose length field claims more than the buffer
+        // holds fails before anything is allocated for it.
+        let d = DeltaCheckpoint {
+            ops: vec![DiffOp::Insert(vec![7; 3])],
+            ..d
+        };
+        let mut bad = d.to_bytes();
+        let len_at = bad.len() - 3 - 8;
+        bad[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            DeltaCheckpoint::from_bytes(&bad),
+            Err(CodecError::UnexpectedEof),
+            "insert length beyond the buffer"
+        );
     }
 
     #[test]
@@ -549,7 +719,13 @@ mod tests {
         assert!(arts[0].parent.is_some() && arts[4].parent.is_some());
         assert_eq!(chain.anchor_cycle(), 16);
         assert_eq!(chain.artifacts().len(), 3, "anchor + two deltas");
-        assert_eq!(chain.restore_tip().unwrap(), *chain.tip());
+        assert_eq!(chain.artifacts()[1..], arts[4..], "recorded at push");
+        for a in chain.artifacts() {
+            let bytes = chain.artifact_bytes(a.cycle).expect("advertised");
+            assert_eq!((a.bytes, a.crc), (bytes.len(), crc32(&bytes)));
+        }
+        assert_eq!(chain.restore_tip().unwrap(), cp(24, 6, 6));
+        assert_eq!(chain.tip().unwrap(), cp(24, 6, 6));
         assert!(chain.artifact_bytes(16).is_some());
         assert!(chain.artifact_bytes(24).is_some());
         assert!(

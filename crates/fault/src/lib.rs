@@ -14,14 +14,18 @@
 //!   Same seed ⇒ same faults, every run, every platform.
 //! * **[`Checkpoint`] + [`Wal`]** — versioned byte-level snapshots of
 //!   working memory, Rete memories, and conflict set, plus a
-//!   write-ahead log of committed change batches. Recovery = restore
-//!   snapshot + replay tail, and reproduces the pre-fault state
-//!   *byte-for-byte* (same WME ids, same time tags, same memory
-//!   contents) — asserted, not assumed, by the tests.
+//!   write-ahead log of committed change batches. The supervisor
+//!   keeps the committed state warm in a mirror that replays each
+//!   logged batch once, so a checkpoint costs the WAL tail plus one
+//!   snapshot and recovery = promote the mirror; restore snapshot +
+//!   replay tail is the cold path for when nothing warm exists. Either
+//!   way the pre-fault state is reproduced *byte-for-byte* (same WME
+//!   ids, same time tags, same memory contents) — asserted, not
+//!   assumed, by the tests.
 //! * **[`Supervisor`]** — a drop-in [`ops5::Matcher`] that runs the
 //!   matcher ladder parallel → sequential → naive with per-cycle
 //!   deadlines, bounded retry-with-backoff on transient faults,
-//!   checkpoint/WAL recovery on engine faults, and monotonic graceful
+//!   mirror recovery on engine faults, and monotonic graceful
 //!   degradation. Every fault, retry, fallback, and recovery is
 //!   counted in a [`FaultReport`] and published to `psm-obs`.
 //!
@@ -272,6 +276,180 @@ mod tests {
             b.committed_snapshot().as_bytes()
         );
         assert_eq!(a.committed_wm_bytes(), b.committed_wm_bytes());
+    }
+
+    /// The cold path: decode the last checkpoint, replay the whole WAL.
+    fn cold_snapshot(sup: &Supervisor) -> rete::ReteSnapshot {
+        let network = sup.network().clone();
+        let mut cold =
+            supervisor::WarmState::restore(network, sup.last_checkpoint()).expect("decodes");
+        for entry in sup.wal().entries() {
+            cold.replay(entry);
+        }
+        cold.matcher.snapshot()
+    }
+
+    /// Drives `sup` and a never-faulted sequential matcher in lockstep
+    /// and, after every cycle, holds the committed snapshot (mirror or
+    /// live matcher) against the cold path and the reference, and a
+    /// chain fed every new checkpoint against that checkpoint. `sup`
+    /// may be a [`FailoverPair`]; `active` names the live supervisor.
+    fn assert_committed_state_every_cycle<M: Matcher>(
+        workload: &GeneratedWorkload,
+        mut sup: M,
+        active: impl Fn(&mut M) -> &mut Supervisor,
+        cycles: u64,
+        what: &str,
+    ) -> M {
+        let network = active(&mut sup).network().clone();
+        let mut reference = ReteMatcher::from_network(network);
+        let mut driver = WorkloadDriver::new(workload.clone(), 0x5EED);
+        let mut twin = WorkloadDriver::new(workload.clone(), 0x5EED);
+        driver.init(&mut sup);
+        twin.init(&mut reference);
+        let mut chain = CheckpointChain::new(active(&mut sup).last_checkpoint(), 2);
+        let (mut fulls, mut deltas) = (0, 0);
+        for cycle in 0..cycles {
+            let batch = driver.next_batch();
+            sup.process(driver.working_memory(), &batch);
+            driver.commit_batch(&batch);
+            let batch = twin.next_batch();
+            reference.process(twin.working_memory(), &batch);
+            twin.commit_batch(&batch);
+
+            let sup = active(&mut sup);
+            let committed = sup.committed_snapshot();
+            assert_eq!(
+                committed.as_bytes(),
+                cold_snapshot(sup).as_bytes(),
+                "{what}, cycle {cycle}: warm state equals checkpoint + replay"
+            );
+            assert_eq!(
+                committed.as_bytes(),
+                reference.snapshot().as_bytes(),
+                "{what}, cycle {cycle}: warm state equals the never-faulted run"
+            );
+            let cp = sup.last_checkpoint();
+            if cp.cycle != chain.artifacts().last().expect("anchor").cycle {
+                if chain.push(cp).is_full() {
+                    fulls += 1;
+                } else {
+                    deltas += 1;
+                }
+                assert_eq!(chain.restore_tip().as_ref(), Ok(cp), "{what}: replayed");
+                assert_eq!(chain.tip().as_ref(), Ok(cp), "{what}: tip image");
+            }
+        }
+        assert!(fulls > 0 && deltas > 0, "{what}: both kinds of push seen");
+        sup
+    }
+
+    #[test]
+    fn mirror_equals_the_cold_path_on_every_preset() {
+        for (i, preset) in Preset::all().iter().enumerate() {
+            let w = GeneratedWorkload::generate(preset.spec_small()).expect("generates");
+            let horizon = w.spec.wm_size as u64 + 20;
+            let chaos = Arc::new(FaultPlan::randomized(0xC4A05 + i as u64, horizon, 0.1));
+            for plan in [None, Some(chaos)] {
+                let what = format!("{} (plan: {})", preset.name(), plan.is_some());
+                let mut sup = Supervisor::new(&w.program, fast_config()).expect("compiles");
+                sup.set_fault_plan(plan.clone());
+                let sup = assert_committed_state_every_cycle(&w, sup, |s| s, 20, &what);
+                if plan.is_none() {
+                    assert_eq!(sup.tier(), Tier::Parallel, "{what}: the mirror path ran");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn promoting_the_mirror_replays_only_the_unapplied_tail() {
+        let w = small_workload();
+        let init = w.spec.wm_size as u64;
+        // Batch k (0-based supervised cycle k) runs phases 2k+1, 2k+2:
+        // the fault lands in the add phase of the 7th post-init cycle,
+        // three entries past a checkpoint (`checkpoint_every: 4`).
+        let fault_cycle = (init + 6).next_multiple_of(4) + 3;
+        let plan =
+            FaultPlan::new(1).with_engine_fault(2 * fault_cycle + 2, 0, FaultAction::PanicWorker);
+        let mut sup = Supervisor::new(&w.program, fast_config()).expect("compiles");
+        sup.set_fault_plan(Some(Arc::new(plan)));
+        let mut driver = WorkloadDriver::new(w.clone(), 11);
+        driver.init(&mut sup);
+        while sup.cycles() < fault_cycle - 1 {
+            let batch = driver.next_batch();
+            sup.process(driver.working_memory(), &batch);
+            driver.commit_batch(&batch);
+        }
+        // Two of the three tail entries are committed. Looking at the
+        // committed state replays them into the mirror, once.
+        let before = sup.report().wal_replayed;
+        sup.committed_snapshot();
+        assert_eq!(sup.report().wal_replayed, before + 2);
+        sup.committed_snapshot();
+        assert_eq!(
+            sup.report().wal_replayed,
+            before + 2,
+            "nothing left to replay"
+        );
+        while sup.cycles() <= fault_cycle {
+            let batch = driver.next_batch();
+            sup.process(driver.working_memory(), &batch);
+            driver.commit_batch(&batch);
+        }
+        let report = sup.report();
+        assert_eq!((sup.tier(), report.recoveries), (Tier::Sequential, 1));
+        assert_eq!(
+            report.wal_replayed, fault_cycle,
+            "every batch committed before the fault was replayed exactly once"
+        );
+        let (reference, conflict) = drive_reference(&w, 11, fault_cycle + 1 - init, sup.network());
+        assert_eq!(sup.conflict_set(), conflict);
+        assert_eq!(
+            sup.committed_snapshot().as_bytes(),
+            reference.snapshot().as_bytes()
+        );
+    }
+
+    #[test]
+    fn the_naive_tier_keeps_checkpointing_from_a_mirror() {
+        let w = small_workload();
+        let init = w.spec.wm_size as u64;
+        // Six failed attempts exhaust the retry budget twice: parallel
+        // → sequential → naive within the second post-init cycle.
+        let plan = Arc::new(FaultPlan::new(0).with_cycle_fault(init + 1, 6));
+        let mut sup = Supervisor::new(&w.program, fast_config()).expect("compiles");
+        sup.set_fault_plan(Some(plan));
+        let mut sup = assert_committed_state_every_cycle(&w, sup, |s| s, 20, "naive");
+        assert_eq!(sup.tier(), Tier::Naive);
+        assert_eq!(
+            sup.last_checkpoint().cycle,
+            (init + 20) / 4 * 4,
+            "checkpoints kept coming at the naive tier"
+        );
+        // Cold once (on entering the tier), warm ever after: an idle
+        // look at the committed state replays nothing.
+        let replayed = sup.report().wal_replayed;
+        sup.committed_snapshot();
+        assert_eq!(sup.report().wal_replayed, replayed);
+    }
+
+    #[test]
+    fn a_promoted_standby_has_no_mirror_and_stays_exact() {
+        let w = small_workload();
+        let kill_at = w.spec.wm_size as u64 + 5;
+        let plan = Arc::new(FaultPlan::new(0).with_primary_kill(kill_at));
+        let replication = ReplicationConfig::default();
+        let pair = FailoverPair::new(&w.program, fast_config(), replication, Some(plan))
+            .expect("compiles");
+        let mut pair =
+            assert_committed_state_every_cycle(&w, pair, FailoverPair::active, 20, "promoted");
+        assert_eq!(pair.tier(), Tier::Promoted);
+        assert_eq!(
+            pair.active().report().wal_replayed,
+            0,
+            "the live matcher is the committed state: nothing is ever replayed"
+        );
     }
 
     #[test]

@@ -26,20 +26,19 @@
 //!   ([`crate::Tier::Promoted`]). The chaos suite asserts the promoted
 //!   run equals a never-faulted run byte-for-byte.
 
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ops5::{Change, Error, Instantiation, MatchDelta, Matcher, Program, WmeId, WorkingMemory};
+use ops5::{Change, Error, MatchDelta, Matcher, Program, WmeId, WorkingMemory};
 use psm_obs::Obs;
 use psm_telemetry::client::Json;
 use psm_telemetry::replicate::ReplicaSource;
-use rete::{Network, ReteMatcher};
+use rete::Network;
 
 use crate::checkpoint::Checkpoint;
 use crate::delta::{ChainArtifact, CheckpointChain, DeltaCheckpoint};
 use crate::plan::FaultPlan;
 use crate::segment::{SegmentedWal, WalSegment};
-use crate::supervisor::{apply_delta, replay_entry, Supervisor, SupervisorConfig, Tier};
+use crate::supervisor::{Supervisor, SupervisorConfig, Tier, WarmState};
 use crate::wal::WalEntry;
 
 /// Sizing knobs for the primary-side artifact store.
@@ -141,10 +140,8 @@ impl ReplicationStore {
         let artifact = match &mut inner.chain {
             Some(chain) => chain.push(cp),
             None => {
-                let chain = CheckpointChain::new(cp, anchor_every);
-                let artifact = chain.artifacts()[0];
-                inner.chain = Some(chain);
-                artifact
+                let chain = inner.chain.insert(CheckpointChain::new(cp, anchor_every));
+                chain.artifacts()[0]
             }
         };
         inner.wal.seal();
@@ -246,12 +243,6 @@ pub struct ReplicaStatus {
     pub lag: u64,
     /// True when this poll re-based from the checkpoint chain.
     pub rebased: bool,
-}
-
-struct WarmState {
-    wm: WorkingMemory,
-    matcher: ReteMatcher,
-    conflict: HashSet<Instantiation>,
 }
 
 /// A pull-based warm standby. See the module docs for the protocol.
@@ -358,17 +349,10 @@ impl StandbyReplica {
             }
         }
         let Some(cp) = cp else { return false };
-        let Ok(matcher) = ReteMatcher::restore(self.network.clone(), &cp.rete) else {
+        let Ok(state) = WarmState::restore(self.network.clone(), &cp) else {
             return false;
         };
-        let Ok(wm) = WorkingMemory::restore_snapshot(&cp.wm) else {
-            return false;
-        };
-        self.state = Some(WarmState {
-            wm,
-            matcher,
-            conflict: cp.conflict.iter().cloned().collect(),
-        });
+        self.state = Some(state);
         self.applied_cycle = cp.cycle;
         self.base_checkpoint = cp.cycle;
         self.rebases += 1;
@@ -443,8 +427,7 @@ impl StandbyReplica {
                     if entry.cycle > self.applied_cycle {
                         break; // gap inside a torn segment; retry later
                     }
-                    let delta = replay_entry(&mut state.wm, &mut state.matcher, entry);
-                    apply_delta(&mut state.conflict, &delta);
+                    state.replay(entry);
                     self.applied_cycle = entry.cycle + 1;
                 }
             }
@@ -497,9 +480,7 @@ impl StandbyReplica {
             &self.program,
             self.network.clone(),
             config,
-            state.wm,
-            state.matcher,
-            state.conflict,
+            state,
             self.applied_cycle,
         );
         if let Some(obs) = self.obs {

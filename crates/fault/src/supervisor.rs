@@ -13,16 +13,29 @@
 //!
 //! Every committed batch is appended to a [`Wal`]; every
 //! `checkpoint_every` cycles the committed state is captured as a
-//! [`Checkpoint`]. When the parallel engine reports an injected fault
+//! [`Checkpoint`]. The committed state itself is kept, not re-derived:
+//! beside the parallel engine the supervisor holds one standing
+//! *committed mirror* — working memory, a sequential [`ReteMatcher`] and
+//! the conflict set, the same triple a warm standby holds — that
+//! starts empty at genesis and is advanced lazily, by replaying the WAL
+//! entries it has not seen yet, whenever a checkpoint or
+//! [`Supervisor::committed_snapshot`] needs it. Each entry is therefore
+//! replayed once, and a checkpoint costs the WAL tail plus one snapshot
+//! of the mirror. When the parallel engine reports an injected fault
 //! (dropped task, worker panic, poisoned lock — see
 //! [`psm_core::FaultInjector`]) the possibly-corrupt delta is
 //! discarded, the engine is retired, and the supervisor **recovers**:
-//! restore the checkpoint, replay the WAL tail through a fresh
-//! sequential matcher, then re-run the interrupted batch. Because
-//! replay reproduces the exact pre-fault state (same WME ids, same
-//! time tags, same memories), the recovered matcher's snapshot is
-//! byte-identical to a never-faulted run — the tests assert exactly
-//! that.
+//! the mirror (which only ever saw committed batches, sequentially) is
+//! brought to the WAL frontier and *promoted* to be the live sequential
+//! matcher, which then re-runs the interrupted batch. Because replay
+//! reproduces the exact pre-fault state (same WME ids, same time tags,
+//! same memories), the recovered matcher's snapshot is byte-identical
+//! to a never-faulted run — the tests assert exactly that. Restoring a
+//! matcher from checkpoint *bytes* is left to the places that have no
+//! warm state: a standby basing itself on the shipped chain,
+//! [`Supervisor::recovery_drill`], and the naive tier's first
+//! checkpoint (its mirror starts from the last checkpoint, since the
+//! sequential matcher it degraded from is not trusted).
 //!
 //! Transient cycle-level faults (from the [`FaultPlan`]) are retried
 //! with bounded, jittered backoff (the jitter is seeded from the fault
@@ -49,8 +62,8 @@ use std::time::{Duration, Instant};
 
 use baselines::NaiveMatcher;
 use ops5::{
-    Change, Error, Instantiation, MatchDelta, Matcher, Program, Wme, WmeId, WorkingMemory,
-    WriteSanitizer,
+    Change, CodecError, Error, Instantiation, MatchDelta, Matcher, Program, Wme, WmeId,
+    WorkingMemory, WriteSanitizer,
 };
 use psm_core::{FaultInjector, ParallelReteMatcher};
 use psm_obs::{Obs, Rng64};
@@ -137,12 +150,14 @@ pub struct FaultReport {
     pub retries: u64,
     /// Tier degradations (parallel→sequential, sequential→naive).
     pub fallbacks: u64,
-    /// Checkpoint+WAL recoveries performed after engine faults.
+    /// Recoveries performed after engine faults (the committed mirror
+    /// promoted to live matcher).
     pub recoveries: u64,
     /// Checkpoints taken.
     pub checkpoints: u64,
-    /// WAL entries replayed (during recoveries and checkpoint
-    /// rebuilds).
+    /// WAL entries replayed into the committed mirror (before
+    /// checkpoints, recoveries and committed-state reads; each entry
+    /// once).
     pub wal_replayed: u64,
     /// Cycles whose match attempt exceeded the deadline.
     pub deadline_misses: u64,
@@ -168,6 +183,42 @@ pub struct RecoveryDrill {
     pub snapshot_bytes: usize,
 }
 
+/// Committed state held warm: working memory, the sequential matcher
+/// fed exactly the committed batches, and the conflict set they leave.
+/// The supervisor's committed mirror and a standby's replayed state are
+/// both one of these, advanced by [`WarmState::replay`].
+pub(crate) struct WarmState {
+    pub(crate) wm: WorkingMemory,
+    pub(crate) matcher: ReteMatcher,
+    pub(crate) conflict: HashSet<Instantiation>,
+}
+
+impl WarmState {
+    /// The state before any batch.
+    fn empty(network: Arc<Network>) -> Self {
+        WarmState {
+            wm: WorkingMemory::new(),
+            matcher: ReteMatcher::from_network(network),
+            conflict: HashSet::new(),
+        }
+    }
+
+    /// Decodes `cp` — the cold path, for when nothing warm exists.
+    pub(crate) fn restore(network: Arc<Network>, cp: &Checkpoint) -> Result<Self, CodecError> {
+        Ok(WarmState {
+            matcher: ReteMatcher::restore(network, &cp.rete)?,
+            wm: WorkingMemory::restore_snapshot(&cp.wm)?,
+            conflict: cp.conflict.iter().cloned().collect(),
+        })
+    }
+
+    /// Commits one logged batch.
+    pub(crate) fn replay(&mut self, entry: &WalEntry) {
+        let delta = replay_entry(&mut self.wm, &mut self.matcher, entry);
+        apply_delta(&mut self.conflict, &delta);
+    }
+}
+
 /// The supervised matcher. See the module docs for the protocol.
 pub struct Supervisor {
     program: Program,
@@ -187,6 +238,13 @@ pub struct Supervisor {
     conflict: HashSet<Instantiation>,
     checkpoint: Checkpoint,
     wal: Wal,
+    /// The committed mirror: present at the tiers whose live matcher
+    /// is not itself the committed state (parallel from genesis, naive
+    /// from its first checkpoint), behind the WAL frontier by the
+    /// entries from `mirror_applied` on.
+    mirror: Option<WarmState>,
+    /// How many of `wal`'s entries the mirror has replayed.
+    mirror_applied: usize,
     cycle: u64,
     report: FaultReport,
     /// Debug write-set sanitizer; see [`Supervisor::attach_sanitizer`].
@@ -204,7 +262,8 @@ impl Supervisor {
     pub fn new(program: &Program, config: SupervisorConfig) -> Result<Self, Error> {
         let network = Arc::new(Network::compile(program)?);
         let parallel = ParallelReteMatcher::from_network(network.clone(), config.threads);
-        let genesis = ReteMatcher::from_network(network.clone()).snapshot();
+        let mirror = WarmState::empty(network.clone());
+        let genesis = mirror.matcher.snapshot();
         Ok(Supervisor {
             program: program.clone(),
             network,
@@ -219,6 +278,8 @@ impl Supervisor {
             conflict: HashSet::new(),
             checkpoint: Checkpoint::genesis(genesis),
             wal: Wal::new(),
+            mirror: Some(mirror),
+            mirror_applied: 0,
             cycle: 0,
             report: FaultReport::default(),
             sanitizer: None,
@@ -236,18 +297,19 @@ impl Supervisor {
         program: &Program,
         network: Arc<Network>,
         config: SupervisorConfig,
-        wm: WorkingMemory,
-        matcher: ReteMatcher,
-        conflict: HashSet<Instantiation>,
+        warm: WarmState,
         cycle: u64,
     ) -> Self {
-        let mut sorted: Vec<Instantiation> = conflict.iter().cloned().collect();
-        sorted.sort_by(|a, b| (a.production, &a.wmes).cmp(&(b.production, &b.wmes)));
+        let WarmState {
+            wm,
+            matcher,
+            conflict,
+        } = warm;
         let checkpoint = Checkpoint {
             cycle,
             wm: wm.snapshot_bytes(),
             rete: matcher.snapshot(),
-            conflict: sorted,
+            conflict: sorted(&conflict),
         };
         Supervisor {
             program: program.clone(),
@@ -263,6 +325,8 @@ impl Supervisor {
             conflict,
             checkpoint,
             wal: Wal::new(),
+            mirror: None,
+            mirror_applied: 0,
             cycle,
             report: FaultReport::default(),
             sanitizer: None,
@@ -332,9 +396,7 @@ impl Supervisor {
 
     /// The conflict set, sorted canonically.
     pub fn conflict_set(&self) -> Vec<Instantiation> {
-        let mut v: Vec<Instantiation> = self.conflict.iter().cloned().collect();
-        v.sort_by(|a, b| (a.production, &a.wmes).cmp(&(b.production, &b.wmes)));
-        v
+        sorted(&self.conflict)
     }
 
     /// Fault counters so far (includes the live engine's poison-
@@ -368,11 +430,14 @@ impl Supervisor {
     /// `fault_report` bench's recovery-time column.
     pub fn recovery_drill(&self) -> RecoveryDrill {
         let started = Instant::now();
-        let (m, _conflict, replayed) = self.rebuild_sequential();
-        let snapshot_bytes = m.snapshot().as_bytes().len();
+        let mut cold = self.cold_restore();
+        for entry in self.wal.entries() {
+            cold.replay(entry);
+        }
+        let snapshot_bytes = cold.matcher.snapshot().as_bytes().len();
         RecoveryDrill {
             elapsed: started.elapsed(),
-            wal_replayed: replayed,
+            wal_replayed: self.wal.len() as u64,
             snapshot_bytes,
         }
     }
@@ -383,22 +448,14 @@ impl Supervisor {
         &self.checkpoint
     }
 
-    /// A sequential-Rete snapshot of the committed state, rebuilt from
-    /// checkpoint + WAL replay (or taken live at the sequential tier).
+    /// A sequential-Rete snapshot of the committed state: the live
+    /// matcher's at the sequential tiers, otherwise the committed
+    /// mirror's once it has replayed the WAL entries it had not seen.
     /// Byte-identical to the snapshot of a fault-free [`ReteMatcher`]
     /// on [`Supervisor::network`] fed the same batches — the
     /// recovery-exactness audit hangs off this.
     pub fn committed_snapshot(&mut self) -> ReteSnapshot {
-        if self.tier.sequential_backed() {
-            return self
-                .sequential
-                .as_ref()
-                .expect("sequential tier")
-                .snapshot();
-        }
-        let (m, _conflict, replayed) = self.rebuild_sequential();
-        self.report.wal_replayed += replayed;
-        m.snapshot()
+        self.committed_matcher().snapshot()
     }
 
     /// A canonical snapshot of the shadow working memory.
@@ -424,54 +481,64 @@ impl Supervisor {
         }
     }
 
-    /// Restores the last checkpoint and replays the WAL tail through a
-    /// fresh sequential matcher. Returns the matcher, the conflict set
-    /// at the replayed frontier, and the number of entries replayed.
-    fn rebuild_sequential(&self) -> (ReteMatcher, HashSet<Instantiation>, u64) {
-        let mut m = ReteMatcher::restore(self.network.clone(), &self.checkpoint.rete)
-            .expect("checkpoint snapshot was taken on this network");
-        let mut wm = WorkingMemory::restore_snapshot(&self.checkpoint.wm)
-            .expect("checkpoint working-memory bytes are valid");
-        let mut conflict: HashSet<Instantiation> =
-            self.checkpoint.conflict.iter().cloned().collect();
-        let mut replayed = 0u64;
-        for entry in self.wal.entries() {
-            replayed += 1;
-            let delta = replay_entry(&mut wm, &mut m, entry);
-            apply_delta(&mut conflict, &delta);
+    /// Decodes the last checkpoint into warm state (nothing replayed
+    /// yet).
+    fn cold_restore(&self) -> WarmState {
+        WarmState::restore(self.network.clone(), &self.checkpoint)
+            .expect("the checkpoint was taken by this supervisor on this network")
+    }
+
+    /// Brings the committed mirror to the WAL frontier: replays the
+    /// entries it has not seen (each is counted in `wal_replayed` here,
+    /// once), starting from the last checkpoint when there is no mirror
+    /// yet.
+    fn advance_mirror(&mut self) -> &WarmState {
+        if self.mirror.is_none() {
+            self.mirror = Some(self.cold_restore());
+            self.mirror_applied = 0;
         }
-        (m, conflict, replayed)
+        let mirror = self.mirror.as_mut().expect("just ensured");
+        let tail = &self.wal.entries()[self.mirror_applied..];
+        for entry in tail {
+            mirror.replay(entry);
+        }
+        self.report.wal_replayed += tail.len() as u64;
+        self.mirror_applied = self.wal.len();
+        debug_assert_eq!(
+            mirror.conflict, self.conflict,
+            "replay must reproduce the committed conflict set"
+        );
+        mirror
+    }
+
+    /// The sequential matcher holding the committed state.
+    fn committed_matcher(&mut self) -> &ReteMatcher {
+        if self.tier.sequential_backed() {
+            self.sequential.as_ref().expect("sequential tier")
+        } else {
+            &self.advance_mirror().matcher
+        }
     }
 
     /// Retires the parallel engine (folding its counters into the
-    /// report) and installs a recovered sequential matcher.
+    /// report) and promotes the committed mirror to live matcher.
     fn fall_back_to_sequential(&mut self, recovery: bool) {
         if let Some(p) = self.parallel.take() {
             self.report.poison_recoveries += p.poison_recoveries();
             self.report.worker_respawns += p.pool_stats().respawns;
         }
-        let (mut m, conflict, replayed) = self.rebuild_sequential();
+        self.advance_mirror();
+        let mut m = self.mirror.take().expect("just advanced").matcher;
         // Keep the telemetry plane alive across degradation: the
-        // recovered matcher inherits the flight recorder and per-node
+        // promoted matcher inherits the flight recorder and per-node
         // profiler, so `/profile` and `/explain` keep answering at the
         // sequential tier.
         if let Some(obs) = &self.obs {
             m.attach_obs(obs.clone());
         }
-        debug_assert_eq!(
-            {
-                let mut v: Vec<_> = conflict.iter().cloned().collect();
-                v.sort_by(|a, b| (a.production, &a.wmes).cmp(&(b.production, &b.wmes)));
-                v
-            },
-            self.conflict_set(),
-            "replay must reproduce the committed conflict set"
-        );
-        self.conflict = conflict;
         self.sequential = Some(m);
         self.tier = Tier::Sequential;
         self.report.fallbacks += 1;
-        self.report.wal_replayed += replayed;
         self.count("fault.fallbacks");
         if recovery {
             self.report.recoveries += 1;
@@ -549,22 +616,11 @@ impl Supervisor {
     }
 
     fn take_checkpoint(&mut self) {
-        // At the sequential tier the live matcher *is* the committed
-        // state; otherwise rebuild it by snapshot + replay. This is
-        // the §3.1 state-saving bet restated for fault tolerance:
-        // saved state (the snapshot) is only worth keeping because
-        // re-deriving it from scratch costs a full replay.
-        let rete = if self.tier.sequential_backed() {
-            self.sequential
-                .as_ref()
-                .expect("sequential tier")
-                .snapshot()
-        } else {
-            let (m, conflict, replayed) = self.rebuild_sequential();
-            self.report.wal_replayed += replayed;
-            debug_assert_eq!(conflict, self.conflict);
-            m.snapshot()
-        };
+        // The §3.1 state-saving bet restated for fault tolerance: the
+        // committed state is kept (live matcher or mirror) because
+        // re-deriving it costs a restore plus a full replay; what a
+        // checkpoint pays is the WAL tail and one snapshot.
+        let rete = self.committed_matcher().snapshot();
         self.checkpoint = Checkpoint {
             cycle: self.cycle,
             wm: self.shadow.snapshot_bytes(),
@@ -572,6 +628,7 @@ impl Supervisor {
             conflict: self.conflict_set(),
         };
         self.wal.clear();
+        self.mirror_applied = 0;
         self.report.checkpoints += 1;
         self.count("fault.checkpoints");
         if let Some(store) = &self.replication {
@@ -747,7 +804,7 @@ impl Matcher for Supervisor {
 /// Replays one WAL entry: re-assert the logged WMEs (asserting id
 /// continuity), run the matcher with the original change order, then
 /// retract — exactly the live protocol.
-pub(crate) fn replay_entry<M: Matcher>(
+fn replay_entry<M: Matcher>(
     wm: &mut WorkingMemory,
     matcher: &mut M,
     entry: &WalEntry,
@@ -775,8 +832,15 @@ pub(crate) fn replay_entry<M: Matcher>(
     delta
 }
 
+/// A conflict set in canonical order.
+fn sorted(conflict: &HashSet<Instantiation>) -> Vec<Instantiation> {
+    let mut v: Vec<Instantiation> = conflict.iter().cloned().collect();
+    v.sort_by(|a, b| (a.production, &a.wmes).cmp(&(b.production, &b.wmes)));
+    v
+}
+
 /// Applies a delta to a conflict-set accumulator.
-pub(crate) fn apply_delta(conflict: &mut HashSet<Instantiation>, delta: &MatchDelta) {
+fn apply_delta(conflict: &mut HashSet<Instantiation>, delta: &MatchDelta) {
     for inst in &delta.removed {
         conflict.remove(inst);
     }

@@ -128,6 +128,12 @@ impl ByteWriter {
         self.usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
+
+    /// Writes `bytes` verbatim (no length prefix; pair with
+    /// [`ByteWriter::usize`] when the reader cannot know the length).
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
 }
 
 /// Little-endian binary reader over a byte slice.
@@ -173,7 +179,15 @@ impl<'a> ByteReader<'a> {
         self.remaining() == 0
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    /// Reads the next `n` bytes verbatim, borrowed from the buffer.
+    /// The length is checked against [`ByteReader::remaining`] first,
+    /// so a corrupt length field is an error here and never an
+    /// allocation request further up.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::UnexpectedEof`] when fewer than `n` bytes remain.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::UnexpectedEof);
         }
@@ -183,24 +197,24 @@ impl<'a> ByteReader<'a> {
     }
 
     fn bytes4(&mut self) -> Result<[u8; 4], CodecError> {
-        let b = self.take(4)?;
+        let b = self.bytes(4)?;
         Ok([b[0], b[1], b[2], b[3]])
     }
 
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
     }
 
     /// Reads a `u32`.
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        let b = self.take(4)?;
+        let b = self.bytes(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a `u64`.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        let b = self.take(8)?;
+        let b = self.bytes(8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
@@ -227,7 +241,7 @@ impl<'a> ByteReader<'a> {
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, CodecError> {
         let len = self.usize()?;
-        let bytes = self.take(len)?;
+        let bytes = self.bytes(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Invalid("non-UTF-8 string"))
     }
 }
@@ -268,5 +282,22 @@ mod tests {
         ));
         let (mut r, _) = ByteReader::with_header(&bytes, *b"AAAA").unwrap();
         assert_eq!(r.u8(), Err(CodecError::UnexpectedEof));
+    }
+
+    #[test]
+    fn raw_bytes_roundtrip_and_are_bounded_by_the_buffer() {
+        let mut w = ByteWriter::new();
+        w.usize(3);
+        w.bytes(&[9, 8, 7]);
+        w.u8(1);
+        let bytes = w.finish();
+        let mut r = ByteReader::new(&bytes);
+        let n = r.usize().unwrap();
+        assert_eq!(r.bytes(n).unwrap(), &[9, 8, 7]);
+        assert_eq!(r.bytes(usize::MAX), Err(CodecError::UnexpectedEof));
+        assert_eq!(r.bytes(2), Err(CodecError::UnexpectedEof));
+        assert_eq!(r.bytes(0).unwrap(), &[] as &[u8]);
+        assert_eq!(r.bytes(1).unwrap(), &[1]);
+        assert!(r.is_done());
     }
 }
