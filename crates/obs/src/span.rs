@@ -75,7 +75,8 @@ impl Drop for SpanTimer<'_> {
 pub enum Phase {
     /// Match: compute conflict-set changes from WM changes.
     Match,
-    /// Conflict resolution: pick the next instantiation.
+    /// Conflict resolution: keep the conflict set, pick the next
+    /// instantiation.
     Select,
     /// Act: execute the RHS, producing the next WM change batch.
     Act,
@@ -103,7 +104,13 @@ impl Phase {
     }
 }
 
-/// Per-phase latency histograms (nanoseconds per cycle-phase).
+/// Per-phase latency histograms (nanoseconds per phase sample).
+///
+/// A phase may be sampled more than once a cycle — the OPS5 interpreter
+/// records select twice, the pick and the conflict-set update after the
+/// match — so a histogram's count is samples, not cycles. Samples never
+/// overlap: [`PhaseProfile::totals_ns`] adds up to the time spent in
+/// phases.
 #[derive(Debug, Default)]
 pub struct PhaseProfile {
     hists: [Histogram; 3],

@@ -10,12 +10,12 @@
 //!   condition element dominates, which is what makes means–ends-analysis
 //!   style goal stacks work.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::HashSet;
 
-use crate::ast::Program;
+use crate::ast::{ProductionId, Program};
 use crate::matcher::{Instantiation, MatchDelta};
-use crate::wme::{TimeTag, WorkingMemory};
+use crate::wme::{TimeTag, WmeId, WorkingMemory};
 
 /// Conflict-resolution strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,41 +97,56 @@ impl ConflictSet {
         program: &Program,
         strategy: Strategy,
     ) -> Option<Instantiation> {
+        // One rank per candidate, not two per comparison.
         self.live
             .iter()
             .filter(|inst| !self.fired.contains(*inst))
-            .max_by(|a, b| compare(a, b, wm, program, strategy))
+            .max_by_key(|inst| rank(inst, wm, program, strategy))
             .cloned()
     }
 }
 
-/// Recency key: the instantiation's time tags sorted descending.
-fn recency_key(inst: &Instantiation, wm: &WorkingMemory) -> Vec<TimeTag> {
-    let mut tags: Vec<TimeTag> = inst
-        .wmes
-        .iter()
-        .map(|&w| wm.time_tag(w).unwrap_or_default())
-        .collect();
-    tags.sort_unstable_by(|a, b| b.cmp(a));
-    tags
+/// Everything conflict resolution reads about an instantiation, in the
+/// order it decides, so that the derived `Ord` *is* the strategy. Under
+/// MEA the first CE's time tag comes first (zero under LEX, where it
+/// must not decide anything); then LEX recency — the time tags sorted
+/// descending and compared lexicographically, the longer dominating on
+/// a common prefix, which is how slices order; then specificity; then a
+/// deterministic arbitrary tie-break (lower production id, then WMEs)
+/// so that runs are reproducible. A WME the working memory no longer
+/// holds counts as the oldest.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Rank<'a> {
+    mea: TimeTag,
+    recency: Vec<TimeTag>,
+    specificity: usize,
+    tie_break: Reverse<(ProductionId, &'a [WmeId])>,
 }
 
-/// LEX recency comparison on descending tag vectors: pairwise compare;
-/// on a common prefix the longer vector dominates.
-fn compare_recency(a: &[TimeTag], b: &[TimeTag]) -> Ordering {
-    for (x, y) in a.iter().zip(b.iter()) {
-        match x.cmp(y) {
-            Ordering::Equal => continue,
-            other => return other,
-        }
+/// Resolves the rank of `inst` against the current working memory.
+fn rank<'a>(
+    inst: &'a Instantiation,
+    wm: &WorkingMemory,
+    program: &Program,
+    strategy: Strategy,
+) -> Rank<'a> {
+    let tag = |&w| wm.time_tag(w).unwrap_or_default();
+    let mut recency: Vec<TimeTag> = inst.wmes.iter().map(tag).collect();
+    recency.sort_unstable_by(|a, b| b.cmp(a));
+    Rank {
+        mea: match strategy {
+            Strategy::Lex => TimeTag::default(),
+            Strategy::Mea => inst.wmes.first().map(tag).unwrap_or_default(),
+        },
+        recency,
+        specificity: program.production(inst.production).specificity,
+        tie_break: Reverse((inst.production, &inst.wmes)),
     }
-    a.len().cmp(&b.len())
 }
 
 /// Total order on instantiations under a strategy; `Greater` means
-/// "dominates". Falls back to a deterministic arbitrary order so runs
-/// are reproducible. Exposed so tools (and property tests) can inspect
-/// why one instantiation beat another.
+/// "dominates". Exposed so tools (and property tests) can inspect why
+/// one instantiation beat another.
 pub fn compare(
     a: &Instantiation,
     b: &Instantiation,
@@ -139,45 +154,17 @@ pub fn compare(
     program: &Program,
     strategy: Strategy,
 ) -> Ordering {
-    if strategy == Strategy::Mea {
-        let fa = a
-            .wmes
-            .first()
-            .and_then(|&w| wm.time_tag(w))
-            .unwrap_or_default();
-        let fb = b
-            .wmes
-            .first()
-            .and_then(|&w| wm.time_tag(w))
-            .unwrap_or_default();
-        match fa.cmp(&fb) {
-            Ordering::Equal => {}
-            other => return other,
-        }
-    }
-    match compare_recency(&recency_key(a, wm), &recency_key(b, wm)) {
-        Ordering::Equal => {}
-        other => return other,
-    }
-    let sa = program.production(a.production).specificity;
-    let sb = program.production(b.production).specificity;
-    match sa.cmp(&sb) {
-        Ordering::Equal => {}
-        other => return other,
-    }
-    // Deterministic arbitrary tie-break: lower production id, then wmes.
-    match b.production.cmp(&a.production) {
-        Ordering::Equal => b.wmes.cmp(&a.wmes),
-        other => other,
-    }
+    rank(a, wm, program, strategy).cmp(&rank(b, wm, program, strategy))
 }
 
 #[cfg(test)]
 mod tests {
+    use psm_obs::Rng64;
+
     use super::*;
-    use crate::ast::{Production, ProductionId};
+    use crate::ast::Production;
     use crate::value::Value;
-    use crate::wme::{Wme, WmeId};
+    use crate::wme::Wme;
 
     fn production(id: u32, specificity: usize) -> Production {
         Production {
@@ -332,5 +319,90 @@ mod tests {
         });
         // Lower production id wins the arbitrary tie-break.
         assert_eq!(cs.select(&wm, &program, Strategy::Lex), Some(a));
+    }
+
+    /// The strategies step by step, as OPS5 states them: the reference
+    /// that [`Rank`]'s derived order must equal.
+    fn spelled_out(
+        a: &Instantiation,
+        b: &Instantiation,
+        wm: &WorkingMemory,
+        program: &Program,
+        strategy: Strategy,
+    ) -> Ordering {
+        let tag = |w: &WmeId| wm.time_tag(*w).unwrap_or_default();
+        let descending = |inst: &Instantiation| {
+            let mut tags: Vec<TimeTag> = inst.wmes.iter().map(tag).collect();
+            tags.sort_unstable_by(|x, y| y.cmp(x));
+            tags
+        };
+        if strategy == Strategy::Mea {
+            let first = |inst: &Instantiation| inst.wmes.first().map(tag).unwrap_or_default();
+            match first(a).cmp(&first(b)) {
+                Ordering::Equal => {}
+                other => return other,
+            }
+        }
+        let (ta, tb) = (descending(a), descending(b));
+        for (x, y) in ta.iter().zip(&tb) {
+            match x.cmp(y) {
+                Ordering::Equal => {}
+                other => return other,
+            }
+        }
+        let specificity = |inst: &Instantiation| program.production(inst.production).specificity;
+        ta.len()
+            .cmp(&tb.len())
+            .then_with(|| specificity(a).cmp(&specificity(b)))
+            .then_with(|| b.production.cmp(&a.production))
+            .then_with(|| b.wmes.cmp(&a.wmes))
+    }
+
+    /// `compare` and `select` equal the spelled-out strategies on seeded
+    /// random conflict sets: recency ties, common prefixes of different
+    /// length, one WME under two CEs, specificity ties, WMEs already
+    /// gone from working memory, refracted entries, LEX and MEA.
+    #[test]
+    fn rank_order_is_the_spelled_out_strategy() {
+        let rounds = if cfg!(miri) { 3 } else { 200 };
+        let mut rng = Rng64::new(0xC0F1);
+        for _ in 0..rounds {
+            let (mut program, mut wm, ids) = setup(8);
+            program.productions[1].specificity = rng.gen_range(2..4usize);
+            for &dead in &ids[..rng.gen_range(0..3usize)] {
+                wm.remove(dead);
+            }
+            let insts: Vec<Instantiation> = (0..12)
+                .map(|_| {
+                    let wmes = (0..rng.gen_range(0..5usize))
+                        .map(|_| ids[rng.gen_range(0..ids.len())])
+                        .collect();
+                    Instantiation::new(ProductionId(rng.gen_range(0..2u32)), wmes)
+                })
+                .collect();
+            let mut cs = ConflictSet::new();
+            cs.apply(&MatchDelta {
+                added: insts.clone(),
+                removed: vec![],
+            });
+            cs.mark_fired(&insts[0]);
+            for strategy in [Strategy::Lex, Strategy::Mea] {
+                for a in &insts {
+                    for b in &insts {
+                        assert_eq!(
+                            compare(a, b, &wm, &program, strategy),
+                            spelled_out(a, b, &wm, &program, strategy),
+                            "{a:?} vs {b:?} under {strategy:?}"
+                        );
+                    }
+                }
+                let expected = cs
+                    .iter()
+                    .filter(|i| !cs.has_fired(i))
+                    .max_by(|a, b| spelled_out(a, b, &wm, &program, strategy))
+                    .cloned();
+                assert_eq!(cs.select(&wm, &program, strategy), expected);
+            }
+        }
     }
 }

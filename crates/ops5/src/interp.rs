@@ -7,7 +7,6 @@
 //! [`Change`]s which is handed to the matcher as a unit — the batch is
 //! exactly what the parallel implementations process concurrently.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -133,8 +132,20 @@ impl<M: Matcher> Interpreter<M> {
         self.obs = Some(obs);
     }
 
-    /// Records `ns` into the registry histogram for `phase`.
-    fn obs_phase_ns(&self, phase: Phase, ns: u64) {
+    /// Starts timing a phase; `None` (no clock read) unless phase
+    /// profiling or an observability handle wants the sample.
+    fn phase_start(&self) -> Option<Instant> {
+        (self.phases.is_some() || self.obs.is_some()).then(Instant::now)
+    }
+
+    /// Records the time since `started` as one sample of `phase`, into
+    /// the phase profile and the `phase.*_ns` registry histogram.
+    fn phase_end(&self, phase: Phase, started: Option<Instant>) {
+        let Some(started) = started else { return };
+        let ns = started.elapsed().as_nanos() as u64;
+        if let Some(phases) = &self.phases {
+            phases.histogram(phase).record(ns);
+        }
         if let Some(obs) = &self.obs {
             obs.metrics
                 .histogram(match phase {
@@ -144,6 +155,19 @@ impl<M: Matcher> Interpreter<M> {
                 })
                 .record(ns);
         }
+    }
+
+    /// Hands the matcher one change batch (the match phase), then folds
+    /// its delta into the conflict set, which is conflict resolution's
+    /// standing cost and is timed as select.
+    fn match_and_resolve(&mut self, changes: &[Change]) {
+        let started = self.phase_start();
+        let delta = self.matcher.process(&self.wm, changes);
+        self.phase_end(Phase::Match, started);
+        self.obs_flight_delta(&delta);
+        let started = self.phase_start();
+        self.conflict.apply(&delta);
+        self.phase_end(Phase::Select, started);
     }
 
     /// Publishes run-level gauges/counters after a cycle.
@@ -213,6 +237,12 @@ impl<M: Matcher> Interpreter<M> {
 
     /// Starts per-phase (match / select / act) span timing, recorded
     /// into `psm-obs` histograms in nanoseconds. Off by default.
+    ///
+    /// Select is conflict resolution *including* keeping the conflict
+    /// set: a cycle records two select samples, the pick at its start
+    /// and the fold of the match delta into the set at its end (an
+    /// [`Interpreter::insert`] records the fold alone). Phase totals
+    /// stay additive — no two samples overlap.
     pub fn enable_phase_profiling(&mut self) {
         self.phases = Some(Box::new(PhaseProfile::new()));
     }
@@ -286,14 +316,7 @@ impl<M: Matcher> Interpreter<M> {
         self.stats.wme_changes += 1;
         self.stats.inserts += 1;
         self.obs_flight_wme(id, true);
-        let timer = self.obs.is_some().then(Instant::now);
-        let _span = self.phases.as_ref().map(|p| p.span(Phase::Match));
-        let delta = self.matcher.process(&self.wm, &[Change::Add(id)]);
-        if let Some(t) = timer {
-            self.obs_phase_ns(Phase::Match, t.elapsed().as_nanos() as u64);
-        }
-        self.obs_flight_delta(&delta);
-        self.conflict.apply(&delta);
+        self.match_and_resolve(&[Change::Add(id)]);
         id
     }
 
@@ -316,18 +339,15 @@ impl<M: Matcher> Interpreter<M> {
         if let Some(obs) = &self.obs {
             obs.flight.set_cycle(self.stats.firings + 1);
         }
-        let timer = self.obs.is_some().then(Instant::now);
-        let selected = {
-            let _span = self.phases.as_ref().map(|p| p.span(Phase::Select));
-            self.conflict.select(&self.wm, &self.program, self.strategy)
-        };
-        if let Some(t) = timer {
-            self.obs_phase_ns(Phase::Select, t.elapsed().as_nanos() as u64);
+        let started = self.phase_start();
+        let selected = self.conflict.select(&self.wm, &self.program, self.strategy);
+        if let Some(inst) = &selected {
+            self.conflict.mark_fired(inst);
         }
+        self.phase_end(Phase::Select, started);
         let Some(inst) = selected else {
             return Ok(CycleOutcome::Quiescent);
         };
-        self.conflict.mark_fired(&inst);
         if let Some(log) = self.firing_log.as_mut() {
             log.push(inst.clone());
         }
@@ -375,14 +395,13 @@ impl<M: Matcher> Interpreter<M> {
                 });
             }
         }
-        let act_timer = self.obs.is_some().then(Instant::now);
-        let act_span = self.phases.as_ref().map(|p| p.span(Phase::Act));
-        let production = self.program.production(inst.production).clone();
-        let mut bindings = self.extract_bindings(&production, inst)?;
+        let started = self.phase_start();
+        let production = self.program.production(inst.production);
+        let mut bindings = self.extract_bindings(production, inst)?;
 
         let mut pending_adds: Vec<Wme> = Vec::new();
+        // A handful at most, so deduplicated by looking.
         let mut pending_removes: Vec<WmeId> = Vec::new();
-        let mut seen_removes: HashSet<WmeId> = HashSet::new();
 
         for action in &production.actions {
             match action {
@@ -395,7 +414,7 @@ impl<M: Matcher> Interpreter<M> {
                 }
                 Action::Remove { positive_ce } => {
                     let id = self.designated(inst, *positive_ce)?;
-                    if seen_removes.insert(id) {
+                    if !pending_removes.contains(&id) {
                         pending_removes.push(id);
                     }
                 }
@@ -410,7 +429,7 @@ impl<M: Matcher> Interpreter<M> {
                         .map(|(a, arg)| Ok((*a, self.resolve(arg, &bindings)?)))
                         .collect::<Result<Vec<_>, Error>>()?;
                     pending_adds.push(old.modified(&updates));
-                    if seen_removes.insert(id) {
+                    if !pending_removes.contains(&id) {
                         pending_removes.push(id);
                     }
                 }
@@ -463,24 +482,14 @@ impl<M: Matcher> Interpreter<M> {
         self.stats.deletes += pending_removes.len() as u64;
         self.stats.inserts += (changes.len() - pending_removes.len()) as u64;
 
-        drop(act_span);
-        if let Some(t) = act_timer {
-            self.obs_phase_ns(Phase::Act, t.elapsed().as_nanos() as u64);
-        }
+        self.phase_end(Phase::Act, started);
         for change in &changes {
             match *change {
                 Change::Add(id) => self.obs_flight_wme(id, true),
                 Change::Remove(id) => self.obs_flight_wme(id, false),
             }
         }
-        let match_timer = self.obs.is_some().then(Instant::now);
-        let _match_span = self.phases.as_ref().map(|p| p.span(Phase::Match));
-        let delta = self.matcher.process(&self.wm, &changes);
-        if let Some(t) = match_timer {
-            self.obs_phase_ns(Phase::Match, t.elapsed().as_nanos() as u64);
-        }
-        self.obs_flight_delta(&delta);
-        self.conflict.apply(&delta);
+        self.match_and_resolve(&changes);
         if let Some(s) = &self.sanitizer {
             s.end_firing();
         }
@@ -594,6 +603,8 @@ impl<M: Matcher> Interpreter<M> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::ast::ConditionElement;
     use crate::matcher::MatchDelta;

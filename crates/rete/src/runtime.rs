@@ -8,6 +8,7 @@
 //! parent/child dependency edges.
 
 use std::borrow::Borrow;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,7 +20,7 @@ use ops5::{
 use psm_obs::{FlightKind, NodeDelta, Obs, ProfileKind};
 
 use crate::kernel::{self, ActivationKind, Bucket, Sign, Work};
-use crate::network::{CompileOptions, Network, NodeId, NodeKind, NodeSpec};
+use crate::network::{CompileOptions, JoinTest, Network, NodeId, NodeKind, NodeSpec};
 use crate::profile::MatchProfile;
 use crate::stats::MatchStats;
 use crate::token::Token;
@@ -69,22 +70,170 @@ pub(crate) enum NodeState {
         index: FxHashMap<(usize, SymbolId, Value), Bucket<Token>>,
     },
     /// Negative node: tokens with their right-match counts.
-    Neg(Vec<NegEntry>),
+    Neg(NegMemory),
     /// Join and terminal nodes carry no state.
     Stateless,
 }
 
+/// Ends a bucket chain; also the `next` of an entry filed nowhere.
+pub(crate) const NIL: u32 = u32::MAX;
+
+/// One resident token of a negative node.
 #[derive(Debug, Clone)]
 pub(crate) struct NegEntry {
     pub(crate) token: Token,
-    pub(crate) count: u32,
+    /// Right-memory WMEs currently matching `token`. A `Cell`, so a
+    /// right activation adjusts it through the shared borrow the kernel
+    /// scan hands to its `hit`.
+    pub(crate) count: Cell<u32>,
+    /// The next entry of the same index bucket. It occupies what was
+    /// padding: which bucket an entry is in is implied by the chain it
+    /// sits on, never stored beside it.
+    pub(crate) next: u32,
 }
 
 /// Lets a negative node's right activation scan its entries in place:
 /// the kernel reads the token, the hit adjusts the count.
-impl Borrow<Token> for &mut NegEntry {
+impl Borrow<Token> for &NegEntry {
     fn borrow(&self) -> &Token {
         &self.token
+    }
+}
+
+/// A negative node's token memory: the entries in arrival order
+/// (swap-removed), and — when the node has an index key and the
+/// strategy is [`MemoryStrategy::Hashed`] — one chain per key value
+/// threaded through them, newest entry first, so a right activation
+/// scans only the tokens its WME can match. `heads` stays empty for a
+/// keyless node and under [`MemoryStrategy::Linear`]. An entry whose
+/// key value could not be resolved when it arrived is on no chain: the
+/// key test fails for it against every WME.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NegMemory {
+    pub(crate) entries: Vec<NegEntry>,
+    /// First entry of each bucket; a bucket that drains is removed.
+    pub(crate) heads: FxHashMap<Value, u32>,
+}
+
+/// Where the index of a chained entry is stored.
+#[derive(Debug, Clone, Copy)]
+enum Link {
+    Head(Value),
+    Next(u32),
+}
+
+impl NegMemory {
+    /// The entries filed under `key` with their positions, newest first
+    /// (none for `None`: a WME without the keyed attribute matches no
+    /// token).
+    pub(crate) fn chain(&self, key: Option<Value>) -> impl Iterator<Item = (u32, &NegEntry)> {
+        let mut at = key.and_then(|v| self.heads.get(&v)).copied().unwrap_or(NIL);
+        std::iter::from_fn(move || {
+            let here = at;
+            let entry = self.entries.get(here as usize)?;
+            at = entry.next;
+            Some((here, entry))
+        })
+    }
+
+    /// Adds an entry, filing it at the head of `key`'s bucket.
+    fn insert(&mut self, token: Token, count: u32, key: Option<Value>) {
+        let at = self.entries.len() as u32;
+        let next = key.and_then(|v| self.heads.insert(v, at)).unwrap_or(NIL);
+        self.entries.push(NegEntry {
+            token,
+            count: Cell::new(count),
+            next,
+        });
+    }
+
+    /// Removes the entry of `token`, returning its match count, or
+    /// `None` when the memory does not hold it.
+    ///
+    /// `key_of` re-reads a token's key value from the (immutable) WME it
+    /// was read from when the entry was filed. The caller's view may no
+    /// longer resolve that WME; the entry, or the link to it, is then
+    /// found by identity instead, so the token is unfiled from exactly
+    /// the bucket it was filed in either way.
+    fn remove(&mut self, token: &Token, key_of: impl Fn(&Token) -> Option<Value>) -> Option<u32> {
+        let by_identity = |mem: &Self| mem.entries.iter().position(|e| e.token == *token);
+        if self.heads.is_empty() {
+            // Nothing is filed: a plain list.
+            let at = by_identity(self)?;
+            return Some(self.entries.swap_remove(at).count.get());
+        }
+        let is_token = |mem: &Self, at: u32| mem.entries[at as usize].token == *token;
+        let on_chain = key_of(token).and_then(|key| self.find_link(key, is_token));
+        let (link, at) = match on_chain {
+            Some((link, at)) => (Some(link), at),
+            None => {
+                let at = by_identity(self)? as u32;
+                (self.find_link_anywhere(at), at)
+            }
+        };
+        if let Some(link) = link {
+            let next = std::mem::replace(&mut self.entries[at as usize].next, NIL);
+            self.set_link(link, next);
+        }
+        // `swap_remove` is about to move the last entry into `at`:
+        // repoint the link that names it.
+        let last = self.entries.len() as u32 - 1;
+        if at != last {
+            let on_chain = key_of(&self.entries[last as usize].token)
+                .and_then(|key| self.find_link(key, |_, i| i == last));
+            let link = on_chain.map(|(link, _)| link);
+            if let Some(link) = link.or_else(|| self.find_link_anywhere(last)) {
+                self.set_link(link, at);
+            }
+        }
+        Some(self.entries.swap_remove(at as usize).count.get())
+    }
+
+    /// Walks `key`'s bucket to the first entry `is_target` accepts,
+    /// returning the link that names it and its index.
+    fn find_link(&self, key: Value, is_target: impl Fn(&Self, u32) -> bool) -> Option<(Link, u32)> {
+        let mut link = Link::Head(key);
+        let mut at = *self.heads.get(&key)?;
+        while at != NIL {
+            if is_target(self, at) {
+                return Some((link, at));
+            }
+            link = Link::Next(at);
+            at = self.entries[at as usize].next;
+        }
+        None
+    }
+
+    /// The link naming entry `at`, searched for by identity (the
+    /// fallback when the entry's key cannot be re-read): `None` when
+    /// the entry is on no chain.
+    fn find_link_anywhere(&self, at: u32) -> Option<Link> {
+        let next = self.entries.iter().position(|e| e.next == at);
+        next.map(|i| Link::Next(i as u32)).or_else(|| {
+            let head = self.heads.iter().find(|(_, &head)| head == at);
+            head.map(|(&key, _)| Link::Head(key))
+        })
+    }
+
+    fn set_link(&mut self, link: Link, to: u32) {
+        match link {
+            Link::Next(at) => self.entries[at as usize].next = to,
+            Link::Head(key) if to == NIL => {
+                self.heads.remove(&key);
+            }
+            Link::Head(key) => {
+                self.heads.insert(key, to);
+            }
+        }
+    }
+
+    /// Entries reachable from the bucket heads (what the index holds,
+    /// for the leak audits).
+    fn filed(&self) -> usize {
+        self.heads
+            .keys()
+            .map(|&key| self.chain(Some(key)).count())
+            .sum()
     }
 }
 
@@ -235,19 +384,20 @@ impl ReteMatcher {
                     keys: Vec::new(),
                     index: FxHashMap::default(),
                 },
-                NodeKind::Negative => NodeState::Neg(if top {
-                    vec![NegEntry {
-                        token: Token::top(),
-                        count: 0,
-                    }]
-                } else {
-                    Vec::new()
-                }),
+                NodeKind::Negative => {
+                    let mut memory = NegMemory::default();
+                    if top {
+                        memory.insert(Token::top(), 0, None);
+                    }
+                    NodeState::Neg(memory)
+                }
                 NodeKind::Join | NodeKind::Terminal => NodeState::Stateless,
             })
             .collect();
         // Which (token position, attribute) keys each beta memory must
-        // index for its downstream equality joins.
+        // index for its downstream equality joins. A negative child
+        // never probes its parent: it keeps the same tokens, bucketed
+        // under the same key, beside their match counts.
         let mem_keys = network
             .nodes
             .iter()
@@ -258,7 +408,9 @@ impl ReteMatcher {
                 let mut keys: Vec<(usize, SymbolId)> = spec
                     .children
                     .iter()
-                    .filter_map(|&child| network.node(child).key)
+                    .map(|&child| network.node(child))
+                    .filter(|child| child.kind == NodeKind::Join)
+                    .filter_map(|child| child.key)
                     .map(|t| (t.token_pos, t.token_attr))
                     .collect();
                 keys.sort_unstable();
@@ -482,7 +634,8 @@ impl ReteMatcher {
     }
 
     /// Total entries resident across all hash-index buckets (alpha
-    /// `(attr, value)` buckets plus beta `(pos, attr, value)` buckets).
+    /// `(attr, value)` buckets, beta `(pos, attr, value)` buckets and
+    /// the negative nodes' own key-value buckets).
     ///
     /// Under [`MemoryStrategy::Hashed`] this must track residency: after
     /// a full assert/retract churn cycle it returns to its baseline. A
@@ -499,13 +652,15 @@ impl ReteMatcher {
             .iter()
             .map(|s| match s {
                 NodeState::Mem { index, .. } => index.values().map(|b| b.as_slice().len()).sum(),
-                _ => 0,
+                NodeState::Neg(memory) => memory.filed(),
+                NodeState::Stateless => 0,
             })
             .sum();
         alpha + beta
     }
 
-    /// Number of hash-index buckets currently allocated (alpha + beta).
+    /// Number of hash-index buckets currently allocated (alpha + beta,
+    /// negative nodes included).
     ///
     /// Empty buckets are pruned on removal, so this also returns to its
     /// baseline after a churn cycle instead of growing with the number
@@ -517,7 +672,8 @@ impl ReteMatcher {
             .iter()
             .map(|s| match s {
                 NodeState::Mem { index, .. } => index.len(),
-                _ => 0,
+                NodeState::Neg(memory) => memory.heads.len(),
+                NodeState::Stateless => 0,
             })
             .sum();
         alpha + beta
@@ -529,7 +685,7 @@ impl ReteMatcher {
             .iter()
             .map(|s| match s {
                 NodeState::Mem { tokens, .. } => tokens.len(),
-                NodeState::Neg(e) => e.len(),
+                NodeState::Neg(memory) => memory.entries.len(),
                 NodeState::Stateless => 0,
             })
             .sum()
@@ -701,7 +857,7 @@ impl ReteMatcher {
             None => false,
             Some(id) => match &self.states[id.index()] {
                 NodeState::Mem { tokens, .. } => tokens.is_empty(),
-                NodeState::Neg(entries) => entries.is_empty(),
+                NodeState::Neg(memory) => memory.entries.is_empty(),
                 NodeState::Stateless => false,
             },
         }
@@ -775,29 +931,39 @@ impl ReteMatcher {
             }
             (NodeKind::Negative, Payload::Right(wme_id)) => {
                 let wme = wm.get(wme_id).expect("live wme");
-                let recount = |entry: &mut NegEntry| {
+                let recount = |entry: &NegEntry| {
+                    let before = entry.count.get();
                     let flipped = match sign {
                         Sign::Plus => {
-                            entry.count += 1;
-                            entry.count == 1
+                            entry.count.set(before + 1);
+                            before == 0
                         }
                         Sign::Minus => {
-                            debug_assert!(entry.count > 0, "negative count underflow");
-                            entry.count = entry.count.saturating_sub(1);
-                            entry.count == 0
+                            debug_assert!(before > 0, "negative count underflow");
+                            entry.count.set(before.saturating_sub(1));
+                            before <= 1
                         }
                     };
                     if flipped {
                         out.push(entry.token.clone());
                     }
                 };
-                let entries = self.neg_entries(node).iter_mut();
-                let work = kernel::scan_tokens(&spec.tests, entries, wme, resolve, recount);
+                let memory = self.neg_memory(node);
+                let tests = &spec.tests;
+                let work = match self.index_key(spec) {
+                    Some(t) => {
+                        let bucket = memory.chain(t.wme_key(wme)).map(|(_, entry)| entry);
+                        kernel::scan_tokens(tests, bucket, wme, resolve, recount)
+                    }
+                    None => kernel::scan_tokens(tests, &memory.entries, wme, resolve, recount),
+                };
                 // A new right match retracts instantiations; a removed
                 // one re-asserts them: the propagated sign is inverted.
                 (work, out, sign.invert())
             }
             (NodeKind::Negative, Payload::Left(token)) => {
+                let index_key = self.index_key(spec);
+                let key_of = |token: &Token| index_key.and_then(|t| t.token_key(token, resolve));
                 let (work, propagate) = match sign {
                     Sign::Plus => {
                         let mut count = 0u32;
@@ -805,23 +971,22 @@ impl ReteMatcher {
                         let tally = |_| count += 1;
                         let work =
                             kernel::scan_wmes(&spec.tests, &token, candidates, resolve, tally);
-                        self.neg_entries(node).push(NegEntry {
-                            token: token.clone(),
-                            count,
-                        });
+                        // The key value is read once, here, from a WME
+                        // that is live per the matcher contract and
+                        // immutable after; the bucket it selects is
+                        // where the entry stays until its minus.
+                        let key = key_of(&token);
+                        self.neg_memory_mut(node).insert(token.clone(), count, key);
                         self.stats.token_added();
                         (work, count == 0)
                     }
                     Sign::Minus => {
-                        let entries = self.neg_entries(node);
-                        let mut was_zero = false;
-                        if let Some(pos) = entries.iter().position(|e| e.token == token) {
-                            was_zero = entries.swap_remove(pos).count == 0;
-                            self.stats.token_removed();
-                        } else {
-                            self.stats.phantom_removes += 1;
+                        let removed = self.neg_memory_mut(node).remove(&token, key_of);
+                        match removed {
+                            Some(_) => self.stats.token_removed(),
+                            None => self.stats.phantom_removes += 1,
                         }
-                        (Work::default(), was_zero)
+                        (Work::default(), removed == Some(0))
                     }
                 };
                 if propagate {
@@ -833,9 +998,22 @@ impl ReteMatcher {
         }
     }
 
-    fn neg_entries(&mut self, node: NodeId) -> &mut Vec<NegEntry> {
+    /// The index key of `spec` when this matcher's memories are indexed
+    /// at all: what decides between one bucket and the whole memory.
+    fn index_key(&self, spec: &NodeSpec) -> Option<JoinTest> {
+        spec.key.filter(|_| self.memory == MemoryStrategy::Hashed)
+    }
+
+    fn neg_memory(&self, node: NodeId) -> &NegMemory {
+        match &self.states[node.index()] {
+            NodeState::Neg(memory) => memory,
+            _ => unreachable!("negative state"),
+        }
+    }
+
+    fn neg_memory_mut(&mut self, node: NodeId) -> &mut NegMemory {
         match &mut self.states[node.index()] {
-            NodeState::Neg(entries) => entries,
+            NodeState::Neg(memory) => memory,
             _ => unreachable!("negative state"),
         }
     }
@@ -915,21 +1093,22 @@ impl ReteMatcher {
     fn left_tokens<'a>(&'a self, spec: &NodeSpec, wme: &Wme) -> impl Iterator<Item = &'a Token> {
         let (tokens, negative): (&[Token], &[NegEntry]) = match spec.left {
             None => (std::slice::from_ref(&self.top), &[]),
-            Some(left) => match (&self.states[left.index()], spec.key) {
-                (NodeState::Mem { index, .. }, Some(t))
-                    if self.memory == MemoryStrategy::Hashed =>
-                {
+            Some(left) => match (&self.states[left.index()], self.index_key(spec)) {
+                (NodeState::Mem { index, .. }, Some(t)) => {
                     let bucket = t
                         .wme_key(wme)
                         .and_then(|v| index.get(&(t.token_pos, t.token_attr, v)));
                     (bucket.map_or(&[], Bucket::as_slice), &[])
                 }
-                (NodeState::Mem { tokens, .. }, _) => (tokens, &[]),
-                (NodeState::Neg(entries), _) => (&[], entries),
+                (NodeState::Mem { tokens, .. }, None) => (tokens, &[]),
+                (NodeState::Neg(memory), _) => (&[], &memory.entries),
                 (NodeState::Stateless, _) => unreachable!("left input must hold tokens"),
             },
         };
-        let unblocked = negative.iter().filter(|e| e.count == 0).map(|e| &e.token);
+        let unblocked = negative
+            .iter()
+            .filter(|e| e.count.get() == 0)
+            .map(|e| &e.token);
         tokens.iter().chain(unblocked)
     }
 
@@ -939,12 +1118,12 @@ impl ReteMatcher {
     /// token lacks the keyed attribute: nothing can match).
     fn right_wmes(&self, spec: &NodeSpec, token: &Token, wm: &WorkingMemory) -> &[WmeId] {
         let alpha = spec.alpha.expect("two-input node has alpha").index();
-        match spec.key {
-            Some(t) if self.memory == MemoryStrategy::Hashed => t
+        match self.index_key(spec) {
+            Some(t) => t
                 .token_key(token, |id| wm.get(id))
                 .and_then(|v| self.alpha_index[alpha].get(&(t.own_attr, v)))
                 .map_or(&[], Bucket::as_slice),
-            _ => &self.alpha_mems[alpha],
+            None => &self.alpha_mems[alpha],
         }
     }
 
@@ -1027,9 +1206,10 @@ impl Matcher for ReteMatcher {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ops5::{parse_program, parse_wme, Interpreter, SymbolTable};
+    use psm_obs::Rng64;
 
     fn setup(src: &str) -> (ops5::Program, ReteMatcher, WorkingMemory, SymbolTable) {
         let program = parse_program(src).unwrap();
@@ -1444,6 +1624,144 @@ mod tests {
         );
     }
 
+    /// Transitive closure (`workloads::programs::TRANSITIVE_CLOSURE`):
+    /// `tc-extend` ends in a negative node below a two-CE join, keyed on
+    /// one of its two variables.
+    pub(crate) const CLOSURE: &str = r#"
+        (p tc-init (edge ^from <a> ^to <b>) - (reach ^from <a> ^to <b>)
+           --> (make reach ^from <a> ^to <b>))
+        (p tc-extend (reach ^from <a> ^to <b>) (edge ^from <b> ^to <c>)
+           - (reach ^from <a> ^to <c>)
+           --> (make reach ^from <a> ^to <c>))"#;
+
+    /// A seeded churn of the closure program's working memory over a
+    /// twelve-node graph: `edge` and `reach` facts are asserted two steps
+    /// in three and a random live one retracted otherwise, then all are
+    /// retracted. The negative memories grow to hundreds of entries,
+    /// lose entries from the middle (so others are swap-moved) and see
+    /// their match counts rise above one and fall back through zero.
+    /// `feed` gets every change under the matcher contract: an added
+    /// WME is already in `wm`, a removed one still is.
+    pub(crate) fn closure_churn(
+        program: &Program,
+        seed: u64,
+        steps: usize,
+        mut feed: impl FnMut(&WorkingMemory, Change),
+    ) {
+        let mut rng = Rng64::new(seed);
+        let mut syms = program.symbols.clone();
+        let mut wm = WorkingMemory::new();
+        let mut live: Vec<WmeId> = Vec::new();
+        for _ in 0..steps {
+            if live.is_empty() || rng.gen_range(0..3u32) > 0 {
+                let class = if rng.gen_bool(0.3) { "edge" } else { "reach" };
+                let (a, b) = (rng.gen_range(0..12i64), rng.gen_range(0..12i64));
+                let wme = parse_wme(&format!("({class} ^from {a} ^to {b})"), &mut syms).unwrap();
+                let (id, _) = wm.add(wme);
+                live.push(id);
+                feed(&wm, Change::Add(id));
+            } else {
+                let id = live.swap_remove(rng.gen_range(0..live.len()));
+                feed(&wm, Change::Remove(id));
+                wm.remove(id);
+            }
+        }
+        for id in live {
+            feed(&wm, Change::Remove(id));
+            wm.remove(id);
+        }
+    }
+
+    /// Steps of [`closure_churn`] a test can afford (the Miri job runs
+    /// this crate's unit tests).
+    pub(crate) const CHURN_STEPS: usize = if cfg!(miri) { 150 } else { 900 };
+
+    /// `NegMemory` against a list of `(token, key)` pairs, through random
+    /// inserts and removes. A third of the removes cannot re-read any
+    /// key (the caller's view lost the WMEs), so the removed entry and
+    /// the entry swap-moved into its place are both relinked by
+    /// identity; some entries are filed nowhere.
+    #[test]
+    fn negative_memory_chains_follow_a_model() {
+        let mut rng = Rng64::new(0xC4A1);
+        let mut memory = NegMemory::default();
+        let mut model: Vec<(Token, Option<Value>)> = Vec::new();
+        let mut next_wme = 0;
+        for step in 0..if cfg!(miri) { 200 } else { 3000 } {
+            if model.is_empty() || rng.gen_range(0..5u32) < 3 {
+                next_wme += 1;
+                let token = Token::from_wmes(vec![WmeId::from_index(next_wme)]);
+                let key = (rng.gen_range(0..8u32) > 0).then(|| Value::Int(rng.gen_range(0..6i64)));
+                memory.insert(token.clone(), step, key);
+                model.push((token, key));
+            } else {
+                let at = rng.gen_range(0..model.len());
+                let token = model[at].0.clone();
+                let blind = rng.gen_range(0..3u32) == 0;
+                let key_of = |t: &Token| {
+                    let known = model.iter().find(|(m, _)| m == t);
+                    known.and_then(|(_, key)| key.filter(|_| !blind))
+                };
+                assert!(memory.remove(&token, key_of).is_some(), "step {step}");
+                model.swap_remove(at);
+                assert!(
+                    memory.remove(&token, |_| None).is_none(),
+                    "step {step}: twice"
+                );
+            }
+            assert_eq!(memory.entries.len(), model.len());
+            let mut filed = 0;
+            for v in (0..6).map(Value::Int) {
+                let mut chain: Vec<_> = memory.chain(Some(v)).map(|(_, e)| &e.token).collect();
+                let mut want: Vec<_> = model
+                    .iter()
+                    .filter(|m| m.1 == Some(v))
+                    .map(|m| &m.0)
+                    .collect();
+                chain.sort_by_key(|t| t.wmes());
+                want.sort_by_key(|t| t.wmes());
+                assert_eq!(chain, want, "step {step}: bucket {v:?}");
+                assert_eq!(
+                    memory.heads.contains_key(&v),
+                    !want.is_empty(),
+                    "step {step}"
+                );
+                filed += want.len();
+            }
+            assert_eq!(memory.filed(), filed, "step {step}");
+        }
+    }
+
+    #[test]
+    fn bucketed_negative_memories_match_linear_under_churn() {
+        let program = parse_program(CLOSURE).unwrap();
+        let mut linear = ReteMatcher::compile_linear(&program).unwrap();
+        let mut hashed = ReteMatcher::compile(&program).unwrap();
+        let mut peak = 0;
+        closure_churn(&program, 0xC105, CHURN_STEPS, |wm, change| {
+            let mut d1 = linear.process(wm, &[change]);
+            let mut d2 = hashed.process(wm, &[change]);
+            d1.canonicalize();
+            d2.canonicalize();
+            assert_eq!(d1, d2, "at {change:?}");
+            assert_eq!(hashed.resident_tokens(), linear.resident_tokens());
+            peak = peak.max(hashed.resident_index_entries());
+        });
+        assert!(peak > CHURN_STEPS / 3, "index peaked at {peak} entries");
+        assert!(
+            hashed.stats().pairs_scanned * 2 < linear.stats().pairs_scanned,
+            "hashed {} vs linear {}",
+            hashed.stats().pairs_scanned,
+            linear.stats().pairs_scanned
+        );
+        for m in [&hashed, &linear] {
+            assert_eq!(m.resident_tokens(), 0);
+            assert_eq!(m.resident_index_entries(), 0);
+            assert_eq!(m.resident_index_buckets(), 0);
+            assert_eq!(m.stats().phantom_removes, 0);
+        }
+    }
+
     #[test]
     fn hashed_beta_memory_speeds_right_activations() {
         // Big left memory (many goal x block partial matches), then a
@@ -1611,32 +1929,76 @@ mod tests {
         assert_eq!(m.stats().phantom_removes, 0);
     }
 
+    /// The same contract for a negative node's own memory, which stores
+    /// no key beside its entries: when the WME a token's key was read
+    /// from is gone from the caller's view, the minus finds the entry —
+    /// and the link that files it — by identity.
+    #[test]
+    fn negative_minus_unfiles_without_the_callers_wm_view() {
+        // The negative node is keyed on `(0, x)`, a value on the `a`
+        // WME; retracting `b` reaches it without needing `a`.
+        let (_p, mut m, mut wm, mut syms) =
+            setup("(p r (a ^x <v>) (b ^y <w>) - (c ^x <v>) --> (remove 1))");
+        let (ia, _) = add(&mut m, &mut wm, &mut syms, "(a ^x 1)");
+        add(&mut m, &mut wm, &mut syms, "(a ^x 2)");
+        let before = (m.resident_index_entries(), m.resident_index_buckets());
+        let (ib, d) = add(&mut m, &mut wm, &mut syms, "(b ^y 7)");
+        assert_eq!(d.added.len(), 2);
+        // One alpha-memory entry for `b` (unindexed: its join has no
+        // key) and the two negative-memory entries, a bucket each.
+        assert_eq!(
+            (m.resident_index_entries(), m.resident_index_buckets()),
+            (before.0 + 2, before.1 + 2)
+        );
+        let (_, d) = add(&mut m, &mut wm, &mut syms, "(c ^x 1)");
+        assert_eq!(d.removed.len(), 1, "only the x = 1 bucket is blocked");
+
+        wm.remove(ia);
+        let d = m.process(&wm, &[Change::Remove(ib)]);
+        assert_eq!(d.removed.len(), 1, "the unblocked x = 2 instantiation");
+        assert_eq!(m.stats().phantom_removes, 0);
+        let c_entry = 1; // the `c` WME in its alpha index
+        assert_eq!(
+            (m.resident_index_entries(), m.resident_index_buckets()),
+            (before.0 + c_entry, before.1 + c_entry),
+            "both negative buckets are gone"
+        );
+    }
+
     /// Empty buckets are pruned on removal: a full assert/retract churn
     /// cycle returns both the entry count and the bucket (key) count to
     /// baseline instead of growing with every distinct value ever seen.
     #[test]
     fn index_buckets_prune_to_baseline_after_churn() {
-        let (_p, mut m, mut wm, mut syms) = setup("(p r (a ^x <v>) (b ^x <v>) --> (remove 1))");
-        assert_eq!(m.resident_index_entries(), 0);
-        assert_eq!(m.resident_index_buckets(), 0);
-        for round in 0..3 {
-            let mut ids = Vec::new();
-            for i in 0..10 {
-                let v = round * 100 + i; // fresh values every round
-                let (id, _) = add(&mut m, &mut wm, &mut syms, &format!("(a ^x {v})"));
-                ids.push(id);
-                let (id, _) = add(&mut m, &mut wm, &mut syms, &format!("(b ^x {v})"));
-                ids.push(id);
+        for src in [
+            "(p r (a ^x <v>) (b ^x <v>) --> (remove 1))",
+            // The negative node's own buckets: three rounds of tokens
+            // filed, blocked, freed and unfiled.
+            "(p r (a ^x <v>) - (b ^x <v>) --> (remove 1))",
+        ] {
+            let (_p, mut m, mut wm, mut syms) = setup(src);
+            assert_eq!(m.resident_index_entries(), 0);
+            assert_eq!(m.resident_index_buckets(), 0);
+            for round in 0..3 {
+                let mut ids = Vec::new();
+                for i in 0..10 {
+                    let v = round * 100 + i; // fresh values every round
+                    let (id, _) = add(&mut m, &mut wm, &mut syms, &format!("(a ^x {v})"));
+                    ids.push(id);
+                    let (id, _) = add(&mut m, &mut wm, &mut syms, &format!("(b ^x {v})"));
+                    ids.push(id);
+                }
+                assert!(m.resident_index_buckets() > 0);
+                for id in ids {
+                    remove(&mut m, &mut wm, id);
+                }
+                assert_eq!(m.resident_index_entries(), 0, "round {round}: {src}");
+                assert_eq!(m.resident_index_buckets(), 0, "round {round}: {src}");
             }
-            assert!(m.resident_index_buckets() > 0);
-            for id in ids {
-                remove(&mut m, &mut wm, id);
-            }
-            assert_eq!(m.resident_index_entries(), 0, "round {round}");
-            assert_eq!(m.resident_index_buckets(), 0, "round {round}");
+            assert_eq!(m.resident_alpha_entries(), 0);
+            assert_eq!(m.resident_tokens(), 0);
+            assert_eq!(m.stats().phantom_removes, 0);
         }
-        assert_eq!(m.resident_alpha_entries(), 0);
-        assert_eq!(m.stats().phantom_removes, 0);
     }
 
     /// Deleting a token absent from a memory is counted (not just

@@ -7,7 +7,8 @@
 //! cheaper than rebuilding the network state from the whole working
 //! memory. This module serializes everything dynamic in a matcher —
 //! alpha memories (and hash indexes), beta-memory tokens, negative-node
-//! counts, and the work counters — into a canonical byte stream.
+//! counts and key-value buckets, and the work counters — into a
+//! canonical byte stream.
 //!
 //! The encoding is deterministic (hash-map keys are emitted in sorted
 //! order), so two matchers in identical logical states produce identical
@@ -15,20 +16,23 @@
 //! snapshot of a restored-and-replayed matcher byte-for-byte against the
 //! snapshot of a matcher that lived through the same changes.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use ops5::{ByteReader, ByteWriter, CodecError, FxHashMap, SymbolId, Value, WmeId};
 
 use crate::kernel::Bucket;
 use crate::network::Network;
-use crate::runtime::{MemoryStrategy, NegEntry, NodeState, ReteMatcher};
+use crate::runtime::{MemoryStrategy, NegEntry, NegMemory, NodeState, ReteMatcher, NIL};
 use crate::stats::MatchStats;
 use crate::token::Token;
 
 const MAGIC: [u8; 4] = *b"PSMR";
 // v2: `phantom_removes` joined the stats block, and beta-memory entries
 // carry their captured hash-index key values (parallel to the tokens).
-const VERSION: u32 = 2;
+// v3: negative-node memories carry their key-value buckets (a `next`
+// link per entry and the bucket heads).
+const VERSION: u32 = 3;
 
 /// A serialized matcher state (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,6 +150,40 @@ fn decode_captured_keys(r: &mut ByteReader<'_>) -> Result<Box<[Option<Value>]>, 
     Ok(keys.into_boxed_slice())
 }
 
+/// Decodes a negative node's memory. A link (a bucket head or an
+/// entry's `next`) must name an entry of the memory, and no entry may
+/// be named twice: chains then neither leave the memory, nor merge, nor
+/// loop back into themselves.
+fn decode_negative(r: &mut ByteReader<'_>) -> Result<NegMemory, CodecError> {
+    let n = r.usize()?;
+    let mut memory = NegMemory::default();
+    memory.entries.reserve(n.min(1 << 20));
+    let mut links = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
+        let token = decode_token(r)?;
+        let count = Cell::new(r.u32()?);
+        let next = r.u32()?;
+        links.extend((next != NIL).then_some(next));
+        memory.entries.push(NegEntry { token, count, next });
+    }
+    for _ in 0..r.usize()? {
+        let key = Value::decode(r)?;
+        let head = r.u32()?;
+        links.push(head);
+        if memory.heads.insert(key, head).is_some() {
+            return Err(CodecError::Invalid("repeated negative bucket"));
+        }
+    }
+    let mut named = vec![false; memory.entries.len()];
+    for at in links {
+        match named.get_mut(at as usize) {
+            Some(seen) if !*seen => *seen = true,
+            _ => return Err(CodecError::Invalid("negative bucket link out of place")),
+        }
+    }
+    Ok(memory)
+}
+
 impl ReteMatcher {
     /// Serializes all dynamic matcher state into a versioned snapshot.
     ///
@@ -182,6 +220,7 @@ impl ReteMatcher {
                 }
             }
         }
+        let mut heads: Vec<(Value, u32)> = Vec::new();
         for (node, state) in self.states.iter().enumerate() {
             match state {
                 NodeState::Mem {
@@ -217,12 +256,24 @@ impl ReteMatcher {
                         }
                     }
                 }
-                NodeState::Neg(entries) => {
+                NodeState::Neg(memory) => {
                     w.u8(1);
-                    w.usize(entries.len());
-                    for e in entries {
+                    w.usize(memory.entries.len());
+                    for e in &memory.entries {
                         encode_token(&mut w, &e.token);
-                        w.u32(e.count);
+                        w.u32(e.count.get());
+                        w.u32(e.next);
+                    }
+                    // With the entries' `next` links, the index as it
+                    // is: a restored matcher scans each bucket in the
+                    // order this one does.
+                    heads.clear();
+                    heads.extend(memory.heads.iter().map(|(&key, &at)| (key, at)));
+                    heads.sort_unstable();
+                    w.usize(heads.len());
+                    for &(key, head) in &heads {
+                        key.encode(&mut w);
+                        w.u32(head);
                     }
                 }
                 NodeState::Stateless => w.u8(2),
@@ -334,16 +385,7 @@ impl ReteMatcher {
                         index,
                     }
                 }
-                1 => {
-                    let n = r.usize()?;
-                    let mut entries = Vec::with_capacity(n.min(1 << 20));
-                    for _ in 0..n {
-                        let token = decode_token(&mut r)?;
-                        let count = r.u32()?;
-                        entries.push(NegEntry { token, count });
-                    }
-                    NodeState::Neg(entries)
-                }
+                1 => NodeState::Neg(decode_negative(&mut r)?),
                 2 => NodeState::Stateless,
                 _ => return Err(CodecError::Invalid("bad node-state tag")),
             });
@@ -423,6 +465,99 @@ mod tests {
                 "states stay byte-identical after further changes"
             );
         }
+    }
+
+    /// The same on a state only removals produce: negative memories
+    /// hundreds of entries long whose chains were unlinked from the
+    /// middle and repointed at swap-moved entries. The restored matcher
+    /// scans them in the lived-through order, so from then on it emits
+    /// the same deltas in the same order and re-encodes to the same bytes.
+    #[test]
+    fn roundtrip_preserves_bucketed_negative_memories_through_churn() {
+        use crate::runtime::tests::{closure_churn, CHURN_STEPS, CLOSURE};
+        let program = parse_program(CLOSURE).unwrap();
+        let mut live = ReteMatcher::compile(&program).unwrap();
+        let mut restored: Option<ReteMatcher> = None;
+        let mut step = 0;
+        closure_churn(&program, 0x5EED, CHURN_STEPS, |wm, change| {
+            step += 1;
+            let delta = live.process(wm, &[change]);
+            if let Some(restored) = &mut restored {
+                assert_eq!(restored.process(wm, &[change]), delta, "step {step}");
+            }
+            if step == CHURN_STEPS * 2 / 3 {
+                let snap = live.snapshot();
+                assert!(
+                    live.resident_index_buckets() > 12,
+                    "negative buckets in the image"
+                );
+                let back = ReteMatcher::restore(live.network().clone(), &snap).unwrap();
+                assert_eq!(back.snapshot().as_bytes(), snap.as_bytes());
+                assert_eq!(back.resident_index_entries(), live.resident_index_entries());
+                restored = Some(back);
+            }
+            if step % 64 == 0 || step == CHURN_STEPS {
+                if let Some(restored) = &restored {
+                    assert_eq!(
+                        restored.snapshot().as_bytes(),
+                        live.snapshot().as_bytes(),
+                        "step {step}"
+                    );
+                }
+            }
+        });
+        let restored = restored.expect("snapshot step reached");
+        assert_eq!(restored.snapshot().as_bytes(), live.snapshot().as_bytes());
+        assert_eq!(restored.resident_tokens(), 0);
+        assert_eq!(restored.resident_index_buckets(), 0);
+    }
+
+    /// Two tokens in the one bucket of a negative node; the image ends
+    /// with that bucket's head and the terminal's one-byte state.
+    fn negative_bucket_image() -> (ReteMatcher, Vec<u8>) {
+        let program = parse_program("(p r (a ^x <v>) - (b ^x <v>) --> (halt))").unwrap();
+        let mut m = ReteMatcher::compile(&program).unwrap();
+        let mut wm = WorkingMemory::new();
+        let mut syms = program.symbols.clone();
+        for _ in 0..2 {
+            let (id, _) = wm.add(parse_wme("(a ^x 1)", &mut syms).unwrap());
+            m.process(&wm, &[Change::Add(id)]);
+        }
+        let bytes = m.snapshot().as_bytes().to_vec();
+        let tail = bytes.len() - 5;
+        assert_eq!(bytes[tail..], [1, 0, 0, 0, 2], "entry 1 heads the chain");
+        (m, bytes)
+    }
+
+    #[test]
+    fn restore_rejects_a_negative_bucket_link_out_of_place() {
+        let (m, bytes) = negative_bucket_image();
+        let head = bytes.len() - 5;
+        // Outside the memory, then inside it but at an entry the other
+        // entry's `next` already names.
+        for bad in [2u8, 0] {
+            let mut bytes = bytes.clone();
+            bytes[head] = bad;
+            let restored =
+                ReteMatcher::restore(m.network().clone(), &ReteSnapshot::from_bytes(bytes));
+            assert!(
+                matches!(restored, Err(CodecError::Invalid(_))),
+                "head {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_version_2_image() {
+        let (m, mut bytes) = negative_bucket_image();
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(
+            ReteMatcher::restore(m.network().clone(), &ReteSnapshot::from_bytes(bytes)).err(),
+            Some(CodecError::BadVersion {
+                supported: 3,
+                found: 2
+            })
+        );
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! produce identical conflict-set deltas on random add/remove streams.
 
 use psm::baselines::{NaiveMatcher, TreatMatcher};
+use psm::core::{ParallelOptions, ParallelReteMatcher};
 use psm::obs::Rng64;
 use psm::ops5::{parse_program, Change, Matcher, Program, Value, Wme, WorkingMemory};
 use psm::rete::{MatchStats, ReteMatcher};
-use psm::workloads::{GeneratedWorkload, Preset, WorkloadDriver};
+use psm::workloads::{programs, GeneratedWorkload, Preset, WorkloadDriver};
 
 const CLASSES: [&str; 2] = ["s", "t"];
 const VALUE_DOMAIN: i64 = 3;
@@ -370,4 +371,81 @@ fn presets_fire_identically_under_both_strategies() {
         assert_eq!(hashed.resident_index_buckets(), 0, "{}", preset.name());
         assert_eq!(hashed.stats().phantom_removes, 0, "{}", preset.name());
     }
+}
+
+/// The `tc-extend` shape under churn: the closure program's working
+/// memory over a twelve-node graph, `edge` and `reach` facts asserted
+/// two steps in three and a random live one retracted otherwise. Its
+/// negative nodes sit below a join and hold hundreds of tokens, entries
+/// leave from the middle of their memories and match counts cross zero
+/// both ways — what the sequential matcher's bucketed negative memory
+/// has to survive. Every matcher that implements a negative node its own
+/// way must emit the same deltas, and drain to nothing.
+#[test]
+fn closure_churn_keeps_negative_memories_equivalent() {
+    let (program, _) = programs::transitive_closure(&[]).expect("parses");
+    let parallel = |threads| {
+        let options = ParallelOptions {
+            threads,
+            share: true,
+        };
+        ParallelReteMatcher::compile(&program, options).expect("parallel compiles")
+    };
+    let mut hashed = ReteMatcher::compile(&program).expect("hashed compiles");
+    let mut linear = ReteMatcher::compile_linear(&program).expect("linear compiles");
+    let mut treat = TreatMatcher::compile(&program).expect("treat compiles");
+    let (mut par1, mut par2) = (parallel(1), parallel(2));
+
+    let mut rng = Rng64::new(0xC105);
+    let mut symbols = program.symbols.clone();
+    let classes = ["edge", "reach"].map(|c| symbols.intern(c));
+    let (from, to) = (symbols.intern("from"), symbols.intern("to"));
+    let mut wm = WorkingMemory::new();
+    let mut live = Vec::new();
+    let mut peak = 0;
+    let mut step = |wm: &mut WorkingMemory, change: Change| {
+        let mut expected = hashed.process(wm, &[change]);
+        expected.canonicalize();
+        let others: [(&str, &mut dyn Matcher); 4] = [
+            ("linear", &mut linear),
+            ("treat", &mut treat),
+            ("parallel x1", &mut par1),
+            ("parallel x2", &mut par2),
+        ];
+        for (name, matcher) in others {
+            let mut delta = matcher.process(wm, &[change]);
+            delta.canonicalize();
+            assert_eq!(delta, expected, "{name} at {change:?}");
+        }
+        if let Change::Remove(id) = change {
+            wm.remove(id);
+        }
+        peak = peak.max(hashed.resident_index_entries());
+    };
+    for _ in 0..900 {
+        if live.is_empty() || rng.gen_range(0..3u32) > 0 {
+            let class = classes[usize::from(rng.gen_bool(0.7))];
+            let ends = [from, to].map(|attr| (attr, Value::Int(rng.gen_range(0..12i64))));
+            let (id, _) = wm.add(Wme::new(class, ends.to_vec()));
+            live.push(id);
+            step(&mut wm, Change::Add(id));
+        } else {
+            let id = live.swap_remove(rng.gen_range(0..live.len()));
+            step(&mut wm, Change::Remove(id));
+        }
+    }
+    for id in live {
+        step(&mut wm, Change::Remove(id));
+    }
+    assert!(peak > 300, "index peaked at {peak} entries");
+    assert_eq!(normalized(hashed.stats()), normalized(linear.stats()));
+    assert!(hashed.stats().pairs_scanned * 2 < linear.stats().pairs_scanned);
+    for (name, rete) in [("hashed", &hashed), ("linear", &linear)] {
+        assert_eq!(rete.resident_tokens(), 0, "{name}: tokens leaked");
+        assert_eq!(rete.resident_index_entries(), 0, "{name}");
+        assert_eq!(rete.resident_index_buckets(), 0, "{name}");
+        assert_eq!(rete.stats().phantom_removes, 0, "{name}");
+    }
+    assert_eq!(par1.resident_tokens(), 0, "parallel x1: tokens leaked");
+    assert_eq!(par2.resident_tokens(), 0, "parallel x2: tokens leaked");
 }
