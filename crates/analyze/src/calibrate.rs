@@ -457,7 +457,7 @@ pub fn folded_stacks(program: &Program, network: &Network, snap: &ProfileSnapsho
 mod tests {
     use super::*;
     use ops5::parse_program;
-    use psm_obs::{NodeProfiler, ProfileKind};
+    use psm_obs::{NodeDelta, NodeProfiler, ProfileKind};
     use workloads::Preset;
 
     #[test]
@@ -526,16 +526,17 @@ mod tests {
         // pairs over 2 and 1 input tokens; cold's join compared 1 pair.
         let prof = NodeProfiler::new(network.iter().count());
         let j = |i: usize| hot_chain[i].index() as u32;
-        prof.record(j(0), ProfileKind::Join, true, 6, 2);
-        prof.record(j(1), ProfileKind::Join, false, 3, 1);
-        prof.record(
-            network.terminal(hot).index() as u32,
-            ProfileKind::Terminal,
-            false,
-            0,
-            1,
-        );
-        prof.record(cold_chain[0].index() as u32, ProfileKind::Join, true, 1, 1);
+        let one = |right, pairs, tokens_out| {
+            let mut d = NodeDelta::default();
+            d.record(right, pairs, tokens_out);
+            d
+        };
+        prof.add(j(0), ProfileKind::Join, &one(true, 6, 2));
+        prof.add(j(1), ProfileKind::Join, &one(false, 3, 1));
+        let terminal = network.terminal(hot).index() as u32;
+        prof.add(terminal, ProfileKind::Terminal, &one(false, 0, 1));
+        let cold_join = cold_chain[0].index() as u32;
+        prof.add(cold_join, ProfileKind::Join, &one(true, 1, 1));
         let snap = prof.snapshot();
 
         let folded = folded_stacks(&program, &network, &snap);

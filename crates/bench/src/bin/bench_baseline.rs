@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use ops5::{parse_program, parse_wmes, Interpreter, Matcher};
 use psm_bench::trajectory::{
-    append_history, fingerprint, git_commit, measure_reps, read_history, unix_now,
+    append_history, fingerprint, git_commit, measure_reps, read_history, rust_lines, unix_now,
     write_trajectory_artifact, PresetTrack, TrajectoryRecord,
 };
 use psm_bench::{f, print_table, CliOptions, Variant};
@@ -457,6 +457,8 @@ fn main() {
         ],
         &rows,
     );
+    let rust_lines = rust_lines();
+    println!("rust_lines: {rust_lines} (non-blank lines of *.rs under crates/*/src and src/)");
 
     let engine = run_parallel_engine(4, 30);
     let totals = engine.totals();
@@ -638,6 +640,7 @@ fn main() {
         telemetry_overhead_pct: delta_pct,
         profiler_overhead_pct: prof_delta_pct,
         sampler_overhead_pct: sampler_delta_pct,
+        rust_lines,
     };
     let history_path = format!("{out}/bench_history.jsonl");
     match append_history(&history_path, &record) {

@@ -231,7 +231,11 @@ fn blocks_world_section(out: &str) {
     let mut program = parse_program(&src).expect("blocks.ops parses");
     let initial = parse_wmes(&wm_src, &mut program.symbols).expect("blocks.wm parses");
     let mut matcher = ReteMatcher::compile(&program).expect("blocks compiles");
-    matcher.enable_profiling();
+    // The per-node profiler with latency detail on: what `/profile`
+    // serves from a live engine.
+    let node_obs = Arc::new(Obs::with_profile(0, 0, matcher.network().nodes.len()));
+    node_obs.set_detail(true);
+    matcher.attach_obs(node_obs.clone());
     let mut interp = Interpreter::new(program, matcher);
     interp.enable_phase_profiling();
     interp.enable_firing_log();
@@ -256,13 +260,14 @@ fn blocks_world_section(out: &str) {
         &rows,
     );
 
-    let profile = interp.matcher().profile().expect("profiling enabled");
+    let mut hot = node_obs.profile.snapshot().rows;
+    hot.sort_by_key(|r| (std::cmp::Reverse(r.latency.sum), r.node));
     let mut rows = Vec::new();
-    for h in profile.hot_nodes(5) {
+    for r in hot.iter().take(5) {
         rows.push(vec![
-            h.node.to_string(),
-            h.count.to_string(),
-            f(h.total_ns as f64 / 1e3, 1),
+            r.node.to_string(),
+            r.latency.count.to_string(),
+            f(r.latency.sum as f64 / 1e3, 1),
         ]);
     }
     print_table(

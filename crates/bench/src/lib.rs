@@ -1,9 +1,10 @@
 //! # psm-bench — the experiment harness
 //!
 //! One binary per table/figure of the paper (see `DESIGN.md` §4 for the
-//! experiment index) plus criterion micro-benchmarks. This library holds
-//! the shared plumbing: workload capture, table formatting, and the
-//! standard simulation sweep.
+//! experiment index) plus micro-benchmark targets under `benches/` on
+//! the in-repo [`microbench`] harness (`cargo bench -p psm-bench`). This
+//! library holds the shared plumbing: workload capture, table
+//! formatting, and the standard simulation sweep.
 //!
 //! Binaries (run with `cargo run --release -p psm-bench --bin <name>`):
 //!

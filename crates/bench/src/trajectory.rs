@@ -68,6 +68,32 @@ pub fn git_commit() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// Non-blank lines of `*.rs` under the workspace's `crates/*/src` and
+/// `src/` — ROADMAP's "least code" aim as a number on the trajectory,
+/// beside throughput. Counted in the source tree this binary was built
+/// from; 0 when that tree is gone.
+pub fn rust_lines() -> u64 {
+    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let mut dirs = vec![root.join("src")];
+    let crates = std::fs::read_dir(root.join("crates"));
+    for krate in crates.into_iter().flatten().flatten() {
+        dirs.push(krate.path().join("src"));
+    }
+    let mut lines = 0;
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(path).unwrap_or_default();
+                lines += text.lines().filter(|l| !l.trim().is_empty()).count() as u64;
+            }
+        }
+    }
+    lines
+}
+
 /// The `PSM_PERF_SLOWDOWN` multiplier (1.0 when unset, non-numeric, or
 /// ≤ 1). Values above 1 make every measured rep busy-spin to
 /// `multiplier ×` its real elapsed time — the seeded-slowdown self-test.
@@ -122,6 +148,9 @@ pub struct TrajectoryRecord {
     pub profiler_overhead_pct: f64,
     /// History-ring sampler marginal overhead, percent.
     pub sampler_overhead_pct: f64,
+    /// [`rust_lines`] of the measured tree. Zero in records written
+    /// before the column existed; `perf_gate` does not read it.
+    pub rust_lines: u64,
 }
 
 impl TrajectoryRecord {
@@ -161,11 +190,12 @@ impl TrajectoryRecord {
         }
         out.push_str(&format!(
             "],\"engine\":{{\"idle_share\":{}}},\"overhead\":{{\"telemetry_pct\":{},\
-             \"profiler_pct\":{},\"sampler_pct\":{}}}}}",
+             \"profiler_pct\":{},\"sampler_pct\":{}}},\"rust_lines\":{}}}",
             number(self.idle_share),
             number(self.telemetry_overhead_pct),
             number(self.profiler_overhead_pct),
             number(self.sampler_overhead_pct),
+            self.rust_lines,
         ));
         out
     }
@@ -211,6 +241,7 @@ impl TrajectoryRecord {
             telemetry_overhead_pct: j.get("overhead")?.get("telemetry_pct")?.as_f64()?,
             profiler_overhead_pct: j.get("overhead")?.get("profiler_pct")?.as_f64()?,
             sampler_overhead_pct: j.get("overhead")?.get("sampler_pct")?.as_f64()?,
+            rust_lines: j.get("rust_lines").and_then(Json::as_u64).unwrap_or(0),
         })
     }
 }
@@ -370,6 +401,7 @@ mod tests {
             telemetry_overhead_pct: 0.4,
             profiler_overhead_pct: 1.1,
             sampler_overhead_pct: 0.2,
+            rust_lines: 43_210,
         }
     }
 
@@ -385,6 +417,17 @@ mod tests {
         assert_eq!(back.rep_cycles, 1200);
         assert_eq!(back.sampler_overhead_pct, 0.2);
         assert_eq!(back.presets[0].linear_wme_changes_per_sec, 23456.25);
+        assert_eq!(back.rust_lines, 43_210);
+    }
+
+    #[test]
+    fn rust_lines_counts_the_tree_it_was_built_from() {
+        let own = include_str!("trajectory.rs");
+        let own = own.lines().filter(|l| !l.trim().is_empty()).count() as u64;
+        assert!(
+            rust_lines() > 20 * own,
+            "this file is a small part of the workspace"
+        );
     }
 
     #[test]
@@ -394,9 +437,11 @@ mod tests {
         // existed by stripping the field from the serialized line.
         let line = r
             .to_json()
-            .replace("\"linear_wme_changes_per_sec\":23456.25,", "");
+            .replace("\"linear_wme_changes_per_sec\":23456.25,", "")
+            .replace(",\"rust_lines\":43210", "");
         let back = TrajectoryRecord::from_json(&line).expect("old shape still parses");
         assert_eq!(back.presets[0].linear_wme_changes_per_sec, 0.0);
+        assert_eq!(back.rust_lines, 0, "absent in records before the column");
         assert_eq!(back.presets[0].wme_changes_per_sec, 123456.5);
     }
 

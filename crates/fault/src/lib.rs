@@ -15,17 +15,18 @@
 //! * **[`Checkpoint`] + [`Wal`]** — versioned byte-level snapshots of
 //!   working memory, Rete memories, and conflict set, plus a
 //!   write-ahead log of committed change batches. The supervisor
-//!   keeps the committed state warm in a mirror that replays each
-//!   logged batch once, so a checkpoint costs the WAL tail plus one
-//!   snapshot and recovery = promote the mirror; restore snapshot +
-//!   replay tail is the cold path for when nothing warm exists. Either
-//!   way the pre-fault state is reproduced *byte-for-byte* (same WME
-//!   ids, same time tags, same memory contents) — asserted, not
-//!   assumed, by the tests.
+//!   keeps the committed state warm, once: a working memory, a
+//!   sequential matcher and the conflict set that take each logged
+//!   batch exactly once, so a checkpoint costs the WAL tail plus one
+//!   snapshot and recovery = make that matcher the live one; restore
+//!   snapshot + replay tail is the cold path for when nothing warm
+//!   exists. Either way the pre-fault state is reproduced
+//!   *byte-for-byte* (same WME ids, same time tags, same memory
+//!   contents) — asserted, not assumed, by the tests.
 //! * **[`Supervisor`]** — a drop-in [`ops5::Matcher`] that runs the
 //!   matcher ladder parallel → sequential → naive with per-cycle
 //!   deadlines, bounded retry-with-backoff on transient faults,
-//!   mirror recovery on engine faults, and monotonic graceful
+//!   committed-state recovery on engine faults, and monotonic graceful
 //!   degradation. Every fault, retry, fallback, and recovery is
 //!   counted in a [`FaultReport`] and published to `psm-obs`.
 //!
@@ -290,8 +291,8 @@ mod tests {
     }
 
     /// Drives `sup` and a never-faulted sequential matcher in lockstep
-    /// and, after every cycle, holds the committed snapshot (mirror or
-    /// live matcher) against the cold path and the reference, and a
+    /// and, after every cycle, holds the committed snapshot (trailing
+    /// or live) against the cold path and the reference, and a
     /// chain fed every new checkpoint against that checkpoint. `sup`
     /// may be a [`FailoverPair`]; `active` names the live supervisor.
     fn assert_committed_state_every_cycle<M: Matcher>(
@@ -345,7 +346,7 @@ mod tests {
     }
 
     #[test]
-    fn mirror_equals_the_cold_path_on_every_preset() {
+    fn the_committed_state_equals_the_cold_path_on_every_preset() {
         for (i, preset) in Preset::all().iter().enumerate() {
             let w = GeneratedWorkload::generate(preset.spec_small()).expect("generates");
             let horizon = w.spec.wm_size as u64 + 20;
@@ -356,14 +357,18 @@ mod tests {
                 sup.set_fault_plan(plan.clone());
                 let sup = assert_committed_state_every_cycle(&w, sup, |s| s, 20, &what);
                 if plan.is_none() {
-                    assert_eq!(sup.tier(), Tier::Parallel, "{what}: the mirror path ran");
+                    assert_eq!(
+                        sup.tier(),
+                        Tier::Parallel,
+                        "{what}: the lazy catch-up path ran"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn promoting_the_mirror_replays_only_the_unapplied_tail() {
+    fn recovery_replays_only_the_tail_the_committed_state_had_not_seen() {
         let w = small_workload();
         let init = w.spec.wm_size as u64;
         // Batch k (0-based supervised cycle k) runs phases 2k+1, 2k+2:
@@ -382,7 +387,7 @@ mod tests {
             driver.commit_batch(&batch);
         }
         // Two of the three tail entries are committed. Looking at the
-        // committed state replays them into the mirror, once.
+        // committed state replays them into it, once.
         let before = sup.report().wal_replayed;
         sup.committed_snapshot();
         assert_eq!(sup.report().wal_replayed, before + 2);
@@ -412,7 +417,7 @@ mod tests {
     }
 
     #[test]
-    fn the_naive_tier_keeps_checkpointing_from_a_mirror() {
+    fn the_naive_tier_keeps_checkpointing_from_a_rebuilt_committed_state() {
         let w = small_workload();
         let init = w.spec.wm_size as u64;
         // Six failed attempts exhaust the retry budget twice: parallel
@@ -435,7 +440,7 @@ mod tests {
     }
 
     #[test]
-    fn a_promoted_standby_has_no_mirror_and_stays_exact() {
+    fn a_promoted_standby_never_replays_and_stays_exact() {
         let w = small_workload();
         let kill_at = w.spec.wm_size as u64 + 5;
         let plan = Arc::new(FaultPlan::new(0).with_primary_kill(kill_at));
@@ -450,6 +455,91 @@ mod tests {
             0,
             "the live matcher is the committed state: nothing is ever replayed"
         );
+    }
+
+    /// Drives `sup` through three clean batches, checks it is at the
+    /// tier under test, then lets the driver assert a batch into its
+    /// working memory that is never handed to `process`. The next
+    /// supervised batch must refuse to run.
+    fn mutate_behind_the_supervisor<M: Matcher>(
+        w: &GeneratedWorkload,
+        mut sup: M,
+        tier: impl Fn(&M) -> Tier,
+        expected: Tier,
+    ) {
+        let asserts =
+            |batch: &[ops5::Change]| batch.iter().any(|c| matches!(c, ops5::Change::Add(_)));
+        let mut driver = WorkloadDriver::new(w.clone(), 11);
+        driver.init(&mut sup);
+        for _ in 0..3 {
+            let batch = driver.next_batch();
+            sup.process(driver.working_memory(), &batch);
+            driver.commit_batch(&batch);
+        }
+        assert_eq!(tier(&sup), expected, "the tier under test was reached");
+        let stray = driver.next_batch();
+        driver.commit_batch(&stray);
+        let batch = driver.next_batch();
+        assert!(asserts(&stray) && asserts(&batch), "both batches assert");
+        sup.process(driver.working_memory(), &batch);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of sync")]
+    fn a_stray_assertion_is_caught_by_the_next_batch_at_the_parallel_tier() {
+        let w = small_workload();
+        let sup = Supervisor::new(&w.program, fast_config()).expect("compiles");
+        mutate_behind_the_supervisor(&w, sup, Supervisor::tier, Tier::Parallel);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of sync")]
+    fn a_stray_assertion_is_caught_by_the_next_batch_at_the_sequential_tier() {
+        let w = small_workload();
+        // Three failed attempts exhaust the retry budget once: the first
+        // post-init cycle leaves the parallel tier.
+        let plan = FaultPlan::new(0).with_cycle_fault(w.spec.wm_size as u64, 3);
+        let mut sup = Supervisor::new(&w.program, fast_config()).expect("compiles");
+        sup.set_fault_plan(Some(Arc::new(plan)));
+        mutate_behind_the_supervisor(&w, sup, Supervisor::tier, Tier::Sequential);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of sync")]
+    fn a_stray_assertion_is_caught_by_the_next_batch_on_a_promoted_standby() {
+        let w = small_workload();
+        let plan = FaultPlan::new(0).with_primary_kill(w.spec.wm_size as u64 + 1);
+        let replication = ReplicationConfig::default();
+        let pair = FailoverPair::new(&w.program, fast_config(), replication, Some(Arc::new(plan)))
+            .expect("compiles");
+        mutate_behind_the_supervisor(&w, pair, FailoverPair::tier, Tier::Promoted);
+    }
+
+    #[test]
+    fn gauges_stay_at_the_frontier_while_the_committed_state_trails() {
+        let w = small_workload();
+        let obs = Arc::new(psm_obs::Obs::new(64));
+        let mut sup = Supervisor::new(&w.program, fast_config()).expect("compiles");
+        sup.attach_obs(obs.clone());
+        let mut driver = WorkloadDriver::new(w.clone(), 11);
+        driver.init(&mut sup);
+        for _ in 0..6 {
+            let batch = driver.next_batch();
+            sup.process(driver.working_memory(), &batch);
+            driver.commit_batch(&batch);
+            // The gauges first: reading the conflict set is what
+            // catches the committed state up.
+            let gauges = obs.metrics.snapshot().gauges;
+            assert_eq!(gauges["fault.wal_entries"], sup.wal().len() as i64);
+            assert_eq!(
+                gauges["fault.conflict_size"],
+                sup.conflict_set().len() as i64
+            );
+        }
+        assert_eq!(sup.tier(), Tier::Parallel);
+        let counters = obs.metrics.snapshot().counters;
+        assert_eq!(counters["fault.checkpoints"], sup.report().checkpoints);
+        assert_eq!(counters["fault.fallbacks"], 0);
     }
 
     #[test]

@@ -165,7 +165,7 @@ impl ReplicationStore {
             full_count,
             delta_bytes,
             delta_count,
-            segments: inner.wal.manifest().len(),
+            segments: inner.wal.segments(),
             wal_bytes: inner.wal.total_bytes(),
             segments_gced: inner.wal.gc_dropped(),
             primary_cycle: inner.primary_cycle,

@@ -9,13 +9,15 @@
 //! * every segment starts with the `PSML` magic at **version 2** and
 //!   its sequence number;
 //! * every entry is framed as `[len u32][crc32 u32][payload]`, where
-//!   the payload is the same [`WalEntry`] encoding `PSML` v1 uses;
+//!   the payload is [`encode_entry`]'s;
 //! * there is deliberately **no entry count** in the header, so a
 //!   segment torn mid-write decodes to its longest valid frame prefix
 //!   ([`WalSegment::from_bytes_lossy`]) instead of failing whole;
 //! * a [`SegmentedWal`] rotates the open segment past a byte bound,
 //!   reports a [`SegmentMeta`] manifest, and garbage-collects sealed
-//!   segments once a checkpoint covers their last cycle.
+//!   segments once a checkpoint covers their last cycle. It holds every
+//!   segment, the open one included, as the bytes it ships: an entry is
+//!   encoded once, when it is appended.
 //!
 //! The CRC is plain IEEE CRC-32 ([`crc32`]), hand-rolled (table-driven,
 //! eight bytes per step) because the workspace is zero-dependency.
@@ -92,6 +94,23 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// The bytes every segment starts with.
+fn segment_header(seq: u64) -> Vec<u8> {
+    let mut w = ByteWriter::with_header(MAGIC, VERSION);
+    w.u64(seq);
+    w.finish()
+}
+
+/// Appends `entry` to `out` as one `[len][crc32][payload]` frame.
+fn push_frame(out: &mut Vec<u8>, entry: &WalEntry) {
+    let mut payload = ByteWriter::new();
+    encode_entry(&mut payload, entry);
+    let payload = payload.finish();
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+}
+
 /// One bounded run of WAL entries, identified by a sequence number.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WalSegment {
@@ -123,17 +142,11 @@ impl WalSegment {
     /// Serializes the segment: `PSML` v2 header, then one CRC frame
     /// per entry.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_header(MAGIC, VERSION);
-        w.u64(self.seq);
+        let mut out = segment_header(self.seq);
         for entry in &self.entries {
-            let mut payload = ByteWriter::new();
-            encode_entry(&mut payload, entry);
-            let payload = payload.finish();
-            w.u32(payload.len() as u32);
-            w.u32(crc32(&payload));
-            w.bytes(&payload);
+            push_frame(&mut out, entry);
         }
-        w.finish()
+        out
     }
 
     /// The serialized size of `entry` inside a segment, frame overhead
@@ -235,6 +248,31 @@ pub struct SegmentMeta {
     pub open: bool,
 }
 
+impl SegmentMeta {
+    /// The row of segment `seq` before its first entry.
+    fn empty(seq: u64) -> Self {
+        SegmentMeta {
+            seq,
+            first_cycle: u64::MAX,
+            last_cycle: 0,
+            entries: 0,
+            bytes: 0,
+            crc: 0,
+            open: true,
+        }
+    }
+
+    /// The row with its size and CRC read off the segment's `bytes`.
+    fn over(self, bytes: &[u8], open: bool) -> Self {
+        SegmentMeta {
+            bytes: bytes.len(),
+            crc: crc32(bytes),
+            open,
+            ..self
+        }
+    }
+}
+
 /// The shipped WAL: sealed segments plus one open append target.
 ///
 /// Unlike [`crate::Wal`], nothing here is truncated at a checkpoint;
@@ -244,8 +282,12 @@ pub struct SegmentMeta {
 pub struct SegmentedWal {
     max_segment_bytes: usize,
     sealed: Vec<(SegmentMeta, Vec<u8>)>,
-    open: WalSegment,
-    open_bytes: usize,
+    /// The open segment as it would ship right now: header, then one
+    /// frame per appended entry.
+    open: Vec<u8>,
+    /// The open segment's cycle range and entry count, kept as entries
+    /// arrive; its size and CRC are read off `open` when a row is.
+    open_meta: SegmentMeta,
     gc_dropped: u64,
 }
 
@@ -257,8 +299,8 @@ impl SegmentedWal {
         SegmentedWal {
             max_segment_bytes: max_segment_bytes.max(1),
             sealed: Vec::new(),
-            open: WalSegment::new(0),
-            open_bytes: 0,
+            open: segment_header(0),
+            open_meta: SegmentMeta::empty(0),
             gc_dropped: 0,
         }
     }
@@ -266,32 +308,27 @@ impl SegmentedWal {
     /// Appends one committed entry, rotating first if the open segment
     /// is already at its bound.
     pub fn append(&mut self, entry: &WalEntry) {
-        if self.open_bytes >= self.max_segment_bytes && !self.open.entries.is_empty() {
+        if self.open.len() - HEADER_BYTES >= self.max_segment_bytes {
             self.seal();
         }
-        self.open_bytes += WalSegment::framed_len(entry);
-        self.open.entries.push(entry.clone());
+        push_frame(&mut self.open, entry);
+        let meta = &mut self.open_meta;
+        if meta.entries == 0 {
+            meta.first_cycle = entry.cycle;
+        }
+        meta.last_cycle = entry.cycle;
+        meta.entries += 1;
     }
 
     /// Seals the open segment (no-op when empty) and starts the next.
     pub fn seal(&mut self) {
-        if self.open.entries.is_empty() {
+        if self.open_meta.entries == 0 {
             return;
         }
-        let bytes = self.open.to_bytes();
-        let meta = SegmentMeta {
-            seq: self.open.seq,
-            first_cycle: self.open.first_cycle().unwrap_or(u64::MAX),
-            last_cycle: self.open.last_cycle().unwrap_or(0),
-            entries: self.open.entries.len(),
-            bytes: bytes.len(),
-            crc: crc32(&bytes),
-            open: false,
-        };
-        let next_seq = self.open.seq + 1;
-        self.sealed.push((meta, bytes));
-        self.open = WalSegment::new(next_seq);
-        self.open_bytes = 0;
+        let next = self.open_meta.seq + 1;
+        let bytes = std::mem::replace(&mut self.open, segment_header(next));
+        let meta = std::mem::replace(&mut self.open_meta, SegmentMeta::empty(next));
+        self.sealed.push((meta.over(&bytes, false), bytes));
     }
 
     /// Drops sealed segments fully covered by a checkpoint at `cycle`
@@ -305,39 +342,35 @@ impl SegmentedWal {
         dropped
     }
 
+    /// Live segments: the sealed ones, plus the open one once it holds
+    /// an entry.
+    pub fn segments(&self) -> usize {
+        self.sealed.len() + usize::from(self.open_meta.entries > 0)
+    }
+
     /// Manifest rows for every live segment, sealed first, open last.
     pub fn manifest(&self) -> Vec<SegmentMeta> {
         let mut rows: Vec<SegmentMeta> = self.sealed.iter().map(|(m, _)| *m).collect();
-        if !self.open.entries.is_empty() {
-            let bytes = self.open.to_bytes();
-            rows.push(SegmentMeta {
-                seq: self.open.seq,
-                first_cycle: self.open.first_cycle().unwrap_or(u64::MAX),
-                last_cycle: self.open.last_cycle().unwrap_or(0),
-                entries: self.open.entries.len(),
-                bytes: bytes.len(),
-                crc: crc32(&bytes),
-                open: true,
-            });
+        if self.open_meta.entries > 0 {
+            rows.push(self.open_meta.over(&self.open, true));
         }
         rows
     }
 
-    /// Serialized bytes of segment `seq` (sealed bytes verbatim; the
-    /// open segment is encoded at its current frontier).
+    /// Serialized bytes of segment `seq` (the open segment at its
+    /// current frontier).
     pub fn segment_bytes(&self, seq: u64) -> Option<Vec<u8>> {
         if let Some((_, bytes)) = self.sealed.iter().find(|(m, _)| m.seq == seq) {
             return Some(bytes.clone());
         }
-        if seq == self.open.seq && !self.open.entries.is_empty() {
-            return Some(self.open.to_bytes());
-        }
-        None
+        (seq == self.open_meta.seq && self.open_meta.entries > 0).then(|| self.open.clone())
     }
 
-    /// Total serialized bytes across live segments.
+    /// Total serialized bytes across live segments (the open one's
+    /// header excluded, as in the rotation bound).
     pub fn total_bytes(&self) -> usize {
-        self.sealed.iter().map(|(m, _)| m.bytes).sum::<usize>() + self.open_bytes
+        let sealed: usize = self.sealed.iter().map(|(m, _)| m.bytes).sum();
+        sealed + self.open.len() - HEADER_BYTES
     }
 
     /// Segments dropped by GC over the log's lifetime.
@@ -454,6 +487,136 @@ mod tests {
         bytes[0] = b'X';
         assert!(WalSegment::from_bytes_lossy(&bytes).is_err());
         assert!(WalSegment::from_bytes_lossy(&bytes[..6]).is_err());
+    }
+
+    /// Reference model of a [`SegmentedWal`]: every segment as the
+    /// entries appended to it, the open one last (possibly empty).
+    struct Model {
+        max: usize,
+        segments: Vec<WalSegment>,
+    }
+
+    impl Model {
+        fn open(&self) -> &WalSegment {
+            self.segments.last().expect("always an open segment")
+        }
+
+        fn seal(&mut self) {
+            if !self.open().entries.is_empty() {
+                let next = WalSegment::new(self.open().seq + 1);
+                self.segments.push(next);
+            }
+        }
+
+        fn append(&mut self, entry: WalEntry) {
+            let framed: usize = self.open().entries.iter().map(WalSegment::framed_len).sum();
+            if framed >= self.max {
+                self.seal();
+            }
+            self.segments.last_mut().unwrap().entries.push(entry);
+        }
+
+        fn gc_covered(&mut self, cycle: u64) -> usize {
+            let before = self.segments.len();
+            let open = self.segments.pop().unwrap();
+            self.segments.retain(|s| s.last_cycle() >= Some(cycle));
+            self.segments.push(open);
+            before - self.segments.len()
+        }
+
+        /// Everything the log serves must be derivable from the entries
+        /// alone, through [`WalSegment::to_bytes`].
+        fn check(&self, wal: &SegmentedWal, what: &str) {
+            let live: Vec<&WalSegment> = self
+                .segments
+                .iter()
+                .filter(|s| !s.entries.is_empty())
+                .collect();
+            let manifest = wal.manifest();
+            assert_eq!(manifest.len(), live.len(), "{what}: live segments");
+            assert_eq!(
+                wal.segments(),
+                live.len(),
+                "{what}: counted without a manifest"
+            );
+            let mut total = 0;
+            for (seg, row) in live.iter().zip(&manifest) {
+                let open = seg.seq == self.open().seq;
+                let bytes = wal.segment_bytes(seg.seq).expect("advertised");
+                assert_eq!(bytes, seg.to_bytes(), "{what}: segment {} bytes", seg.seq);
+                let expected = SegmentMeta {
+                    seq: seg.seq,
+                    first_cycle: seg.first_cycle().unwrap(),
+                    last_cycle: seg.last_cycle().unwrap(),
+                    entries: seg.entries.len(),
+                    bytes: bytes.len(),
+                    crc: crc32(&bytes),
+                    open,
+                };
+                assert_eq!(*row, expected, "{what}: segment {} row", seg.seq);
+                let (back, stats) = WalSegment::from_bytes_lossy(&bytes).expect("decodes");
+                assert_eq!(back, **seg, "{what}: segment {} decodes", seg.seq);
+                assert_eq!((stats.recovered, stats.truncated_bytes), (row.entries, 0));
+                total += bytes.len() - if open { HEADER_BYTES } else { 0 };
+            }
+            assert_eq!(wal.total_bytes(), total, "{what}: total bytes");
+            let first_live = live.first().map_or(self.open().seq, |s| s.seq);
+            for gone in 0..first_live {
+                assert!(wal.segment_bytes(gone).is_none(), "{what}: {gone} dropped");
+            }
+        }
+    }
+
+    #[test]
+    fn a_segmented_wal_serves_the_bytes_of_the_entries_it_was_given() {
+        let mut syms = SymbolTable::new();
+        let class = syms.intern("item");
+        let attr = syms.intern("n");
+        let (mut rotated, mut dropped) = (0, 0);
+        for seed in 0..64u64 {
+            let mut rng = psm_obs::Rng64::new(0x5E6 ^ seed);
+            let max = rng.gen_range(1..600u64) as usize;
+            let mut wal = SegmentedWal::new(max);
+            let mut model = Model {
+                max,
+                segments: vec![WalSegment::new(0)],
+            };
+            let (mut cycle, mut next_id) = (0u64, 0usize);
+            for step in 0..rng.gen_range(1..80u32) {
+                match rng.gen_range(0..10u32) {
+                    0 => {
+                        wal.seal();
+                        model.seal();
+                    }
+                    1 => {
+                        let at = rng.gen_range(0..cycle + 2);
+                        let n = wal.gc_covered(at);
+                        assert_eq!(n, model.gc_covered(at));
+                        dropped += n;
+                    }
+                    _ => {
+                        let mut changes = Vec::new();
+                        for _ in 0..rng.gen_range(0..5u32) {
+                            let value = Value::Int(rng.next_u64() as i64);
+                            let wme = Wme::new(class, vec![(attr, value)]);
+                            changes.push(WalChange::Add(wme, WmeId::from_index(next_id)));
+                            next_id += 1;
+                        }
+                        if rng.gen_bool(0.4) {
+                            let id = rng.gen_range(0..next_id as u64 + 1) as usize;
+                            changes.push(WalChange::Remove(WmeId::from_index(id)));
+                        }
+                        let entry = WalEntry { cycle, changes };
+                        wal.append(&entry);
+                        model.append(entry);
+                        cycle += rng.gen_range(1..4u64);
+                    }
+                }
+                model.check(&wal, &format!("seed {seed}, step {step}"));
+            }
+            rotated += model.open().seq;
+        }
+        assert!(rotated > 64 && dropped > 64, "rotation and GC both ran");
     }
 
     #[test]

@@ -13,29 +13,50 @@
 //!
 //! Every committed batch is appended to a [`Wal`]; every
 //! `checkpoint_every` cycles the committed state is captured as a
-//! [`Checkpoint`]. The committed state itself is kept, not re-derived:
-//! beside the parallel engine the supervisor holds one standing
-//! *committed mirror* — working memory, a sequential [`ReteMatcher`] and
-//! the conflict set, the same triple a warm standby holds — that
-//! starts empty at genesis and is advanced lazily, by replaying the WAL
-//! entries it has not seen yet, whenever a checkpoint or
-//! [`Supervisor::committed_snapshot`] needs it. Each entry is therefore
-//! replayed once, and a checkpoint costs the WAL tail plus one snapshot
-//! of the mirror. When the parallel engine reports an injected fault
-//! (dropped task, worker panic, poisoned lock — see
-//! [`psm_core::FaultInjector`]) the possibly-corrupt delta is
-//! discarded, the engine is retired, and the supervisor **recovers**:
-//! the mirror (which only ever saw committed batches, sequentially) is
-//! brought to the WAL frontier and *promoted* to be the live sequential
-//! matcher, which then re-runs the interrupted batch. Because replay
-//! reproduces the exact pre-fault state (same WME ids, same time tags,
-//! same memories), the recovered matcher's snapshot is byte-identical
-//! to a never-faulted run — the tests assert exactly that. Restoring a
-//! matcher from checkpoint *bytes* is left to the places that have no
-//! warm state: a standby basing itself on the shipped chain,
-//! [`Supervisor::recovery_drill`], and the naive tier's first
-//! checkpoint (its mirror starts from the last checkpoint, since the
-//! sequential matcher it degraded from is not trusted).
+//! [`Checkpoint`]. The committed state itself is kept, not re-derived,
+//! and kept **once**: one `WarmState` — working memory, a sequential
+//! [`ReteMatcher`] and the conflict set, the same triple a warm standby
+//! holds — plus a count of how many of the WAL's entries it holds. What
+//! it is depends on the tier:
+//!
+//! * **parallel** — it starts empty at genesis and *trails* the WAL
+//!   frontier: the engine matches the batch, the batch is logged, and
+//!   the committed state takes it up lazily, by replaying the entries it
+//!   has not seen, whenever a checkpoint or a reader
+//!   ([`Supervisor::committed_snapshot`], [`Supervisor::conflict_set`],
+//!   [`Supervisor::committed_wm_bytes`]) needs it. Each entry is
+//!   replayed once, and a checkpoint costs the WAL tail plus one
+//!   snapshot.
+//! * **sequential / promoted** — its matcher *is* the live matcher:
+//!   matching a batch is `WarmState::replay` of the batch's entry into
+//!   it (its own working memory, the same ids), so it sits at the
+//!   frontier and nothing is ever replayed lazily.
+//! * **naive** — the fall drops it, because the sequential matcher that
+//!   kept it is the one being degraded from; the next read rebuilds it
+//!   from the last checkpoint (the cold path), after which it trails
+//!   the frontier as at the parallel tier.
+//!
+//! There is one way a sequential matcher consumes a committed batch —
+//! `WarmState::replay` — at every tier, on a standby and in
+//! [`Supervisor::recovery_drill`]. When the parallel engine reports an
+//! injected fault (dropped task, worker panic, poisoned lock — see
+//! [`psm_core::FaultInjector`]) the possibly-corrupt delta is discarded,
+//! the engine is retired, and the supervisor **recovers**: the committed
+//! state (which only ever saw committed batches, sequentially) is
+//! brought to the WAL frontier and from then on matches live, starting
+//! with the interrupted batch. Because replay reproduces the exact
+//! pre-fault state (same WME ids, same time tags, same memories), the
+//! recovered matcher's snapshot is byte-identical to a never-faulted
+//! run — the tests assert exactly that. Restoring a matcher from
+//! checkpoint *bytes* is left to the places that have no warm state: a
+//! standby basing itself on the shipped chain,
+//! [`Supervisor::recovery_drill`], and the naive tier's first read.
+//!
+//! The supervisor holds no second copy of the caller's working memory to
+//! notice a mutation that went around it; ids are dense and never
+//! reused, so it tracks the next one and refuses a batch whose
+//! assertions do not continue from it — in the cycle it happens, not at
+//! the lazy replay that would trip over it later.
 //!
 //! Transient cycle-level faults (from the [`FaultPlan`]) are retried
 //! with bounded, jittered backoff (the jitter is seeded from the fault
@@ -66,7 +87,7 @@ use ops5::{
     WorkingMemory, WriteSanitizer,
 };
 use psm_core::{FaultInjector, ParallelReteMatcher};
-use psm_obs::{Obs, Rng64};
+use psm_obs::{Counter, Gauge, Obs, Rng64};
 use rete::{Network, ReteMatcher, ReteSnapshot};
 
 use crate::checkpoint::Checkpoint;
@@ -99,12 +120,6 @@ impl Tier {
             Tier::Naive => "naive",
             Tier::Promoted => "promoted",
         }
-    }
-
-    /// True for the tiers backed by a live sequential [`ReteMatcher`]
-    /// (their snapshot *is* the committed state).
-    fn sequential_backed(self) -> bool {
-        matches!(self, Tier::Sequential | Tier::Promoted)
     }
 }
 
@@ -150,14 +165,15 @@ pub struct FaultReport {
     pub retries: u64,
     /// Tier degradations (parallel→sequential, sequential→naive).
     pub fallbacks: u64,
-    /// Recoveries performed after engine faults (the committed mirror
-    /// promoted to live matcher).
+    /// Recoveries performed after engine faults (the committed state's
+    /// matcher made the live one).
     pub recoveries: u64,
     /// Checkpoints taken.
     pub checkpoints: u64,
-    /// WAL entries replayed into the committed mirror (before
+    /// WAL entries the committed state caught up on lazily (before
     /// checkpoints, recoveries and committed-state reads; each entry
-    /// once).
+    /// once). A batch the sequential tiers commit as they match it is
+    /// not a replay.
     pub wal_replayed: u64,
     /// Cycles whose match attempt exceeded the deadline.
     pub deadline_misses: u64,
@@ -185,7 +201,7 @@ pub struct RecoveryDrill {
 
 /// Committed state held warm: working memory, the sequential matcher
 /// fed exactly the committed batches, and the conflict set they leave.
-/// The supervisor's committed mirror and a standby's replayed state are
+/// The supervisor's committed state and a standby's replayed state are
 /// both one of these, advanced by [`WarmState::replay`].
 pub(crate) struct WarmState {
     pub(crate) wm: WorkingMemory,
@@ -212,11 +228,80 @@ impl WarmState {
         })
     }
 
-    /// Commits one logged batch.
-    pub(crate) fn replay(&mut self, entry: &WalEntry) {
-        let delta = replay_entry(&mut self.wm, &mut self.matcher, entry);
-        apply_delta(&mut self.conflict, &delta);
+    /// The state as a checkpoint covering `cycle` committed cycles.
+    fn checkpoint(&self, cycle: u64) -> Checkpoint {
+        Checkpoint {
+            cycle,
+            wm: self.wm.snapshot_bytes(),
+            rete: self.matcher.snapshot(),
+            conflict: sorted(&self.conflict),
+        }
     }
+
+    /// Commits one logged batch and returns what it did to the conflict
+    /// set: re-assert the logged WMEs (asserting id continuity), run the
+    /// matcher with the original change order, then retract — exactly
+    /// the live protocol.
+    pub(crate) fn replay(&mut self, entry: &WalEntry) -> MatchDelta {
+        let mut adds: Vec<(WmeId, &Wme)> = entry
+            .changes
+            .iter()
+            .filter_map(|c| match c {
+                WalChange::Add(w, id) => Some((*id, w)),
+                WalChange::Remove(_) => None,
+            })
+            .collect();
+        adds.sort_by_key(|(id, _)| id.index());
+        for (id, wme) in adds {
+            let (rid, _) = self.wm.add(wme.clone());
+            assert_eq!(rid, id, "WAL replay must reproduce original WME ids");
+        }
+        let changes: Vec<Change> = entry.changes.iter().map(WalChange::as_change).collect();
+        let delta = self.matcher.process(&self.wm, &changes);
+        for c in &entry.changes {
+            if let WalChange::Remove(id) = c {
+                self.wm.remove(*id);
+            }
+        }
+        for inst in &delta.removed {
+            self.conflict.remove(inst);
+        }
+        for inst in &delta.added {
+            self.conflict.insert(inst.clone());
+        }
+        delta
+    }
+}
+
+/// `fault.*` counters, in the order of [`FaultMetrics::counters`].
+const COUNTERS: [&str; 7] = [
+    "fault.engine",
+    "fault.transient",
+    "fault.retries",
+    "fault.fallbacks",
+    "fault.recoveries",
+    "fault.checkpoints",
+    "fault.deadline_misses",
+];
+
+/// `fault.*` gauges, in the order [`Supervisor::publish_gauges`] sets
+/// them.
+const GAUGES: [&str; 5] = [
+    "fault.wal_entries",
+    "fault.tier",
+    "fault.conflict_size",
+    "fault.worker_respawns",
+    "fault.last_cycle_deadline_miss",
+];
+
+/// The attached [`Obs`] plus the registry handles the supervisor
+/// publishes into, resolved once at attach time (see `EngineMetrics` in
+/// [`psm_core`]: a lookup by name is a mutex plus a `String`
+/// allocation, and five gauges are set on every cycle).
+struct FaultMetrics {
+    obs: Arc<Obs>,
+    counters: [Arc<Counter>; 7],
+    gauges: [Arc<Gauge>; 5],
 }
 
 /// The supervised matcher. See the module docs for the protocol.
@@ -225,26 +310,30 @@ pub struct Supervisor {
     network: Arc<Network>,
     config: SupervisorConfig,
     plan: Option<Arc<FaultPlan>>,
-    obs: Option<Arc<Obs>>,
+    obs: Option<FaultMetrics>,
     tier: Tier,
     parallel: Option<ParallelReteMatcher>,
-    sequential: Option<ReteMatcher>,
     naive: Option<NaiveMatcher>,
-    /// Replica of the caller's working memory, synced from the change
-    /// stream; checkpoints snapshot this, so it must see every
-    /// mutation (which it does as long as all mutations flow through
-    /// `process`, as the driver and interpreter guarantee).
-    shadow: WorkingMemory,
-    conflict: HashSet<Instantiation>,
+    /// The committed state, held once. At the sequential tiers its
+    /// matcher is the live one and it sits at the WAL frontier; at the
+    /// parallel and naive tiers it trails the frontier by the entries
+    /// from `applied` on until [`Supervisor::advance`] catches it up.
+    /// `None` only at the naive tier before the first read since the
+    /// fall (the matcher degraded from is not trusted, so the state is
+    /// rebuilt from the last checkpoint).
+    committed: Option<WarmState>,
+    /// How many of `wal`'s entries `committed` holds.
+    applied: usize,
+    /// The id the caller's working memory hands out next, as far as the
+    /// supervisor has been told: ids are dense and never reused, so a
+    /// batch whose assertions do not continue from here means a
+    /// mutation went around `process`.
+    next_id: usize,
+    /// Size of the conflict set at the WAL frontier, kept from the exact
+    /// deltas (the set itself lives in `committed`, which may trail).
+    conflict_size: usize,
     checkpoint: Checkpoint,
     wal: Wal,
-    /// The committed mirror: present at the tiers whose live matcher
-    /// is not itself the committed state (parallel from genesis, naive
-    /// from its first checkpoint), behind the WAL frontier by the
-    /// entries from `mirror_applied` on.
-    mirror: Option<WarmState>,
-    /// How many of `wal`'s entries the mirror has replayed.
-    mirror_applied: usize,
     cycle: u64,
     report: FaultReport,
     /// Debug write-set sanitizer; see [`Supervisor::attach_sanitizer`].
@@ -262,8 +351,8 @@ impl Supervisor {
     pub fn new(program: &Program, config: SupervisorConfig) -> Result<Self, Error> {
         let network = Arc::new(Network::compile(program)?);
         let parallel = ParallelReteMatcher::from_network(network.clone(), config.threads);
-        let mirror = WarmState::empty(network.clone());
-        let genesis = mirror.matcher.snapshot();
+        let committed = WarmState::empty(network.clone());
+        let genesis = committed.matcher.snapshot();
         Ok(Supervisor {
             program: program.clone(),
             network,
@@ -272,14 +361,13 @@ impl Supervisor {
             obs: None,
             tier: Tier::Parallel,
             parallel: Some(parallel),
-            sequential: None,
             naive: None,
-            shadow: WorkingMemory::new(),
-            conflict: HashSet::new(),
+            committed: Some(committed),
+            applied: 0,
+            next_id: 0,
+            conflict_size: 0,
             checkpoint: Checkpoint::genesis(genesis),
             wal: Wal::new(),
-            mirror: Some(mirror),
-            mirror_applied: 0,
             cycle: 0,
             report: FaultReport::default(),
             sanitizer: None,
@@ -300,17 +388,6 @@ impl Supervisor {
         warm: WarmState,
         cycle: u64,
     ) -> Self {
-        let WarmState {
-            wm,
-            matcher,
-            conflict,
-        } = warm;
-        let checkpoint = Checkpoint {
-            cycle,
-            wm: wm.snapshot_bytes(),
-            rete: matcher.snapshot(),
-            conflict: sorted(&conflict),
-        };
         Supervisor {
             program: program.clone(),
             network,
@@ -319,14 +396,13 @@ impl Supervisor {
             obs: None,
             tier: Tier::Promoted,
             parallel: None,
-            sequential: Some(matcher),
             naive: None,
-            shadow: wm,
-            conflict,
-            checkpoint,
+            applied: 0,
+            next_id: warm.wm.next_id().index(),
+            conflict_size: warm.conflict.len(),
+            checkpoint: warm.checkpoint(cycle),
+            committed: Some(warm),
             wal: Wal::new(),
-            mirror: None,
-            mirror_applied: 0,
             cycle,
             report: FaultReport::default(),
             sanitizer: None,
@@ -377,10 +453,14 @@ impl Supervisor {
         if let Some(p) = &mut self.parallel {
             p.attach_obs(obs.clone());
         }
-        if let Some(m) = &mut self.sequential {
-            m.attach_obs(obs.clone());
+        if let (Tier::Sequential | Tier::Promoted, Some(c)) = (self.tier, &mut self.committed) {
+            c.matcher.attach_obs(obs.clone());
         }
-        self.obs = Some(obs);
+        self.obs = Some(FaultMetrics {
+            counters: COUNTERS.map(|name| obs.metrics.counter(name)),
+            gauges: GAUGES.map(|name| obs.metrics.gauge(name)),
+            obs,
+        });
     }
 
     /// The compiled network (shared with every Rete tier; reference
@@ -394,9 +474,9 @@ impl Supervisor {
         self.tier
     }
 
-    /// The conflict set, sorted canonically.
-    pub fn conflict_set(&self) -> Vec<Instantiation> {
-        sorted(&self.conflict)
+    /// The committed conflict set, sorted canonically.
+    pub fn conflict_set(&mut self) -> Vec<Instantiation> {
+        sorted(&self.advance().conflict)
     }
 
     /// Fault counters so far (includes the live engine's poison-
@@ -413,11 +493,6 @@ impl Supervisor {
     /// Supervised cycles processed.
     pub fn cycles(&self) -> u64 {
         self.cycle
-    }
-
-    /// WAL entries accumulated since the last checkpoint.
-    pub fn wal_len(&self) -> usize {
-        self.wal.len()
     }
 
     /// The live WAL (entries since the last checkpoint).
@@ -448,29 +523,32 @@ impl Supervisor {
         &self.checkpoint
     }
 
-    /// A sequential-Rete snapshot of the committed state: the live
-    /// matcher's at the sequential tiers, otherwise the committed
-    /// mirror's once it has replayed the WAL entries it had not seen.
+    /// A sequential-Rete snapshot of the committed state, once it has
+    /// caught up on the WAL entries it had not seen (none at the
+    /// sequential tiers, where its matcher is the live one).
     /// Byte-identical to the snapshot of a fault-free [`ReteMatcher`]
     /// on [`Supervisor::network`] fed the same batches — the
     /// recovery-exactness audit hangs off this.
     pub fn committed_snapshot(&mut self) -> ReteSnapshot {
-        self.committed_matcher().snapshot()
+        self.advance().matcher.snapshot()
     }
 
-    /// A canonical snapshot of the shadow working memory.
-    pub fn committed_wm_bytes(&self) -> Vec<u8> {
-        self.shadow.snapshot_bytes()
+    /// A canonical snapshot of the committed working memory.
+    pub fn committed_wm_bytes(&mut self) -> Vec<u8> {
+        self.advance().wm.snapshot_bytes()
     }
 
+    /// Bumps one of [`COUNTERS`] (off the per-cycle path: faults,
+    /// retries, fallbacks and checkpoints only).
     fn count(&self, name: &str) {
-        if let Some(obs) = &self.obs {
-            obs.metrics.counter(name).inc();
+        if let Some(m) = &self.obs {
+            let i = COUNTERS.iter().position(|n| *n == name);
+            m.counters[i.expect("a `fault.*` counter")].inc();
         }
     }
 
     fn emit(&self, name: &str, tier: Tier, cycle: u64) {
-        if let Some(obs) = &self.obs {
+        if let Some(FaultMetrics { obs, .. }) = &self.obs {
             obs.events.emit(
                 name,
                 &[
@@ -488,55 +566,44 @@ impl Supervisor {
             .expect("the checkpoint was taken by this supervisor on this network")
     }
 
-    /// Brings the committed mirror to the WAL frontier: replays the
-    /// entries it has not seen (each is counted in `wal_replayed` here,
-    /// once), starting from the last checkpoint when there is no mirror
-    /// yet.
-    fn advance_mirror(&mut self) -> &WarmState {
-        if self.mirror.is_none() {
-            self.mirror = Some(self.cold_restore());
-            self.mirror_applied = 0;
+    /// Brings the committed state to the WAL frontier: replays the
+    /// entries it does not hold yet (each is counted in `wal_replayed`
+    /// here, once), starting from the last checkpoint when the naive
+    /// tier dropped it.
+    fn advance(&mut self) -> &WarmState {
+        if self.committed.is_none() {
+            self.committed = Some(self.cold_restore());
         }
-        let mirror = self.mirror.as_mut().expect("just ensured");
-        let tail = &self.wal.entries()[self.mirror_applied..];
+        let committed = self.committed.as_mut().expect("just ensured");
+        let tail = &self.wal.entries()[self.applied..];
         for entry in tail {
-            mirror.replay(entry);
+            committed.replay(entry);
         }
         self.report.wal_replayed += tail.len() as u64;
-        self.mirror_applied = self.wal.len();
+        self.applied = self.wal.len();
         debug_assert_eq!(
-            mirror.conflict, self.conflict,
-            "replay must reproduce the committed conflict set"
+            committed.conflict.len(),
+            self.conflict_size,
+            "replay must reproduce the conflict set the live deltas were counted from"
         );
-        mirror
-    }
-
-    /// The sequential matcher holding the committed state.
-    fn committed_matcher(&mut self) -> &ReteMatcher {
-        if self.tier.sequential_backed() {
-            self.sequential.as_ref().expect("sequential tier")
-        } else {
-            &self.advance_mirror().matcher
-        }
+        committed
     }
 
     /// Retires the parallel engine (folding its counters into the
-    /// report) and promotes the committed mirror to live matcher.
+    /// report) and makes the committed state's matcher the live one.
     fn fall_back_to_sequential(&mut self, recovery: bool) {
         if let Some(p) = self.parallel.take() {
             self.report.poison_recoveries += p.poison_recoveries();
             self.report.worker_respawns += p.pool_stats().respawns;
         }
-        self.advance_mirror();
-        let mut m = self.mirror.take().expect("just advanced").matcher;
+        self.advance();
         // Keep the telemetry plane alive across degradation: the
-        // promoted matcher inherits the flight recorder and per-node
+        // matcher going live inherits the flight recorder and per-node
         // profiler, so `/profile` and `/explain` keep answering at the
         // sequential tier.
-        if let Some(obs) = &self.obs {
-            m.attach_obs(obs.clone());
+        if let (Some(m), Some(c)) = (&self.obs, &mut self.committed) {
+            c.matcher.attach_obs(m.obs.clone());
         }
-        self.sequential = Some(m);
         self.tier = Tier::Sequential;
         self.report.fallbacks += 1;
         self.count("fault.fallbacks");
@@ -547,24 +614,25 @@ impl Supervisor {
     }
 
     /// Degrades sequential → naive: the naive matcher re-derives all
-    /// state from live WMEs, so it is seeded with the committed
-    /// working memory (everything live in the shadow except the
-    /// current batch's assertions).
-    fn fall_back_to_naive(&mut self, batch_adds: &HashSet<WmeId>) {
-        self.sequential = None;
+    /// state from live WMEs, so it is seeded with the committed working
+    /// memory (the batch under way is not in it yet). The committed
+    /// state is then dropped — the matcher that kept it is the one
+    /// being degraded from — and the next read rebuilds it from the
+    /// last checkpoint.
+    fn fall_back_to_naive(&mut self) {
+        let committed = self.committed.take().expect("sequential tier");
+        self.applied = 0;
         let mut naive = NaiveMatcher::new(&self.program);
-        let live: Vec<WmeId> = self
-            .shadow
+        let changes: Vec<Change> = committed
+            .wm
             .iter()
-            .map(|(id, _, _)| id)
-            .filter(|id| !batch_adds.contains(id))
+            .map(|(id, _, _)| Change::Add(id))
             .collect();
-        let changes: Vec<Change> = live.into_iter().map(Change::Add).collect();
-        let mut seeded = naive.process(&self.shadow, &changes);
+        let mut seeded = naive.process(&committed.wm, &changes);
         seeded.canonicalize();
         debug_assert_eq!(
             seeded.added,
-            self.conflict_set(),
+            sorted(&committed.conflict),
             "the naive matcher re-derives the committed conflict set"
         );
         self.naive = Some(naive);
@@ -573,7 +641,7 @@ impl Supervisor {
         self.count("fault.fallbacks");
     }
 
-    fn degrade_one_tier(&mut self, batch_adds: &HashSet<WmeId>, cycle: u64) {
+    fn degrade_one_tier(&mut self, cycle: u64) {
         match self.tier {
             Tier::Parallel => {
                 self.emit("fault.fallback", Tier::Sequential, cycle);
@@ -581,16 +649,21 @@ impl Supervisor {
             }
             Tier::Sequential | Tier::Promoted => {
                 self.emit("fault.fallback", Tier::Naive, cycle);
-                self.fall_back_to_naive(batch_adds);
+                self.fall_back_to_naive();
             }
             Tier::Naive => {} // Already at the floor; keep trying.
         }
     }
 
-    /// One match attempt on the active tier. `Err(n)` means the
-    /// parallel engine reported `n` injected faults (or panicked) and
-    /// its delta was discarded.
-    fn try_match(&mut self, wm: &WorkingMemory, changes: &[Change]) -> Result<MatchDelta, u64> {
+    /// One match attempt at `entry`, the batch `changes` of `wm`, on the
+    /// active tier. `Err(n)` means the parallel engine reported `n`
+    /// injected faults (or panicked) and its delta was discarded.
+    fn try_match(
+        &mut self,
+        wm: &WorkingMemory,
+        changes: &[Change],
+        entry: &WalEntry,
+    ) -> Result<MatchDelta, u64> {
         match self.tier {
             Tier::Parallel => {
                 let m = self.parallel.as_mut().expect("parallel tier has an engine");
@@ -602,11 +675,15 @@ impl Supervisor {
                     Err(_) => Err(faults.max(1)),
                 }
             }
-            Tier::Sequential | Tier::Promoted => Ok(self
-                .sequential
-                .as_mut()
-                .expect("sequential tier has a matcher")
-                .process(wm, changes)),
+            Tier::Sequential | Tier::Promoted => {
+                // Matching the batch *is* committing it to the one
+                // state there is (own working memory, same ids); the
+                // attempt cannot fail, and the entry joins the WAL
+                // before anything reads `applied` again.
+                self.applied += 1;
+                let committed = self.committed.as_mut().expect("sequential tier");
+                Ok(committed.replay(entry))
+            }
             Tier::Naive => Ok(self
                 .naive
                 .as_mut()
@@ -617,18 +694,13 @@ impl Supervisor {
 
     fn take_checkpoint(&mut self) {
         // The §3.1 state-saving bet restated for fault tolerance: the
-        // committed state is kept (live matcher or mirror) because
-        // re-deriving it costs a restore plus a full replay; what a
-        // checkpoint pays is the WAL tail and one snapshot.
-        let rete = self.committed_matcher().snapshot();
-        self.checkpoint = Checkpoint {
-            cycle: self.cycle,
-            wm: self.shadow.snapshot_bytes(),
-            rete,
-            conflict: self.conflict_set(),
-        };
+        // committed state is kept because re-deriving it costs a
+        // restore plus a full replay; what a checkpoint pays is the WAL
+        // tail and one snapshot.
+        let cycle = self.cycle;
+        self.checkpoint = self.advance().checkpoint(cycle);
         self.wal.clear();
-        self.mirror_applied = 0;
+        self.applied = 0;
         self.report.checkpoints += 1;
         self.count("fault.checkpoints");
         if let Some(store) = &self.replication {
@@ -636,18 +708,20 @@ impl Supervisor {
         }
     }
 
-    fn publish_gauges(&self) {
-        if let Some(obs) = &self.obs {
-            obs.metrics
-                .gauge("fault.wal_entries")
-                .set(self.wal.len() as i64);
-            obs.metrics.gauge("fault.tier").set(self.tier as i64);
-            obs.metrics
-                .gauge("fault.conflict_size")
-                .set(self.conflict.len() as i64);
-            obs.metrics
-                .gauge("fault.worker_respawns")
-                .set(self.report().worker_respawns as i64);
+    /// `deadline_missed`: whether the batch just committed blew its
+    /// match deadline (`/healthz` reads it).
+    fn publish_gauges(&self, deadline_missed: bool) {
+        if let Some(m) = &self.obs {
+            let values = [
+                self.wal.len() as i64,
+                self.tier as i64,
+                self.conflict_size as i64,
+                self.report().worker_respawns as i64,
+                i64::from(deadline_missed),
+            ];
+            for (gauge, value) in m.gauges.iter().zip(values) {
+                gauge.set(value);
+            }
         }
     }
 
@@ -658,12 +732,14 @@ impl Supervisor {
         let cycle = self.cycle;
         self.cycle += 1;
 
-        // Log the batch and sync the shadow's assertions (in id order,
-        // so the shadow hands out the same handles the caller got).
+        // Log the batch, checking that its assertions (in id order)
+        // take up exactly where the last ones the supervisor saw left
+        // off — the one thing replay cannot repair later.
         let mut entry = WalEntry {
             cycle,
             changes: Vec::with_capacity(changes.len()),
         };
+        let mut asserted = Vec::new();
         for &c in changes {
             entry.changes.push(match c {
                 Change::Add(id) => {
@@ -671,29 +747,21 @@ impl Supervisor {
                         .get(id)
                         .expect("Add changes must be live in the working memory")
                         .clone();
+                    asserted.push(id.index());
                     WalChange::Add(wme, id)
                 }
                 Change::Remove(id) => WalChange::Remove(id),
             });
         }
-        let mut adds: Vec<(WmeId, Wme)> = entry
-            .changes
-            .iter()
-            .filter_map(|c| match c {
-                WalChange::Add(w, id) => Some((*id, w.clone())),
-                WalChange::Remove(_) => None,
-            })
-            .collect();
-        adds.sort_by_key(|(id, _)| id.index());
-        let batch_adds: HashSet<WmeId> = adds.iter().map(|(id, _)| *id).collect();
-        for (id, wme) in adds {
-            let (sid, _) = self.shadow.add(wme);
-            assert_eq!(
-                sid, id,
-                "supervisor shadow out of sync: every working-memory \
-                 mutation must flow through the supervisor"
-            );
-        }
+        asserted.sort_unstable();
+        let expected = self.next_id..self.next_id + asserted.len();
+        assert!(
+            asserted.iter().copied().eq(expected.clone()),
+            "supervisor out of sync with the caller's working memory \
+             (batch asserts ids {asserted:?}, next are {expected:?}): every \
+             working-memory mutation must flow through the supervisor"
+        );
+        self.next_id = expected.end;
 
         // Attempt loop: planned transient faults, engine faults, and
         // deadline misses all funnel through here.
@@ -708,7 +776,7 @@ impl Supervisor {
                 self.report.transient_faults += 1;
                 self.count("fault.transient");
                 if failed > self.config.max_retries {
-                    self.degrade_one_tier(&batch_adds, cycle);
+                    self.degrade_one_tier(cycle);
                 } else {
                     self.report.retries += 1;
                     self.count("fault.retries");
@@ -722,7 +790,7 @@ impl Supervisor {
                 continue;
             }
             let started = Instant::now();
-            match self.try_match(wm, changes) {
+            match self.try_match(wm, changes, &entry) {
                 Ok(delta) => {
                     if started.elapsed() > self.config.deadline {
                         self.report.deadline_misses += 1;
@@ -737,8 +805,8 @@ impl Supervisor {
                 }
                 Err(faults) => {
                     // The engine's state is suspect: discard the delta,
-                    // recover from checkpoint + WAL, re-run the batch
-                    // sequentially. Degradation is permanent.
+                    // bring the committed state to the WAL frontier and
+                    // re-run the batch on it. Degradation is permanent.
                     self.report.engine_faults += faults;
                     self.count("fault.engine");
                     self.emit("fault.recovery", self.tier, cycle);
@@ -747,23 +815,14 @@ impl Supervisor {
             }
         };
 
-        // Commit: conflict set, WAL, shadow retractions.
-        apply_delta(&mut self.conflict, &delta);
-        let removes: Vec<WmeId> = entry
-            .changes
-            .iter()
-            .filter_map(|c| match c {
-                WalChange::Remove(id) => Some(*id),
-                WalChange::Add(..) => None,
-            })
-            .collect();
+        // Commit: the batch joins the log (and the store). Unless the
+        // committed state matched it itself just now, it takes the
+        // batch up when it is next read.
+        self.conflict_size = self.conflict_size + delta.added.len() - delta.removed.len();
         if let Some(store) = &self.replication {
             store.publish_entry(&entry);
         }
         self.wal.push(entry);
-        for id in removes {
-            self.shadow.remove(id);
-        }
         if deadline_degrade && self.tier == Tier::Parallel {
             self.emit("fault.fallback", Tier::Sequential, cycle);
             self.fall_back_to_sequential(false);
@@ -771,14 +830,7 @@ impl Supervisor {
         if (cycle + 1).is_multiple_of(self.config.checkpoint_every.max(1)) {
             self.take_checkpoint();
         }
-        if let Some(obs) = &self.obs {
-            // /healthz reads this: whether the most recent batch blew
-            // its match deadline (1) or met it (0).
-            obs.metrics
-                .gauge("fault.last_cycle_deadline_miss")
-                .set(i64::from(deadline_missed));
-        }
-        self.publish_gauges();
+        self.publish_gauges(deadline_missed);
         delta
     }
 }
@@ -801,50 +853,9 @@ impl Matcher for Supervisor {
     }
 }
 
-/// Replays one WAL entry: re-assert the logged WMEs (asserting id
-/// continuity), run the matcher with the original change order, then
-/// retract — exactly the live protocol.
-fn replay_entry<M: Matcher>(
-    wm: &mut WorkingMemory,
-    matcher: &mut M,
-    entry: &WalEntry,
-) -> MatchDelta {
-    let mut adds: Vec<(WmeId, &Wme)> = entry
-        .changes
-        .iter()
-        .filter_map(|c| match c {
-            WalChange::Add(w, id) => Some((*id, w)),
-            WalChange::Remove(_) => None,
-        })
-        .collect();
-    adds.sort_by_key(|(id, _)| id.index());
-    for (id, wme) in adds {
-        let (rid, _) = wm.add(wme.clone());
-        assert_eq!(rid, id, "WAL replay must reproduce original WME ids");
-    }
-    let changes: Vec<Change> = entry.changes.iter().map(|c| c.as_change()).collect();
-    let delta = matcher.process(wm, &changes);
-    for c in &entry.changes {
-        if let WalChange::Remove(id) = c {
-            wm.remove(*id);
-        }
-    }
-    delta
-}
-
 /// A conflict set in canonical order.
 fn sorted(conflict: &HashSet<Instantiation>) -> Vec<Instantiation> {
     let mut v: Vec<Instantiation> = conflict.iter().cloned().collect();
     v.sort_by(|a, b| (a.production, &a.wmes).cmp(&(b.production, &b.wmes)));
     v
-}
-
-/// Applies a delta to a conflict-set accumulator.
-fn apply_delta(conflict: &mut HashSet<Instantiation>, delta: &MatchDelta) {
-    for inst in &delta.removed {
-        conflict.remove(inst);
-    }
-    for inst in &delta.added {
-        conflict.insert(inst.clone());
-    }
 }

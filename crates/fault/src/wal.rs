@@ -9,13 +9,12 @@
 //! observation that state-saving algorithms only pay off if saved state
 //! can be re-derived exactly.
 //!
-//! The log serializes with the workspace's zero-dependency codec under
-//! magic `PSML`, version 1.
+//! [`Wal`] itself is never serialized: it is the in-memory tail since
+//! the last checkpoint, which the supervisor's committed state catches
+//! up from. What goes to a standby is the same entries, encoded once by
+//! [`encode_entry`] into the CRC frames of a [`crate::segment`] segment.
 
 use ops5::{ByteReader, ByteWriter, Change, CodecError, Wme, WmeId};
-
-const MAGIC: [u8; 4] = *b"PSML";
-const VERSION: u32 = 1;
 
 /// One logged working-memory change, in original batch order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,41 +82,10 @@ impl Wal {
     pub fn clear(&mut self) {
         self.entries.clear();
     }
-
-    /// Serializes the log (`PSML` v1).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_header(MAGIC, VERSION);
-        w.usize(self.entries.len());
-        for entry in &self.entries {
-            encode_entry(&mut w, entry);
-        }
-        w.finish()
-    }
-
-    /// Deserializes a log produced by [`Wal::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Wal, CodecError> {
-        let (mut r, version) = ByteReader::with_header(bytes, MAGIC)?;
-        if version != VERSION {
-            return Err(CodecError::BadVersion {
-                supported: VERSION,
-                found: version,
-            });
-        }
-        let n = r.usize()?;
-        let mut entries = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            entries.push(decode_entry(&mut r)?);
-        }
-        if !r.is_done() {
-            return Err(CodecError::Invalid("trailing bytes after WAL"));
-        }
-        Ok(Wal { entries })
-    }
 }
 
-/// Encodes one [`WalEntry`] (cycle, then tagged changes) into `w`. The
-/// same payload encoding is shared by the whole-log `PSML` v1 format
-/// and the CRC-framed records inside [`crate::segment::WalSegment`]s.
+/// Encodes one [`WalEntry`] (cycle, then tagged changes) into `w` — the
+/// payload of one CRC-framed record of a [`crate::segment::WalSegment`].
 pub fn encode_entry(w: &mut ByteWriter, entry: &WalEntry) {
     w.u64(entry.cycle);
     w.usize(entry.changes.len());
@@ -164,39 +132,33 @@ mod tests {
     use ops5::{SymbolTable, Value};
 
     #[test]
-    fn wal_roundtrips_through_bytes() {
+    fn an_entry_roundtrips_and_replays_as_the_changes_it_logged() {
         let mut syms = SymbolTable::new();
         let class = syms.intern("goal");
         let attr = syms.intern("status");
         let val = syms.intern("active");
         let wme = Wme::new(class, vec![(attr, Value::Sym(val))]);
-
-        let mut wal = Wal::new();
-        wal.push(WalEntry {
-            cycle: 0,
-            changes: vec![WalChange::Add(wme.clone(), WmeId::from_index(0))],
-        });
-        wal.push(WalEntry {
+        let entry = WalEntry {
             cycle: 1,
             changes: vec![
                 WalChange::Remove(WmeId::from_index(0)),
                 WalChange::Add(wme, WmeId::from_index(1)),
             ],
-        });
-        let bytes = wal.to_bytes();
-        let back = Wal::from_bytes(&bytes).expect("roundtrip");
-        assert_eq!(back, wal);
-        assert_eq!(back.entries()[1].changes[0].as_change().wme().index(), 0);
-    }
-
-    #[test]
-    fn wal_rejects_corruption() {
-        let wal = Wal::new();
-        let mut bytes = wal.to_bytes();
-        bytes[0] = b'X';
-        assert!(Wal::from_bytes(&bytes).is_err(), "bad magic");
-        let mut bytes = wal.to_bytes();
-        bytes.push(0);
-        assert!(Wal::from_bytes(&bytes).is_err(), "trailing bytes");
+        };
+        let mut w = ByteWriter::new();
+        encode_entry(&mut w, &entry);
+        let bytes = w.finish();
+        let mut r = ByteReader::new(&bytes);
+        let back = decode_entry(&mut r).expect("roundtrip");
+        assert!(r.is_done());
+        assert_eq!(back, entry);
+        let changes: Vec<Change> = back.changes.iter().map(WalChange::as_change).collect();
+        assert_eq!(
+            changes,
+            [
+                Change::Remove(WmeId::from_index(0)),
+                Change::Add(WmeId::from_index(1))
+            ]
+        );
     }
 }

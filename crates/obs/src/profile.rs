@@ -210,31 +210,9 @@ impl NodeProfiler {
         s
     }
 
-    /// Records one activation of `node`: which side it arrived on, how
-    /// many opposite-memory pairs were compared, and how many tokens
-    /// (or conflict-set changes) it emitted. The sequential matcher's
-    /// hot-path entry point — a no-op unless [`enabled`].
-    ///
-    /// [`enabled`]: NodeProfiler::enabled
-    #[inline]
-    pub fn record(&self, node: u32, kind: ProfileKind, right: bool, pairs: u64, tokens_out: u64) {
-        if !self.enabled() {
-            return;
-        }
-        let Some(s) = self.slot(node) else { return };
-        s.kind.store(kind.as_u8(), Ordering::Relaxed);
-        if right {
-            s.right.fetch_add(1, Ordering::Relaxed);
-        } else {
-            s.left.fetch_add(1, Ordering::Relaxed);
-        }
-        s.tokens_in.fetch_add(1, Ordering::Relaxed);
-        s.tokens_out.fetch_add(tokens_out, Ordering::Relaxed);
-        s.pairs.fetch_add(pairs, Ordering::Relaxed);
-    }
-
     /// Flushes a worker-local [`NodeDelta`] batch into `node`'s slot —
-    /// the parallel engine's once-per-phase cold path.
+    /// the parallel engine's once-per-phase cold path. A no-op unless
+    /// [`enabled`](NodeProfiler::enabled).
     pub fn add(&self, node: u32, kind: ProfileKind, d: &NodeDelta) {
         if !self.enabled() {
             return;
@@ -434,14 +412,21 @@ impl ProfileSnapshot {
 mod tests {
     use super::*;
 
+    /// One activation as a batch of its own.
+    fn one(right: bool, pairs: u64, tokens_out: u64) -> NodeDelta {
+        let mut d = NodeDelta::default();
+        d.record(right, pairs, tokens_out);
+        d
+    }
+
     #[test]
     fn capacity_zero_is_off_and_allocation_free() {
         let p = NodeProfiler::new(0);
         assert!(!p.enabled());
         assert_eq!(p.slots.capacity(), 0, "no slot vector behind capacity 0");
-        p.record(3, ProfileKind::Join, true, 10, 2);
+        p.add(3, ProfileKind::Join, &one(true, 10, 2));
         p.record_latency(3, 500);
-        p.add(3, ProfileKind::Join, &NodeDelta::default());
+        p.add_single_writer(3, ProfileKind::Join, &NodeDelta::default());
         assert_eq!(
             p.overflow(),
             0,
@@ -458,12 +443,12 @@ mod tests {
         let p = NodeProfiler::new(8);
         assert!(p.enabled());
         // Node 2: a join scanning 4 pairs per right activation, half pass.
-        p.record(2, ProfileKind::Join, true, 4, 2);
-        p.record(2, ProfileKind::Join, true, 4, 2);
+        p.add(2, ProfileKind::Join, &one(true, 4, 2));
+        p.add(2, ProfileKind::Join, &one(true, 4, 2));
         // Node 5: a colder join.
-        p.record(5, ProfileKind::Join, false, 1, 1);
+        p.add(5, ProfileKind::Join, &one(false, 1, 1));
         // Node 7: terminal.
-        p.record(7, ProfileKind::Terminal, false, 0, 1);
+        p.add(7, ProfileKind::Terminal, &one(false, 0, 1));
         let snap = p.snapshot();
         assert_eq!(snap.retained, 3);
         assert_eq!(snap.rows[0].node, 2, "hottest (most pairs) first");
@@ -481,8 +466,8 @@ mod tests {
     #[test]
     fn overflow_counts_out_of_range_nodes() {
         let p = NodeProfiler::new(2);
-        p.record(0, ProfileKind::Join, true, 1, 0);
-        p.record(9, ProfileKind::Join, true, 1, 0);
+        p.add(0, ProfileKind::Join, &one(true, 1, 0));
+        p.add(9, ProfileKind::Join, &one(true, 1, 0));
         p.add(11, ProfileKind::Join, &NodeDelta::default());
         assert_eq!(p.overflow(), 2);
         assert_eq!(p.snapshot().retained, 1);
@@ -521,7 +506,7 @@ mod tests {
         let b = NodeProfiler::new(4);
         let mut d = NodeDelta::default();
         for i in 0..5u64 {
-            a.record(1, ProfileKind::Negative, i % 2 == 0, 3, 1);
+            a.add(1, ProfileKind::Negative, &one(i % 2 == 0, 3, 1));
             d.record(i % 2 == 0, 3, 1);
         }
         b.add(1, ProfileKind::Negative, &d);
@@ -536,7 +521,7 @@ mod tests {
     #[test]
     fn latency_lands_in_histogram() {
         let p = NodeProfiler::new(2);
-        p.record(0, ProfileKind::Join, true, 1, 1);
+        p.add(0, ProfileKind::Join, &one(true, 1, 1));
         p.record_latency(0, 1000);
         p.record_latency(0, 2000);
         let snap = p.snapshot();
@@ -547,7 +532,7 @@ mod tests {
     #[test]
     fn snapshot_json_is_well_formed() {
         let p = NodeProfiler::new(2);
-        p.record(0, ProfileKind::Join, true, 4, 1);
+        p.add(0, ProfileKind::Join, &one(true, 4, 1));
         let j = p.snapshot().to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"selectivity\":0.25"));

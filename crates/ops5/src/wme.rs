@@ -198,10 +198,16 @@ impl WorkingMemory {
     pub fn add(&mut self, wme: Wme) -> (WmeId, TimeTag) {
         self.next_tag += 1;
         let tag = TimeTag(self.next_tag);
-        let id = WmeId(self.slots.len() as u32);
+        let id = self.next_id();
         self.slots.push(Some((wme, tag)));
         self.live += 1;
         (id, tag)
+    }
+
+    /// The handle the next [`WorkingMemory::add`] will return: ids are
+    /// dense and never reused.
+    pub fn next_id(&self) -> WmeId {
+        WmeId(self.slots.len() as u32)
     }
 
     /// Retracts `id`. Returns the element if it was live.

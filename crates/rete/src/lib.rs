@@ -53,7 +53,7 @@ pub mod trace;
 pub use alpha::{AlphaId, AlphaNetwork, AlphaNode, AlphaTest};
 pub use kernel::{ActivationKind, Bucket, Sign};
 pub use network::{CompileOptions, JoinTest, Network, NetworkStats, NodeId, NodeSpec};
-pub use profile::{HotNode, MatchProfile, NodeCost};
+pub use profile::MatchProfile;
 pub use runtime::{MemoryStrategy, ReteMatcher};
 pub use snapshot::ReteSnapshot;
 pub use stats::MatchStats;

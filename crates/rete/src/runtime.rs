@@ -601,11 +601,11 @@ impl ReteMatcher {
         self.tracer = Some(TraceBuilder::new());
     }
 
-    /// Starts per-node activation-time profiling (discarding any
+    /// Starts per-kind activation-time profiling (discarding any
     /// previous profile). Adds two clock reads per activation; leave
     /// off for pure throughput runs.
     pub fn enable_profiling(&mut self) {
-        self.profile = Some(Box::new(MatchProfile::new(self.network.nodes.len())));
+        self.profile = Some(Box::default());
     }
 
     /// The activation-time profile recorded so far (if profiling is
@@ -815,7 +815,7 @@ impl ReteMatcher {
         if let Some(t0) = seed_started {
             let ns = t0.elapsed().as_nanos() as u64;
             if let Some(p) = self.profile.as_mut() {
-                p.record(ActivationKind::ConstantTest, 0, ns);
+                p.record(ActivationKind::ConstantTest, ns);
             }
         }
         // Per-activation latency needs two clock reads, so the obs
@@ -837,7 +837,7 @@ impl ReteMatcher {
             if let Some(t0) = started {
                 let ns = t0.elapsed().as_nanos() as u64;
                 if let Some(p) = self.profile.as_mut() {
-                    p.record(kind, node, ns);
+                    p.record(kind, ns);
                 }
                 if obs_latency {
                     if let Some(obs) = &self.obs {

@@ -615,10 +615,15 @@ mod tests {
         // With capacity and recorded activity, the labeled families
         // appear and the table is sorted hottest-first.
         let on = Obs::with_profile(16, 16, 8);
+        let one = |right, pairs, tokens_out| {
+            let mut d = psm_obs::NodeDelta::default();
+            d.record(right, pairs, tokens_out);
+            d
+        };
         on.profile
-            .record(1, psm_obs::ProfileKind::Join, true, 100, 25);
+            .add(1, psm_obs::ProfileKind::Join, &one(true, 100, 25));
         on.profile
-            .record(2, psm_obs::ProfileKind::Negative, false, 10, 1);
+            .add(2, psm_obs::ProfileKind::Negative, &one(false, 10, 1));
         let resp = route(&on, &get("/profile", &[]));
         let j = client::Json::parse(&resp.body).expect("profile is JSON");
         let rows = j.get("rows").unwrap().items();
@@ -652,8 +657,8 @@ mod tests {
     #[test]
     fn profile_overflow_reported() {
         let obs = Obs::with_profile(16, 0, 2);
-        obs.profile
-            .record(7, psm_obs::ProfileKind::Join, true, 1, 1);
+        let delta = psm_obs::NodeDelta::default();
+        obs.profile.add(7, psm_obs::ProfileKind::Join, &delta);
         let j = client::Json::parse(&route(&obs, &get("/profile", &[])).body).unwrap();
         assert_eq!(j.get("overflow").unwrap().as_u64(), Some(1));
         assert_eq!(j.get("retained").unwrap().as_u64(), Some(0));
