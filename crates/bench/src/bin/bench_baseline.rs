@@ -272,6 +272,17 @@ fn run_parallel_engine(threads: usize, iterations: usize) -> EngineBaseline {
     }
 }
 
+/// Ceiling for the telemetry plane's overhead on the bare matcher
+/// (percent): a live listener plus a 4096-record flight ring that every
+/// WME change files ~35 records into. Reached on vt-small: 4–5 % by
+/// per-cycle quiet time (~0.1 µs on a 2.2 µs change; 35–43 % while
+/// every record took the ring's lock), which this gate's
+/// lower-quartile-of-nine reads as −1…+1 % on a busy host (30–36 %
+/// before). ROADMAP's ≤ 5 % is therefore met without headroom on this
+/// preset, and the gate sits where the measurement plus the profiler
+/// gate's kind of headroom puts it.
+const TELEMETRY_OVERHEAD_CEILING_PCT: f64 = 8.0;
+
 /// Ceiling for the per-node join profiler's marginal overhead on a
 /// telemetry-on run (percent). The profiler is meant to stay on in
 /// production, so its cost over the rest of the plane must stay small.
@@ -488,10 +499,11 @@ fn main() {
     let (off_s, on_s, delta_pct, prof_s, prof_delta_pct, sampled_s, sampler_delta_pct) =
         overhead_delta(opts.cycles.clamp(2400, 4800));
     println!(
-        "\ntelemetry overhead (vt small): off {} s, on {} s, delta {}%",
+        "\ntelemetry overhead (vt small): off {} s, on {} s, delta {}% (ceiling {}%)",
         f(off_s, 4),
         f(on_s, 4),
-        f(delta_pct, 2)
+        f(delta_pct, 2),
+        TELEMETRY_OVERHEAD_CEILING_PCT
     );
     println!(
         "profiler overhead (vt small, telemetry on): base {} s, profiled {} s, delta {}% (ceiling {}%)",
@@ -507,6 +519,14 @@ fn main() {
         f(sampler_delta_pct, 2),
         SAMPLER_OVERHEAD_CEILING_PCT
     );
+    if delta_pct > TELEMETRY_OVERHEAD_CEILING_PCT {
+        eprintln!(
+            "bench_baseline: telemetry overhead {}% above ceiling {}%",
+            f(delta_pct, 2),
+            TELEMETRY_OVERHEAD_CEILING_PCT
+        );
+        std::process::exit(1);
+    }
     if prof_delta_pct > PROFILER_OVERHEAD_CEILING_PCT {
         eprintln!(
             "bench_baseline: profiler overhead {}% above ceiling {}%",
@@ -581,13 +601,15 @@ fn main() {
         ));
     }
     json.push_str(&format!(
-        "]}},\"telemetry_overhead\":{{\"off_s\":{},\"on_s\":{},\"delta_pct\":{}}},\
+        "]}},\"telemetry_overhead\":{{\"off_s\":{},\"on_s\":{},\"delta_pct\":{},\
+         \"ceiling_pct\":{}}},\
          \"profiler_overhead\":{{\"base_s\":{},\"profiled_s\":{},\"delta_pct\":{},\
          \"ceiling_pct\":{}}},\"sampler_overhead\":{{\"base_s\":{},\"sampled_s\":{},\
          \"delta_pct\":{},\"ceiling_pct\":{}}}}}",
         psm_obs::json::number(off_s),
         psm_obs::json::number(on_s),
         psm_obs::json::number(delta_pct),
+        psm_obs::json::number(TELEMETRY_OVERHEAD_CEILING_PCT),
         psm_obs::json::number(on_s),
         psm_obs::json::number(prof_s),
         psm_obs::json::number(prof_delta_pct),

@@ -36,13 +36,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use psm_obs::metrics::{Counter, Gauge};
-use psm_obs::{FlightKind, NodeDelta, Obs, ProfileKind};
+use psm_obs::{NodeDelta, Obs, ProfileKind};
 
 use ops5::{
     Change, Error, FxHashMap, Instantiation, MatchDelta, Matcher, Program, Value, Wme, WmeId,
     WorkingMemory,
 };
-use rete::kernel::{self, Work};
+use rete::kernel::{self, FlightStage, Work};
 use rete::network::NodeKind;
 use rete::{ActivationKind, AlphaId, Bucket, CompileOptions, Network, NodeId, Sign, Token};
 
@@ -347,6 +347,13 @@ struct WorkerLocal {
     /// same cold-path discipline as the per-worker counters. Empty
     /// unless the attached `Obs` has profile capacity.
     prof: FxHashMap<u32, (ProfileKind, NodeDelta)>,
+    /// Activations of nodes past that capacity this phase: counted, not
+    /// accumulated, and flushed as one number.
+    prof_overflow: u64,
+    /// Flight records staged during the phase and published at the same
+    /// barrier; stages nothing unless the attached `Obs` has flight
+    /// capacity.
+    flight: FlightStage,
     /// Scratch for the tokens one `exec` emits; empty between tasks.
     emitted: Vec<(Token, Sign)>,
     /// Drained payload buffers awaiting reuse by the next task this
@@ -691,6 +698,9 @@ impl ParallelReteMatcher {
     /// handle's detail toggle drives timing collection.
     pub fn attach_obs(&mut self, obs: Arc<Obs>) {
         let worker = |me| Series::resolve(&obs, "engine.worker.", &format!("{{worker=\"{me}\"}}"));
+        for local in &mut self.locals {
+            unlocked(local).flight.attach(&obs.flight);
+        }
         self.obs = Some(EngineMetrics {
             total: Series::resolve(&obs, "engine.", ""),
             workers: (0..self.threads).map(worker).collect(),
@@ -886,6 +896,11 @@ impl ParallelReteMatcher {
         let dead = pool.run(wake, &job);
         self.pool_stats = pool.stats();
         self.pool = Some(pool);
+        for (me, _) in &dead {
+            // What a worker that panicked staged stops mid-task: drop
+            // its provenance of this phase rather than publish part.
+            unlocked(&mut self.locals[*me]).flight.clear();
+        }
         let mut delta = MatchDelta::new();
         let mut phase_total = WorkerStats::default();
         for (me, local) in self.locals[..workers].iter_mut().enumerate() {
@@ -902,11 +917,14 @@ impl ParallelReteMatcher {
             self.worker_totals[me].merge(&worker);
             phase_total.merge(&worker);
             if let Some(m) = &self.obs {
-                // Flush the worker's per-node profile deltas — once per
-                // phase, never per task.
+                // Flush the worker's flight records and per-node
+                // profile deltas — once per phase, never per task.
+                local.flight.publish(&m.obs.flight);
                 for (node, (kind, d)) in local.prof.drain() {
                     m.obs.profile.add(node, kind, &d);
                 }
+                let overflow = std::mem::take(&mut local.prof_overflow);
+                m.obs.profile.add_overflow(overflow);
                 m.workers[me].publish(&worker);
             }
         }
@@ -926,15 +944,19 @@ impl ParallelReteMatcher {
             for (gauge, value) in m.gauges.iter().zip(values) {
                 gauge.set(value as i64);
             }
-            m.obs.events.emit(
-                "engine.phase",
-                &[
-                    ("kind", label.into()),
-                    ("tasks", phase_total.tasks.into()),
-                    ("steals", phase_total.steals.into()),
-                    ("idle_spins", phase_total.idle_spins.into()),
-                ],
-            );
+            // Checked here as well as inside `emit`: building the
+            // fields allocates the label.
+            if m.obs.events.enabled() {
+                m.obs.events.emit(
+                    "engine.phase",
+                    &[
+                        ("kind", label.into()),
+                        ("tasks", phase_total.tasks.into()),
+                        ("steals", phase_total.steals.into()),
+                        ("idle_spins", phase_total.idle_spins.into()),
+                    ],
+                );
+            }
         }
         if let (None, Some((_, payload))) = (&self.fault, dead.into_iter().next()) {
             // Leave nothing of this batch behind: neither scratch (merged
@@ -971,9 +993,8 @@ impl ParallelReteMatcher {
         let node = node_id.index() as u32;
         let keyed = spec.key.is_some();
         let resolve = |id| Some(self.wme(id));
-        let obs = self.obs.as_ref().map(|m| &*m.obs);
-        let flight_on = obs.is_some_and(|o| o.flight.enabled());
-        let prof_on = obs.is_some_and(|o| o.profile.enabled());
+        // Node slots of the attached profiler (0: off, or none attached).
+        let prof_slots = self.obs.as_ref().map_or(0, |m| m.obs.profile.capacity());
         let children = &self.topo.token_children[node_id.index()];
         // Tokens emitted toward the children, in per-item order. Signs
         // ride along because a negative node inverts the sign of what it
@@ -1002,18 +1023,11 @@ impl ParallelReteMatcher {
             // so flight records and `/profile` rows name nodes
             // identically across both runtimes.
             let kind = ActivationKind::of(spec.kind, right_side);
-            if flight_on {
-                if let Some(obs) = obs {
-                    obs.flight.record(FlightKind::Activation {
-                        node,
-                        kind: kind.label(),
-                        wme: match &payload {
-                            Payload::Right(id) => Some(id.index() as u32),
-                            Payload::Left(_) => None,
-                        },
-                    });
-                }
-            }
+            let wme = match &payload {
+                Payload::Right(id) => Some(*id),
+                Payload::Left(_) => None,
+            };
+            local.flight.activation(kind, node_id, wme);
             let emitted_before = emitted.len();
             // Every arm: apply the arrival to its own side (presence and
             // index), then — usually only on a net presence transition —
@@ -1103,7 +1117,7 @@ impl ParallelReteMatcher {
             };
             local.join_tests += work.tests as u64;
             local.pairs_scanned += work.scanned as u64;
-            if prof_on {
+            if node_id.index() < prof_slots {
                 // One profiler delta per payload, so grouped execution
                 // reports the same per-activation rows as per-change
                 // dispatch did; terminals emit conflict-set changes
@@ -1118,6 +1132,8 @@ impl ParallelReteMatcher {
                     .entry(node)
                     .or_insert((kind.profile_kind().0, NodeDelta::default()));
                 d.record(right_side, work.scanned as u64, tokens_out);
+            } else if prof_slots > 0 {
+                local.prof_overflow += 1;
             }
         }
         drop(slot);
@@ -1842,5 +1858,69 @@ mod tests {
         m.process(&wm, &[Change::Add(id)]);
         assert!(!obs.profile.enabled());
         assert_eq!(obs.profile.snapshot().retained, 0);
+    }
+
+    #[test]
+    fn nodes_past_profiler_capacity_are_counted_not_accumulated() {
+        // The same three batches under a profiler with room for every
+        // node and under one with a single slot.
+        let run = |slots: usize| {
+            let (program, mut m) = parallel("(p r (a ^x <v>) (b ^x <v>) --> (remove 1))", 1);
+            let obs = Arc::new(Obs::with_profile(16, 0, slots));
+            m.attach_obs(Arc::clone(&obs));
+            let mut wm = WorkingMemory::new();
+            let mut syms = program.symbols.clone();
+            for lit in ["(a ^x 1)", "(a ^x 2)", "(b ^x 1)"] {
+                let (id, _) = wm.add(parse_wme(lit, &mut syms).unwrap());
+                m.process(&wm, &[Change::Add(id)]);
+            }
+            obs.profile.snapshot()
+        };
+        let (all, one) = (run(64), run(1));
+        let activations = |snap: &psm_obs::ProfileSnapshot| -> u64 {
+            snap.rows.iter().map(|r| r.tokens_in).sum()
+        };
+        assert_eq!(all.overflow, 0);
+        assert!(one.rows.iter().all(|r| r.node == 0));
+        assert!(one.overflow > 0);
+        assert_eq!(activations(&one) + one.overflow, activations(&all));
+    }
+
+    #[test]
+    fn a_panicking_worker_publishes_none_of_its_phase() {
+        let (program, mut m) = parallel("(p r (a ^x <v>) (b ^x <v>) --> (remove 1))", 1);
+        let obs = Arc::new(Obs::with_flight(16, 64));
+        m.attach_obs(Arc::clone(&obs));
+        let mut wm = WorkingMemory::new();
+        let mut syms = program.symbols.clone();
+        let (a, _) = wm.add(parse_wme("(a ^x 1)", &mut syms).unwrap());
+        m.process(&wm, &[Change::Add(a)]);
+        let before = obs.flight.len();
+        assert!(before > 0, "a phase publishes at its barrier");
+        // Phase 4 is the add phase of the second batch. Its first task
+        // (the b-join) runs and stages its activation; the panic strikes
+        // as the worker draws the terminal task it spawned.
+        m.set_fault_injector(Some(Arc::new(OneShot {
+            phase: 4,
+            seq: 1,
+            action: FaultAction::PanicWorker,
+        })));
+        let (b, _) = wm.add(parse_wme("(b ^x 1)", &mut syms).unwrap());
+        let _ = m.process(&wm, &[Change::Add(b)]);
+        assert_eq!(m.take_faults(), 1);
+        assert_eq!(obs.flight.len(), before, "half a phase is not published");
+        // The next phase publishes again, from an empty batch.
+        m.set_fault_injector(None);
+        let (b2, _) = wm.add(parse_wme("(b ^x 1)", &mut syms).unwrap());
+        m.process(&wm, &[Change::Add(b2)]);
+        let records = obs.flight.records();
+        assert!(records.len() > before);
+        let wme_of = |r: &psm_obs::FlightRecord| r.kind.wmes().first().copied();
+        assert!(
+            records[before..]
+                .iter()
+                .all(|r| wme_of(r) != Some(b.index() as u32)),
+            "nothing staged before the panic leaks into a later publish"
+        );
     }
 }

@@ -41,7 +41,10 @@ pub mod span;
 
 pub use chrome::{ChromeEvent, ChromeTrace};
 pub use events::{Event, EventRing, FieldValue};
-pub use flight::{Explanation, FlightKind, FlightRecord, FlightRecorder, DEFAULT_MAX_CYCLES};
+pub use flight::{
+    Explanation, FlightBatch, FlightKind, FlightLabel, FlightRecord, FlightRecorder, FlightRule,
+    DEFAULT_MAX_CYCLES,
+};
 pub use history::{HistPoint, HistoryRing, Point, Sampler, Series, SeriesKind};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry, HIST_BUCKETS,

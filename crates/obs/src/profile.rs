@@ -192,9 +192,21 @@ impl NodeProfiler {
     }
 
     /// Records incremented for nodes at or past capacity (dropped, not
-    /// merged).
+    /// merged): one per [`add`](NodeProfiler::add) aimed at such a
+    /// node, plus whatever writers that bound their own accumulators
+    /// by the capacity report through
+    /// [`add_overflow`](NodeProfiler::add_overflow).
     pub fn overflow(&self) -> u64 {
         self.overflow.load(Ordering::Relaxed)
+    }
+
+    /// Counts `activations` of nodes at or past capacity that a writer
+    /// dropped without accumulating them — once per batch, instead of
+    /// flushing a delta per such node only for it to land here.
+    pub fn add_overflow(&self, activations: u64) {
+        if activations > 0 && self.enabled() {
+            self.overflow.fetch_add(activations, Ordering::Relaxed);
+        }
     }
 
     /// Number of slots that have recorded at least one activation.
@@ -427,6 +439,7 @@ mod tests {
         p.add(3, ProfileKind::Join, &one(true, 10, 2));
         p.record_latency(3, 500);
         p.add_single_writer(3, ProfileKind::Join, &NodeDelta::default());
+        p.add_overflow(3);
         assert_eq!(
             p.overflow(),
             0,
@@ -498,6 +511,8 @@ mod tests {
         // Out-of-range nodes still count into overflow.
         b.add_single_writer(9, ProfileKind::Join, &d);
         assert_eq!(b.overflow(), 1);
+        b.add_overflow(5);
+        assert_eq!(b.overflow(), 6);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use psm_obs::{FlightKind, Obs, Phase, PhaseProfile};
+use psm_obs::{FlightBatch, FlightRule, Obs, Phase, PhaseProfile};
 
 use crate::ast::{Action, Production, Program, RhsArg, VarId};
 use crate::conflict::{ConflictSet, Strategy};
@@ -80,6 +80,12 @@ pub struct Interpreter<M> {
     phases: Option<Box<PhaseProfile>>,
     /// Telemetry sink; see [`Interpreter::attach_obs`].
     obs: Option<Arc<Obs>>,
+    /// Provenance staged for `obs.flight` since the last publish.
+    flight: FlightBatch,
+    /// `obs.flight`'s handle for each production's name, by production
+    /// index; `None` — stage nothing — unless the attached recorder has
+    /// capacity.
+    flight_rules: Option<Vec<FlightRule>>,
     /// Debug write-set sanitizer; see [`Interpreter::attach_sanitizer`].
     sanitizer: Option<Arc<crate::effects::WriteSanitizer>>,
 }
@@ -101,6 +107,8 @@ impl<M: Matcher> Interpreter<M> {
             firing_log: None,
             phases: None,
             obs: None,
+            flight: FlightBatch::new(),
+            flight_rules: None,
             sanitizer: None,
         }
     }
@@ -126,9 +134,16 @@ impl<M: Matcher> Interpreter<M> {
     /// and — when the handle's flight recorder has capacity — the
     /// interpreter records the conflict-set / firing end of the causal
     /// chain (WME changes with time tags, conflict inserts/removes,
-    /// firings). Matchers take their own handle via their `attach_obs`;
-    /// use the same `Arc` so everything lands in one registry.
+    /// firings), staged locally and published around each match so the
+    /// ring keeps the chain in causal order. Matchers take their own
+    /// handle via their `attach_obs`; use the same `Arc` so everything
+    /// lands in one registry.
     pub fn attach_obs(&mut self, obs: Arc<Obs>) {
+        self.flight.clear();
+        self.flight_rules = obs.flight.enabled().then(|| {
+            let names = self.program.productions.iter().map(|p| &p.name);
+            names.map(|name| obs.flight.rule(name)).collect()
+        });
         self.obs = Some(obs);
     }
 
@@ -161,13 +176,24 @@ impl<M: Matcher> Interpreter<M> {
     /// its delta into the conflict set, which is conflict resolution's
     /// standing cost and is timed as select.
     fn match_and_resolve(&mut self, changes: &[Change]) {
+        // The firing and the changes it made reach the ring ahead of
+        // the matcher's records of what they caused.
+        self.flight_publish();
         let started = self.phase_start();
         let delta = self.matcher.process(&self.wm, changes);
         self.phase_end(Phase::Match, started);
-        self.obs_flight_delta(&delta);
+        self.flight_delta(&delta);
+        self.flight_publish();
         let started = self.phase_start();
         self.conflict.apply(&delta);
         self.phase_end(Phase::Select, started);
+    }
+
+    /// Hands the staged provenance to the attached recorder.
+    fn flight_publish(&mut self) {
+        if let Some(obs) = &self.obs {
+            obs.flight.publish(&mut self.flight);
+        }
     }
 
     /// Publishes run-level gauges/counters after a cycle.
@@ -183,50 +209,38 @@ impl<M: Matcher> Interpreter<M> {
         }
     }
 
-    /// Flight-records the conflict-set delta of one match, with the
-    /// time tags that justify each instantiation.
-    fn obs_flight_delta(&self, delta: &crate::matcher::MatchDelta) {
-        let Some(obs) = &self.obs else { return };
-        if !obs.flight.enabled() {
+    /// Stages the conflict-set delta of one match, with the time tags
+    /// that justify each instantiation.
+    fn flight_delta(&mut self, delta: &crate::matcher::MatchDelta) {
+        let Some(rules) = &self.flight_rules else {
             return;
-        }
+        };
         for inst in &delta.removed {
-            obs.flight.record(FlightKind::ConflictRemove {
-                rule: self.production_name(inst.production),
-                wmes: inst.wmes.iter().map(|id| id.index() as u32).collect(),
-            });
+            let rule = rules[inst.production.index()];
+            self.flight.conflict_remove(rule, flight_ids(inst));
         }
         for inst in &delta.added {
-            obs.flight.record(FlightKind::ConflictInsert {
-                rule: self.production_name(inst.production),
-                wmes: inst.wmes.iter().map(|id| id.index() as u32).collect(),
-                time_tags: self.instantiation_time_tags(inst),
-            });
+            let rule = rules[inst.production.index()];
+            let tags = flight_tags(&self.wm, inst);
+            self.flight.conflict_insert(rule, flight_ids(inst), tags);
         }
     }
 
-    fn production_name(&self, id: crate::ast::ProductionId) -> String {
-        self.program.production(id).name.clone()
-    }
-
-    fn instantiation_time_tags(&self, inst: &Instantiation) -> Vec<u64> {
-        inst.wmes
-            .iter()
-            .map(|id| self.wm.time_tag(*id).map_or(0, |t| t.0))
-            .collect()
-    }
-
-    /// Flight-records a working-memory change (with its time tag).
-    fn obs_flight_wme(&self, id: WmeId, is_add: bool) {
-        let Some(obs) = &self.obs else { return };
-        if !obs.flight.enabled() {
-            return;
+    /// Stages the firing of `inst`.
+    fn flight_firing(&mut self, inst: &Instantiation) {
+        if let Some(rules) = &self.flight_rules {
+            let rule = rules[inst.production.index()];
+            let tags = flight_tags(&self.wm, inst);
+            self.flight.firing(rule, flight_ids(inst), tags);
         }
-        obs.flight.record(FlightKind::WmeChange {
-            wme: id.index() as u32,
-            time_tag: self.wm.time_tag(id).map_or(0, |t| t.0),
-            is_add,
-        });
+    }
+
+    /// Stages a working-memory change (with its time tag).
+    fn flight_wme(&mut self, id: WmeId, is_add: bool) {
+        if self.flight_rules.is_some() {
+            let time_tag = self.wm.time_tag(id).map_or(0, |t| t.0);
+            self.flight.wme_change(id.index() as u32, time_tag, is_add);
+        }
     }
 
     /// Starts recording every fired instantiation (off by default; the
@@ -315,7 +329,7 @@ impl<M: Matcher> Interpreter<M> {
         let (id, _) = self.wm.add(wme);
         self.stats.wme_changes += 1;
         self.stats.inserts += 1;
-        self.obs_flight_wme(id, true);
+        self.flight_wme(id, true);
         self.match_and_resolve(&[Change::Add(id)]);
         id
     }
@@ -386,15 +400,7 @@ impl<M: Matcher> Interpreter<M> {
     /// Executes the RHS of `inst`, producing and applying the change
     /// batch. `bind` actions extend the bindings as the RHS proceeds.
     fn fire(&mut self, inst: &Instantiation) -> Result<(), Error> {
-        if let Some(obs) = &self.obs {
-            if obs.flight.enabled() {
-                obs.flight.record(FlightKind::Firing {
-                    rule: self.production_name(inst.production),
-                    wmes: inst.wmes.iter().map(|id| id.index() as u32).collect(),
-                    time_tags: self.instantiation_time_tags(inst),
-                });
-            }
-        }
+        self.flight_firing(inst);
         let started = self.phase_start();
         let production = self.program.production(inst.production);
         let mut bindings = self.extract_bindings(production, inst)?;
@@ -485,8 +491,8 @@ impl<M: Matcher> Interpreter<M> {
         self.phase_end(Phase::Act, started);
         for change in &changes {
             match *change {
-                Change::Add(id) => self.obs_flight_wme(id, true),
-                Change::Remove(id) => self.obs_flight_wme(id, false),
+                Change::Add(id) => self.flight_wme(id, true),
+                Change::Remove(id) => self.flight_wme(id, false),
             }
         }
         self.match_and_resolve(&changes);
@@ -599,6 +605,21 @@ impl<M: Matcher> Interpreter<M> {
             .flatten()
             .ok_or_else(|| Error::runtime(format!("unbound variable {var} at fire time")))
     }
+}
+
+/// The matched WME ids of `inst` as the flight recorder stores them.
+fn flight_ids(inst: &Instantiation) -> impl Iterator<Item = u32> + '_ {
+    inst.wmes.iter().map(|id| id.index() as u32)
+}
+
+/// The time tags of `inst`'s WMEs, aligned with [`flight_ids`] (0 for
+/// one no longer in `wm`).
+fn flight_tags<'a>(
+    wm: &'a WorkingMemory,
+    inst: &'a Instantiation,
+) -> impl Iterator<Item = u64> + 'a {
+    let tag = |id: &WmeId| wm.time_tag(*id).map_or(0, |t| t.0);
+    inst.wmes.iter().map(tag)
 }
 
 #[cfg(test)]

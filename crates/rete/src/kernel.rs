@@ -5,7 +5,8 @@
 //! on [`NodeSpec::key`](crate::NodeSpec)), join-test evaluation, the
 //! two candidate scans that define what `join_tests` and
 //! `pairs_scanned` count, [`Sign`], [`ActivationKind`], which nodes
-//! start out holding the dummy top token, and the index [`Bucket`].
+//! start out holding the dummy top token, the index [`Bucket`], and the
+//! [`FlightStage`] a matcher files its provenance through.
 //!
 //! Both runtimes are written on top of it and differ only in memory
 //! model and scheduling — [`ReteMatcher`](crate::ReteMatcher) with
@@ -19,9 +20,9 @@ use std::borrow::Borrow;
 use std::hash::Hash;
 
 use ops5::{FxHashMap, PredOp, Value, Wme, WmeId};
-use psm_obs::ProfileKind;
+use psm_obs::{FlightBatch, FlightLabel, FlightRecorder, ProfileKind};
 
-use crate::network::{JoinTest, Network, NodeKind};
+use crate::network::{JoinTest, Network, NodeId, NodeKind};
 use crate::token::Token;
 
 /// The index key of a two-input node: its first equality join test, or
@@ -270,6 +271,58 @@ impl ActivationKind {
             ActivationKind::Terminal => (ProfileKind::Terminal, false),
             ActivationKind::ConstantTest | ActivationKind::AlphaMem => (ProfileKind::Other, true),
         }
+    }
+}
+
+/// A matcher's end of the flight recorder: the records it has staged
+/// since it last published and — while the attached recorder has
+/// capacity — that recorder's handles for the activation vocabulary,
+/// resolved once at attach. Detached (the default), or attached to a
+/// recorder that is off, it stages nothing: one branch per would-be
+/// record.
+#[derive(Debug, Default)]
+pub struct FlightStage {
+    batch: FlightBatch,
+    labels: Option<[FlightLabel; ActivationKind::ALL.len()]>,
+}
+
+impl FlightStage {
+    /// Stages for `recorder` from here on, discarding anything staged
+    /// for its predecessor.
+    pub fn attach(&mut self, recorder: &FlightRecorder) {
+        self.batch.clear();
+        self.labels = recorder
+            .enabled()
+            .then(|| ActivationKind::ALL.map(|kind| recorder.label(kind.label())));
+    }
+
+    /// Stages one activation of `node`: the triggering WME of a right
+    /// activation, `None` for a left one.
+    #[inline]
+    pub fn activation(&mut self, kind: ActivationKind, node: NodeId, wme: Option<WmeId>) {
+        if let Some(labels) = &self.labels {
+            let wme = wme.map(|id| id.index() as u32);
+            self.batch.activation(node.0, labels[kind as usize], wme);
+        }
+    }
+
+    /// Stages the birth (`Plus`) or death of `token` at `node`.
+    #[inline]
+    pub fn token(&mut self, node: NodeId, token: &Token, sign: Sign) {
+        if self.labels.is_some() {
+            let wmes = token.wmes().iter().map(|id| id.index() as u32);
+            self.batch.token(node.0, sign.is_plus(), wmes);
+        }
+    }
+
+    /// Hands everything staged to `recorder`, in order, under one lock.
+    pub fn publish(&mut self, recorder: &FlightRecorder) {
+        recorder.publish(&mut self.batch);
+    }
+
+    /// Discards everything staged.
+    pub fn clear(&mut self) {
+        self.batch.clear();
     }
 }
 

@@ -17,9 +17,9 @@ use ops5::{
     Change, Error, FxHashMap, Instantiation, MatchDelta, Matcher, Program, SymbolId, Value, Wme,
     WmeId, WorkingMemory,
 };
-use psm_obs::{FlightKind, NodeDelta, Obs, ProfileKind};
+use psm_obs::{NodeDelta, Obs, ProfileKind};
 
-use crate::kernel::{self, ActivationKind, Bucket, Sign, Work};
+use crate::kernel::{self, ActivationKind, Bucket, FlightStage, Sign, Work};
 use crate::network::{CompileOptions, JoinTest, Network, NodeId, NodeKind, NodeSpec};
 use crate::profile::MatchProfile;
 use crate::stats::MatchStats;
@@ -298,16 +298,25 @@ pub struct ReteMatcher {
     profile: Option<Box<MatchProfile>>,
     /// Flight-recorder sink; see [`ReteMatcher::attach_obs`].
     obs: Option<Arc<Obs>>,
+    /// Provenance staged for `obs.flight` and published at the end of
+    /// each [`Matcher`] call; stages nothing unless the attached `Obs`
+    /// has flight capacity.
+    flight: FlightStage,
     /// Matcher-local per-node profile accumulators, one per network
-    /// node, flushed into `obs.profile` at the end of each [`Matcher`]
-    /// call. Empty unless the attached `Obs` has profile capacity, so
-    /// `is_empty` doubles as the hot-path enabled check. Activations
-    /// accumulate with plain adds here instead of paying one atomic
-    /// RMW per counter per activation.
+    /// node the attached profiler has a slot for, flushed into
+    /// `obs.profile` at the end of each [`Matcher`] call. Empty unless
+    /// the attached `Obs` has profile capacity, so `is_empty` doubles
+    /// as the hot-path enabled check. Activations accumulate with
+    /// plain adds here instead of paying one atomic RMW per counter per
+    /// activation.
     prof_local: Vec<(ProfileKind, NodeDelta)>,
     /// Nodes with unflushed deltas (`tokens_in > 0`), so the flush
     /// walks only touched slots, not the whole network.
     prof_touched: Vec<u32>,
+    /// Unflushed activations of nodes past the profiler's capacity:
+    /// counted, not accumulated, and added to its `overflow` once per
+    /// flush.
+    prof_overflow: u64,
     /// Debug write-set sanitizer; see [`ReteMatcher::attach_sanitizer`].
     sanitizer: Option<Arc<ops5::effects::WriteSanitizer>>,
     /// Reusable per-change buffers; see [`Scratch`].
@@ -442,8 +451,10 @@ impl ReteMatcher {
             tracer: None,
             profile: None,
             obs: None,
+            flight: FlightStage::default(),
             prof_local: Vec::new(),
             prof_touched: Vec::new(),
+            prof_overflow: 0,
             sanitizer: None,
             phantom_published: 0,
             scratch: Scratch::default(),
@@ -464,45 +475,17 @@ impl ReteMatcher {
     /// capacity, the matcher records the network end of the causal
     /// chain — node activations and token births/deaths — so
     /// [`psm_obs::FlightRecorder::explain_firing`] can trace a firing
-    /// back through the network. Costs one branch per activation when
-    /// the recorder is off.
+    /// back through the network. The records are staged matcher-locally
+    /// and published once per [`Matcher`] call, so a reader lags by at
+    /// most one batch. Costs one branch per activation when the
+    /// recorder is off.
     pub fn attach_obs(&mut self, obs: Arc<Obs>) {
-        self.prof_local = if obs.profile.enabled() {
-            vec![(ProfileKind::Other, NodeDelta::default()); self.network.nodes.len()]
-        } else {
-            Vec::new()
-        };
+        self.flight.attach(&obs.flight);
+        let slots = self.network.nodes.len().min(obs.profile.capacity());
+        self.prof_local = vec![(ProfileKind::Other, NodeDelta::default()); slots];
         self.prof_touched.clear();
+        self.prof_overflow = 0;
         self.obs = Some(obs);
-    }
-
-    /// Flight-records one pending activation.
-    fn obs_flight_task(&self, task: &Task, kind: ActivationKind) {
-        let Some(obs) = &self.obs else { return };
-        if !obs.flight.enabled() {
-            return;
-        }
-        obs.flight.record(FlightKind::Activation {
-            node: task.node.0,
-            kind: kind.label(),
-            wme: match task.payload {
-                Payload::Right(id) => Some(id.index() as u32),
-                Payload::Left(_) => None,
-            },
-        });
-    }
-
-    /// Flight-records a token produced (or retracted) at `node`.
-    fn obs_flight_token(&self, node: NodeId, token: &Token, sign: Sign) {
-        let Some(obs) = &self.obs else { return };
-        if !obs.flight.enabled() {
-            return;
-        }
-        let wmes: Vec<u32> = token.wmes().iter().map(|id| id.index() as u32).collect();
-        obs.flight.record(match sign {
-            Sign::Plus => FlightKind::TokenBirth { node: node.0, wmes },
-            Sign::Minus => FlightKind::TokenDeath { node: node.0, wmes },
-        });
     }
 
     /// The one sink every beta-node activation reports through: folds it
@@ -548,17 +531,26 @@ impl ReteMatcher {
             }
             entry.0 = pk;
             entry.1.record(right, work.scanned as u64, outputs as u64);
+        } else if !self.prof_local.is_empty() {
+            self.prof_overflow += 1;
         }
         self.trace_record(parent, kind, node.0, work.tests, work.scanned, outputs)
     }
 
-    /// Flushes the matcher-local profile deltas into the attached
-    /// [`NodeProfiler`](psm_obs::NodeProfiler) — once per [`Matcher`]
-    /// call, so concurrent `/profile` readers lag by at most one batch.
-    fn flush_profile(&mut self) {
-        if self.prof_touched.is_empty() {
-            return;
+    /// Hands what this [`Matcher`] call staged to the attached `Obs` —
+    /// flight records, profile deltas, counters — so concurrent
+    /// `/explain` and `/profile` readers lag by at most one batch.
+    fn flush_obs(&mut self) {
+        if let Some(obs) = &self.obs {
+            self.flight.publish(&obs.flight);
         }
+        self.flush_profile();
+        self.flush_metrics();
+    }
+
+    /// Flushes the matcher-local profile deltas into the attached
+    /// [`NodeProfiler`](psm_obs::NodeProfiler).
+    fn flush_profile(&mut self) {
         let Some(obs) = &self.obs else { return };
         for &node in &self.prof_touched {
             let entry = &mut self.prof_local[node as usize];
@@ -569,6 +561,8 @@ impl ReteMatcher {
             entry.1 = NodeDelta::default();
         }
         self.prof_touched.clear();
+        obs.profile
+            .add_overflow(std::mem::take(&mut self.prof_overflow));
     }
 
     /// Publishes the `rete.token.phantom_removes` counter delta to the
@@ -830,7 +824,11 @@ impl ReteMatcher {
         while let Some(task) = queue.pop_front() {
             let right_side = matches!(task.payload, Payload::Right(_));
             let kind = ActivationKind::of(net.node(task.node).kind, right_side);
-            self.obs_flight_task(&task, kind);
+            let wme = match task.payload {
+                Payload::Right(id) => Some(id),
+                Payload::Left(_) => None,
+            };
+            self.flight.activation(kind, task.node, wme);
             let node = task.node.0;
             let started = timed.then(Instant::now);
             self.run_task(&net, wm, task, kind, queue, delta);
@@ -894,7 +892,7 @@ impl ReteMatcher {
                 let (work, outputs, sign) = self.two_input(spec, task.node, payload, task.sign, wm);
                 let act = self.observe(kind, task.node, task.parent, work, outputs.len() as u32);
                 for token in outputs {
-                    self.obs_flight_token(task.node, &token, sign);
+                    self.flight.token(task.node, &token, sign);
                     self.enqueue_children(net, spec, token, sign, act, queue);
                 }
             }
@@ -1165,16 +1163,14 @@ impl Matcher for ReteMatcher {
     fn add_wme(&mut self, wm: &WorkingMemory, id: WmeId) -> MatchDelta {
         let mut delta = MatchDelta::new();
         self.process_change(wm, id, Sign::Plus, &mut delta);
-        self.flush_profile();
-        self.flush_metrics();
+        self.flush_obs();
         delta
     }
 
     fn remove_wme(&mut self, wm: &WorkingMemory, id: WmeId) -> MatchDelta {
         let mut delta = MatchDelta::new();
         self.process_change(wm, id, Sign::Minus, &mut delta);
-        self.flush_profile();
-        self.flush_metrics();
+        self.flush_obs();
         delta
     }
 
@@ -1195,8 +1191,7 @@ impl Matcher for ReteMatcher {
         if let Some(t) = self.tracer.as_mut() {
             t.end_cycle();
         }
-        self.flush_profile();
-        self.flush_metrics();
+        self.flush_obs();
         delta
     }
 
@@ -2036,5 +2031,58 @@ pub(crate) mod tests {
         assert!(!obs.profile.enabled());
         assert_eq!(obs.profile.snapshot().retained, 0);
         assert_eq!(obs.profile.overflow(), 0);
+    }
+
+    #[test]
+    fn nodes_past_profiler_capacity_are_counted_not_accumulated() {
+        let (_p, mut m, mut wm, mut syms) =
+            setup("(p r (a ^x <v>) (b ^x <v>) (c ^x <v>) --> (remove 1))");
+        let slots = 2;
+        assert!(m.network().nodes.len() > slots);
+        let obs = Arc::new(Obs::with_profile(16, 0, slots));
+        m.attach_obs(Arc::clone(&obs));
+        assert_eq!(m.prof_local.len(), slots, "no accumulator past capacity");
+        let before = m.stats();
+        add(&mut m, &mut wm, &mut syms, "(a ^x 1)");
+        add(&mut m, &mut wm, &mut syms, "(b ^x 1)");
+        add(&mut m, &mut wm, &mut syms, "(c ^x 1)");
+        let stats = m.stats();
+        let activations = |s: MatchStats| {
+            s.right_activations + s.left_activations + s.beta_mem_ops + s.conflict_changes
+        };
+        let snap = obs.profile.snapshot();
+        let profiled: u64 = snap.rows.iter().map(|r| r.tokens_in).sum();
+        assert!(snap.rows.iter().all(|r| (r.node as usize) < slots));
+        assert!(profiled > 0 && snap.overflow > 0);
+        // Every activation lands in a slot or in `overflow`, one for one.
+        assert_eq!(
+            profiled + snap.overflow,
+            activations(stats) - activations(before)
+        );
+    }
+
+    #[test]
+    fn flight_records_are_published_once_per_matcher_call() {
+        let (_p, mut m, mut wm, mut syms) = setup("(p r (a ^x <v>) (b ^x <v>) --> (remove 1))");
+        let obs = Arc::new(Obs::with_flight(16, 64));
+        m.attach_obs(Arc::clone(&obs));
+        let (a, _) = add(&mut m, &mut wm, &mut syms, "(a ^x 1)");
+        let after_a = obs.flight.len();
+        assert!(after_a > 0, "add_wme published what it staged");
+        let (b, _) = add(&mut m, &mut wm, &mut syms, "(b ^x 1)");
+        let after_b = obs.flight.len();
+        assert!(after_b > after_a);
+        m.process(&wm, &[Change::Remove(a), Change::Remove(b)]);
+        let records = obs.flight.records();
+        assert!(records.len() > after_b, "process published what it staged");
+        assert!(records.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
+        let deaths = records
+            .iter()
+            .filter(|r| matches!(r.kind, psm_obs::FlightKind::TokenDeath { .. }));
+        assert!(deaths.count() > 0);
+        // Re-attaching to a recorder that is off stops the staging.
+        m.attach_obs(Arc::new(Obs::new(16)));
+        m.process(&wm, &[Change::Add(a)]);
+        assert_eq!(obs.flight.len(), records.len());
     }
 }

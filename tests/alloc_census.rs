@@ -9,14 +9,22 @@
 //! so that a change which starts allocating per task, per phase or per
 //! token twice shows up as a number, not as a slower benchmark.
 //!
+//! The same count is taken with a flight recorder attached and its ring
+//! full: provenance is staged in buffers that keep their capacity and
+//! published into a ring of fixed-width records, so watching costs what
+//! the bare matcher costs — not one allocation more per token record,
+//! as it did while every `TokenBirth` carried its own `Vec`.
+//!
 //! Own test binary: the counting `#[global_allocator]` must not be
 //! shared with other tests. Only the test's own thread is counted, and
 //! only while the `process` call is running.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use psm::core::{ParallelOptions, ParallelReteMatcher};
+use psm::obs::Obs;
 use psm::ops5::Matcher;
 use psm::rete::ReteMatcher;
 use psm::workloads::{GeneratedWorkload, Preset, WorkloadDriver};
@@ -51,10 +59,10 @@ static GLOBAL: Counting = Counting;
 const WARMUP: u64 = 100;
 const CYCLES: u64 = 400;
 
-/// Steady-state allocations (including reallocations) per WME change
-/// inside `process`, after `WARMUP` cycles have sized every reusable
-/// buffer.
-fn allocs_per_change<M: Matcher>(workload: &GeneratedWorkload, mut matcher: M) -> f64 {
+/// Steady-state allocations (including reallocations) inside `process`
+/// and the WME changes they served, after `WARMUP` cycles have sized
+/// every reusable buffer.
+fn census<M: Matcher>(workload: &GeneratedWorkload, mut matcher: M) -> (u64, u64) {
     let mut driver = WorkloadDriver::new(workload.clone(), 0x5EED);
     driver.init(&mut matcher);
     let (mut allocs, mut changes) = (0u64, 0u64);
@@ -70,7 +78,18 @@ fn allocs_per_change<M: Matcher>(workload: &GeneratedWorkload, mut matcher: M) -
             changes += batch.len() as u64;
         }
     }
+    (allocs, changes)
+}
+
+fn allocs_per_change<M: Matcher>(workload: &GeneratedWorkload, matcher: M) -> f64 {
+    let (allocs, changes) = census(workload, matcher);
     allocs as f64 / changes as f64
+}
+
+/// An `Obs` whose only live instrument is a 4096-record flight ring —
+/// 37 vt changes' worth, so it is full long before the warm-up ends.
+fn flight_only() -> Arc<Obs> {
+    Arc::new(Obs::with_flight(1024, 4096))
 }
 
 #[test]
@@ -100,4 +119,48 @@ fn allocations_per_wme_change_are_pinned() {
         par <= 14.4,
         "engine, 1 thread: {par:.2} allocations per change"
     );
+}
+
+/// Allocations `watched` may make beyond the bare matcher's over the
+/// counted cycles: a staging buffer doubles when a batch sets a new
+/// high-water mark (cycles 0, 38, 192 and 1907 of this stream do), which
+/// no warm-up rules out. One allocation per token record would be tens
+/// of thousands.
+const GROWTH_SLACK: u64 = 2;
+
+fn assert_flight_is_free(what: &str, bare: (u64, u64), watched: (u64, u64), obs: &Obs) {
+    assert!(
+        obs.flight.dropped() > 0,
+        "{what}: the ring filled and evicted"
+    );
+    assert_eq!(watched.1, bare.1, "{what}: same stream");
+    assert!(
+        (bare.0..=bare.0 + GROWTH_SLACK).contains(&watched.0),
+        "{what}: {} allocations watched, {} bare, over {} changes",
+        watched.0,
+        bare.0,
+        bare.1
+    );
+}
+
+#[test]
+fn a_full_flight_ring_adds_no_allocation_per_record() {
+    let workload = GeneratedWorkload::generate(Preset::Vt.spec()).expect("vt generates");
+    let sequential = || ReteMatcher::compile(&workload.program).expect("compiles");
+    let obs = flight_only();
+    let mut watched = sequential();
+    watched.attach_obs(Arc::clone(&obs));
+    let (bare, watched) = (census(&workload, sequential()), census(&workload, watched));
+    assert_flight_is_free("sequential Rete", bare, watched, &obs);
+
+    let options = ParallelOptions {
+        threads: 1,
+        share: true,
+    };
+    let engine = || ParallelReteMatcher::compile(&workload.program, options).expect("compiles");
+    let obs = flight_only();
+    let mut watched = engine();
+    watched.attach_obs(Arc::clone(&obs));
+    let (bare, watched) = (census(&workload, engine()), census(&workload, watched));
+    assert_flight_is_free("engine, 1 thread", bare, watched, &obs);
 }
