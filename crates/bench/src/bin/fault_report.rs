@@ -21,9 +21,14 @@
 //!   fails (exit 1) when a checkpoint cycle's median exceeds
 //!   [`MAX_CHECKPOINT_RATIO`] plain cycles.
 //!
+//! * **`PSMR` image census** — the bytes of the matcher snapshot every
+//!   checkpoint serialises, diffs and checksums, by part (entries,
+//!   chain links, chain heads, the rest), on the full-size vt stream
+//!   after 1000 cycles and on the closed 80-node `closure` graph.
+//!
 //! Artifacts written to `--out DIR` (default `results/`):
 //!
-//! * `fault_report.json` — all three experiments, machine-readable.
+//! * `fault_report.json` — all four experiments, machine-readable.
 //! * `ep-soar.faulted.trace.json` — Chrome trace of a faulted DES run
 //!   (4 processors killed + a bus stall), fault marks included.
 //!
@@ -43,7 +48,7 @@ use psm_sim::{
     SimFaults, SimResult,
 };
 use rete::ReteMatcher;
-use workloads::{GeneratedWorkload, Preset, WorkloadDriver};
+use workloads::{programs, GeneratedWorkload, Preset, WorkloadDriver};
 
 const MAX_KILLS: usize = 8;
 /// Ceiling on checkpoint-cycle median / plain-cycle median on the vt
@@ -287,7 +292,23 @@ fn main() {
         MAX_CHECKPOINT_RATIO
     );
 
-    write_json(&out, &sweeps, &chaos, &cost);
+    // ---- PSMR image census ---------------------------------------
+    let images = image_census();
+    let share = |n: usize, of: usize| format!("{n} ({:.0}%)", 100.0 * n as f64 / of as f64);
+    let rows: Vec<Vec<String>> = images
+        .iter()
+        .map(|(state, image)| {
+            let parts = image.iter().map(|&n| share(n, image[0]));
+            std::iter::once(state.to_string()).chain(parts).collect()
+        })
+        .collect();
+    print_table(
+        "PSMR image by part (what every checkpoint serialises, diffs and checksums)",
+        &["state", "bytes", "entries", "links", "heads", "rest"],
+        &rows,
+    );
+
+    write_json(&out, &sweeps, &chaos, &cost, &images);
     if cost.ratio() > MAX_CHECKPOINT_RATIO {
         eprintln!("FAIL: a checkpoint cycle costs more than {MAX_CHECKPOINT_RATIO} plain cycles");
         std::process::exit(1);
@@ -333,6 +354,38 @@ fn checkpoint_cost(cycles: usize) -> CheckpointCost {
         plain_cycle_p50_us: median(&mut plain),
         checkpoint_cycle_p50_us: median(&mut checkpointed),
     }
+}
+
+/// The `PSMR` image of a sequential matcher — byte for byte the one a
+/// supervisor commits on the same stream — as `[bytes, entries, links,
+/// heads, rest]`: the full-size vt stream after 1000 cycles, and
+/// `closure` run to quiescence on a strongly connected 80-node digraph
+/// of out-degree 2 (the benchmark workload's shape; the image's size
+/// does not depend on which such graph).
+fn image_census() -> Vec<(&'static str, [usize; 5])> {
+    let workload = GeneratedWorkload::generate(Preset::Vt.spec()).expect("workload generates");
+    let mut driver = WorkloadDriver::new(workload, 0x5EED);
+    let mut vt = ReteMatcher::compile(&driver.workload().program).expect("program compiles");
+    driver.init(&mut vt);
+    driver.run_cycles(&mut vt, 1000);
+
+    let ring = (0..80).flat_map(|i| [(i, (i + 1) % 80), (i, (i + 7) % 80)]);
+    let edges: Vec<(i64, i64)> = ring.collect();
+    let (program, wmes) = programs::transitive_closure(&edges).expect("closure parses");
+    let matcher = ReteMatcher::compile(&program).expect("program compiles");
+    let mut closure = ops5::Interpreter::new(program, matcher);
+    closure.insert_all(wmes);
+    closure.run(u64::MAX).expect("closure runs");
+
+    let states = [
+        ("vt, 1000 cycles", &vt),
+        ("closure, 80 nodes", closure.matcher()),
+    ];
+    let census = states.map(|(state, matcher)| {
+        let (image, p) = matcher.snapshot_parts();
+        (state, [image.len(), p.entries, p.links, p.heads, p.rest])
+    });
+    census.into()
 }
 
 /// Runs one preset under a randomized fault plan and verifies the
@@ -416,7 +469,13 @@ fn sim_json(r: &SimResult) -> String {
     )
 }
 
-fn write_json(out: &str, sweeps: &[KillSweep], chaos: &[ChaosRun], cost: &CheckpointCost) {
+fn write_json(
+    out: &str,
+    sweeps: &[KillSweep],
+    chaos: &[ChaosRun],
+    cost: &CheckpointCost,
+    images: &[(&'static str, [usize; 5])],
+) {
     let mut j = String::from("{\"kill_sweep\":[");
     for (i, s) in sweeps.iter().enumerate() {
         if i > 0 {
@@ -471,7 +530,7 @@ fn write_json(out: &str, sweeps: &[KillSweep], chaos: &[ChaosRun], cost: &Checkp
     j.push_str(&format!(
         "],\"checkpoint_cost\":{{\"preset\":\"vt\",\"cycles\":{},\"checkpoints\":{},\
          \"plain_cycle_p50_us\":{},\"checkpoint_cycle_p50_us\":{},\"ratio\":{},\
-         \"max_ratio\":{}}}}}",
+         \"max_ratio\":{}}},\"psmr_image\":[",
         cost.cycles,
         cost.checkpoints,
         number(cost.plain_cycle_p50_us),
@@ -479,6 +538,18 @@ fn write_json(out: &str, sweeps: &[KillSweep], chaos: &[ChaosRun], cost: &Checkp
         number(cost.ratio()),
         number(MAX_CHECKPOINT_RATIO)
     ));
+    for (i, (state, image)) in images.iter().enumerate() {
+        j.push_str(if i > 0 { ",{\"state\":" } else { "{\"state\":" });
+        push_escaped(&mut j, state);
+        for (name, n) in ["bytes", "entries", "links", "heads", "rest"]
+            .iter()
+            .zip(image)
+        {
+            j.push_str(&format!(",\"{name}\":{n}"));
+        }
+        j.push('}');
+    }
+    j.push_str("]}");
     let path = format!("{out}/fault_report.json");
     if std::fs::create_dir_all(out).is_ok() && std::fs::write(&path, j).is_ok() {
         println!("\nwrote {path}");

@@ -5,16 +5,17 @@
 //! on [`NodeSpec::key`](crate::NodeSpec)), join-test evaluation, the
 //! two candidate scans that define what `join_tests` and
 //! `pairs_scanned` count, [`Sign`], [`ActivationKind`], which nodes
-//! start out holding the dummy top token, the index [`Bucket`], and the
-//! [`FlightStage`] a matcher files its provenance through.
+//! start out holding the dummy top token, and the [`FlightStage`] a
+//! matcher files its provenance through.
 //!
 //! Both runtimes are written on top of it and differ only in memory
 //! model and scheduling — [`ReteMatcher`](crate::ReteMatcher) with
-//! shared, FIFO-ordered alpha/beta memories (the "best known
-//! uniprocessor implementation"), `psm_core`'s engine with private
-//! signed-presence memories behind one lock per node. Each activation
-//! in either is "pick candidates (one index bucket, or the whole
-//! memory) → run a kernel scan → route the outputs".
+//! shared alpha, beta and negative memories of one keyed type (the
+//! "best known uniprocessor implementation"), `psm_core`'s engine with
+//! private signed-presence memories, indexed by [`Bucket`], behind one
+//! lock per node. Each activation in either is "pick candidates (one
+//! chain or bucket, or the whole memory) → run a kernel scan → route
+//! the outputs".
 
 use std::borrow::Borrow;
 use std::hash::Hash;
@@ -326,7 +327,8 @@ impl FlightStage {
     }
 }
 
-/// A hash-index bucket: one inline entry, or a spilled vector.
+/// A hash-index bucket of the node-parallel engine's memories: one
+/// inline entry, or a spilled vector.
 ///
 /// Index buckets follow the workload's join-value selectivity, and the
 /// empty-bucket pruning done on removal means a heap-allocated `Vec`
@@ -393,17 +395,6 @@ impl<T: PartialEq> Bucket<T> {
         match self {
             Bucket::One(v) => std::slice::from_ref(v),
             Bucket::Many(vec) => vec,
-        }
-    }
-
-    /// Builds a bucket from a decoded entry list (snapshot restore).
-    /// Returns `None` for an empty list — empty buckets are never
-    /// resident.
-    pub fn from_vec(mut entries: Vec<T>) -> Option<Self> {
-        match entries.len() {
-            0 => None,
-            1 => entries.pop().map(Bucket::One),
-            _ => Some(Bucket::Many(entries)),
         }
     }
 }

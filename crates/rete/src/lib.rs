@@ -42,6 +42,7 @@
 
 pub mod alpha;
 pub mod kernel;
+mod memory;
 pub mod network;
 pub mod profile;
 pub mod runtime;
@@ -55,7 +56,7 @@ pub use kernel::{ActivationKind, Bucket, Sign};
 pub use network::{CompileOptions, JoinTest, Network, NetworkStats, NodeId, NodeSpec};
 pub use profile::MatchProfile;
 pub use runtime::{MemoryStrategy, ReteMatcher};
-pub use snapshot::ReteSnapshot;
+pub use snapshot::{ImageParts, ReteSnapshot};
 pub use stats::MatchStats;
 pub use token::Token;
 pub use trace::{ActivationRecord, ChangeTrace, CycleTrace, Trace, TraceBuilder};

@@ -14,12 +14,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ops5::{
-    Change, Error, FxHashMap, Instantiation, MatchDelta, Matcher, Program, SymbolId, Value, Wme,
-    WmeId, WorkingMemory,
+    Change, Error, Instantiation, MatchDelta, Matcher, Program, Value, Wme, WmeId, WorkingMemory,
 };
 use psm_obs::{NodeDelta, Obs, ProfileKind};
 
-use crate::kernel::{self, ActivationKind, Bucket, FlightStage, Sign, Work};
+use crate::kernel::{self, ActivationKind, FlightStage, Sign, Work};
+use crate::memory::{Memory, Slot};
 use crate::network::{CompileOptions, JoinTest, Network, NodeId, NodeKind, NodeSpec};
 use crate::profile::MatchProfile;
 use crate::stats::MatchStats;
@@ -30,13 +30,12 @@ use crate::trace::{Trace, TraceBuilder};
 ///
 /// The 1986 OPS5 interpreters used linear lists; Gupta's parallel design
 /// hashed memories so concurrent activations rarely touch the same
-/// bucket. `Hashed` indexes each alpha memory by `(attribute, value)`
-/// and each beta memory by the `(token position, attribute)` pairs its
-/// downstream equality joins probe, so an activation whose first join
-/// test is an equality probes one bucket instead of scanning the whole
-/// memory. Hashed is the production default; `Linear` survives as the
-/// memory-organization ablation of DESIGN.md §6 (what the paper-era
-/// captured traces model).
+/// bucket. Under `Hashed` — the production default — every memory an
+/// equality join probes gets a key slot for it (DESIGN.md §17), so an
+/// activation whose first join test is an equality walks one chain
+/// instead of the whole memory. `Linear` builds the same memories with
+/// no slots: the memory-organization ablation of DESIGN.md §6 (what the
+/// paper-era captured traces model).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MemoryStrategy {
     /// Linear lists (paper-era ablation baseline).
@@ -49,34 +48,15 @@ pub enum MemoryStrategy {
 /// Mutable state of one beta node.
 #[derive(Debug, Clone)]
 pub(crate) enum NodeState {
-    /// Beta memory: resident tokens, plus — under
-    /// [`MemoryStrategy::Hashed`] — per-`(token position, attribute)`
-    /// value buckets used by downstream equality joins.
-    ///
-    /// `keys` holds the index-key values of each token *captured at
-    /// insert time*, flattened: the chunk
-    /// `keys[i * k .. (i + 1) * k]` (where `k` is this node's
-    /// `mem_keys` count) belongs to `tokens[i]`. The flat layout keeps
-    /// inserts allocation-free — `k` is fixed per node, so no per-token
-    /// boxed slice is needed. Retractions remove bucket entries through
-    /// these captured values rather than re-resolving them from the
-    /// working memory, so a minus arriving when the caller's WM view
-    /// has already dropped a referenced WME still finds (and empties)
-    /// the right bucket. Under [`MemoryStrategy::Linear`] both `keys`
-    /// and `index` stay empty.
-    Mem {
-        tokens: Vec<Token>,
-        keys: Vec<Option<Value>>,
-        index: FxHashMap<(usize, SymbolId, Value), Bucket<Token>>,
-    },
-    /// Negative node: tokens with their right-match counts.
-    Neg(NegMemory),
+    /// Beta memory: resident tokens, with one key slot per
+    /// `(token position, attribute)` a downstream equality join probes.
+    Mem(Memory<Token>),
+    /// Negative node: tokens with their right-match counts, with one key
+    /// slot for the node's own index key.
+    Neg(Memory<NegEntry>),
     /// Join and terminal nodes carry no state.
     Stateless,
 }
-
-/// Ends a bucket chain; also the `next` of an entry filed nowhere.
-pub(crate) const NIL: u32 = u32::MAX;
 
 /// One resident token of a negative node.
 #[derive(Debug, Clone)]
@@ -86,10 +66,22 @@ pub(crate) struct NegEntry {
     /// right activation adjusts it through the shared borrow the kernel
     /// scan hands to its `hit`.
     pub(crate) count: Cell<u32>,
-    /// The next entry of the same index bucket. It occupies what was
-    /// padding: which bucket an entry is in is implied by the chain it
-    /// sits on, never stored beside it.
-    pub(crate) next: u32,
+}
+
+impl NegEntry {
+    pub(crate) fn new(token: Token, count: u32) -> Self {
+        NegEntry {
+            token,
+            count: Cell::new(count),
+        }
+    }
+}
+
+/// A negative node's memory is keyed and searched by token.
+impl Borrow<Token> for NegEntry {
+    fn borrow(&self) -> &Token {
+        &self.token
+    }
 }
 
 /// Lets a negative node's right activation scan its entries in place:
@@ -100,140 +92,26 @@ impl Borrow<Token> for &NegEntry {
     }
 }
 
-/// A negative node's token memory: the entries in arrival order
-/// (swap-removed), and — when the node has an index key and the
-/// strategy is [`MemoryStrategy::Hashed`] — one chain per key value
-/// threaded through them, newest entry first, so a right activation
-/// scans only the tokens its WME can match. `heads` stays empty for a
-/// keyless node and under [`MemoryStrategy::Linear`]. An entry whose
-/// key value could not be resolved when it arrived is on no chain: the
-/// key test fails for it against every WME.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct NegMemory {
-    pub(crate) entries: Vec<NegEntry>,
-    /// First entry of each bucket; a bucket that drains is removed.
-    pub(crate) heads: FxHashMap<Value, u32>,
-}
-
-/// Where the index of a chained entry is stored.
+/// How a two-input node with an index key reaches the one chain an
+/// activation can match in each input's memory, resolved once in
+/// [`ReteMatcher::with_memory`].
 #[derive(Debug, Clone, Copy)]
-enum Link {
-    Head(Value),
-    Next(u32),
+struct Probe {
+    test: JoinTest,
+    /// The alpha memory's slot a left activation probes.
+    right: usize,
+    /// The token memory's slot a right activation probes — the parent
+    /// beta memory's for a join, its own for a negative node; `None`
+    /// when a join's left input is a negative node, which it filters
+    /// whole for unblocked tokens.
+    left: Option<usize>,
 }
 
-impl NegMemory {
-    /// The entries filed under `key` with their positions, newest first
-    /// (none for `None`: a WME without the keyed attribute matches no
-    /// token).
-    pub(crate) fn chain(&self, key: Option<Value>) -> impl Iterator<Item = (u32, &NegEntry)> {
-        let mut at = key.and_then(|v| self.heads.get(&v)).copied().unwrap_or(NIL);
-        std::iter::from_fn(move || {
-            let here = at;
-            let entry = self.entries.get(here as usize)?;
-            at = entry.next;
-            Some((here, entry))
-        })
-    }
-
-    /// Adds an entry, filing it at the head of `key`'s bucket.
-    fn insert(&mut self, token: Token, count: u32, key: Option<Value>) {
-        let at = self.entries.len() as u32;
-        let next = key.and_then(|v| self.heads.insert(v, at)).unwrap_or(NIL);
-        self.entries.push(NegEntry {
-            token,
-            count: Cell::new(count),
-            next,
-        });
-    }
-
-    /// Removes the entry of `token`, returning its match count, or
-    /// `None` when the memory does not hold it.
-    ///
-    /// `key_of` re-reads a token's key value from the (immutable) WME it
-    /// was read from when the entry was filed. The caller's view may no
-    /// longer resolve that WME; the entry, or the link to it, is then
-    /// found by identity instead, so the token is unfiled from exactly
-    /// the bucket it was filed in either way.
-    fn remove(&mut self, token: &Token, key_of: impl Fn(&Token) -> Option<Value>) -> Option<u32> {
-        let by_identity = |mem: &Self| mem.entries.iter().position(|e| e.token == *token);
-        if self.heads.is_empty() {
-            // Nothing is filed: a plain list.
-            let at = by_identity(self)?;
-            return Some(self.entries.swap_remove(at).count.get());
-        }
-        let is_token = |mem: &Self, at: u32| mem.entries[at as usize].token == *token;
-        let on_chain = key_of(token).and_then(|key| self.find_link(key, is_token));
-        let (link, at) = match on_chain {
-            Some((link, at)) => (Some(link), at),
-            None => {
-                let at = by_identity(self)? as u32;
-                (self.find_link_anywhere(at), at)
-            }
-        };
-        if let Some(link) = link {
-            let next = std::mem::replace(&mut self.entries[at as usize].next, NIL);
-            self.set_link(link, next);
-        }
-        // `swap_remove` is about to move the last entry into `at`:
-        // repoint the link that names it.
-        let last = self.entries.len() as u32 - 1;
-        if at != last {
-            let on_chain = key_of(&self.entries[last as usize].token)
-                .and_then(|key| self.find_link(key, |_, i| i == last));
-            let link = on_chain.map(|(link, _)| link);
-            if let Some(link) = link.or_else(|| self.find_link_anywhere(last)) {
-                self.set_link(link, at);
-            }
-        }
-        Some(self.entries.swap_remove(at as usize).count.get())
-    }
-
-    /// Walks `key`'s bucket to the first entry `is_target` accepts,
-    /// returning the link that names it and its index.
-    fn find_link(&self, key: Value, is_target: impl Fn(&Self, u32) -> bool) -> Option<(Link, u32)> {
-        let mut link = Link::Head(key);
-        let mut at = *self.heads.get(&key)?;
-        while at != NIL {
-            if is_target(self, at) {
-                return Some((link, at));
-            }
-            link = Link::Next(at);
-            at = self.entries[at as usize].next;
-        }
-        None
-    }
-
-    /// The link naming entry `at`, searched for by identity (the
-    /// fallback when the entry's key cannot be re-read): `None` when
-    /// the entry is on no chain.
-    fn find_link_anywhere(&self, at: u32) -> Option<Link> {
-        let next = self.entries.iter().position(|e| e.next == at);
-        next.map(|i| Link::Next(i as u32)).or_else(|| {
-            let head = self.heads.iter().find(|(_, &head)| head == at);
-            head.map(|(&key, _)| Link::Head(key))
-        })
-    }
-
-    fn set_link(&mut self, link: Link, to: u32) {
-        match link {
-            Link::Next(at) => self.entries[at as usize].next = to,
-            Link::Head(key) if to == NIL => {
-                self.heads.remove(&key);
-            }
-            Link::Head(key) => {
-                self.heads.insert(key, to);
-            }
-        }
-    }
-
-    /// Entries reachable from the bucket heads (what the index holds,
-    /// for the leak audits).
-    fn filed(&self) -> usize {
-        self.heads
-            .keys()
-            .map(|&key| self.chain(Some(key)).count())
-            .sum()
+/// Reads a slot's key value off a token through the caller's view.
+fn token_key(wm: &WorkingMemory) -> impl Fn(&Token, Slot) -> Option<Value> + '_ {
+    |token, (pos, attr)| {
+        let wme = token.wme_at(pos).and_then(|id| wm.get(id));
+        wme.and_then(|w| w.get(attr))
     }
 }
 
@@ -276,20 +154,11 @@ pub struct ReteMatcher {
     /// The dummy top token, the one left-input "memory entry" of every
     /// first-CE join.
     top: Token,
-    pub(crate) alpha_mems: Vec<Vec<WmeId>>,
-    /// Per-alpha `(attr, value)` buckets, maintained only under
-    /// [`MemoryStrategy::Hashed`].
-    pub(crate) alpha_index: Vec<FxHashMap<(SymbolId, Value), Bucket<WmeId>>>,
-    /// For each alpha memory, the attributes its successor joins
-    /// actually probe by (the `own_attr` of each successor's first
-    /// equality test). Only these attributes are indexed — maintaining
-    /// buckets for every attribute of every WME costs more than the
-    /// probes it could ever save.
-    alpha_keys: Vec<Vec<SymbolId>>,
-    /// For each beta memory, the `(token position, attribute)` keys its
-    /// downstream equality joins probe by (empty for other node kinds).
-    pub(crate) mem_keys: Vec<Vec<(usize, SymbolId)>>,
+    pub(crate) alpha_mems: Vec<Memory<WmeId>>,
     pub(crate) memory: MemoryStrategy,
+    /// Per node; `None` for a node without an index key, and for every
+    /// node under [`MemoryStrategy::Linear`].
+    probes: Vec<Option<Probe>>,
     pub(crate) states: Vec<NodeState>,
     pub(crate) stats: MatchStats,
     tracer: Option<TraceBuilder>,
@@ -355,9 +224,7 @@ impl ReteMatcher {
     ///
     /// Returns [`Error::Semantic`] as for [`ReteMatcher::compile`].
     pub fn compile_hashed(program: &Program) -> Result<Self, Error> {
-        let mut m = Self::compile(program)?;
-        m.memory = MemoryStrategy::Hashed;
-        Ok(m)
+        Self::compile(program)
     }
 
     /// Compiles with linear (unindexed) memories — the paper-era
@@ -367,84 +234,87 @@ impl ReteMatcher {
     ///
     /// Returns [`Error::Semantic`] as for [`ReteMatcher::compile`].
     pub fn compile_linear(program: &Program) -> Result<Self, Error> {
-        let mut m = Self::compile(program)?;
-        m.memory = MemoryStrategy::Linear;
-        Ok(m)
-    }
-
-    /// The memory organization in use.
-    pub fn memory_strategy(&self) -> MemoryStrategy {
-        self.memory
+        let network = Arc::new(Network::compile(program)?);
+        Ok(Self::with_memory(network, MemoryStrategy::Linear))
     }
 
     /// Builds a matcher over an already-compiled network.
     pub fn from_network(network: Arc<Network>) -> Self {
+        Self::with_memory(network, MemoryStrategy::default())
+    }
+
+    /// Builds a matcher whose memories are organized by `memory`: the
+    /// strategy decides how many key slots each memory gets, and
+    /// nothing after that looks at it.
+    pub(crate) fn with_memory(network: Arc<Network>, memory: MemoryStrategy) -> Self {
+        let key = |spec: &NodeSpec| spec.key.filter(|_| memory == MemoryStrategy::Hashed);
+        // Each alpha memory gets a slot per attribute its successor
+        // two-input nodes probe by — and only those: chaining every
+        // attribute of every WME costs more than the probes it could
+        // ever save.
+        let mut alpha_slots: Vec<Vec<Slot>> = vec![Vec::new(); network.alpha.len()];
+        for spec in &network.nodes {
+            if let (Some(alpha), Some(t)) = (spec.alpha, key(spec)) {
+                let slots = &mut alpha_slots[alpha.index()];
+                if !slots.contains(&(0, t.own_attr)) {
+                    slots.push((0, t.own_attr));
+                }
+            }
+        }
+        let alpha_mems: Vec<_> = alpha_slots.into_iter().map(Memory::new).collect();
         // A negative node whose left input holds the top token holds it
         // itself from the start (its right memory begins empty, so the
         // token passes).
         let holds_top = kernel::top_token_inputs(&network);
-        let states = network
+        let token_slot = |t: JoinTest| (t.token_pos, t.token_attr);
+        let states: Vec<_> = network
             .nodes
             .iter()
             .zip(holds_top)
             .map(|(spec, top)| match spec.kind {
-                NodeKind::BetaMemory => NodeState::Mem {
-                    tokens: Vec::new(),
-                    keys: Vec::new(),
-                    index: FxHashMap::default(),
-                },
+                NodeKind::BetaMemory => {
+                    // A slot per key its join children probe by. A
+                    // negative child never probes its parent: it keeps
+                    // the same tokens, chained under the same key,
+                    // beside their match counts.
+                    let children = spec.children.iter().map(|&child| network.node(child));
+                    let joins = children.filter(|child| child.kind == NodeKind::Join);
+                    let mut slots: Vec<Slot> = joins.filter_map(key).map(token_slot).collect();
+                    slots.sort_unstable();
+                    slots.dedup();
+                    NodeState::Mem(Memory::new(slots))
+                }
                 NodeKind::Negative => {
-                    let mut memory = NegMemory::default();
+                    let mut memory = Memory::new(key(spec).map(token_slot).into_iter().collect());
                     if top {
-                        memory.insert(Token::top(), 0, None);
+                        memory.insert(NegEntry::new(Token::top(), 0), |_: &Token, _| None);
                     }
                     NodeState::Neg(memory)
                 }
                 NodeKind::Join | NodeKind::Terminal => NodeState::Stateless,
             })
             .collect();
-        // Which (token position, attribute) keys each beta memory must
-        // index for its downstream equality joins. A negative child
-        // never probes its parent: it keeps the same tokens, bucketed
-        // under the same key, beside their match counts.
-        let mem_keys = network
+        let probe = |spec: &NodeSpec, test: JoinTest| Probe {
+            test,
+            right: alpha_mems[spec.alpha.expect("two-input node has alpha").index()]
+                .slot_of((0, test.own_attr))
+                .expect("alpha memory has a slot per probing successor"),
+            left: match (spec.kind, spec.left.map(|left| &states[left.index()])) {
+                (NodeKind::Negative, _) => Some(0),
+                (_, Some(NodeState::Mem(parent))) => parent.slot_of(token_slot(test)),
+                _ => None,
+            },
+        };
+        let probes = network
             .nodes
             .iter()
-            .map(|spec| {
-                if spec.kind != NodeKind::BetaMemory {
-                    return Vec::new();
-                }
-                let mut keys: Vec<(usize, SymbolId)> = spec
-                    .children
-                    .iter()
-                    .map(|&child| network.node(child))
-                    .filter(|child| child.kind == NodeKind::Join)
-                    .filter_map(|child| child.key)
-                    .map(|t| (t.token_pos, t.token_attr))
-                    .collect();
-                keys.sort_unstable();
-                keys.dedup();
-                keys
-            })
+            .map(|spec| key(spec).map(|test| probe(spec, test)))
             .collect();
-        // Which attributes each alpha memory must index for the
-        // equality probes of its successor two-input nodes.
-        let mut alpha_keys: Vec<Vec<SymbolId>> = vec![Vec::new(); network.alpha.len()];
-        for spec in &network.nodes {
-            if let (Some(alpha), Some(t)) = (spec.alpha, spec.key) {
-                let keys = &mut alpha_keys[alpha.index()];
-                if !keys.contains(&t.own_attr) {
-                    keys.push(t.own_attr);
-                }
-            }
-        }
         ReteMatcher {
             top: Token::top(),
-            alpha_mems: vec![Vec::new(); network.alpha.len()],
-            alpha_index: vec![FxHashMap::default(); network.alpha.len()],
-            alpha_keys,
-            mem_keys,
-            memory: MemoryStrategy::default(),
+            alpha_mems,
+            memory,
+            probes,
             states,
             network,
             stats: MatchStats::default(),
@@ -617,72 +487,51 @@ impl ReteMatcher {
             .unwrap_or_default()
     }
 
-    /// Number of WMEs resident in the alpha memory of `alpha`.
-    pub fn alpha_memory_len(&self, alpha: crate::alpha::AlphaId) -> usize {
-        self.alpha_mems[alpha.index()].len()
-    }
-
     /// Total WME entries resident across all alpha memories.
     pub fn resident_alpha_entries(&self) -> usize {
-        self.alpha_mems.iter().map(Vec::len).sum()
+        self.alpha_mems.iter().map(|m| m.entries.len()).sum()
     }
 
-    /// Total entries resident across all hash-index buckets (alpha
-    /// `(attr, value)` buckets, beta `(pos, attr, value)` buckets and
-    /// the negative nodes' own key-value buckets).
+    /// One count per memory — alpha, beta, negative — summed.
+    fn sum_memories(
+        &self,
+        alpha: impl Fn(&Memory<WmeId>) -> usize,
+        beta: impl Fn(&Memory<Token>) -> usize,
+        negative: impl Fn(&Memory<NegEntry>) -> usize,
+    ) -> usize {
+        let nodes = self.states.iter().map(|s| match s {
+            NodeState::Mem(memory) => beta(memory),
+            NodeState::Neg(memory) => negative(memory),
+            NodeState::Stateless => 0,
+        });
+        self.alpha_mems.iter().map(alpha).sum::<usize>() + nodes.sum::<usize>()
+    }
+
+    /// Total entries filed on key chains, once per slot they are filed
+    /// under (alpha `(attr, value)` chains, beta `(pos, attr, value)`
+    /// chains and the negative nodes' own key-value chains).
     ///
     /// Under [`MemoryStrategy::Hashed`] this must track residency: after
     /// a full assert/retract churn cycle it returns to its baseline. A
     /// value that keeps growing while `resident_tokens` and
     /// `resident_alpha_entries` are flat is a stale-index leak.
     pub fn resident_index_entries(&self) -> usize {
-        let alpha: usize = self
-            .alpha_index
-            .iter()
-            .flat_map(|index| index.values().map(|b| b.as_slice().len()))
-            .sum();
-        let beta: usize = self
-            .states
-            .iter()
-            .map(|s| match s {
-                NodeState::Mem { index, .. } => index.values().map(|b| b.as_slice().len()).sum(),
-                NodeState::Neg(memory) => memory.filed(),
-                NodeState::Stateless => 0,
-            })
-            .sum();
-        alpha + beta
+        self.sum_memories(Memory::filed, Memory::filed, Memory::filed)
     }
 
-    /// Number of hash-index buckets currently allocated (alpha + beta,
-    /// negative nodes included).
+    /// Number of key chains currently resident (alpha + beta, negative
+    /// nodes included).
     ///
-    /// Empty buckets are pruned on removal, so this also returns to its
-    /// baseline after a churn cycle instead of growing with the number
-    /// of distinct values ever seen.
+    /// A chain that drains is dropped on removal, so this also returns
+    /// to its baseline after a churn cycle instead of growing with the
+    /// number of distinct values ever seen.
     pub fn resident_index_buckets(&self) -> usize {
-        let alpha: usize = self.alpha_index.iter().map(FxHashMap::len).sum();
-        let beta: usize = self
-            .states
-            .iter()
-            .map(|s| match s {
-                NodeState::Mem { index, .. } => index.len(),
-                NodeState::Neg(memory) => memory.heads.len(),
-                NodeState::Stateless => 0,
-            })
-            .sum();
-        alpha + beta
+        self.sum_memories(|m| m.heads.len(), |m| m.heads.len(), |m| m.heads.len())
     }
 
     /// Total tokens resident across beta memories and negative nodes.
     pub fn resident_tokens(&self) -> usize {
-        self.states
-            .iter()
-            .map(|s| match s {
-                NodeState::Mem { tokens, .. } => tokens.len(),
-                NodeState::Neg(memory) => memory.entries.len(),
-                NodeState::Stateless => 0,
-            })
-            .sum()
+        self.sum_memories(|_| 0, |m| m.entries.len(), |m| m.entries.len())
     }
 
     fn trace_record(
@@ -753,25 +602,10 @@ impl ReteMatcher {
         let deferred = &mut scratch.deferred;
         for &alpha in alphas.iter() {
             let mem = &mut self.alpha_mems[alpha.index()];
+            let key_of = |id: &WmeId, (_, attr): Slot| wm.get(*id).and_then(|w| w.get(attr));
             match sign {
-                Sign::Plus => mem.push(id),
-                Sign::Minus => {
-                    if let Some(pos) = mem.iter().position(|&w| w == id) {
-                        mem.swap_remove(pos);
-                    }
-                }
-            }
-            if self.memory == MemoryStrategy::Hashed {
-                let index = &mut self.alpha_index[alpha.index()];
-                for &attr in &self.alpha_keys[alpha.index()] {
-                    let Some(value) = wme.get(attr) else {
-                        continue; // unprobeable: an Eq test on it would fail
-                    };
-                    match sign {
-                        Sign::Plus => Bucket::insert(index, (attr, value), id),
-                        Sign::Minus => Bucket::remove(index, &(attr, value), &id),
-                    }
-                }
+                Sign::Plus => mem.insert(id, key_of),
+                Sign::Minus => drop(mem.remove(&id, key_of)),
             }
             self.stats.alpha_mem_ops += 1;
             let successors = &net.alpha_successors[alpha.index()];
@@ -854,7 +688,7 @@ impl ReteMatcher {
         match left {
             None => false,
             Some(id) => match &self.states[id.index()] {
-                NodeState::Mem { tokens, .. } => tokens.is_empty(),
+                NodeState::Mem(memory) => memory.entries.is_empty(),
                 NodeState::Neg(memory) => memory.entries.is_empty(),
                 NodeState::Stateless => false,
             },
@@ -916,13 +750,28 @@ impl ReteMatcher {
         match (spec.kind, payload) {
             (NodeKind::Join, Payload::Right(wme_id)) => {
                 let wme = wm.get(wme_id).expect("live wme");
-                let candidates = self.left_tokens(spec, wme);
+                let tests = &spec.tests;
                 let extend = |token: &Token| out.push(token.extended(wme_id));
-                let work = kernel::scan_tokens(&spec.tests, candidates, wme, resolve, extend);
+                // The left input: the dummy top token, a beta memory —
+                // only the chain `wme` can match, when the node has an
+                // index key — or a negative node's unblocked tokens.
+                let work = match spec.left.map(|left| &self.states[left.index()]) {
+                    None => kernel::scan_tokens(tests, [&self.top], wme, resolve, extend),
+                    Some(NodeState::Mem(memory)) => {
+                        let candidates = memory.candidates(self.left_probe(node, wme));
+                        kernel::scan_tokens(tests, candidates, wme, resolve, extend)
+                    }
+                    Some(NodeState::Neg(memory)) => {
+                        let unblocked = memory.candidates(None).filter(|e| e.count.get() == 0);
+                        let candidates = unblocked.map(|e| &e.token);
+                        kernel::scan_tokens(tests, candidates, wme, resolve, extend)
+                    }
+                    Some(NodeState::Stateless) => unreachable!("left input must hold tokens"),
+                };
                 (work, out, sign)
             }
             (NodeKind::Join, Payload::Left(token)) => {
-                let candidates = self.right_wmes(spec, &token, wm).iter().copied();
+                let candidates = self.right_wmes(spec, node, &token, wm);
                 let extend = |wme_id| out.push(token.extended(wme_id));
                 let work = kernel::scan_wmes(&spec.tests, &token, candidates, resolve, extend);
                 (work, out, sign)
@@ -946,45 +795,34 @@ impl ReteMatcher {
                         out.push(entry.token.clone());
                     }
                 };
-                let memory = self.neg_memory(node);
-                let tests = &spec.tests;
-                let work = match self.index_key(spec) {
-                    Some(t) => {
-                        let bucket = memory.chain(t.wme_key(wme)).map(|(_, entry)| entry);
-                        kernel::scan_tokens(tests, bucket, wme, resolve, recount)
-                    }
-                    None => kernel::scan_tokens(tests, &memory.entries, wme, resolve, recount),
-                };
+                let probe = self.left_probe(node, wme);
+                let candidates = self.neg_memory(node).candidates(probe);
+                let work = kernel::scan_tokens(&spec.tests, candidates, wme, resolve, recount);
                 // A new right match retracts instantiations; a removed
                 // one re-asserts them: the propagated sign is inverted.
                 (work, out, sign.invert())
             }
             (NodeKind::Negative, Payload::Left(token)) => {
-                let index_key = self.index_key(spec);
-                let key_of = |token: &Token| index_key.and_then(|t| t.token_key(token, resolve));
                 let (work, propagate) = match sign {
                     Sign::Plus => {
                         let mut count = 0u32;
-                        let candidates = self.right_wmes(spec, &token, wm).iter().copied();
+                        let candidates = self.right_wmes(spec, node, &token, wm);
                         let tally = |_| count += 1;
                         let work =
                             kernel::scan_wmes(&spec.tests, &token, candidates, resolve, tally);
-                        // The key value is read once, here, from a WME
-                        // that is live per the matcher contract and
-                        // immutable after; the bucket it selects is
-                        // where the entry stays until its minus.
-                        let key = key_of(&token);
-                        self.neg_memory_mut(node).insert(token.clone(), count, key);
+                        let entry = NegEntry::new(token.clone(), count);
+                        self.neg_memory(node).insert(entry, token_key(wm));
                         self.stats.token_added();
                         (work, count == 0)
                     }
                     Sign::Minus => {
-                        let removed = self.neg_memory_mut(node).remove(&token, key_of);
-                        match removed {
+                        let removed = self.neg_memory(node).remove(&token, token_key(wm));
+                        let count = removed.map(|entry| entry.count.get());
+                        match count {
                             Some(_) => self.stats.token_removed(),
                             None => self.stats.phantom_removes += 1,
                         }
-                        (Work::default(), removed == Some(0))
+                        (Work::default(), count == Some(0))
                     }
                 };
                 if propagate {
@@ -996,133 +834,58 @@ impl ReteMatcher {
         }
     }
 
-    /// The index key of `spec` when this matcher's memories are indexed
-    /// at all: what decides between one bucket and the whole memory.
-    fn index_key(&self, spec: &NodeSpec) -> Option<JoinTest> {
-        spec.key.filter(|_| self.memory == MemoryStrategy::Hashed)
-    }
-
-    fn neg_memory(&self, node: NodeId) -> &NegMemory {
-        match &self.states[node.index()] {
-            NodeState::Neg(memory) => memory,
-            _ => unreachable!("negative state"),
-        }
-    }
-
-    fn neg_memory_mut(&mut self, node: NodeId) -> &mut NegMemory {
+    fn neg_memory(&mut self, node: NodeId) -> &mut Memory<NegEntry> {
         match &mut self.states[node.index()] {
             NodeState::Neg(memory) => memory,
             _ => unreachable!("negative state"),
         }
     }
 
-    /// Inserts `token` into (or deletes it from) the beta memory `node`,
-    /// keeping the memory's hash buckets in step.
+    /// Inserts `token` into (or deletes it from) the beta memory `node`.
+    ///
+    /// Key values are read from WMEs that are live per the matcher
+    /// contract when the token arrives and immutable after, so the
+    /// chains they select are where the token stays until its minus.
     fn update_beta_memory(&mut self, node: NodeId, token: &Token, sign: Sign, wm: &WorkingMemory) {
-        let hashed = self.memory == MemoryStrategy::Hashed;
-        let node_keys = &self.mem_keys[node.index()];
-        let NodeState::Mem {
-            tokens,
-            keys,
-            index,
-        } = &mut self.states[node.index()]
-        else {
+        let NodeState::Mem(memory) = &mut self.states[node.index()] else {
             unreachable!("beta memory state")
         };
         match sign {
             Sign::Plus => {
-                // Key values are resolved from the working memory
-                // exactly once, here at insert time, and carried with
-                // the entry; the WME is live per the matcher contract
-                // and immutable after, so the captured values stay
-                // authoritative for the whole residency of the token.
-                tokens.push(token.clone());
-                if hashed {
-                    for &(pos, attr) in node_keys {
-                        let value = token
-                            .wme_at(pos)
-                            .and_then(|id| wm.get(id))
-                            .and_then(|w| w.get(attr));
-                        if let Some(v) = value {
-                            Bucket::insert(index, (pos, attr, v), token.clone());
-                        }
-                        keys.push(value);
-                    }
-                }
+                memory.insert(token.clone(), token_key(wm));
                 self.stats.token_added();
             }
-            Sign::Minus => {
-                let Some(at) = tokens.iter().position(|t| t == token) else {
-                    // Counted (not just debug-asserted) so chaos and
-                    // failover suites can gate on zero.
-                    self.stats.phantom_removes += 1;
-                    return;
-                };
-                tokens.swap_remove(at);
-                if hashed {
-                    // Remove bucket entries through the captured
-                    // insert-time keys — never by re-resolving from
-                    // `wm`, whose view may already lack the referenced
-                    // WMEs.
-                    let k = node_keys.len();
-                    for (j, &(pos, attr)) in node_keys.iter().enumerate() {
-                        if let Some(v) = keys[at * k + j] {
-                            Bucket::remove(index, &(pos, attr, v), token);
-                        }
-                    }
-                    // Swap-remove the captured chunk to mirror the
-                    // token's swap_remove above.
-                    let last = keys.len() - k;
-                    for j in 0..k {
-                        keys.swap(at * k + j, last + j);
-                    }
-                    keys.truncate(last);
-                }
-                self.stats.token_removed();
-            }
-        }
-    }
-
-    /// The candidate tokens of a *right* activation of `spec`: the
-    /// dummy top token, a negative node's zero-count tokens, or a beta
-    /// memory — under [`MemoryStrategy::Hashed`] only its
-    /// `(position, attribute, value)` bucket for the node's index key
-    /// (empty when `wme` lacks the keyed attribute: nothing can match).
-    fn left_tokens<'a>(&'a self, spec: &NodeSpec, wme: &Wme) -> impl Iterator<Item = &'a Token> {
-        let (tokens, negative): (&[Token], &[NegEntry]) = match spec.left {
-            None => (std::slice::from_ref(&self.top), &[]),
-            Some(left) => match (&self.states[left.index()], self.index_key(spec)) {
-                (NodeState::Mem { index, .. }, Some(t)) => {
-                    let bucket = t
-                        .wme_key(wme)
-                        .and_then(|v| index.get(&(t.token_pos, t.token_attr, v)));
-                    (bucket.map_or(&[], Bucket::as_slice), &[])
-                }
-                (NodeState::Mem { tokens, .. }, None) => (tokens, &[]),
-                (NodeState::Neg(memory), _) => (&[], &memory.entries),
-                (NodeState::Stateless, _) => unreachable!("left input must hold tokens"),
+            Sign::Minus => match memory.remove(token, token_key(wm)) {
+                Some(_) => self.stats.token_removed(),
+                // Counted (not just debug-asserted) so chaos and
+                // failover suites can gate on zero.
+                None => self.stats.phantom_removes += 1,
             },
-        };
-        let unblocked = negative
-            .iter()
-            .filter(|e| e.count.get() == 0)
-            .map(|e| &e.token);
-        tokens.iter().chain(unblocked)
+        }
     }
 
-    /// The candidate WMEs of a *left* activation of `spec`: its alpha
-    /// memory, or under [`MemoryStrategy::Hashed`] only the
-    /// `(attr, value)` bucket for the node's index key (empty when the
-    /// token lacks the keyed attribute: nothing can match).
-    fn right_wmes(&self, spec: &NodeSpec, token: &Token, wm: &WorkingMemory) -> &[WmeId] {
+    /// What a *right* activation of `node` probes the token memory on
+    /// its left with: the slot its index key reads and `wme`'s value
+    /// for it, or `None` (scan it whole) for a node without one.
+    fn left_probe(&self, node: NodeId, wme: &Wme) -> Option<(usize, Option<Value>)> {
+        let probe = self.probes[node.index()]?;
+        Some((probe.left?, probe.test.wme_key(wme)))
+    }
+
+    /// The candidate WMEs of a *left* activation of `node`: its alpha
+    /// memory, or only the chain `token` can match when the node has an
+    /// index key.
+    fn right_wmes<'a>(
+        &'a self,
+        spec: &NodeSpec,
+        node: NodeId,
+        token: &Token,
+        wm: &WorkingMemory,
+    ) -> impl Iterator<Item = WmeId> + 'a {
         let alpha = spec.alpha.expect("two-input node has alpha").index();
-        match self.index_key(spec) {
-            Some(t) => t
-                .token_key(token, |id| wm.get(id))
-                .and_then(|v| self.alpha_index[alpha].get(&(t.own_attr, v)))
-                .map_or(&[], Bucket::as_slice),
-            None => &self.alpha_mems[alpha],
-        }
+        let probe = self.probes[node.index()];
+        let probe = probe.map(|p| (p.right, p.test.token_key(token, |id| wm.get(id))));
+        self.alpha_mems[alpha].candidates(probe).copied()
     }
 
     /// Left-activates the children of `spec` with `token`.
@@ -1145,7 +908,7 @@ impl ReteMatcher {
             let child_spec = net.node(child);
             if child_spec.kind == NodeKind::Join {
                 let alpha = child_spec.alpha.expect("join has alpha");
-                if self.alpha_mems[alpha.index()].is_empty() {
+                if self.alpha_mems[alpha.index()].entries.is_empty() {
                     continue;
                 }
             }
@@ -1573,12 +1336,8 @@ pub(crate) mod tests {
         .unwrap();
         let mut linear = ReteMatcher::compile_linear(&program).unwrap();
         let mut hashed = ReteMatcher::compile(&program).unwrap();
-        assert_eq!(linear.memory_strategy(), MemoryStrategy::Linear);
-        assert_eq!(
-            hashed.memory_strategy(),
-            MemoryStrategy::Hashed,
-            "hashed memories are the production default"
-        );
+        assert_eq!(linear.memory, MemoryStrategy::Linear);
+        assert_eq!(hashed.memory, MemoryStrategy::Hashed, "the default");
         let mut wm = WorkingMemory::new();
         let mut syms = program.symbols.clone();
         let mut ids = Vec::new();
@@ -1670,62 +1429,6 @@ pub(crate) mod tests {
     /// Steps of [`closure_churn`] a test can afford (the Miri job runs
     /// this crate's unit tests).
     pub(crate) const CHURN_STEPS: usize = if cfg!(miri) { 150 } else { 900 };
-
-    /// `NegMemory` against a list of `(token, key)` pairs, through random
-    /// inserts and removes. A third of the removes cannot re-read any
-    /// key (the caller's view lost the WMEs), so the removed entry and
-    /// the entry swap-moved into its place are both relinked by
-    /// identity; some entries are filed nowhere.
-    #[test]
-    fn negative_memory_chains_follow_a_model() {
-        let mut rng = Rng64::new(0xC4A1);
-        let mut memory = NegMemory::default();
-        let mut model: Vec<(Token, Option<Value>)> = Vec::new();
-        let mut next_wme = 0;
-        for step in 0..if cfg!(miri) { 200 } else { 3000 } {
-            if model.is_empty() || rng.gen_range(0..5u32) < 3 {
-                next_wme += 1;
-                let token = Token::from_wmes(vec![WmeId::from_index(next_wme)]);
-                let key = (rng.gen_range(0..8u32) > 0).then(|| Value::Int(rng.gen_range(0..6i64)));
-                memory.insert(token.clone(), step, key);
-                model.push((token, key));
-            } else {
-                let at = rng.gen_range(0..model.len());
-                let token = model[at].0.clone();
-                let blind = rng.gen_range(0..3u32) == 0;
-                let key_of = |t: &Token| {
-                    let known = model.iter().find(|(m, _)| m == t);
-                    known.and_then(|(_, key)| key.filter(|_| !blind))
-                };
-                assert!(memory.remove(&token, key_of).is_some(), "step {step}");
-                model.swap_remove(at);
-                assert!(
-                    memory.remove(&token, |_| None).is_none(),
-                    "step {step}: twice"
-                );
-            }
-            assert_eq!(memory.entries.len(), model.len());
-            let mut filed = 0;
-            for v in (0..6).map(Value::Int) {
-                let mut chain: Vec<_> = memory.chain(Some(v)).map(|(_, e)| &e.token).collect();
-                let mut want: Vec<_> = model
-                    .iter()
-                    .filter(|m| m.1 == Some(v))
-                    .map(|m| &m.0)
-                    .collect();
-                chain.sort_by_key(|t| t.wmes());
-                want.sort_by_key(|t| t.wmes());
-                assert_eq!(chain, want, "step {step}: bucket {v:?}");
-                assert_eq!(
-                    memory.heads.contains_key(&v),
-                    !want.is_empty(),
-                    "step {step}"
-                );
-                filed += want.len();
-            }
-            assert_eq!(memory.filed(), filed, "step {step}");
-        }
-    }
 
     #[test]
     fn bucketed_negative_memories_match_linear_under_churn() {
@@ -1883,81 +1586,95 @@ pub(crate) mod tests {
         );
     }
 
-    /// Stale-index regression (ISSUE 10): a beta-memory minus must
-    /// remove the token's hash-bucket entries through the key values
-    /// captured at insert time. Re-resolving them from the caller's
-    /// working memory is wrong the moment that view diverges — the
-    /// `Matcher` contract only guarantees the *changed* WME is
-    /// resolvable, not every WME a resident token references. Pre-fix,
-    /// the bucket entry survives the retraction (a phantom join
-    /// candidate) and the index grows without bound under churn.
+    /// Stale-view regression (ISSUE 10): the `Matcher` contract only
+    /// guarantees the *changed* WME is resolvable, not every WME a
+    /// resident entry's key was read from. A memory stores no key
+    /// beside an entry, so when the caller's view has dropped such a
+    /// WME (divergent replica / crash-recovery edge), a minus finds the
+    /// entry — and the links that file it, and the entry swap-moved
+    /// into its place — by identity, and unfiles it from exactly the
+    /// chains it was filed on. Failing that, the chain entry survives
+    /// the retraction (a phantom join candidate) and the index grows
+    /// without bound under churn.
     #[test]
-    fn minus_uses_captured_keys_not_the_callers_wm_view() {
-        // `d` probes M3 (the memory after the c-join) on `(1, q)` — a
-        // key living on the *b* WME — while the c-join's own test only
-        // touches position 0 (the `a` WME). Retracting `c` therefore
-        // reaches M3 without ever needing `b` to be resolvable.
-        let (_p, mut m, mut wm, mut syms) =
-            setup("(p r (a ^u <x>) (b ^q <y>) (c ^u <x>) (d ^q <y>) --> (remove 1))");
-        add(&mut m, &mut wm, &mut syms, "(a ^u 1)");
-        let (ib, _) = add(&mut m, &mut wm, &mut syms, "(b ^q 7)");
-        let before = m.resident_index_entries();
-        let (ic, _) = add(&mut m, &mut wm, &mut syms, "(c ^u 1)");
-        // `c` adds one alpha-index entry and one M3 bucket entry.
-        assert_eq!(m.resident_index_entries(), before + 2);
-
-        // The caller's WM view drops `b` without informing the matcher
-        // (divergent replica / crash-recovery edge), then retracts `c`
-        // through the normal path. `c` itself is still resolvable, so
-        // the call is in contract.
-        wm.remove(ib);
-        let d = m.process(&wm, &[Change::Remove(ic)]);
-        assert!(d.is_empty());
-
-        // The (a b c) token is gone from M3's bucket even though its
-        // `(1, q)` key WME was unresolvable at minus time.
-        assert_eq!(
-            m.resident_index_entries(),
-            before,
-            "retraction must clean the hash bucket via captured keys"
-        );
-        assert_eq!(m.stats().phantom_removes, 0);
-    }
-
-    /// The same contract for a negative node's own memory, which stores
-    /// no key beside its entries: when the WME a token's key was read
-    /// from is gone from the caller's view, the minus finds the entry —
-    /// and the link that files it — by identity.
-    #[test]
-    fn negative_minus_unfiles_without_the_callers_wm_view() {
-        // The negative node is keyed on `(0, x)`, a value on the `a`
-        // WME; retracting `b` reaches it without needing `a`.
-        let (_p, mut m, mut wm, mut syms) =
-            setup("(p r (a ^x <v>) (b ^y <w>) - (c ^x <v>) --> (remove 1))");
-        let (ia, _) = add(&mut m, &mut wm, &mut syms, "(a ^x 1)");
-        add(&mut m, &mut wm, &mut syms, "(a ^x 2)");
-        let before = (m.resident_index_entries(), m.resident_index_buckets());
-        let (ib, d) = add(&mut m, &mut wm, &mut syms, "(b ^y 7)");
-        assert_eq!(d.added.len(), 2);
-        // One alpha-memory entry for `b` (unindexed: its join has no
-        // key) and the two negative-memory entries, a bucket each.
-        assert_eq!(
-            (m.resident_index_entries(), m.resident_index_buckets()),
-            (before.0 + 2, before.1 + 2)
-        );
-        let (_, d) = add(&mut m, &mut wm, &mut syms, "(c ^x 1)");
-        assert_eq!(d.removed.len(), 1, "only the x = 1 bucket is blocked");
-
-        wm.remove(ia);
-        let d = m.process(&wm, &[Change::Remove(ib)]);
-        assert_eq!(d.removed.len(), 1, "the unblocked x = 2 instantiation");
-        assert_eq!(m.stats().phantom_removes, 0);
-        let c_entry = 1; // the `c` WME in its alpha index
-        assert_eq!(
-            (m.resident_index_entries(), m.resident_index_buckets()),
-            (before.0 + c_entry, before.1 + c_entry),
-            "both negative buckets are gone"
-        );
+    fn minus_unfiles_without_the_callers_wm_view() {
+        struct Case {
+            memory: &'static str,
+            src: &'static str,
+            adds: &'static [&'static str],
+            /// The audits' baseline is read after this many adds.
+            baseline_after: usize,
+            /// Dropped from the caller's view behind the matcher's back.
+            hidden: usize,
+            retracted: &'static [usize],
+            instantiations_removed: usize,
+            /// `(index entries, chains)` left over the baseline.
+            left: (usize, usize),
+        }
+        let cases = [
+            // `d` probes M3 (the memory after the c-join) on `(1, q)` —
+            // a key living on the *b* WME — while the c-join's own test
+            // only touches position 0. Retracting `c` therefore reaches
+            // M3 without ever needing `b` to be resolvable.
+            Case {
+                memory: "beta",
+                src: "(p r (a ^u <x>) (b ^q <y>) (c ^u <x>) (d ^q <y>) --> (remove 1))",
+                adds: &["(a ^u 1)", "(b ^q 7)", "(c ^u 1)"],
+                baseline_after: 2,
+                hidden: 1,
+                retracted: &[2],
+                instantiations_removed: 0,
+                left: (0, 0),
+            },
+            // The negative node is keyed on `(0, x)`, a value on the
+            // `a` WMEs; retracting `b` reaches it without needing them.
+            // Only the x = 2 token was unblocked.
+            Case {
+                memory: "negative",
+                src: "(p r (a ^x <v>) (b ^y <w>) - (c ^x <v>) --> (remove 1))",
+                adds: &["(a ^x 1)", "(a ^x 2)", "(b ^y 7)", "(c ^x 1)"],
+                baseline_after: 2,
+                hidden: 0,
+                retracted: &[2, 3],
+                instantiations_removed: 1,
+                left: (0, 0),
+            },
+            // Retracting the older `b` swap-moves the hidden one, which
+            // heads their chain, into its place: the head follows it.
+            Case {
+                memory: "alpha",
+                src: "(p r (a ^x <v>) (b ^x <v>) --> (remove 1))",
+                adds: &["(b ^x 1)", "(b ^x 1)"],
+                baseline_after: 0,
+                hidden: 1,
+                retracted: &[0],
+                instantiations_removed: 0,
+                left: (1, 1),
+            },
+        ];
+        for case in cases {
+            let (_p, mut m, mut wm, mut syms) = setup(case.src);
+            let audits = |m: &ReteMatcher| (m.resident_index_entries(), m.resident_index_buckets());
+            let mut baseline = audits(&m);
+            let mut ids = Vec::new();
+            for (i, lit) in case.adds.iter().enumerate() {
+                ids.push(add(&mut m, &mut wm, &mut syms, lit).0);
+                if i + 1 == case.baseline_after {
+                    baseline = audits(&m);
+                }
+            }
+            assert!(audits(&m) > baseline, "{}: nothing filed", case.memory);
+            wm.remove(ids[case.hidden]);
+            let mut removed = 0;
+            for &i in case.retracted {
+                removed += m.process(&wm, &[Change::Remove(ids[i])]).removed.len();
+                wm.remove(ids[i]);
+            }
+            assert_eq!(removed, case.instantiations_removed, "{}", case.memory);
+            let left = (baseline.0 + case.left.0, baseline.1 + case.left.1);
+            assert_eq!(audits(&m), left, "{}: not unfiled", case.memory);
+            assert_eq!(m.stats().phantom_removes, 0, "{}", case.memory);
+        }
     }
 
     /// Empty buckets are pruned on removal: a full assert/retract churn

@@ -5,34 +5,34 @@
 //! argument for being able to *snapshot* that state: when a worker dies
 //! mid-cycle, restoring a snapshot and replaying the change tail is far
 //! cheaper than rebuilding the network state from the whole working
-//! memory. This module serializes everything dynamic in a matcher —
-//! alpha memories (and hash indexes), beta-memory tokens, negative-node
-//! counts and key-value buckets, and the work counters — into a
-//! canonical byte stream.
+//! memory. This module serializes everything dynamic in a matcher — the
+//! work counters and every memory (alpha, beta, negative) as it is:
+//! entries once, the chain links threaded through them, the chain heads
+//! — into a canonical byte stream.
 //!
-//! The encoding is deterministic (hash-map keys are emitted in sorted
+//! The encoding is deterministic (chain heads are emitted in sorted
 //! order), so two matchers in identical logical states produce identical
 //! bytes. `psm-fault` leans on this: its recovery audit compares the
 //! snapshot of a restored-and-replayed matcher byte-for-byte against the
 //! snapshot of a matcher that lived through the same changes.
 
-use std::cell::Cell;
 use std::sync::Arc;
 
-use ops5::{ByteReader, ByteWriter, CodecError, FxHashMap, SymbolId, Value, WmeId};
+use ops5::{ByteReader, ByteWriter, CodecError, FxHashMap, Value, WmeId};
 
-use crate::kernel::Bucket;
+use crate::memory::{Memory, Slot};
 use crate::network::Network;
-use crate::runtime::{MemoryStrategy, NegEntry, NegMemory, NodeState, ReteMatcher, NIL};
+use crate::runtime::{MemoryStrategy, NegEntry, NodeState, ReteMatcher};
 use crate::stats::MatchStats;
 use crate::token::Token;
 
 const MAGIC: [u8; 4] = *b"PSMR";
-// v2: `phantom_removes` joined the stats block, and beta-memory entries
-// carry their captured hash-index key values (parallel to the tokens).
-// v3: negative-node memories carry their key-value buckets (a `next`
-// link per entry and the bucket heads).
-const VERSION: u32 = 3;
+// v2: `phantom_removes` joined the stats block.
+// v3: negative-node memories carry their key-value chains.
+// v4: every memory is one section — slot count, entries, the links
+// threaded through them, each slot's chain heads — so no token or WME id
+// is written twice; counts and token lengths are `u32`.
+const VERSION: u32 = 4;
 
 /// A serialized matcher state (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,14 +65,14 @@ impl ReteSnapshot {
 }
 
 fn encode_token(w: &mut ByteWriter, token: &Token) {
-    w.usize(token.len());
+    w.u32(token.len() as u32);
     for &id in token.wmes() {
         w.u32(id.index() as u32);
     }
 }
 
 fn decode_token(r: &mut ByteReader<'_>) -> Result<Token, CodecError> {
-    let n = r.usize()?;
+    let n = r.u32()? as usize;
     let mut wmes = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
         wmes.push(WmeId::from_index(r.u32()? as usize));
@@ -80,30 +80,9 @@ fn decode_token(r: &mut ByteReader<'_>) -> Result<Token, CodecError> {
     Ok(Token::from_wmes(wmes))
 }
 
-fn encode_stats(w: &mut ByteWriter, s: &MatchStats) {
-    for v in [
-        s.changes,
-        s.inserts,
-        s.constant_tests,
-        s.alpha_mem_ops,
-        s.right_activations,
-        s.left_activations,
-        s.join_tests,
-        s.pairs_scanned,
-        s.beta_mem_ops,
-        s.tokens_created,
-        s.conflict_changes,
-        s.peak_tokens,
-        s.live_tokens,
-        s.phantom_removes,
-    ] {
-        w.u64(v);
-    }
-}
-
-fn decode_stats(r: &mut ByteReader<'_>) -> Result<MatchStats, CodecError> {
-    let mut s = MatchStats::default();
-    for field in [
+/// The work counters, in image order.
+fn stat_fields(s: &mut MatchStats) -> [&mut u64; 14] {
+    [
         &mut s.changes,
         &mut s.inserts,
         &mut s.constant_tests,
@@ -118,70 +97,115 @@ fn decode_stats(r: &mut ByteReader<'_>) -> Result<MatchStats, CodecError> {
         &mut s.peak_tokens,
         &mut s.live_tokens,
         &mut s.phantom_removes,
-    ] {
-        *field = r.u64()?;
-    }
-    Ok(s)
+    ]
 }
 
-fn encode_captured_keys(w: &mut ByteWriter, keys: &[Option<Value>]) {
-    w.usize(keys.len());
-    for key in keys {
-        match key {
-            Some(v) => {
-                w.u8(1);
-                v.encode(w);
+/// Where the bytes of a `PSMR` image go, summed over its memories.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ImageParts {
+    /// The entries themselves: WME ids, tokens, match counts.
+    pub entries: usize,
+    /// The chain links threaded through them.
+    pub links: usize,
+    /// The chain heads and their key values.
+    pub heads: usize,
+    /// Everything else: header, work counters, per-memory counts.
+    pub rest: usize,
+}
+
+/// Writes one memory: slot count, entries (each through `item`), links
+/// as they are and — with the links, the index as it is: a restored
+/// matcher walks each chain in the order this one does — each slot's
+/// heads, sorted.
+pub(crate) fn encode_memory<T>(
+    w: &mut ByteWriter,
+    memory: &Memory<T>,
+    parts: &mut ImageParts,
+    item: impl Fn(&mut ByteWriter, &T),
+) {
+    w.u32(memory.slots.len() as u32);
+    w.u32(memory.entries.len() as u32);
+    let start = w.len();
+    for entry in &memory.entries {
+        item(w, entry);
+    }
+    parts.entries += w.len() - start;
+    let start = w.len();
+    for &link in &memory.links {
+        w.u32(link);
+    }
+    parts.links += w.len() - start;
+    let start = w.len();
+    let mut heads: Vec<_> = memory.heads.iter().collect();
+    heads.sort_unstable();
+    let mut heads = &heads[..];
+    for slot in 0..memory.slots.len() as u32 {
+        let n = heads.iter().take_while(|(key, _)| key.0 == slot).count();
+        w.u32(n as u32);
+        for (&(_, value), &head) in &heads[..n] {
+            value.encode(w);
+            w.u32(head);
+        }
+        heads = &heads[n..];
+    }
+    parts.heads += w.len() - start;
+}
+
+/// Reads a memory of the given `slots`, rejecting a slot count that is
+/// not theirs and parts that fail [`Memory::audit`].
+pub(crate) fn decode_memory<T>(
+    r: &mut ByteReader<'_>,
+    slots: &[Slot],
+    item: impl Fn(&mut ByteReader<'_>) -> Result<T, CodecError>,
+) -> Result<Memory<T>, CodecError> {
+    let k = slots.len();
+    if r.u32()? as usize != k {
+        return Err(CodecError::Invalid("memory's slots do not fit its node"));
+    }
+    let n = r.u32()? as usize;
+    let mut entries = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
+        entries.push(item(r)?);
+    }
+    let mut links = Vec::with_capacity(n.saturating_mul(k).min(1 << 20));
+    for _ in 0..n.saturating_mul(k) {
+        links.push(r.u32()?);
+    }
+    let mut heads = FxHashMap::default();
+    for slot in 0..k as u32 {
+        for _ in 0..r.u32()? {
+            let key = (slot, Value::decode(r)?);
+            if heads.insert(key, r.u32()?).is_some() {
+                return Err(CodecError::Invalid("repeated chain head"));
             }
-            None => w.u8(0),
         }
     }
-}
-
-fn decode_captured_keys(r: &mut ByteReader<'_>) -> Result<Box<[Option<Value>]>, CodecError> {
-    let n = r.usize()?;
-    let mut keys = Vec::with_capacity(n.min(64));
-    for _ in 0..n {
-        keys.push(match r.u8()? {
-            0 => None,
-            1 => Some(Value::decode(r)?),
-            _ => return Err(CodecError::Invalid("bad captured-key tag")),
-        });
-    }
-    Ok(keys.into_boxed_slice())
-}
-
-/// Decodes a negative node's memory. A link (a bucket head or an
-/// entry's `next`) must name an entry of the memory, and no entry may
-/// be named twice: chains then neither leave the memory, nor merge, nor
-/// loop back into themselves.
-fn decode_negative(r: &mut ByteReader<'_>) -> Result<NegMemory, CodecError> {
-    let n = r.usize()?;
-    let mut memory = NegMemory::default();
-    memory.entries.reserve(n.min(1 << 20));
-    let mut links = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let token = decode_token(r)?;
-        let count = Cell::new(r.u32()?);
-        let next = r.u32()?;
-        links.extend((next != NIL).then_some(next));
-        memory.entries.push(NegEntry { token, count, next });
-    }
-    for _ in 0..r.usize()? {
-        let key = Value::decode(r)?;
-        let head = r.u32()?;
-        links.push(head);
-        if memory.heads.insert(key, head).is_some() {
-            return Err(CodecError::Invalid("repeated negative bucket"));
-        }
-    }
-    let mut named = vec![false; memory.entries.len()];
-    for at in links {
-        match named.get_mut(at as usize) {
-            Some(seen) if !*seen => *seen = true,
-            _ => return Err(CodecError::Invalid("negative bucket link out of place")),
-        }
-    }
+    let slots = slots.into();
+    let memory = Memory {
+        slots,
+        entries,
+        links,
+        heads,
+    };
+    memory.audit().map_err(CodecError::Invalid)?;
     Ok(memory)
+}
+
+fn encode_wme(w: &mut ByteWriter, id: &WmeId) {
+    w.u32(id.index() as u32);
+}
+
+fn decode_wme(r: &mut ByteReader<'_>) -> Result<WmeId, CodecError> {
+    Ok(WmeId::from_index(r.u32()? as usize))
+}
+
+fn encode_negative(w: &mut ByteWriter, entry: &NegEntry) {
+    encode_token(w, &entry.token);
+    w.u32(entry.count.get());
+}
+
+fn decode_negative(r: &mut ByteReader<'_>) -> Result<NegEntry, CodecError> {
+    Ok(NegEntry::new(decode_token(r)?, r.u32()?))
 }
 
 impl ReteMatcher {
@@ -191,6 +215,12 @@ impl ReteMatcher {
     /// to recompile — so [`ReteMatcher::restore`] needs the same
     /// [`Network`] the snapshot was taken against.
     pub fn snapshot(&self) -> ReteSnapshot {
+        self.snapshot_parts().0
+    }
+
+    /// [`ReteMatcher::snapshot`], with where its bytes went.
+    pub fn snapshot_parts(&self) -> (ReteSnapshot, ImageParts) {
+        let mut parts = ImageParts::default();
         let mut w = ByteWriter::with_header(MAGIC, VERSION);
         w.usize(self.network().nodes.len());
         w.usize(self.alpha_mems.len());
@@ -198,94 +228,35 @@ impl ReteMatcher {
             MemoryStrategy::Linear => 0,
             MemoryStrategy::Hashed => 1,
         });
-        encode_stats(&mut w, &self.stats);
-
-        for mem in &self.alpha_mems {
-            w.usize(mem.len());
-            for &id in mem {
-                w.u32(id.index() as u32);
-            }
+        for field in stat_fields(&mut self.stats.clone()) {
+            w.u64(*field);
         }
-        for index in &self.alpha_index {
-            let mut keys: Vec<&(SymbolId, Value)> = index.keys().collect();
-            keys.sort_unstable();
-            w.usize(keys.len());
-            for key in keys {
-                w.u32(key.0.index() as u32);
-                key.1.encode(&mut w);
-                let bucket = &index[key];
-                w.usize(bucket.as_slice().len());
-                for &id in bucket.as_slice() {
-                    w.u32(id.index() as u32);
-                }
-            }
+        for memory in &self.alpha_mems {
+            encode_memory(&mut w, memory, &mut parts, encode_wme);
         }
-        let mut heads: Vec<(Value, u32)> = Vec::new();
-        for (node, state) in self.states.iter().enumerate() {
+        for state in &self.states {
             match state {
-                NodeState::Mem {
-                    tokens,
-                    keys,
-                    index,
-                } => {
+                NodeState::Mem(memory) => {
                     w.u8(0);
-                    w.usize(tokens.len());
-                    for t in tokens {
-                        encode_token(&mut w, t);
-                    }
-                    // Captured insert-time key values, one fixed-width
-                    // chunk per token (none under the linear strategy;
-                    // the runtime stores them flattened).
-                    let width = self.mem_keys[node].len();
-                    let chunks = keys.len().checked_div(width).unwrap_or(0);
-                    w.usize(chunks);
-                    for chunk in keys.chunks_exact(width.max(1)).take(chunks) {
-                        encode_captured_keys(&mut w, chunk);
-                    }
-                    let mut keys: Vec<&(usize, SymbolId, Value)> = index.keys().collect();
-                    keys.sort_unstable();
-                    w.usize(keys.len());
-                    for key in keys {
-                        w.usize(key.0);
-                        w.u32(key.1.index() as u32);
-                        key.2.encode(&mut w);
-                        let bucket = &index[key];
-                        w.usize(bucket.as_slice().len());
-                        for t in bucket.as_slice() {
-                            encode_token(&mut w, t);
-                        }
-                    }
+                    encode_memory(&mut w, memory, &mut parts, encode_token);
                 }
                 NodeState::Neg(memory) => {
                     w.u8(1);
-                    w.usize(memory.entries.len());
-                    for e in &memory.entries {
-                        encode_token(&mut w, &e.token);
-                        w.u32(e.count.get());
-                        w.u32(e.next);
-                    }
-                    // With the entries' `next` links, the index as it
-                    // is: a restored matcher scans each bucket in the
-                    // order this one does.
-                    heads.clear();
-                    heads.extend(memory.heads.iter().map(|(&key, &at)| (key, at)));
-                    heads.sort_unstable();
-                    w.usize(heads.len());
-                    for &(key, head) in &heads {
-                        key.encode(&mut w);
-                        w.u32(head);
-                    }
+                    encode_memory(&mut w, memory, &mut parts, encode_negative);
                 }
                 NodeState::Stateless => w.u8(2),
             }
         }
-        ReteSnapshot { bytes: w.finish() }
+        parts.rest = w.len() - parts.entries - parts.links - parts.heads;
+        (ReteSnapshot { bytes: w.finish() }, parts)
     }
 
     /// Rebuilds a matcher from `snapshot` over `network`.
     ///
     /// `network` must be (structurally) the network the snapshot was
-    /// taken against; node and alpha-memory counts are checked.
+    /// taken against: node and alpha-memory counts, each node's kind of
+    /// state and each memory's slot count are checked, and so is every
+    /// chain link.
     ///
     /// # Errors
     ///
@@ -309,97 +280,30 @@ impl ReteMatcher {
             1 => MemoryStrategy::Hashed,
             _ => return Err(CodecError::Invalid("bad memory-strategy tag")),
         };
-        let stats = decode_stats(&mut r)?;
-
-        let mut alpha_mems = Vec::with_capacity(alphas);
-        for _ in 0..alphas {
-            let n = r.usize()?;
-            let mut mem = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                mem.push(WmeId::from_index(r.u32()? as usize));
-            }
-            alpha_mems.push(mem);
+        // Built empty first: its memories say what slots the image's
+        // must have.
+        let mut matcher = ReteMatcher::with_memory(network, memory);
+        for field in stat_fields(&mut matcher.stats) {
+            *field = r.u64()?;
         }
-        let mut alpha_index = Vec::with_capacity(alphas);
-        for _ in 0..alphas {
-            let keys = r.usize()?;
-            let mut index: FxHashMap<(SymbolId, Value), Bucket<WmeId>> = FxHashMap::default();
-            for _ in 0..keys {
-                let sym = SymbolId::from_index(r.u32()? as usize);
-                let value = Value::decode(&mut r)?;
-                let len = r.usize()?;
-                let mut bucket = Vec::with_capacity(len.min(1 << 20));
-                for _ in 0..len {
-                    bucket.push(WmeId::from_index(r.u32()? as usize));
-                }
-                if let Some(bucket) = Bucket::from_vec(bucket) {
-                    index.insert((sym, value), bucket);
-                }
-            }
-            alpha_index.push(index);
+        for memory in &mut matcher.alpha_mems {
+            *memory = decode_memory(&mut r, &memory.slots, decode_wme)?;
         }
-        let mut states = Vec::with_capacity(nodes);
-        for _ in 0..nodes {
-            states.push(match r.u8()? {
-                0 => {
-                    let n = r.usize()?;
-                    let mut tokens = Vec::with_capacity(n.min(1 << 20));
-                    for _ in 0..n {
-                        tokens.push(decode_token(&mut r)?);
-                    }
-                    let nk = r.usize()?;
-                    if nk != 0 && nk != n {
-                        return Err(CodecError::Invalid("captured keys not parallel to tokens"));
-                    }
-                    // Flatten the per-token chunks into the runtime's
-                    // flat parallel layout; all chunks of one node must
-                    // share a width.
-                    let mut captured: Vec<Option<Value>> = Vec::new();
-                    let mut width: Option<usize> = None;
-                    for _ in 0..nk {
-                        let chunk = decode_captured_keys(&mut r)?;
-                        if *width.get_or_insert(chunk.len()) != chunk.len() {
-                            return Err(CodecError::Invalid("ragged captured-key chunks"));
-                        }
-                        captured.extend(chunk.iter().cloned());
-                    }
-                    let keys = r.usize()?;
-                    let mut index: FxHashMap<(usize, SymbolId, Value), Bucket<Token>> =
-                        FxHashMap::default();
-                    for _ in 0..keys {
-                        let pos = r.usize()?;
-                        let sym = SymbolId::from_index(r.u32()? as usize);
-                        let value = Value::decode(&mut r)?;
-                        let len = r.usize()?;
-                        let mut bucket = Vec::with_capacity(len.min(1 << 20));
-                        for _ in 0..len {
-                            bucket.push(decode_token(&mut r)?);
-                        }
-                        if let Some(bucket) = Bucket::from_vec(bucket) {
-                            index.insert((pos, sym, value), bucket);
-                        }
-                    }
-                    NodeState::Mem {
-                        tokens,
-                        keys: captured,
-                        index,
-                    }
+        for state in &mut matcher.states {
+            match (state, r.u8()?) {
+                (NodeState::Mem(memory), 0) => {
+                    *memory = decode_memory(&mut r, &memory.slots, decode_token)?;
                 }
-                1 => NodeState::Neg(decode_negative(&mut r)?),
-                2 => NodeState::Stateless,
-                _ => return Err(CodecError::Invalid("bad node-state tag")),
-            });
+                (NodeState::Neg(memory), 1) => {
+                    *memory = decode_memory(&mut r, &memory.slots, decode_negative)?;
+                }
+                (NodeState::Stateless, 2) => {}
+                _ => return Err(CodecError::Invalid("node state does not fit its node")),
+            }
         }
         if !r.is_done() {
             return Err(CodecError::Invalid("trailing bytes after snapshot"));
         }
-
-        let mut matcher = ReteMatcher::from_network(network);
-        matcher.alpha_mems = alpha_mems;
-        matcher.alpha_index = alpha_index;
-        matcher.memory = memory;
-        matcher.states = states;
-        matcher.stats = stats;
         Ok(matcher)
     }
 }
@@ -467,9 +371,9 @@ mod tests {
         }
     }
 
-    /// The same on a state only removals produce: negative memories
-    /// hundreds of entries long whose chains were unlinked from the
-    /// middle and repointed at swap-moved entries. The restored matcher
+    /// The same on a state only removals produce: memories hundreds of
+    /// entries long whose chains were unlinked from the middle and
+    /// repointed at swap-moved entries. The restored matcher
     /// scans them in the lived-through order, so from then on it emits
     /// the same deltas in the same order and re-encodes to the same bytes.
     #[test]
@@ -512,8 +416,8 @@ mod tests {
         assert_eq!(restored.resident_index_buckets(), 0);
     }
 
-    /// Two tokens in the one bucket of a negative node; the image ends
-    /// with that bucket's head and the terminal's one-byte state.
+    /// Two tokens on the one chain of a negative node; the image ends
+    /// with that chain's head and the terminal's one-byte state.
     fn negative_bucket_image() -> (ReteMatcher, Vec<u8>) {
         let program = parse_program("(p r (a ^x <v>) - (b ^x <v>) --> (halt))").unwrap();
         let mut m = ReteMatcher::compile(&program).unwrap();
@@ -530,7 +434,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_a_negative_bucket_link_out_of_place() {
+    fn restore_rejects_a_chain_link_out_of_place() {
         let (m, bytes) = negative_bucket_image();
         let head = bytes.len() - 5;
         // Outside the memory, then inside it but at an entry the other
@@ -548,16 +452,45 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_a_version_2_image() {
+    fn restore_rejects_a_version_3_image() {
         let (m, mut bytes) = negative_bucket_image();
-        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
         assert_eq!(
             ReteMatcher::restore(m.network().clone(), &ReteSnapshot::from_bytes(bytes)).err(),
             Some(CodecError::BadVersion {
-                supported: 3,
-                found: 2
+                supported: 4,
+                found: 3
             })
         );
+    }
+
+    /// Node and alpha-memory counts alone do not make a network the
+    /// image's: each pair below agrees on both (6 nodes, 3 alpha
+    /// memories). An accepted image used to panic the next `process`
+    /// (`unreachable: negative state`), or leave a keyed memory without
+    /// the chains its joins probe.
+    #[test]
+    fn restore_rejects_a_network_of_the_same_size_and_another_shape() {
+        let r2 = "(p r2 (c ^x <v>) --> (halt))";
+        let join = format!("(p r1 (a ^x <v>) (b ^x <v>) --> (halt)) {r2}");
+        // The second node's state is a negative memory, not none.
+        let negative = format!("(p r1 (a ^x <v>) - (b ^x <v>) --> (halt)) {r2}");
+        // No equality test: the memories have no key slot.
+        let unkeyed = format!("(p r1 (a ^x <v>) (b ^x > <v>) --> (halt)) {r2}");
+        let image = ReteMatcher::compile(&parse_program(&join).unwrap())
+            .unwrap()
+            .snapshot();
+        for other in [negative, unkeyed] {
+            let network = Arc::new(Network::compile(&parse_program(&other).unwrap()).unwrap());
+            assert_eq!((network.nodes.len(), network.alpha.len()), (6, 3));
+            assert!(
+                matches!(
+                    ReteMatcher::restore(network, &image),
+                    Err(CodecError::Invalid(_))
+                ),
+                "{other}"
+            );
+        }
     }
 
     #[test]
@@ -570,15 +503,5 @@ mod tests {
             ReteMatcher::restore(network, &snap),
             Err(CodecError::Invalid(_))
         ));
-    }
-
-    #[test]
-    fn restore_rejects_corrupt_bytes() {
-        let (live, ..) = build_state(false);
-        let mut bytes = live.snapshot().as_bytes().to_vec();
-        bytes.truncate(bytes.len() / 2);
-        assert!(
-            ReteMatcher::restore(live.network().clone(), &ReteSnapshot::from_bytes(bytes)).is_err()
-        );
     }
 }

@@ -230,13 +230,3 @@ fn bucket_spills_on_second_entry_and_prunes_when_drained() {
     Bucket::remove(&mut index, &1, &7);
     assert!(index.is_empty());
 }
-
-#[test]
-fn bucket_from_vec_shapes() {
-    assert_eq!(Bucket::<u32>::from_vec(vec![]), None);
-    assert_eq!(Bucket::from_vec(vec![4u32]), Some(Bucket::One(4)));
-    assert_eq!(
-        Bucket::from_vec(vec![4u32, 5]),
-        Some(Bucket::Many(vec![4, 5]))
-    );
-}
