@@ -23,8 +23,9 @@
 //!
 //! * **`PSMR` image census** — the bytes of the matcher snapshot every
 //!   checkpoint serialises, diffs and checksums, by part (entries,
-//!   chain links, chain heads, the rest), on the full-size vt stream
-//!   after 1000 cycles and on the closed 80-node `closure` graph.
+//!   chain links, chain heads, the rest) and the heads' bytes per
+//!   chain, on the full-size vt stream after 1000 cycles and on the
+//!   closed 80-node `closure` graph.
 //!
 //! Artifacts written to `--out DIR` (default `results/`):
 //!
@@ -297,14 +298,30 @@ fn main() {
     let share = |n: usize, of: usize| format!("{n} ({:.0}%)", 100.0 * n as f64 / of as f64);
     let rows: Vec<Vec<String>> = images
         .iter()
-        .map(|(state, image)| {
-            let parts = image.iter().map(|&n| share(n, image[0]));
-            std::iter::once(state.to_string()).chain(parts).collect()
+        .zip(V4_HEAD_BYTES_PER_CHAIN)
+        .map(|((state, image), v4)| {
+            let [parts @ .., chains] = image;
+            let per_chain = parts[3] as f64 / *chains as f64;
+            let parts = parts.iter().map(|&n| share(n, parts[0]));
+            let heads = [chains.to_string(), format!("{per_chain:.2} (v4: {v4})")];
+            std::iter::once(state.to_string())
+                .chain(parts)
+                .chain(heads)
+                .collect()
         })
         .collect();
     print_table(
         "PSMR image by part (what every checkpoint serialises, diffs and checksums)",
-        &["state", "bytes", "entries", "links", "heads", "rest"],
+        &[
+            "state",
+            "bytes",
+            "entries",
+            "links",
+            "heads",
+            "rest",
+            "chains",
+            "heads B/chain",
+        ],
         &rows,
     );
 
@@ -356,13 +373,20 @@ fn checkpoint_cost(cycles: usize) -> CheckpointCost {
     }
 }
 
+/// What a chain head cost in the two censused images under `PSMR` v4,
+/// which wrote its key as a tagged value (a head was 9 or 13 bytes; v5
+/// writes the key's fingerprint and a head is 8): 202 292 bytes for
+/// 14 136 chains on vt, 5 220 for 400 on `closure` — where v5 keys the
+/// negated CE on both its variables and has 12 960 more chains to write.
+const V4_HEAD_BYTES_PER_CHAIN: [f64; 2] = [14.31, 13.05];
+
 /// The `PSMR` image of a sequential matcher — byte for byte the one a
 /// supervisor commits on the same stream — as `[bytes, entries, links,
-/// heads, rest]`: the full-size vt stream after 1000 cycles, and
+/// heads, rest, chains]`: the full-size vt stream after 1000 cycles, and
 /// `closure` run to quiescence on a strongly connected 80-node digraph
 /// of out-degree 2 (the benchmark workload's shape; the image's size
 /// does not depend on which such graph).
-fn image_census() -> Vec<(&'static str, [usize; 5])> {
+fn image_census() -> Vec<(&'static str, [usize; 6])> {
     let workload = GeneratedWorkload::generate(Preset::Vt.spec()).expect("workload generates");
     let mut driver = WorkloadDriver::new(workload, 0x5EED);
     let mut vt = ReteMatcher::compile(&driver.workload().program).expect("program compiles");
@@ -383,7 +407,9 @@ fn image_census() -> Vec<(&'static str, [usize; 5])> {
     ];
     let census = states.map(|(state, matcher)| {
         let (image, p) = matcher.snapshot_parts();
-        (state, [image.len(), p.entries, p.links, p.heads, p.rest])
+        let chains = matcher.resident_index_buckets();
+        let parts = [image.len(), p.entries, p.links, p.heads, p.rest, chains];
+        (state, parts)
     });
     census.into()
 }
@@ -474,7 +500,7 @@ fn write_json(
     sweeps: &[KillSweep],
     chaos: &[ChaosRun],
     cost: &CheckpointCost,
-    images: &[(&'static str, [usize; 5])],
+    images: &[(&'static str, [usize; 6])],
 ) {
     let mut j = String::from("{\"kill_sweep\":[");
     for (i, s) in sweeps.iter().enumerate() {
@@ -541,7 +567,7 @@ fn write_json(
     for (i, (state, image)) in images.iter().enumerate() {
         j.push_str(if i > 0 { ",{\"state\":" } else { "{\"state\":" });
         push_escaped(&mut j, state);
-        for (name, n) in ["bytes", "entries", "links", "heads", "rest"]
+        for (name, n) in ["bytes", "entries", "links", "heads", "rest", "chains"]
             .iter()
             .zip(image)
         {

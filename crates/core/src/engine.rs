@@ -39,7 +39,7 @@ use psm_obs::metrics::{Counter, Gauge};
 use psm_obs::{NodeDelta, Obs, ProfileKind};
 
 use ops5::{
-    Change, Error, FxHashMap, Instantiation, MatchDelta, Matcher, Program, Value, Wme, WmeId,
+    Change, Error, FxHashMap, Instantiation, MatchDelta, Matcher, Program, Wme, WmeId,
     WorkingMemory,
 };
 use rete::kernel::{self, FlightStage, Work};
@@ -261,10 +261,11 @@ struct Entry {
 }
 
 /// One input memory of a two-input node: signed presence plus a hashed
-/// value-bucket index over the *present* entries, keyed by the node's
-/// index key ([`rete::NodeSpec::key`] — the same `(position,
-/// attribute)` keying as the sequential matcher's hashed memories, so
-/// both runtimes probe identical candidate sets). The index is
+/// bucket index over the *present* entries, keyed by the fingerprint of
+/// the node's index key ([`rete::NodeSpec::key`], every equality test
+/// it has, read through [`kernel::right_key`] and [`kernel::left_key`] —
+/// the same keying as the sequential matcher's hashed memories, so both
+/// runtimes probe identical candidate sets). The index is
 /// maintained exactly on presence transitions — debt entries are never
 /// indexed, unkeyable entries (attribute absent: the equality test can
 /// never hold) are invisible to probes by construction, and a bucket
@@ -273,7 +274,7 @@ struct Entry {
 #[derive(Debug)]
 struct Side<K> {
     entries: FxHashMap<K, Entry>,
-    index: FxHashMap<Value, Bucket<K>>,
+    index: FxHashMap<u32, Bucket<K>>,
 }
 
 impl<K> Default for Side<K> {
@@ -294,7 +295,7 @@ impl<K: Clone + Eq + Hash> Side<K> {
     /// opposite side; `None` when the arrival merely netted against a
     /// debt or a duplicate. Entries whose presence nets to zero are
     /// dropped.
-    fn arrive(&mut self, item: &K, sign: Sign, key: Option<Value>) -> Option<i32> {
+    fn arrive(&mut self, item: &K, sign: Sign, key: Option<u32>) -> Option<i32> {
         let entry = self.entries.entry(item.clone()).or_default();
         entry.presence += sign.delta();
         let (presence, count) = (entry.presence, entry.count.get());
@@ -313,11 +314,11 @@ impl<K: Clone + Eq + Hash> Side<K> {
         Some(count)
     }
 
-    /// The present entries an opposite-side activation with key value
-    /// `key` must scan: that value's bucket on a `keyed` node (nothing
+    /// The present entries an opposite-side activation with key
+    /// `key` must scan: that key's bucket on a `keyed` node (nothing
     /// when the arrival itself is unkeyable), every present entry
     /// otherwise.
-    fn candidates(&self, keyed: bool, key: Option<Value>) -> impl Iterator<Item = &K> {
+    fn candidates(&self, keyed: bool, key: Option<u32>) -> impl Iterator<Item = &K> {
         let bucket = key.and_then(|k| self.index.get(&k));
         let all = (!keyed).then(|| self.entries.iter().filter(|(_, e)| e.presence > 0));
         let all = all.into_iter().flatten().map(|(item, _)| item);
@@ -991,7 +992,7 @@ impl ParallelReteMatcher {
         local.worker.tasks += 1;
         let spec = self.network.node(node_id);
         let node = node_id.index() as u32;
-        let keyed = spec.key.is_some();
+        let keyed = !spec.key.is_empty();
         let resolve = |id| Some(self.wme(id));
         // Node slots of the attached profiler (0: off, or none attached).
         let prof_slots = self.obs.as_ref().map_or(0, |m| m.obs.profile.capacity());
@@ -1035,7 +1036,7 @@ impl ParallelReteMatcher {
             let work = match (spec.kind, payload) {
                 (NodeKind::Join, Payload::Right(wme_id)) => {
                     let wme = self.wme(wme_id);
-                    let key = spec.key.and_then(|t| t.wme_key(wme));
+                    let key = kernel::right_key(&spec.key, wme);
                     match right.arrive(&wme_id, sign, key) {
                         None => Work::default(),
                         Some(_) => {
@@ -1047,7 +1048,7 @@ impl ParallelReteMatcher {
                     }
                 }
                 (NodeKind::Join, Payload::Left(token)) => {
-                    let key = spec.key.and_then(|t| t.token_key(&token, resolve));
+                    let key = kernel::left_key(&spec.key, &token, resolve);
                     match left.arrive(&token, sign, key) {
                         None => Work::default(),
                         Some(_) => {
@@ -1059,7 +1060,7 @@ impl ParallelReteMatcher {
                 }
                 (NodeKind::Negative, Payload::Right(wme_id)) => {
                     let wme = self.wme(wme_id);
-                    let key = spec.key.and_then(|t| t.wme_key(wme));
+                    let key = kernel::right_key(&spec.key, wme);
                     right.arrive(&wme_id, sign, key);
                     // Count adjustment is unconditional (every signed
                     // right activation shifts the match counts of the
@@ -1078,7 +1079,7 @@ impl ParallelReteMatcher {
                     kernel::scan_tokens(&spec.tests, candidates, wme, resolve, recount)
                 }
                 (NodeKind::Negative, Payload::Left(token)) => {
-                    let key = spec.key.and_then(|t| t.token_key(&token, resolve));
+                    let key = kernel::left_key(&spec.key, &token, resolve);
                     match (left.arrive(&token, sign, key), sign) {
                         // A debt was cancelled, or a deletion raced
                         // ahead and left one; net nothing happened.

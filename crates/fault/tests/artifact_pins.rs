@@ -13,10 +13,13 @@
 //!
 //! The pins that contain a `PSMR` image — the checkpoints, the committed
 //! snapshot and the byte counts of the store's accounting — were
-//! re-recorded once, for `PSMR` v4 (every matcher memory written as one
-//! section: entries once, chain links, chain heads; no index copies).
-//! The image shrank, so every byte count fell; the `PSMW` and `PSML`
-//! pins, the segment read counts and every other count did not move.
+//! re-recorded once for `PSMR` v4 (every matcher memory written as one
+//! section: entries once, chain links, chain heads; no index copies)
+//! and once for `PSMR` v5 (a chain head keyed by the 32-bit fingerprint
+//! of its node's whole index key: 8 bytes a head where a tagged value
+//! made it 9 or 13). The image shrank both times, so every byte count
+//! fell; the `PSMW` and `PSML` pins, the segment read counts and every
+//! other count did not move.
 //!
 //! Under the default [`ReplicationConfig`] a vt batch never fills a
 //! segment, so every sealed one is collected by the checkpoint that seals
@@ -134,12 +137,12 @@ fn run(replication: ReplicationConfig) -> Pins {
 
 /// The supervisor's own artifacts do not depend on where it publishes.
 const CHECKPOINTS: [u64; 3] = [
-    0x1d63_57de_cd37_601d,
-    0x74c5_5204_1f95_a681,
-    0x68c9_ea8f_bb8a_ad34,
+    0x0599_e717_c608_23d3,
+    0x44d7_cc57_f597_cc5f,
+    0x8bd6_5c6f_8503_b607,
 ];
 const COMMITTED_WM: u64 = 0x9833_89d0_c84b_cbb3;
-const COMMITTED_SNAPSHOT: u64 = 0xf158_0dbc_7a0e_c60f;
+const COMMITTED_SNAPSHOT: u64 = 0x4127_36e6_6b9c_b97b;
 
 #[test]
 fn default_store_artifacts_are_byte_identical_to_the_recorded_run() {
@@ -153,7 +156,7 @@ fn default_store_artifacts_are_byte_identical_to_the_recorded_run() {
             segment_stream: 0x9724_a136_0403_05ff,
             segment_reads: (56, 0),
             segments: vec![(42, 0x17cb_b527_ddc7_79ad)],
-            stats: [282_906, 6, 357_603, 37, 1, 648, 42, 339],
+            stats: [261_996, 6, 340_979, 37, 1, 648, 42, 339],
         }
     );
 }
@@ -173,7 +176,7 @@ fn rotating_store_serves_the_recorded_sealed_segments() {
             segment_stream: 0x7301_d196_b8b5_56cb,
             segment_reads: (146, 90),
             segments: vec![(108, 0xbb00_0127_009e_72bb), (109, 0xc065_65c9_53ad_4518),],
-            stats: [1_069_232, 22, 198_120, 21, 2, 664, 108, 339],
+            stats: [988_287, 22, 188_876, 21, 2, 664, 108, 339],
         }
     );
 }

@@ -1,12 +1,13 @@
 //! The two-input node, stated once.
 //!
 //! Everything about a join or negative node that does not depend on how
-//! its memories are reached: the index-key policy ([`index_key`], kept
-//! on [`NodeSpec::key`](crate::NodeSpec)), join-test evaluation, the
-//! two candidate scans that define what `join_tests` and
-//! `pairs_scanned` count, [`Sign`], [`ActivationKind`], which nodes
-//! start out holding the dummy top token, and the [`FlightStage`] a
-//! matcher files its provenance through.
+//! its memories are reached: the index-key policy ([`key_tests`], kept
+//! on [`NodeSpec::key`](crate::NodeSpec), and the two readers
+//! [`right_key`] and [`left_key`]), join-test evaluation, the two
+//! candidate scans that define what `join_tests` and `pairs_scanned`
+//! count, [`Sign`], [`ActivationKind`], which nodes start out holding
+//! the dummy top token, and the [`FlightStage`] a matcher files its
+//! provenance through.
 //!
 //! Both runtimes are written on top of it and differ only in memory
 //! model and scheduling — [`ReteMatcher`](crate::ReteMatcher) with
@@ -20,42 +21,91 @@
 use std::borrow::Borrow;
 use std::hash::Hash;
 
-use ops5::{FxHashMap, PredOp, Value, Wme, WmeId};
+use ops5::{FxHashMap, PredOp, SymbolId, Value, Wme, WmeId};
 use psm_obs::{FlightBatch, FlightLabel, FlightRecorder, ProfileKind};
 
 use crate::network::{JoinTest, Network, NodeId, NodeKind};
 use crate::token::Token;
 
-/// The index key of a two-input node: its first equality join test, or
-/// `None` when it has none (predicate-only joins, and terminals and
-/// beta memories, which carry no tests) and so scans linearly.
+/// The index key of a two-input node: every equality join test it has,
+/// in test order — empty when it has none (predicate-only joins, and
+/// terminals and beta memories, which carry no tests), and the node
+/// then scans linearly.
 ///
-/// A right-input WME is bucketed under its `own_attr` value and a
-/// left-input token under the value at `(token_pos, token_attr)`; the
-/// test holds exactly when the two are equal, so an activation need
-/// only look at the opposite bucket with its own key value.
-pub fn index_key(tests: &[JoinTest]) -> Option<JoinTest> {
-    tests.iter().copied().find(|t| t.op == PredOp::Eq)
+/// A right-input WME is filed under the values of its `own_attr`s and a
+/// left-input token under the values at its `(token_pos, token_attr)`s;
+/// the tests all hold exactly when the two tuples are equal, so an
+/// activation need only look at the opposite entries filed under its
+/// own tuple. What a memory is keyed by is the tuple's [`fingerprint`]:
+/// equal tuples have equal fingerprints, and two unequal tuples that
+/// share one share a chain, which costs scanned pairs and never a
+/// match, because every candidate still goes through
+/// [`eval_join_tests`].
+pub fn key_tests(tests: &[JoinTest]) -> Vec<JoinTest> {
+    let eq = tests.iter().filter(|t| t.op == PredOp::Eq);
+    eq.copied().collect()
 }
 
-impl JoinTest {
-    /// The value a right-input WME is indexed under (`None`: the
-    /// attribute is absent, so the test fails against every token).
-    pub fn wme_key(&self, wme: &Wme) -> Option<Value> {
-        wme.get(self.own_attr)
-    }
+/// One part of an index key as a memory reads it off an entry:
+/// attribute `.1` of the WME at token position `.0` (a WME is its own
+/// position 0).
+pub type KeyPart = (usize, SymbolId);
 
-    /// The value a left-input token is indexed under.
-    pub fn token_key<'a>(
-        &self,
-        token: &Token,
-        resolve: impl Fn(WmeId) -> Option<&'a Wme>,
-    ) -> Option<Value> {
-        token
-            .wme_at(self.token_pos)
-            .and_then(resolve)
-            .and_then(|w| w.get(self.token_attr))
+/// The parts a right-input WME is filed under for `key`.
+pub fn wme_parts(key: &[JoinTest]) -> impl Iterator<Item = KeyPart> + '_ {
+    key.iter().map(|t| (0, t.own_attr))
+}
+
+/// The parts a left-input token is filed under for `key`.
+pub fn token_parts(key: &[JoinTest]) -> impl Iterator<Item = KeyPart> + '_ {
+    key.iter().map(|t| (t.token_pos, t.token_attr))
+}
+
+/// Folds the part values of an index key, in order, into the 32 bits a
+/// memory files it under: `None` for no parts at all, and as soon as
+/// one part is `None` (the attribute is absent, so the conjunction
+/// fails against everything).
+///
+/// A symbol or a non-negative integer below 2³¹ keeps all its bits and
+/// each step is a bijection of them, so one-part keys over such values
+/// never collide.
+pub fn fingerprint(parts: impl IntoIterator<Item = Option<Value>>) -> Option<u32> {
+    const K: u32 = 0x9E37_79B9;
+    let mut folded = None;
+    for part in parts {
+        let word = match part? {
+            Value::Sym(s) => (s.index() as u64) << 1,
+            Value::Int(i) => ((i as u64) << 1) | 1,
+        };
+        let word = word as u32 ^ ((word >> 32) as u32).wrapping_mul(K);
+        folded = Some((folded.unwrap_or(0u32).rotate_left(5) ^ word).wrapping_mul(K));
     }
+    folded
+}
+
+/// The value of key part `part` of `token`.
+pub fn part_value<'a>(
+    token: &Token,
+    (pos, attr): KeyPart,
+    resolve: impl Fn(WmeId) -> Option<&'a Wme>,
+) -> Option<Value> {
+    token.wme_at(pos).and_then(resolve)?.get(attr)
+}
+
+/// What a right-input WME is filed under, and probes the left input
+/// with, at a node whose index key is `key`.
+pub fn right_key(key: &[JoinTest], wme: &Wme) -> Option<u32> {
+    fingerprint(wme_parts(key).map(|(_, attr)| wme.get(attr)))
+}
+
+/// What a left-input token is filed under, and probes the right input
+/// with, at a node whose index key is `key`.
+pub fn left_key<'a>(
+    key: &[JoinTest],
+    token: &Token,
+    resolve: impl Fn(WmeId) -> Option<&'a Wme>,
+) -> Option<u32> {
+    fingerprint(token_parts(key).map(|part| part_value(token, part, &resolve)))
 }
 
 /// Evaluates join tests with short-circuiting, returning success and the
@@ -70,7 +120,8 @@ pub fn eval_join_tests<'a>(
     let mut n = 0u32;
     for t in tests {
         n += 1;
-        match (t.wme_key(wme), t.token_key(token, &resolve)) {
+        let theirs = part_value(token, (t.token_pos, t.token_attr), &resolve);
+        match (wme.get(t.own_attr), theirs) {
             (Some(a), Some(b)) if a.compare(t.op, b) => {}
             _ => return (false, n),
         }

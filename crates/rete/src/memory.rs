@@ -3,29 +3,33 @@
 //! Alpha memories (`T` = a WME id), beta memories (`T` = a token) and
 //! negative nodes' memories (`T` = a token with its match count) are
 //! the same thing: entries in arrival order, and — for each of the
-//! memory's key [`Slot`]s — one chain per key value threaded through
-//! them, newest entry first, so a two-input node whose index key is an
-//! equality test scans only the entries its WME or token can match.
+//! memory's key [`Slot`]s — one chain per key fingerprint threaded
+//! through them, newest entry first, so a two-input node with an index
+//! key ([`kernel::key_tests`](crate::kernel::key_tests): all of its
+//! equality tests) scans only the entries its WME or token can match,
+//! and whatever else shares their fingerprint.
 //! Which chain an entry is on is implied by the chain, never stored
 //! beside the entry: an entry is held once, whatever the slot count.
 //! A memory built with no slots is a plain list
 //! ([`MemoryStrategy::Linear`](crate::MemoryStrategy), and every memory
 //! no equality join probes).
 //!
-//! An entry whose key value for a slot could not be read when it
-//! arrived (the WME lacks the attribute) is on no chain of that slot:
-//! the equality test fails for it against everything.
+//! An entry whose key for a slot could not be read when it arrived (a
+//! WME lacks one of the attributes) is on no chain of that slot: the
+//! equality tests fail for it against everything.
 
 use std::borrow::Borrow;
 
-use ops5::{FxHashMap, SymbolId, Value};
+use ops5::FxHashMap;
+
+use crate::kernel::KeyPart;
 
 /// Ends a chain; also the link of an entry filed nowhere.
 pub(crate) const NIL: u32 = u32::MAX;
 
-/// What a key slot reads off an entry: attribute `.1` of the WME at
-/// token position `.0` (a WME memory's entries are their own position 0).
-pub(crate) type Slot = (usize, SymbolId);
+/// The parts a key slot reads off an entry, in the order they are
+/// folded into its [`fingerprint`](crate::kernel::fingerprint).
+pub(crate) type Slot = Box<[KeyPart]>;
 
 /// See the module docs.
 #[derive(Debug, Clone)]
@@ -36,44 +40,52 @@ pub(crate) struct Memory<T> {
     /// `links[i * k + s]`: the entry after entry `i` on its chain of
     /// slot `s`, for `k` slots.
     pub(crate) links: Vec<u32>,
-    /// First entry of each `(slot, key value)` chain; a chain that
-    /// drains is removed.
-    pub(crate) heads: FxHashMap<(u32, Value), u32>,
+    /// Per slot, the first entry of each key fingerprint's chain; a
+    /// chain that drains is removed.
+    pub(crate) heads: Box<[FxHashMap<u32, u32>]>,
 }
 
 /// Where the index of a chained entry is stored.
 #[derive(Debug, Clone, Copy)]
 enum Link {
-    Head(u32, Value),
+    Head(usize, u32),
     Next(usize),
 }
 
 impl<T> Memory<T> {
     pub(crate) fn new(slots: Vec<Slot>) -> Self {
         Memory {
+            heads: slots.iter().map(|_| FxHashMap::default()).collect(),
             slots: slots.into(),
             entries: Vec::new(),
             links: Vec::new(),
-            heads: FxHashMap::default(),
         }
     }
 
-    /// The slot reading `slot`, if this memory has one.
-    pub(crate) fn slot_of(&self, slot: Slot) -> Option<usize> {
-        self.slots.iter().position(|&s| s == slot)
+    /// The slot reading `parts`, if this memory has one.
+    pub(crate) fn slot_of(&self, parts: &[KeyPart]) -> Option<usize> {
+        self.slots.iter().position(|slot| **slot == *parts)
+    }
+
+    /// Number of key chains resident.
+    pub(crate) fn chains(&self) -> usize {
+        self.heads.iter().map(FxHashMap::len).sum()
     }
 
     /// Adds `item`, filing it at the head of the chain of each slot
-    /// `key_of` reads a value for.
-    pub(crate) fn insert<Q: ?Sized>(&mut self, item: T, key_of: impl Fn(&Q, Slot) -> Option<Value>)
-    where
+    /// `key_of` reads a key for.
+    pub(crate) fn insert<Q: ?Sized>(
+        &mut self,
+        item: T,
+        key_of: impl Fn(&Q, &[KeyPart]) -> Option<u32>,
+    ) where
         T: Borrow<Q>,
     {
         let at = self.entries.len() as u32;
         debug_assert!(at < NIL);
-        for (s, &slot) in self.slots.iter().enumerate() {
+        for (slot, heads) in self.slots.iter().zip(self.heads.iter_mut()) {
             let key = key_of(item.borrow(), slot);
-            let next = key.and_then(|v| self.heads.insert((s as u32, v), at));
+            let next = key.and_then(|key| heads.insert(key, at));
             self.links.push(next.unwrap_or(NIL));
         }
         self.entries.push(item);
@@ -82,16 +94,16 @@ impl<T> Memory<T> {
     /// Removes the entry equal to `item`, or returns `None` when the
     /// memory does not hold it.
     ///
-    /// `key_of` re-reads a key value from the (immutable) WME it was
-    /// read from when the entry was filed. The caller's view may no
-    /// longer resolve that WME; the entry, or the link to it, is then
-    /// found by identity instead, so the entry is unfiled from exactly
-    /// the chains it was filed on either way. The same goes for the
-    /// last entry, which `swap_remove` moves into the freed position.
+    /// `key_of` re-reads a key from the (immutable) WMEs it was read
+    /// from when the entry was filed. The caller's view may no longer
+    /// resolve them; the entry, or the link to it, is then found by
+    /// identity instead, so the entry is unfiled from exactly the
+    /// chains it was filed on either way. The same goes for the last
+    /// entry, which `swap_remove` moves into the freed position.
     pub(crate) fn remove<Q>(
         &mut self,
         item: &Q,
-        key_of: impl Fn(&Q, Slot) -> Option<Value>,
+        key_of: impl Fn(&Q, &[KeyPart]) -> Option<u32>,
     ) -> Option<T>
     where
         T: Borrow<Q>,
@@ -100,19 +112,19 @@ impl<T> Memory<T> {
         let k = self.slots.len();
         let is_item = |(_, entry): &(usize, &T)| (*entry).borrow() == item;
         let on_chain = |s| {
-            self.walk(Some((s, key_of(item, self.slots[s]))))
+            self.walk(Some((s, key_of(item, &self.slots[s]))))
                 .find(is_item)
         };
         let by_identity = || self.walk(None).find(is_item);
         let at = (0..k).find_map(on_chain).or_else(by_identity)?.0;
         let last = self.entries.len() - 1;
         for s in 0..k {
-            if let Some(link) = self.link_to(s, at, key_of(item, self.slots[s])) {
+            if let Some(link) = self.link_to(s, at, key_of(item, &self.slots[s])) {
                 let next = std::mem::replace(&mut self.links[at * k + s], NIL);
                 self.set_link(link, next);
             }
             if at != last {
-                let key = key_of(self.entries[last].borrow(), self.slots[s]);
+                let key = key_of(self.entries[last].borrow(), &self.slots[s]);
                 if let Some(link) = self.link_to(s, last, key) {
                     self.set_link(link, at as u32);
                 }
@@ -126,9 +138,9 @@ impl<T> Memory<T> {
     /// The link of slot `s` that names entry `at`: found along the
     /// chain of `key`, or by identity when that fails (the entry's key
     /// could not be re-read). `None` when the entry is on no chain.
-    fn link_to(&self, s: usize, at: usize, key: Option<Value>) -> Option<Link> {
+    fn link_to(&self, s: usize, at: usize, key: Option<u32>) -> Option<Link> {
         let k = self.slots.len();
-        let mut link = key.map(|key| Link::Head(s as u32, key));
+        let mut link = key.map(|key| Link::Head(s, key));
         for (i, _) in self.walk(Some((s, key))) {
             if i == at {
                 return link;
@@ -138,9 +150,8 @@ impl<T> Memory<T> {
         let mut column = self.links.iter().skip(s).step_by(k);
         let next = column.position(|&next| next as usize == at);
         next.map(|i| Link::Next(i * k + s)).or_else(|| {
-            let mut heads = self.heads.iter();
-            let head = heads.find(|(&(slot, _), &head)| slot as usize == s && head as usize == at);
-            head.map(|(&(slot, key), _)| Link::Head(slot, key))
+            let head = self.heads[s].iter().find(|(_, &head)| head as usize == at);
+            head.map(|(&key, _)| Link::Head(s, key))
         })
     }
 
@@ -148,24 +159,24 @@ impl<T> Memory<T> {
         match link {
             Link::Next(i) => self.links[i] = to,
             Link::Head(s, key) if to == NIL => {
-                self.heads.remove(&(s, key));
+                self.heads[s].remove(&key);
             }
             Link::Head(s, key) => {
-                self.heads.insert((s, key), to);
+                self.heads[s].insert(key, to);
             }
         }
     }
 
     /// The entries a probe selects, with their positions: every entry
-    /// in arrival order for `None`, else the chain of `(slot, key
-    /// value)`, newest first — empty for a `None` value (a WME or token
-    /// without the keyed attribute matches nothing).
-    fn walk(&self, probe: Option<(usize, Option<Value>)>) -> impl Iterator<Item = (usize, &T)> {
+    /// in arrival order for `None`, else the chain of `(slot, key)`,
+    /// newest first — empty for a `None` key (a WME or token without a
+    /// keyed attribute matches nothing).
+    fn walk(&self, probe: Option<(usize, Option<u32>)>) -> impl Iterator<Item = (usize, &T)> {
         let k = self.slots.len();
         let (mut at, slot) = match probe {
             None => (0, None),
             Some((s, key)) => {
-                let head = key.and_then(|v| self.heads.get(&(s as u32, v)));
+                let head = key.and_then(|key| self.heads[s].get(&key));
                 (head.copied().unwrap_or(NIL), Some(s))
             }
         };
@@ -180,7 +191,7 @@ impl<T> Memory<T> {
     /// The candidates of one activation (see [`Memory::walk`]).
     pub(crate) fn candidates(
         &self,
-        probe: Option<(usize, Option<Value>)>,
+        probe: Option<(usize, Option<u32>)>,
     ) -> impl Iterator<Item = &T> {
         self.walk(probe).map(|(_, entry)| entry)
     }
@@ -188,8 +199,11 @@ impl<T> Memory<T> {
     /// Entries reachable from the chain heads, once per slot they are
     /// filed under (for the leak audits).
     pub(crate) fn filed(&self) -> usize {
-        let chain = |&(s, key): &(u32, Value)| self.walk(Some((s as usize, Some(key)))).count();
-        self.heads.keys().map(chain).sum()
+        let slot = |(s, heads): (usize, &FxHashMap<u32, u32>)| {
+            let chain = |&key: &u32| self.walk(Some((s, Some(key)))).count();
+            heads.keys().map(chain).sum::<usize>()
+        };
+        self.heads.iter().enumerate().map(slot).sum()
     }
 
     /// Checks what [`Memory::remove`] and [`Memory::candidates`] rely
@@ -205,20 +219,19 @@ impl<T> Memory<T> {
         }
         let mut seen = vec![false; self.links.len()];
         let mut filed = 0;
-        for (&(s, _), &head) in &self.heads {
-            if s as usize >= k {
-                return Err("chain of a slot the memory lacks");
-            }
-            let mut at = head;
-            loop {
-                let i = at as usize * k + s as usize;
-                if at as usize >= self.entries.len() || std::mem::replace(&mut seen[i], true) {
-                    return Err("chain link out of place");
-                }
-                filed += 1;
-                at = self.links[i];
-                if at == NIL {
-                    break;
+        for (s, heads) in self.heads.iter().enumerate() {
+            for &head in heads.values() {
+                let mut at = head;
+                loop {
+                    let i = at as usize * k + s;
+                    if at as usize >= self.entries.len() || std::mem::replace(&mut seen[i], true) {
+                        return Err("chain link out of place");
+                    }
+                    filed += 1;
+                    at = self.links[i];
+                    if at == NIL {
+                        break;
+                    }
                 }
             }
         }
@@ -234,32 +247,38 @@ impl<T> Memory<T> {
 mod tests {
     use super::*;
     use crate::snapshot::{decode_memory, encode_memory, ImageParts};
-    use ops5::{ByteReader, ByteWriter};
+    use ops5::{ByteReader, ByteWriter, SymbolId};
     use psm_obs::Rng64;
 
-    const VALUES: i64 = 6;
+    const VALUES: i64 = 4;
+    /// A model key is the sum of its part values, so unequal tuples
+    /// collide on purpose: `(1, 2)` and `(2, 1)` share a chain.
+    const KEYS: u32 = 3 * (VALUES as u32 - 1) + 1;
 
     /// Items are numbered in arrival order, so "newest first" is
-    /// "descending".
-    type Model = Vec<(u32, Vec<Option<Value>>)>;
+    /// "descending"; beside each, its part values per slot.
+    type Model = Vec<(u32, Vec<Vec<Option<i64>>>)>;
+
+    /// No key at all when any part is unreadable.
+    fn key(values: &[Vec<Option<i64>>], slot: &[KeyPart]) -> Option<u32> {
+        let parts = slot.iter().map(|&(s, part)| values[s][part.index()]);
+        parts.sum::<Option<i64>>().map(|sum| sum as u32)
+    }
 
     fn assert_follows(memory: &Memory<u32>, model: &Model, at: &str) {
         let items: Vec<u32> = model.iter().map(|m| m.0).collect();
         assert_eq!(memory.entries, items, "{at}: arrival order, swap-removed");
         assert!(memory.candidates(None).eq(&items), "{at}");
         let (mut filed, mut chains) = (0, 0);
-        for s in 0..memory.slots.len() {
+        for (s, slot) in memory.slots.iter().enumerate() {
             assert_eq!(memory.candidates(Some((s, None))).count(), 0, "{at}");
-            for v in (0..VALUES).map(Value::Int) {
-                let chain: Vec<u32> = memory.candidates(Some((s, Some(v)))).copied().collect();
-                let mut want: Vec<u32> = model
-                    .iter()
-                    .filter(|m| m.1[s] == Some(v))
-                    .map(|m| m.0)
-                    .collect();
+            for k in 0..KEYS {
+                let chain: Vec<u32> = memory.candidates(Some((s, Some(k)))).copied().collect();
+                let on_chain = model.iter().filter(|m| key(&m.1, slot) == Some(k));
+                let mut want: Vec<u32> = on_chain.map(|m| m.0).collect();
                 want.sort_by_key(|&item| std::cmp::Reverse(item));
-                assert_eq!(chain, want, "{at}: slot {s} chain {v:?}");
-                let head = memory.heads.contains_key(&(s as u32, v));
+                assert_eq!(chain, want, "{at}: slot {s} chain {k}");
+                let head = memory.heads[s].contains_key(&k);
                 assert_eq!(head, !want.is_empty(), "{at}: no drained head");
                 filed += want.len();
                 chains += usize::from(head);
@@ -267,12 +286,13 @@ mod tests {
         }
         assert_eq!(memory.filed(), filed, "{at}");
         assert_eq!(memory.audit(), Ok(filed), "{at}");
-        assert_eq!(memory.heads.len(), chains, "{at}");
+        assert_eq!(memory.chains(), chains, "{at}");
     }
 
-    /// A memory against a list of `(item, key per slot)` pairs, with 0–3
-    /// slots, through random inserts (some key values missing), removes
-    /// of present and absent items, and encode → decode round trips.
+    /// A memory against a list of `(item, part values per slot)` pairs,
+    /// with 0–3 slots of 1–3 parts, through random inserts (any part
+    /// unreadable: the entry is on no chain of that slot), removes of
+    /// present and absent items, and encode → decode round trips.
     /// Removes re-read keys through a view that may have lost the
     /// removed item's, everyone else's, or both, so the removed entry
     /// and the entry swap-moved into its place are relinked by identity.
@@ -280,7 +300,10 @@ mod tests {
     fn memory_follows_a_model_under_every_slot_count() {
         for k in 0..=3usize {
             let mut rng = Rng64::new(0xC4A1 + k as u64);
-            let slots: Vec<Slot> = (0..k).map(|s| (s, SymbolId::from_index(s))).collect();
+            let part = |s, p| (s, SymbolId::from_index(p));
+            let slots: Vec<Slot> = (0..k)
+                .map(|s| (0..=s).map(|p| part(s, p)).collect())
+                .collect();
             let mut memory: Memory<u32> = Memory::new(slots.clone());
             let mut model = Model::new();
             let mut arrivals = 0;
@@ -288,24 +311,28 @@ mod tests {
                 let roll = rng.gen_range(0..10u32);
                 if model.is_empty() || roll < 5 {
                     arrivals += 1;
-                    let mut key = || (rng.gen_range(0..8u32) > 0).then(|| rng.gen_range(0..VALUES));
-                    let keys: Vec<_> = (0..k).map(|_| key().map(Value::Int)).collect();
-                    memory.insert(arrivals, |_: &u32, (s, _)| keys[s]);
-                    model.push((arrivals, keys));
+                    let mut value =
+                        || (rng.gen_range(0..8u32) > 0).then(|| rng.gen_range(0..VALUES));
+                    let values: Vec<Vec<_>> = slots
+                        .iter()
+                        .map(|slot| slot.iter().map(|_| value()).collect())
+                        .collect();
+                    memory.insert(arrivals, |_: &u32, slot| key(&values, slot));
+                    model.push((arrivals, values));
                 } else if roll < 8 {
                     let at = rng.gen_range(0..model.len());
                     let item = model[at].0;
                     let (blind_item, blind_rest) = (rng.gen_bool(0.3), rng.gen_bool(0.3));
-                    let key_of = |i: &u32, (s, _): Slot| {
+                    let key_of = |i: &u32, slot: &[KeyPart]| {
                         let blind = if *i == item { blind_item } else { blind_rest };
                         let known = model.iter().find(|m| m.0 == *i).expect("a resident item");
-                        known.1[s].filter(|_| !blind)
+                        key(&known.1, slot).filter(|_| !blind)
                     };
                     assert_eq!(memory.remove(&item, key_of), Some(item), "step {step}");
                     model.swap_remove(at);
                 } else if roll < 9 {
-                    let key = Value::Int(rng.gen_range(0..VALUES));
-                    let key_of = |i: &u32, _: Slot| (*i > arrivals).then_some(key);
+                    let key = rng.gen_range(0..KEYS);
+                    let key_of = |i: &u32, _: &[KeyPart]| (*i > arrivals).then_some(key);
                     assert_eq!(memory.remove(&(arrivals + 1), key_of), None, "step {step}");
                 } else {
                     let (mut w, mut parts) = (ByteWriter::new(), ImageParts::default());
@@ -313,6 +340,7 @@ mod tests {
                     let bytes = w.finish();
                     assert_eq!(parts.entries, 4 * model.len());
                     assert_eq!(parts.links, 4 * k * model.len());
+                    assert_eq!(parts.heads, 4 * k + 8 * memory.chains());
                     let mut r = ByteReader::new(&bytes);
                     memory = decode_memory(&mut r, &slots, |r| r.u32()).expect("decodes");
                     assert!(r.is_done());

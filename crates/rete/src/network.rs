@@ -68,10 +68,10 @@ pub struct NodeSpec {
     pub left: Option<NodeId>,
     /// Variable-binding tests (Join/Negative only).
     pub tests: Vec<JoinTest>,
-    /// The equality test both runtimes index this node's memories by
-    /// ([`kernel::index_key`] of `tests`, chosen once here at compile
-    /// time); `None` means the node scans linearly.
-    pub key: Option<JoinTest>,
+    /// The equality tests both runtimes index this node's memories by
+    /// ([`kernel::key_tests`] of `tests`, chosen once here at compile
+    /// time); empty means the node scans linearly.
+    pub key: Vec<JoinTest>,
     /// For terminals: the production whose instantiations this node
     /// emits. For two-input nodes: the production that *first* requested
     /// the node — exact ownership when compiled with `share: false`
@@ -428,7 +428,7 @@ impl Compiler {
                     alpha: None,
                     left: None,
                     tests: Vec::new(),
-                    key: None,
+                    key: Vec::new(),
                     production: Some(production.id),
                     children: Vec::new(),
                 });
@@ -462,7 +462,7 @@ impl Compiler {
             kind,
             alpha: Some(alpha),
             left,
-            key: kernel::index_key(&tests),
+            key: kernel::key_tests(&tests),
             tests,
             production: Some(owner),
             children: Vec::new(),
@@ -491,7 +491,7 @@ impl Compiler {
             alpha: None,
             left: None,
             tests: Vec::new(),
-            key: None,
+            key: Vec::new(),
             production: owner,
             children: Vec::new(),
         });

@@ -13,14 +13,12 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ops5::{
-    Change, Error, Instantiation, MatchDelta, Matcher, Program, Value, Wme, WmeId, WorkingMemory,
-};
+use ops5::{Change, Error, Instantiation, MatchDelta, Matcher, Program, Wme, WmeId, WorkingMemory};
 use psm_obs::{NodeDelta, Obs, ProfileKind};
 
-use crate::kernel::{self, ActivationKind, FlightStage, Sign, Work};
+use crate::kernel::{self, ActivationKind, FlightStage, KeyPart, Sign, Work};
 use crate::memory::{Memory, Slot};
-use crate::network::{CompileOptions, JoinTest, Network, NodeId, NodeKind, NodeSpec};
+use crate::network::{CompileOptions, Network, NodeId, NodeKind, NodeSpec};
 use crate::profile::MatchProfile;
 use crate::stats::MatchStats;
 use crate::token::Token;
@@ -32,7 +30,7 @@ use crate::trace::{Trace, TraceBuilder};
 /// hashed memories so concurrent activations rarely touch the same
 /// bucket. Under `Hashed` — the production default — every memory an
 /// equality join probes gets a key slot for it (DESIGN.md §17), so an
-/// activation whose first join test is an equality walks one chain
+/// activation of a node with equality join tests walks one chain
 /// instead of the whole memory. `Linear` builds the same memories with
 /// no slots: the memory-organization ablation of DESIGN.md §6 (what the
 /// paper-era captured traces model).
@@ -48,8 +46,8 @@ pub enum MemoryStrategy {
 /// Mutable state of one beta node.
 #[derive(Debug, Clone)]
 pub(crate) enum NodeState {
-    /// Beta memory: resident tokens, with one key slot per
-    /// `(token position, attribute)` a downstream equality join probes.
+    /// Beta memory: resident tokens, with one key slot per distinct
+    /// list of key parts a downstream equality join probes by.
     Mem(Memory<Token>),
     /// Negative node: tokens with their right-match counts, with one key
     /// slot for the node's own index key.
@@ -97,7 +95,6 @@ impl Borrow<Token> for &NegEntry {
 /// [`ReteMatcher::with_memory`].
 #[derive(Debug, Clone, Copy)]
 struct Probe {
-    test: JoinTest,
     /// The alpha memory's slot a left activation probes.
     right: usize,
     /// The token memory's slot a right activation probes — the parent
@@ -107,11 +104,11 @@ struct Probe {
     left: Option<usize>,
 }
 
-/// Reads a slot's key value off a token through the caller's view.
-fn token_key(wm: &WorkingMemory) -> impl Fn(&Token, Slot) -> Option<Value> + '_ {
-    |token, (pos, attr)| {
-        let wme = token.wme_at(pos).and_then(|id| wm.get(id));
-        wme.and_then(|w| w.get(attr))
+/// Reads a slot's key off a token through the caller's view.
+fn slot_key(wm: &WorkingMemory) -> impl Fn(&Token, &[KeyPart]) -> Option<u32> + '_ {
+    |token, slot| {
+        let part = |&part| kernel::part_value(token, part, |id| wm.get(id));
+        kernel::fingerprint(slot.iter().map(part))
     }
 }
 
@@ -247,18 +244,19 @@ impl ReteMatcher {
     /// strategy decides how many key slots each memory gets, and
     /// nothing after that looks at it.
     pub(crate) fn with_memory(network: Arc<Network>, memory: MemoryStrategy) -> Self {
-        let key = |spec: &NodeSpec| spec.key.filter(|_| memory == MemoryStrategy::Hashed);
-        // Each alpha memory gets a slot per attribute its successor
-        // two-input nodes probe by — and only those: chaining every
-        // attribute of every WME costs more than the probes it could
-        // ever save.
+        let keyed = |spec: &&NodeSpec| memory == MemoryStrategy::Hashed && !spec.key.is_empty();
+        let wme_slot = |spec: &NodeSpec| kernel::wme_parts(&spec.key).collect::<Slot>();
+        let token_slot = |spec: &NodeSpec| kernel::token_parts(&spec.key).collect::<Slot>();
+        // Each alpha memory gets a slot per list of attributes its
+        // successor two-input nodes probe by — and only those: chaining
+        // every attribute of every WME costs more than the probes it
+        // could ever save.
         let mut alpha_slots: Vec<Vec<Slot>> = vec![Vec::new(); network.alpha.len()];
-        for spec in &network.nodes {
-            if let (Some(alpha), Some(t)) = (spec.alpha, key(spec)) {
-                let slots = &mut alpha_slots[alpha.index()];
-                if !slots.contains(&(0, t.own_attr)) {
-                    slots.push((0, t.own_attr));
-                }
+        for spec in network.nodes.iter().filter(keyed) {
+            let slots = &mut alpha_slots[spec.alpha.expect("keyed node has alpha").index()];
+            let slot = wme_slot(spec);
+            if !slots.contains(&slot) {
+                slots.push(slot);
             }
         }
         let alpha_mems: Vec<_> = alpha_slots.into_iter().map(Memory::new).collect();
@@ -266,7 +264,6 @@ impl ReteMatcher {
         // itself from the start (its right memory begins empty, so the
         // token passes).
         let holds_top = kernel::top_token_inputs(&network);
-        let token_slot = |t: JoinTest| (t.token_pos, t.token_attr);
         let states: Vec<_> = network
             .nodes
             .iter()
@@ -279,13 +276,14 @@ impl ReteMatcher {
                     // beside their match counts.
                     let children = spec.children.iter().map(|&child| network.node(child));
                     let joins = children.filter(|child| child.kind == NodeKind::Join);
-                    let mut slots: Vec<Slot> = joins.filter_map(key).map(token_slot).collect();
+                    let mut slots: Vec<Slot> = joins.filter(keyed).map(token_slot).collect();
                     slots.sort_unstable();
                     slots.dedup();
                     NodeState::Mem(Memory::new(slots))
                 }
                 NodeKind::Negative => {
-                    let mut memory = Memory::new(key(spec).map(token_slot).into_iter().collect());
+                    let own = Some(spec).filter(keyed).map(token_slot);
+                    let mut memory = Memory::new(own.into_iter().collect());
                     if top {
                         memory.insert(NegEntry::new(Token::top(), 0), |_: &Token, _| None);
                     }
@@ -294,21 +292,20 @@ impl ReteMatcher {
                 NodeKind::Join | NodeKind::Terminal => NodeState::Stateless,
             })
             .collect();
-        let probe = |spec: &NodeSpec, test: JoinTest| Probe {
-            test,
+        let probe = |spec: &NodeSpec| Probe {
             right: alpha_mems[spec.alpha.expect("two-input node has alpha").index()]
-                .slot_of((0, test.own_attr))
+                .slot_of(&wme_slot(spec))
                 .expect("alpha memory has a slot per probing successor"),
             left: match (spec.kind, spec.left.map(|left| &states[left.index()])) {
                 (NodeKind::Negative, _) => Some(0),
-                (_, Some(NodeState::Mem(parent))) => parent.slot_of(token_slot(test)),
+                (_, Some(NodeState::Mem(parent))) => parent.slot_of(&token_slot(spec)),
                 _ => None,
             },
         };
         let probes = network
             .nodes
             .iter()
-            .map(|spec| key(spec).map(|test| probe(spec, test)))
+            .map(|spec| Some(spec).filter(keyed).map(probe))
             .collect();
         ReteMatcher {
             top: Token::top(),
@@ -526,7 +523,7 @@ impl ReteMatcher {
     /// to its baseline after a churn cycle instead of growing with the
     /// number of distinct values ever seen.
     pub fn resident_index_buckets(&self) -> usize {
-        self.sum_memories(|m| m.heads.len(), |m| m.heads.len(), |m| m.heads.len())
+        self.sum_memories(Memory::chains, Memory::chains, Memory::chains)
     }
 
     /// Total tokens resident across beta memories and negative nodes.
@@ -602,7 +599,10 @@ impl ReteMatcher {
         let deferred = &mut scratch.deferred;
         for &alpha in alphas.iter() {
             let mem = &mut self.alpha_mems[alpha.index()];
-            let key_of = |id: &WmeId, (_, attr): Slot| wm.get(*id).and_then(|w| w.get(attr));
+            let key_of = |id: &WmeId, slot: &[KeyPart]| {
+                let wme = wm.get(*id)?;
+                kernel::fingerprint(slot.iter().map(|&(_, attr)| wme.get(attr)))
+            };
             match sign {
                 Sign::Plus => mem.insert(id, key_of),
                 Sign::Minus => drop(mem.remove(&id, key_of)),
@@ -758,7 +758,7 @@ impl ReteMatcher {
                 let work = match spec.left.map(|left| &self.states[left.index()]) {
                     None => kernel::scan_tokens(tests, [&self.top], wme, resolve, extend),
                     Some(NodeState::Mem(memory)) => {
-                        let candidates = memory.candidates(self.left_probe(node, wme));
+                        let candidates = memory.candidates(self.left_probe(spec, node, wme));
                         kernel::scan_tokens(tests, candidates, wme, resolve, extend)
                     }
                     Some(NodeState::Neg(memory)) => {
@@ -795,7 +795,7 @@ impl ReteMatcher {
                         out.push(entry.token.clone());
                     }
                 };
-                let probe = self.left_probe(node, wme);
+                let probe = self.left_probe(spec, node, wme);
                 let candidates = self.neg_memory(node).candidates(probe);
                 let work = kernel::scan_tokens(&spec.tests, candidates, wme, resolve, recount);
                 // A new right match retracts instantiations; a removed
@@ -811,12 +811,12 @@ impl ReteMatcher {
                         let work =
                             kernel::scan_wmes(&spec.tests, &token, candidates, resolve, tally);
                         let entry = NegEntry::new(token.clone(), count);
-                        self.neg_memory(node).insert(entry, token_key(wm));
+                        self.neg_memory(node).insert(entry, slot_key(wm));
                         self.stats.token_added();
                         (work, count == 0)
                     }
                     Sign::Minus => {
-                        let removed = self.neg_memory(node).remove(&token, token_key(wm));
+                        let removed = self.neg_memory(node).remove(&token, slot_key(wm));
                         let count = removed.map(|entry| entry.count.get());
                         match count {
                             Some(_) => self.stats.token_removed(),
@@ -852,10 +852,10 @@ impl ReteMatcher {
         };
         match sign {
             Sign::Plus => {
-                memory.insert(token.clone(), token_key(wm));
+                memory.insert(token.clone(), slot_key(wm));
                 self.stats.token_added();
             }
-            Sign::Minus => match memory.remove(token, token_key(wm)) {
+            Sign::Minus => match memory.remove(token, slot_key(wm)) {
                 Some(_) => self.stats.token_removed(),
                 // Counted (not just debug-asserted) so chaos and
                 // failover suites can gate on zero.
@@ -865,11 +865,11 @@ impl ReteMatcher {
     }
 
     /// What a *right* activation of `node` probes the token memory on
-    /// its left with: the slot its index key reads and `wme`'s value
-    /// for it, or `None` (scan it whole) for a node without one.
-    fn left_probe(&self, node: NodeId, wme: &Wme) -> Option<(usize, Option<Value>)> {
+    /// its left with: the slot its index key reads and `wme`'s key, or
+    /// `None` (scan it whole) for a node without one.
+    fn left_probe(&self, spec: &NodeSpec, node: NodeId, wme: &Wme) -> Option<(usize, Option<u32>)> {
         let probe = self.probes[node.index()]?;
-        Some((probe.left?, probe.test.wme_key(wme)))
+        Some((probe.left?, kernel::right_key(&spec.key, wme)))
     }
 
     /// The candidate WMEs of a *left* activation of `node`: its alpha
@@ -884,7 +884,8 @@ impl ReteMatcher {
     ) -> impl Iterator<Item = WmeId> + 'a {
         let alpha = spec.alpha.expect("two-input node has alpha").index();
         let probe = self.probes[node.index()];
-        let probe = probe.map(|p| (p.right, p.test.token_key(token, |id| wm.get(id))));
+        let key = || kernel::left_key(&spec.key, token, |id| wm.get(id));
+        let probe = probe.map(|p| (p.right, key()));
         self.alpha_mems[alpha].candidates(probe).copied()
     }
 

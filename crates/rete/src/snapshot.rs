@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use ops5::{ByteReader, ByteWriter, CodecError, FxHashMap, Value, WmeId};
+use ops5::{ByteReader, ByteWriter, CodecError, FxHashMap, WmeId};
 
 use crate::memory::{Memory, Slot};
 use crate::network::Network;
@@ -32,7 +32,9 @@ const MAGIC: [u8; 4] = *b"PSMR";
 // v4: every memory is one section — slot count, entries, the links
 // threaded through them, each slot's chain heads — so no token or WME id
 // is written twice; counts and token lengths are `u32`.
-const VERSION: u32 = 4;
+// v5: a chain head is keyed by the 32-bit fingerprint of the node's
+// whole index key, not by the value of its first equality test.
+const VERSION: u32 = 5;
 
 /// A serialized matcher state (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,7 +109,7 @@ pub struct ImageParts {
     pub entries: usize,
     /// The chain links threaded through them.
     pub links: usize,
-    /// The chain heads and their key values.
+    /// The chain heads and their key fingerprints.
     pub heads: usize,
     /// Everything else: header, work counters, per-memory counts.
     pub rest: usize,
@@ -136,17 +138,14 @@ pub(crate) fn encode_memory<T>(
     }
     parts.links += w.len() - start;
     let start = w.len();
-    let mut heads: Vec<_> = memory.heads.iter().collect();
-    heads.sort_unstable();
-    let mut heads = &heads[..];
-    for slot in 0..memory.slots.len() as u32 {
-        let n = heads.iter().take_while(|(key, _)| key.0 == slot).count();
-        w.u32(n as u32);
-        for (&(_, value), &head) in &heads[..n] {
-            value.encode(w);
+    for heads in memory.heads.iter() {
+        let mut heads: Vec<_> = heads.iter().collect();
+        heads.sort_unstable();
+        w.u32(heads.len() as u32);
+        for (&key, &head) in heads {
+            w.u32(key);
             w.u32(head);
         }
-        heads = &heads[n..];
     }
     parts.heads += w.len() - start;
 }
@@ -171,21 +170,21 @@ pub(crate) fn decode_memory<T>(
     for _ in 0..n.saturating_mul(k) {
         links.push(r.u32()?);
     }
-    let mut heads = FxHashMap::default();
-    for slot in 0..k as u32 {
+    let mut heads = Vec::with_capacity(k);
+    for _ in 0..k {
+        let mut slot = FxHashMap::default();
         for _ in 0..r.u32()? {
-            let key = (slot, Value::decode(r)?);
-            if heads.insert(key, r.u32()?).is_some() {
+            if slot.insert(r.u32()?, r.u32()?).is_some() {
                 return Err(CodecError::Invalid("repeated chain head"));
             }
         }
+        heads.push(slot);
     }
-    let slots = slots.into();
     let memory = Memory {
-        slots,
+        slots: slots.into(),
         entries,
         links,
-        heads,
+        heads: heads.into(),
     };
     memory.audit().map_err(CodecError::Invalid)?;
     Ok(memory)
@@ -452,14 +451,14 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_a_version_3_image() {
+    fn restore_rejects_a_version_4_image() {
         let (m, mut bytes) = negative_bucket_image();
-        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
         assert_eq!(
             ReteMatcher::restore(m.network().clone(), &ReteSnapshot::from_bytes(bytes)).err(),
             Some(CodecError::BadVersion {
-                supported: 4,
-                found: 3
+                supported: 5,
+                found: 4
             })
         );
     }

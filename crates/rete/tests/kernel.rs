@@ -2,9 +2,12 @@
 //! selection, test counting, the two scans, the activation vocabulary,
 //! top-token seeding and the index bucket.
 
-use ops5::{parse_program, parse_wme, FxHashMap, PredOp, SymbolTable, WmeId, WorkingMemory};
+use ops5::{parse_program, parse_wme, FxHashMap, PredOp, SymbolTable, Value, WmeId, WorkingMemory};
 use psm_obs::ProfileKind;
-use rete::kernel::{eval_join_tests, scan_tokens, scan_wmes, top_token_inputs, Work};
+use rete::kernel::{
+    eval_join_tests, fingerprint, key_tests, left_key, right_key, scan_tokens, scan_wmes,
+    token_parts, top_token_inputs, wme_parts, Work,
+};
 use rete::network::NodeKind;
 use rete::{ActivationKind, Bucket, JoinTest, Network, Sign, Token};
 
@@ -31,33 +34,104 @@ fn fixture(lits: &[&str], ops: &[PredOp]) -> (WorkingMemory, Vec<WmeId>, Vec<Joi
 }
 
 #[test]
-fn node_key_is_the_first_equality_test_of_two_input_nodes() {
+fn node_key_is_every_equality_test_of_a_two_input_node_in_test_order() {
     let program = parse_program(
         r#"
-        (p eq (a ^x <v> ^y <w>) (b ^y > <w> ^x <v>) - (c ^x <v>) --> (remove 1))
+        (p eq (a ^x <v> ^y <w>) (b ^y > <w> ^x <v>) - (c ^x <v> ^y <w>) --> (remove 1))
         (p pred-only (a ^x <v>) (d ^x > <v>) --> (remove 1))
         "#,
     )
     .unwrap();
     let net = Network::compile(&program).unwrap();
-    let mut keyed = 0;
+    let mut parts = Vec::new();
     for (_, spec) in net.iter() {
-        // What both runtimes derived for themselves before the key
-        // moved onto the spec.
-        let first_eq = spec.tests.iter().copied().find(|t| t.op == PredOp::Eq);
+        let eq = spec.tests.iter().copied().filter(|t| t.op == PredOp::Eq);
         match spec.kind {
-            NodeKind::Join | NodeKind::Negative => assert_eq!(spec.key, first_eq),
-            NodeKind::BetaMemory | NodeKind::Terminal => assert_eq!(spec.key, None),
+            NodeKind::Join | NodeKind::Negative => assert!(eq.eq(spec.key.iter().copied())),
+            NodeKind::BetaMemory | NodeKind::Terminal => assert!(spec.key.is_empty()),
         }
-        keyed += usize::from(spec.key.is_some());
+        if !spec.key.is_empty() {
+            parts.push(spec.key.len());
+        }
     }
     assert_eq!(
-        keyed, 2,
-        "the b-join (past its leading `>`) and the negative"
+        parts,
+        [1, 2],
+        "the b-join (past its leading `>`) and the negative, on both variables"
     );
-    let pred_only = net.production_chain(ops5::ProductionId(1))[1];
-    assert_eq!(net.node(pred_only).tests.len(), 1);
-    assert_eq!(net.node(pred_only).key, None, "no equality test to key on");
+    let pred_only = net.node(net.production_chain(ops5::ProductionId(1))[1]);
+    assert_eq!(pred_only.tests.len(), 1);
+    assert!(pred_only.key.is_empty(), "no equality test to key on");
+    // A node without a key files nothing and probes with nothing.
+    let mut syms = program.symbols.clone();
+    let wme = parse_wme("(d ^x 1)", &mut syms).unwrap();
+    assert_eq!(right_key(&pred_only.key, &wme), None);
+    assert_eq!(
+        left_key(&pred_only.key, &Token::top(), |_| Some(&wme)),
+        None
+    );
+}
+
+#[test]
+fn a_wme_and_a_token_passing_every_equality_test_have_one_key() {
+    let mut syms = SymbolTable::new();
+    let mut wm = WorkingMemory::new();
+    let mut add = |lit: &str| wm.add(parse_wme(lit, &mut syms).unwrap()).0;
+    let (a, b) = (add("(a ^x 1 ^y red)"), add("(b ^z 2)"));
+    let (hit, swapped) = (add("(c ^p 1 ^q 2 ^r red)"), add("(c ^p 2 ^q 1 ^r red)"));
+    let (other, short) = (add("(c ^p 1 ^q 3 ^r red)"), add("(c ^p 1 ^r red)"));
+    let mut test = |own: &str, op, token_pos, theirs: &str| JoinTest {
+        own_attr: syms.intern(own),
+        op,
+        token_pos,
+        token_attr: syms.intern(theirs),
+    };
+    // c.p = a.x, c.q > a.x (no part of the key), c.q = b.z, c.r = a.y.
+    let tests = [
+        test("p", PredOp::Eq, 0, "x"),
+        test("q", PredOp::Gt, 0, "x"),
+        test("q", PredOp::Eq, 1, "z"),
+        test("r", PredOp::Eq, 0, "y"),
+    ];
+    let key = key_tests(&tests);
+    assert_eq!(key, [tests[0], tests[2], tests[3]]);
+    assert!(wme_parts(&key)
+        .map(|part| part.1)
+        .eq(key.iter().map(|t| t.own_attr)));
+    let theirs = key.iter().map(|t| (t.token_pos, t.token_attr));
+    assert!(token_parts(&key).eq(theirs));
+
+    let resolve = |id| wm.get(id);
+    let token = Token::top().extended(a).extended(b);
+    let of = |id| right_key(&key, wm.get(id).unwrap());
+    let theirs = left_key(&key, &token, resolve);
+    assert!(theirs.is_some());
+    assert_eq!(of(hit), theirs, "equal tuples, equal keys");
+    assert!(eval_join_tests(&tests, &token, wm.get(hit).unwrap(), resolve).0);
+    // Parts are folded in test order on both sides: the same values
+    // under swapped attributes are another key, and so is one other
+    // value.
+    assert_ne!(of(swapped), theirs);
+    assert_ne!(of(other), theirs);
+    // One unreadable part and there is no key at all: the conjunction
+    // fails against everything.
+    assert_eq!(of(short), None, "^q absent");
+    assert_eq!(left_key(&key, &Token::top().extended(a), resolve), None);
+    let dangling = Token::top().extended(a).extended(WmeId::from_index(99));
+    assert_eq!(left_key(&key, &dangling, resolve), None);
+    // The one-part case is the same code, and small values keep all
+    // their bits: no two of them share a key.
+    let one = &key[..1];
+    assert_eq!(
+        right_key(one, wm.get(hit).unwrap()),
+        left_key(one, &token, resolve)
+    );
+    let small = (0..4096).map(Value::Int);
+    let small = small.chain((0..4096).map(|s| Value::Sym(ops5::SymbolId::from_index(s))));
+    let keys: std::collections::HashSet<_> = small.map(|v| fingerprint([Some(v)])).collect();
+    assert_eq!(keys.len(), 8192);
+    assert_eq!(fingerprint([]), None);
+    assert_eq!(fingerprint([Some(Value::Int(1)), None]), None);
 }
 
 #[test]

@@ -8,13 +8,17 @@
 //! pins one hand-built instance; this property test generates many
 //! random programs of the same conjugate shape — every production has a
 //! negated CE whose class also appears in a positive CE, joined on a
-//! shared variable — and checks Rete, TREAT, and the naive matcher
-//! produce identical conflict-set deltas on random add/remove streams.
+//! shared variable — and checks Rete, TREAT, the naive matcher and the
+//! parallel engine at 1, 2 and 8 threads produce identical conflict-set
+//! deltas on random add/remove streams. Half the productions bind a
+//! second variable, so their later CEs — positive and negated — test two
+//! variables already bound and their nodes are indexed by a two-part key.
 
 use psm::baselines::{NaiveMatcher, TreatMatcher};
 use psm::core::{ParallelOptions, ParallelReteMatcher};
 use psm::obs::Rng64;
 use psm::ops5::{parse_program, Change, Matcher, Program, Value, Wme, WorkingMemory};
+use psm::rete::network::NodeKind;
 use psm::rete::{MatchStats, ReteMatcher};
 use psm::workloads::{programs, GeneratedWorkload, Preset, WorkloadDriver};
 
@@ -23,24 +27,34 @@ const VALUE_DOMAIN: i64 = 3;
 
 /// Generates a program of conjugate-shaped productions: each has a
 /// negated CE over a class that some positive CE also tests, all joined
-/// on the production's single variable so one WME can flip a negation
-/// and a join in the same change.
+/// on the production's variable `<v>` so one WME can flip a negation and
+/// a join in the same change. Every other production binds `<w>` in its
+/// first CE too, and each of its later CEs may test both.
 fn gen_program(rng: &mut Rng64, productions: usize) -> String {
     let mut src = String::new();
     for i in 0..productions {
         let cls = *rng.choose(&CLASSES);
-        src.push_str(&format!("(p gen-{i} ({cls} ^a0 <v>)"));
+        let two = rng.gen_bool(0.5);
+        let w = |rng: &mut Rng64, attr: &str| {
+            if two && rng.gen_bool(0.6) {
+                format!(" ^{attr} <w>")
+            } else {
+                String::new()
+            }
+        };
+        let bind = if two { " ^a1 <w>" } else { "" };
+        src.push_str(&format!("(p gen-{i} ({cls} ^a0 <v>{bind})"));
         // The conjugate pair: a negation on the same class (different
         // attribute), then a positive CE on that class again.
-        src.push_str(&format!(" - ({cls} ^a1 <v>)"));
-        src.push_str(&format!(" ({cls} ^a2 <v>)"));
+        src.push_str(&format!(" - ({cls} ^a1 <v>{})", w(rng, "a2")));
+        src.push_str(&format!(" ({cls} ^a2 <v>{})", w(rng, "a0")));
         // Optional extra CE to vary chain depth and cross-class joins.
         if rng.gen_bool(0.5) {
             let other = *rng.choose(&CLASSES);
             if rng.gen_bool(0.3) {
-                src.push_str(&format!(" - ({other} ^a0 <v>)"));
+                src.push_str(&format!(" - ({other} ^a0 <v>{})", w(rng, "a1")));
             } else {
-                src.push_str(&format!(" ({other} ^a1 <v>)"));
+                src.push_str(&format!(" ({other} ^a1 <v>{})", w(rng, "a2")));
             }
         }
         src.push_str(" --> (halt))\n");
@@ -77,11 +91,12 @@ fn normalized(mut stats: MatchStats) -> MatchStats {
     stats
 }
 
-/// Drives Rete (hashed default), Rete (linear ablation), TREAT, and
-/// naive through the same random change stream, asserting identical
-/// canonicalized deltas on every batch. Returns the Rete matcher after
-/// the working memory has been fully drained.
-fn run_property(seed: u64, batches: usize) {
+/// Drives Rete (hashed default), Rete (linear ablation), TREAT, naive
+/// and the parallel engine (1, 2 and 8 threads) through the same random
+/// change stream, asserting identical canonicalized deltas on every
+/// batch and a clean drain. Returns how many join and how many negative
+/// nodes of the program are indexed by two or more equality tests.
+fn run_property(seed: u64, batches: usize) -> [usize; 2] {
     let mut rng = Rng64::new(seed);
     let src = gen_program(&mut rng, 6);
     let mut program = parse_program(&src).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
@@ -90,28 +105,45 @@ fn run_property(seed: u64, batches: usize) {
     let mut linear = ReteMatcher::compile_linear(&program).expect("linear rete compiles");
     let mut treat = TreatMatcher::compile(&program).expect("treat compiles");
     let mut naive = NaiveMatcher::new(&program);
+    let mut parallel = [1, 2, 8].map(|threads| {
+        let options = ParallelOptions {
+            threads,
+            share: true,
+        };
+        ParallelReteMatcher::compile(&program, options).expect("parallel compiles")
+    });
+    let composite = [NodeKind::Join, NodeKind::Negative].map(|kind| {
+        let nodes = rete.network().iter();
+        let composite = nodes.filter(|(_, spec)| spec.kind == kind && spec.key.len() >= 2);
+        composite.count()
+    });
 
     let mut wm = WorkingMemory::new();
     let mut live: Vec<psm::ops5::WmeId> = Vec::new();
 
-    let check = |wm: &WorkingMemory,
-                 batch: &[Change],
-                 rete: &mut ReteMatcher,
-                 linear: &mut ReteMatcher,
-                 treat: &mut TreatMatcher,
-                 naive: &mut NaiveMatcher,
-                 step: usize| {
+    let mut check = |wm: &WorkingMemory,
+                     batch: &[Change],
+                     rete: &mut ReteMatcher,
+                     linear: &mut ReteMatcher,
+                     treat: &mut TreatMatcher,
+                     naive: &mut NaiveMatcher,
+                     step: usize| {
         let mut dr = rete.process(wm, batch);
-        let mut dl = linear.process(wm, batch);
-        let mut dt = treat.process(wm, batch);
-        let mut dn = naive.process(wm, batch);
         dr.canonicalize();
-        dl.canonicalize();
-        dt.canonicalize();
-        dn.canonicalize();
-        assert_eq!(dr, dl, "seed {seed} batch {step}: hashed vs linear\n{src}");
-        assert_eq!(dr, dt, "seed {seed} batch {step}: rete vs treat\n{src}");
-        assert_eq!(dr, dn, "seed {seed} batch {step}: rete vs naive\n{src}");
+        let [par1, par2, par8] = &mut parallel;
+        let others: [(&str, &mut dyn Matcher); 6] = [
+            ("linear", linear),
+            ("treat", treat),
+            ("naive", naive),
+            ("parallel x1", par1),
+            ("parallel x2", par2),
+            ("parallel x8", par8),
+        ];
+        for (name, matcher) in others {
+            let mut delta = matcher.process(wm, batch);
+            delta.canonicalize();
+            assert_eq!(dr, delta, "seed {seed} batch {step}: rete vs {name}\n{src}");
+        }
         // The two strategies walk identical activation paths — only the
         // scan counts (stripped by `normalized`) may differ, and hashed
         // may never scan *more* than linear.
@@ -206,13 +238,27 @@ fn run_property(seed: u64, batches: usize) {
         0,
         "seed {seed}: phantom removes on a healthy run"
     );
+    for (matcher, threads) in parallel.iter().zip([1, 2, 8]) {
+        let resident = matcher.resident_tokens();
+        assert_eq!(resident, 0, "seed {seed}: parallel x{threads} leaked");
+    }
+    composite
 }
 
 #[test]
 fn conjugate_pair_programs_keep_matchers_equivalent() {
+    let (mut joins, mut negatives) = (0, 0);
     for seed in 0..8 {
-        run_property(seed, 60);
+        let [j, n] = run_property(seed, 60);
+        joins += j;
+        negatives += n;
     }
+    // The suite is only a check of composite index keys while the
+    // generator emits nodes that have one.
+    assert!(
+        joins >= 4 && negatives >= 4,
+        "{joins} joins and {negatives} negative nodes with a two-part key"
+    );
 }
 
 #[test]

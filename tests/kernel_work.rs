@@ -10,11 +10,16 @@
 //! half of the benchmark's `marks`, which only ever compare rounds of
 //! one binary.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
+use psm::baselines::NaiveMatcher;
 use psm::core::{ParallelOptions, ParallelReteMatcher};
 use psm::obs::Rng64;
-use psm::ops5::{Instantiation, Interpreter, Wme};
+use psm::ops5::{
+    parse_program, parse_wme, Change, Instantiation, Interpreter, MatchDelta, Matcher, Program,
+    Value, Wme, WorkingMemory,
+};
+use psm::rete::kernel::fingerprint;
 use psm::rete::ReteMatcher;
 use psm::workloads::{programs, GeneratedWorkload, Preset, WorkloadDriver};
 
@@ -98,8 +103,12 @@ fn closure_edges(seed: u64, nodes: usize) -> Vec<(i64, i64)> {
 /// Transitive closure of the seed-0 graph of `nodes` nodes, run to
 /// quiescence with the firing log on.
 fn closed(nodes: usize) -> Interpreter<ReteMatcher> {
+    closed_by(nodes, |program| ReteMatcher::compile(program).unwrap())
+}
+
+fn closed_by<M: Matcher>(nodes: usize, compile: impl FnOnce(&Program) -> M) -> Interpreter<M> {
     let (program, wmes) = programs::transitive_closure(&closure_edges(0, nodes)).unwrap();
-    let matcher = ReteMatcher::compile(&program).unwrap();
+    let matcher = compile(&program);
     let mut interp = Interpreter::new(program, matcher);
     interp.enable_firing_log();
     interp.insert_all(wmes);
@@ -108,19 +117,51 @@ fn closed(nodes: usize) -> Interpreter<ReteMatcher> {
     interp
 }
 
-/// An unbucketed token memory cannot come back unnoticed: closure is
-/// insert-only and its negative memories grow to `nodes²` entries, so a
-/// full scan per right activation makes pairs per change quadratic in
-/// the node count (6 643 at 80 nodes before the negative memories were
-/// bucketed), while one bucket holds at most `nodes` entries.
+/// What the paper promises of a state-saving matcher (§3.1): the work
+/// of a change does not grow with what is resident. Closure is
+/// insert-only and its negative memory grows to `nodes²` entries; both
+/// variables of `tc-extend`'s negated CE are bound, so a chain of its
+/// two-part key holds the one token a `reach` WME can block — not the
+/// `nodes` tokens sharing its `^from` (81 pairs a change at 40 nodes
+/// while the key was the first equality test alone), let alone the
+/// whole memory (6 643 at 80 nodes before negative memories were
+/// bucketed). Neither a wider graph nor the other runtime moves it.
 #[test]
 fn closure_scans_per_change_stay_linear_in_the_graph() {
-    const NODES: u64 = 40;
-    let interp = closed(NODES as usize);
+    let interp = closed(40);
     let s = interp.matcher().stats();
-    assert_eq!((s.pairs_scanned, s.changes), (136_080, 1680), "{s:?}");
-    assert!(s.pairs_scanned / s.changes <= 4 * NODES);
+    // Re-pinned once, when a node's index key became every equality
+    // test it has (136 080 pairs and 265 600 join tests before): the
+    // pairs no longer scanned are exactly the ones whose second
+    // equality test failed, so the activation flow is the same.
+    assert_eq!(
+        (s.pairs_scanned, s.join_tests, s.changes),
+        (8_160, 9_760, 1_680),
+        "{s:?}"
+    );
+    assert_eq!((s.tokens_created, s.conflict_changes), (4_880, 3_550));
     assert_eq!(s.phantom_removes, 0);
+    let small = closed(20).matcher().stats();
+    for s in [small, s] {
+        assert!(s.pairs_scanned <= 6 * s.changes, "{s:?}");
+    }
+
+    // No psmbench workload runs a node with two equality tests through
+    // the engine: both runtimes key it through the same two readers, so
+    // they scan the same candidates.
+    let options = ParallelOptions {
+        threads: 1,
+        share: true,
+    };
+    let parallel = closed_by(40, |program| {
+        ParallelReteMatcher::compile(program, options).unwrap()
+    });
+    let p = parallel.matcher().stats();
+    assert_eq!(
+        (p.pairs_scanned, p.join_tests),
+        (s.pairs_scanned, s.join_tests),
+        "{p:?}"
+    );
 }
 
 /// FNV-1a over the fired instantiations, in order.
@@ -169,4 +210,117 @@ fn firing_order_is_pinned() {
     }
     assert_eq!(fired, 300);
     assert_eq!(hash, 0xee53_f28c_5df3_192d, "vt-acting firing order moved");
+}
+
+/// Two unequal `(from, to)` tuples with one fingerprint, by birthday
+/// search: some 10⁵ draws against 32 bits.
+fn colliding_tuples() -> [(i64, i64); 2] {
+    let key = |(a, c): (i64, i64)| fingerprint([a, c].map(|v| Some(Value::Int(v))));
+    let mut rng = Rng64::new(0xB1D7);
+    let mut seen: HashMap<u32, (i64, i64)> = HashMap::new();
+    loop {
+        let tuple = (rng.gen_range(0..1i64 << 20), rng.gen_range(0..1i64 << 20));
+        match seen.insert(key(tuple).expect("both parts readable"), tuple) {
+            Some(other) if other != tuple => return [other, tuple],
+            _ => {}
+        }
+    }
+}
+
+/// A `tc-extend`-shaped rule over `first` and `second` as its `(<a>,
+/// <c>)` bindings: a token for each, a blocking `reach` WME for each, a
+/// second token for `first`, and `first`'s blocker retracted. Returns
+/// the conflict-set stream and the matcher that produced it.
+fn blocked_and_unblocked<M: Matcher>(
+    matcher: impl FnOnce(&Program) -> M,
+    [first, second]: [(i64, i64); 2],
+) -> (Vec<MatchDelta>, M) {
+    let src = "(p extend (reach ^from <a> ^to <b>) (edge ^from <b> ^to <c>)
+                 - (reach ^from <a> ^to <c>) --> (halt))";
+    let mut program = parse_program(src).unwrap();
+    let mut matcher = matcher(&program);
+    let mut wm = WorkingMemory::new();
+    let mut stream = Vec::new();
+    // Way points no tuple value can equal, so nothing else joins.
+    let (via_first, via_second) = (-1, -2);
+    let lits = [
+        format!("(reach ^from {} ^to {via_first})", first.0),
+        format!("(edge ^from {via_first} ^to {})", first.1),
+        format!("(reach ^from {} ^to {via_second})", second.0),
+        format!("(edge ^from {via_second} ^to {})", second.1),
+        format!("(reach ^from {} ^to {})", first.0, first.1),
+        format!("(reach ^from {} ^to {})", second.0, second.1),
+        format!("(edge ^from {via_first} ^to {})", first.1),
+    ];
+    let mut ids = Vec::new();
+    for lit in lits {
+        let (id, _) = wm.add(parse_wme(&lit, &mut program.symbols).unwrap());
+        stream.push(matcher.process(&wm, &[Change::Add(id)]));
+        ids.push(id);
+    }
+    stream.push(matcher.process(&wm, &[Change::Remove(ids[4])]));
+    wm.remove(ids[4]);
+    for delta in &mut stream {
+        delta.canonicalize();
+    }
+    (stream, matcher)
+}
+
+/// Unequal key tuples that share a fingerprint share a chain, and every
+/// candidate on it still goes through the join tests: a collision costs
+/// the pairs it puts in front of an activation and never a match.
+#[test]
+fn a_fingerprint_collision_costs_scanned_pairs_never_a_match() {
+    let colliding = colliding_tuples();
+    assert_ne!(colliding[0], colliding[1]);
+    // The same shape over two tuples that share nothing.
+    let apart = [colliding[0], (colliding[1].0, colliding[1].1 + 1)];
+
+    let rete = |program: &Program| ReteMatcher::compile(program).unwrap();
+    let (stream, matcher) = blocked_and_unblocked(rete, colliding);
+    let (control, control_matcher) = blocked_and_unblocked(rete, apart);
+    let naive = |tuples| blocked_and_unblocked(NaiveMatcher::new, tuples).0;
+    assert_eq!(stream, naive(colliding));
+    assert_eq!(control, naive(apart));
+    let changes = |stream: &[MatchDelta]| -> Vec<_> {
+        let sizes = |d: &MatchDelta| (d.added.len(), d.removed.len());
+        stream.iter().map(sizes).collect()
+    };
+    let expected = [
+        (0, 0),
+        (1, 0),
+        (0, 0),
+        (1, 0),
+        (0, 1),
+        (0, 1),
+        (0, 0),
+        (2, 0),
+    ];
+    assert_eq!(changes(&stream), expected);
+    assert_eq!(changes(&control), expected);
+
+    // Apart, every chain holds exactly what its probe matches, so every
+    // scanned pair is a hit: one per token a join emits (7 built, 1
+    // retracted), one per token a `reach` WME blocks or unblocks (4)
+    // and one for the blocker the second `first` token arrives to find.
+    let control_work = control_matcher.stats();
+    assert_eq!(
+        (control_work.pairs_scanned, control_work.tokens_created),
+        (13, 8)
+    );
+    // Colliding, four activations meet one entry of the other tuple
+    // each: either blocker the other's token, the second `first` token
+    // the other's blocker, and the retraction the other's token again.
+    let work = matcher.stats();
+    assert_eq!((work.pairs_scanned, work.tokens_created), (13 + 4, 8));
+
+    // The engine probes the same candidates through the same readers.
+    let options = ParallelOptions {
+        threads: 1,
+        share: true,
+    };
+    let engine = |program: &Program| ParallelReteMatcher::compile(program, options).unwrap();
+    let (parallel, engine) = blocked_and_unblocked(engine, colliding);
+    assert_eq!(parallel, stream);
+    assert_eq!(engine.stats().pairs_scanned, work.pairs_scanned);
 }
