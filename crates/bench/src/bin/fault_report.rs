@@ -19,7 +19,12 @@
 //!   stream with a replication store attached, every cycle timed from
 //!   outside and split into checkpoint cycles and plain ones. The run
 //!   fails (exit 1) when a checkpoint cycle's median exceeds
-//!   [`MAX_CHECKPOINT_RATIO`] plain cycles.
+//!   [`MAX_CHECKPOINT_RATIO`] plain cycles. The same stream is then
+//!   taken through a checkpoint's steps by hand — the batches matched,
+//!   the matcher snapshot, the working-memory image and conflict list,
+//!   the chain push with its serialisation and CRC — each step timed,
+//!   with a census of the snapshot's sections: how many there are, how
+//!   many were encoded and how many bytes were copied instead.
 //!
 //! * **`PSMR` image census** — the bytes of the matcher snapshot every
 //!   checkpoint serialises, diffs and checksums, by part (entries,
@@ -37,12 +42,16 @@
 //! cargo run --release -p psm-bench --bin fault_report -- --small
 //! ```
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 use ops5::{Instantiation, MatchDelta, Matcher, WmeId, WorkingMemory};
 use psm_bench::{capture, f, print_table, CliOptions};
-use psm_fault::{FaultPlan, ReplicationConfig, ReplicationStore, Supervisor, SupervisorConfig};
+use psm_fault::{
+    crc32, Checkpoint, CheckpointChain, FaultPlan, ReplicationConfig, ReplicationStore, Supervisor,
+    SupervisorConfig,
+};
 use psm_obs::json::{number, push_escaped};
 use psm_sim::{
     simulate_psm_faulted, simulate_psm_faulted_timeline, simulate_psm_timeline, CostModel, PsmSpec,
@@ -53,10 +62,13 @@ use workloads::{programs, GeneratedWorkload, Preset, WorkloadDriver};
 
 const MAX_KILLS: usize = 8;
 /// Ceiling on checkpoint-cycle median / plain-cycle median on the vt
-/// stream. A checkpoint that costs the WAL tail, one snapshot and one
-/// diff reads about 25; one that re-derives the committed state from
-/// bytes and serialises every image twice read about 105.
-const MAX_CHECKPOINT_RATIO: f64 = 40.0;
+/// stream: a third above the 17.1 measured (median of twelve runs,
+/// 16.0–18.4) with a checkpoint that costs the WAL tail, the sections of
+/// the memories that changed and a diff of the gaps between them. One
+/// that snapshots, diffs and checksums everything resident read
+/// 20.9–22.7 in the same sessions, and one that re-derives the committed
+/// state from bytes and serialises every image twice about 105.
+const MAX_CHECKPOINT_RATIO: f64 = 23.0;
 
 fn out_dir() -> String {
     let args: Vec<String> = std::env::args().collect();
@@ -104,6 +116,40 @@ impl CheckpointCost {
         self.checkpoint_cycle_p50_us / self.plain_cycle_p50_us
     }
 }
+
+/// The steps of a checkpoint, in the order it takes them. The last two
+/// are part of the push, which also diffs the image against the tip's
+/// and serialises and checksums the `PSMD`.
+const STEPS: [&str; 6] = [
+    "match the 8 batches (the WAL tail)",
+    "matcher snapshot (PSMR)",
+    "WM image + conflict list",
+    "chain push (PSMC, CRC, diff, PSMD)",
+    "  of which PSMC to_bytes",
+    "  of which CRC-32 of the image",
+];
+
+/// [`checkpoint_steps`]: medians over the checkpoints stored as deltas,
+/// and means of what their snapshots reused.
+struct CheckpointSteps {
+    checkpoints: usize,
+    /// Median microseconds of each of [`STEPS`].
+    step_us: [f64; 6],
+    /// Memories (one image section each) and how many hold an entry, at
+    /// the end of the run.
+    sections: (usize, usize),
+    /// Per checkpoint: sections encoded, image bytes, bytes encoded,
+    /// bytes copied, runs copied.
+    per_checkpoint: [f64; 5],
+}
+
+const CENSUS: [&str; 5] = [
+    "sections_encoded",
+    "image_bytes",
+    "bytes_encoded",
+    "bytes_copied",
+    "runs_copied",
+];
 
 /// Folds matcher deltas into a conflict-set accumulator so the
 /// reference run tracks the same state the supervisor maintains.
@@ -293,6 +339,25 @@ fn main() {
         MAX_CHECKPOINT_RATIO
     );
 
+    let steps = checkpoint_steps(400);
+    let rows: Vec<Vec<String>> = STEPS
+        .iter()
+        .zip(steps.step_us)
+        .map(|(step, us)| vec![step.to_string(), f(us, 0)])
+        .collect();
+    print_table(
+        "a checkpoint step by step, by hand on the same stream (median us per checkpoint)",
+        &["step", "us"],
+        &rows,
+    );
+    let [encoded, image, bytes_encoded, bytes_copied, runs] = steps.per_checkpoint;
+    println!(
+        "\nsection census over {} checkpoints: {} memory sections, {} non-empty; per checkpoint \
+         {encoded:.0} encoded, {bytes_encoded:.0} bytes of a {image:.0}-byte image, the other \
+         {bytes_copied:.0} copied in {runs:.0} runs",
+        steps.checkpoints, steps.sections.0, steps.sections.1
+    );
+
     // ---- PSMR image census ---------------------------------------
     let images = image_census();
     let share = |n: usize, of: usize| format!("{n} ({:.0}%)", 100.0 * n as f64 / of as f64);
@@ -325,7 +390,7 @@ fn main() {
         &rows,
     );
 
-    write_json(&out, &sweeps, &chaos, &cost, &images);
+    write_json(&out, &sweeps, &chaos, &cost, &steps, &images);
     if cost.ratio() > MAX_CHECKPOINT_RATIO {
         eprintln!("FAIL: a checkpoint cycle costs more than {MAX_CHECKPOINT_RATIO} plain cycles");
         std::process::exit(1);
@@ -370,6 +435,102 @@ fn checkpoint_cost(cycles: usize) -> CheckpointCost {
         checkpoints: checkpointed.len(),
         plain_cycle_p50_us: median(&mut plain),
         checkpoint_cycle_p50_us: median(&mut checkpointed),
+    }
+}
+
+/// `f()`, and the microseconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let started = Instant::now();
+    let out = std::hint::black_box(f());
+    (out, started.elapsed().as_secs_f64() * 1e6)
+}
+
+/// Takes the vt stream of [`checkpoint_cost`] through what a checkpoint
+/// does, every eighth cycle, with the pieces a [`Supervisor`] makes it
+/// of — a sequential matcher's snapshot, the working-memory image, the
+/// ordered conflict set, a [`CheckpointChain`] push — timing each.
+fn checkpoint_steps(cycles: usize) -> CheckpointSteps {
+    let workload = GeneratedWorkload::generate(Preset::Vt.spec()).expect("workload generates");
+    let mut driver = WorkloadDriver::new(workload, 0x5EED);
+    let mut matcher = ReteMatcher::compile(&driver.workload().program).expect("program compiles");
+    let mut conflict = BTreeSet::new();
+    let fold = |conflict: &mut BTreeSet<Instantiation>, delta: MatchDelta| {
+        for inst in &delta.removed {
+            conflict.remove(inst);
+        }
+        conflict.extend(delta.added);
+    };
+    {
+        let mut hashed = HashSet::new();
+        let mut collecting = Collecting {
+            inner: &mut matcher,
+            conflict: &mut hashed,
+        };
+        driver.init(&mut collecting);
+        conflict.extend(hashed);
+    }
+    let checkpoint = |cycle, matcher: &ReteMatcher, wm: &WorkingMemory, conflict: &BTreeSet<_>| {
+        let (rete, snapshot_us) = timed(|| matcher.snapshot());
+        let state = || (wm.snapshot_bytes(), conflict.iter().cloned().collect());
+        let ((wm, conflict), state_us) = timed(state);
+        let checkpoint = Checkpoint {
+            cycle,
+            wm,
+            rete,
+            conflict,
+        };
+        (checkpoint, snapshot_us, state_us)
+    };
+    let (genesis, ..) = checkpoint(0, &matcher, driver.working_memory(), &conflict);
+    let mut chain = CheckpointChain::new(&genesis, ReplicationConfig::default().anchor_every);
+    drop(genesis);
+
+    let mut steps: [Vec<f64>; 6] = Default::default();
+    let mut census = [0.0; 5];
+    let mut tail_us = 0.0;
+    for cycle in 1..=cycles as u64 {
+        let batch = driver.next_batch();
+        let (delta, match_us) = timed(|| matcher.process(driver.working_memory(), &batch));
+        tail_us += match_us;
+        fold(&mut conflict, delta);
+        driver.commit_batch(&batch);
+        if cycle % 8 != 0 {
+            continue;
+        }
+        let (cp, snapshot_us, state_us) =
+            checkpoint(cycle, &matcher, driver.working_memory(), &conflict);
+        let (artifact, push_us) = timed(|| chain.push(&cp));
+        let (image, to_bytes_us) = timed(|| cp.to_bytes());
+        let (_, crc_us) = timed(|| crc32(&image));
+        let times = [tail_us, snapshot_us, state_us, push_us, to_bytes_us, crc_us];
+        tail_us = 0.0;
+        if artifact.is_full() {
+            continue;
+        }
+        for (step, us) in steps.iter_mut().zip(times) {
+            step.push(us);
+        }
+        let copied: usize = cp.rete.unchanged().iter().map(|&(_, _, len)| len).sum();
+        let counts = [
+            cp.rete.encoded_sections(),
+            cp.rete.len(),
+            cp.rete.len() - copied,
+            copied,
+            cp.rete.unchanged().len(),
+        ];
+        for (sum, n) in census.iter_mut().zip(counts) {
+            *sum += n as f64;
+        }
+    }
+    let checkpoints = steps[0].len();
+    CheckpointSteps {
+        checkpoints,
+        step_us: steps.map(|mut us| {
+            us.sort_by(f64::total_cmp);
+            us[us.len() / 2]
+        }),
+        sections: matcher.memory_sections(),
+        per_checkpoint: census.map(|sum| sum / checkpoints as f64),
     }
 }
 
@@ -500,6 +661,7 @@ fn write_json(
     sweeps: &[KillSweep],
     chaos: &[ChaosRun],
     cost: &CheckpointCost,
+    steps: &CheckpointSteps,
     images: &[(&'static str, [usize; 6])],
 ) {
     let mut j = String::from("{\"kill_sweep\":[");
@@ -556,14 +718,28 @@ fn write_json(
     j.push_str(&format!(
         "],\"checkpoint_cost\":{{\"preset\":\"vt\",\"cycles\":{},\"checkpoints\":{},\
          \"plain_cycle_p50_us\":{},\"checkpoint_cycle_p50_us\":{},\"ratio\":{},\
-         \"max_ratio\":{}}},\"psmr_image\":[",
+         \"max_ratio\":{},\"delta_checkpoints\":{},\"step_p50_us\":{{",
         cost.cycles,
         cost.checkpoints,
         number(cost.plain_cycle_p50_us),
         number(cost.checkpoint_cycle_p50_us),
         number(cost.ratio()),
-        number(MAX_CHECKPOINT_RATIO)
+        number(MAX_CHECKPOINT_RATIO),
+        steps.checkpoints
     ));
+    for (i, (step, us)) in STEPS.iter().zip(steps.step_us).enumerate() {
+        j.push_str(if i > 0 { "," } else { "" });
+        push_escaped(&mut j, step.trim());
+        j.push_str(&format!(":{}", number(us)));
+    }
+    j.push_str(&format!(
+        "}},\"sections\":{{\"memories\":{},\"non_empty\":{}",
+        steps.sections.0, steps.sections.1
+    ));
+    for (name, mean) in CENSUS.iter().zip(steps.per_checkpoint) {
+        j.push_str(&format!(",\"{name}_mean\":{}", number(mean)));
+    }
+    j.push_str("}},\"psmr_image\":[");
     for (i, (state, image)) in images.iter().enumerate() {
         j.push_str(if i > 0 { ",{\"state\":" } else { "{\"state\":" });
         push_escaped(&mut j, state);

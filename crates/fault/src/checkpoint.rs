@@ -44,9 +44,18 @@ impl Checkpoint {
         }
     }
 
+    /// Where [`Checkpoint::to_bytes`] puts the first byte of `rete`:
+    /// after the header, the cycle, the length-prefixed working memory
+    /// and its own length.
+    pub(crate) fn rete_at(&self) -> usize {
+        8 + 8 + 8 + self.wm.len() + 8
+    }
+
     /// Serializes the checkpoint (`PSMC` v1).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_header(MAGIC, VERSION);
+        let conflict = self.conflict.iter().map(|inst| 12 + 8 * inst.wmes.len());
+        w.reserve(self.rete_at() + self.rete.len() + 8 + conflict.sum::<usize>());
         w.u64(self.cycle);
         for blob in [&self.wm[..], self.rete.as_bytes()] {
             w.usize(blob.len());
@@ -117,7 +126,9 @@ mod tests {
                 vec![WmeId::from_index(0), WmeId::from_index(9)],
             )],
         };
-        let back = Checkpoint::from_bytes(&cp.to_bytes()).expect("roundtrip");
+        let bytes = cp.to_bytes();
+        assert_eq!(bytes[cp.rete_at()..][..4], [1, 2, 3, 4]);
+        let back = Checkpoint::from_bytes(&bytes).expect("roundtrip");
         assert_eq!(back, cp);
     }
 

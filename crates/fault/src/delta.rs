@@ -9,10 +9,19 @@
 //! parent checkpoint, as a greedy block-match diff over the canonical
 //! `PSMC` byte encoding:
 //!
-//! * the parent image is indexed in [`BLOCK`]-byte aligned blocks, by
-//!   a word-wise 64-bit hash of each (a hit is verified against the
-//!   bytes, the first of equal blocks wins);
-//! * the child image is scanned byte-by-byte, emitting
+//! * ranges the writer of the child image says it took over unchanged
+//!   (a matcher copies the sections of memories that did not change:
+//!   [`rete::ReteSnapshot::unchanged`]) are compared with the parent's
+//!   bytes and, where they hold, become [`DiffOp::Copy`] ranges
+//!   outright; a hint that does not hold is dropped, so a wrong one
+//!   costs time, never a wrong delta;
+//! * what lies between two such ranges — a *gap*; with no hints, the
+//!   whole image — is diffed against what lay between them in the
+//!   parent: the common prefix and suffix first, then the parent's side
+//!   is indexed in [`BLOCK`]-byte aligned blocks, by a word-wise 64-bit
+//!   hash of each (a hit is verified against the bytes, the first of
+//!   equal blocks wins);
+//! * the child's side is scanned byte-by-byte, emitting
 //!   [`DiffOp::Copy`] ranges (extended past the block while bytes keep
 //!   matching, rsync-style, so insertions that shift later content
 //!   still re-align) and literal [`DiffOp::Insert`] runs between them;
@@ -34,6 +43,7 @@
 //! to the live one.
 
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 use ops5::{ByteReader, ByteWriter, CodecError, FxHashMap};
@@ -96,50 +106,200 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     i
 }
 
-/// Greedy block-match diff from `old` to `new`.
+/// Length of the common suffix of `a` and `b`, compared a word at a
+/// time.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[a.len() - n..], &b[b.len() - n..]);
+    let mut i = 0;
+    while i + 8 <= n {
+        let x = u64::from_le_bytes(a[n - i - 8..n - i].try_into().expect("8 bytes"));
+        let y = u64::from_le_bytes(b[n - i - 8..n - i].try_into().expect("8 bytes"));
+        if x != y {
+            return i + ((x ^ y).leading_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    while i < n && a[n - i - 1] == b[n - i - 1] {
+        i += 1;
+    }
+    i
+}
+
+/// Appends a copy of `old[off..off + len]`, as part of the copy before
+/// it when it carries on where that one ended.
+fn push_copy(ops: &mut Vec<DiffOp>, off: usize, len: usize) {
+    match ops.last_mut() {
+        _ if len == 0 => {}
+        Some(DiffOp::Copy {
+            off: prev_off,
+            len: prev_len,
+        }) if *prev_off + *prev_len == off => *prev_len += len,
+        _ => ops.push(DiffOp::Copy { off, len }),
+    }
+}
+
+/// Where the blocks of `old` that a search may match are, by key. Most
+/// positions of `new` hold no block of `old`; `seen`, one bit per value
+/// of a key's top 16 bits and small enough to stay in cache, says so
+/// without a look at `at`.
+struct BlockIndex {
+    seen: Vec<u64>,
+    at: FxHashMap<u64, usize>,
+}
+
+impl BlockIndex {
+    fn with_capacity(blocks: usize) -> Self {
+        let mut at = FxHashMap::default();
+        at.reserve(blocks);
+        BlockIndex {
+            seen: vec![0; 1 << 10],
+            at,
+        }
+    }
+
+    fn bit(key: u64) -> (usize, u64) {
+        ((key >> 54) as usize, 1 << ((key >> 48) & 63))
+    }
+
+    /// The first of equal blocks wins; ties don't matter for
+    /// correctness.
+    fn insert(&mut self, key: u64, off: usize) {
+        let (word, bit) = Self::bit(key);
+        self.seen[word] |= bit;
+        self.at.entry(key).or_insert(off);
+    }
+
+    fn get(&self, key: u64) -> Option<usize> {
+        let (word, bit) = Self::bit(key);
+        if self.seen[word] & bit == 0 {
+            return None;
+        }
+        self.at.get(&key).copied()
+    }
+}
+
+/// What lies between two verified hints (or an end of the images), with
+/// the hint that follows it.
+struct Gap {
+    /// Where the gap starts in `old`.
+    from: usize,
+    /// Its two sides, less the prefix and the suffix they share.
+    old: Range<usize>,
+    new: Range<usize>,
+    /// Where the hint after it ends in `old`.
+    to: usize,
+}
+
+impl Gap {
+    /// Whether a block search can find anything in the gap.
+    fn searchable(&self) -> bool {
+        self.old.len() >= BLOCK && self.new.len() >= BLOCK
+    }
+
+    /// The [`BLOCK`]-aligned blocks of `old` inside the gap.
+    fn blocks(&self) -> impl Iterator<Item = usize> {
+        let first = self.old.start.next_multiple_of(BLOCK);
+        (first..(self.old.end + 1).saturating_sub(BLOCK)).step_by(BLOCK)
+    }
+
+    /// Keeps the blocks of one gap apart from every other's in the one
+    /// index.
+    fn salt(nth: usize) -> u64 {
+        (nth as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+}
+
+/// Greedy block-match diff from `old` to `new`: [`diff_hinted`] with
+/// nothing known.
 ///
-/// Not minimal — matches only start at [`BLOCK`]-aligned offsets of
-/// `old` — but linear-ish, deterministic, and small whenever most of
-/// `new` already exists in `old`, which is exactly the checkpoint
-/// workload.
+/// Not minimal — past the common prefix and suffix, matches only start
+/// at [`BLOCK`]-aligned offsets of `old` — but linear-ish,
+/// deterministic, and small whenever most of `new` already exists in
+/// `old`, which is exactly the checkpoint workload.
 pub fn diff(old: &[u8], new: &[u8]) -> Vec<DiffOp> {
-    let mut index: FxHashMap<u64, usize> = FxHashMap::default();
-    index.reserve(old.len() / BLOCK);
-    for (k, block) in old.chunks_exact(BLOCK).enumerate() {
-        // First occurrence wins; ties don't matter for correctness.
-        index.entry(block_hash(block)).or_insert(k * BLOCK);
+    diff_hinted(old, new, &[])
+}
+
+/// [`diff`], told where to look: each `(offset in old, offset in new,
+/// length)` of `unchanged` claims those bytes of `new` are those bytes
+/// of `old`.
+///
+/// A claim is believed only after comparing the bytes, and only if it
+/// lies inside both images and after the claim before it in both; any
+/// other is dropped. Whatever `unchanged` holds, applying the result to
+/// `old` gives `new`.
+pub fn diff_hinted(old: &[u8], new: &[u8], unchanged: &[(usize, usize, usize)]) -> Vec<DiffOp> {
+    // The images' ends are one more (empty) range that holds, so that
+    // what follows the last hint is a gap like the rest.
+    let end = (old.len(), new.len(), 0);
+    let hints = unchanged.iter().filter(|hint| hint.2 > 0).chain([&end]);
+    let mut gaps: Vec<Gap> = Vec::with_capacity(unchanged.len() + 1);
+    let (mut old_at, mut new_at) = (0, 0);
+    for &(o, n, len) in hints {
+        let ends = o.checked_add(len).zip(n.checked_add(len));
+        let inside = ends.is_some_and(|(o, n)| o <= old.len() && n <= new.len());
+        if !inside || o < old_at || n < new_at || old[o..o + len] != new[n..n + len] {
+            continue;
+        }
+        let (a, b) = (&old[old_at..o], &new[new_at..n]);
+        let prefix = common_prefix(a, b);
+        let suffix = common_suffix(&a[prefix..], &b[prefix..]);
+        gaps.push(Gap {
+            from: old_at,
+            old: old_at + prefix..o - suffix,
+            new: new_at + prefix..n - suffix,
+            to: o + len,
+        });
+        (old_at, new_at) = (o + len, n + len);
+    }
+
+    // One index for every gap's blocks, built once: a block is filed
+    // under its hash and its gap.
+    let searchable = || gaps.iter().enumerate().filter(|(_, gap)| gap.searchable());
+    let blocks = searchable().map(|(_, gap)| gap.old.len() / BLOCK).sum();
+    let mut index = BlockIndex::with_capacity(blocks);
+    for (nth, gap) in searchable() {
+        for off in gap.blocks() {
+            index.insert(block_hash(&old[off..off + BLOCK]) ^ Gap::salt(nth), off);
+        }
     }
 
     let mut ops: Vec<DiffOp> = Vec::new();
-    // `new[literal..i]` is the literal run not yet emitted.
-    let (mut literal, mut i) = (0, 0);
-    while i + BLOCK <= new.len() {
-        let block = &new[i..i + BLOCK];
-        let off = match index.get(&block_hash(block)) {
-            Some(&off) if old[off..off + BLOCK] == *block => off,
-            _ => {
-                i += 1;
-                continue;
+    for (nth, gap) in gaps.iter().enumerate() {
+        push_copy(&mut ops, gap.from, gap.old.start - gap.from);
+        // `new[literal..i]` is the literal run not yet emitted.
+        let (mut literal, mut i) = (gap.new.start, gap.new.start);
+        while gap.searchable() && i + BLOCK <= gap.new.end {
+            let block = &new[i..i + BLOCK];
+            let off = match index.get(block_hash(block) ^ Gap::salt(nth)) {
+                Some(off)
+                    if gap.old.start <= off
+                        && off + BLOCK <= gap.old.end
+                        && old[off..off + BLOCK] == *block =>
+                {
+                    off
+                }
+                _ => {
+                    i += 1;
+                    continue;
+                }
+            };
+            if literal < i {
+                ops.push(DiffOp::Insert(new[literal..i].to_vec()));
             }
-        };
-        if literal < i {
-            ops.push(DiffOp::Insert(new[literal..i].to_vec()));
+            // Extend the match past the block boundary.
+            let rest = (&old[off + BLOCK..gap.old.end], &new[i + BLOCK..gap.new.end]);
+            let len = BLOCK + common_prefix(rest.0, rest.1);
+            push_copy(&mut ops, off, len);
+            i += len;
+            literal = i;
         }
-        // Extend the match past the block boundary.
-        let len = BLOCK + common_prefix(&old[off + BLOCK..], &new[i + BLOCK..]);
-        i += len;
-        literal = i;
-        // Coalesce with a preceding contiguous copy.
-        match ops.last_mut() {
-            Some(DiffOp::Copy {
-                off: prev_off,
-                len: prev_len,
-            }) if *prev_off + *prev_len == off => *prev_len += len,
-            _ => ops.push(DiffOp::Copy { off, len }),
+        if literal < gap.new.end {
+            ops.push(DiffOp::Insert(new[literal..gap.new.end].to_vec()));
         }
-    }
-    if literal < new.len() {
-        ops.push(DiffOp::Insert(new[literal..].to_vec()));
+        // The shared suffix, and the hint it runs into.
+        push_copy(&mut ops, gap.old.end, gap.to - gap.old.end);
     }
     ops
 }
@@ -194,6 +354,8 @@ struct Image {
     crc: u32,
     /// Shared, not copied, while anchor and tip are the same image.
     bytes: Arc<Vec<u8>>,
+    /// Where the matcher's `PSMR` image starts in `bytes`.
+    rete_at: usize,
 }
 
 impl Image {
@@ -203,6 +365,7 @@ impl Image {
             cycle: cp.cycle,
             crc: crc32(&bytes),
             bytes: Arc::new(bytes),
+            rete_at: cp.rete_at(),
         }
     }
 }
@@ -210,16 +373,28 @@ impl Image {
 impl DeltaCheckpoint {
     /// Diffs `next` against `prev` (both as full checkpoints).
     pub fn encode(prev: &Checkpoint, next: &Checkpoint) -> DeltaCheckpoint {
-        Self::between(&Image::of(prev), &Image::of(next))
+        Self::between(&Image::of(prev), &Image::of(next), next.rete.unchanged())
     }
 
-    fn between(old: &Image, new: &Image) -> DeltaCheckpoint {
+    /// `unchanged`: what the matcher says `new`'s `PSMR` image shares
+    /// with the one before it, which `old` holds unless a snapshot was
+    /// taken in between that no checkpoint was made of — hints either
+    /// way, for [`diff_hinted`] to verify.
+    fn between(old: &Image, new: &Image, unchanged: &[(usize, usize, usize)]) -> DeltaCheckpoint {
+        let in_images = |&(o, n, len): &(usize, usize, usize)| {
+            (
+                o.saturating_add(old.rete_at),
+                n.saturating_add(new.rete_at),
+                len,
+            )
+        };
+        let unchanged: Vec<_> = unchanged.iter().map(in_images).collect();
         DeltaCheckpoint {
             cycle: new.cycle,
             parent: old.cycle,
             parent_crc: old.crc,
             result_crc: new.crc,
-            ops: diff(&old.bytes, &new.bytes),
+            ops: diff_hinted(&old.bytes, &new.bytes, &unchanged),
         }
     }
 
@@ -358,7 +533,7 @@ pub struct CheckpointChain {
     anchor: Image,
     tip: Image,
     /// `PSMD` bytes of the deltas since the anchor, oldest first.
-    deltas: Vec<Vec<u8>>,
+    deltas: Vec<Arc<Vec<u8>>>,
     /// The anchor's descriptor, then one per entry of `deltas`.
     artifacts: Vec<ChainArtifact>,
     pushed: u64,
@@ -418,7 +593,7 @@ impl CheckpointChain {
             self.tip = image;
             return self.anchor_at_tip();
         }
-        let delta = DeltaCheckpoint::between(&self.tip, &image);
+        let delta = DeltaCheckpoint::between(&self.tip, &image, cp.rete.unchanged());
         let bytes = delta.to_bytes();
         let artifact = ChainArtifact {
             cycle: delta.cycle,
@@ -428,7 +603,7 @@ impl CheckpointChain {
         };
         self.delta_bytes += artifact.bytes as u64;
         self.delta_count += 1;
-        self.deltas.push(bytes);
+        self.deltas.push(Arc::new(bytes));
         self.artifacts.push(artifact);
         self.tip = image;
         artifact
@@ -452,9 +627,15 @@ impl CheckpointChain {
     /// Serialized artifact bytes for checkpoint `cycle`: the anchor's
     /// `PSMC` bytes or a stored delta's `PSMD` bytes.
     pub fn artifact_bytes(&self, cycle: u64) -> Option<Vec<u8>> {
+        self.artifact(cycle).map(|bytes| bytes.to_vec())
+    }
+
+    /// [`CheckpointChain::artifact_bytes`] as the chain holds them, for
+    /// a reader that must not copy while it keeps the chain from moving.
+    pub(crate) fn artifact(&self, cycle: u64) -> Option<Arc<Vec<u8>>> {
         match self.artifacts.iter().position(|a| a.cycle == cycle)? {
-            0 => Some(self.anchor.bytes.to_vec()),
-            k => Some(self.deltas[k - 1].clone()),
+            0 => Some(Arc::clone(&self.anchor.bytes)),
+            k => Some(Arc::clone(&self.deltas[k - 1])),
         }
     }
 
@@ -631,6 +812,106 @@ mod tests {
                     literal <= allowance,
                     "case {case}: {literal} literal bytes, allowance {allowance}"
                 );
+            }
+        }
+    }
+
+    /// Image pairs built the way consecutive checkpoints are — runs the
+    /// child took over from the parent, shifted by whatever was inserted
+    /// or dropped before them, with edited stretches in between — and
+    /// the true list of those runs as the hint. True or not, a hint list
+    /// never changes what applying the delta gives; true, it never costs
+    /// more literal bytes than no hints by over a block per hint (a gap
+    /// is searched by itself, so a block of the parent that straddles a
+    /// hinted range's edge is out of reach).
+    #[test]
+    fn hinted_diff_roundtrips_whatever_the_hints() {
+        let mut rng = Rng64::new(0x41D7);
+        let fresh = |rng: &mut Rng64, n: usize| -> Vec<u8> {
+            (0..n).map(|_| rng.next_u64() as u8).collect()
+        };
+        for case in 0..400 {
+            let (mut old, mut new, mut truth) = (Vec::new(), Vec::new(), Vec::new());
+            for _ in 0..rng.gen_range(0..8u32) {
+                let n = rng.gen_range(1..200usize);
+                match rng.gen_range(0..4u8) {
+                    0 => new.extend(fresh(&mut rng, n)),
+                    1 => old.extend(fresh(&mut rng, n)),
+                    2 => {
+                        let stretch = fresh(&mut rng, n);
+                        old.extend(&stretch);
+                        let mut edited = stretch;
+                        for _ in 0..rng.gen_range(1..4u32) {
+                            edited[rng.gen_range(0..n)] ^= 0x5A;
+                        }
+                        new.extend(edited);
+                    }
+                    _ => {}
+                }
+                let n = rng.gen_range(1..300usize);
+                let run = fresh(&mut rng, n);
+                truth.push((old.len(), new.len(), run.len()));
+                old.extend(&run);
+                new.extend(&run);
+            }
+            if case % 3 == 0 {
+                new.extend(fresh(&mut rng, 50));
+            }
+
+            let plain = diff(&old, &new);
+            assert_eq!(apply(&old, &plain).unwrap(), new, "case {case}");
+            let hinted = diff_hinted(&old, &new, &truth);
+            assert_eq!(apply(&old, &hinted).unwrap(), new, "case {case}");
+            let allowance = literal_bytes(&plain) + BLOCK * truth.len();
+            let literal = literal_bytes(&hinted);
+            assert!(literal <= allowance, "case {case}: {literal} > {allowance}");
+            for &(o, _, len) in &truth {
+                let covered = |op: &DiffOp| match *op {
+                    DiffOp::Copy { off, len: n } => off <= o && o + len <= off + n,
+                    DiffOp::Insert(_) => false,
+                };
+                assert!(hinted.iter().any(covered), "case {case}: run at {o} copied");
+            }
+
+            for lie in 0..12 {
+                let mut hints = truth.clone();
+                let at = rng.gen_range(0..=hints.len());
+                let some = |rng: &mut Rng64, n: usize| rng.gen_range(0..n + 40);
+                match lie % 6 {
+                    // Shifted, stretched or short of what it names.
+                    0 if !hints.is_empty() => {
+                        let (o, n, len) = &mut hints[at % truth.len()];
+                        match rng.gen_range(0..3u8) {
+                            0 => *o += rng.gen_range(1..9usize),
+                            1 => *n += rng.gen_range(1..9usize),
+                            _ => *len += rng.gen_range(1..400usize),
+                        }
+                    }
+                    // Said twice, overlapping itself.
+                    1 if !hints.is_empty() => {
+                        let (o, n, len) = hints[at % truth.len()];
+                        hints.insert(at, (o + len / 2, n + len / 2, len - len / 2));
+                    }
+                    2 => hints.reverse(),
+                    3 => hints.insert(
+                        at,
+                        (some(&mut rng, old.len()), some(&mut rng, new.len()), 0),
+                    ),
+                    4 => {
+                        let huge = [usize::MAX, usize::MAX - 7, old.len() + 1];
+                        let o = huge[rng.gen_range(0..3usize)];
+                        hints.insert(at, (o, some(&mut rng, new.len()), huge[lie % 3]));
+                        hints.push((0, usize::MAX, 1));
+                    }
+                    _ => {
+                        for _ in 0..rng.gen_range(1..6u32) {
+                            let (o, n) = (some(&mut rng, old.len()), some(&mut rng, new.len()));
+                            hints.insert(at, (o, n, rng.gen_range(0..300usize)));
+                        }
+                    }
+                }
+                let ops = diff_hinted(&old, &new, &hints);
+                assert_eq!(apply(&old, &ops).unwrap(), new, "case {case}, lie {lie}");
             }
         }
     }

@@ -17,8 +17,10 @@
 //!   write-ahead log of committed change batches. The supervisor
 //!   keeps the committed state warm, once: a working memory, a
 //!   sequential matcher and the conflict set that take each logged
-//!   batch exactly once, so a checkpoint costs the WAL tail plus one
-//!   snapshot and recovery = make that matcher the live one; restore
+//!   batch exactly once, so a checkpoint costs the WAL tail plus a
+//!   snapshot of the memories it changed (the rest of the image is
+//!   copied from the last one) and recovery = make that matcher the
+//!   live one; restore
 //!   snapshot + replay tail is the cold path for when nothing warm
 //!   exists. Either way the pre-fault state is reproduced
 //!   *byte-for-byte* (same WME ids, same time tags, same memory
@@ -34,9 +36,10 @@
 //!
 //! * **[`CheckpointChain`]** — delta checkpoints (`PSMD`): each
 //!   checkpoint is stored as a block-level binary diff against its
-//!   parent, with periodic full-snapshot anchors, and every link
-//!   CRC-validated so a chain replays back to the exact (byte-equal)
-//!   full checkpoint.
+//!   parent (told by the matcher which ranges it copied, and
+//!   believing none of it unverified), with periodic full-snapshot
+//!   anchors, and every link CRC-validated so a chain replays back to
+//!   the exact (byte-equal) full checkpoint.
 //! * **[`SegmentedWal`]** — the WAL split into bounded, CRC-framed
 //!   segments (`PSML` v2) with a manifest; torn tails truncate to the
 //!   longest valid prefix on open, and segments fully covered by a

@@ -149,6 +149,12 @@ impl ReplicationStore {
         artifact
     }
 
+    /// The stored artifact `id` as the chain holds it; the lock is
+    /// released on return.
+    fn shared_checkpoint(&self, id: u64) -> Option<Arc<Vec<u8>>> {
+        self.lock().chain.as_ref()?.artifact(id)
+    }
+
     /// Artifact accounting so far.
     pub fn stats(&self) -> ReplicationStats {
         let inner = self.lock();
@@ -224,7 +230,10 @@ impl ReplicaSource for ReplicationStore {
     }
 
     fn checkpoint(&self, id: u64) -> Option<Vec<u8>> {
-        self.lock().chain.as_ref()?.artifact_bytes(id)
+        // An anchor is hundreds of kilobytes: copied with the lock
+        // released, so that the matching thread can publish meanwhile.
+        let shared = self.shared_checkpoint(id)?;
+        Some(shared.to_vec())
     }
 
     fn wal_segment(&self, seq: u64) -> Option<Vec<u8>> {
@@ -695,5 +704,40 @@ impl Matcher for FailoverPair {
 
     fn algorithm_name(&self) -> &'static str {
         "failover-pair"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rete::ReteSnapshot;
+
+    /// `checkpoint` — a replica's `GET /replicate/checkpoint/<id>` — holds
+    /// the artifact it copies, not the store: the matching thread
+    /// publishes meanwhile, and the reader's bytes stay whole when that
+    /// prunes the artifact from the chain.
+    #[test]
+    fn a_reader_holding_an_artifact_does_not_block_a_publish() {
+        let store = ReplicationStore::new(ReplicationConfig {
+            anchor_every: 1,
+            ..ReplicationConfig::default()
+        });
+        let genesis = Checkpoint::genesis(ReteSnapshot::from_bytes(vec![7; 4096]));
+        store.publish_checkpoint(&genesis);
+        let held = store.shared_checkpoint(0).expect("the anchor");
+        assert!(store.inner.try_lock().is_ok(), "held without the lock");
+
+        store.publish_entry(&WalEntry {
+            cycle: 0,
+            changes: Vec::new(),
+        });
+        let next = Checkpoint {
+            cycle: 1,
+            ..Checkpoint::genesis(ReteSnapshot::from_bytes(vec![9; 4096]))
+        };
+        assert!(store.publish_checkpoint(&next).is_full());
+        assert_eq!(store.checkpoint(0), None, "re-anchored and pruned");
+        assert_eq!(*held, genesis.to_bytes());
+        assert_eq!(store.checkpoint(1), Some(next.to_bytes()));
     }
 }

@@ -25,8 +25,10 @@
 //!   has not seen, whenever a checkpoint or a reader
 //!   ([`Supervisor::committed_snapshot`], [`Supervisor::conflict_set`],
 //!   [`Supervisor::committed_wm_bytes`]) needs it. Each entry is
-//!   replayed once, and a checkpoint costs the WAL tail plus one
-//!   snapshot.
+//!   replayed once, and a checkpoint costs the WAL tail plus a
+//!   snapshot of the memories the tail changed (the matcher copies the
+//!   rest from its last image, and the chain diffs only around the
+//!   copies).
 //! * **sequential / promoted** — its matcher *is* the live matcher:
 //!   matching a batch is `WarmState::replay` of the batch's entry into
 //!   it (its own working memory, the same ids), so it sits at the
@@ -75,7 +77,7 @@
 //! published to it synchronously, which is what makes the standby's
 //! catch-up byte-exact.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
@@ -206,7 +208,9 @@ pub struct RecoveryDrill {
 pub(crate) struct WarmState {
     pub(crate) wm: WorkingMemory,
     pub(crate) matcher: ReteMatcher,
-    pub(crate) conflict: HashSet<Instantiation>,
+    /// In canonical order — by production, then WMEs — which is the
+    /// order a checkpoint lists it in.
+    pub(crate) conflict: BTreeSet<Instantiation>,
 }
 
 impl WarmState {
@@ -215,7 +219,7 @@ impl WarmState {
         WarmState {
             wm: WorkingMemory::new(),
             matcher: ReteMatcher::from_network(network),
-            conflict: HashSet::new(),
+            conflict: BTreeSet::new(),
         }
     }
 
@@ -234,7 +238,7 @@ impl WarmState {
             cycle,
             wm: self.wm.snapshot_bytes(),
             rete: self.matcher.snapshot(),
-            conflict: sorted(&self.conflict),
+            conflict: self.conflict.iter().cloned().collect(),
         }
     }
 
@@ -476,7 +480,7 @@ impl Supervisor {
 
     /// The committed conflict set, sorted canonically.
     pub fn conflict_set(&mut self) -> Vec<Instantiation> {
-        sorted(&self.advance().conflict)
+        self.advance().conflict.iter().cloned().collect()
     }
 
     /// Fault counters so far (includes the live engine's poison-
@@ -630,9 +634,8 @@ impl Supervisor {
             .collect();
         let mut seeded = naive.process(&committed.wm, &changes);
         seeded.canonicalize();
-        debug_assert_eq!(
-            seeded.added,
-            sorted(&committed.conflict),
+        debug_assert!(
+            seeded.added.iter().eq(&committed.conflict),
             "the naive matcher re-derives the committed conflict set"
         );
         self.naive = Some(naive);
@@ -696,7 +699,7 @@ impl Supervisor {
         // The §3.1 state-saving bet restated for fault tolerance: the
         // committed state is kept because re-deriving it costs a
         // restore plus a full replay; what a checkpoint pays is the WAL
-        // tail and one snapshot.
+        // tail and a snapshot of what the tail changed.
         let cycle = self.cycle;
         self.checkpoint = self.advance().checkpoint(cycle);
         self.wal.clear();
@@ -851,11 +854,4 @@ impl Matcher for Supervisor {
     fn algorithm_name(&self) -> &'static str {
         "supervised-parallel-rete"
     }
-}
-
-/// A conflict set in canonical order.
-fn sorted(conflict: &HashSet<Instantiation>) -> Vec<Instantiation> {
-    let mut v: Vec<Instantiation> = conflict.iter().cloned().collect();
-    v.sort_by(|a, b| (a.production, &a.wmes).cmp(&(b.production, &b.wmes)));
-    v
 }

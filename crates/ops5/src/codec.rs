@@ -78,6 +78,12 @@ impl ByteWriter {
         w
     }
 
+    /// Makes room for `additional` more bytes, so that writing them does
+    /// not grow the buffer by doubling.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Consumes the writer, returning the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf

@@ -19,8 +19,9 @@ use crate::wme::{WmeId, WorkingMemory};
 ///
 /// Two instantiations are equal iff they name the same production and the
 /// same WME handles; since handles are never reused, this is exactly
-/// OPS5's identity for refraction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// OPS5's identity for refraction. They order by production, then by
+/// WME handles: the canonical order of a conflict set.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Instantiation {
     /// The satisfied production.
     pub production: ProductionId,

@@ -19,6 +19,7 @@
 //! equality tests fail for it against everything.
 
 use std::borrow::Borrow;
+use std::cell::Cell;
 
 use ops5::FxHashMap;
 
@@ -43,6 +44,9 @@ pub(crate) struct Memory<T> {
     /// Per slot, the first entry of each key fingerprint's chain; a
     /// chain that drains is removed.
     pub(crate) heads: Box<[FxHashMap<u32, u32>]>,
+    /// Whether anything an image of the memory holds changed since
+    /// [`Memory::take_dirty`] last asked. Not part of the image.
+    dirty: Cell<bool>,
 }
 
 /// Where the index of a chained entry is stored.
@@ -59,7 +63,21 @@ impl<T> Memory<T> {
             slots: slots.into(),
             entries: Vec::new(),
             links: Vec::new(),
+            dirty: Cell::new(true),
         }
+    }
+
+    /// Marks the memory changed: for a change made inside an entry,
+    /// through a shared borrow, which [`Memory::insert`] and
+    /// [`Memory::remove`] do not see.
+    pub(crate) fn touch(&self) {
+        self.dirty.set(true);
+    }
+
+    /// Whether the memory changed since the last call, which this one
+    /// becomes.
+    pub(crate) fn take_dirty(&self) -> bool {
+        self.dirty.replace(false)
     }
 
     /// The slot reading `parts`, if this memory has one.
@@ -89,6 +107,7 @@ impl<T> Memory<T> {
             self.links.push(next.unwrap_or(NIL));
         }
         self.entries.push(item);
+        self.dirty.set(true);
     }
 
     /// Removes the entry equal to `item`, or returns `None` when the
@@ -132,6 +151,7 @@ impl<T> Memory<T> {
             }
         }
         self.links.truncate(last * k);
+        self.dirty.set(true);
         Some(self.entries.swap_remove(at))
     }
 
@@ -336,7 +356,9 @@ mod tests {
                     assert_eq!(memory.remove(&(arrivals + 1), key_of), None, "step {step}");
                 } else {
                     let (mut w, mut parts) = (ByteWriter::new(), ImageParts::default());
-                    encode_memory(&mut w, &memory, &mut parts, |w, &item| w.u32(item));
+                    encode_memory(&mut w, &memory, &mut parts, &mut Vec::new(), |w, &item| {
+                        w.u32(item)
+                    });
                     let bytes = w.finish();
                     assert_eq!(parts.entries, 4 * model.len());
                     assert_eq!(parts.links, 4 * k * model.len());

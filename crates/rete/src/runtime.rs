@@ -8,7 +8,7 @@
 //! parent/child dependency edges.
 
 use std::borrow::Borrow;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -20,6 +20,7 @@ use crate::kernel::{self, ActivationKind, FlightStage, KeyPart, Sign, Work};
 use crate::memory::{Memory, Slot};
 use crate::network::{CompileOptions, Network, NodeId, NodeKind, NodeSpec};
 use crate::profile::MatchProfile;
+use crate::snapshot::LastImage;
 use crate::stats::MatchStats;
 use crate::token::Token;
 use crate::trace::{Trace, TraceBuilder};
@@ -190,6 +191,9 @@ pub struct ReteMatcher {
     /// `stats.phantom_removes` already published to the attached obs
     /// counter, so each flush adds only the delta.
     phantom_published: u64,
+    /// What [`ReteMatcher::snapshot`] returned last; the next one copies
+    /// its unchanged sections from it.
+    pub(crate) last_image: RefCell<Option<LastImage>>,
 }
 
 impl ReteMatcher {
@@ -325,6 +329,7 @@ impl ReteMatcher {
             sanitizer: None,
             phantom_published: 0,
             scratch: Scratch::default(),
+            last_image: RefCell::new(None),
         }
     }
 
@@ -524,6 +529,17 @@ impl ReteMatcher {
     /// number of distinct values ever seen.
     pub fn resident_index_buckets(&self) -> usize {
         self.sum_memories(Memory::chains, Memory::chains, Memory::chains)
+    }
+
+    /// How many memories — alpha, beta, negative: each one section of a
+    /// [`ReteMatcher::snapshot`] image — the matcher has, and how many of
+    /// them hold an entry.
+    pub fn memory_sections(&self) -> (usize, usize) {
+        fn holds<T>(memory: &Memory<T>) -> usize {
+            usize::from(!memory.entries.is_empty())
+        }
+        let all = self.sum_memories(|_| 1, |_| 1, |_| 1);
+        (all, self.sum_memories(holds, holds, holds))
     }
 
     /// Total tokens resident across beta memories and negative nodes.
@@ -778,7 +794,12 @@ impl ReteMatcher {
             }
             (NodeKind::Negative, Payload::Right(wme_id)) => {
                 let wme = wm.get(wme_id).expect("live wme");
+                let probe = self.left_probe(spec, node, wme);
+                let memory = &*self.neg_memory(node);
                 let recount = |entry: &NegEntry| {
+                    // A count moves where `insert` and `remove` do not
+                    // look.
+                    memory.touch();
                     let before = entry.count.get();
                     let flipped = match sign {
                         Sign::Plus => {
@@ -795,8 +816,7 @@ impl ReteMatcher {
                         out.push(entry.token.clone());
                     }
                 };
-                let probe = self.left_probe(spec, node, wme);
-                let candidates = self.neg_memory(node).candidates(probe);
+                let candidates = memory.candidates(probe);
                 let work = kernel::scan_tokens(&spec.tests, candidates, wme, resolve, recount);
                 // A new right match retracts instantiations; a removed
                 // one re-asserts them: the propagated sign is inverted.

@@ -15,7 +15,18 @@
 //! bytes. `psm-fault` leans on this: its recovery audit compares the
 //! snapshot of a restored-and-replayed matcher byte-for-byte against the
 //! snapshot of a matcher that lived through the same changes.
+//!
+//! A snapshot costs what changed since the one before it (the same §3.1
+//! argument once more): the image is one section per alpha memory and
+//! per node, a memory knows whether it changed since its section was
+//! last written (`Memory::take_dirty`), and the matcher keeps the image
+//! it returned last with where each section ends in it. Sections of
+//! memories that changed go through `encode_memory`; every run of
+//! sections that did not is copied from the kept image in one piece. The
+//! bytes are those of an encode from nothing — which is the same code
+//! with no image kept — so nothing that reads an image can tell.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use ops5::{ByteReader, ByteWriter, CodecError, FxHashMap, WmeId};
@@ -36,11 +47,24 @@ const MAGIC: [u8; 4] = *b"PSMR";
 // whole index key, not by the value of its first equality test.
 const VERSION: u32 = 5;
 
-/// A serialized matcher state (see the module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A serialized matcher state (see the module docs). Two snapshots are
+/// equal when their bytes are.
+#[derive(Debug, Clone)]
 pub struct ReteSnapshot {
-    bytes: Vec<u8>,
+    /// Shared with the matcher that took it, which copies the next
+    /// image's unchanged sections out of it.
+    bytes: Arc<Vec<u8>>,
+    unchanged: Vec<(usize, usize, usize)>,
+    encoded: usize,
 }
+
+impl PartialEq for ReteSnapshot {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for ReteSnapshot {}
 
 impl ReteSnapshot {
     /// The raw snapshot bytes (stable, versioned format).
@@ -51,7 +75,27 @@ impl ReteSnapshot {
     /// Wraps raw bytes previously produced by [`ReteMatcher::snapshot`]
     /// (e.g. read back from a checkpoint file). Validated on restore.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        ReteSnapshot { bytes }
+        ReteSnapshot {
+            bytes: Arc::new(bytes),
+            unchanged: Vec::new(),
+            encoded: 0,
+        }
+    }
+
+    /// The ranges this image shares with the one its matcher returned
+    /// before it, as `(offset there, offset here, length)` in image
+    /// order: the runs of sections that were copied, not encoded. Empty
+    /// for a matcher's first snapshot and for wrapped bytes. A hint for
+    /// whoever diffs the two images, and only that — no part of the
+    /// image, and true of no other pair.
+    pub fn unchanged(&self) -> &[(usize, usize, usize)] {
+        &self.unchanged
+    }
+
+    /// How many memories were encoded for this image rather than copied
+    /// (of [`ReteMatcher::memory_sections`]; none for wrapped bytes).
+    pub fn encoded_sections(&self) -> usize {
+        self.encoded
     }
 
     /// Snapshot size in bytes.
@@ -118,11 +162,12 @@ pub struct ImageParts {
 /// Writes one memory: slot count, entries (each through `item`), links
 /// as they are and — with the links, the index as it is: a restored
 /// matcher walks each chain in the order this one does — each slot's
-/// heads, sorted.
+/// heads, sorted in `scratch`.
 pub(crate) fn encode_memory<T>(
     w: &mut ByteWriter,
     memory: &Memory<T>,
     parts: &mut ImageParts,
+    scratch: &mut Vec<(u32, u32)>,
     item: impl Fn(&mut ByteWriter, &T),
 ) {
     w.u32(memory.slots.len() as u32);
@@ -139,10 +184,11 @@ pub(crate) fn encode_memory<T>(
     parts.links += w.len() - start;
     let start = w.len();
     for heads in memory.heads.iter() {
-        let mut heads: Vec<_> = heads.iter().collect();
-        heads.sort_unstable();
-        w.u32(heads.len() as u32);
-        for (&key, &head) in heads {
+        scratch.clear();
+        scratch.extend(heads.iter().map(|(&key, &head)| (key, head)));
+        scratch.sort_unstable();
+        w.u32(scratch.len() as u32);
+        for &(key, head) in scratch.iter() {
             w.u32(key);
             w.u32(head);
         }
@@ -180,12 +226,8 @@ pub(crate) fn decode_memory<T>(
         }
         heads.push(slot);
     }
-    let memory = Memory {
-        slots: slots.into(),
-        entries,
-        links,
-        heads: heads.into(),
-    };
+    let mut memory = Memory::new(slots.to_vec());
+    (memory.entries, memory.links, memory.heads) = (entries, links, heads.into());
     memory.audit().map_err(CodecError::Invalid)?;
     Ok(memory)
 }
@@ -207,20 +249,99 @@ fn decode_negative(r: &mut ByteReader<'_>) -> Result<NegEntry, CodecError> {
     Ok(NegEntry::new(decode_token(r)?, r.u32()?))
 }
 
+/// The image a matcher returned last, with where its sections lie.
+#[derive(Debug)]
+pub(crate) struct LastImage {
+    bytes: Arc<Vec<u8>>,
+    /// Section `i` is `bounds[i]..bounds[i + 1]` of `bytes`.
+    bounds: Vec<usize>,
+}
+
+/// An image under way: sections arrive in image order, each either
+/// encoded or — when its memory did not change — left to be copied from
+/// `last` together with the unchanged sections around it.
+struct Sections<'a> {
+    w: ByteWriter,
+    last: Option<&'a LastImage>,
+    /// The unchanged sections not copied yet, as a range of `last`.
+    run: Range<usize>,
+    bounds: Vec<usize>,
+    unchanged: Vec<(usize, usize, usize)>,
+    encoded: usize,
+    parts: ImageParts,
+    scratch: Vec<(u32, u32)>,
+}
+
+impl Sections<'_> {
+    /// The next section: `encode`d when `dirty` or when there is no
+    /// image to copy it from.
+    fn section(&mut self, dirty: bool, encode: impl FnOnce(&mut Self)) {
+        let i = self.bounds.len() - 1;
+        match self.last {
+            Some(last) if !dirty => {
+                if self.run.is_empty() {
+                    self.run = last.bounds[i]..last.bounds[i];
+                }
+                self.run.end = last.bounds[i + 1];
+                self.bounds.push(self.w.len() + self.run.len());
+            }
+            _ => {
+                self.copy_run();
+                encode(self);
+                self.bounds.push(self.w.len());
+            }
+        }
+    }
+
+    fn memory<T>(&mut self, memory: &Memory<T>, item: impl Fn(&mut ByteWriter, &T)) {
+        self.encoded += 1;
+        encode_memory(
+            &mut self.w,
+            memory,
+            &mut self.parts,
+            &mut self.scratch,
+            item,
+        );
+    }
+
+    /// Copies the pending run of unchanged sections, in one piece.
+    fn copy_run(&mut self) {
+        if let (Some(last), false) = (self.last, self.run.is_empty()) {
+            self.unchanged
+                .push((self.run.start, self.w.len(), self.run.len()));
+            self.w.bytes(&last.bytes[self.run.clone()]);
+            self.run = 0..0;
+        }
+    }
+}
+
 impl ReteMatcher {
-    /// Serializes all dynamic matcher state into a versioned snapshot.
+    /// Serializes all dynamic matcher state into a versioned snapshot,
+    /// at the cost of the memories that changed since the last one (see
+    /// the module docs; [`ReteSnapshot::unchanged`] says what was
+    /// reused).
     ///
     /// The compiled network is *not* included — it is static and cheap
     /// to recompile — so [`ReteMatcher::restore`] needs the same
     /// [`Network`] the snapshot was taken against.
     pub fn snapshot(&self) -> ReteSnapshot {
-        self.snapshot_parts().0
+        self.encode().0
     }
 
-    /// [`ReteMatcher::snapshot`], with where its bytes went.
+    /// [`ReteMatcher::snapshot`] encoded from nothing — the same bytes,
+    /// none of them copied — with where they went.
     pub fn snapshot_parts(&self) -> (ReteSnapshot, ImageParts) {
-        let mut parts = ImageParts::default();
+        // With no image kept every section is dirty.
+        self.last_image.take();
+        self.encode()
+    }
+
+    /// The image, and where the bytes of its encoded sections went.
+    fn encode(&self) -> (ReteSnapshot, ImageParts) {
+        let last = self.last_image.take();
         let mut w = ByteWriter::with_header(MAGIC, VERSION);
+        // What the last image took, and room for what arrived since.
+        w.reserve(last.as_ref().map_or(0, |last| last.bytes.len() * 9 / 8));
         w.usize(self.network().nodes.len());
         w.usize(self.alpha_mems.len());
         w.u8(match self.memory {
@@ -230,24 +351,58 @@ impl ReteMatcher {
         for field in stat_fields(&mut self.stats.clone()) {
             w.u64(*field);
         }
+        let mut bounds = Vec::with_capacity(self.alpha_mems.len() + self.states.len() + 1);
+        bounds.push(w.len());
+        let mut image = Sections {
+            w,
+            last: last.as_ref(),
+            run: 0..0,
+            bounds,
+            unchanged: Vec::new(),
+            encoded: 0,
+            parts: ImageParts::default(),
+            scratch: Vec::new(),
+        };
         for memory in &self.alpha_mems {
-            encode_memory(&mut w, memory, &mut parts, encode_wme);
+            image.section(memory.take_dirty(), |image| {
+                image.memory(memory, encode_wme);
+            });
         }
         for state in &self.states {
             match state {
-                NodeState::Mem(memory) => {
-                    w.u8(0);
-                    encode_memory(&mut w, memory, &mut parts, encode_token);
-                }
-                NodeState::Neg(memory) => {
-                    w.u8(1);
-                    encode_memory(&mut w, memory, &mut parts, encode_negative);
-                }
-                NodeState::Stateless => w.u8(2),
+                NodeState::Mem(memory) => image.section(memory.take_dirty(), |image| {
+                    image.w.u8(0);
+                    image.memory(memory, encode_token);
+                }),
+                NodeState::Neg(memory) => image.section(memory.take_dirty(), |image| {
+                    image.w.u8(1);
+                    image.memory(memory, encode_negative);
+                }),
+                NodeState::Stateless => image.section(false, |image| image.w.u8(2)),
             }
         }
-        parts.rest = w.len() - parts.entries - parts.links - parts.heads;
-        (ReteSnapshot { bytes: w.finish() }, parts)
+        image.copy_run();
+        let Sections {
+            w,
+            bounds,
+            unchanged,
+            encoded,
+            mut parts,
+            ..
+        } = image;
+        let bytes = Arc::new(w.finish());
+        let copied: usize = unchanged.iter().map(|&(_, _, len)| len).sum();
+        parts.rest = bytes.len() - copied - parts.entries - parts.links - parts.heads;
+        self.last_image.replace(Some(LastImage {
+            bytes: Arc::clone(&bytes),
+            bounds,
+        }));
+        let snapshot = ReteSnapshot {
+            bytes,
+            unchanged,
+            encoded,
+        };
+        (snapshot, parts)
     }
 
     /// Rebuilds a matcher from `snapshot` over `network`.
@@ -413,6 +568,46 @@ mod tests {
         assert_eq!(restored.snapshot().as_bytes(), live.snapshot().as_bytes());
         assert_eq!(restored.resident_tokens(), 0);
         assert_eq!(restored.resident_index_buckets(), 0);
+    }
+
+    /// A negative node's right activation moves a match count and
+    /// nothing else: no token enters or leaves a memory, so neither
+    /// `insert` nor `remove` of the node's memory runs. Its section must
+    /// still be written again.
+    #[test]
+    fn a_match_count_alone_makes_a_section_dirty() {
+        let program = parse_program("(p r (a ^x <v>) - (b ^x <v>) --> (halt))").unwrap();
+        let mut live = ReteMatcher::compile(&program).unwrap();
+        let mut fresh = ReteMatcher::from_network(live.network().clone());
+        let mut wm = WorkingMemory::new();
+        let mut syms = program.symbols.clone();
+        let mut previous = live.snapshot();
+        // The token arrives; one blocker retracts the instantiation, a
+        // second changes no conflict set, and each leaving undoes that.
+        let mut blockers = Vec::new();
+        for (step, src) in ["(a ^x 1)", "(b ^x 1)", "(b ^x 1)", "-", "-"]
+            .into_iter()
+            .enumerate()
+        {
+            let change = match src {
+                "-" => Change::Remove(blockers.pop().expect("a blocker")),
+                _ => Change::Add(wm.add(parse_wme(src, &mut syms).unwrap()).0),
+            };
+            let delta = live.process(&wm, &[change]);
+            assert_eq!(fresh.process(&wm, &[change]), delta);
+            assert_eq!(delta.is_empty(), matches!(step, 2 | 3), "step {step}");
+            match change {
+                Change::Add(id) if step > 0 => blockers.push(id),
+                Change::Add(_) => {}
+                Change::Remove(id) => drop(wm.remove(id)),
+            }
+            let next = live.snapshot();
+            assert_eq!(next.as_bytes(), fresh.snapshot_parts().0.as_bytes());
+            assert_ne!(next, previous, "step {step}");
+            assert!(!next.unchanged().is_empty(), "step {step}: the rest copied");
+            previous = next;
+        }
+        assert_eq!(live.snapshot(), previous);
     }
 
     /// Two tokens on the one chain of a negative node; the image ends

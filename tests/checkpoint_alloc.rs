@@ -7,11 +7,11 @@
 //! `BENCHMARK.json`), and what sets it is the transient buffers of a
 //! checkpoint cycle on top of the standing state: every image-sized
 //! buffer a checkpoint allocates is ~390 KB on this stream. A checkpoint
-//! needs three of them — the committed state's snapshot, the `PSMC`
-//! image built from it, and the block index plus ops of one diff, which
-//! together come to about one more; the rest of the measured five is the
-//! unused half of buffers that grew by doubling (requested, never
-//! touched).
+//! needs two of them — the matcher's snapshot, sized from the one before
+//! it, and the `PSMC` image built from it, sized before it is written —
+//! and the working-memory image; the rest of the measured three and a
+//! half is the conflict list, where the snapshot's sections lie, the gap
+//! list and block index of one diff, and its ops.
 //! This test pins that count so that a change which serialises an image
 //! twice, decodes one to look at it, or rebuilds a matcher to snapshot
 //! it shows up as a number — and the bytes themselves, so that a change
@@ -120,20 +120,20 @@ fn a_checkpoint_cycle_requests_a_pinned_multiple_of_its_image() {
         "heap bytes requested per checkpoint cycle: mean {mean_bytes}, worst {worst_bytes} \
          (PSMC image: mean {mean_image}); in images: mean {mean:.2}, worst {worst:.2}"
     );
-    // The bytes are the budget: measured mean 2 141 301–2 145 526, worst
-    // 2 274 493 (with `PSMR` v4 inside the image: mean 2 274 504, worst
-    // 2 481 720, which is the ceiling — the figure may not rise).
+    // The bytes are the budget: measured mean 1 362 881, worst 1 514 378,
+    // which is the ceiling — the figure may not rise. (Before a snapshot
+    // copied its unchanged sections into a buffer sized up front and the
+    // diff indexed only the gaps between them: mean 2 141 301, worst
+    // 2 274 493.)
     assert!(
-        worst_bytes <= 2_481_720,
+        worst_bytes <= 1_514_378,
         "a checkpoint cycle requested {worst_bytes} heap bytes"
     );
     // The multiple says how many image-sized buffers that is: measured
-    // mean 5.47–5.49, worst 5.81–5.83 of a 391 256-byte image (v4: mean
-    // 5.13, worst 5.54 of 443 351 bytes — the image shrank by more than
-    // the buffers that grow by doubling did, so the same work reads as a
-    // larger multiple); the ceiling sits 5 % above.
+    // mean 3.48, worst 3.83 of a 391 256-byte image (before: mean 5.47,
+    // worst 5.81 of the same image); the ceiling sits 5 % above.
     assert!(
-        worst <= 6.1,
+        worst <= 4.02,
         "a checkpoint cycle requested {worst:.2} images' worth of heap"
     );
 
@@ -143,11 +143,11 @@ fn a_checkpoint_cycle_requests_a_pinned_multiple_of_its_image() {
          ({} per WME change)",
         plain_bytes / plain_changes
     );
-    // Measured 9 899 per cycle, 1 826 per change (with a shadow working
+    // Measured 7 576 per cycle, 1 397 per change (with a shadow working
     // memory, a second conflict set and a decoded open segment kept in
     // step: 10 463 and 1 930); the ceiling sits 5 % above.
     assert!(
-        per_cycle <= 10_390,
+        per_cycle <= 7_955,
         "a plain supervised cycle requested {per_cycle} heap bytes"
     );
 }
