@@ -20,11 +20,16 @@
 //!   outside and split into checkpoint cycles and plain ones. The run
 //!   fails (exit 1) when a checkpoint cycle's median exceeds
 //!   [`MAX_CHECKPOINT_RATIO`] plain cycles. The same stream is then
-//!   taken through a checkpoint's steps by hand — the batches matched,
-//!   the matcher snapshot, the working-memory image and conflict list,
-//!   the chain push with its serialisation and CRC — each step timed,
-//!   with a census of the snapshot's sections: how many there are, how
-//!   many were encoded and how many bytes were copied instead.
+//!   taken through a checkpoint's steps by hand, each step timed and
+//!   listed under the thread that pays it — the matching thread matches
+//!   the batches, snapshots the matcher, images the working memory and
+//!   the conflict list, serialises the `PSMC` image and hands it to the
+//!   store; the store's publisher checksums it, diffs it against the
+//!   tip and encodes the `PSMD` — with the share of a checkpoint
+//!   interval the publisher is busy for, how often the matching thread
+//!   had to wait for it, and a census of the snapshot's sections: how
+//!   many there are, how many were encoded and how many bytes were
+//!   copied instead.
 //!
 //! * **`PSMR` image census** — the bytes of the matcher snapshot every
 //!   checkpoint serialises, diffs and checksums, by part (entries,
@@ -49,8 +54,8 @@ use std::time::Instant;
 use ops5::{Instantiation, MatchDelta, Matcher, WmeId, WorkingMemory};
 use psm_bench::{capture, f, print_table, CliOptions};
 use psm_fault::{
-    crc32, Checkpoint, CheckpointChain, FaultPlan, ReplicationConfig, ReplicationStore, Supervisor,
-    SupervisorConfig,
+    crc32, Checkpoint, CheckpointChain, FaultPlan, ReplicationConfig, ReplicationStore, Serialised,
+    Supervisor, SupervisorConfig,
 };
 use psm_obs::json::{number, push_escaped};
 use psm_sim::{
@@ -62,13 +67,17 @@ use workloads::{programs, GeneratedWorkload, Preset, WorkloadDriver};
 
 const MAX_KILLS: usize = 8;
 /// Ceiling on checkpoint-cycle median / plain-cycle median on the vt
-/// stream: a third above the 17.1 measured (median of twelve runs,
-/// 16.0–18.4) with a checkpoint that costs the WAL tail, the sections of
-/// the memories that changed and a diff of the gaps between them. One
-/// that snapshots, diffs and checksums everything resident read
-/// 20.9–22.7 in the same sessions, and one that re-derives the committed
-/// state from bytes and serialises every image twice about 105.
-const MAX_CHECKPOINT_RATIO: f64 = 23.0;
+/// stream: a third above the 12.2 measured (median of twelve runs,
+/// 11.3–12.8) with a checkpoint that costs the matching thread the WAL tail,
+/// the sections of the memories that changed and the `PSMC`
+/// serialisation, and leaves the chain push to the store's publisher.
+/// With the push on the matching thread too — or on a host that gives
+/// the two threads one core — the ratio read 19.0–21.1 the same session
+/// (16.0–18.4 on a slower plain cycle, when that was measured), with a
+/// checkpoint that snapshots, diffs and checksums everything resident
+/// 20.9–22.7, and with one that re-derives the committed state from
+/// bytes and serialises every image twice about 105.
+const MAX_CHECKPOINT_RATIO: f64 = 16.0;
 
 fn out_dir() -> String {
     let args: Vec<String> = std::env::args().collect();
@@ -109,32 +118,45 @@ struct CheckpointCost {
     checkpoints: usize,
     plain_cycle_p50_us: f64,
     checkpoint_cycle_p50_us: f64,
+    /// Checkpoints that found the one before them still being pushed,
+    /// and how long the matching thread waited for those in all.
+    publish_waits: u64,
+    publish_wait_us: f64,
 }
 
 impl CheckpointCost {
     fn ratio(&self) -> f64 {
         self.checkpoint_cycle_p50_us / self.plain_cycle_p50_us
     }
+
+    /// Wall-clock microseconds from one checkpoint to the next.
+    fn interval_us(&self) -> f64 {
+        7.0 * self.plain_cycle_p50_us + self.checkpoint_cycle_p50_us
+    }
 }
 
-/// The steps of a checkpoint, in the order it takes them. The last two
-/// are part of the push, which also diffs the image against the tip's
-/// and serialises and checksums the `PSMD`.
-const STEPS: [&str; 6] = [
-    "match the 8 batches (the WAL tail)",
-    "matcher snapshot (PSMR)",
-    "WM image + conflict list",
-    "chain push (PSMC, CRC, diff, PSMD)",
-    "  of which PSMC to_bytes",
-    "  of which CRC-32 of the image",
+/// The steps of a checkpoint, in the order it takes them, and the
+/// thread each runs on.
+const STEPS: [(&str, &str); 7] = [
+    (MATCHING, "match the 8 batches (the WAL tail)"),
+    (MATCHING, "matcher snapshot (PSMR)"),
+    (MATCHING, "WM image + conflict list"),
+    (MATCHING, "publish: PSMC to_bytes, hand-off"),
+    (MATCHING, "  of which PSMC to_bytes"),
+    (PUBLISHER, "chain push (CRC, diff, PSMD)"),
+    (PUBLISHER, "  of which CRC-32 of the image"),
 ];
+const MATCHING: &str = "matching thread";
+const PUBLISHER: &str = "publisher";
+/// Where the chain push is among [`STEPS`].
+const PUSH: usize = 5;
 
 /// [`checkpoint_steps`]: medians over the checkpoints stored as deltas,
 /// and means of what their snapshots reused.
 struct CheckpointSteps {
     checkpoints: usize,
     /// Median microseconds of each of [`STEPS`].
-    step_us: [f64; 6],
+    step_us: [f64; 7],
     /// Memories (one image section each) and how many hold an entry, at
     /// the end of the run.
     sections: (usize, usize),
@@ -330,25 +352,35 @@ fn main() {
     let cost = checkpoint_cost(400);
     println!(
         "\ncheckpoint cost on the vt stream ({} cycles, {} checkpoints, replication attached): \
-         plain cycle p50 {:.0} us, checkpoint cycle p50 {:.0} us, ratio {:.1} (ceiling {})",
+         plain cycle p50 {:.0} us, checkpoint cycle p50 {:.0} us, ratio {:.1} (ceiling {}); \
+         publish_waits {}, publish_wait_us {:.0}",
         cost.cycles,
         cost.checkpoints,
         cost.plain_cycle_p50_us,
         cost.checkpoint_cycle_p50_us,
         cost.ratio(),
-        MAX_CHECKPOINT_RATIO
+        MAX_CHECKPOINT_RATIO,
+        cost.publish_waits,
+        cost.publish_wait_us
     );
 
     let steps = checkpoint_steps(400);
     let rows: Vec<Vec<String>> = STEPS
         .iter()
         .zip(steps.step_us)
-        .map(|(step, us)| vec![step.to_string(), f(us, 0)])
+        .map(|((thread, step), us)| vec![thread.to_string(), step.to_string(), f(us, 0)])
         .collect();
     print_table(
         "a checkpoint step by step, by hand on the same stream (median us per checkpoint)",
-        &["step", "us"],
+        &["thread", "step", "us"],
         &rows,
+    );
+    println!(
+        "\nthe publisher is busy {:.0} % of a checkpoint interval ({:.0} of {:.0} us: seven \
+         plain cycles and the checkpoint cycle)",
+        100.0 * steps.step_us[PUSH] / cost.interval_us(),
+        steps.step_us[PUSH],
+        cost.interval_us()
     );
     let [encoded, image, bytes_encoded, bytes_copied, runs] = steps.per_checkpoint;
     println!(
@@ -407,11 +439,14 @@ fn checkpoint_cost(cycles: usize) -> CheckpointCost {
         ..SupervisorConfig::default()
     };
     let mut sup = Supervisor::new(&workload.program, config).expect("program compiles");
-    sup.attach_replication(Arc::new(
-        ReplicationStore::new(ReplicationConfig::default()),
-    ));
+    let store = Arc::new(ReplicationStore::new(ReplicationConfig::default()));
+    sup.attach_replication(Arc::clone(&store));
     let mut driver = WorkloadDriver::new(workload, 0x5EED);
     driver.init(&mut sup);
+    // The load is 1 100 one-WME cycles, a checkpoint every 300 us or so
+    // against a push of up to 700: some of its publishes wait, and are
+    // not the stream's.
+    let loaded = store.stats();
     let (mut plain, mut checkpointed) = (Vec::new(), Vec::new());
     for _ in 0..cycles {
         let batch = driver.next_batch();
@@ -430,11 +465,14 @@ fn checkpoint_cost(cycles: usize) -> CheckpointCost {
         v.sort_by(f64::total_cmp);
         v[v.len() / 2]
     };
+    let stats = store.stats();
     CheckpointCost {
         cycles,
         checkpoints: checkpointed.len(),
         plain_cycle_p50_us: median(&mut plain),
         checkpoint_cycle_p50_us: median(&mut checkpointed),
+        publish_waits: stats.publish_waits - loaded.publish_waits,
+        publish_wait_us: (stats.publish_wait_ns - loaded.publish_wait_ns) as f64 / 1e3,
     }
 }
 
@@ -448,7 +486,10 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// Takes the vt stream of [`checkpoint_cost`] through what a checkpoint
 /// does, every eighth cycle, with the pieces a [`Supervisor`] makes it
 /// of — a sequential matcher's snapshot, the working-memory image, the
-/// ordered conflict set, a [`CheckpointChain`] push — timing each.
+/// ordered conflict set, a publish into a [`ReplicationStore`] — timing
+/// each; the push the store's publisher then makes is waited for and
+/// made again here, on a [`CheckpointChain`] of the same checkpoints,
+/// to be timed as well.
 fn checkpoint_steps(cycles: usize) -> CheckpointSteps {
     let workload = GeneratedWorkload::generate(Preset::Vt.spec()).expect("workload generates");
     let mut driver = WorkloadDriver::new(workload, 0x5EED);
@@ -483,9 +524,10 @@ fn checkpoint_steps(cycles: usize) -> CheckpointSteps {
     };
     let (genesis, ..) = checkpoint(0, &matcher, driver.working_memory(), &conflict);
     let mut chain = CheckpointChain::new(&genesis, ReplicationConfig::default().anchor_every);
-    drop(genesis);
+    let store = ReplicationStore::new(ReplicationConfig::default());
+    store.publish_checkpoint(Arc::new(genesis));
 
-    let mut steps: [Vec<f64>; 6] = Default::default();
+    let mut steps: [Vec<f64>; 7] = Default::default();
     let mut census = [0.0; 5];
     let mut tail_us = 0.0;
     for cycle in 1..=cycles as u64 {
@@ -499,10 +541,25 @@ fn checkpoint_steps(cycles: usize) -> CheckpointSteps {
         }
         let (cp, snapshot_us, state_us) =
             checkpoint(cycle, &matcher, driver.working_memory(), &conflict);
-        let (artifact, push_us) = timed(|| chain.push(&cp));
-        let (image, to_bytes_us) = timed(|| cp.to_bytes());
+        let cp = Arc::new(cp);
+        let (_, publish_us) = timed(|| store.publish_checkpoint(Arc::clone(&cp)));
+        // The publisher has the other core to itself meanwhile, as it
+        // has under a supervisor matching the next batch.
+        store.stats();
+        let (bytes, to_bytes_us) = timed(|| Serialised::of(&cp));
+        let image = cp.to_bytes();
         let (_, crc_us) = timed(|| crc32(&image));
-        let times = [tail_us, snapshot_us, state_us, push_us, to_bytes_us, crc_us];
+        drop(image);
+        let (artifact, push_us) = timed(|| chain.push_serialised(&cp, bytes));
+        let times = [
+            tail_us,
+            snapshot_us,
+            state_us,
+            publish_us,
+            to_bytes_us,
+            push_us,
+            crc_us,
+        ];
         tail_us = 0.0;
         if artifact.is_full() {
             continue;
@@ -718,22 +775,35 @@ fn write_json(
     j.push_str(&format!(
         "],\"checkpoint_cost\":{{\"preset\":\"vt\",\"cycles\":{},\"checkpoints\":{},\
          \"plain_cycle_p50_us\":{},\"checkpoint_cycle_p50_us\":{},\"ratio\":{},\
-         \"max_ratio\":{},\"delta_checkpoints\":{},\"step_p50_us\":{{",
+         \"max_ratio\":{},\"publish_waits\":{},\"publish_wait_us\":{},\
+         \"publisher_busy_share\":{},\"delta_checkpoints\":{},\"step_p50_us\":{{",
         cost.cycles,
         cost.checkpoints,
         number(cost.plain_cycle_p50_us),
         number(cost.checkpoint_cycle_p50_us),
         number(cost.ratio()),
         number(MAX_CHECKPOINT_RATIO),
+        cost.publish_waits,
+        number(cost.publish_wait_us),
+        number(steps.step_us[PUSH] / cost.interval_us()),
         steps.checkpoints
     ));
-    for (i, (step, us)) in STEPS.iter().zip(steps.step_us).enumerate() {
-        j.push_str(if i > 0 { "," } else { "" });
-        push_escaped(&mut j, step.trim());
-        j.push_str(&format!(":{}", number(us)));
+    for (t, thread) in [MATCHING, PUBLISHER].into_iter().enumerate() {
+        j.push_str(if t > 0 { "}," } else { "" });
+        push_escaped(&mut j, thread);
+        j.push_str(":{");
+        let on_thread = STEPS
+            .iter()
+            .zip(steps.step_us)
+            .filter(|(s, _)| s.0 == thread);
+        for (i, ((_, step), us)) in on_thread.enumerate() {
+            j.push_str(if i > 0 { "," } else { "" });
+            push_escaped(&mut j, step.trim());
+            j.push_str(&format!(":{}", number(us)));
+        }
     }
     j.push_str(&format!(
-        "}},\"sections\":{{\"memories\":{},\"non_empty\":{}",
+        "}}}},\"sections\":{{\"memories\":{},\"non_empty\":{}",
         steps.sections.0, steps.sections.1
     ));
     for (name, mean) in CENSUS.iter().zip(steps.per_checkpoint) {

@@ -51,11 +51,16 @@ impl Checkpoint {
         8 + 8 + 8 + self.wm.len() + 8
     }
 
+    /// How many bytes [`Checkpoint::to_bytes`] writes.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let conflict = self.conflict.iter().map(|inst| 12 + 8 * inst.wmes.len());
+        self.rete_at() + self.rete.len() + 8 + conflict.sum::<usize>()
+    }
+
     /// Serializes the checkpoint (`PSMC` v1).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_header(MAGIC, VERSION);
-        let conflict = self.conflict.iter().map(|inst| 12 + 8 * inst.wmes.len());
-        w.reserve(self.rete_at() + self.rete.len() + 8 + conflict.sum::<usize>());
+        w.reserve(self.encoded_len() - w.len());
         w.u64(self.cycle);
         for blob in [&self.wm[..], self.rete.as_bytes()] {
             w.usize(blob.len());

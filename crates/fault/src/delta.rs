@@ -37,7 +37,10 @@
 //! predecessor. The chain works on serialised images throughout — a
 //! push serialises and checksums the new checkpoint once and diffs it
 //! against the tip *image* — so its cost follows what changed, not the
-//! number of times the store is looked at.
+//! number of times the store is looked at; it keeps the gap list, block
+//! index and op list of one diff for the next, and writes literal runs
+//! straight from the new image into a `PSMD` buffer sized beforehand, so
+//! a push allocates the artifact it stores and, once warm, nothing else.
 //! [`CheckpointChain::restore_tip`] re-derives the latest checkpoint
 //! purely from stored artifacts — the tests assert it is byte-identical
 //! to the live one.
@@ -68,6 +71,48 @@ pub enum DiffOp {
     },
     /// Emit literal bytes present only in the child.
     Insert(Vec<u8>),
+}
+
+/// A [`DiffOp`] as a diff finds it and a `PSMD` writes it: the literal
+/// bytes stay where they are, in the child image (or in the op that owns
+/// them), until they are written out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OpRef<'a> {
+    Copy { off: usize, len: usize },
+    Insert(&'a [u8]),
+}
+
+impl DiffOp {
+    fn as_ref(&self) -> OpRef<'_> {
+        match self {
+            DiffOp::Copy { off, len } => OpRef::Copy {
+                off: *off,
+                len: *len,
+            },
+            DiffOp::Insert(bytes) => OpRef::Insert(bytes),
+        }
+    }
+}
+
+/// One step of a diff under way: [`OpRef`] with the literal run named by
+/// where it lies in the child image, so that the list of them borrows
+/// nothing and can be kept from one diff to the next.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Span {
+    Copy { off: usize, len: usize },
+    Insert(Range<usize>),
+}
+
+impl Span {
+    fn over<'a>(&self, new: &'a [u8]) -> OpRef<'a> {
+        match self {
+            Span::Copy { off, len } => OpRef::Copy {
+                off: *off,
+                len: *len,
+            },
+            Span::Insert(run) => OpRef::Insert(&new[run.clone()]),
+        }
+    }
 }
 
 /// Hash of one [`BLOCK`], a word at a time. Only an index key: every
@@ -128,14 +173,14 @@ fn common_suffix(a: &[u8], b: &[u8]) -> usize {
 
 /// Appends a copy of `old[off..off + len]`, as part of the copy before
 /// it when it carries on where that one ended.
-fn push_copy(ops: &mut Vec<DiffOp>, off: usize, len: usize) {
+fn push_copy(ops: &mut Vec<Span>, off: usize, len: usize) {
     match ops.last_mut() {
         _ if len == 0 => {}
-        Some(DiffOp::Copy {
+        Some(Span::Copy {
             off: prev_off,
             len: prev_len,
         }) if *prev_off + *prev_len == off => *prev_len += len,
-        _ => ops.push(DiffOp::Copy { off, len }),
+        _ => ops.push(Span::Copy { off, len }),
     }
 }
 
@@ -143,19 +188,27 @@ fn push_copy(ops: &mut Vec<DiffOp>, off: usize, len: usize) {
 /// positions of `new` hold no block of `old`; `seen`, one bit per value
 /// of a key's top 16 bits and small enough to stay in cache, says so
 /// without a look at `at`.
+#[derive(Debug, Clone)]
 struct BlockIndex {
     seen: Vec<u64>,
     at: FxHashMap<u64, usize>,
 }
 
-impl BlockIndex {
-    fn with_capacity(blocks: usize) -> Self {
-        let mut at = FxHashMap::default();
-        at.reserve(blocks);
+impl Default for BlockIndex {
+    fn default() -> Self {
         BlockIndex {
             seen: vec![0; 1 << 10],
-            at,
+            at: FxHashMap::default(),
         }
+    }
+}
+
+impl BlockIndex {
+    /// Empties the index, keeping its tables, with room for `blocks`.
+    fn reset(&mut self, blocks: usize) {
+        self.seen.fill(0);
+        self.at.clear();
+        self.at.reserve(blocks);
     }
 
     fn bit(key: u64) -> (usize, u64) {
@@ -181,6 +234,7 @@ impl BlockIndex {
 
 /// What lies between two verified hints (or an end of the images), with
 /// the hint that follows it.
+#[derive(Debug, Clone)]
 struct Gap {
     /// Where the gap starts in `old`.
     from: usize,
@@ -230,78 +284,107 @@ pub fn diff(old: &[u8], new: &[u8]) -> Vec<DiffOp> {
 /// other is dropped. Whatever `unchanged` holds, applying the result to
 /// `old` gives `new`.
 pub fn diff_hinted(old: &[u8], new: &[u8], unchanged: &[(usize, usize, usize)]) -> Vec<DiffOp> {
-    // The images' ends are one more (empty) range that holds, so that
-    // what follows the last hint is a gap like the rest.
-    let end = (old.len(), new.len(), 0);
-    let hints = unchanged.iter().filter(|hint| hint.2 > 0).chain([&end]);
-    let mut gaps: Vec<Gap> = Vec::with_capacity(unchanged.len() + 1);
-    let (mut old_at, mut new_at) = (0, 0);
-    for &(o, n, len) in hints {
-        let ends = o.checked_add(len).zip(n.checked_add(len));
-        let inside = ends.is_some_and(|(o, n)| o <= old.len() && n <= new.len());
-        if !inside || o < old_at || n < new_at || old[o..o + len] != new[n..n + len] {
-            continue;
-        }
-        let (a, b) = (&old[old_at..o], &new[new_at..n]);
-        let prefix = common_prefix(a, b);
-        let suffix = common_suffix(&a[prefix..], &b[prefix..]);
-        gaps.push(Gap {
-            from: old_at,
-            old: old_at + prefix..o - suffix,
-            new: new_at + prefix..n - suffix,
-            to: o + len,
-        });
-        (old_at, new_at) = (o + len, n + len);
-    }
+    let mut differ = Differ::default();
+    let spans = differ.diff(old, new, unchanged.iter().copied());
+    let owned = spans.iter().map(|span| match span.over(new) {
+        OpRef::Copy { off, len } => DiffOp::Copy { off, len },
+        OpRef::Insert(bytes) => DiffOp::Insert(bytes.to_vec()),
+    });
+    owned.collect()
+}
 
-    // One index for every gap's blocks, built once: a block is filed
-    // under its hash and its gap.
-    let searchable = || gaps.iter().enumerate().filter(|(_, gap)| gap.searchable());
-    let blocks = searchable().map(|(_, gap)| gap.old.len() / BLOCK).sum();
-    let mut index = BlockIndex::with_capacity(blocks);
-    for (nth, gap) in searchable() {
-        for off in gap.blocks() {
-            index.insert(block_hash(&old[off..off + BLOCK]) ^ Gap::salt(nth), off);
-        }
-    }
+/// The working storage of [`diff_hinted`] — gap list, block index, op
+/// list — kept by whoever diffs again and again
+/// ([`CheckpointChain::push`]), so that a diff allocates only while it
+/// is larger than every diff before it.
+#[derive(Debug, Clone, Default)]
+struct Differ {
+    gaps: Vec<Gap>,
+    index: BlockIndex,
+    ops: Vec<Span>,
+}
 
-    let mut ops: Vec<DiffOp> = Vec::new();
-    for (nth, gap) in gaps.iter().enumerate() {
-        push_copy(&mut ops, gap.from, gap.old.start - gap.from);
-        // `new[literal..i]` is the literal run not yet emitted.
-        let (mut literal, mut i) = (gap.new.start, gap.new.start);
-        while gap.searchable() && i + BLOCK <= gap.new.end {
-            let block = &new[i..i + BLOCK];
-            let off = match index.get(block_hash(block) ^ Gap::salt(nth)) {
-                Some(off)
-                    if gap.old.start <= off
-                        && off + BLOCK <= gap.old.end
-                        && old[off..off + BLOCK] == *block =>
-                {
-                    off
-                }
-                _ => {
-                    i += 1;
-                    continue;
-                }
-            };
-            if literal < i {
-                ops.push(DiffOp::Insert(new[literal..i].to_vec()));
+impl Differ {
+    /// [`diff_hinted`], the ops left as [`Span`]s of `new`.
+    fn diff(
+        &mut self,
+        old: &[u8],
+        new: &[u8],
+        unchanged: impl Iterator<Item = (usize, usize, usize)>,
+    ) -> &[Span] {
+        let Differ { gaps, index, ops } = self;
+        // The images' ends are one more (empty) range that holds, so that
+        // what follows the last hint is a gap like the rest.
+        let end = (old.len(), new.len(), 0);
+        let hints = unchanged.filter(|hint| hint.2 > 0).chain([end]);
+        gaps.clear();
+        let (mut old_at, mut new_at) = (0, 0);
+        for (o, n, len) in hints {
+            let ends = o.checked_add(len).zip(n.checked_add(len));
+            let inside = ends.is_some_and(|(o, n)| o <= old.len() && n <= new.len());
+            if !inside || o < old_at || n < new_at || old[o..o + len] != new[n..n + len] {
+                continue;
             }
-            // Extend the match past the block boundary.
-            let rest = (&old[off + BLOCK..gap.old.end], &new[i + BLOCK..gap.new.end]);
-            let len = BLOCK + common_prefix(rest.0, rest.1);
-            push_copy(&mut ops, off, len);
-            i += len;
-            literal = i;
+            let (a, b) = (&old[old_at..o], &new[new_at..n]);
+            let prefix = common_prefix(a, b);
+            let suffix = common_suffix(&a[prefix..], &b[prefix..]);
+            gaps.push(Gap {
+                from: old_at,
+                old: old_at + prefix..o - suffix,
+                new: new_at + prefix..n - suffix,
+                to: o + len,
+            });
+            (old_at, new_at) = (o + len, n + len);
         }
-        if literal < gap.new.end {
-            ops.push(DiffOp::Insert(new[literal..gap.new.end].to_vec()));
+
+        // One index for every gap's blocks, built once: a block is filed
+        // under its hash and its gap.
+        let searchable = || gaps.iter().enumerate().filter(|(_, gap)| gap.searchable());
+        index.reset(searchable().map(|(_, gap)| gap.old.len() / BLOCK).sum());
+        for (nth, gap) in searchable() {
+            for off in gap.blocks() {
+                index.insert(block_hash(&old[off..off + BLOCK]) ^ Gap::salt(nth), off);
+            }
         }
-        // The shared suffix, and the hint it runs into.
-        push_copy(&mut ops, gap.old.end, gap.to - gap.old.end);
+
+        ops.clear();
+        for (nth, gap) in gaps.iter().enumerate() {
+            push_copy(ops, gap.from, gap.old.start - gap.from);
+            // `new[literal..i]` is the literal run not yet emitted.
+            let (mut literal, mut i) = (gap.new.start, gap.new.start);
+            while gap.searchable() && i + BLOCK <= gap.new.end {
+                let block = &new[i..i + BLOCK];
+                let off = match index.get(block_hash(block) ^ Gap::salt(nth)) {
+                    Some(off)
+                        if gap.old.start <= off
+                            && off + BLOCK <= gap.old.end
+                            && old[off..off + BLOCK] == *block =>
+                    {
+                        off
+                    }
+                    _ => {
+                        i += 1;
+                        continue;
+                    }
+                };
+                if literal < i {
+                    ops.push(Span::Insert(literal..i));
+                }
+                // Extend the match past the block boundary.
+                let rest = (&old[off + BLOCK..gap.old.end], &new[i + BLOCK..gap.new.end]);
+                let len = BLOCK + common_prefix(rest.0, rest.1);
+                push_copy(ops, off, len);
+                i += len;
+                literal = i;
+            }
+            if literal < gap.new.end {
+                ops.push(Span::Insert(literal..gap.new.end));
+            }
+            // The shared suffix, and the hint it runs into.
+            push_copy(ops, gap.old.end, gap.to - gap.old.end);
+        }
+        ops
     }
-    ops
 }
 
 /// Replays `ops` against `old`, producing the child image.
@@ -345,9 +428,35 @@ pub struct DeltaCheckpoint {
     pub ops: Vec<DiffOp>,
 }
 
+/// A checkpoint serialised for a push by the thread whose heap the
+/// push's lasting buffers are to live on: its `PSMC` image, and the seed
+/// of the `PSMD` artifact.
+///
+/// A buffer lives in the malloc arena of the thread that allocated it,
+/// and one grown by `realloc` stays there whoever grows it. A chain
+/// pushed by a thread of its own ([`crate::ReplicationStore`]'s
+/// publisher) would otherwise hold every image and stored delta on that
+/// thread's heap, which grows by them, while the heap that used to hold
+/// them shrinks by less. Nothing but where the bytes live depends on it.
+#[derive(Debug)]
+pub struct Serialised {
+    image: Arc<Vec<u8>>,
+    delta: Vec<u8>,
+}
+
+impl Serialised {
+    /// `cp.to_bytes()`, and a `PSMD` buffer not yet grown.
+    pub fn of(cp: &Checkpoint) -> Self {
+        Serialised {
+            image: Arc::new(cp.to_bytes()),
+            delta: Vec::with_capacity(64),
+        }
+    }
+}
+
 /// A serialised `PSMC` image plus the two facts chain links are made
 /// of: the cycle it commits and the CRC-32 of its bytes. Building one
-/// is the only place an image is serialised and checksummed.
+/// is the only place an image is checksummed.
 #[derive(Debug, Clone)]
 struct Image {
     cycle: u64,
@@ -359,36 +468,87 @@ struct Image {
 }
 
 impl Image {
-    fn of(cp: &Checkpoint) -> Image {
-        let bytes = cp.to_bytes();
+    /// `bytes` is `cp.to_bytes()`, serialised by whoever is to own the
+    /// buffer.
+    fn new(cp: &Checkpoint, bytes: Arc<Vec<u8>>) -> Image {
+        debug_assert_eq!(bytes.len(), cp.encoded_len(), "the image of `cp`");
         Image {
             cycle: cp.cycle,
             crc: crc32(&bytes),
-            bytes: Arc::new(bytes),
+            bytes,
             rete_at: cp.rete_at(),
         }
     }
+
+    fn of(cp: &Checkpoint) -> Image {
+        Image::new(cp, Arc::new(cp.to_bytes()))
+    }
+
+    /// `unchanged` — what the matcher says this image's `PSMR` part
+    /// shares with the one before it, which `old` holds unless a
+    /// snapshot was taken in between that no checkpoint was made of —
+    /// as offsets into the two `PSMC` images: hints either way, for
+    /// [`diff_hinted`] to verify.
+    fn hints<'a>(
+        &self,
+        old: &Image,
+        unchanged: &'a [(usize, usize, usize)],
+    ) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
+        let (old_at, new_at) = (old.rete_at, self.rete_at);
+        let in_images = move |&(o, n, len): &(usize, usize, usize)| {
+            (o.saturating_add(old_at), n.saturating_add(new_at), len)
+        };
+        unchanged.iter().map(in_images)
+    }
+}
+
+/// Serialises a `PSMD` v1 artifact — `(child, parent)` cycles, `(parent,
+/// result)` CRCs, the ops — into the empty `buf`, grown once, to its
+/// final size.
+fn write_delta<'a>(
+    (cycle, parent): (u64, u64),
+    (parent_crc, result_crc): (u32, u32),
+    ops: impl ExactSizeIterator<Item = OpRef<'a>> + Clone,
+    mut buf: Vec<u8>,
+) -> Vec<u8> {
+    let op_len = |op| match op {
+        OpRef::Copy { .. } => 1 + 8 + 8,
+        OpRef::Insert(bytes) => 1 + 8 + bytes.len(),
+    };
+    let len = 8 + 8 + 8 + 4 + 4 + 8 + ops.clone().map(op_len).sum::<usize>();
+    debug_assert!(buf.is_empty(), "a seed, not a used buffer");
+    buf.reserve_exact(len);
+    let mut w = ByteWriter::over(buf);
+    w.bytes(&MAGIC);
+    w.u32(VERSION);
+    w.u64(cycle);
+    w.u64(parent);
+    w.u32(parent_crc);
+    w.u32(result_crc);
+    w.usize(ops.len());
+    for op in ops {
+        match op {
+            OpRef::Copy { off, len } => {
+                w.u8(0);
+                w.usize(off);
+                w.usize(len);
+            }
+            OpRef::Insert(bytes) => {
+                w.u8(1);
+                w.usize(bytes.len());
+                w.bytes(bytes);
+            }
+        }
+    }
+    debug_assert_eq!(w.len(), len, "sized before it was written");
+    w.finish()
 }
 
 impl DeltaCheckpoint {
     /// Diffs `next` against `prev` (both as full checkpoints).
     pub fn encode(prev: &Checkpoint, next: &Checkpoint) -> DeltaCheckpoint {
-        Self::between(&Image::of(prev), &Image::of(next), next.rete.unchanged())
-    }
-
-    /// `unchanged`: what the matcher says `new`'s `PSMR` image shares
-    /// with the one before it, which `old` holds unless a snapshot was
-    /// taken in between that no checkpoint was made of — hints either
-    /// way, for [`diff_hinted`] to verify.
-    fn between(old: &Image, new: &Image, unchanged: &[(usize, usize, usize)]) -> DeltaCheckpoint {
-        let in_images = |&(o, n, len): &(usize, usize, usize)| {
-            (
-                o.saturating_add(old.rete_at),
-                n.saturating_add(new.rete_at),
-                len,
-            )
-        };
-        let unchanged: Vec<_> = unchanged.iter().map(in_images).collect();
+        let (old, new) = (Image::of(prev), Image::of(next));
+        let unchanged: Vec<_> = new.hints(&old, next.rete.unchanged()).collect();
         DeltaCheckpoint {
             cycle: new.cycle,
             parent: old.cycle,
@@ -429,27 +589,12 @@ impl DeltaCheckpoint {
 
     /// Serializes the delta (`PSMD` v1).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_header(MAGIC, VERSION);
-        w.u64(self.cycle);
-        w.u64(self.parent);
-        w.u32(self.parent_crc);
-        w.u32(self.result_crc);
-        w.usize(self.ops.len());
-        for op in &self.ops {
-            match op {
-                DiffOp::Copy { off, len } => {
-                    w.u8(0);
-                    w.usize(*off);
-                    w.usize(*len);
-                }
-                DiffOp::Insert(bytes) => {
-                    w.u8(1);
-                    w.usize(bytes.len());
-                    w.bytes(bytes);
-                }
-            }
-        }
-        w.finish()
+        write_delta(
+            (self.cycle, self.parent),
+            (self.parent_crc, self.result_crc),
+            self.ops.iter().map(DiffOp::as_ref),
+            Vec::new(),
+        )
     }
 
     /// Deserializes a delta produced by [`DeltaCheckpoint::to_bytes`].
@@ -527,11 +672,19 @@ impl ChainArtifact {
 /// checksums nothing, and a push serialises and checksums the new image
 /// exactly once. Decoded checkpoints exist only on demand
 /// ([`CheckpointChain::tip`], [`CheckpointChain::restore_tip`]).
+///
+/// The chain keeps the working storage of its diffs between pushes and
+/// writes each `PSMD` into a buffer sized beforehand, so a push in
+/// steady state allocates the artifact it stores and nothing else —
+/// which is what lets the thread that pushes
+/// ([`crate::ReplicationStore`]'s publisher) run on a heap of its own
+/// without that heap growing.
 #[derive(Debug, Clone)]
 pub struct CheckpointChain {
     anchor_every: u64,
     anchor: Image,
     tip: Image,
+    differ: Differ,
     /// `PSMD` bytes of the deltas since the anchor, oldest first.
     deltas: Vec<Arc<Vec<u8>>>,
     /// The anchor's descriptor, then one per entry of `deltas`.
@@ -548,11 +701,18 @@ impl CheckpointChain {
     /// snapshot every `anchor_every` pushes (the pushes in between
     /// store deltas).
     pub fn new(genesis: &Checkpoint, anchor_every: u64) -> Self {
-        let image = Image::of(genesis);
+        Self::from_serialised(genesis, Serialised::of(genesis), anchor_every)
+    }
+
+    /// [`CheckpointChain::new`] with `genesis` serialised by the caller
+    /// (see [`CheckpointChain::push_serialised`]).
+    pub fn from_serialised(genesis: &Checkpoint, bytes: Serialised, anchor_every: u64) -> Self {
+        let image = Image::new(genesis, bytes.image);
         let mut chain = CheckpointChain {
             anchor_every: anchor_every.max(1),
             anchor: image.clone(),
             tip: image,
+            differ: Differ::default(),
             deltas: Vec::new(),
             artifacts: Vec::new(),
             pushed: 0,
@@ -586,18 +746,44 @@ impl CheckpointChain {
     /// Appends `cp`, storing either a new full anchor (pruning the old
     /// chain) or a delta against the current tip. Returns the artifact
     /// descriptor of what was stored.
+    ///
+    /// # Panics
+    ///
+    /// When `cp` does not commit more cycles than the tip: a cycle is
+    /// an artifact's id, and a chain lists them in order.
     pub fn push(&mut self, cp: &Checkpoint) -> ChainArtifact {
+        self.push_serialised(cp, Serialised::of(cp))
+    }
+
+    /// [`CheckpointChain::push`] of a checkpoint the caller — or the
+    /// thread it took the checkpoint from — has serialised already
+    /// ([`Serialised::of`]`(cp)`): whoever allocates a buffer decides
+    /// which heap it lives on.
+    pub fn push_serialised(&mut self, cp: &Checkpoint, bytes: Serialised) -> ChainArtifact {
+        assert!(
+            cp.cycle > self.tip.cycle,
+            "checkpoint {} pushed onto a chain whose tip is {}",
+            cp.cycle,
+            self.tip.cycle
+        );
         self.pushed += 1;
-        let image = Image::of(cp);
+        let image = Image::new(cp, bytes.image);
         if self.pushed.is_multiple_of(self.anchor_every) {
             self.tip = image;
             return self.anchor_at_tip();
         }
-        let delta = DeltaCheckpoint::between(&self.tip, &image, cp.rete.unchanged());
-        let bytes = delta.to_bytes();
+        let old = &self.tip;
+        let hints = image.hints(old, cp.rete.unchanged());
+        let spans = self.differ.diff(&old.bytes, &image.bytes, hints);
+        let bytes = write_delta(
+            (image.cycle, old.cycle),
+            (old.crc, image.crc),
+            spans.iter().map(|span| span.over(&image.bytes)),
+            bytes.delta,
+        );
         let artifact = ChainArtifact {
-            cycle: delta.cycle,
-            parent: Some(delta.parent),
+            cycle: image.cycle,
+            parent: Some(old.cycle),
             bytes: bytes.len(),
             crc: crc32(&bytes),
         };

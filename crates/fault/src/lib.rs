@@ -46,7 +46,8 @@
 //!   checkpoint are garbage-collected.
 //! * **[`ReplicationStore`] + [`StandbyReplica`] + [`FailoverPair`]**
 //!   — a primary publishes chain + segments (optionally over
-//!   `psm-telemetry`'s `/replicate/*` endpoints); a pull-based standby
+//!   `psm-telemetry`'s `/replicate/*` endpoints), the chain push on a
+//!   publisher thread of the store's own; a pull-based standby
 //!   streams them into warm state and can be promoted to a live
 //!   [`Supervisor`] after a fail-stop primary kill, byte-exactly.
 
@@ -55,6 +56,7 @@
 
 pub mod checkpoint;
 pub mod delta;
+mod placement;
 pub mod plan;
 pub mod replica;
 pub mod segment;
@@ -62,7 +64,7 @@ pub mod supervisor;
 pub mod wal;
 
 pub use checkpoint::Checkpoint;
-pub use delta::{ChainArtifact, CheckpointChain, DeltaCheckpoint};
+pub use delta::{ChainArtifact, CheckpointChain, DeltaCheckpoint, Serialised};
 pub use plan::{CycleFault, EngineFault, FaultPlan};
 pub use replica::{
     FailoverPair, FailoverReport, ReplicaStatus, ReplicationConfig, ReplicationStats,

@@ -11,6 +11,14 @@
 //!   segments once a checkpoint covers them and serves everything
 //!   through [`psm_telemetry::replicate::ReplicaSource`], so it plugs
 //!   straight into the telemetry listener's `/replicate/*` endpoints.
+//!   An entry is in the store when `publish_entry` returns. A
+//!   checkpoint is *handed* to the store when `publish_checkpoint`
+//!   returns — the segment boundary it draws is in place — and pushed
+//!   onto the chain (CRC-32, diff against the tip, `PSMD`) by one
+//!   publisher thread the store owns, so that the matching thread's
+//!   checkpoint cycle does not pay for it; segments are collected after
+//!   the push, at most one checkpoint is in flight, and every read
+//!   waits for it, so no reader can tell.
 //! * [`StandbyReplica`] — the standby-side pull loop. Each
 //!   [`StandbyReplica::poll`] reads the manifest, (re-)bases itself on
 //!   the checkpoint chain when behind or gapped, replays WAL segments
@@ -26,7 +34,11 @@
 //!   ([`crate::Tier::Promoted`]). The chaos suite asserts the promoted
 //!   run equals a never-faulted run byte-for-byte.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 use ops5::{Change, Error, MatchDelta, Matcher, Program, WmeId, WorkingMemory};
 use psm_obs::Obs;
@@ -35,7 +47,8 @@ use psm_telemetry::replicate::ReplicaSource;
 use rete::Network;
 
 use crate::checkpoint::Checkpoint;
-use crate::delta::{ChainArtifact, CheckpointChain, DeltaCheckpoint};
+use crate::delta::{CheckpointChain, DeltaCheckpoint, Serialised};
+use crate::placement;
 use crate::plan::FaultPlan;
 use crate::segment::{SegmentedWal, WalSegment};
 use crate::supervisor::{Supervisor, SupervisorConfig, Tier, WarmState};
@@ -79,86 +92,303 @@ pub struct ReplicationStats {
     pub segments_gced: u64,
     /// Committed cycles published by the primary.
     pub primary_cycle: u64,
+    /// Checkpoint publishes that found the one before them still being
+    /// pushed and waited for it.
+    pub publish_waits: u64,
+    /// How long those publishes waited in all — time the publishing
+    /// (matching) thread stood still — in nanoseconds.
+    pub publish_wait_ns: u64,
 }
 
-struct StoreInner {
-    chain: Option<CheckpointChain>,
+/// The shipped WAL and the committed frontier: what
+/// [`ReplicationStore::publish_entry`] moves.
+struct Log {
     wal: SegmentedWal,
     primary_cycle: u64,
 }
 
+/// A checkpoint on its way to the chain, as the thread that took it
+/// serialised it.
+struct Job {
+    cp: Arc<Checkpoint>,
+    bytes: Serialised,
+    /// The core the hand-off was made on, for the publisher to stay off
+    /// (see [`crate::placement`]).
+    core: Option<usize>,
+}
+
+/// Where the one checkpoint that may be in flight is.
+enum Push {
+    /// Nowhere: every checkpoint published is in the chain.
+    Idle,
+    /// Handed over, not yet taken up by the publisher.
+    Handed(Job),
+    /// Being pushed.
+    Running,
+    /// A push panicked, with this payload until a caller has been
+    /// failed with it. The publisher is gone and the chain has stopped
+    /// growing, so every later call fails too.
+    Died(Option<Box<dyn Any + Send>>),
+}
+
+/// What the publisher and its callers tell each other, under one lock
+/// and [`Shared::turn`].
+struct Handoff {
+    push: Push,
+    /// The store is being dropped: the publisher leaves once nothing is
+    /// handed to it.
+    closing: bool,
+    /// [`ReplicationStats::publish_waits`] and
+    /// [`ReplicationStats::publish_wait_ns`].
+    waits: u64,
+    wait_ns: u64,
+}
+
+/// The store's state, shared with its publisher thread. Lock order:
+/// `chain`, then `log`; `handoff` is held with neither.
+struct Shared {
+    config: ReplicationConfig,
+    log: Mutex<Log>,
+    /// Behind its own lock, which the publisher holds for the whole of a
+    /// push: `publish_entry` takes `log` alone and never waits for one.
+    chain: Mutex<Option<CheckpointChain>>,
+    handoff: Mutex<Handoff>,
+    /// Notified on every change of `handoff`.
+    turn: Condvar,
+}
+
+impl Shared {
+    /// A poisoned `chain` or `log` means a publish panicked half-way
+    /// through an update, and there is no telling what a standby would
+    /// read: the failure is passed on, not papered over.
+    fn log(&self) -> MutexGuard<'_, Log> {
+        self.log.lock().expect("a publish panicked inside the log")
+    }
+
+    fn chain(&self) -> MutexGuard<'_, Option<CheckpointChain>> {
+        (self.chain.lock()).expect("a checkpoint push panicked inside the chain")
+    }
+
+    /// Every update of a `Handoff` is one assignment, so it is whole
+    /// whoever panicked while holding it.
+    fn handoff(&self) -> MutexGuard<'_, Handoff> {
+        self.handoff.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits until no checkpoint is in flight.
+    ///
+    /// # Panics
+    ///
+    /// With the payload of the push that killed the publisher, on the
+    /// first call after it; with a message saying so on every later one.
+    fn idle(&self) -> MutexGuard<'_, Handoff> {
+        let mut handoff = self.handoff();
+        loop {
+            match &mut handoff.push {
+                Push::Idle => return handoff,
+                Push::Died(payload) => {
+                    let payload = payload.take();
+                    drop(handoff);
+                    match payload {
+                        Some(payload) => resume_unwind(payload),
+                        None => {
+                            panic!("the replication publisher died: a checkpoint push panicked")
+                        }
+                    }
+                }
+                Push::Handed(_) | Push::Running => {
+                    handoff = (self.turn.wait(handoff)).unwrap_or_else(PoisonError::into_inner);
+                }
+            }
+        }
+    }
+
+    /// The publisher thread: pushes what it is handed, one checkpoint at
+    /// a time, until the store closes or a push panics.
+    fn publish(&self) {
+        loop {
+            let mut handoff = self.handoff();
+            let job = loop {
+                match std::mem::replace(&mut handoff.push, Push::Running) {
+                    Push::Handed(job) => break job,
+                    waiting => handoff.push = waiting,
+                }
+                if handoff.closing {
+                    return;
+                }
+                handoff = (self.turn.wait(handoff)).unwrap_or_else(PoisonError::into_inner);
+            };
+            drop(handoff);
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.push(job)));
+            let died = outcome.is_err();
+            self.handoff().push = match outcome {
+                Ok(()) => Push::Idle,
+                Err(payload) => Push::Died(Some(payload)),
+            };
+            self.turn.notify_all();
+            if died {
+                return;
+            }
+        }
+    }
+
+    /// One push: the checkpoint joins the chain (anchor or delta per
+    /// [`ReplicationConfig::anchor_every`]), and only then are the
+    /// segments it covers dropped — so the chain a reader finds and the
+    /// segments beside it always reach the committed frontier.
+    fn push(&self, Job { cp, bytes, core }: Job) {
+        if let Some(core) = core {
+            placement::leave_core(core);
+        }
+        let mut chain = self.chain();
+        match &mut *chain {
+            Some(chain) => {
+                chain.push_serialised(&cp, bytes);
+            }
+            None => {
+                let anchor_every = self.config.anchor_every;
+                *chain = Some(CheckpointChain::from_serialised(&cp, bytes, anchor_every));
+            }
+        }
+        self.log().wal.gc_covered(cp.cycle);
+    }
+}
+
 /// The primary-side replication store. Thread-safe: the supervisor
 /// publishes from the match loop while telemetry workers serve reads.
+///
+/// A checkpoint is pushed onto the chain — checksummed, diffed against
+/// the tip, encoded as `PSMD` — by a publisher thread the store owns,
+/// not by the thread that publishes it; see
+/// [`ReplicationStore::publish_checkpoint`].
 pub struct ReplicationStore {
-    config: ReplicationConfig,
-    inner: Mutex<StoreInner>,
+    shared: Arc<Shared>,
+    /// `Some` until the store is dropped.
+    publisher: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ReplicationStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplicationStore")
-            .field("config", &self.config)
+            .field("config", &self.shared.config)
             .finish()
     }
 }
 
 impl ReplicationStore {
-    /// An empty store.
+    /// An empty store, its publisher waiting.
     pub fn new(config: ReplicationConfig) -> Self {
-        ReplicationStore {
-            inner: Mutex::new(StoreInner {
-                chain: None,
+        let shared = Arc::new(Shared {
+            config,
+            log: Mutex::new(Log {
                 wal: SegmentedWal::new(config.max_segment_bytes),
                 primary_cycle: 0,
             }),
-            config,
+            chain: Mutex::new(None),
+            handoff: Mutex::new(Handoff {
+                push: Push::Idle,
+                closing: false,
+                waits: 0,
+                wait_ns: 0,
+            }),
+            turn: Condvar::new(),
+        });
+        let publisher = {
+            let shared = Arc::clone(&shared);
+            thread::Builder::new()
+                .name("psm-checkpoint-publisher".into())
+                .spawn(move || shared.publish())
+                .expect("spawn the checkpoint publisher thread")
+        };
+        ReplicationStore {
+            shared,
+            publisher: Some(publisher),
         }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, StoreInner> {
-        // A panic while publishing leaves consistent-enough state for
-        // read-only standbys; don't cascade the poison.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Publishes one committed batch (called by the supervisor for
     /// every entry it appends to its local WAL).
     pub fn publish_entry(&self, entry: &WalEntry) {
-        let mut inner = self.lock();
-        inner.wal.append(entry);
-        inner.primary_cycle = inner.primary_cycle.max(entry.cycle + 1);
+        let mut log = self.shared.log();
+        log.wal.append(entry);
+        log.primary_cycle = log.primary_cycle.max(entry.cycle + 1);
     }
 
-    /// Publishes a checkpoint: pushes it onto the chain (anchor or
-    /// delta per [`ReplicationConfig::anchor_every`]), seals the open
-    /// WAL segment, and garbage-collects covered segments. Returns the
-    /// stored artifact descriptor.
-    pub fn publish_checkpoint(&self, cp: &Checkpoint) -> ChainArtifact {
-        let anchor_every = self.config.anchor_every;
-        let mut inner = self.lock();
-        inner.primary_cycle = inner.primary_cycle.max(cp.cycle);
-        let artifact = match &mut inner.chain {
-            Some(chain) => chain.push(cp),
-            None => {
-                let chain = inner.chain.insert(CheckpointChain::new(cp, anchor_every));
-                chain.artifacts()[0]
-            }
-        };
-        inner.wal.seal();
-        inner.wal.gc_covered(cp.cycle);
-        artifact
+    /// Publishes a checkpoint. On the calling thread, what must stay in
+    /// order with [`ReplicationStore::publish_entry`] — the frontier
+    /// advances and the open WAL segment is sealed — and the `PSMC`
+    /// image is serialised (the buffer then lives on the caller's heap,
+    /// where it is freed when the chain retires it); the push onto the
+    /// chain and the collection of the segments the checkpoint covers
+    /// are handed to the publisher thread.
+    ///
+    /// One checkpoint may be in flight. A publish that finds the one
+    /// before it still being pushed waits for it — a bounded lag, not a
+    /// queue, and never a fourth image beside the anchor, the tip and
+    /// the one in flight — and returns how long it waited; every read
+    /// waits the same way, so a read that starts after this call
+    /// returned finds the checkpoint in the chain.
+    ///
+    /// # Panics
+    ///
+    /// When an earlier push panicked, with that push's payload (see
+    /// [`ReplicationStore::stats`] for the reads).
+    pub fn publish_checkpoint(&self, cp: Arc<Checkpoint>) -> Duration {
+        {
+            let mut log = self.shared.log();
+            log.primary_cycle = log.primary_cycle.max(cp.cycle);
+            log.wal.seal();
+        }
+        let mut handoff = self.shared.handoff();
+        let mut waited = Duration::ZERO;
+        if !matches!(handoff.push, Push::Idle) {
+            drop(handoff);
+            let started = Instant::now();
+            handoff = self.shared.idle();
+            waited = started.elapsed();
+            handoff.waits += 1;
+            handoff.wait_ns += waited.as_nanos() as u64;
+        }
+        drop(handoff);
+        // Serialised only once the push before this one is over and has
+        // let go of the tip it replaced: the anchor, the tip and this
+        // are then all the images there ever are, as when a push was a
+        // call.
+        let bytes = Serialised::of(&cp);
+        let core = placement::current_core();
+        // Idle still, unless another thread publishes too.
+        let mut handoff = self.shared.idle();
+        handoff.push = Push::Handed(Job { cp, bytes, core });
+        drop(handoff);
+        self.shared.turn.notify_all();
+        waited
     }
 
     /// The stored artifact `id` as the chain holds it; the lock is
     /// released on return.
     fn shared_checkpoint(&self, id: u64) -> Option<Arc<Vec<u8>>> {
-        self.lock().chain.as_ref()?.artifact(id)
+        drop(self.shared.idle());
+        self.shared.chain().as_ref()?.artifact(id)
     }
 
-    /// Artifact accounting so far.
+    /// Artifact accounting so far, once the checkpoint in flight (if
+    /// any) is in the chain.
+    ///
+    /// # Panics
+    ///
+    /// This and every other read — [`ReplicaSource::manifest`],
+    /// [`ReplicaSource::checkpoint`], [`ReplicaSource::wal_segment`] —
+    /// when a push panicked: with its payload if no call has been failed
+    /// with it yet. A chain that has stopped growing is never served as
+    /// if it had not.
     pub fn stats(&self) -> ReplicationStats {
-        let inner = self.lock();
-        let (full_bytes, full_count, delta_bytes, delta_count) = match &inner.chain {
+        let (publish_waits, publish_wait_ns) = {
+            let handoff = self.shared.idle();
+            (handoff.waits, handoff.wait_ns)
+        };
+        let chain = self.shared.chain();
+        let log = self.shared.log();
+        let (full_bytes, full_count, delta_bytes, delta_count) = match &*chain {
             Some(chain) => {
                 let (fb, fc) = chain.full_stats();
                 let (db, dc) = chain.delta_stats();
@@ -171,21 +401,40 @@ impl ReplicationStore {
             full_count,
             delta_bytes,
             delta_count,
-            segments: inner.wal.segments(),
-            wal_bytes: inner.wal.total_bytes(),
-            segments_gced: inner.wal.gc_dropped(),
-            primary_cycle: inner.primary_cycle,
+            segments: log.wal.segments(),
+            wal_bytes: log.wal.total_bytes(),
+            segments_gced: log.wal.gc_dropped(),
+            primary_cycle: log.primary_cycle,
+            publish_waits,
+            publish_wait_ns,
+        }
+    }
+}
+
+impl Drop for ReplicationStore {
+    /// Lets the publisher finish the checkpoint it was handed, then
+    /// joins it.
+    fn drop(&mut self) {
+        self.shared.handoff().closing = true;
+        self.shared.turn.notify_all();
+        if let Some(publisher) = self.publisher.take() {
+            // The thread catches a push's panic itself and reports it
+            // through `Push::Died`; there is nothing to re-raise here,
+            // and a `Drop` may not panic.
+            let _ = publisher.join();
         }
     }
 }
 
 impl ReplicaSource for ReplicationStore {
     fn manifest(&self) -> Option<String> {
-        let inner = self.lock();
-        let chain = inner.chain.as_ref()?;
+        drop(self.shared.idle());
+        let chain = self.shared.chain();
+        let log = self.shared.log();
+        let chain = chain.as_ref()?;
         let mut out = String::with_capacity(512);
         out.push_str("{\"primary_cycle\":");
-        out.push_str(&inner.primary_cycle.to_string());
+        out.push_str(&log.primary_cycle.to_string());
         out.push_str(",\"checkpoints\":[");
         for (i, a) in chain.artifacts().iter().enumerate() {
             if i > 0 {
@@ -205,7 +454,7 @@ impl ReplicaSource for ReplicationStore {
             out.push('}');
         }
         out.push_str("],\"segments\":[");
-        for (i, m) in inner.wal.manifest().iter().enumerate() {
+        for (i, m) in log.wal.manifest().iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -231,13 +480,14 @@ impl ReplicaSource for ReplicationStore {
 
     fn checkpoint(&self, id: u64) -> Option<Vec<u8>> {
         // An anchor is hundreds of kilobytes: copied with the lock
-        // released, so that the matching thread can publish meanwhile.
+        // released, so that the publisher can push meanwhile.
         let shared = self.shared_checkpoint(id)?;
         Some(shared.to_vec())
     }
 
     fn wal_segment(&self, seq: u64) -> Option<Vec<u8>> {
-        self.lock().wal.segment_bytes(seq)
+        drop(self.shared.idle());
+        self.shared.log().wal.segment_bytes(seq)
     }
 }
 
@@ -712,32 +962,105 @@ mod tests {
     use super::*;
     use rete::ReteSnapshot;
 
+    fn checkpoint(cycle: u64, fill: u8) -> Arc<Checkpoint> {
+        Arc::new(Checkpoint {
+            cycle,
+            ..Checkpoint::genesis(ReteSnapshot::from_bytes(vec![fill; 4096]))
+        })
+    }
+
     /// `checkpoint` — a replica's `GET /replicate/checkpoint/<id>` — holds
-    /// the artifact it copies, not the store: the matching thread
-    /// publishes meanwhile, and the reader's bytes stay whole when that
-    /// prunes the artifact from the chain.
+    /// the artifact it copies, not the store: the publisher pushes
+    /// meanwhile, and the reader's bytes stay whole when that prunes the
+    /// artifact from the chain.
     #[test]
     fn a_reader_holding_an_artifact_does_not_block_a_publish() {
         let store = ReplicationStore::new(ReplicationConfig {
             anchor_every: 1,
             ..ReplicationConfig::default()
         });
-        let genesis = Checkpoint::genesis(ReteSnapshot::from_bytes(vec![7; 4096]));
-        store.publish_checkpoint(&genesis);
+        let genesis = checkpoint(0, 7);
+        store.publish_checkpoint(genesis.clone());
         let held = store.shared_checkpoint(0).expect("the anchor");
-        assert!(store.inner.try_lock().is_ok(), "held without the lock");
+        assert!(
+            store.shared.chain.try_lock().is_ok(),
+            "held without the lock"
+        );
 
         store.publish_entry(&WalEntry {
             cycle: 0,
             changes: Vec::new(),
         });
-        let next = Checkpoint {
-            cycle: 1,
-            ..Checkpoint::genesis(ReteSnapshot::from_bytes(vec![9; 4096]))
-        };
-        assert!(store.publish_checkpoint(&next).is_full());
+        let next = checkpoint(1, 9);
+        store.publish_checkpoint(next.clone());
+        assert_eq!(
+            store.stats().full_count,
+            2,
+            "the second one is an anchor too"
+        );
         assert_eq!(store.checkpoint(0), None, "re-anchored and pruned");
         assert_eq!(*held, genesis.to_bytes());
         assert_eq!(store.checkpoint(1), Some(next.to_bytes()));
+    }
+
+    /// A push that panics — here the chain refusing a checkpoint that is
+    /// not newer than its tip — kills the publisher, and the store says
+    /// so: the next call, publish or read, panics on the calling thread
+    /// with the push's own payload, every call after it with a message
+    /// that names the cause, and dropping the store still returns.
+    #[test]
+    fn a_push_that_panics_fails_the_next_call_with_its_payload() {
+        let message = |panic: Box<dyn Any + Send>| match panic.downcast::<String>() {
+            Ok(formatted) => *formatted,
+            Err(panic) => String::from(*panic.downcast::<&str>().expect("a literal")),
+        };
+        for read in [false, true] {
+            let store = ReplicationStore::new(ReplicationConfig::default());
+            store.publish_checkpoint(checkpoint(8, 1));
+            assert_eq!(store.stats().full_count, 1);
+            store.publish_checkpoint(checkpoint(8, 2));
+            let next = catch_unwind(AssertUnwindSafe(|| match read {
+                true => drop(store.manifest()),
+                false => drop(store.publish_checkpoint(checkpoint(16, 3))),
+            }));
+            assert_eq!(
+                message(next.expect_err("the push's panic resurfaces")),
+                "checkpoint 8 pushed onto a chain whose tip is 8",
+                "read: {read}"
+            );
+            let stats = catch_unwind(AssertUnwindSafe(|| store.stats()));
+            let later = message(stats.expect_err("and the store stays failed"));
+            assert!(later.contains("publisher died"), "{later}");
+            let publish = || store.publish_checkpoint(checkpoint(24, 4));
+            assert!(catch_unwind(AssertUnwindSafe(publish)).is_err());
+            drop(store);
+        }
+    }
+
+    /// Back-pressure is counted: a publish that finds the checkpoint
+    /// before it in flight waits for it, and the store says how often
+    /// and for how long. The chain's lock stands in for a slow push.
+    #[test]
+    fn a_publish_behind_one_in_flight_waits_and_is_counted() {
+        let store = ReplicationStore::new(ReplicationConfig::default());
+        assert_eq!(store.publish_checkpoint(checkpoint(0, 1)), Duration::ZERO);
+        assert_eq!(store.stats().publish_waits, 0);
+
+        let chain = store.shared.chain();
+        store.publish_checkpoint(checkpoint(8, 2));
+        thread::scope(|scope| {
+            let third = scope.spawn(|| store.publish_checkpoint(checkpoint(16, 3)));
+            // The second checkpoint cannot be pushed while this thread
+            // holds the chain, so the third is waiting — or about to —
+            // whenever the lock is let go.
+            thread::sleep(Duration::from_millis(20));
+            drop(chain);
+            let waited = third.join().expect("publishes");
+            let stats = store.stats();
+            assert_eq!(stats.publish_waits, 1);
+            assert_eq!(stats.publish_wait_ns, waited.as_nanos() as u64);
+            assert!(waited > Duration::ZERO);
+            assert_eq!((stats.full_count, stats.delta_count), (1, 2));
+        });
     }
 }

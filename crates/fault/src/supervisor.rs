@@ -73,9 +73,12 @@
 //! primary kill. It runs the sequential matcher it warmed from the
 //! replicated checkpoint chain + WAL segments, and degrades to naive
 //! like the sequential tier does. When a [`crate::ReplicationStore`]
-//! is attached, every committed batch and every checkpoint is
-//! published to it synchronously, which is what makes the standby's
-//! catch-up byte-exact.
+//! is attached, every committed batch is published to it in the cycle
+//! that commits it, and every checkpoint is handed to it in the cycle
+//! that takes it: the store seals the WAL segment there and then and
+//! pushes the checkpoint onto its chain on a thread of its own, and its
+//! reads wait for that push — which is what makes the standby's
+//! catch-up byte-exact whenever it looks.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -290,22 +293,23 @@ const COUNTERS: [&str; 7] = [
 
 /// `fault.*` gauges, in the order [`Supervisor::publish_gauges`] sets
 /// them.
-const GAUGES: [&str; 5] = [
+const GAUGES: [&str; 6] = [
     "fault.wal_entries",
     "fault.tier",
     "fault.conflict_size",
     "fault.worker_respawns",
     "fault.last_cycle_deadline_miss",
+    "fault.checkpoint_publish_wait_us",
 ];
 
 /// The attached [`Obs`] plus the registry handles the supervisor
 /// publishes into, resolved once at attach time (see `EngineMetrics` in
 /// [`psm_core`]: a lookup by name is a mutex plus a `String`
-/// allocation, and five gauges are set on every cycle).
+/// allocation, and six gauges are set on every cycle).
 struct FaultMetrics {
     obs: Arc<Obs>,
     counters: [Arc<Counter>; 7],
-    gauges: [Arc<Gauge>; 5],
+    gauges: [Arc<Gauge>; 6],
 }
 
 /// The supervised matcher. See the module docs for the protocol.
@@ -336,7 +340,11 @@ pub struct Supervisor {
     /// Size of the conflict set at the WAL frontier, kept from the exact
     /// deltas (the set itself lives in `committed`, which may trail).
     conflict_size: usize,
-    checkpoint: Checkpoint,
+    /// Shared with the replication store while it pushes it.
+    checkpoint: Arc<Checkpoint>,
+    /// How long [`ReplicationStore::publish_checkpoint`] has made this
+    /// thread wait for the checkpoint before, all told.
+    publish_wait: Duration,
     wal: Wal,
     cycle: u64,
     report: FaultReport,
@@ -370,7 +378,8 @@ impl Supervisor {
             applied: 0,
             next_id: 0,
             conflict_size: 0,
-            checkpoint: Checkpoint::genesis(genesis),
+            checkpoint: Arc::new(Checkpoint::genesis(genesis)),
+            publish_wait: Duration::ZERO,
             wal: Wal::new(),
             cycle: 0,
             report: FaultReport::default(),
@@ -404,7 +413,8 @@ impl Supervisor {
             applied: 0,
             next_id: warm.wm.next_id().index(),
             conflict_size: warm.conflict.len(),
-            checkpoint: warm.checkpoint(cycle),
+            checkpoint: Arc::new(warm.checkpoint(cycle)),
+            publish_wait: Duration::ZERO,
             committed: Some(warm),
             wal: Wal::new(),
             cycle,
@@ -439,11 +449,13 @@ impl Supervisor {
 
     /// Attaches a replication sink: the current checkpoint is
     /// published immediately as the chain's anchor, and from here on
-    /// every committed batch and every checkpoint is published
-    /// synchronously — a standby pulling the store can always catch up
-    /// to the committed frontier, byte-exactly.
+    /// every committed batch and every checkpoint is published as it is
+    /// committed or taken. The store pushes a checkpoint onto its chain
+    /// on its own thread and makes its readers wait for the push, so a
+    /// standby pulling the store can always catch up to the committed
+    /// frontier, byte-exactly.
     pub fn attach_replication(&mut self, store: Arc<ReplicationStore>) {
-        store.publish_checkpoint(&self.checkpoint);
+        self.publish_wait += store.publish_checkpoint(Arc::clone(&self.checkpoint));
         for entry in self.wal.entries() {
             store.publish_entry(entry);
         }
@@ -701,13 +713,13 @@ impl Supervisor {
         // restore plus a full replay; what a checkpoint pays is the WAL
         // tail and a snapshot of what the tail changed.
         let cycle = self.cycle;
-        self.checkpoint = self.advance().checkpoint(cycle);
+        self.checkpoint = Arc::new(self.advance().checkpoint(cycle));
         self.wal.clear();
         self.applied = 0;
         self.report.checkpoints += 1;
         self.count("fault.checkpoints");
         if let Some(store) = &self.replication {
-            store.publish_checkpoint(&self.checkpoint);
+            self.publish_wait += store.publish_checkpoint(Arc::clone(&self.checkpoint));
         }
     }
 
@@ -721,6 +733,7 @@ impl Supervisor {
                 self.conflict_size as i64,
                 self.report().worker_respawns as i64,
                 i64::from(deadline_missed),
+                self.publish_wait.as_micros() as i64,
             ];
             for (gauge, value) in m.gauges.iter().zip(values) {
                 gauge.set(value);

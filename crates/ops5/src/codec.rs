@@ -78,6 +78,12 @@ impl ByteWriter {
         w
     }
 
+    /// Creates a writer that appends to `buf` — one reserved at its final
+    /// size, or one to recycle.
+    pub fn over(buf: Vec<u8>) -> Self {
+        ByteWriter { buf }
+    }
+
     /// Makes room for `additional` more bytes, so that writing them does
     /// not grow the buffer by doubling.
     pub fn reserve(&mut self, additional: usize) {
