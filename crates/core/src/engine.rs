@@ -5,11 +5,12 @@
 //! assertions); within a phase, activations bound for the same node are
 //! grouped into one task (batched change propagation: dispatch, flight
 //! tracing, and the per-node lock are paid once per node per phase
-//! fragment, not once per WME change), and each two-input node keeps
-//! hashed value-bucket indexes over its memories so an activation
-//! probes the bucket its equality key selects instead of scanning the
-//! whole opposite memory — the same `(position, attribute)` keying as
-//! the sequential matcher's `MemoryStrategy::Hashed` default. Tasks are
+//! fragment, not once per WME change), and each two-input node with an
+//! index key holds its memories' entries in buckets by that key's
+//! fingerprint — each entry once, reached in one probe — so an
+//! activation scans the bucket its own key selects instead of the
+//! whole opposite memory: the same keying as the sequential matcher's
+//! `MemoryStrategy::Hashed` default. Tasks are
 //! drained by a work-first [`WorkerPool`](crate::pool::WorkerPool) — the
 //! software analogue of the paper's hardware task scheduler. The thread
 //! that calls [`Matcher::process`] is worker 0 and starts draining at
@@ -27,6 +28,7 @@
 //! [`ParallelReteMatcher::enable_timing`] or the obs detail toggle
 //! turns them on, keeping the default hot path free of clock reads.
 
+use std::borrow::Borrow;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::hash::Hash;
@@ -260,34 +262,122 @@ struct Entry {
     count: Cell<i32>,
 }
 
-/// One input memory of a two-input node: signed presence plus a hashed
-/// bucket index over the *present* entries, keyed by the fingerprint of
-/// the node's index key ([`rete::NodeSpec::key`], every equality test
-/// it has, read through [`kernel::right_key`] and [`kernel::left_key`] —
-/// the same keying as the sequential matcher's hashed memories, so both
-/// runtimes probe identical candidate sets). The index is
-/// maintained exactly on presence transitions — debt entries are never
-/// indexed, unkeyable entries (attribute absent: the equality test can
-/// never hold) are invisible to probes by construction, and a bucket
-/// that drains is pruned. It stays empty on nodes without a key, which
-/// scan every present entry instead.
+impl Entry {
+    /// Applies one signed arrival, returning the presence it leaves and
+    /// the match count.
+    fn step(&mut self, sign: Sign) -> (i32, i32) {
+        self.presence += sign.delta();
+        (self.presence, self.count.get())
+    }
+}
+
+/// An item with its entry, as a small bucket files it.
+#[derive(Debug)]
+struct Filed<K> {
+    item: K,
+    entry: Entry,
+}
+
+/// A present entry lent to an opposite-side scan: the kernel reads the
+/// item, the hit reads or adjusts the entry.
+struct Candidate<'a, K> {
+    item: &'a K,
+    entry: &'a Entry,
+}
+
+impl Borrow<Token> for Candidate<'_, Token> {
+    fn borrow(&self) -> &Token {
+        self.item
+    }
+}
+
+/// Entries found by item.
+type ByItem<K> = FxHashMap<K, Entry>;
+
+/// Applies one signed arrival of `item` to `entries`, dropping an entry
+/// whose presence nets to zero; returns what [`Entry::step`] does.
+fn step_by_item<K: Clone + Eq + Hash>(entries: &mut ByItem<K>, item: &K, sign: Sign) -> (i32, i32) {
+    use std::collections::hash_map::Entry as Slot;
+    match entries.entry(item.clone()) {
+        Slot::Vacant(slot) => slot.insert(Entry::default()).step(sign),
+        Slot::Occupied(mut slot) => {
+            let stepped = slot.get_mut().step(sign);
+            if stepped.0 == 0 {
+                slot.remove();
+            }
+            stepped
+        }
+    }
+}
+
+/// The entries of one key fingerprint.
+#[derive(Debug)]
+enum Filing<K> {
+    /// At most [`FEW`]: an arrival finds its item by looking at them.
+    Few(Bucket<Filed<K>>),
+    /// More, until the bucket drains: found by item. Boxed, so that a
+    /// bucket of one is no wider for it.
+    Many(Box<ByItem<K>>),
+}
+
+impl<K> Filing<K> {
+    /// The entries held in a row.
+    fn few(&self) -> &[Filed<K>] {
+        match self {
+            Filing::Few(bucket) => bucket.as_slice(),
+            Filing::Many(_) => &[],
+        }
+    }
+
+    /// The entries found by item.
+    fn many(&self) -> Option<&ByItem<K>> {
+        match self {
+            Filing::Few(_) => None,
+            Filing::Many(by_item) => Some(&**by_item),
+        }
+    }
+}
+
+/// Entries a bucket holds in a row. The bound is for the rule whose
+/// join key takes few values, so that a bucket is a cross product: with
+/// every arrival linear in its bucket, the bulk batches of this crate's
+/// unit tests — 116 k tokens under each of three keys — took 186 s
+/// instead of 1.2. Where it sits matters little (one-thread engine, a
+/// three-CE rule whose second join holds 4 to 144 tokens a key, each WME
+/// added and retracted alone): 4, 16, 64 and no bound at all time alike
+/// up to 64 entries a bucket, and at 144 no bound costs 25 %. No preset
+/// stream fills a row: vt's buckets hold one to three entries.
+const FEW: usize = 16;
+
+/// One input memory of a two-input node: signed presence, each entry
+/// held once. On a node with an index key ([`rete::NodeSpec::key`],
+/// every equality test it has, read through [`kernel::right_key`] and
+/// [`kernel::left_key`] — the same keying as the sequential matcher's
+/// hashed memories, so both runtimes probe identical candidate sets) an
+/// entry lives in the bucket of its key's fingerprint, whatever its
+/// presence: an arrival is one probe, a debt is in its bucket and is
+/// skipped by [`Side::candidates`], and a bucket that drains is pruned.
+/// What has no key is held by item instead: every entry of a node
+/// without one, which scans all that are present, and on a keyed node
+/// the unkeyable ones (attribute absent: the equality test can never
+/// hold), which no probe can reach.
 #[derive(Debug)]
 struct Side<K> {
-    entries: FxHashMap<K, Entry>,
-    index: FxHashMap<u32, Bucket<K>>,
+    by_item: ByItem<K>,
+    buckets: FxHashMap<u32, Filing<K>>,
 }
 
 impl<K> Default for Side<K> {
     fn default() -> Self {
         Side {
-            entries: FxHashMap::default(),
-            index: FxHashMap::default(),
+            by_item: FxHashMap::default(),
+            buckets: FxHashMap::default(),
         }
     }
 }
 
 impl<K: Clone + Eq + Hash> Side<K> {
-    /// Applies one signed arrival of `item`, indexed under `key`.
+    /// Applies one signed arrival of `item`, filed under `key`.
     ///
     /// Returns the entry's match count when presence made a net
     /// transition — absent to present under `Plus`, present to absent
@@ -296,33 +386,92 @@ impl<K: Clone + Eq + Hash> Side<K> {
     /// debt or a duplicate. Entries whose presence nets to zero are
     /// dropped.
     fn arrive(&mut self, item: &K, sign: Sign, key: Option<u32>) -> Option<i32> {
-        let entry = self.entries.entry(item.clone()).or_default();
-        entry.presence += sign.delta();
-        let (presence, count) = (entry.presence, entry.count.get());
-        if presence == 0 {
-            self.entries.remove(item);
-        }
-        if presence != i32::from(sign.is_plus()) {
-            return None;
-        }
-        if let Some(key) = key {
-            match sign {
-                Sign::Plus => Bucket::insert(&mut self.index, key, item.clone()),
-                Sign::Minus => Bucket::remove(&mut self.index, &key, item),
+        use std::collections::hash_map::Entry as Slot;
+        // The item's first arrival, to file in a row.
+        let first = || {
+            let (item, mut entry) = (item.clone(), Entry::default());
+            let stepped = entry.step(sign);
+            (Filed { item, entry }, stepped)
+        };
+        let (presence, count) = match key.map(|key| self.buckets.entry(key)) {
+            None => step_by_item(&mut self.by_item, item, sign),
+            Some(Slot::Vacant(slot)) => {
+                let (filed, stepped) = first();
+                slot.insert(Filing::Few(Bucket::One(filed)));
+                stepped
             }
-        }
-        Some(count)
+            Some(Slot::Occupied(mut slot)) => {
+                let (stepped, drained) = match slot.get_mut() {
+                    Filing::Many(by_item) => {
+                        let stepped = step_by_item(by_item, item, sign);
+                        (stepped, by_item.is_empty())
+                    }
+                    Filing::Few(bucket) => {
+                        match bucket.as_slice().iter().position(|f| f.item == *item) {
+                            Some(at) => {
+                                let stepped = bucket.as_mut_slice()[at].entry.step(sign);
+                                let left = stepped.0 == 0 && bucket.swap_remove(at).is_none();
+                                (stepped, left)
+                            }
+                            None if bucket.as_slice().len() < FEW => {
+                                let (filed, stepped) = first();
+                                bucket.push(filed);
+                                (stepped, false)
+                            }
+                            None => {
+                                let few = std::mem::replace(bucket, Bucket::Many(Vec::new()));
+                                let few = few.into_vec().into_iter();
+                                let mut by_item: ByItem<K> =
+                                    few.map(|f| (f.item, f.entry)).collect();
+                                let stepped = step_by_item(&mut by_item, item, sign);
+                                slot.insert(Filing::Many(Box::new(by_item)));
+                                (stepped, false)
+                            }
+                        }
+                    }
+                };
+                if drained {
+                    slot.remove();
+                }
+                stepped
+            }
+        };
+        (presence == i32::from(sign.is_plus())).then_some(count)
+    }
+
+    /// The entry of `item`, filed under `key`.
+    fn entry(&self, item: &K, key: Option<u32>) -> Option<&Entry> {
+        let Some(key) = key else {
+            return self.by_item.get(item);
+        };
+        let filing = self.buckets.get(&key)?;
+        let filed = filing.few().iter().find(|f| f.item == *item);
+        let by_item = || filing.many()?.get(item);
+        filed.map(|f| &f.entry).or_else(by_item)
     }
 
     /// The present entries an opposite-side activation with key
     /// `key` must scan: that key's bucket on a `keyed` node (nothing
     /// when the arrival itself is unkeyable), every present entry
     /// otherwise.
-    fn candidates(&self, keyed: bool, key: Option<u32>) -> impl Iterator<Item = &K> {
-        let bucket = key.and_then(|k| self.index.get(&k));
-        let all = (!keyed).then(|| self.entries.iter().filter(|(_, e)| e.presence > 0));
-        let all = all.into_iter().flatten().map(|(item, _)| item);
-        bucket.map_or(&[][..], Bucket::as_slice).iter().chain(all)
+    fn candidates(&self, keyed: bool, key: Option<u32>) -> impl Iterator<Item = Candidate<'_, K>> {
+        let filing = key.and_then(|key| self.buckets.get(&key));
+        let few = filing.map_or(&[][..], Filing::few);
+        let many = filing.and_then(Filing::many);
+        let by_item = many.into_iter().chain((!keyed).then_some(&self.by_item));
+        few.iter()
+            .map(|f| (&f.item, &f.entry))
+            .chain(by_item.flatten())
+            .filter(|(_, entry)| entry.presence > 0)
+            .map(|(item, entry)| Candidate { item, entry })
+    }
+
+    /// Every entry, present or owed.
+    fn entries(&self) -> impl Iterator<Item = (&K, &Entry)> {
+        let few = self.buckets.values().flat_map(Filing::few);
+        let by_item = self.buckets.values().filter_map(Filing::many);
+        few.map(|f| (&f.item, &f.entry))
+            .chain(by_item.chain([&self.by_item]).flatten())
     }
 }
 
@@ -364,19 +513,21 @@ struct WorkerLocal {
     free_items: usize,
 }
 
-/// Most items of payload-buffer capacity a worker keeps for reuse
-/// (24 B each, so 384 KiB per worker whatever bulk batch went through).
-/// The deepest phase of the vt stream holds 402 buffers of at most 16
-/// items at once (seed tasks plus queued children; 1000 cycles of
-/// `Preset::Vt.spec()`), 6.4 k items if every one were full, so that
-/// stream never returns a buffer to the allocator.
-const FREE_ITEMS: usize = 16 * 1024;
+/// Most payload-buffer capacity a worker keeps for reuse, in bytes,
+/// whatever bulk batch went through: 16 Ki items of 32 B (a token in
+/// place, or a WME id, and a sign). The deepest phase of the vt stream
+/// holds 402 buffers of at most 16 items at once (seed tasks plus
+/// queued children; 1000 cycles of `Preset::Vt.spec()`), 201 KiB if
+/// every one were full — the free list itself peaks at 1 646 items,
+/// 51 KiB — so that stream never returns a buffer to the allocator.
+const FREE_BYTES: usize = 512 * 1024;
 
 impl WorkerLocal {
     /// Keeps the emptied buffer of an executed task for reuse.
     fn recycle(&mut self, items: Vec<Item>) {
         debug_assert!(items.is_empty());
-        if self.free_items + items.capacity() <= FREE_ITEMS {
+        let kept = self.free_items + items.capacity();
+        if kept * std::mem::size_of::<Item>() <= FREE_BYTES {
             self.free_items += items.capacity();
             self.free.push(items);
         }
@@ -577,7 +728,7 @@ impl ParallelReteMatcher {
         let topo = ParallelTopology::from_network(&network);
         // Every node's left store is private, so each node whose left
         // input passes the dummy top token holds its own copy. It is
-        // never indexed: such a node has no earlier positive CEs and
+        // held by item: such a node has no earlier positive CEs and
         // therefore no equality test to key on.
         let states = kernel::top_token_inputs(&network)
             .into_iter()
@@ -588,7 +739,7 @@ impl ParallelReteMatcher {
                         presence: 1,
                         count: Cell::new(0),
                     };
-                    slot.left.entries.insert(Token::top(), present);
+                    slot.left.by_item.insert(Token::top(), present);
                 }
                 Mutex::new(slot)
             })
@@ -730,7 +881,7 @@ impl ParallelReteMatcher {
             .map(|slot| {
                 let slot = relock(slot, &self.poison_recovered);
                 let present = |(t, e): &(&Token, &Entry)| e.presence > 0 && !t.is_empty();
-                slot.left.entries.iter().filter(present).count()
+                slot.left.entries().filter(present).count()
             })
             .sum()
     }
@@ -1040,8 +1191,9 @@ impl ParallelReteMatcher {
                     match right.arrive(&wme_id, sign, key) {
                         None => Work::default(),
                         Some(_) => {
-                            let extend =
-                                |token: &Token| emitted.push((token.extended(wme_id), sign));
+                            let extend = |left: Candidate<Token>| {
+                                emitted.push((left.item.extended(wme_id), sign))
+                            };
                             let candidates = left.candidates(keyed, key);
                             kernel::scan_tokens(&spec.tests, candidates, wme, resolve, extend)
                         }
@@ -1053,7 +1205,7 @@ impl ParallelReteMatcher {
                         None => Work::default(),
                         Some(_) => {
                             let extend = |wme_id| emitted.push((token.extended(wme_id), sign));
-                            let candidates = right.candidates(keyed, key).copied();
+                            let candidates = right.candidates(keyed, key).map(|c| *c.item);
                             kernel::scan_wmes(&spec.tests, &token, candidates, resolve, extend)
                         }
                     }
@@ -1065,14 +1217,14 @@ impl ParallelReteMatcher {
                     // Count adjustment is unconditional (every signed
                     // right activation shifts the match counts of the
                     // tokens it joins with).
-                    let recount = |token: &Token| {
-                        let count = &left.entries[token].count;
+                    let recount = |Candidate { item, entry }: Candidate<Token>| {
+                        let count = &entry.count;
                         let was_blocked = count.get() >= 1;
                         count.set(count.get() + sign.delta());
                         if was_blocked != (count.get() >= 1) {
                             // Becoming blocked retracts; unblocking
                             // asserts.
-                            emitted.push((token.clone(), sign.invert()));
+                            emitted.push((item.clone(), sign.invert()));
                         }
                     };
                     let candidates = left.candidates(keyed, key);
@@ -1092,12 +1244,19 @@ impl ParallelReteMatcher {
                         }
                         (Some(_), Sign::Plus) => {
                             // Fresh net insert: count current matches.
-                            let mut count = 0i32;
-                            let tally = |wme_id| count += right.entries[&wme_id].presence;
-                            let candidates = right.candidates(keyed, key).copied();
+                            // The scan hands `tally` the id it has just
+                            // pulled, so that candidate's presence is
+                            // the one last seen.
+                            let (mut count, presence) = (0i32, Cell::new(0));
+                            let tally = |_| count += presence.get();
+                            let candidates = right.candidates(keyed, key).map(|c| {
+                                presence.set(c.entry.presence);
+                                *c.item
+                            });
                             let work =
                                 kernel::scan_wmes(&spec.tests, &token, candidates, resolve, tally);
-                            left.entries[&token].count.set(count);
+                            let entry = left.entry(&token, key).expect("just arrived");
+                            entry.count.set(count);
                             if count <= 0 {
                                 emitted.push((token, Sign::Plus));
                             }
@@ -1141,7 +1300,7 @@ impl ParallelReteMatcher {
         local.recycle(items);
         if let (false, Some((&last, rest))) = (emitted.is_empty(), children.split_last()) {
             // One child task per child node, carrying the whole emission
-            // batch in per-item order (token clones are refcount bumps;
+            // batch in per-item order (a token clone copies three words;
             // the last child takes the tokens themselves).
             pending.fetch_add(children.len(), Ordering::AcqRel);
             let mut q = relock(queue, &self.poison_recovered);
@@ -1691,6 +1850,124 @@ mod tests {
             wm.remove(id);
         }
         assert_eq!(m.resident_tokens(), 0, "all token state purged");
+        // Nor is a debt, a drained bucket or a WME left anywhere: only
+        // the top tokens the matcher was built with.
+        for slot in &m.states {
+            let NodeSlot { left, right } = &*lock(slot);
+            assert!(left.buckets.is_empty() && right.buckets.is_empty());
+            assert!(left.by_item.keys().all(Token::is_empty));
+            assert!(right.by_item.is_empty());
+        }
+    }
+
+    /// A side against a map from item to signed presence, on a node
+    /// with an index key and on one without: pluses, minuses, minuses
+    /// that overtake their plus, duplicates, items that share a key and
+    /// items that have none.
+    /// The large form rides in values a bucket's own layout leaves
+    /// unused: it widens no map slot of the common, small bucket.
+    #[test]
+    fn a_large_bucket_costs_small_ones_nothing() {
+        use std::mem::size_of;
+        assert_eq!(
+            size_of::<Filing<Token>>(),
+            size_of::<Bucket<Filed<Token>>>()
+        );
+        assert_eq!(
+            size_of::<Filing<WmeId>>(),
+            size_of::<Bucket<Filed<WmeId>>>()
+        );
+        assert_eq!(size_of::<Filed<Token>>(), 32);
+    }
+
+    #[test]
+    fn side_follows_a_model_of_signed_presences() {
+        const ITEMS: u32 = 96;
+        const KEYS: u32 = 4;
+        for keyed in [false, true] {
+            // Two thirds of the items share key 0, more than a bucket
+            // holds in a row; the other keys stay small.
+            let key_of = |item: u32| {
+                let key = if item < 64 { 0 } else { 1 + item % (KEYS - 1) };
+                (keyed && !item.is_multiple_of(7)).then_some(key)
+            };
+            let mut rng = Rng64::new(0x51DE + u64::from(keyed));
+            let mut side: Side<u32> = Side::default();
+            let mut model: FxHashMap<u32, i32> = FxHashMap::default();
+            let mut reached = [false; 5];
+            for step in 0..if cfg!(miri) { 300 } else { 20_000 } {
+                let item = rng.gen_range(0..ITEMS);
+                let before = model.get(&item).copied().unwrap_or(0);
+                // Presences wander over −2 ..= 2.
+                let sign = match (before, rng.gen_bool(0.5)) {
+                    (2, _) | (-1..=1, false) => Sign::Minus,
+                    _ => Sign::Plus,
+                };
+                let after = before + sign.delta();
+                reached[(after + 2) as usize] = true;
+                let at = format!("keyed {keyed}, step {step}, item {item}: {before} to {after}");
+                let crossed = side.arrive(&item, sign, key_of(item));
+                // An entry's count is set once it is present and read
+                // back as it leaves.
+                let count = match (before, after) {
+                    (0, 1) => Some(0),
+                    (1, 0) => Some(item as i32 + 1),
+                    _ => None,
+                };
+                assert_eq!(crossed, count, "{at}");
+                if count == Some(0) {
+                    let entry = side.entry(&item, key_of(item)).expect("present");
+                    entry.count.set(item as i32 + 1);
+                }
+                match after {
+                    0 => drop(model.remove(&item)),
+                    _ => drop(model.insert(item, after)),
+                }
+                for item in 0..ITEMS {
+                    let entry = side.entry(&item, key_of(item));
+                    assert_eq!(entry.map(|e| e.presence), model.get(&item).copied(), "{at}");
+                }
+                assert_eq!(side.entries().count(), model.len(), "{at}: held once");
+                let present = |key: Option<u32>| {
+                    let of_key = |(&item, &presence): (&u32, &i32)| {
+                        (presence > 0 && (!keyed || key_of(item) == key)).then_some(item)
+                    };
+                    let mut want: Vec<u32> = model.iter().filter_map(of_key).collect();
+                    want.sort_unstable();
+                    want
+                };
+                let candidates = |key: Option<u32>| {
+                    let mut got: Vec<u32> = side.candidates(keyed, key).map(|c| *c.item).collect();
+                    got.sort_unstable();
+                    got
+                };
+                if keyed {
+                    assert!(candidates(None).is_empty(), "{at}: unkeyable, unreachable");
+                    for key in (0..KEYS).map(Some) {
+                        assert_eq!(candidates(key), present(key), "{at}: {key:?}");
+                    }
+                } else {
+                    assert_eq!(candidates(None), present(None), "{at}");
+                }
+            }
+            assert_eq!(reached, [true; 5], "every presence of −2 ..= 2");
+            if keyed {
+                assert!(matches!(side.buckets[&0], Filing::Many(_)));
+                assert!(matches!(side.buckets[&1], Filing::Few(_)));
+            }
+            for (item, presence) in model {
+                let settle = if presence > 0 {
+                    Sign::Minus
+                } else {
+                    Sign::Plus
+                };
+                for _ in 0..presence.abs() {
+                    side.arrive(&item, settle, key_of(item));
+                }
+            }
+            assert!(side.by_item.is_empty(), "keyed {keyed}: no entry");
+            assert!(side.buckets.is_empty(), "keyed {keyed}: no bucket");
+        }
     }
 
     #[test]

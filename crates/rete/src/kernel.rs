@@ -13,7 +13,7 @@
 //! model and scheduling — [`ReteMatcher`](crate::ReteMatcher) with
 //! shared alpha, beta and negative memories of one keyed type (the
 //! "best known uniprocessor implementation"), `psm_core`'s engine with
-//! private signed-presence memories, indexed by [`Bucket`], behind one
+//! private signed-presence memories, held in [`Bucket`]s, behind one
 //! lock per node. Each activation in either is "pick candidates (one
 //! chain or bucket, or the whole memory) → run a kernel scan → route
 //! the outputs".
@@ -389,8 +389,11 @@ impl FlightStage {
 /// overwhelmingly common one-entry case inline and only allocates once
 /// a second entry arrives.
 ///
-/// Invariant: a bucket holds at least one entry while resident in an
-/// index — [`Bucket::remove`] drops the map entry when it drains.
+/// Invariant: a bucket holds at least one entry. [`Bucket::swap_remove`]
+/// declines to take the last, and whoever holds the bucket in a map
+/// drops the map entry instead: the engine through the entry it probed
+/// for the arrival, [`Bucket::remove`] for a caller with nothing to do
+/// in between.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Bucket<T> {
     /// Exactly one entry, stored inline (no heap allocation).
@@ -399,45 +402,35 @@ pub enum Bucket<T> {
     Many(Vec<T>),
 }
 
-impl<T: PartialEq> Bucket<T> {
-    /// Adds `item` to the bucket of `key` in `index`, spilling to a
-    /// vector on the bucket's second entry.
-    pub fn insert<K: Eq + Hash>(index: &mut FxHashMap<K, Bucket<T>>, key: K, item: T) {
-        use std::collections::hash_map::Entry;
-        match index.entry(key) {
-            Entry::Vacant(e) => {
-                e.insert(Bucket::One(item));
+impl<T> Bucket<T> {
+    /// Adds `item`, spilling to a vector on the second entry.
+    pub fn push(&mut self, item: T) {
+        match self {
+            Bucket::Many(vec) => vec.push(item),
+            one => {
+                let Bucket::One(first) = std::mem::replace(one, Bucket::Many(Vec::new())) else {
+                    unreachable!("not Many, so One");
+                };
+                *one = Bucket::Many(vec![first, item]);
             }
-            Entry::Occupied(mut e) => match e.get_mut() {
-                Bucket::Many(vec) => vec.push(item),
-                one => {
-                    let Bucket::One(first) = std::mem::replace(one, Bucket::Many(Vec::new()))
-                    else {
-                        unreachable!("not Many, so One");
-                    };
-                    *one = Bucket::Many(vec![first, item]);
-                }
-            },
         }
     }
 
-    /// Removes the first entry equal to `item` (swap-remove order) from
-    /// the bucket of `key`, pruning the bucket when it drains to empty
-    /// so churn workloads cannot grow the index with every distinct
-    /// value ever seen.
-    pub fn remove<K: Eq + Hash>(index: &mut FxHashMap<K, Bucket<T>>, key: &K, item: &T) {
-        let drained = match index.get_mut(key) {
-            None => false,
-            Some(Bucket::One(v)) => v == item,
-            Some(Bucket::Many(vec)) => {
-                if let Some(pos) = vec.iter().position(|v| v == item) {
-                    vec.swap_remove(pos);
-                }
-                vec.is_empty()
-            }
-        };
-        if drained {
-            index.remove(key);
+    /// Removes entry `at` (swap-remove order) — unless it is the only
+    /// one: the bucket is then left as it is and `None` returned, for
+    /// the caller to drop it whole.
+    pub fn swap_remove(&mut self, at: usize) -> Option<T> {
+        match self {
+            Bucket::Many(vec) if vec.len() > 1 => Some(vec.swap_remove(at)),
+            _ => None,
+        }
+    }
+
+    /// The entries, owned.
+    pub fn into_vec(self) -> Vec<T> {
+        match self {
+            Bucket::One(v) => vec![v],
+            Bucket::Many(vec) => vec,
         }
     }
 
@@ -446,6 +439,38 @@ impl<T: PartialEq> Bucket<T> {
         match self {
             Bucket::One(v) => std::slice::from_ref(v),
             Bucket::Many(vec) => vec,
+        }
+    }
+
+    /// The entries, to be changed in place.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        match self {
+            Bucket::One(v) => std::slice::from_mut(v),
+            Bucket::Many(vec) => vec,
+        }
+    }
+}
+
+impl<T: PartialEq> Bucket<T> {
+    /// Adds `item` to the bucket of `key` in `index`.
+    pub fn insert<K: Eq + Hash>(index: &mut FxHashMap<K, Bucket<T>>, key: K, item: T) {
+        use std::collections::hash_map::Entry;
+        match index.entry(key) {
+            Entry::Vacant(e) => drop(e.insert(Bucket::One(item))),
+            Entry::Occupied(mut e) => e.get_mut().push(item),
+        }
+    }
+
+    /// Removes the first entry equal to `item` from the bucket of `key`,
+    /// pruning the bucket when it drains so churn workloads cannot grow
+    /// the index with every distinct value ever seen.
+    pub fn remove<K: Eq + Hash>(index: &mut FxHashMap<K, Bucket<T>>, key: &K, item: &T) {
+        let Some(bucket) = index.get_mut(key) else {
+            return;
+        };
+        let at = bucket.as_slice().iter().position(|v| v == item);
+        if at.is_some_and(|at| bucket.swap_remove(at).is_none()) {
+            index.remove(key);
         }
     }
 }

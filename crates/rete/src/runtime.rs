@@ -133,13 +133,16 @@ enum Payload {
 
 /// Reusable per-change scratch buffers. Taken out of the matcher at the
 /// start of each change and put back (drained, capacity kept) at the
-/// end, so steady-state change processing allocates nothing for queue
-/// or alpha-match bookkeeping.
+/// end, so steady-state change processing allocates nothing for queue,
+/// alpha-match or output bookkeeping.
 #[derive(Debug, Default)]
 struct Scratch {
     queue: VecDeque<Task>,
     deferred: Vec<Task>,
     alphas: Vec<crate::alpha::AlphaId>,
+    /// What one two-input activation sends downstream; empty between
+    /// activations.
+    out: Vec<Token>,
 }
 
 /// The sequential Rete matcher.
@@ -671,7 +674,7 @@ impl ReteMatcher {
             .as_ref()
             .is_some_and(|o| o.profile.enabled() && o.detail());
         let timed = self.profile.is_some() || obs_latency;
-        while let Some(task) = queue.pop_front() {
+        while let Some(task) = scratch.queue.pop_front() {
             let right_side = matches!(task.payload, Payload::Right(_));
             let kind = ActivationKind::of(net.node(task.node).kind, right_side);
             let wme = match task.payload {
@@ -681,7 +684,7 @@ impl ReteMatcher {
             self.flight.activation(kind, task.node, wme);
             let node = task.node.0;
             let started = timed.then(Instant::now);
-            self.run_task(&net, wm, task, kind, queue, delta);
+            self.run_task(&net, wm, task, kind, &mut scratch, delta);
             if let Some(t0) = started {
                 let ns = t0.elapsed().as_nanos() as u64;
                 if let Some(p) = self.profile.as_mut() {
@@ -719,9 +722,10 @@ impl ReteMatcher {
         wm: &WorkingMemory,
         task: Task,
         kind: ActivationKind,
-        queue: &mut VecDeque<Task>,
+        scratch: &mut Scratch,
         delta: &mut MatchDelta,
     ) {
+        let Scratch { queue, out, .. } = scratch;
         let spec = net.node(task.node);
         match (spec.kind, task.payload) {
             (NodeKind::BetaMemory, Payload::Left(token)) => {
@@ -739,9 +743,9 @@ impl ReteMatcher {
                 delta.apply(inst, task.sign.is_plus());
             }
             (NodeKind::Join | NodeKind::Negative, payload) => {
-                let (work, outputs, sign) = self.two_input(spec, task.node, payload, task.sign, wm);
-                let act = self.observe(kind, task.node, task.parent, work, outputs.len() as u32);
-                for token in outputs {
+                let (work, sign) = self.two_input(spec, task.node, payload, task.sign, wm, out);
+                let act = self.observe(kind, task.node, task.parent, work, out.len() as u32);
+                for token in out.drain(..) {
                     self.flight.token(task.node, &token, sign);
                     self.enqueue_children(net, spec, token, sign, act, queue);
                 }
@@ -751,8 +755,8 @@ impl ReteMatcher {
     }
 
     /// Runs one join or negative activation as a kernel scan over this
-    /// matcher's memories, returning the scan's work, the tokens to
-    /// send downstream and their sign.
+    /// matcher's memories, pushing the tokens to send downstream onto
+    /// `out` and returning the scan's work and their sign.
     fn two_input(
         &mut self,
         spec: &NodeSpec,
@@ -760,9 +764,9 @@ impl ReteMatcher {
         payload: Payload,
         sign: Sign,
         wm: &WorkingMemory,
-    ) -> (Work, Vec<Token>, Sign) {
+        out: &mut Vec<Token>,
+    ) -> (Work, Sign) {
         let resolve = |id| wm.get(id);
-        let mut out = Vec::new();
         match (spec.kind, payload) {
             (NodeKind::Join, Payload::Right(wme_id)) => {
                 let wme = wm.get(wme_id).expect("live wme");
@@ -784,13 +788,13 @@ impl ReteMatcher {
                     }
                     Some(NodeState::Stateless) => unreachable!("left input must hold tokens"),
                 };
-                (work, out, sign)
+                (work, sign)
             }
             (NodeKind::Join, Payload::Left(token)) => {
                 let candidates = self.right_wmes(spec, node, &token, wm);
                 let extend = |wme_id| out.push(token.extended(wme_id));
                 let work = kernel::scan_wmes(&spec.tests, &token, candidates, resolve, extend);
-                (work, out, sign)
+                (work, sign)
             }
             (NodeKind::Negative, Payload::Right(wme_id)) => {
                 let wme = wm.get(wme_id).expect("live wme");
@@ -820,7 +824,7 @@ impl ReteMatcher {
                 let work = kernel::scan_tokens(&spec.tests, candidates, wme, resolve, recount);
                 // A new right match retracts instantiations; a removed
                 // one re-asserts them: the propagated sign is inverted.
-                (work, out, sign.invert())
+                (work, sign.invert())
             }
             (NodeKind::Negative, Payload::Left(token)) => {
                 let (work, propagate) = match sign {
@@ -848,7 +852,7 @@ impl ReteMatcher {
                 if propagate {
                     out.push(token);
                 }
-                (work, out, sign)
+                (work, sign)
             }
             (kind, _) => unreachable!("{kind:?} is not a two-input node"),
         }

@@ -110,14 +110,14 @@ impl ReteSnapshot {
     }
 }
 
-fn encode_token(w: &mut ByteWriter, token: &Token) {
+pub(crate) fn encode_token(w: &mut ByteWriter, token: &Token) {
     w.u32(token.len() as u32);
     for &id in token.wmes() {
         w.u32(id.index() as u32);
     }
 }
 
-fn decode_token(r: &mut ByteReader<'_>) -> Result<Token, CodecError> {
+pub(crate) fn decode_token(r: &mut ByteReader<'_>) -> Result<Token, CodecError> {
     let n = r.u32()? as usize;
     let mut wmes = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
