@@ -5,14 +5,36 @@
 //! assertions); within a phase, activations bound for the same node are
 //! grouped into one task (batched change propagation: dispatch, flight
 //! tracing, and the per-node lock are paid once per node per phase
-//! fragment, not once per WME change), and each two-input node with an
-//! index key holds its memories' entries in buckets by that key's
-//! fingerprint — each entry once, reached in one probe — so an
-//! activation scans the bucket its own key selects instead of the
-//! whole opposite memory: the same keying as the sequential matcher's
-//! `MemoryStrategy::Hashed` default. Tasks are
-//! drained by a work-first [`WorkerPool`](crate::pool::WorkerPool) — the
-//! software analogue of the paper's hardware task scheduler. The thread
+//! fragment, not once per WME change).
+//!
+//! **Memories.** The WMEs are where the sequential matcher keeps them:
+//! one [`rete::Memory`] per alpha node, built by the same
+//! [`alpha_memories`] with the same key slots, read by every two-input
+//! node it feeds. Only the caller writes an alpha memory, and only
+//! between phases — a batch's assertions are filed at the start of the
+//! add phase and its retractions unfiled at the end of the remove
+//! phase — so during a phase they are plain shared data. A right
+//! activation files nothing: it scans the node's left memory, private
+//! to the node and guarded by its lock, whose entries (signed presence,
+//! each held once) sit in buckets by their index key's fingerprint.
+//! Either way an activation scans the one chain or bucket its own key
+//! selects, the same candidates the sequential matcher scans.
+//!
+//! **Visibility.** A private right memory used to hold a WME from the
+//! moment the node's own right activation for it ran; the shared alpha
+//! memory holds it for the whole phase. So each WME the batch changes
+//! is stamped with its phase, each node records the phase its right
+//! seeds last ran in, and a left activation in phase *p* skips an
+//! entry stamped *p* when, in the add phase, the node's seeds have not
+//! run yet, or, in the remove phase, they have — exactly what the
+//! private memory held, so joins see the same pairs in either order
+//! of a node's seed and a token carrying the same new WME. A join or
+//! negative node whose left memory holds nothing when the phase starts
+//! gets no seed task at all (its right activations would scan
+//! nothing): it counts as seeded from the start.
+//!
+//! **Scheduling.** Tasks are drained by a work-first [`WorkerPool`] —
+//! the software analogue of the paper's hardware task scheduler. The thread
 //! that calls [`Matcher::process`] is worker 0 and starts draining at
 //! once; `threads − 1` helper threads stay parked and are woken only for
 //! a phase whose seed backlog repays a futex wake. Every worker pops its
@@ -41,14 +63,17 @@ use psm_obs::metrics::{Counter, Gauge};
 use psm_obs::{NodeDelta, Obs, ProfileKind};
 
 use ops5::{
-    Change, Error, FxHashMap, Instantiation, MatchDelta, Matcher, Program, Wme, WmeId,
-    WorkingMemory,
+    Change, Error, FxHashMap, Instantiation, MatchDelta, Matcher, Program, WmeId, WorkingMemory,
 };
 use rete::kernel::{self, FlightStage, Work};
+use rete::memory::alpha_memories;
 use rete::network::NodeKind;
-use rete::{ActivationKind, AlphaId, Bucket, CompileOptions, Network, NodeId, Sign, Token};
+use rete::{
+    ActivationKind, AlphaId, Bucket, CompileOptions, Memory, MemoryStrategy, Network, NodeId,
+    NodeSpec, Sign, Token,
+};
 
-use crate::pool::{lock, PoolStats, WorkerPool};
+use crate::pool::{lock, PanicPayload, PoolStats, WorkerPool};
 use crate::topology::ParallelTopology;
 
 /// Configuration for the parallel engine.
@@ -248,17 +273,37 @@ impl TaskGroups {
             .drain(..)
             .inspect(|task| pos[task.node.index()] = NO_TASK)
     }
+
+    /// Drops the tasks of the nodes `idle` picks, handing their
+    /// buffers back to `local`.
+    fn prune(&mut self, local: &mut WorkerLocal, mut idle: impl FnMut(NodeId) -> bool) {
+        let TaskGroups {
+            pos,
+            tasks,
+            payloads,
+        } = self;
+        tasks.retain_mut(|task| {
+            if !idle(task.node) {
+                return true;
+            }
+            pos[task.node.index()] = NO_TASK;
+            *payloads -= task.items.len();
+            task.items.clear();
+            local.recycle(std::mem::take(&mut task.items));
+            false
+        });
+    }
 }
 
-/// One entry of a node memory.
+/// One entry of a node's left memory.
 #[derive(Debug, Default)]
 struct Entry {
     /// Signed presence (−1 debt, 0 absent, 1 present): a debt-tolerant
     /// multiset, so a retraction that overtakes its assertion nets out.
     presence: i32,
-    /// Negative-node left entries only: net count of matching
-    /// right-memory WMEs. A `Cell` because a right activation adjusts it
-    /// on the tokens it is scanning.
+    /// Negative-node entries only: net count of matching alpha-memory
+    /// WMEs. A `Cell` because a right activation adjusts it on the
+    /// tokens it is scanning.
     count: Cell<i32>,
 }
 
@@ -349,18 +394,22 @@ impl<K> Filing<K> {
 /// stream fills a row: vt's buckets hold one to three entries.
 const FEW: usize = 16;
 
-/// One input memory of a two-input node: signed presence, each entry
-/// held once. On a node with an index key ([`rete::NodeSpec::key`],
-/// every equality test it has, read through [`kernel::right_key`] and
-/// [`kernel::left_key`] — the same keying as the sequential matcher's
-/// hashed memories, so both runtimes probe identical candidate sets) an
-/// entry lives in the bucket of its key's fingerprint, whatever its
-/// presence: an arrival is one probe, a debt is in its bucket and is
+/// The left (token) memory of a two-input node: signed presence, each
+/// entry held once. On a node with an index key ([`rete::NodeSpec::key`],
+/// every equality test it has, read through [`kernel::left_key`] and
+/// probed by [`kernel::right_key`] — the same keying as the sequential
+/// matcher's hashed memories, so both runtimes probe identical candidate
+/// sets) an entry lives in the bucket of its key's fingerprint, whatever
+/// its presence: an arrival is one probe, a debt is in its bucket and is
 /// skipped by [`Side::candidates`], and a bucket that drains is pruned.
 /// What has no key is held by item instead: every entry of a node
 /// without one, which scans all that are present, and on a keyed node
 /// the unkeyable ones (attribute absent: the equality test can never
 /// hold), which no probe can reach.
+///
+/// Not a [`rete::Memory`]: that finds an entry to remove by walking its
+/// chain, and a bucket here can be a cross product thousands of tokens
+/// long (see [`FEW`]).
 #[derive(Debug)]
 struct Side<K> {
     by_item: ByItem<K>,
@@ -377,6 +426,11 @@ impl<K> Default for Side<K> {
 }
 
 impl<K: Clone + Eq + Hash> Side<K> {
+    /// Whether the side holds no entry, present or owed.
+    fn is_empty(&self) -> bool {
+        self.by_item.is_empty() && self.buckets.is_empty()
+    }
+
     /// Applies one signed arrival of `item`, filed under `key`.
     ///
     /// Returns the entry's match count when presence made a net
@@ -475,13 +529,28 @@ impl<K: Clone + Eq + Hash> Side<K> {
     }
 }
 
-/// Lock-protected state of one node: the private left (token) and right
-/// (WME) memories of a two-input node. Terminals hold an empty slot —
-/// their lock serializes nothing but keeps `exec` uniform.
+/// Lock-protected state of one node: a two-input node's private left
+/// memory, and the phase its right seeds last ran in (the visibility
+/// rule, module docs); its right input is the alpha memory every node
+/// it feeds shares. Terminals hold an empty slot — their lock
+/// serializes nothing but keeps `exec` uniform.
 #[derive(Debug, Default)]
 struct NodeSlot {
     left: Side<Token>,
-    right: Side<WmeId>,
+    seeded: u64,
+}
+
+/// What the tasks of one phase share besides the matcher.
+struct PhaseCx<'a> {
+    /// The caller's working memory: every WME a task reads, by the
+    /// matcher contract.
+    wm: &'a WorkingMemory,
+    /// The phase's number, which the WMEs it changes are stamped with.
+    seq: u64,
+    /// The add phase (else the remove phase).
+    adding: bool,
+    /// Tasks queued or running.
+    pending: &'a AtomicUsize,
 }
 
 /// Per-worker scratch. Lives as long as the matcher; the counters are
@@ -541,16 +610,20 @@ impl WorkerLocal {
     }
 }
 
-/// Seed payloads from which a phase wakes the parked helpers. On the
-/// 2-CPU reference host a notify costs the caller 10 µs and the helper
-/// is running 45 µs (p50; 108 µs p90) after it, while a seed payload
-/// stands for ~0.45 µs of phase work (vt stream: 26 payloads per change,
-/// 143 per batch, 65 µs per batch). A vt-sized phase — 406 payloads at
-/// most — is over before a parked helper arrives: waking on every phase
-/// took `vt-stream-par2` from 72.2 k to 54.0 k changes/s (p50 64.6 →
-/// 85.6 µs, 4 of 4 pairs). At 1024 payloads the phase is ~0.46 ms of
-/// work and the wake a tenth of it — extrapolated, not swept: no
-/// benchmark workload seeds a phase that large yet (DESIGN.md §12).
+/// Seed payloads dispatched in a phase from which it wakes the parked
+/// helpers; the payloads of nodes with an empty left memory are not
+/// dispatched and do not count. On the 2-CPU reference host a notify
+/// costs the caller 10 µs and the helper is running 45 µs (p50; 108 µs
+/// p90) after it, while a seed payload stood for ~0.45 µs of phase work
+/// when every node's seeds were dispatched (vt stream: 26 payloads per
+/// change, 143 per batch, 65 µs per batch). A vt-sized phase is over
+/// before a parked helper arrives: waking on every phase took
+/// `vt-stream-par2` from 72.2 k to 54.0 k changes/s (p50 64.6 → 85.6 µs,
+/// 4 of 4 pairs). The vt stream now dispatches 12.1 of its 26.3 payloads
+/// per change, 129 at most in a phase (1000 cycles, seed 10). At 1024
+/// payloads the phase is ~0.46 ms of work and the wake a tenth of it —
+/// extrapolated, not swept: no benchmark workload seeds a phase that
+/// large yet (DESIGN.md §12).
 const WAKE_BACKLOG: usize = 1024;
 
 /// The additive [`WorkerStats`] fields, in the order [`Series`]
@@ -645,9 +718,20 @@ pub struct ParallelReteMatcher {
     network: Arc<Network>,
     topo: ParallelTopology,
     states: Vec<Mutex<NodeSlot>>,
-    /// The engine's own WME store: tokens and right memories reference
-    /// WMEs by id; workers read this immutably during a phase.
-    store: Vec<Option<Wme>>,
+    /// One per alpha node, shared by the two-input nodes it feeds;
+    /// written between phases only.
+    alpha: Vec<Memory<WmeId>>,
+    /// Per node: the slot of its alpha memory a left activation probes,
+    /// `None` for a node without an index key (it scans them all).
+    probes: Vec<Option<usize>>,
+    /// Per WME id: the phase it last changed in (0: none — the stamp
+    /// of a WME whose assertion and retraction one batch netted out).
+    stamps: Vec<u64>,
+    /// The batch's alpha-memory filings, applied between phases:
+    /// assertions at the start of the add phase, retractions at the end
+    /// of the remove phase.
+    inserts: Vec<(AlphaId, WmeId)>,
+    unlinks: Vec<(AlphaId, WmeId)>,
     threads: usize,
     /// The worker pool: the caller plus `threads − 1` helpers. Created
     /// lazily on the first non-empty phase (a matcher that never runs
@@ -744,12 +828,22 @@ impl ParallelReteMatcher {
                 Mutex::new(slot)
             })
             .collect();
+        let alpha = alpha_memories(&network, MemoryStrategy::Hashed);
+        let probes = network
+            .nodes
+            .iter()
+            .map(|spec| alpha[spec.alpha?.index()].probe_slot(spec))
+            .collect();
         let threads = threads.max(1);
         let nodes = network.nodes.len();
         ParallelReteMatcher {
             topo,
             states,
-            store: Vec::new(),
+            alpha,
+            probes,
+            stamps: Vec::new(),
+            inserts: Vec::new(),
+            unlinks: Vec::new(),
             threads,
             pool: None,
             pool_stats: PoolStats::default(),
@@ -886,37 +980,49 @@ impl ParallelReteMatcher {
             .sum()
     }
 
-    /// Copies the WME into the engine's store (idempotent).
-    fn ingest(&mut self, wm: &WorkingMemory, id: WmeId) {
-        if self.store.len() <= id.index() {
-            self.store.resize(id.index() + 1, None);
-        }
-        if self.store[id.index()].is_none() {
-            self.store[id.index()] = Some(
-                wm.get(id)
-                    .expect("matcher contract: changed WME resolvable")
-                    .clone(),
-            );
-        }
-    }
-
-    /// Ingests the batch and groups its right activations per phase and
-    /// per node (removes into `self.removes`, adds into `self.adds`).
+    /// Stamps the batch's WMEs with the phase that changes them, lists
+    /// the alpha memories each change files or unfiles for the phases to
+    /// apply, and groups its right activations per phase and per node
+    /// (removes into `self.removes`, adds into `self.adds`). A WME the
+    /// batch both asserts and retracts nets to nothing here: it is
+    /// stamped 0, seeds nothing and stays filed as it was.
     fn seed(&mut self, wm: &WorkingMemory, changes: &[Change]) {
+        let (remove, add) = (self.phase_seq + 1, self.phase_seq + 2);
+        let ids = changes.iter().map(|change| change.wme().index() + 1);
+        let top = ids.max().unwrap_or(0);
+        if self.stamps.len() < top {
+            self.stamps.resize(top, 0);
+        }
         for change in changes {
-            self.ingest(wm, change.wme());
+            if let Change::Add(id) = *change {
+                self.stamps[id.index()] = add;
+            }
+        }
+        for change in changes {
+            if let Change::Remove(id) = *change {
+                let stamp = &mut self.stamps[id.index()];
+                *stamp = if *stamp == add { 0 } else { remove };
+            }
         }
         let local = unlocked(&mut self.locals[0]);
         for change in changes {
-            let (id, sign, out) = match *change {
-                Change::Remove(id) => (id, Sign::Minus, &mut self.removes),
-                Change::Add(id) => (id, Sign::Plus, &mut self.adds),
+            let (id, sign, phase) = match *change {
+                Change::Remove(id) => (id, Sign::Minus, remove),
+                Change::Add(id) => (id, Sign::Plus, add),
             };
-            let wme = self.store[id.index()]
-                .as_ref()
-                .expect("ingested WME present");
+            if self.stamps[id.index()] != phase {
+                continue;
+            }
+            let (out, filings) = match sign {
+                Sign::Minus => (&mut self.removes, &mut self.unlinks),
+                Sign::Plus => (&mut self.adds, &mut self.inserts),
+            };
+            let wme = wm
+                .get(id)
+                .expect("matcher contract: changed WME resolvable");
             self.stats.constant_tests += self.network.alpha.matching_into(wme, &mut self.alpha_buf);
-            for alpha in &self.alpha_buf {
+            for &alpha in &self.alpha_buf {
+                filings.push((alpha, id));
                 for &succ in &self.network.alpha_successors[alpha.index()] {
                     out.push(succ, Payload::Right(id), sign, local);
                 }
@@ -924,31 +1030,75 @@ impl ParallelReteMatcher {
         }
     }
 
-    /// Runs one phase: drain the seed tasks grouped in `removes` or
-    /// `adds` (and their descendants) across the worker pool, returning
-    /// the merged signed delta.
-    ///
-    /// Scheduling: the calling thread is worker 0 and starts draining at
-    /// once. A small phase (seed backlog under [`WAKE_BACKLOG`]) puts
-    /// every seed task on the caller's own deque and wakes nobody; a
-    /// large one deals the seeds round-robin over all deques and wakes
-    /// the parked helpers, which join if they arrive before the phase
-    /// is drained. Spawned children go to the spawning worker's own
-    /// deque, popped LIFO for locality; a worker whose deque runs dry
-    /// steals FIFO from a peer (oldest first — classic work stealing,
-    /// on `std::sync` only). The phase is over when the caller finds no
-    /// task anywhere and `pending == 0` (nothing queued or in flight),
-    /// and the pool has seen every helper that entered leave: that is
-    /// the whole remove→add barrier.
-    fn run_phase(&mut self, sign: Sign) -> MatchDelta {
+    /// Runs one phase with the alpha-memory changes around it: the
+    /// batch's assertions are filed before the add phase drains and its
+    /// retractions unfiled after the remove phase has — on every way
+    /// out, so that a genuine panic re-raised from the remove phase
+    /// leaves neither them nor the add phase pending for the next batch.
+    fn run_phase(&mut self, wm: &WorkingMemory, sign: Sign) -> MatchDelta {
         self.phase_seq += 1;
-        let threads = self.threads;
+        if sign.is_plus() {
+            for (alpha, id) in self.inserts.drain(..) {
+                self.alpha[alpha.index()].insert_wme(id, wm);
+            }
+        }
+        let (delta, panicked) = self.drain_phase(wm, sign);
+        if !sign.is_plus() {
+            for (alpha, id) in self.unlinks.drain(..) {
+                self.alpha[alpha.index()].remove_wme(id, wm);
+            }
+        }
+        if let Some(payload) = panicked {
+            // Leave nothing of this batch behind: neither scratch (merged
+            // and cleared) nor the add phase that will not run.
+            self.adds.drain().for_each(drop);
+            self.inserts.clear();
+            resume_unwind(payload);
+        }
+        delta
+    }
+
+    /// Drains the seed tasks grouped in `removes` or `adds` (and their
+    /// descendants) across the worker pool, returning the merged signed
+    /// delta and the payload of a genuine panic to re-raise.
+    ///
+    /// The seeds of a join or negative node whose left memory holds no
+    /// entry, present or owed, are not dispatched — they would scan
+    /// nothing and change nothing — and the node counts as seeded from
+    /// the start of the phase. Scheduling: the calling thread is worker 0
+    /// and starts draining at once. A small phase (seed backlog under
+    /// [`WAKE_BACKLOG`]) puts every seed task on the caller's own deque
+    /// and wakes nobody; a large one deals the seeds round-robin over
+    /// all deques and wakes the parked helpers, which join if they
+    /// arrive before the phase is drained. Spawned children go to the
+    /// spawning worker's own deque, popped LIFO for locality; a worker
+    /// whose deque runs dry steals FIFO from a peer (oldest first —
+    /// classic work stealing, on `std::sync` only). The phase is over
+    /// when the caller finds no task anywhere and `pending == 0`
+    /// (nothing queued or in flight), and the pool has seen every helper
+    /// that entered leave: that is the whole remove→add barrier.
+    fn drain_phase(
+        &mut self,
+        wm: &WorkingMemory,
+        sign: Sign,
+    ) -> (MatchDelta, Option<PanicPayload>) {
+        let (threads, phase_seq) = (self.threads, self.phase_seq);
         let (label, seeds) = match sign {
             Sign::Minus => ("remove", &mut self.removes),
             Sign::Plus => ("add", &mut self.adds),
         };
+        let (states, network) = (&mut self.states, &self.network);
+        seeds.prune(unlocked(&mut self.locals[0]), |node| {
+            let slot = unlocked(&mut states[node.index()]);
+            let two_input = matches!(network.node(node).kind, NodeKind::Join | NodeKind::Negative);
+            let idle = two_input && slot.left.is_empty();
+            if idle {
+                slot.seeded = phase_seq;
+            }
+            idle
+        });
         if seeds.tasks.is_empty() {
-            return MatchDelta::new();
+            return (MatchDelta::new(), None);
         }
         let wake = threads > 1 && seeds.payloads >= WAKE_BACKLOG;
         // A phase that wakes nobody runs on worker 0 alone.
@@ -957,7 +1107,12 @@ impl ParallelReteMatcher {
         for (i, task) in seeds.drain().enumerate() {
             unlocked(&mut self.deques[i % workers]).push_back(task);
         }
-        let phase_seq = self.phase_seq;
+        let cx = PhaseCx {
+            wm,
+            seq: phase_seq,
+            adding: sign.is_plus(),
+            pending: &pending,
+        };
         let timing = self.timing;
         let task_seq = AtomicU64::new(0);
         // Take the pool out so the phase job below can borrow `self`
@@ -1025,7 +1180,7 @@ impl ParallelReteMatcher {
                 let started = timing.then(Instant::now);
                 let node = task.node.index() as u32;
                 let poison = action == FaultAction::PoisonLock;
-                this.exec(task, local, poison, &this.deques[me], &pending);
+                this.exec(task, local, poison, &this.deques[me], &cx);
                 if let Some(t0) = started {
                     let ns = t0.elapsed().as_nanos() as u64;
                     local.worker.exec_ns += ns;
@@ -1110,13 +1265,8 @@ impl ParallelReteMatcher {
                 );
             }
         }
-        if let (None, Some((_, payload))) = (&self.fault, dead.into_iter().next()) {
-            // Leave nothing of this batch behind: neither scratch (merged
-            // and cleared above) nor the add phase that will not run.
-            self.adds.drain().for_each(drop);
-            resume_unwind(payload);
-        }
-        delta
+        let genuine = dead.into_iter().next().filter(|_| self.fault.is_none());
+        (delta, genuine.map(|(_, payload)| payload))
     }
 
     /// Executes one grouped activation under its node's lock — every
@@ -1130,7 +1280,7 @@ impl ParallelReteMatcher {
         local: &mut WorkerLocal,
         poison: bool,
         queue: &Mutex<VecDeque<Task>>,
-        pending: &AtomicUsize,
+        cx: &PhaseCx<'_>,
     ) {
         let Task {
             node: node_id,
@@ -1144,7 +1294,12 @@ impl ParallelReteMatcher {
         let spec = self.network.node(node_id);
         let node = node_id.index() as u32;
         let keyed = !spec.key.is_empty();
-        let resolve = |id| Some(self.wme(id));
+        let resolve = |id| cx.wm.get(id);
+        let changed = |id| {
+            cx.wm
+                .get(id)
+                .expect("matcher contract: changed WME resolvable")
+        };
         // Node slots of the attached profiler (0: off, or none attached).
         let prof_slots = self.obs.as_ref().map_or(0, |m| m.obs.profile.capacity());
         let children = &self.topo.token_children[node_id.index()];
@@ -1168,7 +1323,14 @@ impl ParallelReteMatcher {
             self.injected_faults.fetch_add(1, Ordering::Relaxed);
             panic!("injected fault: lock poison");
         }
-        let NodeSlot { left, right } = &mut *slot;
+        let NodeSlot { left, seeded } = &mut *slot;
+        if let Some((Payload::Right(_), _)) = items.first() {
+            // The node's seeds: a left activation from here on sees the
+            // WMEs this phase changes as they are after it.
+            *seeded = cx.seq;
+        }
+        // The visibility rule (module docs): what a left activation hides.
+        let hide = (*seeded == cx.seq) != cx.adding;
         for (payload, sign) in items.drain(..) {
             let right_side = matches!(payload, Payload::Right(_));
             // The same activation vocabulary as the sequential matcher,
@@ -1181,23 +1343,18 @@ impl ParallelReteMatcher {
             };
             local.flight.activation(kind, node_id, wme);
             let emitted_before = emitted.len();
-            // Every arm: apply the arrival to its own side (presence and
-            // index), then — usually only on a net presence transition —
-            // scan the opposite side's candidates for its key value.
+            // A right activation scans the left memory for its WME's
+            // key. A left one applies the arrival to the left memory
+            // (presence and index), then — only on a net presence
+            // transition — scans the alpha memory's chain for its key.
             let work = match (spec.kind, payload) {
                 (NodeKind::Join, Payload::Right(wme_id)) => {
-                    let wme = self.wme(wme_id);
+                    let wme = changed(wme_id);
                     let key = kernel::right_key(&spec.key, wme);
-                    match right.arrive(&wme_id, sign, key) {
-                        None => Work::default(),
-                        Some(_) => {
-                            let extend = |left: Candidate<Token>| {
-                                emitted.push((left.item.extended(wme_id), sign))
-                            };
-                            let candidates = left.candidates(keyed, key);
-                            kernel::scan_tokens(&spec.tests, candidates, wme, resolve, extend)
-                        }
-                    }
+                    let extend =
+                        |left: Candidate<Token>| emitted.push((left.item.extended(wme_id), sign));
+                    let candidates = left.candidates(keyed, key);
+                    kernel::scan_tokens(&spec.tests, candidates, wme, resolve, extend)
                 }
                 (NodeKind::Join, Payload::Left(token)) => {
                     let key = kernel::left_key(&spec.key, &token, resolve);
@@ -1205,15 +1362,14 @@ impl ParallelReteMatcher {
                         None => Work::default(),
                         Some(_) => {
                             let extend = |wme_id| emitted.push((token.extended(wme_id), sign));
-                            let candidates = right.candidates(keyed, key).map(|c| *c.item);
+                            let candidates = self.right_wmes(spec, node_id, key, hide, cx.seq);
                             kernel::scan_wmes(&spec.tests, &token, candidates, resolve, extend)
                         }
                     }
                 }
                 (NodeKind::Negative, Payload::Right(wme_id)) => {
-                    let wme = self.wme(wme_id);
+                    let wme = changed(wme_id);
                     let key = kernel::right_key(&spec.key, wme);
-                    right.arrive(&wme_id, sign, key);
                     // Count adjustment is unconditional (every signed
                     // right activation shifts the match counts of the
                     // tokens it joins with).
@@ -1244,15 +1400,9 @@ impl ParallelReteMatcher {
                         }
                         (Some(_), Sign::Plus) => {
                             // Fresh net insert: count current matches.
-                            // The scan hands `tally` the id it has just
-                            // pulled, so that candidate's presence is
-                            // the one last seen.
-                            let (mut count, presence) = (0i32, Cell::new(0));
-                            let tally = |_| count += presence.get();
-                            let candidates = right.candidates(keyed, key).map(|c| {
-                                presence.set(c.entry.presence);
-                                *c.item
-                            });
+                            let mut count = 0i32;
+                            let tally = |_| count += 1;
+                            let candidates = self.right_wmes(spec, node_id, key, hide, cx.seq);
                             let work =
                                 kernel::scan_wmes(&spec.tests, &token, candidates, resolve, tally);
                             let entry = left.entry(&token, key).expect("just arrived");
@@ -1302,7 +1452,7 @@ impl ParallelReteMatcher {
             // One child task per child node, carrying the whole emission
             // batch in per-item order (a token clone copies three words;
             // the last child takes the tokens themselves).
-            pending.fetch_add(children.len(), Ordering::AcqRel);
+            cx.pending.fetch_add(children.len(), Ordering::AcqRel);
             let mut q = relock(queue, &self.poison_recovered);
             for &child in rest {
                 let mut items = local.buffer();
@@ -1318,15 +1468,22 @@ impl ParallelReteMatcher {
         local.emitted = emitted;
     }
 
-    /// Reads a WME from the engine's own store. The store retains every
-    /// WME a resident token references until the batch that retracts it
-    /// completes, so a token's index key resolves identically at insert
-    /// and removal time — the engine-side analogue of the sequential
-    /// matcher's captured insert-time keys.
-    fn wme(&self, id: WmeId) -> &Wme {
-        self.store[id.index()]
-            .as_ref()
-            .expect("token/right-memory WME resident in store")
+    /// The WMEs a left activation of `node` with index key `key` scans
+    /// in phase `phase`: the chain of its key in its alpha memory (all
+    /// of it for a node without one), less — when `hide` — the WMEs the
+    /// phase changes.
+    fn right_wmes<'a>(
+        &'a self,
+        spec: &NodeSpec,
+        node: NodeId,
+        key: Option<u32>,
+        hide: bool,
+        phase: u64,
+    ) -> impl Iterator<Item = WmeId> + 'a {
+        let alpha = &self.alpha[spec.alpha.expect("two-input node has alpha").index()];
+        let probe = self.probes[node.index()].map(|slot| (slot, key));
+        let visible = move |id: &WmeId| !hide || self.stamps[id.index()] != phase;
+        alpha.candidates(probe).copied().filter(visible)
     }
 }
 
@@ -1359,13 +1516,8 @@ impl Matcher for ParallelReteMatcher {
         self.stats.changes += changes.len() as u64;
         self.seed(wm, changes);
         self.timing = self.timing_enabled || self.obs.as_ref().is_some_and(|m| m.obs.detail());
-        let mut delta = self.run_phase(Sign::Minus);
-        delta.merge(self.run_phase(Sign::Plus));
-        for change in changes {
-            if let Change::Remove(id) = change {
-                self.store[id.index()] = None;
-            }
-        }
+        let mut delta = self.run_phase(wm, Sign::Minus);
+        delta.merge(self.run_phase(wm, Sign::Plus));
         delta
     }
 
@@ -1604,8 +1756,11 @@ mod tests {
         let mut syms = program.symbols.clone();
         m.set_fault_injector(Some(Arc::new(KillHelperOnce::default())));
         // A backlog large enough to wake the helper; half the seed
-        // tasks are dealt to its deque.
-        let bulk = add_batch(&mut wm, &mut syms, &["a", "b", "c"], 3 * WAKE_BACKLOG);
+        // tasks are dealt to its deque. Into an empty matcher only
+        // first-CE nodes have a left memory to scan, so two classes
+        // that each head a rule make two seed tasks (`a b c` made one,
+        // and worker 0 would wait on it for a helper that never draws).
+        let bulk = add_batch(&mut wm, &mut syms, &["a", "goal"], 3 * WAKE_BACKLOG);
         let _ = m.process(&wm, &bulk);
         assert_eq!(m.take_faults(), 1);
         let s = m.pool_stats();
@@ -1638,31 +1793,62 @@ mod tests {
             .find(|&n| m.network.node(n).kind == NodeKind::Terminal)
             .unwrap();
         // The doomed phase also carries a real retraction, so it leaves
-        // a removal in its worker's scratch delta when it unwinds.
-        m.seed(&wm, &[Change::Remove(id)]);
+        // a removal in its worker's scratch delta when it unwinds; and
+        // the batch an assertion, filed only if the add phase runs.
+        let (doomed, _) = wm.add(parse_wme("(a ^x 1)", &mut syms).unwrap());
+        m.seed(&wm, &[Change::Remove(id), Change::Add(doomed)]);
         let _ = seq.remove_wme(&wm, id);
         let local = &mut WorkerLocal::default();
         m.removes
             .push(terminal, Payload::Right(id), Sign::Minus, local);
         m.adds.push(terminal, Payload::Right(id), Sign::Plus, local);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.run_phase(Sign::Minus);
+            m.run_phase(&wm, Sign::Minus);
         }));
         assert!(unwound.is_err());
         assert_eq!(m.take_faults(), 0, "not an injected fault");
+        // The retraction was applied on the way out, the assertion
+        // dropped with its phase.
+        wm.remove(id);
+        wm.remove(doomed);
+        audit_alpha(&m, &wm, &[]);
         // The add phase that never ran is dropped, not replayed into
         // the next batch.
         let tasks = m.stats().tasks;
         assert!(m.process(&wm, &[]).is_empty());
         assert_eq!(m.stats().tasks, tasks);
+        audit_alpha(&m, &wm, &[]);
         // Nor does the unwound phase's half-built delta leak into the
         // next non-empty one.
-        wm.remove(id);
         let (next, _) = wm.add(parse_wme("(a ^x 1)", &mut syms).unwrap());
         let (mut d, mut d_seq) = (m.add_wme(&wm, next), seq.add_wme(&wm, next));
         d.canonicalize();
         d_seq.canonicalize();
         assert_eq!(d, d_seq, "stale removal merged");
+        audit_alpha(&m, &wm, &[next]);
+    }
+
+    /// Holds every alpha memory of `m` to what it should hold when `live`
+    /// are the WMEs of `wm` asserted and not retracted: sound chains
+    /// ([`Memory::audit`]), and as entries exactly the live WMEs its
+    /// alpha node passes.
+    fn audit_alpha(m: &ParallelReteMatcher, wm: &WorkingMemory, live: &[WmeId]) {
+        let mut want = vec![Vec::new(); m.alpha.len()];
+        let mut passed = Vec::new();
+        for &id in live {
+            let wme = wm.get(id).expect("a live WME");
+            m.network.alpha.matching_into(wme, &mut passed);
+            for alpha in &passed {
+                want[alpha.index()].push(id);
+            }
+        }
+        for (i, (memory, mut want)) in m.alpha.iter().zip(want).enumerate() {
+            assert!(memory.audit().is_ok(), "alpha memory {i}");
+            let mut held = memory.entries().to_vec();
+            held.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(held, want, "alpha memory {i}");
+        }
     }
 
     #[test]
@@ -1850,13 +2036,235 @@ mod tests {
             wm.remove(id);
         }
         assert_eq!(m.resident_tokens(), 0, "all token state purged");
-        // Nor is a debt, a drained bucket or a WME left anywhere: only
-        // the top tokens the matcher was built with.
+        // Nor is a debt or a drained bucket left anywhere: only the top
+        // tokens the matcher was built with.
         for slot in &m.states {
-            let NodeSlot { left, right } = &*lock(slot);
-            assert!(left.buckets.is_empty() && right.buckets.is_empty());
+            let left = &lock(slot).left;
+            assert!(left.buckets.is_empty());
             assert!(left.by_item.keys().all(Token::is_empty));
-            assert!(right.by_item.is_empty());
+        }
+        // Nor a WME, or the head of a chain.
+        for memory in &m.alpha {
+            assert!(memory.entries().is_empty());
+            assert_eq!(memory.chains(), 0);
+        }
+    }
+
+    /// A self-join, and a join below a mid-LHS negation that reads the
+    /// same alpha memory: a new `a` reaches the second CE's node both as
+    /// its own right seed and inside the token the first CE's node makes
+    /// of it.
+    const SELF_JOIN: &str = r#"
+        (p self (a ^x <v>) (a ^x <v>) --> (halt))
+        (p mid (a ^x <v>) - (b ^x <v>) (a ^x <v>) --> (halt))
+    "#;
+
+    /// [`Matcher::process`], with each phase's seed tasks dealt in the
+    /// reverse of their first-seen order — on one thread, the order the
+    /// caller's LIFO deque runs them in is reversed too.
+    fn process_reversed(
+        m: &mut ParallelReteMatcher,
+        wm: &WorkingMemory,
+        batch: &[Change],
+    ) -> MatchDelta {
+        m.seed(wm, batch);
+        for seeds in [&mut m.removes, &mut m.adds] {
+            seeds.tasks.reverse();
+            for (at, task) in seeds.tasks.iter().enumerate() {
+                seeds.pos[task.node.index()] = at as u32;
+            }
+        }
+        let mut delta = m.run_phase(wm, Sign::Minus);
+        delta.merge(m.run_phase(wm, Sign::Plus));
+        delta
+    }
+
+    /// Whether, among `records`, some node ran a right activation before
+    /// its first left one, and some node a left one before its first
+    /// right one.
+    fn seed_orders(records: &[psm_obs::FlightRecord]) -> [bool; 2] {
+        let mut first: FxHashMap<u32, [Option<usize>; 2]> = FxHashMap::default();
+        for (at, record) in records.iter().enumerate() {
+            if let psm_obs::FlightKind::Activation { node, kind, .. } = record.kind {
+                let side = match kind {
+                    "join-R" => 0,
+                    "join-L" => 1,
+                    _ => continue,
+                };
+                first.entry(node).or_default()[side].get_or_insert(at);
+            }
+        }
+        let order = |[right, left]: [Option<usize>; 2]| Some((right?, left?));
+        let orders: Vec<_> = first.into_values().filter_map(order).collect();
+        [
+            orders.iter().any(|(right, left)| right < left),
+            orders.iter().any(|(right, left)| left < right),
+        ]
+    }
+
+    /// The visibility rule on one thread, with every node's seeds run
+    /// before and after the tokens that carry their WME (first-seen and
+    /// reversed seed order), through adds, removes, a negation that
+    /// blocks and unblocks mid-LHS, a batch that retracts and asserts
+    /// at once, and back to empty — each batch's delta the sequential
+    /// matcher's, each alpha memory sound.
+    #[test]
+    fn visibility_rule_meets_every_pair_once_in_either_seed_order() {
+        let program = parse_program(SELF_JOIN).unwrap();
+        let mut syms = program.symbols.clone();
+        let mut wm = WorkingMemory::new();
+        let mut seq = ReteMatcher::compile(&program).unwrap();
+        let mut engines = [parallel(SELF_JOIN, 1).1, parallel(SELF_JOIN, 1).1];
+        let obs = [(); 2].map(|_| Arc::new(Obs::with_flight(16, 8192)));
+        for (m, obs) in engines.iter_mut().zip(&obs) {
+            m.attach_obs(Arc::clone(obs));
+        }
+        let mut add = |lit: &str| wm.add(parse_wme(lit, &mut syms).unwrap()).0;
+        let [a9, w1, b1, w2, b2] =
+            ["(a ^x 9)", "(a ^x 1)", "(b ^x 1)", "(a ^x 1)", "(b ^x 1)"].map(&mut add);
+        let w3 = add("(a ^x 9)");
+        use Change::{Add, Remove};
+        let batches = [
+            vec![Add(a9)],
+            vec![Add(w1)],
+            vec![Add(b1)],
+            vec![Remove(b1), Add(w2)],
+            vec![Remove(w1)],
+            vec![Add(b2), Remove(w2)],
+            vec![Remove(b2), Add(w3), Remove(a9)],
+            vec![Remove(w3)],
+        ];
+        let mut orders = [[false; 2]; 2];
+        let mut live = Vec::new();
+        for (step, batch) in batches.iter().enumerate() {
+            let mut want = seq.process(&wm, batch);
+            want.canonicalize();
+            for (reversed, m) in engines.iter_mut().enumerate() {
+                let before = obs[reversed].flight.len();
+                let mut got = if reversed == 1 {
+                    process_reversed(m, &wm, batch)
+                } else {
+                    m.process(&wm, batch)
+                };
+                got.canonicalize();
+                assert_eq!(got, want, "step {step}, reversed seeds: {}", reversed == 1);
+                let records = obs[reversed].flight.records();
+                let seen = seed_orders(&records[before..]);
+                for (order, seen) in orders[reversed].iter_mut().zip(seen) {
+                    *order |= seen;
+                }
+            }
+            for change in batch {
+                match *change {
+                    Add(id) => live.push(id),
+                    Remove(id) => live.retain(|&w| w != id),
+                }
+            }
+            engines.iter().for_each(|m| audit_alpha(m, &wm, &live));
+        }
+        // Between them, the two seed orders ran some node's seeds before
+        // a token carrying their WME arrived, and some node's after.
+        let seen = [0, 1].map(|order| orders[0][order] || orders[1][order]);
+        assert_eq!(seen, [true; 2], "{orders:?}");
+        assert!(engines.iter().all(|m| m.resident_tokens() == 0));
+
+        // The same rule where the phases are shared: a bulk batch that
+        // wakes the helpers, and all of it retracted again.
+        let mut wm = WorkingMemory::new();
+        let mut syms = program.symbols.clone();
+        let mut lits: Vec<String> = (0..3).map(|x| format!("(a ^x {x})")).collect();
+        // Seven payloads per three WMEs: enough of them to wake.
+        let bulk = if cfg!(miri) { 480 } else { 1200 };
+        lits.extend((0..bulk).map(|i| format!("({} ^x {})", ["a", "a", "b"][i % 3], i % 40)));
+        let ids: Vec<WmeId> = lits
+            .iter()
+            .map(|lit| wm.add(parse_wme(lit, &mut syms).unwrap()).0)
+            .collect();
+        let (first, rest) = ids.split_at(3);
+        let batches = [
+            first.iter().copied().map(Add).collect::<Vec<_>>(),
+            rest.iter().copied().map(Add).collect(),
+            rest.iter().copied().map(Remove).collect(),
+            first.iter().copied().map(Remove).collect(),
+        ];
+        let mut seq = ReteMatcher::compile(&program).unwrap();
+        let want = batches.clone().map(|batch| {
+            let mut delta = seq.process(&wm, &batch);
+            delta.canonicalize();
+            delta
+        });
+        for threads in [2, 8] {
+            let (_, mut m) = parallel(SELF_JOIN, threads);
+            for (step, (batch, want)) in batches.iter().zip(&want).enumerate() {
+                let mut got = m.process(&wm, batch);
+                got.canonicalize();
+                assert_eq!(&got, want, "threads {threads}, step {step}");
+            }
+            // Seeds dealt over every deque were run by a helper or
+            // stolen back by the caller: the bulk path was taken.
+            let spread = m.worker_stats()[1..].iter().any(|w| w.tasks > 0)
+                || m.worker_totals_merged().steals > 0;
+            assert!(spread, "threads {threads}");
+            assert_eq!(m.resident_tokens(), 0);
+            for memory in &m.alpha {
+                assert!(memory.entries().is_empty() && memory.chains() == 0);
+            }
+        }
+    }
+
+    /// Batches that assert a WME and retract it again, or retract a live
+    /// one and assert it again, against the sequential matcher at 1, 2
+    /// and 8 threads: such a WME seeds nothing and stays filed as it
+    /// was, and every alpha memory holds the live WMEs it passes.
+    #[test]
+    fn a_wme_asserted_and_retracted_in_one_batch_nets_out() {
+        let program = parse_program(EQ_PROGRAM).unwrap();
+        let classes = ["a", "b", "c", "goal", "veto"];
+        for threads in [1, 2, 8] {
+            let mut seq = ReteMatcher::compile(&program).unwrap();
+            let (_, mut par) = parallel(EQ_PROGRAM, threads);
+            let mut rng = Rng64::new(0xAD0 + threads as u64);
+            let mut syms = program.symbols.clone();
+            let mut wm = WorkingMemory::new();
+            let mut live: Vec<WmeId> = Vec::new();
+            let mut netted = [0; 2];
+            for step in 0..80 {
+                let (mut batch, mut gone) = (Vec::new(), Vec::new());
+                if !live.is_empty() && rng.gen_bool(0.5) {
+                    let id = live.swap_remove(rng.gen_range(0..live.len()));
+                    batch.push(Change::Remove(id));
+                    gone.push(id);
+                }
+                if !live.is_empty() && rng.gen_bool(0.3) {
+                    let id = live[rng.gen_range(0..live.len())];
+                    batch.extend([Change::Remove(id), Change::Add(id)]);
+                    netted[0] += 1;
+                }
+                for _ in 0..rng.gen_range(1..=4usize) {
+                    let class = classes[rng.gen_range(0..classes.len())];
+                    let x = rng.gen_range(0..3i32);
+                    let wme = parse_wme(&format!("({class} ^x {x})"), &mut syms).unwrap();
+                    let (id, _) = wm.add(wme);
+                    batch.push(Change::Add(id));
+                    if rng.gen_bool(0.4) {
+                        batch.push(Change::Remove(id));
+                        gone.push(id);
+                        netted[1] += 1;
+                    } else {
+                        live.push(id);
+                    }
+                }
+                let mut want = seq.process(&wm, &batch);
+                let mut got = par.process(&wm, &batch);
+                want.canonicalize();
+                got.canonicalize();
+                assert_eq!(got, want, "threads {threads}, step {step}");
+                for id in gone {
+                    wm.remove(id);
+                }
+                audit_alpha(&par, &wm, &live);
+            }
+            assert!(netted.iter().all(|&n| n > 5), "{netted:?}");
         }
     }
 
@@ -1872,10 +2280,6 @@ mod tests {
         assert_eq!(
             size_of::<Filing<Token>>(),
             size_of::<Bucket<Filed<Token>>>()
-        );
-        assert_eq!(
-            size_of::<Filing<WmeId>>(),
-            size_of::<Bucket<Filed<WmeId>>>()
         );
         assert_eq!(size_of::<Filed<Token>>(), 32);
     }

@@ -6,8 +6,9 @@
 //! realization of that design:
 //!
 //! * [`ParallelReteMatcher`] — node-activation parallelism. Every
-//!   two-input node owns its (private, lock-protected) left and right
-//!   memories; an activation locks only the node it runs on, so multiple
+//!   two-input node owns its (private, lock-protected) left memory and
+//!   reads its right input from an alpha memory shared by every node it
+//!   feeds; an activation locks only the node it runs on, so multiple
 //!   activations of *different* nodes and multiple activations of the
 //!   *same* node's siblings proceed concurrently, and multiple
 //!   working-memory changes from one firing are processed in parallel —
@@ -31,11 +32,27 @@
 //! ## Consistency protocol
 //!
 //! Within a change batch, retractions are processed (in parallel) to
-//! completion before assertions start — a remove/add barrier. Within a
-//! phase, each activation's *insert + opposite-memory scan* is atomic
-//! under the node's lock, and memory entries are signed counts, so a
-//! token deletion racing ahead of its own creation (possible downstream
-//! of negative nodes) leaves a debt that the later creation cancels.
+//! completion before assertions start — a remove/add barrier. A WME the
+//! batch both asserts and retracts nets to nothing before either phase.
+//!
+//! The alpha memories are written by the caller only, between phases:
+//! the batch's assertions are filed when the add phase starts and its
+//! retractions unfiled when the remove phase ends. Within a phase they
+//! are read-only, and what a node sees of them is fixed by a per-WME
+//! phase stamp and a per-node record of when the node's own right
+//! activations ran: a left activation skips a WME changed in this phase
+//! while, in the add phase, the node's right activations are still to
+//! run, or, in the remove phase, have run. That is what makes the shared
+//! right input safe — within one phase a node's right activation for a
+//! new WME and a left activation carrying the same WME run in either
+//! order, and whichever runs second finds the pair. The barrier alone
+//! would not.
+//!
+//! Within a phase, each left activation's *insert + alpha-memory scan*
+//! and each right activation's left-memory scan is atomic under the
+//! node's lock, and left-memory entries are signed counts, so a token
+//! deletion racing ahead of its own creation (possible downstream of
+//! negative nodes) leaves a debt that the later creation cancels.
 //! Conflict-set deltas are signed multisets with the same cancellation,
 //! making the final delta independent of the parallel schedule.
 

@@ -1,10 +1,12 @@
 //! Flattened network topology for the parallel engine.
 //!
 //! The sequential runtime routes tokens through explicit beta-memory
-//! nodes. The parallel engine gives every two-input node *private*
-//! left/right memories (so one lock covers an activation's whole
-//! insert-and-scan critical section), which makes shared beta memories
-//! redundant: this module flattens them out of the token routing graph.
+//! nodes. The parallel engine gives every two-input node a *private*
+//! left memory (so one lock covers a left activation's whole
+//! insert-and-scan critical section) and reads its right input from the
+//! alpha memory it shares with the sequential matcher's layout, which
+//! makes shared beta memories redundant: this module flattens them out
+//! of the token routing graph.
 
 use ops5::ProductionId;
 use rete::{Network, NodeId};

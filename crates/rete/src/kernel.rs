@@ -13,10 +13,10 @@
 //! model and scheduling — [`ReteMatcher`](crate::ReteMatcher) with
 //! shared alpha, beta and negative memories of one keyed type (the
 //! "best known uniprocessor implementation"), `psm_core`'s engine with
-//! private signed-presence memories, held in [`Bucket`]s, behind one
-//! lock per node. Each activation in either is "pick candidates (one
-//! chain or bucket, or the whole memory) → run a kernel scan → route
-//! the outputs".
+//! the same alpha memories and private signed-presence left memories,
+//! held in [`Bucket`]s, behind one lock per node. Each activation in
+//! either is "pick candidates (one chain or bucket, or the whole memory)
+//! → run a kernel scan → route the outputs".
 
 use std::borrow::Borrow;
 use std::hash::Hash;
@@ -110,7 +110,7 @@ pub fn left_key<'a>(
 
 /// Evaluates join tests with short-circuiting, returning success and the
 /// number of tests evaluated. `resolve` maps the token's WME ids to
-/// WMEs (the caller's working memory, or the engine's own store).
+/// WMEs (the caller's working memory).
 pub fn eval_join_tests<'a>(
     tests: &[JoinTest],
     token: &Token,
@@ -166,7 +166,7 @@ pub fn scan_tokens<'a, C: Borrow<Token>>(
 ///
 /// # Panics
 ///
-/// Panics if `resolve` cannot produce a candidate: right memories only
+/// Panics if `resolve` cannot produce a candidate: alpha memories only
 /// hold live WMEs.
 pub fn scan_wmes<'a>(
     tests: &[JoinTest],

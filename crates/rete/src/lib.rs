@@ -42,7 +42,7 @@
 
 pub mod alpha;
 pub mod kernel;
-mod memory;
+pub mod memory;
 pub mod network;
 pub mod profile;
 pub mod runtime;
@@ -53,6 +53,7 @@ pub mod trace;
 
 pub use alpha::{AlphaId, AlphaNetwork, AlphaNode, AlphaTest};
 pub use kernel::{ActivationKind, Bucket, Sign};
+pub use memory::Memory;
 pub use network::{CompileOptions, JoinTest, Network, NetworkStats, NodeId, NodeSpec};
 pub use profile::MatchProfile;
 pub use runtime::{MemoryStrategy, ReteMatcher};

@@ -1,11 +1,11 @@
-//! The one keyed memory under the sequential matcher.
+//! The one keyed memory under both matchers.
 //!
 //! Alpha memories (`T` = a WME id), beta memories (`T` = a token) and
 //! negative nodes' memories (`T` = a token with its match count) are
 //! the same thing: entries in arrival order, and — for each of the
-//! memory's key [`Slot`]s — one chain per key fingerprint threaded
+//! memory's key slots — one chain per key fingerprint threaded
 //! through them, newest entry first, so a two-input node with an index
-//! key ([`kernel::key_tests`](crate::kernel::key_tests): all of its
+//! key ([`kernel::key_tests`]: all of its
 //! equality tests) scans only the entries its WME or token can match,
 //! and whatever else shares their fingerprint.
 //! Which chain an entry is on is implied by the chain, never stored
@@ -17,13 +17,20 @@
 //! An entry whose key for a slot could not be read when it arrived (a
 //! WME lacks one of the attributes) is on no chain of that slot: the
 //! equality tests fail for it against everything.
+//!
+//! The alpha memories are built by one function, [`alpha_memories`],
+//! for [`ReteMatcher`](crate::ReteMatcher) and for `psm_core`'s
+//! node-parallel engine, which reads them from every worker during a
+//! phase and writes them only between phases: a `Memory` is `Sync`,
+//! because nothing in it changes through a shared borrow.
 
 use std::borrow::Borrow;
-use std::cell::Cell;
 
-use ops5::FxHashMap;
+use ops5::{FxHashMap, WmeId, WorkingMemory};
 
-use crate::kernel::KeyPart;
+use crate::kernel::{self, KeyPart};
+use crate::network::{Network, NodeSpec};
+use crate::runtime::MemoryStrategy;
 
 /// Ends a chain; also the link of an entry filed nowhere.
 pub(crate) const NIL: u32 = u32::MAX;
@@ -34,7 +41,7 @@ pub(crate) type Slot = Box<[KeyPart]>;
 
 /// See the module docs.
 #[derive(Debug, Clone)]
-pub(crate) struct Memory<T> {
+pub struct Memory<T> {
     pub(crate) slots: Box<[Slot]>,
     /// Arrival order, swap-removed.
     pub(crate) entries: Vec<T>,
@@ -44,9 +51,65 @@ pub(crate) struct Memory<T> {
     /// Per slot, the first entry of each key fingerprint's chain; a
     /// chain that drains is removed.
     pub(crate) heads: Box<[FxHashMap<u32, u32>]>,
-    /// Whether anything an image of the memory holds changed since
-    /// [`Memory::take_dirty`] last asked. Not part of the image.
-    dirty: Cell<bool>,
+    /// Changes made to the memory so far: an image of it that was
+    /// written at the same count holds what it holds. Not part of the
+    /// image.
+    edits: u64,
+}
+
+/// The slot a right-input WME of `spec` is filed under, and a left
+/// activation of `spec` probes its alpha memory by.
+fn wme_slot(spec: &NodeSpec) -> Slot {
+    kernel::wme_parts(&spec.key).collect()
+}
+
+/// The alpha memories of `network`, one per alpha node. Under
+/// [`MemoryStrategy::Hashed`] each gets a key slot per list of
+/// attributes its successor two-input nodes probe it by — and only
+/// those: chaining every attribute of every WME costs more than the
+/// probes it could ever save. Under [`MemoryStrategy::Linear`] none.
+pub fn alpha_memories(network: &Network, strategy: MemoryStrategy) -> Vec<Memory<WmeId>> {
+    let mut slots: Vec<Vec<Slot>> = vec![Vec::new(); network.alpha.len()];
+    if strategy == MemoryStrategy::Hashed {
+        for spec in network.nodes.iter().filter(|spec| !spec.key.is_empty()) {
+            let slots = &mut slots[spec.alpha.expect("keyed node has alpha").index()];
+            let slot = wme_slot(spec);
+            if !slots.contains(&slot) {
+                slots.push(slot);
+            }
+        }
+    }
+    slots.into_iter().map(Memory::new).collect()
+}
+
+impl Memory<WmeId> {
+    /// The slot a left activation of `spec`, a successor of this alpha
+    /// memory, probes it by: `None` for a node without an index key and
+    /// for a memory built with no slots.
+    pub fn probe_slot(&self, spec: &NodeSpec) -> Option<usize> {
+        (!spec.key.is_empty())
+            .then(|| self.slot_of(&wme_slot(spec)))
+            .flatten()
+    }
+
+    /// Files `id`, live in `wm`.
+    pub fn insert_wme(&mut self, id: WmeId, wm: &WorkingMemory) {
+        self.insert(id, wme_key(wm));
+    }
+
+    /// Unfiles `id` — still live in `wm`, by the matcher contract —
+    /// returning whether the memory held it.
+    pub fn remove_wme(&mut self, id: WmeId, wm: &WorkingMemory) -> bool {
+        self.remove(&id, wme_key(wm)).is_some()
+    }
+}
+
+/// Reads a slot's key off a WME through the caller's view.
+fn wme_key(wm: &WorkingMemory) -> impl Fn(&WmeId, &[KeyPart]) -> Option<u32> + '_ {
+    |id, slot| {
+        let wme = wm.get(*id)?;
+        kernel::fingerprint(slot.iter().map(|&(_, attr)| wme.get(attr)))
+    }
 }
 
 /// Where the index of a chained entry is stored.
@@ -63,21 +126,19 @@ impl<T> Memory<T> {
             slots: slots.into(),
             entries: Vec::new(),
             links: Vec::new(),
-            dirty: Cell::new(true),
+            edits: 0,
         }
     }
 
-    /// Marks the memory changed: for a change made inside an entry,
-    /// through a shared borrow, which [`Memory::insert`] and
-    /// [`Memory::remove`] do not see.
-    pub(crate) fn touch(&self) {
-        self.dirty.set(true);
+    /// Counts a change made inside an entry, through a shared borrow,
+    /// which [`Memory::insert`] and [`Memory::remove`] do not see.
+    pub(crate) fn touch(&mut self) {
+        self.edits += 1;
     }
 
-    /// Whether the memory changed since the last call, which this one
-    /// becomes.
-    pub(crate) fn take_dirty(&self) -> bool {
-        self.dirty.replace(false)
+    /// Changes made so far (see [`Memory::touch`]).
+    pub(crate) fn edits(&self) -> u64 {
+        self.edits
     }
 
     /// The slot reading `parts`, if this memory has one.
@@ -85,8 +146,13 @@ impl<T> Memory<T> {
         self.slots.iter().position(|slot| **slot == *parts)
     }
 
+    /// The entries, in arrival order as swap-removal left it.
+    pub fn entries(&self) -> &[T] {
+        &self.entries
+    }
+
     /// Number of key chains resident.
-    pub(crate) fn chains(&self) -> usize {
+    pub fn chains(&self) -> usize {
         self.heads.iter().map(FxHashMap::len).sum()
     }
 
@@ -107,7 +173,7 @@ impl<T> Memory<T> {
             self.links.push(next.unwrap_or(NIL));
         }
         self.entries.push(item);
-        self.dirty.set(true);
+        self.edits += 1;
     }
 
     /// Removes the entry equal to `item`, or returns `None` when the
@@ -151,7 +217,7 @@ impl<T> Memory<T> {
             }
         }
         self.links.truncate(last * k);
-        self.dirty.set(true);
+        self.edits += 1;
         Some(self.entries.swap_remove(at))
     }
 
@@ -208,11 +274,11 @@ impl<T> Memory<T> {
         })
     }
 
-    /// The candidates of one activation (see [`Memory::walk`]).
-    pub(crate) fn candidates(
-        &self,
-        probe: Option<(usize, Option<u32>)>,
-    ) -> impl Iterator<Item = &T> {
+    /// The candidates of one activation: every entry in arrival order
+    /// for a `None` probe, else the chain of `(slot, key)`, newest first
+    /// — empty for a `None` key (a WME or token without a keyed
+    /// attribute matches nothing).
+    pub fn candidates(&self, probe: Option<(usize, Option<u32>)>) -> impl Iterator<Item = &T> {
         self.walk(probe).map(|(_, entry)| entry)
     }
 
@@ -226,13 +292,17 @@ impl<T> Memory<T> {
         self.heads.iter().enumerate().map(slot).sum()
     }
 
-    /// Checks what [`Memory::remove`] and [`Memory::candidates`] rely
-    /// on, returning [`Memory::filed`]: every link (a head or an
-    /// entry's next) names an entry of the memory, no entry is named
-    /// twice within a slot, and every linked entry is on a chain that
-    /// starts at a head — chains then neither leave the memory, nor
-    /// merge, nor loop.
-    pub(crate) fn audit(&self) -> Result<usize, &'static str> {
+    /// Checks what removals and [`Memory::candidates`] rely on,
+    /// returning the entries filed on chains, once per slot: every link
+    /// (a head or an entry's next) names an entry of the memory, no
+    /// entry is named twice within a slot, and every linked entry is on
+    /// a chain that starts at a head — chains then neither leave the
+    /// memory, nor merge, nor loop.
+    ///
+    /// # Errors
+    ///
+    /// Names the first of those properties that does not hold.
+    pub fn audit(&self) -> Result<usize, &'static str> {
         let k = self.slots.len();
         if self.links.len() != self.entries.len() * k {
             return Err("links not parallel to entries");

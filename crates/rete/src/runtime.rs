@@ -17,7 +17,7 @@ use ops5::{Change, Error, Instantiation, MatchDelta, Matcher, Program, Wme, WmeI
 use psm_obs::{NodeDelta, Obs, ProfileKind};
 
 use crate::kernel::{self, ActivationKind, FlightStage, KeyPart, Sign, Work};
-use crate::memory::{Memory, Slot};
+use crate::memory::{alpha_memories, Memory, Slot};
 use crate::network::{CompileOptions, Network, NodeId, NodeKind, NodeSpec};
 use crate::profile::MatchProfile;
 use crate::snapshot::LastImage;
@@ -252,21 +252,8 @@ impl ReteMatcher {
     /// nothing after that looks at it.
     pub(crate) fn with_memory(network: Arc<Network>, memory: MemoryStrategy) -> Self {
         let keyed = |spec: &&NodeSpec| memory == MemoryStrategy::Hashed && !spec.key.is_empty();
-        let wme_slot = |spec: &NodeSpec| kernel::wme_parts(&spec.key).collect::<Slot>();
         let token_slot = |spec: &NodeSpec| kernel::token_parts(&spec.key).collect::<Slot>();
-        // Each alpha memory gets a slot per list of attributes its
-        // successor two-input nodes probe by — and only those: chaining
-        // every attribute of every WME costs more than the probes it
-        // could ever save.
-        let mut alpha_slots: Vec<Vec<Slot>> = vec![Vec::new(); network.alpha.len()];
-        for spec in network.nodes.iter().filter(keyed) {
-            let slots = &mut alpha_slots[spec.alpha.expect("keyed node has alpha").index()];
-            let slot = wme_slot(spec);
-            if !slots.contains(&slot) {
-                slots.push(slot);
-            }
-        }
-        let alpha_mems: Vec<_> = alpha_slots.into_iter().map(Memory::new).collect();
+        let alpha_mems = alpha_memories(&network, memory);
         // A negative node whose left input holds the top token holds it
         // itself from the start (its right memory begins empty, so the
         // token passes).
@@ -301,7 +288,7 @@ impl ReteMatcher {
             .collect();
         let probe = |spec: &NodeSpec| Probe {
             right: alpha_mems[spec.alpha.expect("two-input node has alpha").index()]
-                .slot_of(&wme_slot(spec))
+                .probe_slot(spec)
                 .expect("alpha memory has a slot per probing successor"),
             left: match (spec.kind, spec.left.map(|left| &states[left.index()])) {
                 (NodeKind::Negative, _) => Some(0),
@@ -618,13 +605,9 @@ impl ReteMatcher {
         let deferred = &mut scratch.deferred;
         for &alpha in alphas.iter() {
             let mem = &mut self.alpha_mems[alpha.index()];
-            let key_of = |id: &WmeId, slot: &[KeyPart]| {
-                let wme = wm.get(*id)?;
-                kernel::fingerprint(slot.iter().map(|&(_, attr)| wme.get(attr)))
-            };
             match sign {
-                Sign::Plus => mem.insert(id, key_of),
-                Sign::Minus => drop(mem.remove(&id, key_of)),
+                Sign::Plus => mem.insert_wme(id, wm),
+                Sign::Minus => drop(mem.remove_wme(id, wm)),
             }
             self.stats.alpha_mem_ops += 1;
             let successors = &net.alpha_successors[alpha.index()];
@@ -800,10 +783,9 @@ impl ReteMatcher {
                 let wme = wm.get(wme_id).expect("live wme");
                 let probe = self.left_probe(spec, node, wme);
                 let memory = &*self.neg_memory(node);
+                let mut moved = false;
                 let recount = |entry: &NegEntry| {
-                    // A count moves where `insert` and `remove` do not
-                    // look.
-                    memory.touch();
+                    moved = true;
                     let before = entry.count.get();
                     let flipped = match sign {
                         Sign::Plus => {
@@ -822,6 +804,11 @@ impl ReteMatcher {
                 };
                 let candidates = memory.candidates(probe);
                 let work = kernel::scan_tokens(&spec.tests, candidates, wme, resolve, recount);
+                if moved {
+                    // A count moved where `insert` and `remove` do not
+                    // look.
+                    self.neg_memory(node).touch();
+                }
                 // A new right match retracts instantiations; a removed
                 // one re-asserts them: the propagated sign is inverted.
                 (work, sign.invert())

@@ -18,9 +18,9 @@
 //!
 //! A snapshot costs what changed since the one before it (the same §3.1
 //! argument once more): the image is one section per alpha memory and
-//! per node, a memory knows whether it changed since its section was
-//! last written (`Memory::take_dirty`), and the matcher keeps the image
-//! it returned last with where each section ends in it. Sections of
+//! per node, a memory counts the changes made to it (`Memory::edits`),
+//! and the matcher keeps the image it returned last with where each
+//! section ends in it and the count it was written at. Sections of
 //! memories that changed go through `encode_memory`; every run of
 //! sections that did not is copied from the kept image in one piece. The
 //! bytes are those of an encode from nothing — which is the same code
@@ -255,6 +255,8 @@ pub(crate) struct LastImage {
     bytes: Arc<Vec<u8>>,
     /// Section `i` is `bounds[i]..bounds[i + 1]` of `bytes`.
     bounds: Vec<usize>,
+    /// Section `i` holds its memory as of `edits[i]` changes.
+    edits: Vec<u64>,
 }
 
 /// An image under way: sections arrive in image order, each either
@@ -266,6 +268,9 @@ struct Sections<'a> {
     /// The unchanged sections not copied yet, as a range of `last`.
     run: Range<usize>,
     bounds: Vec<usize>,
+    /// The edit counts of `last`'s sections, overwritten with this
+    /// image's as its sections arrive (empty without a `last`).
+    edits: Vec<u64>,
     unchanged: Vec<(usize, usize, usize)>,
     encoded: usize,
     parts: ImageParts,
@@ -273,12 +278,19 @@ struct Sections<'a> {
 }
 
 impl Sections<'_> {
-    /// The next section: `encode`d when `dirty` or when there is no
-    /// image to copy it from.
-    fn section(&mut self, dirty: bool, encode: impl FnOnce(&mut Self)) {
+    /// The next section, of a memory that has seen `edits` changes:
+    /// `encode`d unless the last image holds it at that count.
+    fn section(&mut self, edits: u64, encode: impl FnOnce(&mut Self)) {
         let i = self.bounds.len() - 1;
+        let held = match self.edits.get_mut(i) {
+            Some(last) => std::mem::replace(last, edits) == edits,
+            None => {
+                self.edits.push(edits);
+                false
+            }
+        };
         match self.last {
-            Some(last) if !dirty => {
+            Some(last) if held => {
                 if self.run.is_empty() {
                     self.run = last.bounds[i]..last.bounds[i];
                 }
@@ -338,7 +350,8 @@ impl ReteMatcher {
 
     /// The image, and where the bytes of its encoded sections went.
     fn encode(&self) -> (ReteSnapshot, ImageParts) {
-        let last = self.last_image.take();
+        let mut last = self.last_image.take();
+        let edits = last.as_mut().map(|last| std::mem::take(&mut last.edits));
         let mut w = ByteWriter::with_header(MAGIC, VERSION);
         // What the last image took, and room for what arrived since.
         w.reserve(last.as_ref().map_or(0, |last| last.bytes.len() * 9 / 8));
@@ -351,40 +364,43 @@ impl ReteMatcher {
         for field in stat_fields(&mut self.stats.clone()) {
             w.u64(*field);
         }
-        let mut bounds = Vec::with_capacity(self.alpha_mems.len() + self.states.len() + 1);
+        let sections = self.alpha_mems.len() + self.states.len();
+        let mut bounds = Vec::with_capacity(sections + 1);
         bounds.push(w.len());
         let mut image = Sections {
             w,
             last: last.as_ref(),
             run: 0..0,
             bounds,
+            edits: edits.unwrap_or_else(|| Vec::with_capacity(sections)),
             unchanged: Vec::new(),
             encoded: 0,
             parts: ImageParts::default(),
             scratch: Vec::new(),
         };
         for memory in &self.alpha_mems {
-            image.section(memory.take_dirty(), |image| {
+            image.section(memory.edits(), |image| {
                 image.memory(memory, encode_wme);
             });
         }
         for state in &self.states {
             match state {
-                NodeState::Mem(memory) => image.section(memory.take_dirty(), |image| {
+                NodeState::Mem(memory) => image.section(memory.edits(), |image| {
                     image.w.u8(0);
                     image.memory(memory, encode_token);
                 }),
-                NodeState::Neg(memory) => image.section(memory.take_dirty(), |image| {
+                NodeState::Neg(memory) => image.section(memory.edits(), |image| {
                     image.w.u8(1);
                     image.memory(memory, encode_negative);
                 }),
-                NodeState::Stateless => image.section(false, |image| image.w.u8(2)),
+                NodeState::Stateless => image.section(0, |image| image.w.u8(2)),
             }
         }
         image.copy_run();
         let Sections {
             w,
             bounds,
+            edits,
             unchanged,
             encoded,
             mut parts,
@@ -396,6 +412,7 @@ impl ReteMatcher {
         self.last_image.replace(Some(LastImage {
             bytes: Arc::clone(&bytes),
             bounds,
+            edits,
         }));
         let snapshot = ReteSnapshot {
             bytes,

@@ -101,13 +101,26 @@ fn one_thread_parallel_engine_serves_the_pinned_bodies() {
     };
     let mut matcher = ParallelReteMatcher::compile(&program, options).expect("compiles");
     matcher.attach_obs(Arc::clone(&obs));
+    // Re-recorded once, when the engine's right input became the shared
+    // alpha memory and a join or negative node whose left memory is
+    // empty at the start of a phase stopped getting a seed task. Gone
+    // are 11 of 55 records, and the rest renumbered in the same order:
+    // in cycle 0 the `join-R` activations of nodes 2 and 4 for WMEs 0
+    // and 1; in cycle 1 those of node 7 for WMEs 0 and 1 and of node 4
+    // for WME 3, and four `term` activations of node 8 — the top token
+    // that the goal's retraction unblocks at node 7 no longer meets the
+    // two blocks retracted in the same phase (node 7 counts as seeded),
+    // so `+[0] +[1]` and the `−[0] −[1]` that cancelled them are not
+    // made. The pins before, of 1 099 / 2 325 / 117 / 112 bytes:
+    // 0x2307_a288_f8ba_6279, 0x06b7_c0b5_67ee_8cbe, 0xc074_4f5f_1388_93f6,
+    // 0xbba2_6f6c_7f3c_57a9; the bodies now are 784 / 1 812 / 117 / 112.
     assert_eq!(
         pins(&obs, program, &wm_src, matcher),
         [
-            0x2307_a288_f8ba_6279,
-            0x06b7_c0b5_67ee_8cbe,
-            0xc074_4f5f_1388_93f6,
-            0xbba2_6f6c_7f3c_57a9,
+            0x037f_2765_a330_1857,
+            0xacc9_710d_ca7d_46f5,
+            0xe8ae_678c_4f31_3826,
+            0x5b88_6a94_c41f_fcc7,
         ]
     );
 }

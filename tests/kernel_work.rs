@@ -68,9 +68,14 @@ fn one_thread_parallel_work_is_pinned() {
     driver.init(&mut matcher);
     driver.run_cycles(&mut matcher, CYCLES);
     let s = matcher.stats();
+    // `tasks` re-pinned once, when the engine's right input became the
+    // shared alpha memory and a join or negative node whose left memory
+    // is empty at the start of a phase stopped getting a seed task:
+    // 18 745 before, 11 260 after. `join_tests` and `pairs_scanned` did
+    // not move.
     assert_eq!(
         (s.join_tests, s.pairs_scanned, s.tasks),
-        (572, 2762, 18745),
+        (572, 2762, 11260),
         "parallel work moved: {s:?}"
     );
 }
