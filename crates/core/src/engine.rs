@@ -7,31 +7,39 @@
 //! tracing, and the per-node lock are paid once per node per phase
 //! fragment, not once per WME change).
 //!
-//! **Memories.** The WMEs are where the sequential matcher keeps them:
-//! one [`rete::Memory`] per alpha node, built by the same
-//! [`alpha_memories`] with the same key slots, read by every two-input
-//! node it feeds. Only the caller writes an alpha memory, and only
-//! between phases — a batch's assertions are filed at the start of the
-//! add phase and its retractions unfiled at the end of the remove
-//! phase — so during a phase they are plain shared data. A right
-//! activation files nothing: it scans the node's left memory, private
-//! to the node and guarded by its lock, whose entries (signed presence,
-//! each held once) sit in buckets by their index key's fingerprint.
-//! Either way an activation scans the one chain or bucket its own key
-//! selects, the same candidates the sequential matcher scans.
+//! **Memories.** The engine keeps the sequential matcher's state where
+//! the sequential matcher keeps it: one [`rete::Memory`] per alpha node
+//! and one per beta memory a join reads, built by the same
+//! [`alpha_memories`] and [`beta_memories`] with the same key slots.
+//! Only the caller writes them, and only between phases: a batch's
+//! assertions are filed into the alpha memories at the start of the add
+//! phase and its retractions unfiled at the end of the remove phase, and
+//! the tokens a phase's joins emit are filed into their beta memories
+//! when the phase ends. During a phase they are plain shared data.
+//! Negative nodes, and joins whose left input is a negative node or the
+//! top token, keep a private left memory instead (a `Side`: signed
+//! presence, each entry held once, in buckets by its index key's
+//! fingerprint), guarded by the node's lock. Either way an activation
+//! scans the one chain or bucket its own key selects, the same
+//! candidates the sequential matcher scans.
 //!
-//! **Visibility.** A private right memory used to hold a WME from the
-//! moment the node's own right activation for it ran; the shared alpha
-//! memory holds it for the whole phase. So each WME the batch changes
-//! is stamped with its phase, each node records the phase its right
-//! seeds last ran in, and a left activation in phase *p* skips an
-//! entry stamped *p* when, in the add phase, the node's seeds have not
-//! run yet, or, in the remove phase, they have — exactly what the
-//! private memory held, so joins see the same pairs in either order
-//! of a node's seed and a token carrying the same new WME. A join or
-//! negative node whose left memory holds nothing when the phase starts
-//! gets no seed task at all (its right activations would scan
-//! nothing): it counts as seeded from the start.
+//! **Visibility.** A join under a beta memory follows the join delta
+//! rule for signed changes, Δ(L⋈R) = ΔL⋈R′ + L⋈ΔR. Its right activation
+//! scans the beta memory as the phase found it (L). Its left activation
+//! scans the alpha memory as the phase leaves it (R′): the phase's
+//! assertions are filed before it starts, and its retractions are hidden
+//! by the phase stamp each changed WME carries. Each pair is then made or
+//! retracted exactly once, in whatever order the tasks run and whatever
+//! mix of signs comes down the left input. A node with a private left
+//! memory sees its alpha memory as a private right memory would have
+//! held it: each such node records the phase its right seeds last ran
+//! in, and a left activation in phase *p* skips an entry stamped *p*
+//! when, in the add phase, the node's seeds have not run yet, or, in the
+//! remove phase, they have. A node whose left input holds nothing when
+//! the phase starts gets no seed task (its right activations would scan
+//! nothing); one with a private left memory then counts as seeded from
+//! the start. A join under a beta memory gets no left task while its
+//! alpha memory is empty: it would scan nothing and file nothing.
 //!
 //! **Scheduling.** Tasks are drained by a work-first [`WorkerPool`] —
 //! the software analogue of the paper's hardware task scheduler. The thread
@@ -39,9 +47,11 @@
 //! once; `threads − 1` helper threads stay parked and are woken only for
 //! a phase whose seed backlog repays a futex wake. Every worker pops its
 //! own deque LIFO (locality) and steals FIFO from peers when it runs
-//! dry. Deques, per-worker scratch, the per-node task grouping and the
-//! payload buffers all live as long as the matcher, so a steady-state
-//! phase neither hashes nor allocates to dispatch.
+//! dry. A phase that wakes nobody is drained by the caller through
+//! `&mut self`: no node lock, no deque lock and no atomic. Deques,
+//! per-worker scratch, the per-node task grouping and the payload
+//! buffers all live as long as the matcher, so a steady-state phase
+//! neither hashes nor allocates to dispatch.
 //!
 //! Every worker keeps [`WorkerStats`] counters (tasks, steals, idle
 //! spins, queue depth, lock wait) that are merged after each phase and
@@ -54,19 +64,20 @@ use std::borrow::Borrow;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::hash::Hash;
-use std::panic::resume_unwind;
+use std::ops::DerefMut;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use psm_obs::metrics::{Counter, Gauge};
-use psm_obs::{NodeDelta, Obs, ProfileKind};
+use psm_obs::{NodeDelta, NodeProfiler, Obs, ProfileKind};
 
 use ops5::{
     Change, Error, FxHashMap, Instantiation, MatchDelta, Matcher, Program, WmeId, WorkingMemory,
 };
 use rete::kernel::{self, FlightStage, Work};
-use rete::memory::alpha_memories;
+use rete::memory::{alpha_memories, beta_memories};
 use rete::network::NodeKind;
 use rete::{
     ActivationKind, AlphaId, Bucket, CompileOptions, Memory, MemoryStrategy, Network, NodeId,
@@ -394,8 +405,12 @@ impl<K> Filing<K> {
 /// stream fills a row: vt's buckets hold one to three entries.
 const FEW: usize = 16;
 
-/// The left (token) memory of a two-input node: signed presence, each
-/// entry held once. On a node with an index key ([`rete::NodeSpec::key`],
+/// The private left (token) memory of a negative node, or of a join
+/// whose left input is a negative node or the top token (a join under a
+/// beta memory reads that): signed presence, each entry held once, so
+/// that a minus arriving before its plus leaves a debt the plus cancels
+/// (a negative node's outputs can arrive in either order within a
+/// phase). On a node with an index key ([`rete::NodeSpec::key`],
 /// every equality test it has, read through [`kernel::left_key`] and
 /// probed by [`kernel::right_key`] — the same keying as the sequential
 /// matcher's hashed memories, so both runtimes probe identical candidate
@@ -529,18 +544,29 @@ impl<K: Clone + Eq + Hash> Side<K> {
     }
 }
 
-/// Lock-protected state of one node: a two-input node's private left
-/// memory, and the phase its right seeds last ran in (the visibility
-/// rule, module docs); its right input is the alpha memory every node
-/// it feeds shares. Terminals hold an empty slot — their lock
-/// serializes nothing but keeps `exec` uniform.
+/// Lock-protected state of one node: the private left memory of a node
+/// that keeps one, and the phase its right seeds last ran in (the
+/// visibility rule, module docs). A join under a beta memory and a
+/// terminal hold an empty slot, whose lock a task of theirs takes only
+/// to inject a poisoned-lock fault.
 #[derive(Debug, Default)]
 struct NodeSlot {
     left: Side<Token>,
     seeded: u64,
 }
 
-/// What the tasks of one phase share besides the matcher.
+/// The key slots a node's activations probe: a left activation its
+/// alpha memory's, a right activation of a join under a beta memory
+/// that memory's; `None` for a node without an index key (it scans
+/// them all).
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    right: Option<usize>,
+    left: Option<usize>,
+}
+
+/// What the tasks of one phase share: the network and the memories,
+/// which nothing writes during a phase, and the phase's coordinates.
 struct PhaseCx<'a> {
     /// The caller's working memory: every WME a task reads, by the
     /// matcher contract.
@@ -549,8 +575,100 @@ struct PhaseCx<'a> {
     seq: u64,
     /// The add phase (else the remove phase).
     adding: bool,
+    network: &'a Network,
+    topo: &'a ParallelTopology,
+    alpha: &'a [Memory<WmeId>],
+    beta: &'a [Memory<Token>],
+    probes: &'a [Probe],
+    stamps: &'a [u64],
+    /// Node slots of the attached profiler (0: off, or none attached).
+    prof_slots: usize,
+    /// The attached profiler, while it records per-node latency.
+    latency: Option<&'a NodeProfiler>,
+    /// Collect lock-wait and exec timing.
+    timing: bool,
+    fault: Option<&'a dyn FaultInjector>,
+    /// The matcher's count of injected faults.
+    faults: &'a AtomicU64,
+}
+
+/// How a worker reaches what it writes during a phase besides its own
+/// scratch: the node slots and its own deque. While helpers may run,
+/// through their locks ([`Locked`]); while the caller drains a phase
+/// alone, through `&mut` ([`Alone`]), so with no lock and no atomic.
+trait Reach {
+    /// The slot of node `at` (lock wait timed into `worker` when the
+    /// phase is timed).
+    fn slot(&mut self, at: usize, worker: &mut WorkerStats) -> impl DerefMut<Target = NodeSlot>;
+
+    /// Panics holding the lock of node `at`'s slot: an injected
+    /// poisoned lock.
+    fn poison(&mut self, at: usize) -> !;
+
+    /// This worker's deque, with `spawned` more tasks counted pending.
+    fn queue(&mut self, spawned: usize) -> impl DerefMut<Target = VecDeque<Task>>;
+}
+
+/// [`Reach`] in a phase the helpers share.
+struct Locked<'a> {
+    states: &'a [Mutex<NodeSlot>],
+    queue: &'a Mutex<VecDeque<Task>>,
     /// Tasks queued or running.
     pending: &'a AtomicUsize,
+    recovered: &'a AtomicU64,
+    timing: bool,
+}
+
+impl Reach for Locked<'_> {
+    fn slot(&mut self, at: usize, worker: &mut WorkerStats) -> impl DerefMut<Target = NodeSlot> {
+        let mutex = &self.states[at];
+        if !self.timing {
+            return relock(mutex, self.recovered);
+        }
+        let t0 = Instant::now();
+        let guard = relock(mutex, self.recovered);
+        worker.lock_wait_ns += t0.elapsed().as_nanos() as u64;
+        guard
+    }
+
+    fn poison(&mut self, at: usize) -> ! {
+        let _held = relock(&self.states[at], self.recovered);
+        panic!("injected fault: lock poison");
+    }
+
+    fn queue(&mut self, spawned: usize) -> impl DerefMut<Target = VecDeque<Task>> {
+        self.pending.fetch_add(spawned, Ordering::AcqRel);
+        relock(self.queue, self.recovered)
+    }
+}
+
+/// [`Reach`] in a phase the caller drains alone: its deque holds every
+/// task that is pending.
+struct Alone<'a> {
+    states: &'a mut [Mutex<NodeSlot>],
+    queue: &'a mut VecDeque<Task>,
+    recovered: &'a AtomicU64,
+}
+
+impl Reach for Alone<'_> {
+    fn slot(&mut self, at: usize, _: &mut WorkerStats) -> impl DerefMut<Target = NodeSlot> {
+        // What `relock` does, through `&mut`: a poisoned slot is
+        // recovered and counted.
+        let recovered = self.recovered;
+        self.states[at].get_mut().unwrap_or_else(|poisoned| {
+            recovered.fetch_add(1, Ordering::Relaxed);
+            poisoned.into_inner()
+        })
+    }
+
+    fn poison(&mut self, at: usize) -> ! {
+        let _held = lock(&self.states[at]);
+        panic!("injected fault: lock poison");
+    }
+
+    fn queue(&mut self, _: usize) -> impl DerefMut<Target = VecDeque<Task>> {
+        &mut *self.queue
+    }
 }
 
 /// Per-worker scratch. Lives as long as the matcher; the counters are
@@ -575,6 +693,9 @@ struct WorkerLocal {
     flight: FlightStage,
     /// Scratch for the tokens one `exec` emits; empty between tasks.
     emitted: Vec<(Token, Sign)>,
+    /// The tokens this phase's joins emitted toward a beta memory, with
+    /// the memory's position: filed by the caller when the phase ends.
+    filings: Vec<(u32, Token, Sign)>,
     /// Drained payload buffers awaiting reuse by the next task this
     /// worker builds (worker 0's also serve the seed grouping), and
     /// their capacities summed.
@@ -611,7 +732,7 @@ impl WorkerLocal {
 }
 
 /// Seed payloads dispatched in a phase from which it wakes the parked
-/// helpers; the payloads of nodes with an empty left memory are not
+/// helpers; the payloads of nodes with an empty left input are not
 /// dispatched and do not count. On the 2-CPU reference host a notify
 /// costs the caller 10 µs and the helper is running 45 µs (p50; 108 µs
 /// p90) after it, while a seed payload stood for ~0.45 µs of phase work
@@ -623,7 +744,9 @@ impl WorkerLocal {
 /// per change, 129 at most in a phase (1000 cycles, seed 10). At 1024
 /// payloads the phase is ~0.46 ms of work and the wake a tenth of it —
 /// extrapolated, not swept: no benchmark workload seeds a phase that
-/// large yet (DESIGN.md §12).
+/// large yet (DESIGN.md §12). A phase under the threshold is drained by
+/// the caller alone and takes no lock, which made small phases cheaper
+/// again; the threshold was not re-derived for that.
 const WAKE_BACKLOG: usize = 1024;
 
 /// The additive [`WorkerStats`] fields, in the order [`Series`]
@@ -721,9 +844,11 @@ pub struct ParallelReteMatcher {
     /// One per alpha node, shared by the two-input nodes it feeds;
     /// written between phases only.
     alpha: Vec<Memory<WmeId>>,
-    /// Per node: the slot of its alpha memory a left activation probes,
-    /// `None` for a node without an index key (it scans them all).
-    probes: Vec<Option<usize>>,
+    /// One per beta memory a join reads (`topo.memories`), shared by the
+    /// joins under it; written between phases only.
+    beta: Vec<Memory<Token>>,
+    /// Per node: the key slots its activations probe.
+    probes: Vec<Probe>,
     /// Per WME id: the phase it last changed in (0: none — the stamp
     /// of a WME whose assertion and retraction one batch netted out).
     stamps: Vec<u64>,
@@ -810,10 +935,10 @@ impl ParallelReteMatcher {
     /// Builds the matcher over an already-compiled network.
     pub fn from_network(network: Arc<Network>, threads: usize) -> Self {
         let topo = ParallelTopology::from_network(&network);
-        // Every node's left store is private, so each node whose left
-        // input passes the dummy top token holds its own copy. It is
-        // held by item: such a node has no earlier positive CEs and
-        // therefore no equality test to key on.
+        // Each node whose left input passes the dummy top token holds
+        // its own copy in its private left memory. It is held by item:
+        // such a node has no earlier positive CEs and therefore no
+        // equality test to key on.
         let states = kernel::top_token_inputs(&network)
             .into_iter()
             .map(|holds_top| {
@@ -829,10 +954,18 @@ impl ParallelReteMatcher {
             })
             .collect();
         let alpha = alpha_memories(&network, MemoryStrategy::Hashed);
+        let kept = |(node, _): &(NodeId, _)| topo.memories.binary_search(node).is_ok();
+        let betas = beta_memories(&network, MemoryStrategy::Hashed).filter(kept);
+        let beta: Vec<_> = betas.map(|(_, memory)| memory).collect();
+        let probe = |(spec, left): (&NodeSpec, &Option<u32>)| Probe {
+            right: spec.alpha.and_then(|at| alpha[at.index()].probe_slot(spec)),
+            left: left.and_then(|at| beta[at as usize].probe_slot(spec)),
+        };
         let probes = network
             .nodes
             .iter()
-            .map(|spec| alpha[spec.alpha?.index()].probe_slot(spec))
+            .zip(&topo.left_memory)
+            .map(probe)
             .collect();
         let threads = threads.max(1);
         let nodes = network.nodes.len();
@@ -840,6 +973,7 @@ impl ParallelReteMatcher {
             topo,
             states,
             alpha,
+            beta,
             probes,
             stamps: Vec::new(),
             inserts: Vec::new(),
@@ -965,19 +1099,19 @@ impl ParallelReteMatcher {
         self.sanitizer = Some(sanitizer);
     }
 
-    /// Tokens resident across all node left stores, excluding the
-    /// permanent dummy-top seeds. Zero once the working memory has been
-    /// emptied — the state-purge invariant shared with the sequential
-    /// matcher.
+    /// Tokens resident in the beta memories and the private left
+    /// memories, excluding the permanent dummy-top seeds: a token in a
+    /// beta memory counts once, however many joins read it. Zero once
+    /// the working memory has been emptied — the state-purge invariant
+    /// shared with the sequential matcher.
     pub fn resident_tokens(&self) -> usize {
-        self.states
-            .iter()
-            .map(|slot| {
-                let slot = relock(slot, &self.poison_recovered);
-                let present = |(t, e): &(&Token, &Entry)| e.presence > 0 && !t.is_empty();
-                slot.left.entries().filter(present).count()
-            })
-            .sum()
+        let filed: usize = self.beta.iter().map(|memory| memory.entries().len()).sum();
+        let private = self.states.iter().map(|slot| {
+            let slot = relock(slot, &self.poison_recovered);
+            let present = |(t, e): &(&Token, &Entry)| e.presence > 0 && !t.is_empty();
+            slot.left.entries().filter(present).count()
+        });
+        filed + private.sum::<usize>()
     }
 
     /// Stamps the batch's WMEs with the phase that changes them, lists
@@ -1030,11 +1164,13 @@ impl ParallelReteMatcher {
         }
     }
 
-    /// Runs one phase with the alpha-memory changes around it: the
-    /// batch's assertions are filed before the add phase drains and its
-    /// retractions unfiled after the remove phase has — on every way
-    /// out, so that a genuine panic re-raised from the remove phase
-    /// leaves neither them nor the add phase pending for the next batch.
+    /// Runs one phase with the memory changes around it: the batch's
+    /// assertions are filed into the alpha memories before the add phase
+    /// drains, and the tokens a phase emitted toward a beta memory after
+    /// it has, as are the batch's retractions after the remove phase —
+    /// on every way out, so that a genuine panic re-raised from either
+    /// phase leaves none of them, nor the add phase, pending for the
+    /// next batch.
     fn run_phase(&mut self, wm: &WorkingMemory, sign: Sign) -> MatchDelta {
         self.phase_seq += 1;
         if sign.is_plus() {
@@ -1043,6 +1179,7 @@ impl ParallelReteMatcher {
             }
         }
         let (delta, panicked) = self.drain_phase(wm, sign);
+        self.file_tokens(wm);
         if !sign.is_plus() {
             for (alpha, id) in self.unlinks.drain(..) {
                 self.alpha[alpha.index()].remove_wme(id, wm);
@@ -1058,21 +1195,45 @@ impl ParallelReteMatcher {
         delta
     }
 
+    /// Files the tokens the phase's joins emitted toward a beta memory:
+    /// every plus first, then every minus. A memory is a multiset, so
+    /// that nets each token out — one the phase made and retracted
+    /// again is inserted and removed — and every minus finds its token,
+    /// in whatever order the workers emitted the two.
+    fn file_tokens(&mut self, wm: &WorkingMemory) {
+        for local in &mut self.locals {
+            for (memory, token, sign) in &unlocked(local).filings {
+                if sign.is_plus() {
+                    self.beta[*memory as usize].insert_token(token.clone(), wm);
+                }
+            }
+        }
+        for local in &mut self.locals {
+            for (memory, token, sign) in unlocked(local).filings.drain(..) {
+                if !sign.is_plus() {
+                    self.beta[memory as usize].remove_token(&token, wm);
+                }
+            }
+        }
+    }
+
     /// Drains the seed tasks grouped in `removes` or `adds` (and their
     /// descendants) across the worker pool, returning the merged signed
     /// delta and the payload of a genuine panic to re-raise.
     ///
-    /// The seeds of a join or negative node whose left memory holds no
-    /// entry, present or owed, are not dispatched — they would scan
-    /// nothing and change nothing — and the node counts as seeded from
-    /// the start of the phase. Scheduling: the calling thread is worker 0
-    /// and starts draining at once. A small phase (seed backlog under
-    /// [`WAKE_BACKLOG`]) puts every seed task on the caller's own deque
-    /// and wakes nobody; a large one deals the seeds round-robin over
-    /// all deques and wakes the parked helpers, which join if they
-    /// arrive before the phase is drained. Spawned children go to the
-    /// spawning worker's own deque, popped LIFO for locality; a worker
-    /// whose deque runs dry steals FIFO from a peer (oldest first —
+    /// The seeds of a node whose left input holds no entry, present or
+    /// owed, are not dispatched — they would scan nothing and change
+    /// nothing. For a join under a beta memory that is exact, because the
+    /// memory does not change before the phase ends; a node with a
+    /// private left memory counts as seeded from the start of the phase.
+    /// Scheduling: the calling thread is worker 0 and starts draining at
+    /// once. A small phase (seed backlog under [`WAKE_BACKLOG`]) wakes
+    /// nobody: the caller drains it alone through `&mut self`, its own
+    /// deque holding every pending task. A large one deals the seeds
+    /// round-robin over all deques and wakes the parked helpers, which
+    /// join if they arrive before the phase is drained. Spawned children
+    /// go to the spawning worker's own deque, popped LIFO for locality; a
+    /// worker whose deque runs dry steals FIFO from a peer (oldest first —
     /// classic work stealing, on `std::sync` only). The phase is over
     /// when the caller finds no task anywhere and `pending == 0`
     /// (nothing queued or in flight), and the pool has seen every helper
@@ -1087,8 +1248,12 @@ impl ParallelReteMatcher {
             Sign::Minus => ("remove", &mut self.removes),
             Sign::Plus => ("add", &mut self.adds),
         };
-        let (states, network) = (&mut self.states, &self.network);
+        let (states, network, topo, beta) =
+            (&mut self.states, &self.network, &self.topo, &self.beta);
         seeds.prune(unlocked(&mut self.locals[0]), |node| {
+            if let Some(memory) = topo.left_memory[node.index()] {
+                return beta[memory as usize].entries().is_empty();
+            }
             let slot = unlocked(&mut states[node.index()]);
             let two_input = matches!(network.node(node).kind, NodeKind::Join | NodeKind::Negative);
             let idle = two_input && slot.left.is_empty();
@@ -1107,100 +1272,109 @@ impl ParallelReteMatcher {
         for (i, task) in seeds.drain().enumerate() {
             unlocked(&mut self.deques[i % workers]).push_back(task);
         }
+        let timing = self.timing;
+        // Per-node latency rides the existing per-task timing clock
+        // reads, so it costs nothing extra beyond the histogram add;
+        // like the span layer it waits for the detail toggle.
+        let profile = self.obs.as_ref().map(|m| &m.obs.profile);
+        let detail = self.obs.as_ref().is_some_and(|m| m.obs.detail());
         let cx = PhaseCx {
             wm,
             seq: phase_seq,
             adding: sign.is_plus(),
-            pending: &pending,
+            network: &self.network,
+            topo: &self.topo,
+            alpha: &self.alpha,
+            beta: &self.beta,
+            probes: &self.probes,
+            stamps: &self.stamps,
+            prof_slots: profile.map_or(0, NodeProfiler::capacity),
+            latency: profile.filter(|p| timing && detail && p.enabled()),
+            timing,
+            fault: self.fault.as_deref(),
+            faults: &self.injected_faults,
         };
-        let timing = self.timing;
-        let task_seq = AtomicU64::new(0);
-        // Take the pool out so the phase job below can borrow `self`
-        // shared; created lazily on the first non-empty phase.
+        // Created lazily on the first non-empty phase.
         let mut pool = self.pool.take().unwrap_or_else(|| WorkerPool::new(threads));
-        // Per-node latency rides the existing per-task timing clock
-        // reads, so it costs nothing extra beyond the histogram add;
-        // like the span layer it waits for the detail toggle.
-        let prof_latency = timing
-            && self
-                .obs
-                .as_ref()
-                .is_some_and(|m| m.obs.profile.enabled() && m.obs.detail());
-        let this: &ParallelReteMatcher = self;
-        let job = |me: usize| {
-            let local = &mut *lock(&this.locals[me]);
-            let recovered = &this.poison_recovered;
-            loop {
-                let mut next = relock(&this.deques[me], recovered).pop_back();
-                if next.is_none() {
-                    for k in 1..workers {
-                        let victim = (me + k) % workers;
-                        local.worker.steal_attempts += 1;
-                        if let Some(t) = relock(&this.deques[victim], recovered).pop_front() {
-                            local.worker.steals += 1;
-                            next = Some(t);
-                            break;
-                        }
-                    }
-                }
-                let Some(task) = next else {
-                    // Pops (including a probe of every peer) came up
-                    // empty. `pending` counts queued plus in-flight
-                    // tasks, so zero here means the phase is fully
-                    // drained; otherwise a peer is still executing and
-                    // may yet spawn children.
-                    if pending.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    local.worker.idle_spins += 1;
-                    std::thread::yield_now();
-                    continue;
-                };
-                // Decrement on drop so a panicking task cannot leave
-                // siblings spinning forever.
-                let _guard = PendingGuard(&pending);
-                let action = match &this.fault {
-                    Some(f) => {
-                        let seq = task_seq.fetch_add(1, Ordering::Relaxed);
-                        f.on_task(phase_seq, seq, me)
-                    }
-                    None => FaultAction::None,
-                };
-                match action {
-                    FaultAction::DropTask => {
-                        this.injected_faults.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    FaultAction::PanicWorker => {
-                        this.injected_faults.fetch_add(1, Ordering::Relaxed);
-                        panic!("injected fault: worker panic");
-                    }
-                    FaultAction::None | FaultAction::PoisonLock => {}
-                }
-                let started = timing.then(Instant::now);
-                let node = task.node.index() as u32;
-                let poison = action == FaultAction::PoisonLock;
-                this.exec(task, local, poison, &this.deques[me], &cx);
-                if let Some(t0) = started {
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    local.worker.exec_ns += ns;
-                    if prof_latency {
-                        if let Some(m) = &this.obs {
-                            m.obs.profile.record_latency(node, ns);
-                        }
-                    }
-                }
-            }
-        };
         // A panic (injected, or a genuine bug) costs the task it struck
         // and, on a helper, the thread: the other workers — and the
-        // caller, whose copy of the job the pool re-enters — drain the
-        // rest (the `PendingGuard` keeps `pending` honest), and the
-        // pool respawns dead helpers after the phase, handing back the
+        // caller, whose copy of the job is re-entered — drain the rest
+        // (the `PendingGuard` keeps `pending` honest), and the pool
+        // respawns dead helpers after the phase, handing back the
         // payloads. With a fault injector attached the panic is
-        // contained and surfaced through `take_faults`, whoever drew
-        // it; without one it propagates, once the epilogue has run.
-        let dead = pool.run(wake, &job);
+        // contained and surfaced through `take_faults`, whoever drew it;
+        // without one it propagates, once the epilogue has run.
+        let dead = if wake {
+            let (states, deques, locals) = (&self.states, &self.deques, &self.locals);
+            let recovered = &self.poison_recovered;
+            let task_seq = AtomicU64::new(0);
+            let job = |me: usize| {
+                let local = &mut *lock(&locals[me]);
+                let mut reach = Locked {
+                    states,
+                    queue: &deques[me],
+                    pending: &pending,
+                    recovered,
+                    timing,
+                };
+                loop {
+                    let mut next = relock(&deques[me], recovered).pop_back();
+                    if next.is_none() {
+                        for k in 1..workers {
+                            let victim = (me + k) % workers;
+                            local.worker.steal_attempts += 1;
+                            if let Some(t) = relock(&deques[victim], recovered).pop_front() {
+                                local.worker.steals += 1;
+                                next = Some(t);
+                                break;
+                            }
+                        }
+                    }
+                    let Some(task) = next else {
+                        // Pops (including a probe of every peer) came up
+                        // empty. `pending` counts queued plus in-flight
+                        // tasks, so zero here means the phase is fully
+                        // drained; otherwise a peer is still executing
+                        // and may yet spawn children.
+                        if pending.load(Ordering::Acquire) == 0 {
+                            break;
+                        }
+                        local.worker.idle_spins += 1;
+                        std::thread::yield_now();
+                        continue;
+                    };
+                    // Decrement on drop so a panicking task cannot leave
+                    // siblings spinning forever.
+                    let _guard = PendingGuard(&pending);
+                    let seq = || task_seq.fetch_add(1, Ordering::Relaxed);
+                    cx.run(task, me, seq, local, &mut reach);
+                }
+            };
+            pool.run(true, &job)
+        } else {
+            let local = unlocked(&mut self.locals[0]);
+            let mut reach = Alone {
+                states: &mut self.states,
+                queue: unlocked(&mut self.deques[0]),
+                recovered: &self.poison_recovered,
+            };
+            let mut task_seq = 0;
+            let mut dead = Vec::new();
+            let mut drain = || {
+                while let Some(task) = reach.queue.pop_back() {
+                    let seq = || {
+                        task_seq += 1;
+                        task_seq - 1
+                    };
+                    cx.run(task, 0, seq, local, &mut reach);
+                }
+            };
+            // The caller's "respawn", as in `WorkerPool::run`.
+            while let Err(payload) = catch_unwind(AssertUnwindSafe(&mut drain)) {
+                dead.push((0, payload));
+            }
+            dead
+        };
         self.pool_stats = pool.stats();
         self.pool = Some(pool);
         for (me, _) in &dead {
@@ -1268,69 +1442,102 @@ impl ParallelReteMatcher {
         let genuine = dead.into_iter().next().filter(|_| self.fault.is_none());
         (delta, genuine.map(|(_, payload)| payload))
     }
+}
 
-    /// Executes one grouped activation under its node's lock — every
-    /// payload bound for the node this phase fragment, one lock
-    /// acquisition — and pushes the spawned child tasks (one per child
-    /// node, carrying the whole emission batch) onto `queue`, the
-    /// executing worker's own deque, counting them into `pending` first.
-    fn exec(
+impl PhaseCx<'_> {
+    /// Runs `task`, drawn by worker `me`: first what the attached fault
+    /// injector decides for it (`seq` numbers it within the phase, in
+    /// draw order), then [`PhaseCx::exec`], timed when the phase is.
+    fn run<R: Reach>(
         &self,
         task: Task,
+        me: usize,
+        seq: impl FnOnce() -> u64,
         local: &mut WorkerLocal,
-        poison: bool,
-        queue: &Mutex<VecDeque<Task>>,
-        cx: &PhaseCx<'_>,
+        reach: &mut R,
     ) {
+        let action = match self.fault {
+            Some(f) => f.on_task(self.seq, seq(), me),
+            None => FaultAction::None,
+        };
+        match action {
+            FaultAction::DropTask => {
+                self.faults.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            FaultAction::PanicWorker => {
+                self.faults.fetch_add(1, Ordering::Relaxed);
+                panic!("injected fault: worker panic");
+            }
+            FaultAction::None | FaultAction::PoisonLock => {}
+        }
+        let started = self.timing.then(Instant::now);
+        let node = task.node.index() as u32;
+        self.exec(task, local, action == FaultAction::PoisonLock, reach);
+        if let Some(t0) = started {
+            let ns = t0.elapsed().as_nanos() as u64;
+            local.worker.exec_ns += ns;
+            if let Some(profile) = self.latency {
+                profile.record_latency(node, ns);
+            }
+        }
+    }
+
+    /// Executes one grouped activation — every payload bound for the
+    /// node this phase fragment — holding the node's slot throughout
+    /// when it keeps a private left memory. Then lists the tokens it
+    /// emitted for the beta memory they are filed into, and spawns the
+    /// child tasks that receive them (see [`PhaseCx::spawn`]).
+    fn exec<R: Reach>(&self, task: Task, local: &mut WorkerLocal, poison: bool, reach: &mut R) {
         let Task {
             node: node_id,
             mut items,
         } = task;
+        let at = node_id.index();
         debug_assert!(
-            self.topo.active[node_id.index()],
+            self.topo.active[at],
             "only active (two-input/terminal) nodes receive activations"
         );
         local.worker.tasks += 1;
+        if poison {
+            // Panic holding the node lock, before any mutation: the mutex
+            // is poisoned but guards a still-consistent value, which is
+            // exactly what `relock` relies on.
+            self.faults.fetch_add(1, Ordering::Relaxed);
+            reach.poison(at);
+        }
         let spec = self.network.node(node_id);
-        let node = node_id.index() as u32;
+        let node = at as u32;
         let keyed = !spec.key.is_empty();
-        let resolve = |id| cx.wm.get(id);
+        let resolve = |id| self.wm.get(id);
         let changed = |id| {
-            cx.wm
+            self.wm
                 .get(id)
                 .expect("matcher contract: changed WME resolvable")
         };
-        // Node slots of the attached profiler (0: off, or none attached).
-        let prof_slots = self.obs.as_ref().map_or(0, |m| m.obs.profile.capacity());
-        let children = &self.topo.token_children[node_id.index()];
         // Tokens emitted toward the children, in per-item order. Signs
         // ride along because a negative node inverts the sign of what it
         // forwards.
         let mut emitted = std::mem::take(&mut local.emitted);
-        let mutex = &self.states[node_id.index()];
-        let mut slot = if self.timing {
-            let t0 = Instant::now();
-            let guard = relock(mutex, &self.poison_recovered);
-            local.worker.lock_wait_ns += t0.elapsed().as_nanos() as u64;
-            guard
-        } else {
-            relock(mutex, &self.poison_recovered)
-        };
-        if poison {
-            // Panic while holding the node lock, before any mutation:
-            // the mutex is poisoned but guards a still-consistent value,
-            // which is exactly what `relock` relies on.
-            self.injected_faults.fetch_add(1, Ordering::Relaxed);
-            panic!("injected fault: lock poison");
-        }
-        let NodeSlot { left, seeded } = &mut *slot;
-        if let Some((Payload::Right(_), _)) = items.first() {
-            // The node's seeds: a left activation from here on sees the
-            // WMEs this phase changes as they are after it.
-            *seeded = cx.seq;
-        }
+        // A join under a beta memory reads it as the phase found it;
+        // every other two-input node keeps a left memory of its own.
+        let memory = self.topo.left_memory[at].map(|memory| &self.beta[memory as usize]);
+        let private = memory.is_none() && spec.kind != NodeKind::Terminal;
+        let mut slot = private.then(|| reach.slot(at, &mut local.worker));
         // The visibility rule (module docs): what a left activation hides.
-        let hide = (*seeded == cx.seq) != cx.adding;
+        let hide = match slot.as_deref_mut() {
+            Some(NodeSlot { seeded, .. }) => {
+                if let Some((Payload::Right(_), _)) = items.first() {
+                    // The node's seeds: a left activation from here on
+                    // sees the WMEs this phase changes as they are after
+                    // it.
+                    *seeded = self.seq;
+                }
+                (*seeded == self.seq) != self.adding
+            }
+            // R′: the alpha memory without this phase's retractions.
+            None => !self.adding,
+        };
         for (payload, sign) in items.drain(..) {
             let right_side = matches!(payload, Payload::Right(_));
             // The same activation vocabulary as the sequential matcher,
@@ -1343,28 +1550,43 @@ impl ParallelReteMatcher {
             };
             local.flight.activation(kind, node_id, wme);
             let emitted_before = emitted.len();
-            // A right activation scans the left memory for its WME's
-            // key. A left one applies the arrival to the left memory
-            // (presence and index), then — only on a net presence
-            // transition — scans the alpha memory's chain for its key.
+            // A right activation scans the left input for its WME's key.
+            // A left one applies the arrival to a private left memory
+            // (presence and index) and then — only on a net presence
+            // transition, or always under a beta memory — scans the
+            // alpha memory's chain for its key.
             let work = match (spec.kind, payload) {
                 (NodeKind::Join, Payload::Right(wme_id)) => {
                     let wme = changed(wme_id);
                     let key = kernel::right_key(&spec.key, wme);
-                    let extend =
-                        |left: Candidate<Token>| emitted.push((left.item.extended(wme_id), sign));
-                    let candidates = left.candidates(keyed, key);
-                    kernel::scan_tokens(&spec.tests, candidates, wme, resolve, extend)
+                    let extend = |token: &Token| emitted.push((token.extended(wme_id), sign));
+                    match (memory, slot.as_deref()) {
+                        (Some(memory), _) => {
+                            let probe = self.probes[at].left.map(|slot| (slot, key));
+                            let candidates = memory.candidates(probe);
+                            kernel::scan_tokens(&spec.tests, candidates, wme, resolve, extend)
+                        }
+                        (None, Some(NodeSlot { left, .. })) => {
+                            let candidates = left.candidates(keyed, key).map(|c| c.item);
+                            kernel::scan_tokens(&spec.tests, candidates, wme, resolve, extend)
+                        }
+                        (None, None) => unreachable!("a join without a left input"),
+                    }
                 }
                 (NodeKind::Join, Payload::Left(token)) => {
                     let key = kernel::left_key(&spec.key, &token, resolve);
-                    match left.arrive(&token, sign, key) {
-                        None => Work::default(),
-                        Some(_) => {
-                            let extend = |wme_id| emitted.push((token.extended(wme_id), sign));
-                            let candidates = self.right_wmes(spec, node_id, key, hide, cx.seq);
-                            kernel::scan_wmes(&spec.tests, &token, candidates, resolve, extend)
-                        }
+                    // An arrival that only nets against a debt or a
+                    // duplicate in a private left memory scans nothing.
+                    let arrive = |slot: &mut NodeSlot| slot.left.arrive(&token, sign, key);
+                    if slot
+                        .as_deref_mut()
+                        .is_some_and(|slot| arrive(slot).is_none())
+                    {
+                        Work::default()
+                    } else {
+                        let extend = |wme_id| emitted.push((token.extended(wme_id), sign));
+                        let candidates = self.right_wmes(spec, at, key, hide);
+                        kernel::scan_wmes(&spec.tests, &token, candidates, resolve, extend)
                     }
                 }
                 (NodeKind::Negative, Payload::Right(wme_id)) => {
@@ -1383,11 +1605,13 @@ impl ParallelReteMatcher {
                             emitted.push((item.clone(), sign.invert()));
                         }
                     };
+                    let left = &slot.as_deref().expect("a negative node's slot").left;
                     let candidates = left.candidates(keyed, key);
                     kernel::scan_tokens(&spec.tests, candidates, wme, resolve, recount)
                 }
                 (NodeKind::Negative, Payload::Left(token)) => {
                     let key = kernel::left_key(&spec.key, &token, resolve);
+                    let left = &mut slot.as_deref_mut().expect("a negative node's slot").left;
                     match (left.arrive(&token, sign, key), sign) {
                         // A debt was cancelled, or a deletion raced
                         // ahead and left one; net nothing happened.
@@ -1402,7 +1626,7 @@ impl ParallelReteMatcher {
                             // Fresh net insert: count current matches.
                             let mut count = 0i32;
                             let tally = |_| count += 1;
-                            let candidates = self.right_wmes(spec, node_id, key, hide, cx.seq);
+                            let candidates = self.right_wmes(spec, at, key, hide);
                             let work =
                                 kernel::scan_wmes(&spec.tests, &token, candidates, resolve, tally);
                             let entry = left.entry(&token, key).expect("just arrived");
@@ -1416,8 +1640,7 @@ impl ParallelReteMatcher {
                 }
                 (NodeKind::Terminal, Payload::Left(token)) => {
                     let inst = Instantiation::new(
-                        self.topo.terminal_production[node_id.index()]
-                            .expect("terminal has production"),
+                        self.topo.terminal_production[at].expect("terminal has production"),
                         token.into_wmes(),
                     );
                     local.delta.apply(inst, sign.is_plus());
@@ -1427,7 +1650,7 @@ impl ParallelReteMatcher {
             };
             local.join_tests += work.tests as u64;
             local.pairs_scanned += work.scanned as u64;
-            if node_id.index() < prof_slots {
+            if at < self.prof_slots {
                 // One profiler delta per payload, so grouped execution
                 // reports the same per-activation rows as per-change
                 // dispatch did; terminals emit conflict-set changes
@@ -1442,47 +1665,78 @@ impl ParallelReteMatcher {
                     .entry(node)
                     .or_insert((kind.profile_kind().0, NodeDelta::default()));
                 d.record(right_side, work.scanned as u64, tokens_out);
-            } else if prof_slots > 0 {
+            } else if self.prof_slots > 0 {
                 local.prof_overflow += 1;
             }
         }
         drop(slot);
         local.recycle(items);
-        if let (false, Some((&last, rest))) = (emitted.is_empty(), children.split_last()) {
-            // One child task per child node, carrying the whole emission
-            // batch in per-item order (a token clone copies three words;
-            // the last child takes the tokens themselves).
-            cx.pending.fetch_add(children.len(), Ordering::AcqRel);
-            let mut q = relock(queue, &self.poison_recovered);
-            for &child in rest {
-                let mut items = local.buffer();
-                items.extend(emitted.iter().map(|(t, s)| (Payload::Left(t.clone()), *s)));
-                q.push_back(Task { node: child, items });
+        if !emitted.is_empty() {
+            if let Some(memory) = self.topo.output_memory[at] {
+                let filed = emitted
+                    .iter()
+                    .map(|(token, sign)| (memory, token.clone(), *sign));
+                local.filings.extend(filed);
             }
-            let mut items = local.buffer();
-            items.extend(emitted.drain(..).map(|(t, s)| (Payload::Left(t), s)));
-            q.push_back(Task { node: last, items });
-            local.worker.max_queue_depth = local.worker.max_queue_depth.max(q.len() as u64);
+            self.spawn(&self.topo.token_children[at], &mut emitted, local, reach);
         }
         emitted.clear();
         local.emitted = emitted;
     }
 
-    /// The WMEs a left activation of `node` with index key `key` scans
-    /// in phase `phase`: the chain of its key in its alpha memory (all
-    /// of it for a node without one), less — when `hide` — the WMEs the
-    /// phase changes.
-    fn right_wmes<'a>(
-        &'a self,
+    /// Queues one task per child in `children` that receives tokens on
+    /// the executing worker's own deque, each carrying the whole
+    /// emission batch in per-item order (a token clone copies three
+    /// words; the last child takes the tokens themselves). A join under a
+    /// beta memory whose alpha memory is empty receives none: it would
+    /// scan nothing and file nothing, and its memory is filed by the
+    /// caller.
+    fn spawn<R: Reach>(
+        &self,
+        children: &[NodeId],
+        emitted: &mut Vec<(Token, Sign)>,
+        local: &mut WorkerLocal,
+        reach: &mut R,
+    ) {
+        let receives = |child: &&NodeId| {
+            let spec = self.network.node(**child);
+            let alpha = || &self.alpha[spec.alpha.expect("a join has alpha").index()];
+            self.topo.left_memory[child.index()].is_none() || !alpha().entries().is_empty()
+        };
+        let mut rest = children.iter().filter(receives).count();
+        if rest == 0 {
+            return;
+        }
+        let mut queue = reach.queue(rest);
+        for &child in children.iter().filter(receives) {
+            rest -= 1;
+            let mut items = local.buffer();
+            if rest == 0 {
+                items.extend(emitted.drain(..).map(|(t, s)| (Payload::Left(t), s)));
+            } else {
+                items.extend(emitted.iter().map(|(t, s)| (Payload::Left(t.clone()), *s)));
+            }
+            queue.push_back(Task { node: child, items });
+        }
+        let depth = &mut local.worker.max_queue_depth;
+        *depth = (*depth).max(queue.len() as u64);
+    }
+
+    /// The WMEs a left activation of node `at` with index key `key`
+    /// scans: the chain of its key in its alpha memory (all of it for a
+    /// node without one), less — when `hide` — the WMEs this phase
+    /// changes.
+    fn right_wmes(
+        &self,
         spec: &NodeSpec,
-        node: NodeId,
+        at: usize,
         key: Option<u32>,
         hide: bool,
-        phase: u64,
-    ) -> impl Iterator<Item = WmeId> + 'a {
+    ) -> impl Iterator<Item = WmeId> + '_ {
         let alpha = &self.alpha[spec.alpha.expect("two-input node has alpha").index()];
-        let probe = self.probes[node.index()].map(|slot| (slot, key));
-        let visible = move |id: &WmeId| !hide || self.stamps[id.index()] != phase;
+        let probe = self.probes[at].right.map(|slot| (slot, key));
+        let (stamps, phase) = (self.stamps, self.seq);
+        let visible = move |id: &WmeId| !hide || stamps[id.index()] != phase;
         alpha.candidates(probe).copied().filter(visible)
     }
 }
@@ -1780,8 +2034,10 @@ mod tests {
         // A right activation of a terminal cannot come out of a
         // compiled network; seeding one by hand stands in for an engine
         // bug. With no injector attached it must unwind to the caller,
-        // after the rest of the phase drained.
-        let (program, mut m) = parallel("(p r (a ^x 1) --> (remove 1))", 2);
+        // after the rest of the phase drained. The self-join's memory
+        // holds the token the doomed phase retracts.
+        let src = "(p r (a ^x 1) --> (remove 1)) (p s (a ^x <v>) (a ^x <v>) --> (remove 1))";
+        let (program, mut m) = parallel(src, 2);
         let mut seq = ReteMatcher::compile(&program).unwrap();
         let mut wm = WorkingMemory::new();
         let mut syms = program.symbols.clone();
@@ -1807,17 +2063,20 @@ mod tests {
         }));
         assert!(unwound.is_err());
         assert_eq!(m.take_faults(), 0, "not an injected fault");
-        // The retraction was applied on the way out, the assertion
-        // dropped with its phase.
+        // The retraction was applied on the way out, to the alpha and
+        // the beta memories, the assertion dropped with its phase.
         wm.remove(id);
         wm.remove(doomed);
         audit_alpha(&m, &wm, &[]);
+        audit_beta(&m, &seq);
+        assert!(m.locals.iter_mut().all(|l| unlocked(l).filings.is_empty()));
         // The add phase that never ran is dropped, not replayed into
         // the next batch.
         let tasks = m.stats().tasks;
         assert!(m.process(&wm, &[]).is_empty());
         assert_eq!(m.stats().tasks, tasks);
         audit_alpha(&m, &wm, &[]);
+        audit_beta(&m, &seq);
         // Nor does the unwound phase's half-built delta leak into the
         // next non-empty one.
         let (next, _) = wm.add(parse_wme("(a ^x 1)", &mut syms).unwrap());
@@ -1826,6 +2085,24 @@ mod tests {
         d_seq.canonicalize();
         assert_eq!(d, d_seq, "stale removal merged");
         audit_alpha(&m, &wm, &[next]);
+        audit_beta(&m, &seq);
+        assert_eq!(m.resident_tokens(), 1, "[next] in the self-join's memory");
+
+        // And from the add phase: a doomed terminal task beside a real
+        // assertion, whose token is filed on the way out.
+        let (more, _) = wm.add(parse_wme("(a ^x 1)", &mut syms).unwrap());
+        m.seed(&wm, &[Change::Add(more)]);
+        let _ = seq.add_wme(&wm, more);
+        m.adds
+            .push(terminal, Payload::Right(more), Sign::Plus, local);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.run_phase(&wm, Sign::Minus);
+            m.run_phase(&wm, Sign::Plus);
+        }));
+        assert!(unwound.is_err());
+        audit_alpha(&m, &wm, &[next, more]);
+        audit_beta(&m, &seq);
+        assert!(m.locals.iter_mut().all(|l| unlocked(l).filings.is_empty()));
     }
 
     /// Holds every alpha memory of `m` to what it should hold when `live`
@@ -1848,6 +2125,24 @@ mod tests {
             held.sort_unstable();
             want.sort_unstable();
             assert_eq!(held, want, "alpha memory {i}");
+        }
+    }
+
+    /// Holds every beta memory of `m` to the sequential matcher's memory
+    /// of the same node, which has seen the same batches: sound chains
+    /// ([`Memory::audit`]) and the same multiset of tokens.
+    fn audit_beta(m: &ParallelReteMatcher, seq: &ReteMatcher) {
+        let sorted = |memory: &Memory<Token>| {
+            let mut held: Vec<Vec<WmeId>> =
+                memory.entries().iter().map(|t| t.wmes().to_vec()).collect();
+            held.sort_unstable();
+            held
+        };
+        assert_eq!(m.beta.len(), m.topo.memories.len());
+        for (memory, &node) in m.beta.iter().zip(&m.topo.memories) {
+            assert!(memory.audit().is_ok(), "beta memory {node:?}");
+            let want = seq.beta_memory(node).expect("a beta-memory node");
+            assert_eq!(sorted(memory), sorted(want), "beta memory {node:?}");
         }
     }
 
@@ -2028,6 +2323,14 @@ mod tests {
                 let (id, _) = wm.add(parse_wme(&format!("({class} ^x {x})"), &mut syms).unwrap());
                 m.add_wme(&wm, id);
                 ids.push(id);
+                if ids.len() == 1 {
+                    // The first `a` is one token in the memory below the
+                    // `a` join — counted once, though the `b` and self
+                    // joins read it and made no copy — plus the copies
+                    // the negative node below it and the join below that
+                    // keep of their own.
+                    assert_eq!(m.resident_tokens(), 3);
+                }
             }
         }
         assert!(m.resident_tokens() > 0, "state built up");
@@ -2043,10 +2346,16 @@ mod tests {
             assert!(left.buckets.is_empty());
             assert!(left.by_item.keys().all(Token::is_empty));
         }
-        // Nor a WME, or the head of a chain.
+        // Nor a WME or a token, or the head of a chain.
         for memory in &m.alpha {
             assert!(memory.entries().is_empty());
             assert_eq!(memory.chains(), 0);
+        }
+        assert_eq!(m.beta.len(), 2, "below the `a` join and the `a`-`b` join");
+        for memory in &m.beta {
+            assert!(memory.entries().is_empty());
+            assert_eq!(memory.chains(), 0);
+            assert_eq!(memory.audit(), Ok(0));
         }
     }
 
@@ -2268,6 +2577,182 @@ mod tests {
         }
     }
 
+    /// Joins that read beta memories under the delta rule. `self` joins
+    /// one alpha memory with itself. `chain` has three positive CEs and a
+    /// negation between the first two: its last join reads the memory
+    /// below a join whose left input is the negative node. `guard` has a
+    /// join whose memory only a negative node reads, which the engine
+    /// does not keep. All three share the first join and its memory.
+    const DELTA_RULE: &str = r#"
+        (p self (a ^x <v>) (a ^x <v>) --> (halt))
+        (p chain (a ^x <v>) - (n ^x <v>) (b ^x <v>) (c ^x <v>) --> (halt))
+        (p guard (a ^x <v>) (b ^x <v>) - (n ^x <v>) --> (halt))
+    "#;
+
+    /// A batch of random retractions of `live` WMEs and assertions of
+    /// new ones over the classes of [`DELTA_RULE`], with `^x` below
+    /// `values`; `live` and `wm` follow (retracted WMEs stay in `wm` for
+    /// the caller to drop after the batch). At least one change.
+    fn delta_batch(
+        rng: &mut Rng64,
+        wm: &mut WorkingMemory,
+        syms: &mut SymbolTable,
+        live: &mut Vec<WmeId>,
+        values: i64,
+    ) -> Vec<Change> {
+        let mut batch = Vec::new();
+        for _ in 0..rng.gen_range(0..=live.len().min(3)) {
+            batch.push(Change::Remove(
+                live.swap_remove(rng.gen_range(0..live.len())),
+            ));
+        }
+        for _ in 0..rng.gen_range(usize::from(batch.is_empty())..=3) {
+            let id = delta_wme(rng, wm, syms, &["a", "b", "c", "n", "a", "b", "c"], values);
+            live.push(id);
+            batch.push(Change::Add(id));
+        }
+        batch
+    }
+
+    /// A new WME of a class drawn from `classes`, in `wm`.
+    fn delta_wme(
+        rng: &mut Rng64,
+        wm: &mut WorkingMemory,
+        syms: &mut SymbolTable,
+        classes: &[&str],
+        values: i64,
+    ) -> WmeId {
+        let class = classes[rng.gen_range(0..classes.len())];
+        let x = rng.gen_range(0..values);
+        wm.add(parse_wme(&format!("({class} ^x {x})"), syms).unwrap())
+            .0
+    }
+
+    /// Drops the WMEs `batch` retracted from `wm`, as a caller does once
+    /// every matcher has seen the batch.
+    fn commit(wm: &mut WorkingMemory, batch: &[Change]) {
+        for change in batch {
+            if let Change::Remove(id) = *change {
+                wm.remove(id);
+            }
+        }
+    }
+
+    /// The delta rule on one thread, each batch fed with its seed tasks
+    /// first-seen and reversed, so that a join's seeds run before and
+    /// after the tokens its parent makes in the same phase: batches that
+    /// assert and retract WMEs on both inputs of one join at once — the
+    /// self-join's one alpha memory, or the `b` tokens and the `c` WMEs
+    /// of the chain's last join — while the negation blocks and unblocks
+    /// above them, and at the end everything retracted at once. Each
+    /// batch's delta is the sequential matcher's and each beta memory
+    /// holds what the sequential matcher's memory of its node holds.
+    #[test]
+    fn shared_beta_delta_rule_meets_every_pair_once_in_either_seed_order() {
+        let program = parse_program(DELTA_RULE).unwrap();
+        let mut syms = program.symbols.clone();
+        let mut wm = WorkingMemory::new();
+        let mut seq = ReteMatcher::compile(&program).unwrap();
+        let mut engines = [parallel(DELTA_RULE, 1).1, parallel(DELTA_RULE, 1).1];
+        assert_eq!(
+            engines[0].beta.len(),
+            2,
+            "below the `a` join and the `b` join"
+        );
+        let mut rng = Rng64::new(0xDE17A);
+        let mut live = Vec::new();
+        let steps = if cfg!(miri) { 40 } else { 400 };
+        let mut both = [0; 2];
+        for step in 0..=steps {
+            let batch = if step == steps {
+                live.drain(..).map(Change::Remove).collect()
+            } else {
+                delta_batch(&mut rng, &mut wm, &mut syms, &mut live, 2)
+            };
+            let classes: Vec<_> = (batch.iter())
+                .map(|change| wm.get(change.wme()).unwrap().class())
+                .collect();
+            let [a, b, c] = ["a", "b", "c"].map(|class| {
+                let class = syms.intern(class);
+                classes.iter().filter(|&&of| of == class).count()
+            });
+            both[0] += usize::from(a >= 2);
+            both[1] += usize::from(b > 0 && c > 0);
+            let mut want = seq.process(&wm, &batch);
+            want.canonicalize();
+            for (reversed, m) in engines.iter_mut().enumerate() {
+                let mut got = if reversed == 1 {
+                    process_reversed(m, &wm, &batch)
+                } else {
+                    m.process(&wm, &batch)
+                };
+                got.canonicalize();
+                assert_eq!(got, want, "step {step}, reversed seeds: {}", reversed == 1);
+                audit_beta(m, &seq);
+            }
+            commit(&mut wm, &batch);
+        }
+        assert!(both.iter().all(|&n| n > steps / 10), "{both:?}");
+        assert_eq!(seq.resident_tokens(), 0);
+        assert!(engines.iter().all(|m| m.resident_tokens() == 0));
+    }
+
+    /// After every batch, at 1, 2 and 8 threads, each beta memory of the
+    /// engine holds the multiset of tokens the sequential matcher's
+    /// memory of the same node holds, and its chains are sound: random
+    /// small batches, which the caller drains alone, then a bulk batch
+    /// that wakes the helpers, and all of it retracted again.
+    #[test]
+    fn shared_beta_memories_hold_what_the_sequential_ones_do() {
+        let program = parse_program(DELTA_RULE).unwrap();
+        // Every other bulk WME is an `a` (all but one in eight under
+        // Miri), whose top join always takes its seed: enough seeds to
+        // wake the helpers, whatever else the memories hold.
+        let (steps, bulk, every) = if cfg!(miri) {
+            (20, 1200, 8)
+        } else {
+            (150, 4000, 2)
+        };
+        for threads in [1, 2, 8] {
+            let mut seq = ReteMatcher::compile(&program).unwrap();
+            let (_, mut par) = parallel(DELTA_RULE, threads);
+            let mut rng = Rng64::new(0xB37A + threads as u64);
+            let mut syms = program.symbols.clone();
+            let mut wm = WorkingMemory::new();
+            let mut live = Vec::new();
+            for step in 0..steps + 2 {
+                let batch: Vec<Change> = if step < steps {
+                    delta_batch(&mut rng, &mut wm, &mut syms, &mut live, 3)
+                } else if step == steps {
+                    let classes = |i| match i % every == every - 1 {
+                        true => &["b", "c", "n"][..],
+                        false => &["a"],
+                    };
+                    let new: Vec<WmeId> = (0..bulk)
+                        .map(|i| delta_wme(&mut rng, &mut wm, &mut syms, classes(i), 400))
+                        .collect();
+                    live.extend(&new);
+                    new.into_iter().map(Change::Add).collect()
+                } else {
+                    live.drain(..).map(Change::Remove).collect()
+                };
+                let mut want = seq.process(&wm, &batch);
+                let mut got = par.process(&wm, &batch);
+                want.canonicalize();
+                got.canonicalize();
+                assert_eq!(got, want, "threads {threads}, step {step}");
+                audit_beta(&par, &seq);
+                commit(&mut wm, &batch);
+            }
+            // Seeds dealt over every deque were run by a helper or
+            // stolen back by the caller: the bulk path was taken.
+            let spread = par.worker_stats()[1..].iter().any(|w| w.tasks > 0)
+                || par.worker_totals_merged().steals > 0;
+            assert_eq!(spread, threads > 1, "threads {threads}");
+            assert_eq!(par.resident_tokens(), 0);
+        }
+    }
+
     /// A side against a map from item to signed presence, on a node
     /// with an index key and on one without: pluses, minuses, minuses
     /// that overtake their plus, duplicates, items that share a key and
@@ -2483,13 +2968,17 @@ mod tests {
     #[test]
     fn per_node_profiler_collects_in_parallel() {
         let (program, mut m) = parallel("(p r (a ^x <v>) (b ^x <v>) --> (remove 1))", 2);
+        let mut seq = ReteMatcher::compile(&program).unwrap();
         let obs = Arc::new(Obs::with_profile(16, 64, 64));
+        let seq_obs = Arc::new(Obs::with_profile(16, 64, 64));
         m.attach_obs(Arc::clone(&obs));
+        seq.attach_obs(Arc::clone(&seq_obs));
         let mut wm = WorkingMemory::new();
         let mut syms = program.symbols.clone();
         for lit in ["(a ^x 1)", "(a ^x 2)", "(b ^x 1)"] {
             let (id, _) = wm.add(parse_wme(lit, &mut syms).unwrap());
             m.process(&wm, &[Change::Add(id)]);
+            seq.process(&wm, &[Change::Add(id)]);
         }
         let snap = obs.profile.snapshot();
         assert_eq!(snap.overflow, 0);
@@ -2500,11 +2989,16 @@ mod tests {
         assert_eq!(top.pairs, 2);
         assert_eq!(top.tokens_out, 2);
         assert!((top.selectivity - 1.0).abs() < 1e-12);
-        // The b-join: one right transition probing its value bucket,
+        // The b-join: one right activation probing its value chain,
         // which holds exactly the one `^x 1` token (the `^x 2` token
-        // lives in a different bucket and is never scanned).
+        // lives on a different chain and is never scanned). The `a`
+        // tokens were filed into the memory it reads and made no left
+        // activation of it, its alpha memory being empty — as in the
+        // sequential matcher.
         let b = joins.iter().find(|r| r.right == 1).expect("b join");
-        assert_eq!(b.left, 2);
+        let seq_snap = seq_obs.profile.snapshot();
+        let seq_b = seq_snap.rows.iter().find(|r| r.node == b.node);
+        assert_eq!(b.left, seq_b.expect("b join, sequential").left);
         assert_eq!(b.pairs, 1);
         assert_eq!(b.tokens_out, 1);
         assert!((b.selectivity - 1.0).abs() < 1e-12);

@@ -5,10 +5,12 @@
 //! shared-memory multiprocessor. This crate is the real-multicore
 //! realization of that design:
 //!
-//! * [`ParallelReteMatcher`] — node-activation parallelism. Every
-//!   two-input node owns its (private, lock-protected) left memory and
-//!   reads its right input from an alpha memory shared by every node it
-//!   feeds; an activation locks only the node it runs on, so multiple
+//! * [`ParallelReteMatcher`] — node-activation parallelism. The engine
+//!   reads the sequential matcher's alpha memories and the beta memories
+//!   its joins read, which only the caller writes, between phases; a
+//!   negative node, and a join whose left input is a negative node or
+//!   the top token, owns a private, lock-protected left memory instead.
+//!   An activation locks at most the node it runs on, so multiple
 //!   activations of *different* nodes and multiple activations of the
 //!   *same* node's siblings proceed concurrently, and multiple
 //!   working-memory changes from one firing are processed in parallel —
@@ -35,26 +37,34 @@
 //! completion before assertions start — a remove/add barrier. A WME the
 //! batch both asserts and retracts nets to nothing before either phase.
 //!
-//! The alpha memories are written by the caller only, between phases:
-//! the batch's assertions are filed when the add phase starts and its
-//! retractions unfiled when the remove phase ends. Within a phase they
-//! are read-only, and what a node sees of them is fixed by a per-WME
-//! phase stamp and a per-node record of when the node's own right
-//! activations ran: a left activation skips a WME changed in this phase
-//! while, in the add phase, the node's right activations are still to
-//! run, or, in the remove phase, have run. That is what makes the shared
-//! right input safe — within one phase a node's right activation for a
-//! new WME and a left activation carrying the same WME run in either
-//! order, and whichever runs second finds the pair. The barrier alone
-//! would not.
+//! The alpha and beta memories are written by the caller only, between
+//! phases: the batch's assertions are filed into the alpha memories when
+//! the add phase starts and its retractions unfiled when the remove phase
+//! ends, and the tokens each phase's joins emit are filed into their
+//! beta memories when that phase ends. Within a phase they are
+//! read-only. A join under a beta memory follows the join delta rule for
+//! signed changes, Δ(L⋈R) = ΔL⋈R′ + L⋈ΔR: its right activation reads the
+//! beta memory as the phase found it, its left activation the alpha
+//! memory as the phase leaves it (this phase's retractions hidden by a
+//! per-WME phase stamp). Every pair is then made or retracted exactly
+//! once, in whatever order the phase's tasks run. A node with a private
+//! left memory sees the alpha memory through the same stamp and a record
+//! of when its own right activations ran: a left activation skips a WME
+//! changed in this phase while, in the add phase, the node's right
+//! activations are still to run, or, in the remove phase, have run, so
+//! that whichever of a right activation for a new WME and a left
+//! activation carrying it runs second finds the pair. The barrier alone
+//! would not make the shared memories safe.
 //!
 //! Within a phase, each left activation's *insert + alpha-memory scan*
-//! and each right activation's left-memory scan is atomic under the
-//! node's lock, and left-memory entries are signed counts, so a token
-//! deletion racing ahead of its own creation (possible downstream of
-//! negative nodes) leaves a debt that the later creation cancels.
-//! Conflict-set deltas are signed multisets with the same cancellation,
-//! making the final delta independent of the parallel schedule.
+//! and each right activation's scan of a private left memory is atomic
+//! under the node's lock, and private left-memory entries are signed
+//! counts, so a token deletion racing ahead of its own creation
+//! (possible downstream of negative nodes) leaves a debt that the later
+//! creation cancels. A beta memory nets the same way when the phase's
+//! tokens are filed: pluses first, then minuses. Conflict-set deltas are
+//! signed multisets with the same cancellation, making the final delta
+//! independent of the parallel schedule.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

@@ -1,23 +1,36 @@
 //! Flattened network topology for the parallel engine.
 //!
 //! The sequential runtime routes tokens through explicit beta-memory
-//! nodes. The parallel engine gives every two-input node a *private*
-//! left memory (so one lock covers a left activation's whole
-//! insert-and-scan critical section) and reads its right input from the
-//! alpha memory it shares with the sequential matcher's layout, which
-//! makes shared beta memories redundant: this module flattens them out
-//! of the token routing graph.
+//! nodes, each update of one a task of its own. The parallel engine
+//! sends a two-input node's tokens straight to the nodes the memory
+//! feeds, and files them into the memory itself between phases: this
+//! module flattens the memories out of the token routing graph and
+//! numbers the ones the engine keeps — those some join reads as its left
+//! input. A memory whose children are all negative nodes is not kept:
+//! each of them holds the tokens beside their match counts anyway.
 
 use ops5::ProductionId;
+use rete::network::NodeKind;
 use rete::{Network, NodeId};
 
 /// Token routing for the parallel engine: for each two-input node, the
-/// downstream nodes that receive its output tokens directly.
+/// downstream nodes that receive its output tokens directly, and the
+/// beta memories its tokens are read from and filed into.
 #[derive(Debug, Clone)]
 pub struct ParallelTopology {
     /// Per beta node: the two-input and terminal nodes fed by its output
     /// tokens (beta memories flattened away). Indexed by [`NodeId`].
     pub token_children: Vec<Vec<NodeId>>,
+    /// The beta-memory nodes the engine keeps a memory for, in node
+    /// order: those some join reads as its left input.
+    pub memories: Vec<NodeId>,
+    /// Per node: for a join whose left input is a beta memory, that
+    /// memory's position in [`memories`](Self::memories).
+    pub left_memory: Vec<Option<u32>>,
+    /// Per node: for a join whose output memory is kept, that memory's
+    /// position in [`memories`](Self::memories) — where its tokens are
+    /// filed.
+    pub output_memory: Vec<Option<u32>>,
     /// Whether each node participates in parallel execution (two-input
     /// nodes and terminals; memories are `false`).
     pub active: Vec<bool>,
@@ -40,15 +53,17 @@ impl ParallelTopology {
         let mut token_children = vec![Vec::new(); n];
         let mut active = vec![false; n];
         let mut terminal_production = vec![None; n];
+        let mut position = vec![None; n];
+        let mut memories = Vec::new();
 
         for (idx, spec) in network.nodes.iter().enumerate() {
             match spec.kind {
-                rete::network::NodeKind::Join | rete::network::NodeKind::Negative => {
+                NodeKind::Join | NodeKind::Negative => {
                     active[idx] = true;
                     let mut out = Vec::new();
                     for &child in &spec.children {
                         match network.node(child).kind {
-                            rete::network::NodeKind::BetaMemory => {
+                            NodeKind::BetaMemory => {
                                 // Skip the memory, route to its children.
                                 out.extend(network.node(child).children.iter().copied());
                             }
@@ -57,15 +72,34 @@ impl ParallelTopology {
                     }
                     token_children[idx] = out;
                 }
-                rete::network::NodeKind::Terminal => {
+                NodeKind::Terminal => {
                     active[idx] = true;
                     terminal_production[idx] = spec.production;
                 }
-                rete::network::NodeKind::BetaMemory => {}
+                NodeKind::BetaMemory => {
+                    let read = |child: &NodeId| network.node(*child).kind == NodeKind::Join;
+                    if spec.children.iter().any(read) {
+                        position[idx] = Some(memories.len() as u32);
+                        memories.push(NodeId(idx as u32));
+                    }
+                }
             }
         }
+        let joins = network.nodes.iter().map(|spec| spec.kind == NodeKind::Join);
+        let left_memory = (network.nodes.iter().zip(joins.clone()))
+            .map(|(spec, join)| position[spec.left.filter(|_| join)?.index()])
+            .collect();
+        let output_memory = (network.nodes.iter().zip(joins))
+            .map(|(spec, join)| {
+                let mut children = spec.children.iter().filter(|_| join);
+                children.find_map(|child| position[child.index()])
+            })
+            .collect();
         ParallelTopology {
             token_children,
+            memories,
+            left_memory,
+            output_memory,
             active,
             terminal_production,
         }
@@ -76,7 +110,6 @@ impl ParallelTopology {
 mod tests {
     use super::*;
     use ops5::parse_program;
-    use rete::network::NodeKind;
 
     #[test]
     fn beta_memories_are_flattened_out() {
@@ -157,5 +190,55 @@ mod tests {
         let topo = ParallelTopology::from_network(&net);
         let max_fanout = topo.token_children.iter().map(Vec::len).max().unwrap_or(0);
         assert!(max_fanout >= 2, "shared prefix fans out to both branches");
+    }
+
+    /// A memory is kept when a join reads it, and then it is the output
+    /// of the join above and the left input of every join below; a
+    /// memory only negative nodes read is not kept.
+    #[test]
+    fn memories_read_by_a_join_are_kept() {
+        let program = parse_program(
+            r#"
+            (p two (a ^x <v>) (b ^x <v>) (c ^x <v>) --> (halt))
+            (p guarded (g ^x <v>) - (n ^x <v>) (c ^x <v>) --> (halt))
+            "#,
+        )
+        .unwrap();
+        let net = Network::compile(&program).unwrap();
+        let topo = ParallelTopology::from_network(&net);
+        let of_kind = |kind| -> Vec<usize> {
+            let nodes = net.nodes.iter().enumerate();
+            nodes
+                .filter(|(_, s)| s.kind == kind)
+                .map(|(i, _)| i)
+                .collect()
+        };
+        assert_eq!(of_kind(NodeKind::BetaMemory).len(), 3, "after a, a-b and g");
+        assert_eq!(
+            topo.memories.len(),
+            2,
+            "the one under g feeds a negation only"
+        );
+        for (at, &memory) in topo.memories.iter().enumerate() {
+            let at = Some(at as u32);
+            let spec = net.node(memory);
+            let [parent] = of_kind(NodeKind::Join)
+                .into_iter()
+                .filter(|&j| net.nodes[j].children.contains(&memory))
+                .collect::<Vec<_>>()[..]
+            else {
+                panic!("one join above each memory")
+            };
+            assert_eq!(topo.output_memory[parent], at);
+            for child in &spec.children {
+                assert_eq!(topo.left_memory[child.index()], at);
+            }
+        }
+        let filed = topo.output_memory.iter().flatten().count();
+        let read = topo.left_memory.iter().flatten().count();
+        assert_eq!((filed, read), (2, 2));
+        for negative in of_kind(NodeKind::Negative) {
+            assert_eq!(topo.left_memory[negative], None);
+        }
     }
 }

@@ -9,12 +9,13 @@
 //! the dummy top token, and the [`FlightStage`] a matcher files its
 //! provenance through.
 //!
-//! Both runtimes are written on top of it and differ only in memory
-//! model and scheduling — [`ReteMatcher`](crate::ReteMatcher) with
-//! shared alpha, beta and negative memories of one keyed type (the
-//! "best known uniprocessor implementation"), `psm_core`'s engine with
-//! the same alpha memories and private signed-presence left memories,
-//! held in [`Bucket`]s, behind one lock per node. Each activation in
+//! Both runtimes are written on top of it and differ in scheduling and
+//! in part of their memory model — [`ReteMatcher`](crate::ReteMatcher)
+//! with alpha, beta and negative memories of one keyed type (the "best
+//! known uniprocessor implementation"), `psm_core`'s engine with the
+//! same alpha and beta memories, and private signed-presence left
+//! memories, held in [`Bucket`]s behind one lock per node, for negative
+//! nodes and the joins below them or the top token. Each activation in
 //! either is "pick candidates (one chain or bucket, or the whole memory)
 //! → run a kernel scan → route the outputs".
 

@@ -19,7 +19,8 @@
 //! equality tests fail for it against everything.
 //!
 //! The alpha memories are built by one function, [`alpha_memories`],
-//! for [`ReteMatcher`](crate::ReteMatcher) and for `psm_core`'s
+//! and the beta memories by another, [`beta_memories`], for
+//! [`ReteMatcher`](crate::ReteMatcher) and for `psm_core`'s
 //! node-parallel engine, which reads them from every worker during a
 //! phase and writes them only between phases: a `Memory` is `Sync`,
 //! because nothing in it changes through a shared borrow.
@@ -29,8 +30,9 @@ use std::borrow::Borrow;
 use ops5::{FxHashMap, WmeId, WorkingMemory};
 
 use crate::kernel::{self, KeyPart};
-use crate::network::{Network, NodeSpec};
+use crate::network::{Network, NodeId, NodeKind, NodeSpec};
 use crate::runtime::MemoryStrategy;
+use crate::token::Token;
 
 /// Ends a chain; also the link of an entry filed nowhere.
 pub(crate) const NIL: u32 = u32::MAX;
@@ -109,6 +111,73 @@ fn wme_key(wm: &WorkingMemory) -> impl Fn(&WmeId, &[KeyPart]) -> Option<u32> + '
     |id, slot| {
         let wme = wm.get(*id)?;
         kernel::fingerprint(slot.iter().map(|&(_, attr)| wme.get(attr)))
+    }
+}
+
+/// The slot a left-input token of `spec` is filed under, and a right
+/// activation of `spec` probes its token memory by.
+pub(crate) fn token_slot(spec: &NodeSpec) -> Slot {
+    kernel::token_parts(&spec.key).collect()
+}
+
+/// The beta memories of `network`, one per beta-memory node, with the
+/// node, in node order. Under [`MemoryStrategy::Hashed`] each gets a
+/// key slot per list of key parts its join children probe it by. A
+/// negative child never probes its parent: it keeps the same tokens,
+/// chained under the same key, beside their match counts. Under
+/// [`MemoryStrategy::Linear`] none.
+pub fn beta_memories(
+    network: &Network,
+    strategy: MemoryStrategy,
+) -> impl Iterator<Item = (NodeId, Memory<Token>)> + '_ {
+    let probing = move |spec: &&NodeSpec| {
+        strategy == MemoryStrategy::Hashed && spec.kind == NodeKind::Join && !spec.key.is_empty()
+    };
+    let memory = move |(node, spec): (NodeId, &NodeSpec)| {
+        let children = spec.children.iter().map(|&child| network.node(child));
+        let mut slots: Vec<Slot> = children.filter(probing).map(token_slot).collect();
+        slots.sort_unstable();
+        slots.dedup();
+        (node, Memory::new(slots))
+    };
+    let memories = network
+        .iter()
+        .filter(|(_, spec)| spec.kind == NodeKind::BetaMemory);
+    memories.map(memory)
+}
+
+impl Memory<Token> {
+    /// The slot a right activation of `spec`, a join child of this beta
+    /// memory, probes it by: `None` for a node without an index key and
+    /// for a memory built with no slots.
+    pub fn probe_slot(&self, spec: &NodeSpec) -> Option<usize> {
+        (!spec.key.is_empty())
+            .then(|| self.slot_of(&token_slot(spec)))
+            .flatten()
+    }
+
+    /// Files `token`, whose WMEs are live in `wm`.
+    ///
+    /// Key values are read from WMEs that are immutable once made, so
+    /// the chains they select are where the token stays until its
+    /// removal.
+    pub fn insert_token(&mut self, token: Token, wm: &WorkingMemory) {
+        self.insert(token, token_key(wm));
+    }
+
+    /// Unfiles one entry equal to `token`, returning whether the memory
+    /// held one. The caller's view need not resolve the token's WMEs any
+    /// more: the entry is then found by identity.
+    pub fn remove_token(&mut self, token: &Token, wm: &WorkingMemory) -> bool {
+        self.remove(token, token_key(wm)).is_some()
+    }
+}
+
+/// Reads a slot's key off a token through the caller's view.
+pub(crate) fn token_key(wm: &WorkingMemory) -> impl Fn(&Token, &[KeyPart]) -> Option<u32> + '_ {
+    |token, slot| {
+        let part = |&part| kernel::part_value(token, part, |id| wm.get(id));
+        kernel::fingerprint(slot.iter().map(part))
     }
 }
 

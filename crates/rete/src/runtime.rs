@@ -16,8 +16,8 @@ use std::time::Instant;
 use ops5::{Change, Error, Instantiation, MatchDelta, Matcher, Program, Wme, WmeId, WorkingMemory};
 use psm_obs::{NodeDelta, Obs, ProfileKind};
 
-use crate::kernel::{self, ActivationKind, FlightStage, KeyPart, Sign, Work};
-use crate::memory::{alpha_memories, Memory, Slot};
+use crate::kernel::{self, ActivationKind, FlightStage, Sign, Work};
+use crate::memory::{alpha_memories, beta_memories, token_key, token_slot, Memory};
 use crate::network::{CompileOptions, Network, NodeId, NodeKind, NodeSpec};
 use crate::profile::MatchProfile;
 use crate::snapshot::LastImage;
@@ -103,14 +103,6 @@ struct Probe {
     /// when a join's left input is a negative node, which it filters
     /// whole for unblocked tokens.
     left: Option<usize>,
-}
-
-/// Reads a slot's key off a token through the caller's view.
-fn slot_key(wm: &WorkingMemory) -> impl Fn(&Token, &[KeyPart]) -> Option<u32> + '_ {
-    |token, slot| {
-        let part = |&part| kernel::part_value(token, part, |id| wm.get(id));
-        kernel::fingerprint(slot.iter().map(part))
-    }
 }
 
 /// A pending node activation.
@@ -252,29 +244,15 @@ impl ReteMatcher {
     /// nothing after that looks at it.
     pub(crate) fn with_memory(network: Arc<Network>, memory: MemoryStrategy) -> Self {
         let keyed = |spec: &&NodeSpec| memory == MemoryStrategy::Hashed && !spec.key.is_empty();
-        let token_slot = |spec: &NodeSpec| kernel::token_parts(&spec.key).collect::<Slot>();
         let alpha_mems = alpha_memories(&network, memory);
         // A negative node whose left input holds the top token holds it
         // itself from the start (its right memory begins empty, so the
         // token passes).
         let holds_top = kernel::top_token_inputs(&network);
-        let states: Vec<_> = network
-            .nodes
-            .iter()
-            .zip(holds_top)
-            .map(|(spec, top)| match spec.kind {
-                NodeKind::BetaMemory => {
-                    // A slot per key its join children probe by. A
-                    // negative child never probes its parent: it keeps
-                    // the same tokens, chained under the same key,
-                    // beside their match counts.
-                    let children = spec.children.iter().map(|&child| network.node(child));
-                    let joins = children.filter(|child| child.kind == NodeKind::Join);
-                    let mut slots: Vec<Slot> = joins.filter(keyed).map(token_slot).collect();
-                    slots.sort_unstable();
-                    slots.dedup();
-                    NodeState::Mem(Memory::new(slots))
-                }
+        let states: Vec<_> = {
+            let mut betas = beta_memories(&network, memory).map(|(_, memory)| memory);
+            let state = |(spec, top): (&NodeSpec, bool)| match spec.kind {
+                NodeKind::BetaMemory => NodeState::Mem(betas.next().expect("in node order")),
                 NodeKind::Negative => {
                     let own = Some(spec).filter(keyed).map(token_slot);
                     let mut memory = Memory::new(own.into_iter().collect());
@@ -284,15 +262,16 @@ impl ReteMatcher {
                     NodeState::Neg(memory)
                 }
                 NodeKind::Join | NodeKind::Terminal => NodeState::Stateless,
-            })
-            .collect();
+            };
+            network.nodes.iter().zip(holds_top).map(state).collect()
+        };
         let probe = |spec: &NodeSpec| Probe {
             right: alpha_mems[spec.alpha.expect("two-input node has alpha").index()]
                 .probe_slot(spec)
                 .expect("alpha memory has a slot per probing successor"),
             left: match (spec.kind, spec.left.map(|left| &states[left.index()])) {
                 (NodeKind::Negative, _) => Some(0),
-                (_, Some(NodeState::Mem(parent))) => parent.slot_of(&token_slot(spec)),
+                (_, Some(NodeState::Mem(parent))) => parent.probe_slot(spec),
                 _ => None,
             },
         };
@@ -822,12 +801,12 @@ impl ReteMatcher {
                         let work =
                             kernel::scan_wmes(&spec.tests, &token, candidates, resolve, tally);
                         let entry = NegEntry::new(token.clone(), count);
-                        self.neg_memory(node).insert(entry, slot_key(wm));
+                        self.neg_memory(node).insert(entry, token_key(wm));
                         self.stats.token_added();
                         (work, count == 0)
                     }
                     Sign::Minus => {
-                        let removed = self.neg_memory(node).remove(&token, slot_key(wm));
+                        let removed = self.neg_memory(node).remove(&token, token_key(wm));
                         let count = removed.map(|entry| entry.count.get());
                         match count {
                             Some(_) => self.stats.token_removed(),
@@ -853,25 +832,28 @@ impl ReteMatcher {
     }
 
     /// Inserts `token` into (or deletes it from) the beta memory `node`.
-    ///
-    /// Key values are read from WMEs that are live per the matcher
-    /// contract when the token arrives and immutable after, so the
-    /// chains they select are where the token stays until its minus.
     fn update_beta_memory(&mut self, node: NodeId, token: &Token, sign: Sign, wm: &WorkingMemory) {
         let NodeState::Mem(memory) = &mut self.states[node.index()] else {
             unreachable!("beta memory state")
         };
         match sign {
             Sign::Plus => {
-                memory.insert(token.clone(), slot_key(wm));
+                memory.insert_token(token.clone(), wm);
                 self.stats.token_added();
             }
-            Sign::Minus => match memory.remove(token, slot_key(wm)) {
-                Some(_) => self.stats.token_removed(),
-                // Counted (not just debug-asserted) so chaos and
-                // failover suites can gate on zero.
-                None => self.stats.phantom_removes += 1,
-            },
+            // Counted (not just debug-asserted) so chaos and failover
+            // suites can gate on zero.
+            Sign::Minus if !memory.remove_token(token, wm) => self.stats.phantom_removes += 1,
+            Sign::Minus => self.stats.token_removed(),
+        }
+    }
+
+    /// The beta memory of `node`, a beta-memory node (`None` for any
+    /// other node).
+    pub fn beta_memory(&self, node: NodeId) -> Option<&Memory<Token>> {
+        match &self.states[node.index()] {
+            NodeState::Mem(memory) => Some(memory),
+            _ => None,
         }
     }
 

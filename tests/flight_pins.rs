@@ -114,11 +114,20 @@ fn one_thread_parallel_engine_serves_the_pinned_bodies() {
     // made. The pins before, of 1 099 / 2 325 / 117 / 112 bytes:
     // 0x2307_a288_f8ba_6279, 0x06b7_c0b5_67ee_8cbe, 0xc074_4f5f_1388_93f6,
     // 0xbba2_6f6c_7f3c_57a9; the bodies now are 784 / 1 812 / 117 / 112.
+    // The cycle-1 body re-recorded once more, when a join under a beta
+    // memory began to read that memory as its phase found it: the same
+    // 23 records of the same bytes, six of them (seq 30–35) in another
+    // order. The goal's retraction meets the two retracted blocks in the
+    // `join-R` activations of nodes 4 and 2, which read the goal's
+    // tokens in the memories, no longer in the `join-L` activations its
+    // tokens make, which hide the phase's retractions; so node 4's
+    // `join-L` now comes after node 2's seeds, and node 5's `term` after
+    // node 4's. It was 0xacc9_710d_ca7d_46f5.
     assert_eq!(
         pins(&obs, program, &wm_src, matcher),
         [
             0x037f_2765_a330_1857,
-            0xacc9_710d_ca7d_46f5,
+            0x1146_7f0d_9bfd_fe0b,
             0xe8ae_678c_4f31_3826,
             0x5b88_6a94_c41f_fcc7,
         ]

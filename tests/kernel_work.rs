@@ -68,14 +68,16 @@ fn one_thread_parallel_work_is_pinned() {
     driver.init(&mut matcher);
     driver.run_cycles(&mut matcher, CYCLES);
     let s = matcher.stats();
-    // `tasks` re-pinned once, when the engine's right input became the
-    // shared alpha memory and a join or negative node whose left memory
-    // is empty at the start of a phase stopped getting a seed task:
-    // 18 745 before, 11 260 after. `join_tests` and `pairs_scanned` did
-    // not move.
+    // `tasks` re-pinned twice. First when the engine's right input
+    // became the shared alpha memory and a join or negative node whose
+    // left memory is empty at the start of a phase stopped getting a
+    // seed task: 18 745 before, 11 260 after. Then when a join under a
+    // beta memory began to read that memory and stopped getting a left
+    // task while its alpha memory is empty: 11 260 before, 9 334 after.
+    // `join_tests` and `pairs_scanned` moved neither time.
     assert_eq!(
         (s.join_tests, s.pairs_scanned, s.tasks),
-        (572, 2762, 11260),
+        (572, 2762, 9334),
         "parallel work moved: {s:?}"
     );
 }
