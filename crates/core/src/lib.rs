@@ -6,11 +6,10 @@
 //! realization of that design:
 //!
 //! * [`ParallelReteMatcher`] — node-activation parallelism. The engine
-//!   reads the sequential matcher's alpha memories and the beta memories
-//!   its joins read, which only the caller writes, between phases; a
-//!   negative node, and a join whose left input is a negative node or
-//!   the top token, owns a private, lock-protected left memory instead.
-//!   An activation locks at most the node it runs on, so multiple
+//!   keeps the sequential matcher's state and nothing else — its alpha
+//!   memories, the beta memories its joins read and its negative
+//!   memories — which only the caller writes, between phases. A task
+//!   writes nothing shared but its worker's deque, so multiple
 //!   activations of *different* nodes and multiple activations of the
 //!   *same* node's siblings proceed concurrently, and multiple
 //!   working-memory changes from one firing are processed in parallel —
@@ -37,34 +36,30 @@
 //! completion before assertions start — a remove/add barrier. A WME the
 //! batch both asserts and retracts nets to nothing before either phase.
 //!
-//! The alpha and beta memories are written by the caller only, between
-//! phases: the batch's assertions are filed into the alpha memories when
-//! the add phase starts and its retractions unfiled when the remove phase
-//! ends, and the tokens each phase's joins emit are filed into their
-//! beta memories when that phase ends. Within a phase they are
-//! read-only. A join under a beta memory follows the join delta rule for
-//! signed changes, Δ(L⋈R) = ΔL⋈R′ + L⋈ΔR: its right activation reads the
-//! beta memory as the phase found it, its left activation the alpha
-//! memory as the phase leaves it (this phase's retractions hidden by a
-//! per-WME phase stamp). Every pair is then made or retracted exactly
-//! once, in whatever order the phase's tasks run. A node with a private
-//! left memory sees the alpha memory through the same stamp and a record
-//! of when its own right activations ran: a left activation skips a WME
-//! changed in this phase while, in the add phase, the node's right
-//! activations are still to run, or, in the remove phase, have run, so
-//! that whichever of a right activation for a new WME and a left
-//! activation carrying it runs second finds the pair. The barrier alone
-//! would not make the shared memories safe.
+//! Every memory is written by the caller only, between phases: the
+//! batch's assertions are filed into the alpha memories when the add
+//! phase starts and its retractions unfiled when the remove phase ends,
+//! and what each phase's tasks list for the beta and negative memories
+//! is filed when that phase ends. Within a phase they are read-only, and
+//! every two-input node reads its token memory as the phase found it
+//! (L) and its alpha memory as the phase leaves it (R′, this phase's
+//! retractions hidden by a per-WME phase stamp). A join follows the join
+//! delta rule for signed changes, Δ(L⋈R) = ΔL⋈R′ + L⋈ΔR. A negative
+//! node follows its anti-join counterpart: a left activation of either
+//! sign passes its token when no WME of R′ matches it, and the node's
+//! right activations of a phase — one task — emit each token of L whose
+//! match count leaves zero (add phase) or reaches it (remove phase).
+//! Every pair, and every block or unblock, is then made or retracted
+//! exactly once, in whatever order the phase's tasks run. The barrier
+//! alone would not make the shared memories safe.
 //!
-//! Within a phase, each left activation's *insert + alpha-memory scan*
-//! and each right activation's scan of a private left memory is atomic
-//! under the node's lock, and private left-memory entries are signed
-//! counts, so a token deletion racing ahead of its own creation
-//! (possible downstream of negative nodes) leaves a debt that the later
-//! creation cancels. A beta memory nets the same way when the phase's
-//! tokens are filed: pluses first, then minuses. Conflict-set deltas are
-//! signed multisets with the same cancellation, making the final delta
-//! independent of the parallel schedule.
+//! When a phase ends, a memory nets what it is filed: the negative
+//! entries' count changes first (by position, which nothing has moved
+//! yet), then every plus, then every minus, so a token deletion that
+//! raced ahead of its own creation (possible downstream of negative
+//! nodes) cancels it. Conflict-set deltas are signed multisets with the
+//! same cancellation, making the final delta independent of the
+//! parallel schedule.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

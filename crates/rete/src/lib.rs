@@ -52,8 +52,8 @@ pub mod token;
 pub mod trace;
 
 pub use alpha::{AlphaId, AlphaNetwork, AlphaNode, AlphaTest};
-pub use kernel::{ActivationKind, Bucket, Sign};
-pub use memory::Memory;
+pub use kernel::{ActivationKind, Sign};
+pub use memory::{Memory, NegEntry};
 pub use network::{CompileOptions, JoinTest, Network, NetworkStats, NodeId, NodeSpec};
 pub use profile::MatchProfile;
 pub use runtime::{MemoryStrategy, ReteMatcher};

@@ -31,9 +31,9 @@ use std::sync::Arc;
 
 use ops5::{ByteReader, ByteWriter, CodecError, FxHashMap, WmeId};
 
-use crate::memory::{Memory, Slot};
+use crate::memory::{Memory, NegEntry, Slot};
 use crate::network::Network;
-use crate::runtime::{MemoryStrategy, NegEntry, NodeState, ReteMatcher};
+use crate::runtime::{MemoryStrategy, NodeState, ReteMatcher};
 use crate::stats::MatchStats;
 use crate::token::Token;
 
@@ -242,11 +242,15 @@ fn decode_wme(r: &mut ByteReader<'_>) -> Result<WmeId, CodecError> {
 
 fn encode_negative(w: &mut ByteWriter, entry: &NegEntry) {
     encode_token(w, &entry.token);
-    w.u32(entry.count.get());
+    w.u32(entry.count);
 }
 
 fn decode_negative(r: &mut ByteReader<'_>) -> Result<NegEntry, CodecError> {
-    Ok(NegEntry::new(decode_token(r)?, r.u32()?))
+    let token = decode_token(r)?;
+    Ok(NegEntry {
+        token,
+        count: r.u32()?,
+    })
 }
 
 /// The image a matcher returned last, with where its sections lie.

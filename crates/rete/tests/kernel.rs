@@ -1,15 +1,15 @@
 //! Unit tests of `rete::kernel` through its public interface: key
 //! selection, test counting, the two scans, the activation vocabulary,
-//! top-token seeding and the index bucket.
+//! and top-token seeding.
 
-use ops5::{parse_program, parse_wme, FxHashMap, PredOp, SymbolTable, Value, WmeId, WorkingMemory};
+use ops5::{parse_program, parse_wme, PredOp, SymbolTable, Value, WmeId, WorkingMemory};
 use psm_obs::ProfileKind;
 use rete::kernel::{
     eval_join_tests, fingerprint, key_tests, left_key, right_key, scan_tokens, scan_wmes,
     token_parts, top_token_inputs, wme_parts, Work,
 };
 use rete::network::NodeKind;
-use rete::{ActivationKind, Bucket, JoinTest, Network, Sign, Token};
+use rete::{ActivationKind, JoinTest, Network, Sign, Token};
 
 /// A working memory holding `lits`, their ids, and `x`-on-`x` join
 /// tests built from `ops`, each against token position 0.
@@ -281,26 +281,4 @@ fn top_token_reaches_through_leading_negatives_only() {
         "a mid-LHS negative is fed by a memory"
     );
     assert_eq!(reach.iter().filter(|&&r| r).count(), 4);
-}
-
-#[test]
-fn bucket_spills_on_second_entry_and_prunes_when_drained() {
-    let mut index: FxHashMap<u8, Bucket<u32>> = FxHashMap::default();
-    Bucket::insert(&mut index, 0, 1);
-    assert_eq!(index[&0], Bucket::One(1));
-    Bucket::insert(&mut index, 0, 2);
-    Bucket::insert(&mut index, 0, 3);
-    assert_eq!(index[&0].as_slice(), &[1, 2, 3]);
-    Bucket::remove(&mut index, &0, &9);
-    Bucket::remove(&mut index, &0, &1);
-    assert_eq!(index[&0].as_slice(), &[3, 2], "swap-remove order");
-    Bucket::remove(&mut index, &0, &3);
-    Bucket::remove(&mut index, &0, &2);
-    assert!(index.is_empty(), "drained bucket is pruned");
-    Bucket::insert(&mut index, 1, 7);
-    Bucket::remove(&mut index, &1, &8);
-    assert_eq!(index[&1], Bucket::One(7), "a miss leaves a singleton alone");
-    Bucket::remove(&mut index, &1, &7);
-    Bucket::remove(&mut index, &1, &7);
-    assert!(index.is_empty());
 }

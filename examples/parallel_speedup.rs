@@ -25,7 +25,7 @@ fn time_matcher<M: Matcher>(workload: &GeneratedWorkload, matcher: &mut M, cycle
 
 /// The bulk-batch row: 4× the vt initial working memory (4400 WMEs)
 /// asserted as one batch, then retracted as one batch. Best of five per
-/// stack; for the engine also Σ task execution time and Σ node-lock
+/// stack; for the engine also Σ task execution time and Σ deque-lock
 /// wait over all workers (`enable_timing`), which is where a second
 /// thread's cost shows when wall time does not halve.
 fn bulk_batch() -> Result<(), psm::ops5::Error> {

@@ -3,7 +3,7 @@
 //! node-parallel engine on one thread, on the deterministic vt stream.
 //!
 //! Two threads contend in `malloc`/`free` long before they contend on a
-//! node lock (on a bulk batch a second thread doubles the time spent in
+//! deque lock (on a bulk batch a second thread doubles the time spent in
 //! the allocator for the same number of calls), so the engine's
 //! allocation count is its scaling budget. This test pins both counts
 //! so that a change which starts allocating per task, per phase or per
@@ -109,20 +109,23 @@ fn allocations_per_wme_change_are_pinned() {
         ParallelReteMatcher::compile(&workload.program, options).expect("compiles"),
     );
     println!("allocations per WME change: sequential {seq:.2}, engine (1 thread) {par:.2}");
-    // Measured 2.80 and 3.33 (with every token an allocation of its
+    // Measured 2.80 and 3.02 (with every token an allocation of its
     // own: 13.99 and 13.71; with tokens in place but each WME filed into
     // a private right memory of every successor node and cloned into an
     // engine-side store: 2.80 and 8.03, ceiling 8.45; with the engine
     // reading the alpha memories but each join still filing its tokens
-    // into a private left memory: 2.80 and 4.43, ceiling 4.65); the
-    // ceilings sit 5 % above so a std hash-map growth change does not
-    // trip them, a per-task or per-token allocation does.
+    // into a private left memory: 2.80 and 4.43, ceiling 4.65; with the
+    // engine reading the beta memories but negative nodes and the joins
+    // below them or the top token keeping private left memories: 2.80
+    // and 3.33, ceiling 3.50); the ceilings sit 5 % above so a std
+    // hash-map growth change does not trip them, a per-task or
+    // per-token allocation does.
     assert!(
         seq <= 2.95,
         "sequential Rete: {seq:.2} allocations per change"
     );
     assert!(
-        par <= 3.50,
+        par <= 3.17,
         "engine, 1 thread: {par:.2} allocations per change"
     );
 }
