@@ -4,12 +4,10 @@
 //! nodes, each update of one a task of its own. The parallel engine
 //! sends a two-input node's tokens straight to the nodes the memory
 //! feeds, and files them into the memory itself between phases: this
-//! module flattens the memories out of the token routing graph, numbers
-//! the beta memories the engine keeps — those some join reads as its
-//! left input; a memory whose children are all negative nodes is not
-//! kept, each of them holding the tokens beside their match counts
-//! anyway — and the negative nodes' memories, and says for each node
-//! which of them its right activations scan.
+//! module flattens the memories out of the token routing graph, and says
+//! for each node which memory its right activations scan and which one a
+//! join's tokens are filed into. The memories are the sequential
+//! matcher's, addressed by their nodes.
 
 use ops5::ProductionId;
 use rete::network::NodeKind;
@@ -24,14 +22,12 @@ pub enum LeftInput {
     /// The dummy top token alone: a join compiled from a production's
     /// first condition element.
     Top,
-    /// The beta memory at this position of
-    /// [`memories`](ParallelTopology::memories): a join under it.
-    Beta(u32),
-    /// The memory of the negative node at this position of
-    /// [`negatives`](ParallelTopology::negatives): that node's own, or
-    /// that of the negative node a join is under, whose unblocked
-    /// tokens the join reads.
-    Negative(u32),
+    /// This beta-memory node's memory: a join under it.
+    Beta(NodeId),
+    /// This negative node's memory: the node's own, or that of the
+    /// negative node a join is under, whose unblocked tokens the join
+    /// reads.
+    Negative(NodeId),
 }
 
 /// Token routing for the parallel engine: for each two-input node, the
@@ -42,17 +38,11 @@ pub struct ParallelTopology {
     /// Per beta node: the two-input and terminal nodes fed by its output
     /// tokens (beta memories flattened away). Indexed by [`NodeId`].
     pub token_children: Vec<Vec<NodeId>>,
-    /// The beta-memory nodes the engine keeps a memory for, in node
-    /// order: those some join reads as its left input.
-    pub memories: Vec<NodeId>,
-    /// The negative nodes, in node order: each keeps a memory.
-    pub negatives: Vec<NodeId>,
     /// Per node: what its right activations scan.
     pub left: Vec<LeftInput>,
-    /// Per node: for a join whose output memory is kept, that memory's
-    /// position in [`memories`](Self::memories) — where its tokens are
-    /// filed.
-    pub output_memory: Vec<Option<u32>>,
+    /// Per node: for a join with an output memory, that beta-memory
+    /// node — where its tokens are filed.
+    pub output_memory: Vec<Option<NodeId>>,
     /// Whether each node participates in parallel execution (two-input
     /// nodes and terminals; memories are `false`).
     pub active: Vec<bool>,
@@ -74,23 +64,18 @@ impl ParallelTopology {
         let mut token_children = vec![Vec::new(); n];
         let mut active = vec![false; n];
         let mut terminal_production = vec![None; n];
-        let mut position = vec![None; n];
-        let mut memories = Vec::new();
-        let mut negatives = Vec::new();
+        let mut output_memory = vec![None; n];
 
         for (idx, spec) in network.nodes.iter().enumerate() {
             match spec.kind {
                 NodeKind::Join | NodeKind::Negative => {
                     active[idx] = true;
-                    if spec.kind == NodeKind::Negative {
-                        position[idx] = Some(negatives.len() as u32);
-                        negatives.push(NodeId(idx as u32));
-                    }
                     let mut out = Vec::new();
                     for &child in &spec.children {
                         match network.node(child).kind {
                             NodeKind::BetaMemory => {
                                 // Skip the memory, route to its children.
+                                output_memory[idx] = Some(child);
                                 out.extend(network.node(child).children.iter().copied());
                             }
                             _ => out.push(child),
@@ -102,38 +87,22 @@ impl ParallelTopology {
                     active[idx] = true;
                     terminal_production[idx] = spec.production;
                 }
-                NodeKind::BetaMemory => {
-                    let read = |child: &NodeId| network.node(*child).kind == NodeKind::Join;
-                    if spec.children.iter().any(read) {
-                        position[idx] = Some(memories.len() as u32);
-                        memories.push(NodeId(idx as u32));
-                    }
-                }
+                NodeKind::BetaMemory => {}
             }
         }
-        let at = |node: NodeId| position[node.index()].expect("a memory the engine keeps");
-        let left = (network.nodes.iter().enumerate())
-            .map(|(idx, spec)| match (spec.kind, spec.left) {
-                (NodeKind::Negative, _) => LeftInput::Negative(at(NodeId(idx as u32))),
+        let left = (network.iter())
+            .map(|(node, spec)| match (spec.kind, spec.left) {
+                (NodeKind::Negative, _) => LeftInput::Negative(node),
                 (NodeKind::Join, None) => LeftInput::Top,
                 (NodeKind::Join, Some(left)) if network.node(left).kind == NodeKind::Negative => {
-                    LeftInput::Negative(at(left))
+                    LeftInput::Negative(left)
                 }
-                (NodeKind::Join, Some(left)) => LeftInput::Beta(at(left)),
+                (NodeKind::Join, Some(left)) => LeftInput::Beta(left),
                 (NodeKind::BetaMemory | NodeKind::Terminal, _) => LeftInput::None,
-            })
-            .collect();
-        let output_memory = (network.nodes.iter())
-            .map(|spec| {
-                let join = spec.kind == NodeKind::Join;
-                let mut children = spec.children.iter().filter(|_| join);
-                children.find_map(|child| position[child.index()])
             })
             .collect();
         ParallelTopology {
             token_children,
-            memories,
-            negatives,
             left,
             output_memory,
             active,
@@ -228,12 +197,12 @@ mod tests {
         assert!(max_fanout >= 2, "shared prefix fans out to both branches");
     }
 
-    /// A memory is kept when a join reads it, and then it is the output
-    /// of the join above and the left input of every join below; a
-    /// memory only negative nodes read is not kept. Every negative node
-    /// keeps a memory, which the joins below it read.
+    /// Every join that feeds a memory files its tokens into it, whether
+    /// joins or only negative nodes read it, and the joins below read
+    /// it; a negative node reads its own memory, and so do the joins
+    /// below it.
     #[test]
-    fn memories_read_by_a_join_are_kept() {
+    fn each_join_files_into_its_own_memory() {
         let program = parse_program(
             r#"
             (p two (a ^x <v>) (b ^x <v>) (c ^x <v>) --> (halt))
@@ -243,43 +212,36 @@ mod tests {
         .unwrap();
         let net = Network::compile(&program).unwrap();
         let topo = ParallelTopology::from_network(&net);
-        let of_kind = |kind| -> Vec<usize> {
-            let nodes = net.nodes.iter().enumerate();
-            nodes
-                .filter(|(_, s)| s.kind == kind)
-                .map(|(i, _)| i)
-                .collect()
+        let of_kind = |kind| -> Vec<NodeId> {
+            let nodes = net.iter().filter(|(_, s)| s.kind == kind);
+            nodes.map(|(node, _)| node).collect()
         };
-        assert_eq!(of_kind(NodeKind::BetaMemory).len(), 3, "after a, a-b and g");
-        assert_eq!(
-            topo.memories.len(),
-            2,
-            "the one under g feeds a negation only"
-        );
-        for (at, &memory) in topo.memories.iter().enumerate() {
-            let at = at as u32;
-            let spec = net.node(memory);
+        let memories = of_kind(NodeKind::BetaMemory);
+        assert_eq!(memories.len(), 3, "after a, a-b and g");
+        for &memory in &memories {
             let [parent] = of_kind(NodeKind::Join)
                 .into_iter()
-                .filter(|&j| net.nodes[j].children.contains(&memory))
+                .filter(|j| net.node(*j).children.contains(&memory))
                 .collect::<Vec<_>>()[..]
             else {
                 panic!("one join above each memory")
             };
-            assert_eq!(topo.output_memory[parent], Some(at));
-            for child in &spec.children {
-                assert_eq!(topo.left[child.index()], LeftInput::Beta(at));
+            assert_eq!(topo.output_memory[parent.index()], Some(memory));
+            for child in &net.node(memory).children {
+                let left = topo.left[child.index()];
+                match net.node(*child).kind {
+                    NodeKind::Join => assert_eq!(left, LeftInput::Beta(memory)),
+                    _ => assert_eq!(left, LeftInput::Negative(*child)),
+                }
             }
         }
         let filed = topo.output_memory.iter().flatten().count();
-        assert_eq!(filed, 2);
+        assert_eq!(filed, 3);
         let [negative] = of_kind(NodeKind::Negative)[..] else {
             panic!("one negative node")
         };
-        assert_eq!(topo.negatives, [NodeId(negative as u32)]);
-        assert_eq!(topo.left[negative], LeftInput::Negative(0));
-        for child in &net.nodes[negative].children {
-            assert_eq!(topo.left[child.index()], LeftInput::Negative(0));
+        for child in &net.node(negative).children {
+            assert_eq!(topo.left[child.index()], LeftInput::Negative(negative));
         }
         let tops = topo.left.iter().filter(|&&left| left == LeftInput::Top);
         assert_eq!(tops.count(), 2, "the a and g joins");

@@ -56,7 +56,7 @@ pub use kernel::{ActivationKind, Sign};
 pub use memory::{Memory, NegEntry};
 pub use network::{CompileOptions, JoinTest, Network, NetworkStats, NodeId, NodeSpec};
 pub use profile::MatchProfile;
-pub use runtime::{MemoryStrategy, ReteMatcher};
+pub use runtime::{Memories, MemoryStrategy, ReteMatcher};
 pub use snapshot::{ImageParts, ReteSnapshot};
 pub use stats::MatchStats;
 pub use token::Token;

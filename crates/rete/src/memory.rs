@@ -21,10 +21,10 @@
 //! The alpha memories are built by one function, [`alpha_memories`],
 //! the beta memories by another, [`beta_memories`], and the negative
 //! memories by a third, [`negative_memories`], for
-//! [`ReteMatcher`](crate::ReteMatcher) and for `psm_core`'s
-//! node-parallel engine, which reads them from every worker during a
-//! phase and writes them only between phases: a `Memory` is `Sync`,
-//! because nothing in it changes through a shared borrow — a negative
+//! [`ReteMatcher`](crate::ReteMatcher), which `psm_core`'s node-parallel
+//! engine holds: its phases read them from every worker and write them
+//! only between phases. A `Memory` is `Sync`, because nothing in it
+//! changes through a shared borrow — a negative
 //! entry's match count included, which moves only through
 //! [`Memory::recount`].
 

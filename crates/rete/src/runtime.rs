@@ -15,6 +15,7 @@ use std::time::Instant;
 use ops5::{Change, Error, Instantiation, MatchDelta, Matcher, Program, Wme, WmeId, WorkingMemory};
 use psm_obs::{NodeDelta, Obs, ProfileKind};
 
+use crate::alpha::AlphaId;
 use crate::kernel::{self, ActivationKind, FlightStage, Sign, Work};
 use crate::memory::{alpha_memories, beta_memories, negative_memories, Memory, NegEntry};
 use crate::network::{CompileOptions, Network, NodeId, NodeKind, NodeSpec};
@@ -96,7 +97,7 @@ enum Payload {
 struct Scratch {
     queue: VecDeque<Task>,
     deferred: Vec<Task>,
-    alphas: Vec<crate::alpha::AlphaId>,
+    alphas: Vec<AlphaId>,
     /// What one two-input activation sends downstream; empty between
     /// activations.
     out: Vec<Token>,
@@ -108,7 +109,11 @@ struct Scratch {
 /// The sequential Rete matcher.
 ///
 /// This is the paper's "best known uniprocessor implementation" against
-/// which *true speed-up* is defined (Section 6, footnote 2).
+/// which *true speed-up* is defined (Section 6, footnote 2), and the
+/// state and the one-thread loop of `psm_core`'s node-parallel engine:
+/// the engine runs a batch too small to wake a helper through
+/// [`Matcher::process`], and a bulk batch in phases that read
+/// [`ReteMatcher::memories`] and file between phases.
 #[derive(Debug)]
 pub struct ReteMatcher {
     network: Arc<Network>,
@@ -157,6 +162,39 @@ pub struct ReteMatcher {
     /// What [`ReteMatcher::snapshot`] returned last; the next one copies
     /// its unchanged sections from it.
     pub(crate) last_image: RefCell<Option<LastImage>>,
+}
+
+/// The memories of a [`ReteMatcher`] — one per alpha node, per beta
+/// memory and per negative node — to read from several threads at once:
+/// what the parallel engine's tasks read during a phase, while nothing
+/// writes them.
+#[derive(Debug, Clone, Copy)]
+pub struct Memories<'a> {
+    alpha: &'a [Memory<WmeId>],
+    states: &'a [NodeState],
+}
+
+impl<'a> Memories<'a> {
+    /// Alpha memory `alpha`.
+    pub fn alpha(self, alpha: AlphaId) -> &'a Memory<WmeId> {
+        &self.alpha[alpha.index()]
+    }
+
+    /// The memory of `node`, a beta-memory node.
+    pub fn beta(self, node: NodeId) -> &'a Memory<Token> {
+        match &self.states[node.index()] {
+            NodeState::Mem(memory) => memory,
+            _ => unreachable!("beta memory state"),
+        }
+    }
+
+    /// The memory of `node`, a negative node.
+    pub fn negative(self, node: NodeId) -> &'a Memory<NegEntry> {
+        match &self.states[node.index()] {
+            NodeState::Neg(memory) => memory,
+            _ => unreachable!("negative state"),
+        }
+    }
 }
 
 impl ReteMatcher {
@@ -773,6 +811,7 @@ impl ReteMatcher {
     }
 
     /// Inserts `token` into (or deletes it from) the beta memory `node`.
+    #[inline]
     fn update_beta_memory(&mut self, node: NodeId, token: &Token, sign: Sign, wm: &WorkingMemory) {
         let NodeState::Mem(memory) = &mut self.states[node.index()] else {
             unreachable!("beta memory state")
@@ -786,6 +825,64 @@ impl ReteMatcher {
             // suites can gate on zero.
             Sign::Minus if !memory.remove_token(token, wm) => self.stats.phantom_removes += 1,
             Sign::Minus => self.stats.token_removed(),
+        }
+    }
+
+    /// Files `token` into (or one of it out of) the beta memory `node`,
+    /// as a token activation of the node does: the parallel engine's
+    /// filing between phases.
+    pub fn file_token(&mut self, node: NodeId, token: &Token, sign: Sign, wm: &WorkingMemory) {
+        self.update_beta_memory(node, token, sign, wm);
+    }
+
+    /// Files `token` with `count` matches into the memory of the
+    /// negative node `node`, or one entry of it out: the parallel
+    /// engine's filing between phases.
+    pub fn file_negative(
+        &mut self,
+        node: NodeId,
+        token: &Token,
+        count: u32,
+        sign: Sign,
+        wm: &WorkingMemory,
+    ) {
+        let NodeState::Neg(memory) = &mut self.states[node.index()] else {
+            unreachable!("negative state")
+        };
+        match sign {
+            Sign::Plus => {
+                memory.insert_token(token.clone(), count, wm);
+                self.stats.token_added();
+            }
+            Sign::Minus if memory.remove_token(token, wm).is_none() => {
+                self.stats.phantom_removes += 1
+            }
+            Sign::Minus => self.stats.token_removed(),
+        }
+    }
+
+    /// Moves the match count of entry `at` of the negative node `node`
+    /// by `delta`: the parallel engine's filing between phases.
+    pub fn recount(&mut self, node: NodeId, at: usize, delta: i32) {
+        self.neg_memory(node).recount(at, delta);
+    }
+
+    /// Files `id` into (or out of) alpha memory `alpha`: the parallel
+    /// engine's filing between phases.
+    pub fn file_wme(&mut self, alpha: AlphaId, id: WmeId, sign: Sign, wm: &WorkingMemory) {
+        let memory = &mut self.alpha_mems[alpha.index()];
+        match sign {
+            Sign::Plus => memory.insert_wme(id, wm),
+            Sign::Minus => drop(memory.remove_wme(id, wm)),
+        }
+    }
+
+    /// Every memory of the matcher, to read from several threads at
+    /// once.
+    pub fn memories(&self) -> Memories<'_> {
+        Memories {
+            alpha: &self.alpha_mems,
+            states: &self.states,
         }
     }
 
