@@ -225,8 +225,9 @@ fn panic_worker_mid_phase_recovers_and_pool_survives() {
 
     // Engine-level survival: the same plan on a raw parallel matcher.
     // The kill is contained (no unwind out of `process`) and counted,
-    // the rest of its phase drains, and the pool keeps matching for
-    // >= 3 subsequent batches with its one helper still parked.
+    // its short batch runs none of its changes, and the pool keeps
+    // matching for >= 3 subsequent batches with its one helper still
+    // parked.
     let threads = 2;
     let mut m = ParallelReteMatcher::compile(
         &workload.program,
