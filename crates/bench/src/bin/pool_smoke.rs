@@ -2,10 +2,12 @@
 //! and tear down cleanly at every supported width on every preset.
 //!
 //! For each `threads` in {2, 8, 32} and every workload preset this
-//! compiles a [`ParallelReteMatcher`], drives it through a batch
-//! stream plus one bulk batch (so both scheduling paths run: the caller
-//! alone, and seeds dealt over every deque with the helpers woken), and
-//! asserts the pool lifecycle contract:
+//! compiles a [`ParallelReteMatcher`] on a working memory of
+//! [`BULK_WM`] WMEs, drives it through a batch stream plus one bulk
+//! batch — the whole working memory retracted at once, past the
+//! engine's 1 024-change phase threshold — so both scheduling paths run
+//! (the caller alone, and seeds dealt over every deque with the helpers
+//! woken), and asserts the pool lifecycle contract:
 //!
 //! * no worker panics escape (`take_faults() == 0` with no plan set);
 //! * the pool spawns exactly `threads − 1` helpers for the matcher's
@@ -13,7 +15,8 @@
 //!   calling thread is worker 0;
 //! * every helper is still live at the end (`live == threads − 1`);
 //! * the small batches of the stream woke nobody (`helper_wakes == 0`
-//!   before the bulk batch);
+//!   before the bulk batch), and the bulk batch woke the helpers
+//!   (`helper_wakes > 0` after it);
 //! * dropping the matcher joins the crew: the process thread count
 //!   (from `/proc/self/status`) returns to its pre-run level, so a
 //!   deadlocked or leaked helper fails the gate instead of lingering.
@@ -32,6 +35,10 @@ use workloads::{GeneratedWorkload, Preset, WorkloadDriver};
 
 const WIDTHS: [usize; 3] = [2, 8, 32];
 const CYCLES: u64 = 12;
+/// Initial working memory of every preset: enough that the bulk
+/// retraction, after `CYCLES` batches of drift, still holds more than
+/// the 1 024 changes from which the engine runs a batch in phases.
+const BULK_WM: usize = 1200;
 
 /// Current thread count of this process, from `/proc/self/status`.
 /// Returns `None` off Linux (the join check is then skipped; the
@@ -60,7 +67,9 @@ fn settled_thread_count(baseline: usize) -> Option<usize> {
 }
 
 fn smoke(preset: Preset, threads: usize) -> Vec<String> {
-    let workload = GeneratedWorkload::generate(preset.spec_small()).expect("workload generates");
+    let mut spec = preset.spec_small();
+    spec.wm_size = BULK_WM;
+    let workload = GeneratedWorkload::generate(spec).expect("workload generates");
     let baseline = process_threads();
 
     let mut matcher = ParallelReteMatcher::compile(
@@ -86,7 +95,28 @@ fn smoke(preset: Preset, threads: usize) -> Vec<String> {
         .iter()
         .map(|(id, _, _)| Change::Remove(id))
         .collect();
+    assert!(
+        bulk.len() >= 1024,
+        "{} t{threads}: the bulk batch holds {} changes, under the phase threshold",
+        preset.name(),
+        bulk.len()
+    );
+    // A phase wakes only helpers that are parked, and a helper parks
+    // once the host first runs it, which a loaded host (a build beside
+    // this run) can put off past the stream: give it the time.
+    std::thread::sleep(std::time::Duration::from_millis(50));
     matcher.process(driver.working_memory(), &bulk);
+    assert_eq!(
+        matcher.stats().phased_batches,
+        1,
+        "{} t{threads}: the bulk batch ran on the loop",
+        preset.name()
+    );
+    assert!(
+        matcher.pool_stats().helper_wakes > 0,
+        "{} t{threads}: the bulk batch woke no helper",
+        preset.name()
+    );
     assert_eq!(
         matcher.resident_tokens(),
         0,
@@ -164,7 +194,7 @@ fn main() {
     );
     println!(
         "\nall {} runs clean: spawn count == threads - 1 per matcher lifetime, \
-         no wake on small batches, no panics, no leaked threads.",
+         no wake on small batches, a wake on the bulk batch, no panics, no leaked threads.",
         rows.len()
     );
 }

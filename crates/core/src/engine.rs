@@ -118,6 +118,11 @@ pub struct ParallelStats {
     /// Node activations of the batches run through the sequential
     /// matcher's loop, which dispatches no task.
     pub loop_activations: u64,
+    /// Batches run in phases across the pool; the rest ran on the
+    /// sequential loop. A phase files what its tasks list in the order
+    /// the workers listed it, so after one the memories hold the
+    /// sequential matcher's entries, not its image.
+    pub phased_batches: u64,
     /// Join-test evaluations.
     pub join_tests: u64,
     /// Opposite-memory entries scanned.
@@ -771,6 +776,35 @@ impl ParallelReteMatcher {
         self.rete.network()
     }
 
+    /// The sequential matcher whose memories the engine runs on. While
+    /// every batch so far ran on the loop (no
+    /// [`ParallelStats::phased_batches`]), it is the matcher a
+    /// [`ReteMatcher`] fed the same batches would be, byte for byte.
+    pub fn rete(&self) -> &ReteMatcher {
+        &self.rete
+    }
+
+    /// Joins the pool and keeps the sequential matcher.
+    pub fn into_rete(self) -> ReteMatcher {
+        self.rete
+    }
+
+    /// Runs on `rete`'s memories from here on, in place of the engine's
+    /// own: a matcher on the same network, rebuilt elsewhere (its work
+    /// counters come with it). The attached obs handle is attached to
+    /// it, and what the phases derived from the old memories is dropped.
+    pub fn adopt(&mut self, mut rete: ReteMatcher) {
+        assert!(
+            Arc::ptr_eq(rete.network(), self.network()),
+            "an adopted matcher runs on the engine's network"
+        );
+        if let Some(m) = &self.obs {
+            rete.attach_obs(Arc::clone(&m.obs));
+        }
+        self.rete = rete;
+        self.phases = None;
+    }
+
     /// Work counters so far, of the phases and the sequential loop
     /// together.
     pub fn stats(&self) -> ParallelStats {
@@ -918,6 +952,7 @@ impl ParallelReteMatcher {
     /// batch both asserts and retracts nets to nothing here: it is
     /// stamped 0, seeds nothing and stays filed as it was.
     fn seed(&mut self, wm: &WorkingMemory, changes: &[Change]) {
+        self.stats.phased_batches += 1;
         let (remove, add) = (self.phase_seq + 1, self.phase_seq + 2);
         let phases = self.phases.get_or_insert_with(|| Phases::new(&self.rete));
         let stamps = &mut phases.stamps;

@@ -15,14 +15,13 @@
 //! * **[`Checkpoint`] + [`Wal`]** — versioned byte-level snapshots of
 //!   working memory, Rete memories, and conflict set, plus a
 //!   write-ahead log of committed change batches. The supervisor
-//!   keeps the committed state warm, once: a working memory, a
-//!   sequential matcher and the conflict set that take each logged
-//!   batch exactly once, so a checkpoint costs the WAL tail plus a
-//!   snapshot of the memories it changed (the rest of the image is
-//!   copied from the last one) and recovery = make that matcher the
-//!   live one; restore
-//!   snapshot + replay tail is the cold path for when nothing warm
-//!   exists. Either way the pre-fault state is reproduced
+//!   keeps the committed state warm, once: a working memory and a
+//!   conflict set beside the live matcher, which is the committed one,
+//!   so a checkpoint costs a snapshot of the memories that changed.
+//!   Restore snapshot + replay tail is the cold path, for when the live
+//!   memories are suspect or not the sequential image (an engine fault,
+//!   a batch run in phases) and for when nothing warm exists. Either
+//!   way the pre-fault state is reproduced
 //!   *byte-for-byte* (same WME ids, same time tags, same memory
 //!   contents) — asserted, not assumed, by the tests.
 //! * **[`Supervisor`]** — a drop-in [`ops5::Matcher`] that runs the
@@ -78,7 +77,7 @@ pub use wal::{Wal, WalChange, WalEntry};
 mod tests {
     use std::sync::Arc;
 
-    use ops5::Matcher;
+    use ops5::{Change, Matcher};
     use psm_core::FaultAction;
     use rete::ReteMatcher;
     use workloads::{GeneratedWorkload, Preset, WorkloadDriver};
@@ -296,8 +295,9 @@ mod tests {
     }
 
     /// Drives `sup` and a never-faulted sequential matcher in lockstep
-    /// and, after every cycle, holds the committed snapshot (trailing
-    /// or live) against the cold path and the reference, and a
+    /// and, after every cycle, holds the committed snapshot (the live
+    /// matcher's, or the naive tier's rebuilt one) against the cold
+    /// path and the reference, and a
     /// chain fed every new checkpoint against that checkpoint. `sup`
     /// may be a [`FailoverPair`]; `active` names the live supervisor.
     fn assert_committed_state_every_cycle<M: Matcher>(
@@ -365,7 +365,7 @@ mod tests {
                     assert_eq!(
                         sup.tier(),
                         Tier::Parallel,
-                        "{what}: the lazy catch-up path ran"
+                        "{what}: the engine's own matcher was read"
                     );
                 }
             }
@@ -373,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_replays_only_the_tail_the_committed_state_had_not_seen() {
+    fn recovery_replays_the_tail_since_the_last_checkpoint_once() {
         let w = small_workload();
         let init = w.spec.wm_size as u64;
         // Batch k (0-based supervised cycle k) runs phases 2k+1, 2k+2:
@@ -392,16 +392,9 @@ mod tests {
             driver.commit_batch(&batch);
         }
         // Two of the three tail entries are committed. Looking at the
-        // committed state replays them into it, once.
-        let before = sup.report().wal_replayed;
+        // committed state reads the engine's own matcher.
         sup.committed_snapshot();
-        assert_eq!(sup.report().wal_replayed, before + 2);
-        sup.committed_snapshot();
-        assert_eq!(
-            sup.report().wal_replayed,
-            before + 2,
-            "nothing left to replay"
-        );
+        assert_eq!(sup.report().wal_replayed, 0, "nothing to replay");
         while sup.cycles() <= fault_cycle {
             let batch = driver.next_batch();
             sup.process(driver.working_memory(), &batch);
@@ -410,10 +403,91 @@ mod tests {
         let report = sup.report();
         assert_eq!((sup.tier(), report.recoveries), (Tier::Sequential, 1));
         assert_eq!(
-            report.wal_replayed, fault_cycle,
-            "every batch committed before the fault was replayed exactly once"
+            report.wal_replayed, 3,
+            "the cold path replayed the three entries since the checkpoint, once"
         );
         let (reference, conflict) = drive_reference(&w, 11, fault_cycle + 1 - init, sup.network());
+        assert_eq!(sup.conflict_set(), conflict);
+        assert_eq!(
+            sup.committed_snapshot().as_bytes(),
+            reference.snapshot().as_bytes()
+        );
+    }
+
+    /// Feeds `feed` a stream that crosses the engine's phase threshold
+    /// both ways: 1 100 WMEs asserted four at a time, 1 100 more in one
+    /// batch, 30 small batches retracting and asserting, then the whole
+    /// working memory retracted in one batch.
+    fn bulk_stream(w: &GeneratedWorkload, mut feed: impl FnMut(&ops5::WorkingMemory, &[Change])) {
+        let mut wm = ops5::WorkingMemory::new();
+        let mut rng = psm_obs::Rng64::new(7);
+        let adds = |wm: &mut ops5::WorkingMemory, n: usize, rng: &mut psm_obs::Rng64| {
+            let add = |_| Change::Add(wm.add(w.gen_wme(rng)).0);
+            (0..n).map(add).collect::<Vec<_>>()
+        };
+        for _ in 0..275 {
+            let batch = adds(&mut wm, 4, &mut rng);
+            feed(&wm, &batch);
+        }
+        let bulk = adds(&mut wm, 1100, &mut rng);
+        feed(&wm, &bulk);
+        for k in 0..30 {
+            let live: Vec<_> = wm.iter().map(|(id, _, _)| id).collect();
+            let mut batch = vec![Change::Remove(live[(k * 37) % live.len()])];
+            batch.extend(adds(&mut wm, 2, &mut rng));
+            feed(&wm, &batch);
+            wm.remove(batch[0].wme());
+        }
+        let all: Vec<Change> = wm.iter().map(|(id, _, _)| Change::Remove(id)).collect();
+        feed(&wm, &all);
+    }
+
+    #[test]
+    fn a_phased_batch_leaves_every_checkpoint_equal_to_the_reference() {
+        let w = small_workload();
+        let run = || {
+            let mut sup = Supervisor::new(&w.program, fast_config()).expect("compiles");
+            let mut reference = ReteMatcher::from_network(sup.network().clone());
+            let mut images = Vec::new();
+            bulk_stream(&w, |wm, batch| {
+                sup.process(wm, batch);
+                reference.process(wm, batch);
+                if sup.last_checkpoint().cycle == sup.cycles() {
+                    let image = sup.last_checkpoint().rete.clone();
+                    assert_eq!(
+                        image.as_bytes(),
+                        reference.snapshot().as_bytes(),
+                        "cycle {}: the checkpoint's image is the reference's",
+                        sup.cycles()
+                    );
+                    images.push(image);
+                }
+            });
+            assert_eq!(sup.tier(), Tier::Parallel, "nothing degraded");
+            assert!(
+                sup.report().wal_replayed > 0,
+                "the phased batches sent the image through the cold path"
+            );
+            assert_eq!(
+                sup.committed_snapshot().as_bytes(),
+                reference.snapshot().as_bytes()
+            );
+            images
+        };
+        let images = run();
+        assert_eq!(images.len(), 307 / 4, "a checkpoint every fourth batch");
+        assert!(images == run(), "twin runs checkpoint the same bytes");
+    }
+
+    #[test]
+    fn a_vt_stream_at_the_parallel_tier_replays_nothing() {
+        let w = GeneratedWorkload::generate(Preset::Vt.spec_small()).expect("generates");
+        let mut sup = run_supervised(&w, 11, 40, None, fast_config());
+        let report = sup.report();
+        assert_eq!(sup.tier(), Tier::Parallel);
+        assert!(report.checkpoints > 10, "checkpoints were taken");
+        assert_eq!(report.wal_replayed, 0, "the engine's matcher is the image");
+        let (reference, conflict) = drive_reference(&w, 11, 40, &sup.network().clone());
         assert_eq!(sup.conflict_set(), conflict);
         assert_eq!(
             sup.committed_snapshot().as_bytes(),
@@ -521,7 +595,7 @@ mod tests {
     }
 
     #[test]
-    fn gauges_stay_at_the_frontier_while_the_committed_state_trails() {
+    fn gauges_stay_at_the_committed_frontier() {
         let w = small_workload();
         let obs = Arc::new(psm_obs::Obs::new(64));
         let mut sup = Supervisor::new(&w.program, fast_config()).expect("compiles");
@@ -532,8 +606,6 @@ mod tests {
             let batch = driver.next_batch();
             sup.process(driver.working_memory(), &batch);
             driver.commit_batch(&batch);
-            // The gauges first: reading the conflict set is what
-            // catches the committed state up.
             let gauges = obs.metrics.snapshot().gauges;
             assert_eq!(gauges["fault.wal_entries"], sup.wal().len() as i64);
             assert_eq!(
@@ -559,6 +631,10 @@ mod tests {
         assert!(report.deadline_misses >= 1);
         assert_eq!(sup.tier(), Tier::Sequential, "left the parallel tier");
         assert_eq!(report.recoveries, 0, "no state was corrupt");
+        assert_eq!(
+            report.wal_replayed, 0,
+            "the engine's matcher was handed over"
+        );
         let (reference, conflict) = drive_reference(&w, 11, 6, &sup.network().clone());
         assert_eq!(sup.conflict_set(), conflict);
         assert_eq!(

@@ -13,52 +13,34 @@
 //!
 //! Every committed batch is appended to a [`Wal`]; every
 //! `checkpoint_every` cycles the committed state is captured as a
-//! [`Checkpoint`]. The committed state itself is kept, not re-derived,
-//! and kept **once**: one `WarmState` — working memory, a sequential
-//! [`ReteMatcher`] and the conflict set, the same triple a warm standby
-//! holds — plus a count of how many of the WAL's entries it holds. What
-//! it is depends on the tier:
+//! [`Checkpoint`]. The committed state is kept once, at the WAL frontier,
+//! at every tier: a working memory and a conflict set that each batch
+//! enters by the one commit step (its logged WMEs in, its retractions
+//! out, its delta into the set), and the live matcher — the engine's own
+//! [`ReteMatcher`] at the parallel tier, lent out for
+//! [`Supervisor::committed_snapshot`] and checkpoints and taken by value
+//! when a deadline miss drops the pool. A checkpoint replays nothing.
 //!
-//! * **parallel** — it starts empty at genesis and *trails* the WAL
-//!   frontier: the engine matches the batch, the batch is logged, and
-//!   the committed state takes it up lazily, by replaying the entries it
-//!   has not seen, whenever a checkpoint or a reader
-//!   ([`Supervisor::committed_snapshot`], [`Supervisor::conflict_set`],
-//!   [`Supervisor::committed_wm_bytes`]) needs it. Each entry is
-//!   replayed once, and a checkpoint costs the WAL tail plus a
-//!   snapshot of the memories the tail changed (the matcher copies the
-//!   rest from its last image, and the chain diffs only around the
-//!   copies).
-//! * **sequential / promoted** — its matcher *is* the live matcher:
-//!   matching a batch is `WarmState::replay` of the batch's entry into
-//!   it (its own working memory, the same ids), so it sits at the
-//!   frontier and nothing is ever replayed lazily.
-//! * **naive** — the fall drops it, because the sequential matcher that
-//!   kept it is the one being degraded from; the next read rebuilds it
-//!   from the last checkpoint (the cold path), after which it trails
-//!   the frontier as at the parallel tier.
-//!
-//! There is one way a sequential matcher consumes a committed batch —
-//! `WarmState::replay` — at every tier, on a standby and in
-//! [`Supervisor::recovery_drill`]. When the parallel engine reports an
-//! injected fault (dropped task, worker panic, poisoned lock — see
-//! [`psm_core::FaultInjector`]) the possibly-corrupt delta is discarded,
-//! the engine is retired, and the supervisor **recovers**: the committed
-//! state (which only ever saw committed batches, sequentially) is
-//! brought to the WAL frontier and from then on matches live, starting
-//! with the interrupted batch. Because replay reproduces the exact
-//! pre-fault state (same WME ids, same time tags, same memories), the
-//! recovered matcher's snapshot is byte-identical to a never-faulted
-//! run — the tests assert exactly that. Restoring a matcher from
-//! checkpoint *bytes* is left to the places that have no warm state: a
-//! standby basing itself on the shipped chain,
-//! [`Supervisor::recovery_drill`], and the naive tier's first read.
+//! Where the live memories are not the image a sequential matcher fed
+//! the same batches would hold, the cold path rebuilds them: the last
+//! checkpoint's bytes, the WAL tail replayed (`WarmState::replay`, the
+//! commit step with the matcher run inside it, as on a standby), the
+//! matcher handed back to the engine or made the live one. That is after
+//! an injected engine fault ([`psm_core::FaultInjector`]), on the loop
+//! or in phases — the delta is discarded and the rebuilt matcher runs
+//! the interrupted batch — and, before the next reader of the image,
+//! after a batch the engine ran in phases
+//! ([`psm_core::ParallelStats::phased_batches`]), whose workers file the
+//! right entries in schedule order. The naive tier runs no Rete: its
+//! first read rebuilds the committed matcher, later reads catch it up.
+//! Replay reproduces the exact state (same WME ids, time tags and
+//! memories), so every way is byte-identical to a never-faulted run.
 //!
 //! The supervisor holds no second copy of the caller's working memory to
 //! notice a mutation that went around it; ids are dense and never
 //! reused, so it tracks the next one and refuses a batch whose
 //! assertions do not continue from it — in the cycle it happens, not at
-//! the lazy replay that would trip over it later.
+//! a replay that would trip over it later.
 //!
 //! Transient cycle-level faults (from the [`FaultPlan`]) are retried
 //! with bounded, jittered backoff (the jitter is seeded from the fault
@@ -175,10 +157,10 @@ pub struct FaultReport {
     pub recoveries: u64,
     /// Checkpoints taken.
     pub checkpoints: u64,
-    /// WAL entries the committed state caught up on lazily (before
-    /// checkpoints, recoveries and committed-state reads; each entry
-    /// once). A batch the sequential tiers commit as they match it is
-    /// not a replay.
+    /// WAL entries replayed into a rebuilt committed matcher, by the
+    /// cold path and by the naive tier's catch-up. A batch the live
+    /// matcher matched is not a replay: a healthy Rete tier keeps this
+    /// at 0.
     pub wal_replayed: u64,
     /// Cycles whose match attempt exceeded the deadline.
     pub deadline_misses: u64,
@@ -204,52 +186,26 @@ pub struct RecoveryDrill {
     pub snapshot_bytes: usize,
 }
 
-/// Committed state held warm: working memory, the sequential matcher
-/// fed exactly the committed batches, and the conflict set they leave.
-/// The supervisor's committed state and a standby's replayed state are
-/// both one of these, advanced by [`WarmState::replay`].
-pub(crate) struct WarmState {
+/// The working memory and the conflict set the committed batches leave.
+#[derive(Default)]
+pub(crate) struct Committed {
     pub(crate) wm: WorkingMemory,
-    pub(crate) matcher: ReteMatcher,
     /// In canonical order — by production, then WMEs — which is the
     /// order a checkpoint lists it in.
     pub(crate) conflict: BTreeSet<Instantiation>,
 }
 
-impl WarmState {
-    /// The state before any batch.
-    fn empty(network: Arc<Network>) -> Self {
-        WarmState {
-            wm: WorkingMemory::new(),
-            matcher: ReteMatcher::from_network(network),
-            conflict: BTreeSet::new(),
-        }
-    }
-
-    /// Decodes `cp` — the cold path, for when nothing warm exists.
-    pub(crate) fn restore(network: Arc<Network>, cp: &Checkpoint) -> Result<Self, CodecError> {
-        Ok(WarmState {
-            matcher: ReteMatcher::restore(network, &cp.rete)?,
-            wm: WorkingMemory::restore_snapshot(&cp.wm)?,
-            conflict: cp.conflict.iter().cloned().collect(),
-        })
-    }
-
-    /// The state as a checkpoint covering `cycle` committed cycles.
-    fn checkpoint(&self, cycle: u64) -> Checkpoint {
-        Checkpoint {
-            cycle,
-            wm: self.wm.snapshot_bytes(),
-            rete: self.matcher.snapshot(),
-            conflict: self.conflict.iter().cloned().collect(),
-        }
-    }
-
-    /// Commits one logged batch and returns what it did to the conflict
-    /// set: re-assert the logged WMEs (asserting id continuity), run the
-    /// matcher with the original change order, then retract — exactly
-    /// the live protocol.
-    pub(crate) fn replay(&mut self, entry: &WalEntry) -> MatchDelta {
+impl Committed {
+    /// The commit step, the one every tier takes: re-asserts the logged
+    /// WMEs in id order (asserting each gets the id it was logged with),
+    /// takes the batch's delta from `matched` — given the working memory
+    /// as the live protocol has it then — retracts the logged
+    /// retractions and folds the delta into the conflict set.
+    fn commit(
+        &mut self,
+        entry: &WalEntry,
+        matched: impl FnOnce(&WorkingMemory) -> MatchDelta,
+    ) -> MatchDelta {
         let mut adds: Vec<(WmeId, &Wme)> = entry
             .changes
             .iter()
@@ -263,8 +219,7 @@ impl WarmState {
             let (rid, _) = self.wm.add(wme.clone());
             assert_eq!(rid, id, "WAL replay must reproduce original WME ids");
         }
-        let changes: Vec<Change> = entry.changes.iter().map(WalChange::as_change).collect();
-        let delta = self.matcher.process(&self.wm, &changes);
+        let delta = matched(&self.wm);
         for c in &entry.changes {
             if let WalChange::Remove(id) = c {
                 self.wm.remove(*id);
@@ -277,6 +232,47 @@ impl WarmState {
             self.conflict.insert(inst.clone());
         }
         delta
+    }
+
+    /// The state, with the committed matcher's `rete` image, as a
+    /// checkpoint covering `cycle` committed cycles.
+    fn checkpoint(&self, cycle: u64, rete: ReteSnapshot) -> Checkpoint {
+        Checkpoint {
+            cycle,
+            wm: self.wm.snapshot_bytes(),
+            rete,
+            conflict: self.conflict.iter().cloned().collect(),
+        }
+    }
+}
+
+/// Committed state with a sequential matcher of its own, fed exactly the
+/// committed batches: what the cold path rebuilds and a standby holds,
+/// advanced by [`WarmState::replay`].
+pub(crate) struct WarmState {
+    pub(crate) committed: Committed,
+    pub(crate) matcher: ReteMatcher,
+}
+
+impl WarmState {
+    /// Decodes `cp` — the cold path, for when nothing warm exists.
+    pub(crate) fn restore(network: Arc<Network>, cp: &Checkpoint) -> Result<Self, CodecError> {
+        Ok(WarmState {
+            matcher: ReteMatcher::restore(network, &cp.rete)?,
+            committed: Committed {
+                wm: WorkingMemory::restore_snapshot(&cp.wm)?,
+                conflict: cp.conflict.iter().cloned().collect(),
+            },
+        })
+    }
+
+    /// Commits one logged batch, the matcher running it in the original
+    /// change order, and returns what it did to the conflict set.
+    pub(crate) fn replay(&mut self, entry: &WalEntry) -> MatchDelta {
+        let changes: Vec<Change> = entry.changes.iter().map(WalChange::as_change).collect();
+        let matcher = &mut self.matcher;
+        self.committed
+            .commit(entry, |wm| matcher.process(wm, &changes))
     }
 }
 
@@ -321,25 +317,22 @@ pub struct Supervisor {
     obs: Option<FaultMetrics>,
     tier: Tier,
     parallel: Option<ParallelReteMatcher>,
+    /// The engine's [`psm_core::ParallelStats::phased_batches`] when its
+    /// memories last were the committed image.
+    image_at: u64,
+    /// The sequential and promoted tiers' matcher.
+    rete: Option<ReteMatcher>,
     naive: Option<NaiveMatcher>,
-    /// The committed state, held once. At the sequential tiers its
-    /// matcher is the live one and it sits at the WAL frontier; at the
-    /// parallel and naive tiers it trails the frontier by the entries
-    /// from `applied` on until [`Supervisor::advance`] catches it up.
-    /// `None` only at the naive tier before the first read since the
-    /// fall (the matcher degraded from is not trusted, so the state is
-    /// rebuilt from the last checkpoint).
-    committed: Option<WarmState>,
-    /// How many of `wal`'s entries `committed` holds.
-    applied: usize,
+    /// At the naive tier, what the first read after the fall rebuilt,
+    /// and the cycles it covers.
+    rebuilt: Option<(WarmState, u64)>,
+    /// The working memory and conflict set at the WAL frontier.
+    committed: Committed,
     /// The id the caller's working memory hands out next, as far as the
     /// supervisor has been told: ids are dense and never reused, so a
     /// batch whose assertions do not continue from here means a
     /// mutation went around `process`.
     next_id: usize,
-    /// Size of the conflict set at the WAL frontier, kept from the exact
-    /// deltas (the set itself lives in `committed`, which may trail).
-    conflict_size: usize,
     /// Shared with the replication store while it pushes it.
     checkpoint: Arc<Checkpoint>,
     /// How long [`ReplicationStore::publish_checkpoint`] has made this
@@ -363,29 +356,10 @@ impl Supervisor {
     pub fn new(program: &Program, config: SupervisorConfig) -> Result<Self, Error> {
         let network = Arc::new(Network::compile(program)?);
         let parallel = ParallelReteMatcher::from_network(network.clone(), config.threads);
-        let committed = WarmState::empty(network.clone());
-        let genesis = committed.matcher.snapshot();
+        let genesis = Checkpoint::genesis(parallel.rete().snapshot());
         Ok(Supervisor {
-            program: program.clone(),
-            network,
-            config,
-            plan: None,
-            obs: None,
-            tier: Tier::Parallel,
             parallel: Some(parallel),
-            naive: None,
-            committed: Some(committed),
-            applied: 0,
-            next_id: 0,
-            conflict_size: 0,
-            checkpoint: Arc::new(Checkpoint::genesis(genesis)),
-            publish_wait: Duration::ZERO,
-            wal: Wal::new(),
-            cycle: 0,
-            report: FaultReport::default(),
-            sanitizer: None,
-            jitter: Rng64::new(0),
-            replication: None,
+            ..Supervisor::at(program, network, config, Tier::Parallel, genesis)
         })
     }
 
@@ -401,23 +375,43 @@ impl Supervisor {
         warm: WarmState,
         cycle: u64,
     ) -> Self {
+        let checkpoint = warm.committed.checkpoint(cycle, warm.matcher.snapshot());
+        Supervisor {
+            rete: Some(warm.matcher),
+            next_id: warm.committed.wm.next_id().index(),
+            committed: warm.committed,
+            cycle,
+            ..Supervisor::at(program, network, config, Tier::Promoted, checkpoint)
+        }
+    }
+
+    /// A supervisor at `tier` on `checkpoint`, with no matcher, no state
+    /// and no history, for the constructors to fill in.
+    fn at(
+        program: &Program,
+        network: Arc<Network>,
+        config: SupervisorConfig,
+        tier: Tier,
+        checkpoint: Checkpoint,
+    ) -> Self {
         Supervisor {
             program: program.clone(),
             network,
             config,
             plan: None,
             obs: None,
-            tier: Tier::Promoted,
+            tier,
             parallel: None,
+            image_at: 0,
+            rete: None,
             naive: None,
-            applied: 0,
-            next_id: warm.wm.next_id().index(),
-            conflict_size: warm.conflict.len(),
-            checkpoint: Arc::new(warm.checkpoint(cycle)),
+            rebuilt: None,
+            committed: Committed::default(),
+            next_id: 0,
+            checkpoint: Arc::new(checkpoint),
             publish_wait: Duration::ZERO,
-            committed: Some(warm),
             wal: Wal::new(),
-            cycle,
+            cycle: 0,
             report: FaultReport::default(),
             sanitizer: None,
             jitter: Rng64::new(0),
@@ -469,8 +463,8 @@ impl Supervisor {
         if let Some(p) = &mut self.parallel {
             p.attach_obs(obs.clone());
         }
-        if let (Tier::Sequential | Tier::Promoted, Some(c)) = (self.tier, &mut self.committed) {
-            c.matcher.attach_obs(obs.clone());
+        if let Some(m) = &mut self.rete {
+            m.attach_obs(obs.clone());
         }
         self.obs = Some(FaultMetrics {
             counters: COUNTERS.map(|name| obs.metrics.counter(name)),
@@ -491,8 +485,8 @@ impl Supervisor {
     }
 
     /// The committed conflict set, sorted canonically.
-    pub fn conflict_set(&mut self) -> Vec<Instantiation> {
-        self.advance().conflict.iter().cloned().collect()
+    pub fn conflict_set(&self) -> Vec<Instantiation> {
+        self.committed.conflict.iter().cloned().collect()
     }
 
     /// Fault counters so far (includes the live engine's poison-
@@ -521,10 +515,7 @@ impl Supervisor {
     /// `fault_report` bench's recovery-time column.
     pub fn recovery_drill(&self) -> RecoveryDrill {
         let started = Instant::now();
-        let mut cold = self.cold_restore();
-        for entry in self.wal.entries() {
-            cold.replay(entry);
-        }
+        let cold = self.rebuild();
         let snapshot_bytes = cold.matcher.snapshot().as_bytes().len();
         RecoveryDrill {
             elapsed: started.elapsed(),
@@ -539,19 +530,17 @@ impl Supervisor {
         &self.checkpoint
     }
 
-    /// A sequential-Rete snapshot of the committed state, once it has
-    /// caught up on the WAL entries it had not seen (none at the
-    /// sequential tiers, where its matcher is the live one).
+    /// A sequential-Rete snapshot of the committed matcher.
     /// Byte-identical to the snapshot of a fault-free [`ReteMatcher`]
     /// on [`Supervisor::network`] fed the same batches — the
     /// recovery-exactness audit hangs off this.
     pub fn committed_snapshot(&mut self) -> ReteSnapshot {
-        self.advance().matcher.snapshot()
+        self.committed_matcher().snapshot()
     }
 
     /// A canonical snapshot of the committed working memory.
-    pub fn committed_wm_bytes(&mut self) -> Vec<u8> {
-        self.advance().wm.snapshot_bytes()
+    pub fn committed_wm_bytes(&self) -> Vec<u8> {
+        self.committed.wm.snapshot_bytes()
     }
 
     /// Bumps one of [`COUNTERS`] (off the per-cycle path: faults,
@@ -575,51 +564,80 @@ impl Supervisor {
         }
     }
 
-    /// Decodes the last checkpoint into warm state (nothing replayed
-    /// yet).
-    fn cold_restore(&self) -> WarmState {
-        WarmState::restore(self.network.clone(), &self.checkpoint)
-            .expect("the checkpoint was taken by this supervisor on this network")
+    /// The cold path: the last checkpoint decoded and the WAL replayed
+    /// into it.
+    fn rebuild(&self) -> WarmState {
+        let mut cold = WarmState::restore(self.network.clone(), &self.checkpoint)
+            .expect("the checkpoint was taken by this supervisor on this network");
+        for entry in self.wal.entries() {
+            cold.replay(entry);
+        }
+        cold
     }
 
-    /// Brings the committed state to the WAL frontier: replays the
-    /// entries it does not hold yet (each is counted in `wal_replayed`
-    /// here, once), starting from the last checkpoint when the naive
-    /// tier dropped it.
-    fn advance(&mut self) -> &WarmState {
-        if self.committed.is_none() {
-            self.committed = Some(self.cold_restore());
+    /// [`Supervisor::rebuild`], counted, with the obs handle attached to
+    /// the rebuilt matcher.
+    fn cold_path(&mut self) -> ReteMatcher {
+        let mut matcher = self.rebuild().matcher;
+        self.report.wal_replayed += self.wal.len() as u64;
+        if let Some(m) = &self.obs {
+            matcher.attach_obs(m.obs.clone());
         }
-        let committed = self.committed.as_mut().expect("just ensured");
-        let tail = &self.wal.entries()[self.applied..];
-        for entry in tail {
-            committed.replay(entry);
+        matcher
+    }
+
+    /// Whether the engine ran a batch in phases since its memories last
+    /// were the committed image.
+    fn engine_off_image(&self) -> bool {
+        let engine = self.parallel.as_ref().expect("parallel tier has an engine");
+        engine.stats().phased_batches != self.image_at
+    }
+
+    /// The committed matcher, at the WAL frontier: the live one, after
+    /// the cold path if the engine ran a batch in phases since its
+    /// memories last were the image; at the naive tier, the rebuilt one,
+    /// caught up.
+    fn committed_matcher(&mut self) -> &ReteMatcher {
+        match self.tier {
+            Tier::Parallel => {
+                if self.engine_off_image() {
+                    let matcher = self.cold_path();
+                    let engine = self.parallel.as_mut().expect("parallel tier");
+                    engine.adopt(matcher);
+                    self.image_at = engine.stats().phased_batches;
+                }
+                self.parallel.as_ref().expect("parallel tier").rete()
+            }
+            Tier::Sequential | Tier::Promoted => self.rete.as_ref().expect("sequential tier"),
+            Tier::Naive => {
+                let (network, cp) = (&self.network, &self.checkpoint);
+                let (warm, covered) = self.rebuilt.get_or_insert_with(|| {
+                    let cold = WarmState::restore(network.clone(), cp);
+                    (cold.expect("this supervisor took the checkpoint"), cp.cycle)
+                });
+                let tail = &self.wal.entries()[(*covered - cp.cycle) as usize..];
+                for entry in tail {
+                    warm.replay(entry);
+                }
+                self.report.wal_replayed += tail.len() as u64;
+                *covered = self.cycle;
+                &warm.matcher
+            }
         }
-        self.report.wal_replayed += tail.len() as u64;
-        self.applied = self.wal.len();
-        debug_assert_eq!(
-            committed.conflict.len(),
-            self.conflict_size,
-            "replay must reproduce the conflict set the live deltas were counted from"
-        );
-        committed
     }
 
     /// Retires the parallel engine (folding its counters into the
-    /// report) and makes the committed state's matcher the live one.
+    /// report) and makes the committed matcher the live one: the
+    /// engine's own when its memories are the image, else the cold
+    /// path's — always after an engine fault (`recovery`).
     fn fall_back_to_sequential(&mut self, recovery: bool) {
-        if let Some(p) = self.parallel.take() {
-            self.report.poison_recoveries += p.poison_recoveries();
-            self.report.worker_respawns += p.pool_stats().respawns;
-        }
-        self.advance();
-        // Keep the telemetry plane alive across degradation: the
-        // matcher going live inherits the flight recorder and per-node
-        // profiler, so `/profile` and `/explain` keep answering at the
-        // sequential tier.
-        if let (Some(m), Some(c)) = (&self.obs, &mut self.committed) {
-            c.matcher.attach_obs(m.obs.clone());
-        }
+        let matcher = (recovery || self.engine_off_image()).then(|| self.cold_path());
+        let engine = self.parallel.take().expect("parallel tier has an engine");
+        self.report.poison_recoveries += engine.poison_recoveries();
+        self.report.worker_respawns += engine.pool_stats().respawns;
+        // Either matcher carries the telemetry plane, so `/profile` and
+        // `/explain` keep answering at the sequential tier.
+        self.rete = Some(matcher.unwrap_or_else(|| engine.into_rete()));
         self.tier = Tier::Sequential;
         self.report.fallbacks += 1;
         self.count("fault.fallbacks");
@@ -631,23 +649,18 @@ impl Supervisor {
 
     /// Degrades sequential → naive: the naive matcher re-derives all
     /// state from live WMEs, so it is seeded with the committed working
-    /// memory (the batch under way is not in it yet). The committed
-    /// state is then dropped — the matcher that kept it is the one
-    /// being degraded from — and the next read rebuilds it from the
-    /// last checkpoint.
+    /// memory (the batch under way is not in it yet). The sequential
+    /// matcher is dropped — it is the one being degraded from — and the
+    /// next read rebuilds the committed matcher on the cold path.
     fn fall_back_to_naive(&mut self) {
-        let committed = self.committed.take().expect("sequential tier");
-        self.applied = 0;
+        self.rete = None;
         let mut naive = NaiveMatcher::new(&self.program);
-        let changes: Vec<Change> = committed
-            .wm
-            .iter()
-            .map(|(id, _, _)| Change::Add(id))
-            .collect();
-        let mut seeded = naive.process(&committed.wm, &changes);
+        let wm = &self.committed.wm;
+        let changes: Vec<Change> = wm.iter().map(|(id, _, _)| Change::Add(id)).collect();
+        let mut seeded = naive.process(wm, &changes);
         seeded.canonicalize();
         debug_assert!(
-            seeded.added.iter().eq(&committed.conflict),
+            seeded.added.iter().eq(&self.committed.conflict),
             "the naive matcher re-derives the committed conflict set"
         );
         self.naive = Some(naive);
@@ -670,15 +683,10 @@ impl Supervisor {
         }
     }
 
-    /// One match attempt at `entry`, the batch `changes` of `wm`, on the
-    /// active tier. `Err(n)` means the parallel engine reported `n`
-    /// injected faults (or panicked) and its delta was discarded.
-    fn try_match(
-        &mut self,
-        wm: &WorkingMemory,
-        changes: &[Change],
-        entry: &WalEntry,
-    ) -> Result<MatchDelta, u64> {
+    /// One match attempt at the batch `changes` of `wm` on the active
+    /// tier. `Err(n)` means the parallel engine reported `n` injected
+    /// faults (or panicked) and its delta was discarded.
+    fn try_match(&mut self, wm: &WorkingMemory, changes: &[Change]) -> Result<MatchDelta, u64> {
         match self.tier {
             Tier::Parallel => {
                 let m = self.parallel.as_mut().expect("parallel tier has an engine");
@@ -691,13 +699,8 @@ impl Supervisor {
                 }
             }
             Tier::Sequential | Tier::Promoted => {
-                // Matching the batch *is* committing it to the one
-                // state there is (own working memory, same ids); the
-                // attempt cannot fail, and the entry joins the WAL
-                // before anything reads `applied` again.
-                self.applied += 1;
-                let committed = self.committed.as_mut().expect("sequential tier");
-                Ok(committed.replay(entry))
+                let m = self.rete.as_mut().expect("sequential tier has a matcher");
+                Ok(m.process(wm, changes))
             }
             Tier::Naive => Ok(self
                 .naive
@@ -709,13 +712,11 @@ impl Supervisor {
 
     fn take_checkpoint(&mut self) {
         // The §3.1 state-saving bet restated for fault tolerance: the
-        // committed state is kept because re-deriving it costs a
-        // restore plus a full replay; what a checkpoint pays is the WAL
-        // tail and a snapshot of what the tail changed.
-        let cycle = self.cycle;
-        self.checkpoint = Arc::new(self.advance().checkpoint(cycle));
+        // committed state is kept because re-deriving it costs a restore
+        // plus a replay; a checkpoint pays a snapshot of what changed.
+        let rete = self.committed_matcher().snapshot();
+        self.checkpoint = Arc::new(self.committed.checkpoint(self.cycle, rete));
         self.wal.clear();
-        self.applied = 0;
         self.report.checkpoints += 1;
         self.count("fault.checkpoints");
         if let Some(store) = &self.replication {
@@ -730,7 +731,7 @@ impl Supervisor {
             let values = [
                 self.wal.len() as i64,
                 self.tier as i64,
-                self.conflict_size as i64,
+                self.committed.conflict.len() as i64,
                 self.report().worker_respawns as i64,
                 i64::from(deadline_missed),
                 self.publish_wait.as_micros() as i64,
@@ -806,7 +807,7 @@ impl Supervisor {
                 continue;
             }
             let started = Instant::now();
-            match self.try_match(wm, changes, &entry) {
+            match self.try_match(wm, changes) {
                 Ok(delta) => {
                     if started.elapsed() > self.config.deadline {
                         self.report.deadline_misses += 1;
@@ -821,7 +822,7 @@ impl Supervisor {
                 }
                 Err(faults) => {
                     // The engine's state is suspect: discard the delta,
-                    // bring the committed state to the WAL frontier and
+                    // rebuild the committed matcher on the cold path and
                     // re-run the batch on it. Degradation is permanent.
                     self.report.engine_faults += faults;
                     self.count("fault.engine");
@@ -831,10 +832,9 @@ impl Supervisor {
             }
         };
 
-        // Commit: the batch joins the log (and the store). Unless the
-        // committed state matched it itself just now, it takes the
-        // batch up when it is next read.
-        self.conflict_size = self.conflict_size + delta.added.len() - delta.removed.len();
+        // Commit: the batch joins the committed state, the log and the
+        // store.
+        let delta = self.committed.commit(&entry, |_| delta);
         if let Some(store) = &self.replication {
             store.publish_entry(&entry);
         }

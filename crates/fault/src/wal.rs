@@ -10,8 +10,7 @@
 //! can be re-derived exactly.
 //!
 //! [`Wal`] itself is never serialized: it is the in-memory tail since
-//! the last checkpoint, which the supervisor's committed state catches
-//! up from. What goes to a standby is the same entries, encoded once by
+//! the last checkpoint, which the supervisor's cold path replays. What goes to a standby is the same entries, encoded once by
 //! [`encode_entry`] into the CRC frames of a [`crate::segment`] segment.
 
 use ops5::{ByteReader, ByteWriter, Change, CodecError, Wme, WmeId};

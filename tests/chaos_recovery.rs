@@ -268,3 +268,91 @@ fn chaos_recovery_survives_a_hostile_fault_rate() {
     );
     drain_recovered(&mut sup, preset);
 }
+
+/// Small batches before the bulk one: its supervised cycle.
+const BULK: u64 = 60;
+
+/// Feeds `feed` a stream with one batch the engine runs in phases:
+/// `BULK` batches asserting four WMEs each, then 1 100 WMEs asserted
+/// in one batch, then twelve small batches each retracting one WME and
+/// asserting two.
+fn bulk_stream(workload: &GeneratedWorkload, mut feed: impl FnMut(&WorkingMemory, &[Change])) {
+    let mut wm = WorkingMemory::new();
+    let mut rng = psm::obs::Rng64::new(0xB01C);
+    let adds = |wm: &mut WorkingMemory, n: usize, rng: &mut psm::obs::Rng64| {
+        let add = |_| Change::Add(wm.add(workload.gen_wme(rng)).0);
+        (0..n).map(add).collect::<Vec<_>>()
+    };
+    for _ in 0..BULK {
+        let batch = adds(&mut wm, 4, &mut rng);
+        feed(&wm, &batch);
+    }
+    let bulk = adds(&mut wm, 1100, &mut rng);
+    feed(&wm, &bulk);
+    for k in 0..12 {
+        let live: Vec<WmeId> = wm.iter().map(|(id, _, _)| id).collect();
+        let mut batch = vec![Change::Remove(live[(k * 97) % live.len()])];
+        batch.extend(adds(&mut wm, 2, &mut rng));
+        feed(&wm, &batch);
+        wm.remove(batch[0].wme());
+    }
+}
+
+#[test]
+fn an_engine_fault_inside_a_phased_bulk_batch_recovers_byte_exactly() {
+    use psm::core::FaultAction;
+
+    let preset = Preset::EpSoar;
+    let workload = GeneratedWorkload::generate(preset.spec_small()).expect("workload generates");
+    // Batch k runs phases 2k+1 (retractions) and 2k+2 (assertions): the
+    // fault drops the first task of the bulk batch's add phase. A
+    // dropped task kills no thread, so the report is the same whichever
+    // of the two workers drew it.
+    let plan =
+        Arc::new(FaultPlan::new(3).with_engine_fault(2 * BULK + 2, 0, FaultAction::DropTask));
+    let run = || {
+        let config = SupervisorConfig {
+            threads: 2,
+            backoff: std::time::Duration::from_micros(10),
+            checkpoint_every: 4,
+            ..SupervisorConfig::default()
+        };
+        let mut sup = Supervisor::new(&workload.program, config).expect("program compiles");
+        sup.set_fault_plan(Some(plan.clone()));
+        bulk_stream(&workload, |wm, batch| {
+            sup.process(wm, batch);
+        });
+        sup
+    };
+    let mut sup = run();
+    let mut twin = run();
+    let report = sup.report();
+    assert_eq!(report.engine_faults, 1, "the planned drop fired");
+    assert_eq!(report.recoveries, 1);
+    assert_eq!(normalize(report), normalize(twin.report()), "deterministic");
+    assert_eq!(
+        sup.committed_snapshot().as_bytes(),
+        twin.committed_snapshot().as_bytes(),
+        "twin runs recover the same bytes"
+    );
+
+    let mut reference = ReteMatcher::from_network(sup.network().clone());
+    let mut conflict = std::collections::HashSet::new();
+    bulk_stream(&workload, |wm, batch| {
+        let delta = reference.process(wm, batch);
+        Collecting {
+            inner: &mut reference,
+            conflict: &mut conflict,
+        }
+        .fold(delta);
+    });
+    let mut conflict: Vec<_> = conflict.into_iter().collect();
+    conflict.sort_by(|a, b| (a.production, &a.wmes).cmp(&(b.production, &b.wmes)));
+    assert_eq!(sup.conflict_set(), conflict, "converged");
+    assert_eq!(
+        sup.committed_snapshot().as_bytes(),
+        reference.snapshot().as_bytes(),
+        "recovery from a fault in the phases is byte-exact"
+    );
+    drain_recovered(&mut sup, preset);
+}
