@@ -27,6 +27,11 @@
 //! changes through a shared borrow — a negative
 //! entry's match count included, which moves only through
 //! [`Memory::recount`].
+//!
+//! A memory does not know which section of a snapshot image it is: the
+//! matcher that changes it marks it, at the call that changed it, with
+//! the image epoch (the `snapshot` module's `Marks`), and a remove that
+//! found nothing marks nothing.
 
 use std::borrow::Borrow;
 
@@ -56,10 +61,10 @@ pub struct Memory<T> {
     /// Per slot, the first entry of each key fingerprint's chain; a
     /// chain that drains is removed.
     pub(crate) heads: Box<[FxHashMap<u32, u32>]>,
-    /// Changes made to the memory so far: an image of it that was
-    /// written at the same count holds what it holds. Not part of the
-    /// image.
-    edits: u64,
+    /// The image epoch in which the matcher last marked the memory
+    /// changed ([`Marks`](crate::snapshot::Marks)): the mark lives on the
+    /// cache line the change itself writes. Not part of the image.
+    pub(crate) epoch: u64,
 }
 
 /// The slot a right-input WME of `spec` is filed under, and a left
@@ -262,7 +267,6 @@ impl Memory<NegEntry> {
             "negative count underflow"
         );
         *count = before.saturating_add_signed(delta);
-        self.edits += 1;
         before
     }
 }
@@ -289,13 +293,8 @@ impl<T> Memory<T> {
             slots: slots.into(),
             entries: Vec::new(),
             links: Vec::new(),
-            edits: 0,
+            epoch: 0,
         }
-    }
-
-    /// Changes made so far: entries filed, unfiled and recounted.
-    pub(crate) fn edits(&self) -> u64 {
-        self.edits
     }
 
     /// The slot reading the parts `slot` reads off `spec`, if `spec` has
@@ -332,7 +331,6 @@ impl<T> Memory<T> {
             self.links.push(next.unwrap_or(NIL));
         }
         self.entries.push(item);
-        self.edits += 1;
     }
 
     /// Removes the entry equal to `item`, or returns `None` when the
@@ -376,7 +374,6 @@ impl<T> Memory<T> {
             }
         }
         self.links.truncate(last * k);
-        self.edits += 1;
         Some(self.entries.swap_remove(at))
     }
 

@@ -20,7 +20,7 @@ use crate::kernel::{self, ActivationKind, FlightStage, Sign, Work};
 use crate::memory::{alpha_memories, beta_memories, negative_memories, Memory, NegEntry};
 use crate::network::{CompileOptions, Network, NodeId, NodeKind, NodeSpec};
 use crate::profile::MatchProfile;
-use crate::snapshot::LastImage;
+use crate::snapshot::{LastImage, Marks};
 use crate::stats::MatchStats;
 use crate::token::Token;
 use crate::trace::{Trace, TraceBuilder};
@@ -162,6 +162,9 @@ pub struct ReteMatcher {
     /// What [`ReteMatcher::snapshot`] returned last; the next one copies
     /// its unchanged sections from it.
     pub(crate) last_image: RefCell<Option<LastImage>>,
+    /// The memories changed since then: the sections the next snapshot
+    /// encodes.
+    pub(crate) marks: Marks,
 }
 
 /// The memories of a [`ReteMatcher`] — one per alpha node, per beta
@@ -295,6 +298,7 @@ impl ReteMatcher {
             phantom_published: 0,
             scratch: Scratch::default(),
             last_image: RefCell::new(None),
+            marks: Marks::default(),
         }
     }
 
@@ -579,11 +583,7 @@ impl ReteMatcher {
         // blocked — hence never built — while the WME was live.
         let deferred = &mut scratch.deferred;
         for &alpha in alphas.iter() {
-            let mem = &mut self.alpha_mems[alpha.index()];
-            match sign {
-                Sign::Plus => mem.insert_wme(id, wm),
-                Sign::Minus => drop(mem.remove_wme(id, wm)),
-            }
+            self.file_wme(alpha, id, sign, wm);
             self.stats.alpha_mem_ops += 1;
             let successors = &net.alpha_successors[alpha.index()];
             let am_act = self.trace_record(
@@ -762,6 +762,9 @@ impl ReteMatcher {
                 let hit = |(at, _): (usize, &NegEntry)| hits.push(at);
                 let work = kernel::scan_tokens(&spec.tests, memory.walk(probe), wme, resolve, hit);
                 // The counts move once the scan is over.
+                if !hits.is_empty() {
+                    self.mark_node(node);
+                }
                 let memory = self.neg_memory(node);
                 for at in hits.drain(..) {
                     let before = memory.recount(at, sign.delta());
@@ -774,27 +777,18 @@ impl ReteMatcher {
                 (work, sign.invert())
             }
             (NodeKind::Negative, Payload::Left(token)) => {
-                let (work, propagate) = match sign {
+                let (work, count) = match sign {
                     Sign::Plus => {
                         let mut count = 0u32;
                         let candidates = self.right_wmes(spec, node, &token, wm);
                         let tally = |_| count += 1;
                         let work =
                             kernel::scan_wmes(&spec.tests, &token, candidates, resolve, tally);
-                        self.neg_memory(node).insert_token(token.clone(), count, wm);
-                        self.stats.token_added();
-                        (work, count == 0)
+                        (work, count)
                     }
-                    Sign::Minus => {
-                        let count = self.neg_memory(node).remove_token(&token, wm);
-                        match count {
-                            Some(_) => self.stats.token_removed(),
-                            None => self.stats.phantom_removes += 1,
-                        }
-                        (Work::default(), count == Some(0))
-                    }
+                    Sign::Minus => (Work::default(), 0),
                 };
-                if propagate {
+                if self.update_negative_memory(node, &token, count, sign, wm) == Some(0) {
                     out.push(token);
                 }
                 (work, sign)
@@ -807,6 +801,18 @@ impl ReteMatcher {
         match &mut self.states[node.index()] {
             NodeState::Neg(memory) => memory,
             _ => unreachable!("negative state"),
+        }
+    }
+
+    /// Marks the memory of `node`, a beta-memory or negative node,
+    /// changed since the last snapshot.
+    #[inline]
+    fn mark_node(&mut self, node: NodeId) {
+        let section = self.alpha_mems.len() + node.index();
+        match &mut self.states[node.index()] {
+            NodeState::Mem(memory) => self.marks.mark(memory, section),
+            NodeState::Neg(memory) => self.marks.mark(memory, section),
+            NodeState::Stateless => unreachable!("a stateless node has no memory"),
         }
     }
 
@@ -823,9 +829,46 @@ impl ReteMatcher {
             }
             // Counted (not just debug-asserted) so chaos and failover
             // suites can gate on zero.
-            Sign::Minus if !memory.remove_token(token, wm) => self.stats.phantom_removes += 1,
+            Sign::Minus if !memory.remove_token(token, wm) => {
+                self.stats.phantom_removes += 1;
+                return;
+            }
             Sign::Minus => self.stats.token_removed(),
         }
+        self.mark_node(node);
+    }
+
+    /// Files `token` with `count` matches into (or one entry of it out
+    /// of) the memory of the negative node `node`, returning the count
+    /// of the entry filed or unfiled: `None` for a phantom remove.
+    fn update_negative_memory(
+        &mut self,
+        node: NodeId,
+        token: &Token,
+        count: u32,
+        sign: Sign,
+        wm: &WorkingMemory,
+    ) -> Option<u32> {
+        let NodeState::Neg(memory) = &mut self.states[node.index()] else {
+            unreachable!("negative state")
+        };
+        let filed = match sign {
+            Sign::Plus => {
+                memory.insert_token(token.clone(), count, wm);
+                self.stats.token_added();
+                count
+            }
+            Sign::Minus => {
+                let Some(count) = memory.remove_token(token, wm) else {
+                    self.stats.phantom_removes += 1;
+                    return None;
+                };
+                self.stats.token_removed();
+                count
+            }
+        };
+        self.mark_node(node);
+        Some(filed)
     }
 
     /// Files `token` into (or one of it out of) the beta memory `node`,
@@ -846,34 +889,30 @@ impl ReteMatcher {
         sign: Sign,
         wm: &WorkingMemory,
     ) {
-        let NodeState::Neg(memory) = &mut self.states[node.index()] else {
-            unreachable!("negative state")
-        };
-        match sign {
-            Sign::Plus => {
-                memory.insert_token(token.clone(), count, wm);
-                self.stats.token_added();
-            }
-            Sign::Minus if memory.remove_token(token, wm).is_none() => {
-                self.stats.phantom_removes += 1
-            }
-            Sign::Minus => self.stats.token_removed(),
-        }
+        self.update_negative_memory(node, token, count, sign, wm);
     }
 
     /// Moves the match count of entry `at` of the negative node `node`
     /// by `delta`: the parallel engine's filing between phases.
     pub fn recount(&mut self, node: NodeId, at: usize, delta: i32) {
         self.neg_memory(node).recount(at, delta);
+        self.mark_node(node);
     }
 
-    /// Files `id` into (or out of) alpha memory `alpha`: the parallel
-    /// engine's filing between phases.
+    /// Files `id` into (or out of) alpha memory `alpha`, as a change
+    /// does: also the parallel engine's filing between phases.
+    #[inline]
     pub fn file_wme(&mut self, alpha: AlphaId, id: WmeId, sign: Sign, wm: &WorkingMemory) {
         let memory = &mut self.alpha_mems[alpha.index()];
-        match sign {
-            Sign::Plus => memory.insert_wme(id, wm),
-            Sign::Minus => drop(memory.remove_wme(id, wm)),
+        let changed = match sign {
+            Sign::Plus => {
+                memory.insert_wme(id, wm);
+                true
+            }
+            Sign::Minus => memory.remove_wme(id, wm),
+        };
+        if changed {
+            self.marks.mark(memory, alpha.index());
         }
     }
 

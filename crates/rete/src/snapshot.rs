@@ -18,15 +18,17 @@
 //!
 //! A snapshot costs what changed since the one before it (the same §3.1
 //! argument once more): the image is one section per alpha memory and
-//! per node, a memory counts the changes made to it (`Memory::edits`),
-//! and the matcher keeps the image it returned last with where each
-//! section ends in it and the count it was written at. Sections of
-//! memories that changed go through `encode_memory`; every run of
-//! sections that did not is copied from the kept image in one piece. The
-//! bytes are those of an encode from nothing — which is the same code
-//! with no image kept — so nothing that reads an image can tell.
+//! per node, the matcher keeps the image it returned last with where
+//! each section starts in it, and every site of the matcher that files,
+//! unfiles or recounts a memory lists its section the first time it
+//! changes after an image (`Marks`). The snapshot visits the listed
+//! sections alone, in image order: each goes through `encode_memory`,
+//! and each run of sections between two of them is copied from the kept
+//! image in one piece. The bytes are those of an encode from nothing —
+//! which is the same code with every section listed — so nothing that
+//! reads an image can tell.
 
-use std::ops::Range;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use ops5::{ByteReader, ByteWriter, CodecError, FxHashMap, WmeId};
@@ -259,75 +261,42 @@ pub(crate) struct LastImage {
     bytes: Arc<Vec<u8>>,
     /// Section `i` is `bounds[i]..bounds[i + 1]` of `bytes`.
     bounds: Vec<usize>,
-    /// Section `i` holds its memory as of `edits[i]` changes.
-    edits: Vec<u64>,
 }
 
-/// An image under way: sections arrive in image order, each either
-/// encoded or — when its memory did not change — left to be copied from
-/// `last` together with the unchanged sections around it.
-struct Sections<'a> {
-    w: ByteWriter,
-    last: Option<&'a LastImage>,
-    /// The unchanged sections not copied yet, as a range of `last`.
-    run: Range<usize>,
-    bounds: Vec<usize>,
-    /// The edit counts of `last`'s sections, overwritten with this
-    /// image's as its sections arrive (empty without a `last`).
-    edits: Vec<u64>,
-    unchanged: Vec<(usize, usize, usize)>,
-    encoded: usize,
-    parts: ImageParts,
-    scratch: Vec<(u32, u32)>,
+/// Which sections changed since the image a matcher returned last.
+///
+/// Every image opens a new epoch. A matcher site that files, unfiles or
+/// recounts a memory marks it ([`Marks::mark`]): the first mark in an
+/// epoch stamps the memory with the epoch and lists its section, so the
+/// list holds each changed section once and grows with what changed,
+/// not with what is resident. An image takes the list
+/// ([`Marks::drain`]) and opens the next epoch. The epoch is 64 bits
+/// wide so that it never comes round to a memory's stale stamp.
+#[derive(Debug, Default)]
+pub(crate) struct Marks {
+    epoch: Cell<u64>,
+    touched: RefCell<Vec<u32>>,
 }
 
-impl Sections<'_> {
-    /// The next section, of a memory that has seen `edits` changes:
-    /// `encode`d unless the last image holds it at that count.
-    fn section(&mut self, edits: u64, encode: impl FnOnce(&mut Self)) {
-        let i = self.bounds.len() - 1;
-        let held = match self.edits.get_mut(i) {
-            Some(last) => std::mem::replace(last, edits) == edits,
-            None => {
-                self.edits.push(edits);
-                false
-            }
-        };
-        match self.last {
-            Some(last) if held => {
-                if self.run.is_empty() {
-                    self.run = last.bounds[i]..last.bounds[i];
-                }
-                self.run.end = last.bounds[i + 1];
-                self.bounds.push(self.w.len() + self.run.len());
-            }
-            _ => {
-                self.copy_run();
-                encode(self);
-                self.bounds.push(self.w.len());
-            }
+impl Marks {
+    /// Notes that `memory`, section `section` of the image, changed.
+    #[inline]
+    pub(crate) fn mark<T>(&mut self, memory: &mut Memory<T>, section: usize) {
+        let epoch = self.epoch.get();
+        if memory.epoch != epoch {
+            memory.epoch = epoch;
+            self.touched.get_mut().push(section as u32);
         }
     }
 
-    fn memory<T>(&mut self, memory: &Memory<T>, item: impl Fn(&mut ByteWriter, &T)) {
-        self.encoded += 1;
-        encode_memory(
-            &mut self.w,
-            memory,
-            &mut self.parts,
-            &mut self.scratch,
-            item,
-        );
-    }
-
-    /// Copies the pending run of unchanged sections, in one piece.
-    fn copy_run(&mut self) {
-        if let (Some(last), false) = (self.last, self.run.is_empty()) {
-            self.unchanged
-                .push((self.run.start, self.w.len(), self.run.len()));
-            self.w.bytes(&last.bytes[self.run.clone()]);
-            self.run = 0..0;
-        }
+    /// Hands `image` the sections marked since the last call, in image
+    /// order, then opens a new epoch with none marked.
+    fn drain(&self, image: impl FnOnce(&[u32])) {
+        let mut touched = self.touched.borrow_mut();
+        touched.sort_unstable();
+        image(&touched);
+        touched.clear();
+        self.epoch.set(self.epoch.get() + 1);
     }
 }
 
@@ -347,15 +316,18 @@ impl ReteMatcher {
     /// [`ReteMatcher::snapshot`] encoded from nothing — the same bytes,
     /// none of them copied — with where they went.
     pub fn snapshot_parts(&self) -> (ReteSnapshot, ImageParts) {
-        // With no image kept every section is dirty.
+        // With no image kept every section is encoded.
         self.last_image.take();
         self.encode()
     }
 
-    /// The image, and where the bytes of its encoded sections went.
+    /// The image, and where the bytes of its encoded sections went:
+    /// the marked sections are encoded, and every run of sections
+    /// between two of them is copied from the last image in one piece,
+    /// its bounds re-based. Without a last image every section is
+    /// encoded.
     fn encode(&self) -> (ReteSnapshot, ImageParts) {
-        let mut last = self.last_image.take();
-        let edits = last.as_mut().map(|last| std::mem::take(&mut last.edits));
+        let last = self.last_image.take();
         let mut w = ByteWriter::with_header(MAGIC, VERSION);
         // What the last image took, and room for what arrived since.
         w.reserve(last.as_ref().map_or(0, |last| last.bytes.len() * 9 / 8));
@@ -369,54 +341,49 @@ impl ReteMatcher {
             w.u64(*field);
         }
         let sections = self.alpha_mems.len() + self.states.len();
-        let mut bounds = Vec::with_capacity(sections + 1);
-        bounds.push(w.len());
-        let mut image = Sections {
-            w,
-            last: last.as_ref(),
-            run: 0..0,
-            bounds,
-            edits: edits.unwrap_or_else(|| Vec::with_capacity(sections)),
-            unchanged: Vec::new(),
-            encoded: 0,
-            parts: ImageParts::default(),
-            scratch: Vec::new(),
+        let (old, mut bounds) = match last {
+            Some(LastImage { bytes, bounds }) => (Some(bytes), bounds),
+            None => (None, vec![0; sections + 1]),
         };
-        for memory in &self.alpha_mems {
-            image.section(memory.edits(), |image| {
-                image.memory(memory, encode_wme);
-            });
-        }
-        for state in &self.states {
-            match state {
-                NodeState::Mem(memory) => image.section(memory.edits(), |image| {
-                    image.w.u8(0);
-                    image.memory(memory, encode_token);
-                }),
-                NodeState::Neg(memory) => image.section(memory.edits(), |image| {
-                    image.w.u8(1);
-                    image.memory(memory, encode_negative);
-                }),
-                NodeState::Stateless => image.section(0, |image| image.w.u8(2)),
+        let (mut unchanged, mut encoded) = (Vec::new(), 0);
+        let (mut parts, mut scratch) = (ImageParts::default(), Vec::new());
+        self.marks.drain(|touched| {
+            let every: Vec<u32>;
+            let marked = match old {
+                Some(_) => touched,
+                None => {
+                    every = (0..sections as u32).collect();
+                    &every
+                }
+            };
+            // Sections `..next` are in the image; `bounds[next..]` are
+            // still the last image's. The end of the image comes last.
+            let mut next = 0;
+            for i in marked.iter().map(|&i| i as usize).chain([sections]) {
+                if next < i {
+                    let old = old.as_deref().expect("with no image kept all are marked");
+                    let (from, to) = (bounds[next], bounds[i]);
+                    let shift = w.len().wrapping_sub(from);
+                    unchanged.push((from, w.len(), to - from));
+                    w.bytes(&old[from..to]);
+                    for bound in &mut bounds[next..i] {
+                        *bound = bound.wrapping_add(shift);
+                    }
+                }
+                bounds[i] = w.len();
+                if i < sections {
+                    let memory = self.encode_section(&mut w, i, &mut parts, &mut scratch);
+                    encoded += usize::from(memory);
+                }
+                next = i + 1;
             }
-        }
-        image.copy_run();
-        let Sections {
-            w,
-            bounds,
-            edits,
-            unchanged,
-            encoded,
-            mut parts,
-            ..
-        } = image;
+        });
         let bytes = Arc::new(w.finish());
         let copied: usize = unchanged.iter().map(|&(_, _, len)| len).sum();
         parts.rest = bytes.len() - copied - parts.entries - parts.links - parts.heads;
         self.last_image.replace(Some(LastImage {
             bytes: Arc::clone(&bytes),
             bounds,
-            edits,
         }));
         let snapshot = ReteSnapshot {
             bytes,
@@ -424,6 +391,36 @@ impl ReteMatcher {
             encoded,
         };
         (snapshot, parts)
+    }
+
+    /// Writes section `i`: alpha memory `i`, or past the alpha memories
+    /// a node's state. Returns whether the section is a memory.
+    fn encode_section(
+        &self,
+        w: &mut ByteWriter,
+        i: usize,
+        parts: &mut ImageParts,
+        scratch: &mut Vec<(u32, u32)>,
+    ) -> bool {
+        let Some(node) = i.checked_sub(self.alpha_mems.len()) else {
+            encode_memory(w, &self.alpha_mems[i], parts, scratch, encode_wme);
+            return true;
+        };
+        match &self.states[node] {
+            NodeState::Mem(memory) => {
+                w.u8(0);
+                encode_memory(w, memory, parts, scratch, encode_token);
+            }
+            NodeState::Neg(memory) => {
+                w.u8(1);
+                encode_memory(w, memory, parts, scratch, encode_negative);
+            }
+            NodeState::Stateless => {
+                w.u8(2);
+                return false;
+            }
+        }
+        true
     }
 
     /// Rebuilds a matcher from `snapshot` over `network`.
@@ -629,6 +626,82 @@ mod tests {
             previous = next;
         }
         assert_eq!(live.snapshot(), previous);
+    }
+
+    /// Each filer the parallel engine calls between its phases marks
+    /// the one memory it changed, and nothing when it changed nothing.
+    #[test]
+    fn a_single_filing_encodes_one_section_and_a_phantom_remove_none() {
+        use crate::kernel::Sign;
+        use crate::network::NodeKind;
+        let program = parse_program("(p r (a ^x <v>) (c ^y <v>) - (b ^x <v>) --> (halt))").unwrap();
+        let mut m = ReteMatcher::compile(&program).unwrap();
+        let network = m.network().clone();
+        let node = |kind| {
+            network
+                .iter()
+                .find(|(_, spec)| spec.kind == kind)
+                .unwrap()
+                .0
+        };
+        let (beta, negative) = (node(NodeKind::BetaMemory), node(NodeKind::Negative));
+        let alpha = network.node(node(NodeKind::Join)).alpha.unwrap();
+        let mut wm = WorkingMemory::new();
+        let mut syms = program.symbols.clone();
+        let mut wme = |src| wm.add(parse_wme(src, &mut syms).unwrap()).0;
+        let (a, c, stray) = (wme("(a ^x 1)"), wme("(c ^y 1)"), wme("(a ^x 2)"));
+        let (one, two) = (Token::from_wmes(vec![a]), Token::from_wmes(vec![a, c]));
+        let (stray_one, stray_two) = (
+            Token::from_wmes(vec![stray]),
+            Token::from_wmes(vec![stray, c]),
+        );
+        m.snapshot();
+        type Filing<'a> = Box<dyn Fn(&mut ReteMatcher) + 'a>;
+        let filings: [(&str, usize, Filing); 8] = [
+            (
+                "file_wme",
+                1,
+                Box::new(|m| m.file_wme(alpha, a, Sign::Plus, &wm)),
+            ),
+            (
+                "file_token",
+                1,
+                Box::new(|m| m.file_token(beta, &one, Sign::Plus, &wm)),
+            ),
+            (
+                "file_negative",
+                1,
+                Box::new(|m| m.file_negative(negative, &two, 0, Sign::Plus, &wm)),
+            ),
+            ("recount", 1, Box::new(|m| m.recount(negative, 0, 1))),
+            (
+                "phantom file_wme",
+                0,
+                Box::new(|m| m.file_wme(alpha, stray, Sign::Minus, &wm)),
+            ),
+            (
+                "phantom file_token",
+                0,
+                Box::new(|m| m.file_token(beta, &stray_one, Sign::Minus, &wm)),
+            ),
+            (
+                "phantom file_negative",
+                0,
+                Box::new(|m| m.file_negative(negative, &stray_two, 0, Sign::Minus, &wm)),
+            ),
+            (
+                "unfile_negative",
+                1,
+                Box::new(|m| m.file_negative(negative, &two, 0, Sign::Minus, &wm)),
+            ),
+        ];
+        for (what, sections, filing) in filings {
+            filing(&mut m);
+            let next = m.snapshot();
+            assert_eq!(next.encoded_sections(), sections, "{what}");
+            assert_eq!(next.as_bytes(), m.snapshot_parts().0.as_bytes(), "{what}");
+        }
+        assert_eq!(m.stats().phantom_removes, 2, "alpha memories count none");
     }
 
     /// Two tokens on the one chain of a negative node; the image ends

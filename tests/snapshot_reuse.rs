@@ -5,11 +5,16 @@
 //! byte, what a twin fed the same batches encodes from nothing; every
 //! range it says it took over is those bytes of the previous image; most
 //! bytes are taken over; and a matcher restored from an image encodes
-//! that image again, with nothing to take over.
+//! that image again, with nothing to take over. The same holds of the
+//! node-parallel engine's matcher when the engine files bulk batches
+//! between its phases.
 
+use std::sync::Arc;
+
+use psm::core::ParallelReteMatcher;
 use psm::obs::Rng64;
 use psm::ops5::{MatchDelta, Matcher, WmeId, WorkingMemory};
-use psm::rete::{ReteMatcher, ReteSnapshot};
+use psm::rete::{Network, ReteMatcher, ReteSnapshot};
 use psm::workloads::{GeneratedWorkload, Preset, WorkloadDriver, WorkloadSpec};
 
 /// Feeds two matchers the same changes.
@@ -109,4 +114,48 @@ fn a_reusing_snapshot_is_the_fresh_one_on_full_size_vt() {
     let share = reuse_share(Preset::Vt.spec(), 60);
     println!("full-size vt: {:.1} % of image bytes copied", 100.0 * share);
     assert!(share > 0.75, "{share}");
+}
+
+/// The engine files a batch of 1 024 changes or more between its phases,
+/// through the sequential matcher's filers, which must mark every memory
+/// they change: a 2-thread engine fed bulk batches of the vt stream
+/// snapshots its matcher after every batch, every range an image takes
+/// over is the previous image's bytes, and every third image is the one
+/// the matcher encodes from nothing.
+#[test]
+fn a_reusing_snapshot_is_the_fresh_one_through_the_engines_filers() {
+    const ROUNDS: u64 = 12;
+    let workload = GeneratedWorkload::generate(Preset::Vt.spec_small()).expect("vt generates");
+    let mut driver = WorkloadDriver::new(workload, 0xF11E);
+    let network = Network::compile(&driver.workload().program).expect("compiles");
+    let mut engine = ParallelReteMatcher::from_network(Arc::new(network), 2);
+    driver.init(&mut engine);
+    let mut previous = engine.rete().snapshot();
+    let (mut copied, mut total) = (0, 0);
+    for round in 0..ROUNDS {
+        let mut batch = Vec::new();
+        while batch.len() < 1024 {
+            batch.extend(driver.next_batch());
+        }
+        engine.process(driver.working_memory(), &batch);
+        driver.commit_batch(&batch);
+        let next = engine.rete().snapshot();
+        copied += reused(&previous, &next);
+        total += next.len();
+        if round % 3 == 0 {
+            let fresh = engine.rete().snapshot_parts().0;
+            assert_eq!(next.as_bytes(), fresh.as_bytes(), "round {round}");
+        }
+        previous = next;
+    }
+    assert_eq!(
+        engine.stats().phased_batches,
+        ROUNDS,
+        "every bulk batch in phases"
+    );
+    println!(
+        "engine, small vt: {:.1} % of image bytes copied",
+        100.0 * copied as f64 / total as f64
+    );
+    assert!(copied > 0, "sections no bulk batch touched are copied");
 }
