@@ -356,16 +356,6 @@ impl TaskGroups {
     }
 }
 
-/// The key slots a node's activations probe: a left activation its
-/// alpha memory's, a right activation its token memory's
-/// ([`LeftInput`]); `None` for a node without an index key, and for a
-/// memory with no slot of its key's parts (it scans them all).
-#[derive(Debug, Clone, Copy)]
-struct Probe {
-    right: Option<usize>,
-    left: Option<usize>,
-}
-
 /// What the tasks of one phase share: the network and the memories,
 /// which nothing writes during a phase, and the phase's coordinates.
 struct PhaseCx<'a> {
@@ -379,7 +369,6 @@ struct PhaseCx<'a> {
     network: &'a Network,
     topo: &'a ParallelTopology,
     memories: Memories<'a>,
-    probes: &'a [Probe],
     stamps: &'a [u64],
     /// Node slots of the attached profiler (0: off, or none attached).
     prof_slots: usize,
@@ -573,8 +562,6 @@ struct EngineMetrics {
 /// the pool and nothing else.
 struct Phases {
     topo: ParallelTopology,
-    /// Per node: the key slots its activations probe.
-    probes: Vec<Probe>,
     /// Per WME id: the phase it last changed in (0: none — the stamp
     /// of a WME whose assertion and retraction one batch netted out).
     stamps: Vec<u64>,
@@ -591,25 +578,11 @@ struct Phases {
 }
 
 impl Phases {
-    fn new(rete: &ReteMatcher) -> Self {
-        let network = rete.network();
+    fn new(network: &Network) -> Self {
         let topo = ParallelTopology::from_network(network);
-        let memories = rete.memories();
-        let probe = |(spec, left): (&NodeSpec, &LeftInput)| Probe {
-            right: spec
-                .alpha
-                .and_then(|at| memories.alpha(at).probe_slot(spec)),
-            left: match *left {
-                LeftInput::Beta(at) => memories.beta(at).probe_slot(spec),
-                LeftInput::Negative(at) => memories.negative(at).probe_slot(spec),
-                LeftInput::Top | LeftInput::None => None,
-            },
-        };
-        let probes = network.nodes.iter().zip(&topo.left).map(probe).collect();
         let nodes = network.nodes.len();
         Phases {
             topo,
-            probes,
             stamps: Vec::new(),
             inserts: Vec::new(),
             unlinks: Vec::new(),
@@ -954,7 +927,9 @@ impl ParallelReteMatcher {
     fn seed(&mut self, wm: &WorkingMemory, changes: &[Change]) {
         self.stats.phased_batches += 1;
         let (remove, add) = (self.phase_seq + 1, self.phase_seq + 2);
-        let phases = self.phases.get_or_insert_with(|| Phases::new(&self.rete));
+        let phases = self
+            .phases
+            .get_or_insert_with(|| Phases::new(self.rete.network()));
         let stamps = &mut phases.stamps;
         let ids = changes.iter().map(|change| change.wme().index() + 1);
         let top = ids.max().unwrap_or(0);
@@ -1100,7 +1075,7 @@ impl ParallelReteMatcher {
             Sign::Minus => ("remove", &mut phases.removes),
             Sign::Plus => ("add", &mut phases.adds),
         };
-        let (topo, probes, stamps) = (&phases.topo, &phases.probes, &phases.stamps);
+        let (topo, stamps) = (&phases.topo, &phases.stamps);
         let (network, memories) = (self.rete.network(), self.rete.memories());
         seeds.prune(reclaim(&mut self.locals[0], None), |node| {
             let join = network.node(node).kind == NodeKind::Join;
@@ -1134,7 +1109,6 @@ impl ParallelReteMatcher {
             network,
             topo,
             memories,
-            probes,
             stamps,
             prof_slots: profile.map_or(0, NodeProfiler::capacity),
             latency: profile.filter(|p| timing && detail && p.enabled()),
@@ -1358,7 +1332,7 @@ impl PhaseCx<'_> {
             let work = match (spec.kind, payload, left) {
                 (NodeKind::Join, Payload::Right(wme_id), _) => {
                     let wme = changed(wme_id);
-                    let probe = self.probes[at].left;
+                    let probe = self.memories.token_slot(node_id);
                     let probe = probe.map(|slot| (slot, kernel::right_key(&spec.key, wme)));
                     let extend = |token: &Token| emitted.push((token.extended(wme_id), sign));
                     let tests = &spec.tests;
@@ -1382,12 +1356,12 @@ impl PhaseCx<'_> {
                 (NodeKind::Join, Payload::Left(token), _) => {
                     let key = kernel::left_key(&spec.key, &token, resolve);
                     let extend = |wme_id| emitted.push((token.extended(wme_id), sign));
-                    let candidates = self.right_wmes(spec, at, key);
+                    let candidates = self.right_wmes(spec, node_id, key);
                     kernel::scan_wmes(&spec.tests, &token, candidates, resolve, extend)
                 }
                 (NodeKind::Negative, Payload::Right(wme_id), LeftInput::Negative(memory)) => {
                     let wme = changed(wme_id);
-                    let probe = self.probes[at].left;
+                    let probe = self.memories.token_slot(node_id);
                     let probe = probe.map(|slot| (slot, kernel::right_key(&spec.key, wme)));
                     let candidates = self.memories.negative(memory).walk(probe);
                     let hit = |(at, _): (usize, &NegEntry)| hits.push(at as u32);
@@ -1399,7 +1373,7 @@ impl PhaseCx<'_> {
                     let key = kernel::left_key(&spec.key, &token, resolve);
                     let mut count = 0;
                     let tally = |_| count += 1;
-                    let candidates = self.right_wmes(spec, at, key);
+                    let candidates = self.right_wmes(spec, node_id, key);
                     let work = kernel::scan_wmes(&spec.tests, &token, candidates, resolve, tally);
                     if count == 0 {
                         emitted.push((token.clone(), sign));
@@ -1528,20 +1502,20 @@ impl PhaseCx<'_> {
         *depth = (*depth).max(queue.len() as u64);
     }
 
-    /// The WMEs a left activation of node `at` with index key `key`
+    /// The WMEs a left activation of `node` with index key `key`
     /// scans: R′, the chain of its key in its alpha memory (all of it for
     /// a node without one) as the phase leaves it — without, in the
     /// remove phase, the WMEs the phase retracts.
     fn right_wmes(
         &self,
         spec: &NodeSpec,
-        at: usize,
+        node: NodeId,
         key: Option<u32>,
     ) -> impl Iterator<Item = WmeId> + '_ {
         let alpha = self
             .memories
             .alpha(spec.alpha.expect("two-input node has alpha"));
-        let probe = self.probes[at].right.map(|slot| (slot, key));
+        let probe = self.memories.alpha_slot(node).map(|slot| (slot, key));
         let (stamps, phase, hide) = (self.stamps, self.seq, !self.adding);
         let visible = move |id: &WmeId| !hide || stamps[id.index()] != phase;
         alpha.candidates(probe).copied().filter(visible)
@@ -2065,8 +2039,8 @@ mod tests {
     /// phases — re-pinned three times on the way (`tasks` 18 745, then
     /// 11 260, then 9 334 with 572 join tests and 2 762 pairs): a task
     /// carries all of a node's payloads of a phase, and a join under a
-    /// negative node probes that node's chain where the sequential
-    /// matcher scans its memory whole.
+    /// negative node probes that node's chain, which the sequential
+    /// matcher then still scanned whole.
     #[test]
     fn one_thread_phase_work_is_pinned() {
         use workloads::{GeneratedWorkload, Preset, WorkloadDriver};

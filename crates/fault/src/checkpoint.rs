@@ -5,9 +5,15 @@
 //! continuity), the sequential Rete matcher's dynamic state (alpha and
 //! beta memories, negation counts, statistics — see
 //! [`rete::ReteSnapshot`]), and the conflict set. Cold recovery restores
-//! the checkpoint and replays the WAL tail; because both sub-snapshots
-//! are canonical byte encodings, "recovered exactly" is checkable with
-//! `==` on bytes.
+//! the checkpoint and replays the WAL tail; because all three are
+//! canonical byte encodings, "recovered exactly" is checkable with `==`
+//! on bytes.
+//!
+//! Each part is held as the bytes the checkpoint's image lists it in,
+//! so serialising one copies three blobs: the conflict set as well, which
+//! a supervisor writes straight from its ordered set
+//! ([`Checkpoint::encode_conflict`]) and only the cold path reads back
+//! ([`Checkpoint::conflict_list`]).
 //!
 //! Serialized under magic `PSMC`, version 1.
 
@@ -28,8 +34,9 @@ pub struct Checkpoint {
     pub wm: Vec<u8>,
     /// The sequential matcher's state snapshot.
     pub rete: ReteSnapshot,
-    /// The conflict set, sorted canonically.
-    pub conflict: Vec<Instantiation>,
+    /// The conflict set in canonical order, as the image lists it
+    /// ([`Checkpoint::encode_conflict`]).
+    pub conflict: Vec<u8>,
 }
 
 impl Checkpoint {
@@ -40,8 +47,51 @@ impl Checkpoint {
             cycle: 0,
             wm: WorkingMemory::new().snapshot_bytes(),
             rete,
-            conflict: Vec::new(),
+            conflict: Self::encode_conflict(&[]),
         }
+    }
+
+    /// The bytes of a conflict set listed in canonical order — by
+    /// production, then WMEs, as a `BTreeSet` iterates — for
+    /// [`Checkpoint::conflict`]: the count, then each instantiation's
+    /// production, WME count and WME ids.
+    pub fn encode_conflict<'a, I>(list: I) -> Vec<u8>
+    where
+        I: IntoIterator<Item = &'a Instantiation>,
+        I::IntoIter: ExactSizeIterator + Clone,
+    {
+        let list = list.into_iter();
+        let entries = list.clone().map(|inst| 12 + 8 * inst.wmes.len());
+        let mut w = ByteWriter::new();
+        w.reserve(8 + entries.sum::<usize>());
+        w.usize(list.len());
+        for inst in list {
+            w.u32(inst.production.0);
+            w.usize(inst.wmes.len());
+            for id in &inst.wmes {
+                w.usize(id.index());
+            }
+        }
+        w.finish()
+    }
+
+    /// Decodes [`Checkpoint::conflict`]: the conflict set, for the cold
+    /// path.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError`] on a list that is malformed, out of
+    /// canonical order or followed by anything.
+    pub fn conflict_list(&self) -> Result<Vec<Instantiation>, CodecError> {
+        let mut r = ByteReader::new(&self.conflict);
+        let mut list = Vec::new();
+        read_conflict(&mut r, |production, wmes| {
+            list.push(Instantiation::new(production, wmes.to_vec()));
+        })?;
+        if !r.is_done() {
+            return Err(CodecError::Invalid("trailing bytes after conflict list"));
+        }
+        Ok(list)
     }
 
     /// Where [`Checkpoint::to_bytes`] puts the first byte of `rete`:
@@ -53,8 +103,7 @@ impl Checkpoint {
 
     /// How many bytes [`Checkpoint::to_bytes`] writes.
     pub(crate) fn encoded_len(&self) -> usize {
-        let conflict = self.conflict.iter().map(|inst| 12 + 8 * inst.wmes.len());
-        self.rete_at() + self.rete.len() + 8 + conflict.sum::<usize>()
+        self.rete_at() + self.rete.len() + self.conflict.len()
     }
 
     /// Serializes the checkpoint (`PSMC` v1).
@@ -66,18 +115,17 @@ impl Checkpoint {
             w.usize(blob.len());
             w.bytes(blob);
         }
-        w.usize(self.conflict.len());
-        for inst in &self.conflict {
-            w.u32(inst.production.0);
-            w.usize(inst.wmes.len());
-            for id in &inst.wmes {
-                w.usize(id.index());
-            }
-        }
+        w.bytes(&self.conflict);
         w.finish()
     }
 
     /// Deserializes a checkpoint produced by [`Checkpoint::to_bytes`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError`] on bad magic or version, and on an image
+    /// that is cut short, has bytes past its end or lists its conflict
+    /// set out of canonical order.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, CodecError> {
         let (mut r, version) = ByteReader::with_header(bytes, MAGIC)?;
         if version != VERSION {
@@ -93,17 +141,8 @@ impl Checkpoint {
         };
         let wm = read_blob(&mut r)?;
         let rete = ReteSnapshot::from_bytes(read_blob(&mut r)?);
-        let n = r.usize()?;
-        let mut conflict = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let production = ProductionId(r.u32()?);
-            let m = r.usize()?;
-            let mut wmes = Vec::with_capacity(m.min(1 << 10));
-            for _ in 0..m {
-                wmes.push(WmeId::from_index(r.usize()?));
-            }
-            conflict.push(Instantiation::new(production, wmes));
-        }
+        let conflict = &bytes[bytes.len() - r.remaining()..];
+        read_conflict(&mut r, |_, _| {})?;
         if !r.is_done() {
             return Err(CodecError::Invalid("trailing bytes after checkpoint"));
         }
@@ -111,9 +150,35 @@ impl Checkpoint {
             cycle,
             wm,
             rete,
-            conflict,
+            conflict: conflict.to_vec(),
         })
     }
+}
+
+/// Reads a conflict list, handing `each` instantiation's production and
+/// WMEs, and rejects one out of canonical order or naming a WME id no
+/// working memory hands out.
+fn read_conflict(
+    r: &mut ByteReader<'_>,
+    mut each: impl FnMut(ProductionId, &[WmeId]),
+) -> Result<(), CodecError> {
+    let (mut last, mut next) = ((ProductionId(0), Vec::new()), Vec::new());
+    for i in 0..r.usize()? {
+        let production = ProductionId(r.u32()?);
+        next.clear();
+        for _ in 0..r.usize()? {
+            let id =
+                u32::try_from(r.u64()?).map_err(|_| CodecError::Invalid("WME id overflows"))?;
+            next.push(WmeId::from_index(id as usize));
+        }
+        if i > 0 && (production, &next[..]) <= (last.0, &last.1[..]) {
+            return Err(CodecError::Invalid("conflict list out of canonical order"));
+        }
+        each(production, &next);
+        last.0 = production;
+        std::mem::swap(&mut last.1, &mut next);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -126,10 +191,10 @@ mod tests {
             cycle: 17,
             wm: WorkingMemory::new().snapshot_bytes(),
             rete: ReteSnapshot::from_bytes(vec![1, 2, 3, 4]),
-            conflict: vec![Instantiation::new(
+            conflict: Checkpoint::encode_conflict(&[Instantiation::new(
                 ProductionId(3),
                 vec![WmeId::from_index(0), WmeId::from_index(9)],
-            )],
+            )]),
         };
         let bytes = cp.to_bytes();
         assert_eq!(bytes[cp.rete_at()..][..4], [1, 2, 3, 4]);
@@ -156,5 +221,98 @@ mod tests {
             Err(CodecError::UnexpectedEof),
             "blob length beyond the buffer"
         );
+    }
+
+    /// A checkpoint whose conflict list holds three instantiations, one
+    /// with a WME id past 16 bits and one of a production past 8.
+    fn pinned() -> Checkpoint {
+        let inst = |production, ids: &[usize]| {
+            let wmes = ids.iter().map(|&i| WmeId::from_index(i)).collect();
+            Instantiation::new(ProductionId(production), wmes)
+        };
+        let list = [inst(2, &[4]), inst(3, &[0, 9]), inst(300, &[70_000, 1, 65])];
+        Checkpoint {
+            cycle: 40,
+            wm: WorkingMemory::new().snapshot_bytes(),
+            rete: ReteSnapshot::from_bytes(vec![7; 5]),
+            conflict: Checkpoint::encode_conflict(&list),
+        }
+    }
+
+    /// [`pinned`]'s image, recorded when a checkpoint held its conflict
+    /// set as a list of instantiations and serialised them one by one.
+    #[rustfmt::skip]
+    const PINNED: [u8; 153] = [
+        // Header, cycle 40, the empty working memory's 24-byte image.
+        80, 83, 77, 67, 1, 0, 0, 0, 40, 0, 0, 0, 0, 0, 0, 0,
+        24, 0, 0, 0, 0, 0, 0, 0, 80, 83, 77, 87, 1, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        // The five-byte matcher image.
+        5, 0, 0, 0, 0, 0, 0, 0, 7, 7, 7, 7, 7,
+        // The conflict list: three instantiations, then each one's
+        // production, WME count and WME ids.
+        3, 0, 0, 0, 0, 0, 0, 0,
+        2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0,
+        3, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        9, 0, 0, 0, 0, 0, 0, 0,
+        44, 1, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 112, 17, 1, 0, 0, 0, 0, 0,
+        1, 0, 0, 0, 0, 0, 0, 0, 65, 0, 0, 0, 0, 0, 0, 0,
+    ];
+
+    #[test]
+    fn a_fixed_checkpoint_keeps_its_recorded_bytes() {
+        let cp = pinned();
+        let bytes = cp.to_bytes();
+        assert_eq!(bytes, PINNED);
+        assert_eq!(bytes.len(), cp.encoded_len());
+        assert_eq!(bytes[bytes.len() - cp.conflict.len()..], cp.conflict[..]);
+        let back = Checkpoint::from_bytes(&bytes).expect("decodes");
+        assert_eq!(back, cp);
+        let list = back.conflict_list().expect("a sound list");
+        assert_eq!(Checkpoint::encode_conflict(&list), cp.conflict);
+        let genesis = Checkpoint::genesis(ReteSnapshot::from_bytes(Vec::new()));
+        assert_eq!(genesis.conflict_list(), Ok(Vec::new()));
+    }
+
+    /// Every cut of [`pinned`]'s image fails to decode, and so does
+    /// every byte of its conflict list flipped where it is a count, a
+    /// length or the high half of a WME id (which the decoder once cut
+    /// to 32 bits, reading the id it was flipped from). A flipped
+    /// production or low half of an id is another list, which the image
+    /// carries no checksum to tell from this one (the chain's CRC-32
+    /// does): it decodes only when it is still in canonical order, and
+    /// then to the list those bytes encode. Nothing panics.
+    #[test]
+    fn a_damaged_conflict_list_fails_to_decode_or_says_what_it_holds() {
+        let cp = pinned();
+        let bytes = cp.to_bytes();
+        for len in 0..bytes.len() {
+            assert!(
+                Checkpoint::from_bytes(&bytes[..len]).is_err(),
+                "cut at {len}"
+            );
+        }
+        let at = bytes.len() - cp.conflict.len();
+        // Offsets in the list of the counts, lengths and WME ids.
+        let counts = [0..8, 12..20, 32..40, 60..68];
+        let ids = [20, 40, 48, 68, 76, 84];
+        let mut decoded = 0;
+        for i in 0..cp.conflict.len() {
+            let mut bad = bytes.clone();
+            bad[at + i] ^= 0xFF;
+            let must_fail = counts.iter().any(|count| count.contains(&i))
+                || ids.iter().any(|&id| (id + 4..id + 8).contains(&i));
+            match Checkpoint::from_bytes(&bad) {
+                Err(_) => {}
+                Ok(back) => {
+                    assert!(!must_fail, "byte {i} flipped decodes");
+                    let list = back.conflict_list().expect("a decoded list is sound");
+                    assert_ne!(Ok(&list), cp.conflict_list().as_ref(), "byte {i}");
+                    assert_eq!(Checkpoint::encode_conflict(&list), bad[at..], "byte {i}");
+                    decoded += 1;
+                }
+            }
+        }
+        assert!(decoded < cp.conflict.len() / 2, "{decoded} decoded");
     }
 }

@@ -875,9 +875,11 @@ mod tests {
             cycle,
             wm: WorkingMemory::new().snapshot_bytes(),
             rete: ReteSnapshot::from_bytes(rete),
-            conflict: (0..insts)
-                .map(|i| Instantiation::new(ProductionId(i as u32), vec![WmeId::from_index(i)]))
-                .collect(),
+            conflict: Checkpoint::encode_conflict(
+                &(0..insts)
+                    .map(|i| Instantiation::new(ProductionId(i as u32), vec![WmeId::from_index(i)]))
+                    .collect::<Vec<_>>(),
+            ),
         }
     }
 

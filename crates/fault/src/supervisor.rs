@@ -241,7 +241,7 @@ impl Committed {
             cycle,
             wm: self.wm.snapshot_bytes(),
             rete,
-            conflict: self.conflict.iter().cloned().collect(),
+            conflict: Checkpoint::encode_conflict(&self.conflict),
         }
     }
 }
@@ -261,7 +261,7 @@ impl WarmState {
             matcher: ReteMatcher::restore(network, &cp.rete)?,
             committed: Committed {
                 wm: WorkingMemory::restore_snapshot(&cp.wm)?,
-                conflict: cp.conflict.iter().cloned().collect(),
+                conflict: cp.conflict_list()?.into_iter().collect(),
             },
         })
     }
