@@ -41,6 +41,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod alpha;
+mod heads;
 pub mod kernel;
 pub mod memory;
 pub mod network;

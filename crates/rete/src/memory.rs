@@ -35,8 +35,9 @@
 
 use std::borrow::Borrow;
 
-use ops5::{FxHashMap, WmeId, WorkingMemory};
+use ops5::{WmeId, WorkingMemory};
 
+use crate::heads::Heads;
 use crate::kernel::{self, KeyPart};
 use crate::network::{Network, NodeId, NodeKind, NodeSpec};
 use crate::runtime::MemoryStrategy;
@@ -58,9 +59,9 @@ pub struct Memory<T> {
     /// `links[i * k + s]`: the entry after entry `i` on its chain of
     /// slot `s`, for `k` slots.
     pub(crate) links: Vec<u32>,
-    /// Per slot, the first entry of each key fingerprint's chain; a
-    /// chain that drains is removed.
-    pub(crate) heads: Box<[FxHashMap<u32, u32>]>,
+    /// Per slot, the first entry of each key fingerprint's chain, in
+    /// key order; a chain that drains is removed.
+    pub(crate) heads: Box<[Heads]>,
     /// The image epoch in which the matcher last marked the memory
     /// changed ([`Marks`](crate::snapshot::Marks)): the mark lives on the
     /// cache line the change itself writes. Not part of the image.
@@ -289,7 +290,7 @@ enum Link {
 impl<T> Memory<T> {
     pub(crate) fn new(slots: Vec<Slot>) -> Self {
         Memory {
-            heads: slots.iter().map(|_| FxHashMap::default()).collect(),
+            heads: slots.iter().map(|_| Heads::default()).collect(),
             slots: slots.into(),
             entries: Vec::new(),
             links: Vec::new(),
@@ -311,7 +312,7 @@ impl<T> Memory<T> {
 
     /// Number of key chains resident.
     pub fn chains(&self) -> usize {
-        self.heads.iter().map(FxHashMap::len).sum()
+        self.heads.iter().map(Heads::len).sum()
     }
 
     /// Adds `item`, filing it at the head of the chain of each slot
@@ -392,8 +393,8 @@ impl<T> Memory<T> {
         let mut column = self.links.iter().skip(s).step_by(k);
         let next = column.position(|&next| next as usize == at);
         next.map(|i| Link::Next(i * k + s)).or_else(|| {
-            let head = self.heads[s].iter().find(|(_, &head)| head as usize == at);
-            head.map(|(&key, _)| Link::Head(s, key))
+            let head = self.heads[s].iter().find(|&(_, head)| head as usize == at);
+            head.map(|(key, _)| Link::Head(s, key))
         })
     }
 
@@ -401,7 +402,7 @@ impl<T> Memory<T> {
         match link {
             Link::Next(i) => self.links[i] = to,
             Link::Head(s, key) if to == NIL => {
-                self.heads[s].remove(&key);
+                self.heads[s].remove(key);
             }
             Link::Head(s, key) => {
                 self.heads[s].insert(key, to);
@@ -416,8 +417,8 @@ impl<T> Memory<T> {
         let (mut at, slot) = match probe {
             None => (0, None),
             Some((s, key)) => {
-                let head = key.and_then(|key| self.heads[s].get(&key));
-                (head.copied().unwrap_or(NIL), Some(s))
+                let head = key.and_then(|key| self.heads[s].get(key));
+                (head.unwrap_or(NIL), Some(s))
             }
         };
         std::iter::from_fn(move || {
@@ -439,9 +440,9 @@ impl<T> Memory<T> {
     /// Entries reachable from the chain heads, once per slot they are
     /// filed under (for the leak audits).
     pub(crate) fn filed(&self) -> usize {
-        let slot = |(s, heads): (usize, &FxHashMap<u32, u32>)| {
-            let chain = |&key: &u32| self.walk(Some((s, Some(key)))).count();
-            heads.keys().map(chain).sum::<usize>()
+        let slot = |(s, heads): (usize, &Heads)| {
+            let chain = |(key, _)| self.walk(Some((s, Some(key)))).count();
+            heads.iter().map(chain).sum::<usize>()
         };
         self.heads.iter().enumerate().map(slot).sum()
     }
@@ -464,7 +465,7 @@ impl<T> Memory<T> {
         let mut seen = vec![false; self.links.len()];
         let mut filed = 0;
         for (s, heads) in self.heads.iter().enumerate() {
-            for &head in heads.values() {
+            for (_, head) in heads.iter() {
                 let mut at = head;
                 loop {
                     let i = at as usize * k + s;
@@ -491,7 +492,7 @@ impl<T> Memory<T> {
 mod tests {
     use super::*;
     use crate::snapshot::{decode_memory, encode_memory, ImageParts};
-    use ops5::{ByteReader, ByteWriter, SymbolId};
+    use ops5::{ByteReader, ByteWriter, CodecError, SymbolId};
     use psm_obs::Rng64;
 
     const VALUES: i64 = 4;
@@ -522,7 +523,7 @@ mod tests {
                 let mut want: Vec<u32> = on_chain.map(|m| m.0).collect();
                 want.sort_by_key(|&item| std::cmp::Reverse(item));
                 assert_eq!(chain, want, "{at}: slot {s} chain {k}");
-                let head = memory.heads[s].contains_key(&k);
+                let head = memory.heads[s].get(k).is_some();
                 assert_eq!(head, !want.is_empty(), "{at}: no drained head");
                 filed += want.len();
                 chains += usize::from(head);
@@ -580,9 +581,7 @@ mod tests {
                     assert_eq!(memory.remove(&(arrivals + 1), key_of), None, "step {step}");
                 } else {
                     let (mut w, mut parts) = (ByteWriter::new(), ImageParts::default());
-                    encode_memory(&mut w, &memory, &mut parts, &mut Vec::new(), |w, &item| {
-                        w.u32(item)
-                    });
+                    encode_memory(&mut w, &memory, &mut parts, |w, &item| w.u32(item));
                     let bytes = w.finish();
                     assert_eq!(parts.entries, 4 * model.len());
                     assert_eq!(parts.links, 4 * k * model.len());
@@ -594,5 +593,30 @@ mod tests {
                 assert_follows(&memory, &model, &format!("{k} slots, step {step}"));
             }
         }
+    }
+
+    /// A slot's heads are read in the strictly ascending key order every
+    /// image lists them in; a section listing them otherwise was not
+    /// written by a memory, and is refused.
+    #[test]
+    fn decode_refuses_heads_out_of_key_order() {
+        let slots: Vec<Slot> = vec![Box::new([(0, SymbolId::from_index(0))])];
+        let mut memory: Memory<u32> = Memory::new(slots.clone());
+        for item in [1u32, 2] {
+            memory.insert(item, |&item: &u32, _| Some(item));
+        }
+        let (mut w, mut parts) = (ByteWriter::new(), ImageParts::default());
+        encode_memory(&mut w, &memory, &mut parts, |w, &item| w.u32(item));
+        let mut bytes = w.finish();
+        let decode = |bytes: &[u8]| decode_memory(&mut ByteReader::new(bytes), &slots, |r| r.u32());
+        assert!(decode(&bytes).is_ok());
+        // The last 16 bytes are the slot's two `(key, head)` pairs.
+        let n = bytes.len();
+        bytes[n - 16..].rotate_left(8);
+        let refused = decode(&bytes).err();
+        assert_eq!(
+            refused,
+            Some(CodecError::Invalid("chain heads out of key order"))
+        );
     }
 }
