@@ -51,7 +51,7 @@ use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ops5::{Instantiation, MatchDelta, Matcher, WmeId, WorkingMemory};
+use ops5::{Change, Instantiation, MatchDelta, Matcher, WmImage, WmeId, WorkingMemory};
 use psm_bench::{capture, f, print_table, CliOptions};
 use psm_fault::{
     crc32, Checkpoint, CheckpointChain, FaultPlan, ReplicationConfig, ReplicationStore, Serialised,
@@ -67,17 +67,18 @@ use workloads::{programs, GeneratedWorkload, Preset, WorkloadDriver};
 
 const MAX_KILLS: usize = 8;
 /// Ceiling on checkpoint-cycle median / plain-cycle median on the vt
-/// stream: a third above the 6.4 measured (median of ten runs, 5.9–7.0)
+/// stream: a third above the 4.3 measured (median of ten runs, 4.0–4.7)
 /// with a checkpoint that costs the matching thread the sections of the
-/// memories that changed — each slot's chain heads read in key order
-/// out of its ordered table, no slot sorted — the working-memory image,
-/// the conflict list written straight from the ordered set and the
-/// `PSMC` serialisation, and leaves the chain push — its CRC folded with
-/// carry-less multiplies — to the store's publisher. With the push on the matching
-/// thread too, or on a host that gives the two threads one core, the
-/// ratio read 16–21 with the table-driven CRC: rerun on such a host
-/// before believing a trip.
-const MAX_CHECKPOINT_RATIO: f64 = 8.5;
+/// memories that changed, each written in bulk — entries, links and each
+/// slot's chain heads straight from its ordered table — the
+/// working-memory image copied from the last one but for the slots
+/// that changed, the conflict list written straight from the ordered
+/// set and the `PSMC` serialisation, and leaves the chain push — its CRC
+/// folded with carry-less multiplies — to the store's publisher. With
+/// the push on the matching thread too, or on a host that gives the two
+/// threads one core, the ratio read 16–21 with the table-driven CRC:
+/// rerun on such a host before believing a trip.
+const MAX_CHECKPOINT_RATIO: f64 = 5.8;
 
 fn out_dir() -> String {
     let args: Vec<String> = std::env::args().collect();
@@ -512,9 +513,18 @@ fn checkpoint_steps(cycles: usize) -> CheckpointSteps {
         driver.init(&mut collecting);
         conflict.extend(hashed);
     }
-    let checkpoint = |cycle, matcher: &ReteMatcher, wm: &WorkingMemory, conflict: &BTreeSet<_>| {
+    // The working memory's last image and the slots retracted since, as
+    // a supervisor keeps them.
+    let (mut image, mut retracted) = (None::<WmImage>, Vec::new());
+    let mut checkpoint = |cycle,
+                          matcher: &ReteMatcher,
+                          wm: &WorkingMemory,
+                          retracted: &mut Vec<WmeId>,
+                          conflict: &BTreeSet<_>| {
         let (rete, snapshot_us) = timed(|| matcher.snapshot());
-        let (wm, wm_us) = timed(|| wm.snapshot_bytes());
+        let (next, wm_us) = timed(|| wm.image_since(image.as_ref(), retracted));
+        let wm = Arc::clone(next.bytes());
+        image = Some(next);
         let (conflict, conflict_us) = timed(|| Checkpoint::encode_conflict(conflict));
         let checkpoint = Checkpoint {
             cycle,
@@ -524,7 +534,8 @@ fn checkpoint_steps(cycles: usize) -> CheckpointSteps {
         };
         (checkpoint, [snapshot_us, wm_us, conflict_us])
     };
-    let (genesis, ..) = checkpoint(0, &matcher, driver.working_memory(), &conflict);
+    let wm = driver.working_memory();
+    let (genesis, ..) = checkpoint(0, &matcher, wm, &mut retracted, &conflict);
     let mut chain = CheckpointChain::new(&genesis, ReplicationConfig::default().anchor_every);
     let store = ReplicationStore::new(ReplicationConfig::default());
     store.publish_checkpoint(Arc::new(genesis));
@@ -538,11 +549,16 @@ fn checkpoint_steps(cycles: usize) -> CheckpointSteps {
         matching_us += match_us;
         fold(&mut conflict, delta);
         driver.commit_batch(&batch);
+        retracted.extend(batch.iter().filter_map(|change| match change {
+            Change::Remove(id) => Some(*id),
+            Change::Add(_) => None,
+        }));
         if cycle % 8 != 0 {
             continue;
         }
+        let wm = driver.working_memory();
         let (cp, [snapshot_us, wm_us, conflict_us]) =
-            checkpoint(cycle, &matcher, driver.working_memory(), &conflict);
+            checkpoint(cycle, &matcher, wm, &mut retracted, &conflict);
         let cp = Arc::new(cp);
         let (_, publish_us) = timed(|| store.publish_checkpoint(Arc::clone(&cp)));
         // The publisher has the other core to itself meanwhile, as it

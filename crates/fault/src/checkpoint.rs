@@ -17,6 +17,8 @@
 //!
 //! Serialized under magic `PSMC`, version 1.
 
+use std::sync::Arc;
+
 use ops5::{ByteReader, ByteWriter, CodecError, Instantiation, ProductionId, WmeId, WorkingMemory};
 use rete::ReteSnapshot;
 
@@ -30,8 +32,10 @@ pub struct Checkpoint {
     /// Number of supervised cycles committed into this checkpoint
     /// (the next batch to run is cycle `cycle`).
     pub cycle: u64,
-    /// Canonical [`WorkingMemory::snapshot_bytes`] image.
-    pub wm: Vec<u8>,
+    /// Canonical [`WorkingMemory::snapshot_bytes`] image, shared with
+    /// the supervisor that keeps it to copy the next one from
+    /// ([`ops5::WmImage`]).
+    pub wm: Arc<Vec<u8>>,
     /// The sequential matcher's state snapshot.
     pub rete: ReteSnapshot,
     /// The conflict set in canonical order, as the image lists it
@@ -45,7 +49,7 @@ impl Checkpoint {
     pub fn genesis(rete: ReteSnapshot) -> Self {
         Checkpoint {
             cycle: 0,
-            wm: WorkingMemory::new().snapshot_bytes(),
+            wm: Arc::new(WorkingMemory::new().snapshot_bytes()),
             rete,
             conflict: Self::encode_conflict(&[]),
         }
@@ -139,7 +143,7 @@ impl Checkpoint {
             let n = r.usize()?;
             Ok(r.bytes(n)?.to_vec())
         };
-        let wm = read_blob(&mut r)?;
+        let wm = Arc::new(read_blob(&mut r)?);
         let rete = ReteSnapshot::from_bytes(read_blob(&mut r)?);
         let conflict = &bytes[bytes.len() - r.remaining()..];
         read_conflict(&mut r, |_, _| {})?;
@@ -189,7 +193,7 @@ mod tests {
     fn checkpoint_roundtrips_through_bytes() {
         let cp = Checkpoint {
             cycle: 17,
-            wm: WorkingMemory::new().snapshot_bytes(),
+            wm: Arc::new(WorkingMemory::new().snapshot_bytes()),
             rete: ReteSnapshot::from_bytes(vec![1, 2, 3, 4]),
             conflict: Checkpoint::encode_conflict(&[Instantiation::new(
                 ProductionId(3),
@@ -233,7 +237,7 @@ mod tests {
         let list = [inst(2, &[4]), inst(3, &[0, 9]), inst(300, &[70_000, 1, 65])];
         Checkpoint {
             cycle: 40,
-            wm: WorkingMemory::new().snapshot_bytes(),
+            wm: Arc::new(WorkingMemory::new().snapshot_bytes()),
             rete: ReteSnapshot::from_bytes(vec![7; 5]),
             conflict: Checkpoint::encode_conflict(&list),
         }

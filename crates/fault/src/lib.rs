@@ -223,6 +223,42 @@ mod tests {
         }
     }
 
+    /// Every checkpoint's working-memory image, copied from the one
+    /// before but for the slots that changed, is the committed working
+    /// memory's image from nothing — on the vt stream, through an engine
+    /// fault's cold path and a fall to the naive tier.
+    #[test]
+    fn every_copied_wm_image_is_the_image_from_nothing() {
+        let w = GeneratedWorkload::generate(Preset::Vt.spec_small()).expect("generates");
+        let plan = FaultPlan::new(5)
+            .with_engine_fault(10, 0, FaultAction::DropTask)
+            .with_cycle_fault(60, 6);
+        let mut driver = WorkloadDriver::new(w.clone(), 0x5EED);
+        let mut sup = Supervisor::new(&w.program, fast_config()).expect("compiles");
+        sup.set_fault_plan(Some(Arc::new(plan)));
+        driver.init(&mut sup);
+        let mut taken = 0;
+        for cycle in 0..120 {
+            let batch = driver.next_batch();
+            let before = sup.report().checkpoints;
+            sup.process(driver.working_memory(), &batch);
+            driver.commit_batch(&batch);
+            if sup.report().checkpoints > before {
+                taken += 1;
+                assert_eq!(
+                    sup.last_checkpoint().wm[..],
+                    sup.committed_wm_bytes(),
+                    "cycle {cycle} ({:?})",
+                    sup.tier()
+                );
+            }
+        }
+        let report = sup.report();
+        assert_eq!((report.recoveries, report.fallbacks), (1, 2), "{report:?}");
+        assert_eq!(sup.tier(), Tier::Naive);
+        assert_eq!(taken, 30, "a checkpoint every four cycles");
+    }
+
     #[test]
     fn transient_faults_retry_then_degrade_to_naive() {
         let w = small_workload();

@@ -70,7 +70,7 @@ use std::time::{Duration, Instant};
 
 use baselines::NaiveMatcher;
 use ops5::{
-    Change, CodecError, Error, Instantiation, MatchDelta, Matcher, Program, Wme, WmeId,
+    Change, CodecError, Error, Instantiation, MatchDelta, Matcher, Program, WmImage, Wme, WmeId,
     WorkingMemory, WriteSanitizer,
 };
 use psm_core::{FaultInjector, ParallelReteMatcher};
@@ -193,6 +193,13 @@ pub(crate) struct Committed {
     /// In canonical order — by production, then WMEs — which is the
     /// order a checkpoint lists it in.
     pub(crate) conflict: BTreeSet<Instantiation>,
+    /// The working memory's image in the last checkpoint taken of this
+    /// state, sharing that checkpoint's bytes, and the slots retracted
+    /// since: the next image is copied from it but for those and the
+    /// slots appended since. None before the first checkpoint, and on a
+    /// standby, which takes none.
+    image: Option<WmImage>,
+    retracted: Vec<WmeId>,
 }
 
 impl Committed {
@@ -222,7 +229,9 @@ impl Committed {
         let delta = matched(&self.wm);
         for c in &entry.changes {
             if let WalChange::Remove(id) = c {
-                self.wm.remove(*id);
+                if self.wm.remove(*id).is_some() && self.image.is_some() {
+                    self.retracted.push(*id);
+                }
             }
         }
         for inst in &delta.removed {
@@ -235,11 +244,18 @@ impl Committed {
     }
 
     /// The state, with the committed matcher's `rete` image, as a
-    /// checkpoint covering `cycle` committed cycles.
-    fn checkpoint(&self, cycle: u64, rete: ReteSnapshot) -> Checkpoint {
+    /// checkpoint covering `cycle` committed cycles. Its working-memory
+    /// image is copied from the last one's but for the slots that
+    /// changed, and kept for the next.
+    fn checkpoint(&mut self, cycle: u64, rete: ReteSnapshot) -> Checkpoint {
+        let image = self
+            .wm
+            .image_since(self.image.as_ref(), &mut self.retracted);
+        let wm = Arc::clone(image.bytes());
+        self.image = Some(image);
         Checkpoint {
             cycle,
-            wm: self.wm.snapshot_bytes(),
+            wm,
             rete,
             conflict: Checkpoint::encode_conflict(&self.conflict),
         }
@@ -262,6 +278,7 @@ impl WarmState {
             committed: Committed {
                 wm: WorkingMemory::restore_snapshot(&cp.wm)?,
                 conflict: cp.conflict_list()?.into_iter().collect(),
+                ..Committed::default()
             },
         })
     }
@@ -372,7 +389,7 @@ impl Supervisor {
         program: &Program,
         network: Arc<Network>,
         config: SupervisorConfig,
-        warm: WarmState,
+        mut warm: WarmState,
         cycle: u64,
     ) -> Self {
         let checkpoint = warm.committed.checkpoint(cycle, warm.matcher.snapshot());

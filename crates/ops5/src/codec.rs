@@ -146,6 +146,35 @@ impl ByteWriter {
     pub fn bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
+
+    /// Writes each of `vs` as a `u32`, in one sized write: the buffer
+    /// grows once, by four bytes for each value the iterator says it
+    /// holds, and the values are laid into that.
+    pub fn u32s<I>(&mut self, vs: I)
+    where
+        I: IntoIterator<Item = u32>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let vs = vs.into_iter();
+        let out = self.zeroed(4 * vs.len());
+        for (v, word) in vs.zip(out.chunks_exact_mut(4)) {
+            word.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    /// Appends `n` zero bytes and lends them out to be written over: a
+    /// sized write whose values the caller lays in itself.
+    pub fn zeroed(&mut self, n: usize) -> &mut [u8] {
+        let start = self.buf.len();
+        self.buf.resize(start + n, 0);
+        &mut self.buf[start..]
+    }
+
+    /// Drops every byte past the first `len` (of a [`ByteWriter::zeroed`]
+    /// run the caller wrote less of than it asked for).
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+    }
 }
 
 /// Little-endian binary reader over a byte slice.
@@ -224,6 +253,21 @@ impl<'a> ByteReader<'a> {
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
+    /// Reads `n` `u32`s onto the end of `out`, in one pass. `n` is
+    /// checked against [`ByteReader::remaining`] before `out` grows, so
+    /// a corrupt count is an error and never an allocation request.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::UnexpectedEof`] when fewer than `4 × n` bytes
+    /// remain; `out` is then as it was.
+    pub fn u32s(&mut self, n: usize, out: &mut Vec<u32>) -> Result<(), CodecError> {
+        let bytes = self.bytes(n.checked_mul(4).ok_or(CodecError::UnexpectedEof)?)?;
+        let words = bytes.chunks_exact(4);
+        out.extend(words.map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])));
+        Ok(())
+    }
+
     /// Reads a `u64`.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
         let b = self.bytes(8)?;
@@ -294,6 +338,65 @@ mod tests {
         ));
         let (mut r, _) = ByteReader::with_header(&bytes, *b"AAAA").unwrap();
         assert_eq!(r.u8(), Err(CodecError::UnexpectedEof));
+    }
+
+    /// A bulk write is the per-value writes' bytes: little-endian,
+    /// appended after whatever the writer holds, nothing for no values;
+    /// and the bulk read gives the values back, refusing a count the
+    /// buffer cannot hold before taking anything.
+    #[test]
+    fn bulk_u32s_are_the_single_writes() {
+        let lengths: &[usize] = if cfg!(miri) {
+            &[0, 1, 5]
+        } else {
+            &[0, 1, 2, 7, 64, 1000]
+        };
+        for &n in lengths {
+            let vs: Vec<u32> = (0..n as u32)
+                .map(|i| i.wrapping_mul(0x9E37_79B9) ^ 0xFF)
+                .collect();
+            for prefix in [&[][..], &[0xAB][..], &[1, 2, 3][..]] {
+                let (mut bulk, mut single) = (ByteWriter::new(), ByteWriter::new());
+                bulk.bytes(prefix);
+                single.bytes(prefix);
+                bulk.u32s(vs.iter().copied());
+                for &v in &vs {
+                    single.u32(v);
+                }
+                let bytes = bulk.finish();
+                assert_eq!(bytes, single.finish(), "{n} after {prefix:?}");
+                assert_eq!(&bytes[..prefix.len()], prefix);
+                let mut r = ByteReader::new(&bytes);
+                r.bytes(prefix.len()).unwrap();
+                let mut back = vec![7];
+                assert_eq!(r.u32s(n + 1, &mut back), Err(CodecError::UnexpectedEof));
+                assert_eq!(back, [7], "nothing read on a short buffer");
+                r.u32s(n, &mut back).unwrap();
+                assert_eq!(back[1..], vs[..]);
+                assert!(r.is_done());
+            }
+        }
+        let mut w = ByteWriter::new();
+        w.u32s([0x0102_0304]);
+        assert_eq!(w.finish(), [4, 3, 2, 1], "little-endian");
+        let mut r = ByteReader::new(&[]);
+        assert_eq!(
+            r.u32s(usize::MAX, &mut Vec::new()),
+            Err(CodecError::UnexpectedEof)
+        );
+    }
+
+    /// A zeroed run is appended, written over, and cut back.
+    #[test]
+    fn a_zeroed_run_is_written_over_and_truncated() {
+        let mut w = ByteWriter::new();
+        w.u8(9);
+        assert!(w.zeroed(0).is_empty());
+        let run = w.zeroed(4);
+        assert_eq!(run, [0; 4]);
+        run[..2].copy_from_slice(&[5, 6]);
+        w.truncate(3);
+        assert_eq!(w.finish(), [9, 5, 6]);
     }
 
     #[test]

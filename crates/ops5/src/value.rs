@@ -34,6 +34,14 @@ impl Value {
         }
     }
 
+    /// How many bytes [`Value::encode`] writes.
+    pub(crate) fn encoded_len(self) -> usize {
+        match self {
+            Value::Sym(_) => 1 + 4,
+            Value::Int(_) => 1 + 8,
+        }
+    }
+
     /// Deserializes a value written by [`Value::encode`].
     ///
     /// # Errors

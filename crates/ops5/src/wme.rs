@@ -1,6 +1,20 @@
 //! Working memory: the database of assertions productions match against.
+//!
+//! A working memory's image (`PSMW` v1) is its time-tag counter, its
+//! slot count and every slot in id order: a live one as `1`, its tag and
+//! its element, a retracted one as a single `0`. Ids are never reused
+//! and a slot changes once, from live to retracted, so what changes
+//! between two images is the slots retracted in between and the slots
+//! appended. [`WorkingMemory::image_since`] builds the next image from
+//! the last ([`WmImage`], kept with where each slot starts in it): each
+//! run of slots between two retracted ones is copied in one piece, each
+//! retracted slot becomes its `0`, the appended slots are encoded, and
+//! the header's counter and count are written anew. An image from
+//! nothing (no last image, or [`WorkingMemory::snapshot_bytes`]) is the
+//! same code with every slot appended, so the bytes are the same.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::symbol::{SymbolId, SymbolTable};
@@ -93,6 +107,12 @@ impl Wme {
         }
     }
 
+    /// How many bytes [`Wme::encode`] writes.
+    fn encoded_len(&self) -> usize {
+        let attrs = self.attrs.iter().map(|&(_, value)| 4 + value.encoded_len());
+        4 + 8 + attrs.sum::<usize>()
+    }
+
     /// Serializes the element into `w` (class, then sorted attribute
     /// pairs). The canonical attribute order makes the encoding
     /// deterministic for equal elements.
@@ -174,6 +194,58 @@ impl fmt::Display for TimeTag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t{}", self.0)
     }
+}
+
+const IMAGE_MAGIC: [u8; 4] = *b"PSMW";
+const IMAGE_VERSION: u32 = 1;
+/// Magic, version, time-tag counter and slot count: where the first
+/// slot of an image starts.
+const IMAGE_HEADER: usize = 4 + 4 + 8 + 8;
+
+/// A working memory's `PSMW` image with where each of its slots starts
+/// in it: what [`WorkingMemory::image_since`] copies the next image of
+/// the same working memory from (see the module docs).
+#[derive(Debug, Clone)]
+pub struct WmImage {
+    /// Shared with whoever holds the image besides (a checkpoint).
+    bytes: Arc<Vec<u8>>,
+    /// Slot `i` is `starts[i]..starts[i + 1]` of `bytes`.
+    starts: Vec<u32>,
+}
+
+impl WmImage {
+    /// The image's bytes, exactly [`WorkingMemory::snapshot_bytes`].
+    pub fn bytes(&self) -> &Arc<Vec<u8>> {
+        &self.bytes
+    }
+
+    /// How many slots the image holds.
+    fn slots(&self) -> usize {
+        self.starts.len() - 1
+    }
+}
+
+/// Bytes slot `slot` takes in an image.
+fn slot_len(slot: &Option<(Wme, TimeTag)>) -> usize {
+    slot.as_ref()
+        .map_or(1, |(wme, _)| 1 + 8 + wme.encoded_len())
+}
+
+/// Writes one slot of an image.
+fn encode_slot(w: &mut ByteWriter, slot: &Option<(Wme, TimeTag)>) {
+    match slot {
+        None => w.u8(0),
+        Some((wme, tag)) => {
+            w.u8(1);
+            w.u64(tag.0);
+            wme.encode(w);
+        }
+    }
+}
+
+/// Where byte `at` of an image is, as a slot start.
+fn start(at: usize) -> u32 {
+    u32::try_from(at).expect("a working-memory image under 4 GiB")
 }
 
 /// The working memory: an arena of live WMEs with time tags.
@@ -280,20 +352,83 @@ impl WorkingMemory {
     /// is what makes snapshot + write-ahead-log replay a faithful
     /// recovery strategy (`psm-fault`).
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_header(*b"PSMW", 1);
+        Arc::unwrap_or_clone(self.image_since(None, &mut Vec::new()).bytes)
+    }
+
+    /// The image of this working memory, copied from `last` — an earlier
+    /// image of it — except the slots that changed since: `retracted`
+    /// names, in any order and once each, every slot retracted since
+    /// `last` was taken (a slot appended since may be named or not), and
+    /// is left empty. The bytes are [`WorkingMemory::snapshot_bytes`]'s;
+    /// the cost is a copy of `last` and the encoding of the slots
+    /// appended since. With no `last` every slot is encoded.
+    ///
+    /// # Panics
+    ///
+    /// When `retracted` names a slot twice or names a slot of `last` that
+    /// is live, or `last` holds more slots than this working memory.
+    pub fn image_since(&self, last: Option<&WmImage>, retracted: &mut Vec<WmeId>) -> WmImage {
+        retracted.sort_unstable();
+        let image = self.encode(last, retracted);
+        retracted.clear();
+        image
+    }
+
+    /// The one `PSMW` encoder: the slots of `last` copied from it in
+    /// runs, with each of `retracted` (ascending) among them written as a
+    /// retracted slot, then every slot appended since, each encoded. With
+    /// no `last` every slot is appended.
+    fn encode(&self, last: Option<&WmImage>, retracted: &[WmeId]) -> WmImage {
+        let kept = last.map_or(0, WmImage::slots);
+        assert!(kept <= self.slots.len(), "an image of this working memory");
+        assert!(
+            retracted.windows(2).all(|two| two[0] < two[1]),
+            "each retracted slot listed once"
+        );
+        let retracted = retracted.iter().map(|id| id.index()).filter(|&i| i < kept);
+        for i in retracted.clone() {
+            assert!(self.slots[i].is_none(), "slot {i} listed retracted is live");
+        }
+        let appended = &self.slots[kept..];
+        let copied = last.map_or(IMAGE_HEADER, |last| {
+            let shrunk = retracted
+                .clone()
+                .map(|i| last.starts[i + 1] - last.starts[i] - 1);
+            last.bytes.len() - shrunk.map(|n| n as usize).sum::<usize>()
+        });
+        let size = copied + appended.iter().map(slot_len).sum::<usize>();
+        let mut w = ByteWriter::over(Vec::with_capacity(size));
+        w.bytes(&IMAGE_MAGIC);
+        w.u32(IMAGE_VERSION);
         w.u64(self.next_tag);
         w.usize(self.slots.len());
-        for slot in &self.slots {
-            match slot {
-                None => w.u8(0),
-                Some((wme, tag)) => {
-                    w.u8(1);
-                    w.u64(tag.0);
-                    wme.encode(&mut w);
+        let mut starts = Vec::with_capacity(self.slots.len() + 1);
+        if let Some(last) = last {
+            // Slots `..next` are in the image. A retracted slot only
+            // shrinks, so a run lands at or before where it was.
+            let mut next = 0;
+            for i in retracted.chain([kept]) {
+                let (from, to) = (last.starts[next] as usize, last.starts[i] as usize);
+                let back = start(from - w.len());
+                w.bytes(&last.bytes[from..to]);
+                starts.extend(last.starts[next..i].iter().map(|&at| at - back));
+                if i < kept {
+                    starts.push(start(w.len()));
+                    w.u8(0);
                 }
+                next = i + 1;
             }
         }
-        w.finish()
+        for slot in appended {
+            starts.push(start(w.len()));
+            encode_slot(&mut w, slot);
+        }
+        starts.push(start(w.len()));
+        debug_assert_eq!(w.len(), size, "the image fills what was reserved");
+        WmImage {
+            bytes: Arc::new(w.finish()),
+            starts,
+        }
     }
 
     /// Rebuilds a working memory from [`WorkingMemory::snapshot_bytes`].
@@ -303,10 +438,10 @@ impl WorkingMemory {
     /// Returns [`CodecError`] on bad magic, unsupported version, or
     /// malformed data.
     pub fn restore_snapshot(bytes: &[u8]) -> Result<WorkingMemory, CodecError> {
-        let (mut r, version) = ByteReader::with_header(bytes, *b"PSMW")?;
-        if version != 1 {
+        let (mut r, version) = ByteReader::with_header(bytes, IMAGE_MAGIC)?;
+        if version != IMAGE_VERSION {
             return Err(CodecError::BadVersion {
-                supported: 1,
+                supported: IMAGE_VERSION,
                 found: version,
             });
         }
@@ -471,6 +606,103 @@ mod tests {
         let (id2, t2) = restored.add(wme);
         assert_eq!(id1, id2);
         assert_eq!(t1, t2);
+    }
+
+    /// An image copied from the last one is the image from nothing,
+    /// slot starts included, after every step of seeded add / retract /
+    /// modify batches — a step of no change, the first and the last slot
+    /// retracted, a WME added and retracted between two images, named
+    /// among the retracted ones or not — starting from an empty working
+    /// memory, and after several steps between two images.
+    #[test]
+    fn an_image_copied_from_the_last_is_the_image_from_nothing() {
+        use psm_obs::Rng64;
+        let mut t = SymbolTable::new();
+        let attrs: Vec<SymbolId> = ["a", "b", "c", "d"].iter().map(|a| t.intern(a)).collect();
+        let classes: Vec<SymbolId> = ["x", "y"].iter().map(|c| t.intern(c)).collect();
+        let steps = if cfg!(miri) { 40 } else { 1500 };
+        for (seed, every) in [(1u64, 1usize), (2, 3)] {
+            let mut rng = Rng64::new(0x1A6E + seed);
+            let wme = |rng: &mut Rng64| {
+                let n = rng.gen_range(0..4usize);
+                let pairs = (0..n).map(|i| {
+                    let value = match rng.gen_bool(0.5) {
+                        true => Value::Int(rng.gen_range(-500..500i64)),
+                        false => Value::Sym(*rng.choose(&attrs)),
+                    };
+                    (attrs[i], value)
+                });
+                let pairs = pairs.collect();
+                Wme::new(*rng.choose(&classes), pairs)
+            };
+            let mut wm = WorkingMemory::new();
+            let mut last = wm.image_since(None, &mut Vec::new());
+            assert_eq!(last.bytes[..], wm.snapshot_bytes(), "empty");
+            let mut retracted = Vec::new();
+            for step in 0..steps {
+                let live: Vec<WmeId> = wm.iter().map(|(id, _, _)| id).collect();
+                let mut retract = |wm: &mut WorkingMemory, id: WmeId, named: bool| {
+                    if wm.remove(id).is_some() && named {
+                        retracted.push(id);
+                    }
+                };
+                match rng.gen_range(0..8u32) {
+                    // No change.
+                    0 => {}
+                    // The first and the last slot.
+                    1 => {
+                        for id in [WmeId(0), WmeId(wm.slots.len().saturating_sub(1) as u32)] {
+                            retract(&mut wm, id, true);
+                        }
+                    }
+                    // Added and retracted before the next image.
+                    2 => {
+                        let (id, _) = wm.add(wme(&mut rng));
+                        let named = rng.gen_bool(0.5);
+                        retract(&mut wm, id, named);
+                    }
+                    // A modify: the old element out, the new one in.
+                    3 if !live.is_empty() => {
+                        let id = *rng.choose(&live);
+                        retract(&mut wm, id, true);
+                        wm.add(wme(&mut rng));
+                    }
+                    4 | 5 if !live.is_empty() => {
+                        let id = *rng.choose(&live);
+                        retract(&mut wm, id, true);
+                    }
+                    _ => {
+                        for _ in 0..=rng.gen_range(0..3u32) {
+                            wm.add(wme(&mut rng));
+                        }
+                    }
+                }
+                if step % every == 0 {
+                    let next = wm.image_since(Some(&last), &mut retracted);
+                    let fresh = wm.image_since(None, &mut Vec::new());
+                    let at = format!("seed {seed}, step {step}");
+                    assert!(retracted.is_empty(), "{at}: the list is taken");
+                    assert_eq!(next.bytes, fresh.bytes, "{at}");
+                    assert_eq!(next.starts, fresh.starts, "{at}");
+                    assert_eq!(fresh.bytes[..], wm.snapshot_bytes(), "{at}");
+                    assert_eq!(next.bytes.len(), next.bytes.capacity(), "{at}: sized");
+                    last = next;
+                }
+            }
+            let restored = WorkingMemory::restore_snapshot(&last.bytes).unwrap();
+            assert_eq!(restored.snapshot_bytes(), last.bytes[..]);
+        }
+    }
+
+    /// A slot listed as retracted that is live is refused, not imaged.
+    #[test]
+    #[should_panic(expected = "listed retracted is live")]
+    fn an_image_refuses_a_live_slot_listed_retracted() {
+        let (_t, wme) = fixture();
+        let mut wm = WorkingMemory::new();
+        let (id, _) = wm.add(wme);
+        let last = wm.image_since(None, &mut Vec::new());
+        wm.image_since(Some(&last), &mut vec![id]);
     }
 
     #[test]

@@ -9,7 +9,13 @@
 //! order. A fingerprint is a multiplicative hash, so its high bits
 //! spread the keys over the buckets; and the buckets read from first to
 //! last are the heads in ascending key order, whatever order the keys
-//! arrived and left in — an image lists them with no sort.
+//! arrived and left in — an image lists them with no sort. A bucket
+//! packs its key above its head, so rotated by 32 bits it is the pair's
+//! bytes as the image lists them, and the buckets are written to the
+//! image as they are, the empty ones written over or cut off
+//! ([`Heads::encode`]).
+
+use ops5::ByteWriter;
 
 /// A bucket holding no head: above every held bucket, which packs its
 /// key above its head and never holds a head of `NIL`.
@@ -187,6 +193,25 @@ impl Heads {
         self.buckets.push(EMPTY);
     }
 
+    /// Writes the heads as an image lists them: their count, then each
+    /// `(key, head)` in ascending key order, little-endian. A bucket
+    /// `key << 32 | head` rotated by 32 bits is that pair's eight bytes,
+    /// so every bucket is written where the cursor is, and the cursor
+    /// moves past the held ones only: no branch per bucket. An empty
+    /// bucket lands on the eight bytes past the held ones, cut off at
+    /// the end.
+    pub(crate) fn encode(&self, w: &mut ByteWriter) {
+        w.u32(self.len as u32);
+        let end = w.len() + 8 * self.len;
+        let out = w.zeroed(8 * self.len + 8);
+        let mut at = 0;
+        for &b in &self.buckets {
+            out[at..at + 8].copy_from_slice(&b.rotate_left(32).to_le_bytes());
+            at += 8 * usize::from(b != EMPTY);
+        }
+        w.truncate(end);
+    }
+
     /// Every `(key, head)`, in ascending key order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         let held = self.buckets.iter().filter(|&&b| b != EMPTY);
@@ -197,6 +222,13 @@ impl Heads {
     #[cfg(test)]
     pub(crate) fn buckets(&self) -> usize {
         self.buckets.len()
+    }
+
+    /// Whether the last run ever spilled past the home buckets' window
+    /// (for the tests).
+    #[cfg(test)]
+    pub(crate) fn overflowed(&self) -> bool {
+        self.buckets.len() > self.homes + WINDOW
     }
 }
 
@@ -212,6 +244,16 @@ mod tests {
     fn assert_holds(heads: &Heads, model: &BTreeMap<u32, u32>, at: &str) {
         let pairs: Vec<(u32, u32)> = model.iter().map(|(&k, &h)| (k, h)).collect();
         assert!(heads.iter().eq(pairs.iter().copied()), "{at}: key order");
+        let (mut bulk, mut single) = (ByteWriter::new(), ByteWriter::new());
+        bulk.u8(0xEE);
+        single.u8(0xEE);
+        heads.encode(&mut bulk);
+        single.u32(pairs.len() as u32);
+        for &(key, head) in &pairs {
+            single.u32(key);
+            single.u32(head);
+        }
+        assert_eq!(bulk.finish(), single.finish(), "{at}: encoded");
         assert_eq!(heads.len(), model.len(), "{at}");
         for (at_bucket, &b) in heads.buckets.iter().enumerate() {
             if b != EMPTY {

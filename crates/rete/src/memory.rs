@@ -581,7 +581,9 @@ mod tests {
                     assert_eq!(memory.remove(&(arrivals + 1), key_of), None, "step {step}");
                 } else {
                     let (mut w, mut parts) = (ByteWriter::new(), ImageParts::default());
-                    encode_memory(&mut w, &memory, &mut parts, |w, &item| w.u32(item));
+                    encode_memory(&mut w, &memory, &mut parts, |w, items| {
+                        w.u32s(items.iter().copied())
+                    });
                     let bytes = w.finish();
                     assert_eq!(parts.entries, 4 * model.len());
                     assert_eq!(parts.links, 4 * k * model.len());
@@ -606,7 +608,9 @@ mod tests {
             memory.insert(item, |&item: &u32, _| Some(item));
         }
         let (mut w, mut parts) = (ByteWriter::new(), ImageParts::default());
-        encode_memory(&mut w, &memory, &mut parts, |w, &item| w.u32(item));
+        encode_memory(&mut w, &memory, &mut parts, |w, items| {
+            w.u32s(items.iter().copied())
+        });
         let mut bytes = w.finish();
         let decode = |bytes: &[u8]| decode_memory(&mut ByteReader::new(bytes), &slots, |r| r.u32());
         assert!(decode(&bytes).is_ok());

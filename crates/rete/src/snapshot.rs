@@ -30,6 +30,12 @@
 //! image in one piece. The bytes are those of an encode from nothing —
 //! which is the same code with every section listed — so nothing that
 //! reads an image can tell.
+//!
+//! A section is written at memory speed: its entries in one sized write,
+//! its links in another, and each slot's heads straight from the slot's
+//! buckets with no branch per bucket (`Heads::encode`). The writer that
+//! took them a `u32` at a time is kept in the tests, as the oracle the
+//! bulk writer's bytes are held to.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -116,11 +122,36 @@ impl ReteSnapshot {
     }
 }
 
-pub(crate) fn encode_token(w: &mut ByteWriter, token: &Token) {
-    w.u32(token.len() as u32);
-    for &id in token.wmes() {
-        w.u32(id.index() as u32);
+/// Writes `entries` in one sized write of `u32`s: `len` of them for
+/// each entry, its `words`.
+fn encode_words<'a, T, W>(
+    w: &mut ByteWriter,
+    entries: &'a [T],
+    len: impl Fn(&T) -> usize,
+    words: impl Fn(&'a T) -> W,
+) where
+    W: Iterator<Item = u32>,
+{
+    let total = entries.iter().map(len).sum::<usize>();
+    let mut out = w.zeroed(4 * total).chunks_exact_mut(4);
+    for entry in entries {
+        // The entry's words lead the zip: the run is not drawn from
+        // once they end.
+        for (v, word) in words(entry).zip(&mut out) {
+            word.copy_from_slice(&v.to_le_bytes());
+        }
     }
+}
+
+/// A token's words: its length, then its WME ids.
+fn token_words(token: &Token) -> impl Iterator<Item = u32> + '_ {
+    let ids = token.wmes().iter().map(|id| id.index() as u32);
+    std::iter::once(token.len() as u32).chain(ids)
+}
+
+/// Writes tokens, each as its length and its WME ids.
+pub(crate) fn encode_tokens(w: &mut ByteWriter, tokens: &[Token]) {
+    encode_words(w, tokens, |token| 1 + token.len(), token_words);
 }
 
 pub(crate) fn decode_token(r: &mut ByteReader<'_>) -> Result<Token, CodecError> {
@@ -165,35 +196,28 @@ pub struct ImageParts {
     pub rest: usize,
 }
 
-/// Writes one memory: slot count, entries (each through `item`), links
-/// as they are and — with the links, the index as it is: a restored
-/// matcher walks each chain in the order this one does — each slot's
-/// heads in ascending key order, as the slot's table holds them.
+/// Writes one memory: slot count, entries (all of them through
+/// `entries`), links as they are and — with the links, the index as it
+/// is: a restored matcher walks each chain in the order this one does —
+/// each slot's heads in ascending key order, as the slot's table holds
+/// them. Each part is one sized write, and each slot's heads another.
 pub(crate) fn encode_memory<T>(
     w: &mut ByteWriter,
     memory: &Memory<T>,
     parts: &mut ImageParts,
-    item: impl Fn(&mut ByteWriter, &T),
+    entries: impl Fn(&mut ByteWriter, &[T]),
 ) {
     w.u32(memory.slots.len() as u32);
     w.u32(memory.entries.len() as u32);
     let start = w.len();
-    for entry in &memory.entries {
-        item(w, entry);
-    }
+    entries(w, &memory.entries);
     parts.entries += w.len() - start;
     let start = w.len();
-    for &link in &memory.links {
-        w.u32(link);
-    }
+    w.u32s(memory.links.iter().copied());
     parts.links += w.len() - start;
     let start = w.len();
     for heads in memory.heads.iter() {
-        w.u32(heads.len() as u32);
-        for (key, head) in heads.iter() {
-            w.u32(key);
-            w.u32(head);
-        }
+        heads.encode(w);
     }
     parts.heads += w.len() - start;
 }
@@ -216,10 +240,8 @@ pub(crate) fn decode_memory<T>(
     for _ in 0..n {
         entries.push(item(r)?);
     }
-    let mut links = Vec::with_capacity(n.saturating_mul(k).min(1 << 20));
-    for _ in 0..n.saturating_mul(k) {
-        links.push(r.u32()?);
-    }
+    let mut links = Vec::new();
+    r.u32s(n.saturating_mul(k), &mut links)?;
     let (mut heads, mut pairs) = (Vec::with_capacity(k), Vec::new());
     for _ in 0..k {
         pairs.clear();
@@ -239,17 +261,22 @@ pub(crate) fn decode_memory<T>(
     Ok(memory)
 }
 
-fn encode_wme(w: &mut ByteWriter, id: &WmeId) {
-    w.u32(id.index() as u32);
+fn encode_wmes(w: &mut ByteWriter, ids: &[WmeId]) {
+    w.u32s(ids.iter().map(|id| id.index() as u32));
 }
 
 fn decode_wme(r: &mut ByteReader<'_>) -> Result<WmeId, CodecError> {
     Ok(WmeId::from_index(r.u32()? as usize))
 }
 
-fn encode_negative(w: &mut ByteWriter, entry: &NegEntry) {
-    encode_token(w, &entry.token);
-    w.u32(entry.count);
+/// Writes negative entries, each as its token and its match count.
+fn encode_negatives(w: &mut ByteWriter, entries: &[NegEntry]) {
+    encode_words(
+        w,
+        entries,
+        |entry| 2 + entry.token.len(),
+        |entry| token_words(&entry.token).chain([entry.count]),
+    );
 }
 
 fn decode_negative(r: &mut ByteReader<'_>) -> Result<NegEntry, CodecError> {
@@ -402,17 +429,17 @@ impl ReteMatcher {
     /// a node's state. Returns whether the section is a memory.
     fn encode_section(&self, w: &mut ByteWriter, i: usize, parts: &mut ImageParts) -> bool {
         let Some(node) = i.checked_sub(self.alpha_mems.len()) else {
-            encode_memory(w, &self.alpha_mems[i], parts, encode_wme);
+            encode_memory(w, &self.alpha_mems[i], parts, encode_wmes);
             return true;
         };
         match &self.states[node] {
             NodeState::Mem(memory) => {
                 w.u8(0);
-                encode_memory(w, memory, parts, encode_token);
+                encode_memory(w, memory, parts, encode_tokens);
             }
             NodeState::Neg(memory) => {
                 w.u8(1);
-                encode_memory(w, memory, parts, encode_negative);
+                encode_memory(w, memory, parts, encode_negatives);
             }
             NodeState::Stateless => {
                 w.u8(2);
@@ -587,13 +614,179 @@ mod tests {
         assert_eq!(restored.resident_index_buckets(), 0);
     }
 
+    /// The section writer as it was before its parts were bulk writes,
+    /// one `u32` at a time, each slot's heads through [`Heads::iter`]:
+    /// the oracle [`encode_memory`] is held to.
+    fn reference_memory<T>(
+        w: &mut ByteWriter,
+        memory: &Memory<T>,
+        parts: &mut ImageParts,
+        item: impl Fn(&mut ByteWriter, &T),
+    ) {
+        w.u32(memory.slots.len() as u32);
+        w.u32(memory.entries.len() as u32);
+        let start = w.len();
+        for entry in &memory.entries {
+            item(w, entry);
+        }
+        parts.entries += w.len() - start;
+        let start = w.len();
+        for &link in &memory.links {
+            w.u32(link);
+        }
+        parts.links += w.len() - start;
+        let start = w.len();
+        for heads in memory.heads.iter() {
+            w.u32(heads.len() as u32);
+            for (key, head) in heads.iter() {
+                w.u32(key);
+                w.u32(head);
+            }
+        }
+        parts.heads += w.len() - start;
+    }
+
+    fn reference_token(w: &mut ByteWriter, token: &Token) {
+        w.u32(token.len() as u32);
+        for &id in token.wmes() {
+            w.u32(id.index() as u32);
+        }
+    }
+
+    /// Holds `memory`'s section, written by [`encode_memory`] after a
+    /// byte already in the writer, to [`reference_memory`]'s: the same
+    /// bytes, the same parts. Returns whether a slot's heads table
+    /// overflowed its window.
+    fn assert_encodes_as_reference<T>(
+        memory: &Memory<T>,
+        entries: impl Fn(&mut ByteWriter, &[T]),
+        item: impl Fn(&mut ByteWriter, &T),
+        at: &str,
+    ) -> bool {
+        let mut written = [(); 2].map(|_| (ByteWriter::new(), ImageParts::default()));
+        for (w, _) in &mut written {
+            w.u8(0xA5);
+        }
+        let [(mut bulk, mut bulk_parts), (mut single, mut single_parts)] = written;
+        encode_memory(&mut bulk, memory, &mut bulk_parts, entries);
+        reference_memory(&mut single, memory, &mut single_parts, item);
+        assert_eq!(bulk_parts, single_parts, "{at}: parts");
+        assert_eq!(bulk.finish(), single.finish(), "{at}: bytes");
+        memory.heads.iter().any(Heads::overflowed)
+    }
+
+    /// A key for slot `slot` of an entry whose words are `words`, drawn
+    /// so that slots share chains, spread keys grow a table, keys at the
+    /// top of the range pile into its last home bucket and past it, and
+    /// some entries are on no chain of a slot.
+    fn oracle_key(words: &[u32], slot: &[crate::kernel::KeyPart]) -> Option<u32> {
+        let mut h = 0xCBF2_9CE4_8422_2325u64 ^ slot.len() as u64;
+        for &word in words {
+            h = (h ^ u64::from(word)).wrapping_mul(0x0100_0000_01B3);
+        }
+        let pick = (h >> 40) as u32;
+        match h % 8 {
+            0 => None,
+            1 | 2 => Some(pick % 5),
+            3 | 4 => Some(u32::MAX - pick % 24),
+            _ => Some(pick.wrapping_mul(0x9E37_79B9)),
+        }
+    }
+
+    /// [`encode_memory`] writes the bytes and parts of the per-`u32`
+    /// writer it replaced, for alpha, beta and negative memories of 0–3
+    /// key slots, empty, filled through seeded inserts and removes with
+    /// tokens of 0–9 WME ids — in place and spilled — until the heads
+    /// tables have grown and overflowed their window, and drained back
+    /// to empty.
+    #[test]
+    fn bulk_sections_are_the_per_word_writers_bytes() {
+        use crate::kernel::KeyPart;
+        use ops5::SymbolId;
+        use psm_obs::Rng64;
+        let steps = if cfg!(miri) { 40 } else { 700 };
+        let mut overflowed = [false; 3];
+        for k in 0..=3usize {
+            let slots: Vec<Slot> = (0..k)
+                .map(|s| (0..=s).map(|p| (s, SymbolId::from_index(p))).collect())
+                .collect();
+            let mut rng = Rng64::new(0x0B17 + k as u64);
+            let token = |rng: &mut Rng64| {
+                let n = rng.gen_range(0..10usize);
+                let ids = (0..n).map(|_| WmeId::from_index(rng.gen_range(0..5_000usize)));
+                Token::from_wmes(ids.collect())
+            };
+            let words = |token: &Token| -> Vec<u32> {
+                token.wmes().iter().map(|id| id.index() as u32).collect()
+            };
+            let mut alpha: Memory<WmeId> = Memory::new(slots.clone());
+            let mut beta: Memory<Token> = Memory::new(slots.clone());
+            let mut negative: Memory<NegEntry> = Memory::new(slots.clone());
+            let alpha_key = |id: &WmeId, slot: &[KeyPart]| oracle_key(&[id.index() as u32], slot);
+            let token_key = |token: &Token, slot: &[KeyPart]| oracle_key(&words(token), slot);
+            for step in 0..2 * steps {
+                let at = format!("{k} slots, step {step}");
+                // Fill for the first half, drain for the second.
+                let insert = step < steps && rng.gen_range(0..4u32) > 0;
+                if insert {
+                    let id = WmeId::from_index(rng.gen_range(0..5_000usize));
+                    alpha.insert(id, alpha_key);
+                    beta.insert(token(&mut rng), token_key);
+                    let (token, count) = (token(&mut rng), rng.gen_range(0..4u32));
+                    negative.insert(NegEntry { token, count }, token_key);
+                } else {
+                    if !alpha.entries.is_empty() {
+                        let id = alpha.entries[rng.gen_range(0..alpha.entries.len())];
+                        assert_eq!(alpha.remove(&id, alpha_key), Some(id), "{at}");
+                    }
+                    if !beta.entries.is_empty() {
+                        let t = beta.entries[rng.gen_range(0..beta.entries.len())].clone();
+                        assert!(beta.remove(&t, token_key).is_some(), "{at}");
+                    }
+                    if !negative.entries.is_empty() {
+                        let i = rng.gen_range(0..negative.entries.len());
+                        let t = negative.entries[i].token.clone();
+                        assert!(negative.remove(&t, token_key).is_some(), "{at}");
+                    }
+                }
+                let reference_wme = |w: &mut ByteWriter, id: &WmeId| w.u32(id.index() as u32);
+                let reference_negative = |w: &mut ByteWriter, entry: &NegEntry| {
+                    reference_token(w, &entry.token);
+                    w.u32(entry.count);
+                };
+                let alpha_at = format!("{at}, alpha");
+                overflowed[0] |=
+                    assert_encodes_as_reference(&alpha, encode_wmes, reference_wme, &alpha_at);
+                let beta_at = format!("{at}, beta");
+                overflowed[1] |=
+                    assert_encodes_as_reference(&beta, encode_tokens, reference_token, &beta_at);
+                let negative_at = format!("{at}, negative");
+                overflowed[2] |= assert_encodes_as_reference(
+                    &negative,
+                    encode_negatives,
+                    reference_negative,
+                    &negative_at,
+                );
+            }
+            assert!(
+                alpha.entries.is_empty() && beta.entries.is_empty(),
+                "{k}: drained"
+            );
+            assert!(negative.entries.is_empty(), "{k}: drained");
+            assert_eq!(alpha.chains() + beta.chains() + negative.chains(), 0);
+        }
+        if !cfg!(miri) {
+            assert_eq!(overflowed, [true; 3], "a table past its window");
+        }
+    }
+
     /// Each slot's heads in `memory`, as its image lists them.
     fn listed_heads<T>(
         memory: &Memory<T>,
-        item: impl Fn(&mut ByteWriter, &T),
+        entries: impl Fn(&mut ByteWriter, &[T]),
     ) -> Vec<Vec<(u32, u32)>> {
         let (mut w, mut parts) = (ByteWriter::new(), ImageParts::default());
-        encode_memory(&mut w, memory, &mut parts, item);
+        encode_memory(&mut w, memory, &mut parts, entries);
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes[bytes.len() - parts.heads..]);
         let mut slots = Vec::new();
@@ -613,10 +806,10 @@ mod tests {
         let alpha = m
             .alpha_mems
             .iter()
-            .flat_map(|memory| listed_heads(memory, encode_wme));
+            .flat_map(|memory| listed_heads(memory, encode_wmes));
         let nodes = m.states.iter().flat_map(|state| match state {
-            NodeState::Mem(memory) => listed_heads(memory, encode_token),
-            NodeState::Neg(memory) => listed_heads(memory, encode_negative),
+            NodeState::Mem(memory) => listed_heads(memory, encode_tokens),
+            NodeState::Neg(memory) => listed_heads(memory, encode_negatives),
             NodeState::Stateless => Vec::new(),
         });
         alpha.chain(nodes).collect()

@@ -226,7 +226,7 @@ mod tests {
     /// as the slice of its ids either way.
     #[test]
     fn every_way_to_a_length_makes_the_same_token() {
-        use crate::snapshot::{decode_token, encode_token};
+        use crate::snapshot::{decode_token, encode_tokens};
         for n in 0..=12usize {
             // Id 0, what an in-place token's unused places hold, comes
             // first, fifth and ninth.
@@ -234,7 +234,7 @@ mod tests {
             let listed = Token::from_wmes(ids.clone());
             let extended = ids.iter().fold(Token::top(), |t, &id| t.extended(id));
             let mut image = ops5::ByteWriter::new();
-            encode_token(&mut image, &listed);
+            encode_tokens(&mut image, std::slice::from_ref(&listed));
             let image = image.finish();
             assert_eq!(image.len(), 4 + 4 * n);
             let decoded = decode_token(&mut ops5::ByteReader::new(&image)).expect("decodes");
