@@ -22,14 +22,26 @@
 //!   [`MAX_CHECKPOINT_RATIO`] plain cycles. The same stream is then
 //!   taken through a checkpoint's steps by hand, each step timed and
 //!   listed under the thread that pays it — the matching thread matches
-//!   the batches, snapshots the matcher, images the working memory,
-//!   lists the conflict set in its `PSMC` bytes, serialises the `PSMC`
-//!   image and hands it to the store; the store's publisher checksums
-//!   it, diffs it against the tip and encodes the `PSMD` — with the
-//!   share of a checkpoint interval the publisher is busy for, how often
-//!   the matching thread had to wait for it, and a census of the
-//!   snapshot's sections: how many there are, how many were encoded and
-//!   how many bytes were copied instead.
+//!   the batches, encodes the matcher's changed sections, images the
+//!   working memory, lists the conflict set in its `PSMC` bytes,
+//!   allocates the `PSMC` image's buffer and hands the draft to the
+//!   store; the store's publisher writes the image (the matcher's
+//!   unchanged sections copied from the tip's), checksums it, diffs it
+//!   against the tip and encodes the `PSMD` — with the share of a
+//!   checkpoint interval the publisher is busy for, how often the
+//!   matching thread had to wait for it, and a census of the image's
+//!   sections: how many there are, how many were encoded and how many
+//!   bytes were copied instead.
+//!
+//! * **Checkpoint after-effect** — what a checkpoint costs the cycles
+//!   after it: the same stream through a supervisor with checkpoints
+//!   every 8 cycles and through one with none, runs of the two
+//!   interleaved, each cycle's minimum over its runs, summed over the
+//!   cycles that are plain in both. The excess of the first sum over
+//!   the second is the cache the checkpoint evicted being refilled
+//!   (a checkpoint cycle is left out of both sums); the first cycle
+//!   after a checkpoint pays most of it. Beside it, the heap bytes the
+//!   matching thread requests in a checkpoint cycle.
 //!
 //! * **`PSMR` image census** — the bytes of the matcher snapshot every
 //!   checkpoint serialises, diffs and checksums, by part (entries,
@@ -39,7 +51,7 @@
 //!
 //! Artifacts written to `--out DIR` (default `results/`):
 //!
-//! * `fault_report.json` — all four experiments, machine-readable.
+//! * `fault_report.json` — all five experiments, machine-readable.
 //! * `ep-soar.faulted.trace.json` — Chrome trace of a faulted DES run
 //!   (4 processors killed + a bus stall), fault marks included.
 //!
@@ -47,6 +59,8 @@
 //! cargo run --release -p psm-bench --bin fault_report -- --small
 //! ```
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -54,7 +68,7 @@ use std::time::Instant;
 use ops5::{Change, Instantiation, MatchDelta, Matcher, WmImage, WmeId, WorkingMemory};
 use psm_bench::{capture, f, print_table, CliOptions};
 use psm_fault::{
-    crc32, Checkpoint, CheckpointChain, FaultPlan, ReplicationConfig, ReplicationStore, Serialised,
+    crc32, Checkpoint, CheckpointChain, Draft, FaultPlan, ReplicationConfig, ReplicationStore,
     Supervisor, SupervisorConfig,
 };
 use psm_obs::json::{number, push_escaped};
@@ -62,23 +76,66 @@ use psm_sim::{
     simulate_psm_faulted, simulate_psm_faulted_timeline, simulate_psm_timeline, CostModel, PsmSpec,
     SimFaults, SimResult,
 };
-use rete::ReteMatcher;
+use rete::{ImageUpdate, ReteMatcher};
 use workloads::{programs, GeneratedWorkload, Preset, WorkloadDriver};
+
+/// Counts the heap bytes the calling thread requests while
+/// [`requested`] runs; defers to the system allocator for everything.
+struct Counting;
+
+thread_local! {
+    /// `Some(bytes)` while this thread is being counted.
+    static REQUESTED: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count(bytes: usize) {
+    REQUESTED.with(|c| c.set(c.get().map(|n| n + bytes as u64)));
+}
+
+// SAFETY: defers to `System` for every operation; the bookkeeping is a
+// `const`-initialised thread-local `Cell` with no destructor, which
+// neither allocates nor can be observed torn.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // Growth only: a doubling buffer is charged its final size.
+        count(new_size.saturating_sub(layout.size()));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `f()`, and the heap bytes this thread requested while it ran.
+fn requested<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    REQUESTED.with(|c| c.set(Some(0)));
+    let out = f();
+    (out, REQUESTED.with(Cell::take).expect("still counting"))
+}
 
 const MAX_KILLS: usize = 8;
 /// Ceiling on checkpoint-cycle median / plain-cycle median on the vt
-/// stream: a third above the 4.3 measured (median of ten runs, 4.0–4.7)
+/// stream: a third above the 3.5 measured (median of ten runs, 3.2–4.3)
 /// with a checkpoint that costs the matching thread the sections of the
-/// memories that changed, each written in bulk — entries, links and each
-/// slot's chain heads straight from its ordered table — the
-/// working-memory image copied from the last one but for the slots
-/// that changed, the conflict list written straight from the ordered
-/// set and the `PSMC` serialisation, and leaves the chain push — its CRC
-/// folded with carry-less multiplies — to the store's publisher. With
-/// the push on the matching thread too, or on a host that gives the two
-/// threads one core, the ratio read 16–21 with the table-driven CRC:
-/// rerun on such a host before believing a trip.
-const MAX_CHECKPOINT_RATIO: f64 = 5.8;
+/// memories that changed, each written in bulk into a buffer it reuses,
+/// the working-memory image copied from the last one but for the slots
+/// that changed, the conflict list written straight from the ordered set
+/// and an unwritten buffer for the `PSMC` image, and leaves the image's
+/// writing — the matcher's unchanged sections copied from the last
+/// image — and the chain push, its CRC folded with carry-less
+/// multiplies, to the store's publisher. (4.1, 3.7–4.6, the same day
+/// with the matcher's snapshot and the `PSMC` serialisation on the
+/// matching thread.) With the push on the matching thread too, or on a
+/// host that gives the two threads one core, the ratio read 16–21 with
+/// the table-driven CRC: rerun on such a host before believing a trip.
+const MAX_CHECKPOINT_RATIO: f64 = 4.7;
 
 fn out_dir() -> String {
     let args: Vec<String> = std::env::args().collect();
@@ -138,33 +195,42 @@ impl CheckpointCost {
 
 /// The steps of a checkpoint, in the order it takes them, and the
 /// thread each runs on.
-const STEPS: [(&str, &str); 8] = [
+const STEPS: [(&str, &str); 9] = [
     (MATCHING, "live matching of the 8 batches"),
-    (MATCHING, "matcher snapshot (PSMR)"),
+    (MATCHING, "changed sections (PSMR update)"),
     (MATCHING, "WM image (PSMW)"),
     (MATCHING, "conflict list (PSMC bytes)"),
-    (MATCHING, "publish: PSMC to_bytes, hand-off"),
-    (MATCHING, "  of which PSMC to_bytes"),
+    (MATCHING, "draft: PSMC buffer allocated"),
+    (MATCHING, "publish: hand-off"),
+    (PUBLISHER, "PSMC image written"),
     (PUBLISHER, "chain push (CRC, diff, PSMD)"),
     (PUBLISHER, "  of which CRC-32 of the image"),
 ];
 const MATCHING: &str = "matching thread";
 const PUBLISHER: &str = "publisher";
-/// Where the chain push is among [`STEPS`].
-const PUSH: usize = 6;
+/// Where the publisher's two steps, the image written and the chain
+/// push, are among [`STEPS`].
+const PUBLISHED: [usize; 2] = [6, 7];
 
 /// [`checkpoint_steps`]: medians over the checkpoints stored as deltas,
 /// and means of what their snapshots reused.
 struct CheckpointSteps {
     checkpoints: usize,
     /// Median microseconds of each of [`STEPS`].
-    step_us: [f64; 8],
+    step_us: [f64; 9],
     /// Memories (one image section each) and how many hold an entry, at
     /// the end of the run.
     sections: (usize, usize),
     /// Per checkpoint: sections encoded, image bytes, bytes encoded,
     /// bytes copied, runs copied.
     per_checkpoint: [f64; 5],
+}
+
+impl CheckpointSteps {
+    /// Median microseconds the publisher is busy for per checkpoint.
+    fn published_us(&self) -> f64 {
+        PUBLISHED.iter().map(|&i| self.step_us[i]).sum()
+    }
 }
 
 const CENSUS: [&str; 5] = [
@@ -380,8 +446,8 @@ fn main() {
     println!(
         "\nthe publisher is busy {:.0} % of a checkpoint interval ({:.0} of {:.0} us: seven \
          plain cycles and the checkpoint cycle)",
-        100.0 * steps.step_us[PUSH] / cost.interval_us(),
-        steps.step_us[PUSH],
+        100.0 * steps.published_us() / cost.interval_us(),
+        steps.published_us(),
         cost.interval_us()
     );
     let [encoded, image, bytes_encoded, bytes_copied, runs] = steps.per_checkpoint;
@@ -390,6 +456,48 @@ fn main() {
          {encoded:.0} encoded, {bytes_encoded:.0} bytes of a {image:.0}-byte image, the other \
          {bytes_copied:.0} copied in {runs:.0} runs",
         steps.checkpoints, steps.sections.0, steps.sections.1
+    );
+
+    // ---- checkpoint after-effect -----------------------------------
+    let after = after_effect(1000, if opts.small { 4 } else { 8 });
+    print_table(
+        &format!(
+            "what a checkpoint costs the cycles after it: vt stream, {} cycles, minimum of {} \
+             interleaved runs a cycle",
+            after.cycles, after.runs
+        ),
+        &["", "us"],
+        &[
+            vec![
+                format!(
+                    "plain-cycle sum, checkpoints every 8 ({} cycles)",
+                    after.plain_cycles
+                ),
+                f(after.sum_with_us, 0),
+            ],
+            vec![
+                "plain-cycle sum, no checkpoints".into(),
+                f(after.sum_without_us, 0),
+            ],
+            vec![
+                format!(
+                    "first cycle after a checkpoint, excess ({} cycles)",
+                    after.first_after
+                ),
+                f(after.first_after_excess_us, 1),
+            ],
+            vec![
+                "checkpoint cycle, excess".into(),
+                f(after.checkpoint_excess_us, 1),
+            ],
+        ],
+    );
+    println!(
+        "\nplain cycles pay {:.1} % more with checkpoints than without; the matching thread \
+         requests {:.0} heap bytes in a checkpoint cycle ({:.0} in a plain one)",
+        100.0 * after.excess(),
+        after.checkpoint_bytes,
+        after.plain_bytes
     );
 
     // ---- PSMR image census ---------------------------------------
@@ -424,7 +532,7 @@ fn main() {
         &rows,
     );
 
-    write_json(&out, &sweeps, &chaos, &cost, &steps, &images);
+    write_json(&out, &sweeps, &chaos, &cost, &steps, &after, &images);
     if cost.ratio() > MAX_CHECKPOINT_RATIO {
         eprintln!("FAIL: a checkpoint cycle costs more than {MAX_CHECKPOINT_RATIO} plain cycles");
         std::process::exit(1);
@@ -487,12 +595,12 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 
 /// Takes the vt stream of [`checkpoint_cost`] through what a checkpoint
 /// does, every eighth cycle, with the pieces a [`Supervisor`] makes it
-/// of — a sequential matcher's snapshot, the working-memory image, the
-/// ordered conflict set's `PSMC` bytes, a publish into a
-/// [`ReplicationStore`] — timing
-/// each; the push the store's publisher then makes is waited for and
-/// made again here, on a [`CheckpointChain`] of the same checkpoints,
-/// to be timed as well.
+/// of — a sequential matcher's changed sections, the working-memory
+/// image, the ordered conflict set's `PSMC` bytes, a draft published
+/// into a [`ReplicationStore`] — timing each; what the store's publisher
+/// then does is waited for and done again here, on a twin of the draft
+/// written from the image before and pushed onto a [`CheckpointChain`]
+/// of the same checkpoints, to be timed as well.
 fn checkpoint_steps(cycles: usize) -> CheckpointSteps {
     let workload = GeneratedWorkload::generate(Preset::Vt.spec()).expect("workload generates");
     let mut driver = WorkloadDriver::new(workload, 0x5EED);
@@ -514,33 +622,36 @@ fn checkpoint_steps(cycles: usize) -> CheckpointSteps {
         conflict.extend(hashed);
     }
     // The working memory's last image and the slots retracted since, as
-    // a supervisor keeps them.
+    // a supervisor keeps them, and the matcher's image update.
     let (mut image, mut retracted) = (None::<WmImage>, Vec::new());
+    let mut update = ImageUpdate::default();
+    // A checkpoint's drafts — one for the store, its twin for the chain
+    // here — and the matching thread's steps.
     let mut checkpoint = |cycle,
                           matcher: &ReteMatcher,
+                          update: &mut ImageUpdate,
                           wm: &WorkingMemory,
                           retracted: &mut Vec<WmeId>,
                           conflict: &BTreeSet<_>| {
-        let (rete, snapshot_us) = timed(|| matcher.snapshot());
+        let ((), changes_us) = timed(|| matcher.encode_changes(update));
         let (next, wm_us) = timed(|| wm.image_since(image.as_ref(), retracted));
         let wm = Arc::clone(next.bytes());
         image = Some(next);
         let (conflict, conflict_us) = timed(|| Checkpoint::encode_conflict(conflict));
-        let checkpoint = Checkpoint {
-            cycle,
-            wm,
-            rete,
-            conflict,
-        };
-        (checkpoint, [snapshot_us, wm_us, conflict_us])
+        let twin = Draft::new(cycle, Arc::clone(&wm), update.clone(), conflict.clone());
+        let rete = std::mem::take(update);
+        let (draft, draft_us) = timed(|| Draft::new(cycle, wm, rete, conflict));
+        (draft, twin, [changes_us, wm_us, conflict_us, draft_us])
     };
     let wm = driver.working_memory();
-    let (genesis, ..) = checkpoint(0, &matcher, wm, &mut retracted, &conflict);
-    let mut chain = CheckpointChain::new(&genesis, ReplicationConfig::default().anchor_every);
+    let (genesis, twin, _) = checkpoint(0, &matcher, &mut update, wm, &mut retracted, &conflict);
     let store = ReplicationStore::new(ReplicationConfig::default());
-    store.publish_checkpoint(Arc::new(genesis));
+    store.publish_draft(twin);
+    let (mut last, spare) = genesis.write(None);
+    update = spare.expect("an update to reuse");
+    let mut chain = CheckpointChain::anchored(&last, ReplicationConfig::default().anchor_every);
 
-    let mut steps: [Vec<f64>; 8] = Default::default();
+    let mut steps: [Vec<f64>; 9] = Default::default();
     let mut census = [0.0; 5];
     let mut matching_us = 0.0;
     for cycle in 1..=cycles as u64 {
@@ -557,42 +668,43 @@ fn checkpoint_steps(cycles: usize) -> CheckpointSteps {
             continue;
         }
         let wm = driver.working_memory();
-        let (cp, [snapshot_us, wm_us, conflict_us]) =
-            checkpoint(cycle, &matcher, wm, &mut retracted, &conflict);
-        let cp = Arc::new(cp);
-        let (_, publish_us) = timed(|| store.publish_checkpoint(Arc::clone(&cp)));
+        let (draft, twin, [changes_us, wm_us, conflict_us, draft_us]) =
+            checkpoint(cycle, &matcher, &mut update, wm, &mut retracted, &conflict);
+        let (_, publish_us) = timed(|| store.publish_draft(twin));
         // The publisher has the other core to itself meanwhile, as it
         // has under a supervisor matching the next batch.
         store.stats();
-        let (bytes, to_bytes_us) = timed(|| Serialised::of(&cp));
-        let image = cp.to_bytes();
-        let (_, crc_us) = timed(|| crc32(&image));
-        drop(image);
-        let (artifact, push_us) = timed(|| chain.push_serialised(&cp, bytes));
+        let ((mut next, spare), write_us) = timed(|| draft.write(Some(&mut last)));
+        update = spare.expect("an update to reuse");
+        let (_, crc_us) = timed(|| crc32(next.bytes()));
+        let (artifact, push_us) = timed(|| chain.push_image(&mut next));
         let times = [
             matching_us,
-            snapshot_us,
+            changes_us,
             wm_us,
             conflict_us,
+            draft_us,
             publish_us,
-            to_bytes_us,
+            write_us,
             push_us,
             crc_us,
         ];
         matching_us = 0.0;
+        let rete = next.checkpoint().rete;
+        last = next;
         if artifact.is_full() {
             continue;
         }
         for (step, us) in steps.iter_mut().zip(times) {
             step.push(us);
         }
-        let copied: usize = cp.rete.unchanged().iter().map(|&(_, _, len)| len).sum();
+        let copied: usize = rete.unchanged().iter().map(|&(_, _, len)| len).sum();
         let counts = [
-            cp.rete.encoded_sections(),
-            cp.rete.len(),
-            cp.rete.len() - copied,
+            rete.encoded_sections(),
+            rete.len(),
+            rete.len() - copied,
             copied,
-            cp.rete.unchanged().len(),
+            rete.unchanged().len(),
         ];
         for (sum, n) in census.iter_mut().zip(counts) {
             *sum += n as f64;
@@ -607,6 +719,106 @@ fn checkpoint_steps(cycles: usize) -> CheckpointSteps {
         }),
         sections: matcher.memory_sections(),
         per_checkpoint: census.map(|sum| sum / checkpoints as f64),
+    }
+}
+
+/// [`after_effect`]: sums of per-cycle minima, and what the matching
+/// thread requested.
+struct AfterEffect {
+    cycles: usize,
+    runs: usize,
+    /// Cycles plain in both configurations, and the first cycles after
+    /// a checkpoint among them.
+    plain_cycles: usize,
+    first_after: usize,
+    /// Sums over the plain cycles of each cycle's minimum, with
+    /// checkpoints every 8 cycles and with none, in microseconds.
+    sum_with_us: f64,
+    sum_without_us: f64,
+    /// Mean over the first cycles after a checkpoint of their minimum's
+    /// excess over the twin's, in microseconds.
+    first_after_excess_us: f64,
+    /// Mean over the checkpoint cycles of the excess over the twin's.
+    checkpoint_excess_us: f64,
+    /// Mean heap bytes the matching thread requested in a checkpoint
+    /// cycle, and in a plain one.
+    checkpoint_bytes: f64,
+    plain_bytes: f64,
+}
+
+impl AfterEffect {
+    /// The plain cycles' excess over the twin's, as a share of the
+    /// twin's.
+    fn excess(&self) -> f64 {
+        self.sum_with_us / self.sum_without_us - 1.0
+    }
+}
+
+/// Runs the full-size vt stream `runs` times through a 2-thread
+/// supervisor with a replication store attached and checkpoints every 8
+/// cycles, and `runs` times through its twin with none, alternating,
+/// timing each of `cycles` cycles after the load from outside.
+fn after_effect(cycles: usize, runs: usize) -> AfterEffect {
+    let workload = GeneratedWorkload::generate(Preset::Vt.spec()).expect("workload generates");
+    // Per configuration, each cycle's minimum; with checkpoints, which
+    // cycles took one and what the matching thread requested.
+    let mut minimum = [vec![f64::INFINITY; cycles], vec![f64::INFINITY; cycles]];
+    let mut checkpointed = vec![false; cycles];
+    let (mut checkpoint_bytes, mut plain_bytes) = (Vec::new(), Vec::new());
+    for run in 0..2 * runs {
+        let with = run % 2 == 0;
+        let config = SupervisorConfig {
+            threads: 2,
+            checkpoint_every: if with { 8 } else { u64::MAX },
+            ..SupervisorConfig::default()
+        };
+        let mut sup = Supervisor::new(&workload.program, config).expect("program compiles");
+        let store = Arc::new(ReplicationStore::new(ReplicationConfig::default()));
+        sup.attach_replication(Arc::clone(&store));
+        let mut driver = WorkloadDriver::new(workload.clone(), 0x5EED);
+        driver.init(&mut sup);
+        store.stats();
+        for (k, least) in minimum[usize::from(!with)].iter_mut().enumerate() {
+            let batch = driver.next_batch();
+            let before = sup.report().checkpoints;
+            let started = Instant::now();
+            let (delta, bytes) = requested(|| sup.process(driver.working_memory(), &batch));
+            let us = started.elapsed().as_secs_f64() * 1e6;
+            drop(delta);
+            driver.commit_batch(&batch);
+            *least = least.min(us);
+            if with {
+                checkpointed[k] = sup.report().checkpoints > before;
+                match checkpointed[k] {
+                    true => checkpoint_bytes.push(bytes as f64),
+                    false => plain_bytes.push(bytes as f64),
+                }
+            }
+        }
+        drop(sup);
+    }
+    let [with, without] = &minimum;
+    let plain = (0..cycles).filter(|&k| !checkpointed[k]);
+    let first_after: Vec<usize> = plain
+        .clone()
+        .filter(|&k| k > 0 && checkpointed[k - 1])
+        .collect();
+    let excess = |ks: &mut dyn Iterator<Item = usize>| {
+        let ks: Vec<usize> = ks.collect();
+        ks.iter().map(|&k| with[k] - without[k]).sum::<f64>() / ks.len().max(1) as f64
+    };
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
+    AfterEffect {
+        cycles,
+        runs,
+        plain_cycles: plain.clone().count(),
+        first_after: first_after.len(),
+        sum_with_us: plain.clone().map(|k| with[k]).sum(),
+        sum_without_us: plain.map(|k| without[k]).sum(),
+        first_after_excess_us: excess(&mut first_after.iter().copied()),
+        checkpoint_excess_us: excess(&mut (0..cycles).filter(|&k| checkpointed[k])),
+        checkpoint_bytes: mean(&checkpoint_bytes),
+        plain_bytes: mean(&plain_bytes),
     }
 }
 
@@ -738,6 +950,7 @@ fn write_json(
     chaos: &[ChaosRun],
     cost: &CheckpointCost,
     steps: &CheckpointSteps,
+    after: &AfterEffect,
     images: &[(&'static str, [usize; 6])],
 ) {
     let mut j = String::from("{\"kill_sweep\":[");
@@ -804,7 +1017,7 @@ fn write_json(
         number(MAX_CHECKPOINT_RATIO),
         cost.publish_waits,
         number(cost.publish_wait_us),
-        number(steps.step_us[PUSH] / cost.interval_us()),
+        number(steps.published_us() / cost.interval_us()),
         steps.checkpoints
     ));
     for (t, thread) in [MATCHING, PUBLISHER].into_iter().enumerate() {
@@ -828,7 +1041,25 @@ fn write_json(
     for (name, mean) in CENSUS.iter().zip(steps.per_checkpoint) {
         j.push_str(&format!(",\"{name}_mean\":{}", number(mean)));
     }
-    j.push_str("}},\"psmr_image\":[");
+    j.push_str(&format!(
+        "}}}},\"checkpoint_after_effect\":{{\"preset\":\"vt\",\"cycles\":{},\"runs\":{},\
+         \"plain_cycles\":{},\"plain_sum_with_us\":{},\"plain_sum_without_us\":{},\
+         \"plain_excess\":{},\"first_after\":{},\"first_after_excess_us\":{},\
+         \"checkpoint_excess_us\":{},\"matching_bytes_per_checkpoint_cycle\":{},\
+         \"matching_bytes_per_plain_cycle\":{}}}",
+        after.cycles,
+        after.runs,
+        after.plain_cycles,
+        number(after.sum_with_us),
+        number(after.sum_without_us),
+        number(after.excess()),
+        after.first_after,
+        number(after.first_after_excess_us),
+        number(after.checkpoint_excess_us),
+        number(after.checkpoint_bytes),
+        number(after.plain_bytes)
+    ));
+    j.push_str(",\"psmr_image\":[");
     for (i, (state, image)) in images.iter().enumerate() {
         j.push_str(if i > 0 { ",{\"state\":" } else { "{\"state\":" });
         push_escaped(&mut j, state);

@@ -15,12 +15,25 @@
 //! ([`Checkpoint::encode_conflict`]) and only the cold path reads back
 //! ([`Checkpoint::conflict_list`]).
 //!
+//! A supervisor does not build a [`Checkpoint`] to take one. Its
+//! matching thread makes a [`Draft`] — the working-memory image, the
+//! conflict list and the matcher's changed sections
+//! ([`rete::ImageUpdate`]), with a buffer for the image allocated but not
+//! written — and [`Draft::write`] writes the `PSMC` image into that
+//! buffer, taking the matcher's unchanged sections from the last image
+//! written ([`CheckpointImage`]). That runs on the replication store's
+//! publisher when a store is attached. The image written is the one copy
+//! of the checkpoint: [`CheckpointImage::checkpoint`] is a view of it,
+//! made for the readers that ask.
+//!
 //! Serialized under magic `PSMC`, version 1.
 
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use ops5::{ByteReader, ByteWriter, CodecError, Instantiation, ProductionId, WmeId, WorkingMemory};
-use rete::ReteSnapshot;
+use rete::{Assembly, ImageUpdate, ReteSnapshot, SectionTable};
+
+use crate::delta::Serialised;
 
 const MAGIC: [u8; 4] = *b"PSMC";
 const VERSION: u32 = 1;
@@ -156,6 +169,207 @@ impl Checkpoint {
             rete,
             conflict: conflict.to_vec(),
         })
+    }
+}
+
+/// What a draft's matcher image is written from.
+#[derive(Debug)]
+enum DraftRete {
+    /// The sections that changed since the matcher's last update, to be
+    /// laid between the unchanged ones of the image written from it.
+    Changes(ImageUpdate),
+    /// An image as it is, of a checkpoint handed over whole.
+    Whole(ReteSnapshot),
+}
+
+/// A checkpoint on its way to being written: its working-memory image
+/// and conflict list, its matcher image as the sections that changed,
+/// and the buffers its `PSMC` image and `PSMD` artifact are to be written
+/// into, allocated at their sizes — not written — by the thread that
+/// made the draft (`delta::Serialised` says why).
+#[derive(Debug)]
+pub struct Draft {
+    cycle: u64,
+    wm: Arc<Vec<u8>>,
+    rete: DraftRete,
+    conflict: Vec<u8>,
+    bytes: Serialised,
+}
+
+impl Draft {
+    /// A checkpoint covering `cycle` committed cycles: the working-memory
+    /// image `wm`, the matcher's changed sections `rete` and the conflict
+    /// list `conflict` ([`Checkpoint::encode_conflict`]).
+    pub fn new(cycle: u64, wm: Arc<Vec<u8>>, rete: ImageUpdate, conflict: Vec<u8>) -> Draft {
+        let len = 32 + wm.len() + rete.image_len() + conflict.len();
+        Draft {
+            cycle,
+            wm,
+            rete: DraftRete::Changes(rete),
+            conflict,
+            bytes: Serialised::reserve(len),
+        }
+    }
+
+    /// `cp`, to be written as it is.
+    pub fn of(cp: &Checkpoint) -> Draft {
+        Draft {
+            cycle: cp.cycle,
+            wm: Arc::clone(&cp.wm),
+            rete: DraftRete::Whole(cp.rete.clone()),
+            conflict: cp.conflict.clone(),
+            bytes: Serialised::reserve(cp.encoded_len()),
+        }
+    }
+
+    /// The cycles the checkpoint covers.
+    pub(crate) fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    /// Writes the `PSMC` image into the buffer the draft brought, with no
+    /// other: the header, the cycle, the working-memory image, the
+    /// matcher image — its changed sections between runs of unchanged
+    /// ones copied from `last` — and the conflict list. Returns the
+    /// image, and the draft's image update to be reused.
+    ///
+    /// # Panics
+    ///
+    /// When the draft lists some of its matcher's sections only and
+    /// `last` is not the image written from that matcher's previous
+    /// update.
+    pub fn write(
+        self,
+        last: Option<&mut CheckpointImage>,
+    ) -> (CheckpointImage, Option<ImageUpdate>) {
+        let Draft {
+            cycle,
+            wm,
+            rete,
+            conflict,
+            bytes: Serialised { mut image, delta },
+        } = self;
+        let buf = Arc::get_mut(&mut image).expect("a buffer of the draft's own");
+        debug_assert!(buf.is_empty(), "not written before");
+        let mut w = ByteWriter::over(std::mem::take(buf));
+        w.bytes(&MAGIC);
+        w.u32(VERSION);
+        w.u64(cycle);
+        w.usize(wm.len());
+        w.bytes(&wm);
+        w.usize(match &rete {
+            DraftRete::Changes(update) => update.image_len(),
+            DraftRete::Whole(snapshot) => snapshot.len(),
+        });
+        let rete_at = w.len();
+        let mut out = w.finish();
+        let (base, mut table, from) = match last {
+            Some(last) => {
+                let base = &last.image[last.rete_at..][..last.rete.image_len()];
+                (
+                    base,
+                    std::mem::take(&mut last.table),
+                    Arc::downgrade(&last.image),
+                )
+            }
+            None => (&[][..], SectionTable::default(), Weak::new()),
+        };
+        let (written, spare) = match rete {
+            DraftRete::Changes(mut update) => {
+                let written = update.assemble(base, &mut table, &mut out);
+                (written, Some(update))
+            }
+            DraftRete::Whole(snapshot) => {
+                out.extend_from_slice(snapshot.as_bytes());
+                (Assembly::of(&snapshot), None)
+            }
+        };
+        // Runs are copied out of `last` only by an update.
+        let from = if spare.is_some() { from } else { Weak::new() };
+        out.extend_from_slice(&conflict);
+        debug_assert_eq!(out.len(), out.capacity(), "sized before it was written");
+        *Arc::get_mut(&mut image).expect("still the draft's own") = out;
+        let written = CheckpointImage {
+            cycle,
+            image,
+            wm,
+            rete_at,
+            rete: written,
+            table,
+            from,
+            delta,
+        };
+        (written, spare)
+    }
+}
+
+/// A checkpoint written out by [`Draft::write`]: its `PSMC` image, how
+/// its matcher image was written and where that image's sections lie —
+/// what the next checkpoint's image is written from.
+#[derive(Debug, Clone)]
+pub struct CheckpointImage {
+    cycle: u64,
+    /// The `PSMC` image.
+    image: Arc<Vec<u8>>,
+    /// Its working-memory part, shared with whoever copies the next one
+    /// from it ([`ops5::WmImage`]).
+    wm: Arc<Vec<u8>>,
+    /// Where the matcher image starts in `image`, and how it was written.
+    rete_at: usize,
+    rete: Assembly,
+    table: SectionTable,
+    /// The image the matcher image's unchanged runs were copied out of,
+    /// when they were: identity, not a reference that keeps it.
+    from: Weak<Vec<u8>>,
+    /// The seed of the `PSMD` artifact a chain push of the image writes,
+    /// allocated with it.
+    delta: Vec<u8>,
+}
+
+impl CheckpointImage {
+    /// The cycles the checkpoint covers.
+    pub(crate) fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    /// The `PSMC` image: [`Checkpoint::to_bytes`] of
+    /// [`CheckpointImage::checkpoint`].
+    pub fn bytes(&self) -> &Arc<Vec<u8>> {
+        &self.image
+    }
+
+    /// The checkpoint, its matcher image a part of this image rather
+    /// than a copy, with the runs it was written copying as its
+    /// [`ReteSnapshot::unchanged`].
+    pub fn checkpoint(&self) -> Checkpoint {
+        let conflict_at = self.rete_at + self.rete.image_len();
+        Checkpoint {
+            cycle: self.cycle,
+            wm: Arc::clone(&self.wm),
+            rete: ReteSnapshot::within(Arc::clone(&self.image), self.rete_at, &self.rete),
+            conflict: self.image[conflict_at..].to_vec(),
+        }
+    }
+
+    /// Where the matcher image starts in the `PSMC` image.
+    pub(crate) fn rete_at(&self) -> usize {
+        self.rete_at
+    }
+
+    /// [`ReteSnapshot::unchanged`] of the matcher image.
+    pub(crate) fn unchanged(&self) -> &[(usize, usize, usize)] {
+        self.rete.unchanged()
+    }
+
+    /// Whether the matcher image's unchanged runs were copied out of
+    /// `image` by this image's own writing.
+    pub(crate) fn written_from(&self, image: &Arc<Vec<u8>>) -> bool {
+        std::ptr::eq(self.from.as_ptr(), Arc::as_ptr(image))
+    }
+
+    /// The seed of the image's `PSMD` artifact.
+    pub(crate) fn take_delta(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.delta)
     }
 }
 

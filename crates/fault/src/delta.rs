@@ -35,9 +35,11 @@
 //! anchors: every `anchor_every`-th checkpoint is stored whole (and
 //! prunes everything older), the rest as deltas against their
 //! predecessor. The chain works on serialised images throughout — a
-//! push serialises and checksums the new checkpoint once and diffs it
-//! against the tip *image* — so its cost follows what changed, not the
-//! number of times the store is looked at; it keeps the gap list, block
+//! push takes an image written already ([`crate::Draft::write`]),
+//! checksums it once and diffs it against the tip *image*, taking the
+//! runs the image was written copying out of the tip's as they are — so
+//! its cost follows what changed, not the number of times the store is
+//! looked at; it keeps the gap list, block
 //! index and op list of one diff for the next, and writes literal runs
 //! straight from the new image into a `PSMD` buffer sized beforehand, so
 //! a push allocates the artifact it stores and, once warm, nothing else.
@@ -51,7 +53,7 @@ use std::sync::Arc;
 
 use ops5::{ByteReader, ByteWriter, CodecError, FxHashMap};
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, CheckpointImage, Draft};
 use crate::segment::crc32;
 
 const MAGIC: [u8; 4] = *b"PSMD";
@@ -186,7 +188,7 @@ fn push_copy(ops: &mut Vec<Span>, off: usize, len: usize) {
 
 /// Where the blocks of `old` that a search may match are, by key. Most
 /// positions of `new` hold no block of `old`; `seen`, one bit per value
-/// of a key's top 16 bits and small enough to stay in cache, says so
+/// of a key's top 18 bits and small enough to stay in L1, says so
 /// without a look at `at`.
 #[derive(Debug, Clone)]
 struct BlockIndex {
@@ -197,7 +199,7 @@ struct BlockIndex {
 impl Default for BlockIndex {
     fn default() -> Self {
         BlockIndex {
-            seen: vec![0; 1 << 10],
+            seen: vec![0; 1 << 12],
             at: FxHashMap::default(),
         }
     }
@@ -212,7 +214,7 @@ impl BlockIndex {
     }
 
     fn bit(key: u64) -> (usize, u64) {
-        ((key >> 54) as usize, 1 << ((key >> 48) & 63))
+        ((key >> 52) as usize, 1 << ((key >> 46) & 63))
     }
 
     /// The first of equal blocks wins; ties don't matter for
@@ -285,7 +287,7 @@ pub fn diff(old: &[u8], new: &[u8]) -> Vec<DiffOp> {
 /// `old` gives `new`.
 pub fn diff_hinted(old: &[u8], new: &[u8], unchanged: &[(usize, usize, usize)]) -> Vec<DiffOp> {
     let mut differ = Differ::default();
-    let spans = differ.diff(old, new, unchanged.iter().copied());
+    let spans = differ.diff(old, new, unchanged.iter().copied(), false);
     let owned = spans.iter().map(|span| match span.over(new) {
         OpRef::Copy { off, len } => DiffOp::Copy { off, len },
         OpRef::Insert(bytes) => DiffOp::Insert(bytes.to_vec()),
@@ -305,12 +307,15 @@ struct Differ {
 }
 
 impl Differ {
-    /// [`diff_hinted`], the ops left as [`Span`]s of `new`.
+    /// [`diff_hinted`], the ops left as [`Span`]s of `new`; `copied`
+    /// says the hints are ranges `new` was written copying out of `old`
+    /// itself, whose bytes need no comparing.
     fn diff(
         &mut self,
         old: &[u8],
         new: &[u8],
         unchanged: impl Iterator<Item = (usize, usize, usize)>,
+        copied: bool,
     ) -> &[Span] {
         let Differ { gaps, index, ops } = self;
         // The images' ends are one more (empty) range that holds, so that
@@ -322,7 +327,8 @@ impl Differ {
         for (o, n, len) in hints {
             let ends = o.checked_add(len).zip(n.checked_add(len));
             let inside = ends.is_some_and(|(o, n)| o <= old.len() && n <= new.len());
-            if !inside || o < old_at || n < new_at || old[o..o + len] != new[n..n + len] {
+            let holds = || copied || old[o..o + len] == new[n..n + len];
+            if !inside || o < old_at || n < new_at || !holds() {
                 continue;
             }
             let (a, b) = (&old[old_at..o], &new[new_at..n]);
@@ -428,67 +434,68 @@ pub struct DeltaCheckpoint {
     pub ops: Vec<DiffOp>,
 }
 
-/// A checkpoint serialised for a push by the thread whose heap the
-/// push's lasting buffers are to live on: its `PSMC` image, and the seed
-/// of the `PSMD` artifact.
+/// The buffers a checkpoint's `PSMC` image and `PSMD` artifact are
+/// written into, allocated — at the image's size and the artifact's seed
+/// size, not written — by the thread whose heap they are to live on:
+/// the matching thread, which makes the [`crate::Draft`] they travel in.
 ///
 /// A buffer lives in the malloc arena of the thread that allocated it,
 /// and one grown by `realloc` stays there whoever grows it. A chain
 /// pushed by a thread of its own ([`crate::ReplicationStore`]'s
 /// publisher) would otherwise hold every image and stored delta on that
 /// thread's heap, which grows by them, while the heap that used to hold
-/// them shrinks by less. Nothing but where the bytes live depends on it.
+/// them shrinks by less. The publisher writes the image into its buffer
+/// and grows the seed to the artifact; nothing but where the bytes live
+/// depends on who allocated them.
 #[derive(Debug)]
-pub struct Serialised {
-    image: Arc<Vec<u8>>,
-    delta: Vec<u8>,
+pub(crate) struct Serialised {
+    pub(crate) image: Arc<Vec<u8>>,
+    pub(crate) delta: Vec<u8>,
 }
 
 impl Serialised {
-    /// `cp.to_bytes()`, and a `PSMD` buffer not yet grown.
-    pub fn of(cp: &Checkpoint) -> Self {
+    /// Room for an image of `len` bytes, and a `PSMD` buffer not yet
+    /// grown.
+    pub(crate) fn reserve(len: usize) -> Self {
         Serialised {
-            image: Arc::new(cp.to_bytes()),
+            image: Arc::new(Vec::with_capacity(len)),
             delta: Vec::with_capacity(64),
         }
     }
 }
 
-/// A serialised `PSMC` image plus the two facts chain links are made
+/// A `PSMC` image in a chain, plus the two facts chain links are made
 /// of: the cycle it commits and the CRC-32 of its bytes. Building one
 /// is the only place an image is checksummed.
 #[derive(Debug, Clone)]
 struct Image {
     cycle: u64,
     crc: u32,
-    /// Shared, not copied, while anchor and tip are the same image.
+    /// Shared, not copied, with the [`CheckpointImage`] it was pushed as,
+    /// and between anchor and tip while they are the same image.
     bytes: Arc<Vec<u8>>,
     /// Where the matcher's `PSMR` image starts in `bytes`.
     rete_at: usize,
 }
 
 impl Image {
-    /// `bytes` is `cp.to_bytes()`, serialised by whoever is to own the
-    /// buffer.
-    fn new(cp: &Checkpoint, bytes: Arc<Vec<u8>>) -> Image {
-        debug_assert_eq!(bytes.len(), cp.encoded_len(), "the image of `cp`");
+    fn new(written: &CheckpointImage) -> Image {
         Image {
-            cycle: cp.cycle,
-            crc: crc32(&bytes),
-            bytes,
-            rete_at: cp.rete_at(),
+            cycle: written.cycle(),
+            crc: crc32(written.bytes()),
+            bytes: Arc::clone(written.bytes()),
+            rete_at: written.rete_at(),
         }
     }
 
     fn of(cp: &Checkpoint) -> Image {
-        Image::new(cp, Arc::new(cp.to_bytes()))
+        Image::new(&Draft::of(cp).write(None).0)
     }
 
-    /// `unchanged` — what the matcher says this image's `PSMR` part
-    /// shares with the one before it, which `old` holds unless a
-    /// snapshot was taken in between that no checkpoint was made of —
-    /// as offsets into the two `PSMC` images: hints either way, for
-    /// [`diff_hinted`] to verify.
+    /// `unchanged` — what this image's `PSMR` part was written copying
+    /// out of the image before it, which is `old` when the image was
+    /// written from the chain's tip — as offsets into the two `PSMC`
+    /// images: hints either way, for [`Differ::diff`].
     fn hints<'a>(
         &self,
         old: &Image,
@@ -669,8 +676,8 @@ impl ChainArtifact {
 /// `PSMC` images (one buffer while they coincide), each delta as its
 /// `PSMD` bytes — next to the [`ChainArtifact`] recorded when it was
 /// pushed, so reading the manifest or an artifact serialises and
-/// checksums nothing, and a push serialises and checksums the new image
-/// exactly once. Decoded checkpoints exist only on demand
+/// checksums nothing, and a push checksums the new image exactly once.
+/// Decoded checkpoints exist only on demand
 /// ([`CheckpointChain::tip`], [`CheckpointChain::restore_tip`]).
 ///
 /// The chain keeps the working storage of its diffs between pushes and
@@ -701,13 +708,12 @@ impl CheckpointChain {
     /// snapshot every `anchor_every` pushes (the pushes in between
     /// store deltas).
     pub fn new(genesis: &Checkpoint, anchor_every: u64) -> Self {
-        Self::from_serialised(genesis, Serialised::of(genesis), anchor_every)
+        Self::anchored(&Draft::of(genesis).write(None).0, anchor_every)
     }
 
-    /// [`CheckpointChain::new`] with `genesis` serialised by the caller
-    /// (see [`CheckpointChain::push_serialised`]).
-    pub fn from_serialised(genesis: &Checkpoint, bytes: Serialised, anchor_every: u64) -> Self {
-        let image = Image::new(genesis, bytes.image);
+    /// [`CheckpointChain::new`] on an image written already.
+    pub fn anchored(genesis: &CheckpointImage, anchor_every: u64) -> Self {
+        let image = Image::new(genesis);
         let mut chain = CheckpointChain {
             anchor_every: anchor_every.max(1),
             anchor: image.clone(),
@@ -752,34 +758,40 @@ impl CheckpointChain {
     /// When `cp` does not commit more cycles than the tip: a cycle is
     /// an artifact's id, and a chain lists them in order.
     pub fn push(&mut self, cp: &Checkpoint) -> ChainArtifact {
-        self.push_serialised(cp, Serialised::of(cp))
+        self.push_image(&mut Draft::of(cp).write(None).0)
     }
 
-    /// [`CheckpointChain::push`] of a checkpoint the caller — or the
-    /// thread it took the checkpoint from — has serialised already
-    /// ([`Serialised::of`]`(cp)`): whoever allocates a buffer decides
-    /// which heap it lives on.
-    pub fn push_serialised(&mut self, cp: &Checkpoint, bytes: Serialised) -> ChainArtifact {
+    /// [`CheckpointChain::push`] of an image written already
+    /// ([`Draft::write`]), the delta written into the buffer that came
+    /// with it, and its hints the runs its matcher image was written
+    /// copying — taken as they are when it was written from the tip's
+    /// own image, compared with the tip's bytes first when not.
+    ///
+    /// # Panics
+    ///
+    /// As [`CheckpointChain::push`].
+    pub fn push_image(&mut self, written: &mut CheckpointImage) -> ChainArtifact {
         assert!(
-            cp.cycle > self.tip.cycle,
+            written.cycle() > self.tip.cycle,
             "checkpoint {} pushed onto a chain whose tip is {}",
-            cp.cycle,
+            written.cycle(),
             self.tip.cycle
         );
         self.pushed += 1;
-        let image = Image::new(cp, bytes.image);
+        let image = Image::new(written);
         if self.pushed.is_multiple_of(self.anchor_every) {
             self.tip = image;
             return self.anchor_at_tip();
         }
         let old = &self.tip;
-        let hints = image.hints(old, cp.rete.unchanged());
-        let spans = self.differ.diff(&old.bytes, &image.bytes, hints);
+        let hints = image.hints(old, written.unchanged());
+        let copied = written.written_from(&old.bytes);
+        let spans = self.differ.diff(&old.bytes, &image.bytes, hints, copied);
         let bytes = write_delta(
             (image.cycle, old.cycle),
             (old.crc, image.crc),
             spans.iter().map(|span| span.over(&image.bytes)),
-            bytes.delta,
+            written.take_delta(),
         );
         let artifact = ChainArtifact {
             cycle: image.cycle,

@@ -17,7 +17,9 @@
 //!   write-ahead log of committed change batches. The supervisor
 //!   keeps the committed state warm, once: a working memory and a
 //!   conflict set beside the live matcher, which is the committed one,
-//!   so a checkpoint costs a snapshot of the memories that changed.
+//!   so a checkpoint costs the matching thread an encoding of the
+//!   memories that changed; the image is written out from the last one
+//!   by whoever keeps it (the replication store's publisher).
 //!   Restore snapshot + replay tail is the cold path, for when the live
 //!   memories are suspect or not the sequential image (an engine fault,
 //!   a batch run in phases) and for when nothing warm exists. Either
@@ -62,8 +64,8 @@ pub mod segment;
 pub mod supervisor;
 pub mod wal;
 
-pub use checkpoint::Checkpoint;
-pub use delta::{ChainArtifact, CheckpointChain, DeltaCheckpoint, Serialised};
+pub use checkpoint::{Checkpoint, CheckpointImage, Draft};
+pub use delta::{ChainArtifact, CheckpointChain, DeltaCheckpoint};
 pub use plan::{CycleFault, EngineFault, FaultPlan};
 pub use replica::{
     FailoverPair, FailoverReport, ReplicaStatus, ReplicationConfig, ReplicationStats,
@@ -257,6 +259,131 @@ mod tests {
         assert_eq!((report.recoveries, report.fallbacks), (1, 2), "{report:?}");
         assert_eq!(sup.tier(), Tier::Naive);
         assert_eq!(taken, 30, "a checkpoint every four cycles");
+    }
+
+    /// Feeds two supervisors — one publishing into a store, one with no
+    /// store — and a never-faulted twin matcher the small vt stream, the
+    /// batch at `bulk` grown past 1 024 changes, a committed snapshot read
+    /// between two checkpoints before `readers_until`. At every
+    /// checkpoint the image the store's publisher wrote, copying the
+    /// matcher's unchanged sections out of the image before, must be the
+    /// `PSMC` image of an encode from nothing — the twin's
+    /// [`ReteMatcher::snapshot_parts`] with the committed working memory
+    /// and conflict set — and the supervisor with no store, which writes
+    /// its images itself, must write the same bytes. Returns the first
+    /// supervisor's report and tier, and how many readers and images
+    /// were checked.
+    fn assert_every_written_image(
+        plan: FaultPlan,
+        bulk: u64,
+        readers_until: u64,
+        cycles: u64,
+    ) -> (FaultReport, Tier, usize, usize) {
+        struct All<'a>(&'a mut Supervisor, &'a mut Supervisor, &'a mut ReteMatcher);
+        impl Matcher for All<'_> {
+            fn add_wme(&mut self, wm: &ops5::WorkingMemory, id: ops5::WmeId) -> ops5::MatchDelta {
+                self.process(wm, &[Change::Add(id)])
+            }
+            fn remove_wme(
+                &mut self,
+                wm: &ops5::WorkingMemory,
+                id: ops5::WmeId,
+            ) -> ops5::MatchDelta {
+                self.process(wm, &[Change::Remove(id)])
+            }
+            fn process(&mut self, wm: &ops5::WorkingMemory, batch: &[Change]) -> ops5::MatchDelta {
+                self.2.process(wm, batch);
+                self.1.process(wm, batch);
+                self.0.process(wm, batch)
+            }
+            fn algorithm_name(&self) -> &'static str {
+                "all"
+            }
+        }
+        let w = GeneratedWorkload::generate(Preset::Vt.spec_small()).expect("generates");
+        let plan = Some(Arc::new(plan));
+        let store = Arc::new(ReplicationStore::new(ReplicationConfig::default()));
+        let mut sup = Supervisor::new(&w.program, fast_config()).expect("compiles");
+        sup.set_fault_plan(plan.clone());
+        sup.attach_replication(Arc::clone(&store));
+        let mut alone = Supervisor::new(&w.program, fast_config()).expect("compiles");
+        alone.set_fault_plan(plan);
+        let mut reference = ReteMatcher::from_network(sup.network().clone());
+        let mut driver = WorkloadDriver::new(w.clone(), 0x5EED);
+        driver.init(&mut All(&mut sup, &mut alone, &mut reference));
+        let (mut readers, mut checked) = (0, 0);
+        while sup.cycles() < w.spec.wm_size as u64 + cycles {
+            let mut batch = driver.next_batch();
+            while sup.cycles() == bulk && batch.len() < 1024 {
+                batch.extend(driver.next_batch());
+            }
+            let before = sup.report().checkpoints;
+            All(&mut sup, &mut alone, &mut reference).process(driver.working_memory(), &batch);
+            driver.commit_batch(&batch);
+            if sup.report().checkpoints == before {
+                if sup.cycles() % 4 == 2 && sup.cycles() < readers_until {
+                    assert_eq!(sup.committed_snapshot(), reference.snapshot());
+                    readers += 1;
+                }
+                continue;
+            }
+            let cp = Checkpoint {
+                cycle: sup.cycles(),
+                wm: Arc::new(sup.committed_wm_bytes()),
+                rete: reference.snapshot_parts().0,
+                conflict: Checkpoint::encode_conflict(&sup.conflict_set()),
+            };
+            let from_nothing = cp.to_bytes();
+            let at = format!("cycle {} ({:?})", sup.cycles(), sup.tier());
+            assert!(
+                store.last_image().bytes()[..] == from_nothing[..],
+                "{at}: the written image"
+            );
+            assert!(
+                alone.last_checkpoint().to_bytes() == from_nothing,
+                "{at}: written with no store"
+            );
+            assert_eq!(sup.last_checkpoint(), &cp, "{at}: the view of it");
+            checked += 1;
+        }
+        assert_eq!(alone.report(), sup.report());
+        assert_eq!(alone.tier(), sup.tier());
+        (sup.report(), sup.tier(), readers, checked)
+    }
+
+    /// [`assert_every_written_image`] at the parallel tier, through
+    /// committed snapshots taken between checkpoints and a bulk batch the
+    /// engine runs in phases, which sends the image through the cold
+    /// path.
+    #[test]
+    fn a_written_image_is_the_image_from_nothing_through_readers_and_phases() {
+        let init = Preset::Vt.spec_small().wm_size as u64;
+        let (report, tier, readers, checked) =
+            assert_every_written_image(FaultPlan::new(3), init + 40, u64::MAX, 80);
+        assert_eq!(tier, Tier::Parallel);
+        assert!(
+            report.wal_replayed > 0,
+            "the phased batch took the cold path"
+        );
+        assert_eq!((readers, checked), (20, 20), "readers, checkpoints");
+    }
+
+    /// [`assert_every_written_image`] through an engine fault's cold path
+    /// and a fall to the naive tier, with a reader between checkpoints
+    /// before the fault.
+    #[test]
+    fn a_written_image_is_the_image_from_nothing_through_faults() {
+        let init = Preset::Vt.spec_small().wm_size as u64;
+        // Batch `k` runs phases `2k + 1` and `2k + 2`.
+        let (fault, fall) = (init + 20, init + 50);
+        let plan = FaultPlan::new(3)
+            .with_engine_fault(2 * fault + 2, 0, FaultAction::DropTask)
+            .with_cycle_fault(fall, 6);
+        let (report, tier, readers, checked) =
+            assert_every_written_image(plan, u64::MAX, fault, 80);
+        assert_eq!((report.recoveries, report.fallbacks), (1, 2), "{report:?}");
+        assert_eq!(tier, Tier::Naive);
+        assert_eq!((readers, checked), (5, 20), "readers, checkpoints");
     }
 
     #[test]

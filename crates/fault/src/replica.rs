@@ -12,11 +12,12 @@
 //!   through [`psm_telemetry::replicate::ReplicaSource`], so it plugs
 //!   straight into the telemetry listener's `/replicate/*` endpoints.
 //!   An entry is in the store when `publish_entry` returns. A
-//!   checkpoint is *handed* to the store when `publish_checkpoint`
-//!   returns — the segment boundary it draws is in place — and pushed
-//!   onto the chain (CRC-32, diff against the tip, `PSMD`) by one
+//!   checkpoint is *handed* to the store as a [`Draft`] when
+//!   `publish_draft` returns — the segment boundary it draws is in place
+//!   — and written out (its `PSMC` image assembled from the tip's) and
+//!   pushed onto the chain (CRC-32, diff against the tip, `PSMD`) by one
 //!   publisher thread the store owns, so that the matching thread's
-//!   checkpoint cycle does not pay for it; segments are collected after
+//!   checkpoint cycle pays for neither; segments are collected after
 //!   the push, at most one checkpoint is in flight, and every read
 //!   waits for it, so no reader can tell.
 //! * [`StandbyReplica`] — the standby-side pull loop. Each
@@ -46,8 +47,10 @@ use psm_telemetry::client::Json;
 use psm_telemetry::replicate::ReplicaSource;
 use rete::Network;
 
-use crate::checkpoint::Checkpoint;
-use crate::delta::{CheckpointChain, DeltaCheckpoint, Serialised};
+use rete::ImageUpdate;
+
+use crate::checkpoint::{Checkpoint, CheckpointImage, Draft};
+use crate::delta::{CheckpointChain, DeltaCheckpoint};
 use crate::placement;
 use crate::plan::FaultPlan;
 use crate::segment::{SegmentedWal, WalSegment};
@@ -108,10 +111,9 @@ struct Log {
 }
 
 /// A checkpoint on its way to the chain, as the thread that took it
-/// serialised it.
+/// drafted it.
 struct Job {
-    cp: Arc<Checkpoint>,
-    bytes: Serialised,
+    draft: Draft,
     /// The core the hand-off was made on, for the publisher to stay off
     /// (see [`crate::placement`]).
     core: Option<usize>,
@@ -122,7 +124,7 @@ enum Push {
     /// Nowhere: every checkpoint published is in the chain.
     Idle,
     /// Handed over, not yet taken up by the publisher.
-    Handed(Job),
+    Handed(Box<Job>),
     /// Being pushed.
     Running,
     /// A push panicked, with this payload until a caller has been
@@ -142,6 +144,16 @@ struct Handoff {
     /// [`ReplicationStats::publish_wait_ns`].
     waits: u64,
     wait_ns: u64,
+    /// The image update of the last draft written, for the publishing
+    /// thread to reuse.
+    spare: Option<ImageUpdate>,
+}
+
+/// The chain and the image it was last pushed, which the next draft is
+/// written from.
+struct Chained {
+    chain: CheckpointChain,
+    last: CheckpointImage,
 }
 
 /// The store's state, shared with its publisher thread. Lock order:
@@ -151,7 +163,7 @@ struct Shared {
     log: Mutex<Log>,
     /// Behind its own lock, which the publisher holds for the whole of a
     /// push: `publish_entry` takes `log` alone and never waits for one.
-    chain: Mutex<Option<CheckpointChain>>,
+    chain: Mutex<Option<Chained>>,
     handoff: Mutex<Handoff>,
     /// Notified on every change of `handoff`.
     turn: Condvar,
@@ -165,7 +177,7 @@ impl Shared {
         self.log.lock().expect("a publish panicked inside the log")
     }
 
-    fn chain(&self) -> MutexGuard<'_, Option<CheckpointChain>> {
+    fn chain(&self) -> MutexGuard<'_, Option<Chained>> {
         (self.chain.lock()).expect("a checkpoint push panicked inside the chain")
     }
 
@@ -219,12 +231,17 @@ impl Shared {
                 handoff = (self.turn.wait(handoff)).unwrap_or_else(PoisonError::into_inner);
             };
             drop(handoff);
-            let outcome = catch_unwind(AssertUnwindSafe(|| self.push(job)));
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.push(*job)));
             let died = outcome.is_err();
-            self.handoff().push = match outcome {
-                Ok(()) => Push::Idle,
+            let mut handoff = self.handoff();
+            handoff.push = match outcome {
+                Ok(spare) => {
+                    handoff.spare = spare;
+                    Push::Idle
+                }
                 Err(payload) => Push::Died(Some(payload)),
             };
+            drop(handoff);
             self.turn.notify_all();
             if died {
                 return;
@@ -232,35 +249,66 @@ impl Shared {
         }
     }
 
-    /// One push: the checkpoint joins the chain (anchor or delta per
+    /// One push: the draft is written out from the image pushed before
+    /// it and joins the chain (anchor or delta per
     /// [`ReplicationConfig::anchor_every`]), and only then are the
     /// segments it covers dropped — so the chain a reader finds and the
-    /// segments beside it always reach the committed frontier.
-    fn push(&self, Job { cp, bytes, core }: Job) {
+    /// segments beside it always reach the committed frontier. Returns
+    /// the draft's image update, to be reused.
+    fn push(&self, Job { draft, core }: Job) -> Option<ImageUpdate> {
         if let Some(core) = core {
             placement::leave_core(core);
         }
-        let mut chain = self.chain();
-        match &mut *chain {
-            Some(chain) => {
-                chain.push_serialised(&cp, bytes);
+        let cycle = draft.cycle();
+        let mut chained = self.chain();
+        let spare = match &mut *chained {
+            Some(Chained { chain, last }) => {
+                let (mut next, spare) = draft.write(Some(last));
+                chain.push_image(&mut next);
+                *last = next;
+                spare
             }
             None => {
-                let anchor_every = self.config.anchor_every;
-                *chain = Some(CheckpointChain::from_serialised(&cp, bytes, anchor_every));
+                let (last, spare) = draft.write(None);
+                let chain = CheckpointChain::anchored(&last, self.config.anchor_every);
+                *chained = Some(Chained { chain, last });
+                spare
             }
+        };
+        self.log().wal.gc_covered(cycle);
+        spare
+    }
+
+    /// Draws the segment boundary of a checkpoint covering `cycle` and
+    /// waits until none is in flight: the first half of every publish.
+    /// Returns the lock and how long it waited, counted.
+    fn seal(&self, cycle: u64) -> (MutexGuard<'_, Handoff>, Duration) {
+        {
+            let mut log = self.log();
+            log.primary_cycle = log.primary_cycle.max(cycle);
+            log.wal.seal();
         }
-        self.log().wal.gc_covered(cp.cycle);
+        let handoff = self.handoff();
+        if matches!(handoff.push, Push::Idle) {
+            return (handoff, Duration::ZERO);
+        }
+        drop(handoff);
+        let started = Instant::now();
+        let mut handoff = self.idle();
+        let waited = started.elapsed();
+        handoff.waits += 1;
+        handoff.wait_ns += waited.as_nanos() as u64;
+        (handoff, waited)
     }
 }
 
 /// The primary-side replication store. Thread-safe: the supervisor
 /// publishes from the match loop while telemetry workers serve reads.
 ///
-/// A checkpoint is pushed onto the chain — checksummed, diffed against
-/// the tip, encoded as `PSMD` — by a publisher thread the store owns,
-/// not by the thread that publishes it; see
-/// [`ReplicationStore::publish_checkpoint`].
+/// A checkpoint is written out and pushed onto the chain — its `PSMC`
+/// image written from the tip's, checksummed, diffed against the tip,
+/// encoded as `PSMD` — by a publisher thread the store owns, not by the
+/// thread that publishes it; see [`ReplicationStore::publish_draft`].
 pub struct ReplicationStore {
     shared: Arc<Shared>,
     /// `Some` until the store is dropped.
@@ -290,6 +338,7 @@ impl ReplicationStore {
                 closing: false,
                 waits: 0,
                 wait_ns: 0,
+                spare: None,
             }),
             turn: Condvar::new(),
         });
@@ -314,18 +363,30 @@ impl ReplicationStore {
         log.primary_cycle = log.primary_cycle.max(entry.cycle + 1);
     }
 
-    /// Publishes a checkpoint. On the calling thread, what must stay in
-    /// order with [`ReplicationStore::publish_entry`] — the frontier
-    /// advances and the open WAL segment is sealed — and the `PSMC`
-    /// image is serialised (the buffer then lives on the caller's heap,
-    /// where it is freed when the chain retires it); the push onto the
-    /// chain and the collection of the segments the checkpoint covers
-    /// are handed to the publisher thread.
+    /// Publishes a checkpoint: [`ReplicationStore::publish_draft`] of
+    /// [`Draft::of`]`(cp)`, which the publisher writes out as it is.
+    ///
+    /// # Panics
+    ///
+    /// As [`ReplicationStore::publish_draft`].
+    pub fn publish_checkpoint(&self, cp: Arc<Checkpoint>) -> Duration {
+        self.publish_draft(Draft::of(&cp)).0
+    }
+
+    /// Publishes a drafted checkpoint. On the calling thread, what must
+    /// stay in order with [`ReplicationStore::publish_entry`] — the
+    /// frontier advances and the open WAL segment is sealed — and the
+    /// draft is handed over; the publisher thread writes its `PSMC`
+    /// image into the buffer the draft brought (the matcher's unchanged
+    /// sections copied from the image pushed last, see [`Draft::write`]),
+    /// pushes it onto the chain and collects the segments it covers. The
+    /// draft's buffers were allocated by the calling thread, so they live
+    /// on its heap, where they are freed when the chain retires them.
     ///
     /// One checkpoint may be in flight. A publish that finds the one
     /// before it still being pushed waits for it — a bounded lag, not a
-    /// queue, and never a fourth image beside the anchor, the tip and
-    /// the one in flight — and returns how long it waited; every read
+    /// queue — and returns how long it waited, with the image update of
+    /// the draft before, written out and free to be reused; every read
     /// waits the same way, so a read that starts after this call
     /// returned finds the checkpoint in the chain.
     ///
@@ -333,42 +394,79 @@ impl ReplicationStore {
     ///
     /// When an earlier push panicked, with that push's payload (see
     /// [`ReplicationStore::stats`] for the reads).
-    pub fn publish_checkpoint(&self, cp: Arc<Checkpoint>) -> Duration {
-        {
-            let mut log = self.shared.log();
-            log.primary_cycle = log.primary_cycle.max(cp.cycle);
-            log.wal.seal();
-        }
-        let mut handoff = self.shared.handoff();
-        let mut waited = Duration::ZERO;
-        if !matches!(handoff.push, Push::Idle) {
-            drop(handoff);
-            let started = Instant::now();
-            handoff = self.shared.idle();
-            waited = started.elapsed();
-            handoff.waits += 1;
-            handoff.wait_ns += waited.as_nanos() as u64;
-        }
-        drop(handoff);
-        // Serialised only once the push before this one is over and has
-        // let go of the tip it replaced: the anchor, the tip and this
-        // are then all the images there ever are, as when a push was a
-        // call.
-        let bytes = Serialised::of(&cp);
+    pub fn publish_draft(&self, draft: Draft) -> (Duration, Option<ImageUpdate>) {
+        let (mut handoff, waited) = self.shared.seal(draft.cycle());
         let core = placement::current_core();
-        // Idle still, unless another thread publishes too.
-        let mut handoff = self.shared.idle();
-        handoff.push = Push::Handed(Job { cp, bytes, core });
+        let spare = handoff.spare.take();
+        handoff.push = Push::Handed(Box::new(Job { draft, core }));
         drop(handoff);
         self.shared.turn.notify_all();
+        (waited, spare)
+    }
+
+    /// Makes `written` — an image its publisher wrote itself, with no
+    /// store attached — the chain's next image: its anchor on a store
+    /// that has none. Written on the calling thread, as a publish that
+    /// waited returns. Returns how long it waited.
+    pub(crate) fn publish_image(&self, mut written: CheckpointImage) -> Duration {
+        let (handoff, waited) = self.shared.seal(written.cycle());
+        drop(handoff);
+        let mut chained = self.shared.chain();
+        match &mut *chained {
+            Some(Chained { chain, last }) => {
+                chain.push_image(&mut written);
+                *last = written;
+            }
+            None => {
+                let chain = CheckpointChain::anchored(&written, self.shared.config.anchor_every);
+                *chained = Some(Chained {
+                    chain,
+                    last: written,
+                });
+            }
+        }
+        let cycle = chained.as_ref().expect("just pushed").last.cycle();
+        self.shared.log().wal.gc_covered(cycle);
         waited
+    }
+
+    /// The image pushed last, once the checkpoint in flight (if any) is
+    /// in the chain.
+    ///
+    /// # Panics
+    ///
+    /// When nothing was published, and as [`ReplicationStore::stats`].
+    pub(crate) fn last_image(&self) -> CheckpointImage {
+        drop(self.shared.idle());
+        let chained = self.shared.chain();
+        chained
+            .as_ref()
+            .expect("a checkpoint was published")
+            .last
+            .clone()
+    }
+
+    /// [`CheckpointImage::checkpoint`] of the image pushed last, once
+    /// the checkpoint in flight (if any) is in the chain.
+    ///
+    /// # Panics
+    ///
+    /// As [`ReplicationStore::last_image`].
+    pub(crate) fn last_checkpoint(&self) -> Checkpoint {
+        drop(self.shared.idle());
+        let chained = self.shared.chain();
+        chained
+            .as_ref()
+            .expect("a checkpoint was published")
+            .last
+            .checkpoint()
     }
 
     /// The stored artifact `id` as the chain holds it; the lock is
     /// released on return.
     fn shared_checkpoint(&self, id: u64) -> Option<Arc<Vec<u8>>> {
         drop(self.shared.idle());
-        self.shared.chain().as_ref()?.artifact(id)
+        self.shared.chain().as_ref()?.chain.artifact(id)
     }
 
     /// Artifact accounting so far, once the checkpoint in flight (if
@@ -386,10 +484,10 @@ impl ReplicationStore {
             let handoff = self.shared.idle();
             (handoff.waits, handoff.wait_ns)
         };
-        let chain = self.shared.chain();
+        let chained = self.shared.chain();
         let log = self.shared.log();
-        let (full_bytes, full_count, delta_bytes, delta_count) = match &*chain {
-            Some(chain) => {
+        let (full_bytes, full_count, delta_bytes, delta_count) = match &*chained {
+            Some(Chained { chain, .. }) => {
                 let (fb, fc) = chain.full_stats();
                 let (db, dc) = chain.delta_stats();
                 (fb, fc, db, dc)
@@ -429,9 +527,9 @@ impl Drop for ReplicationStore {
 impl ReplicaSource for ReplicationStore {
     fn manifest(&self) -> Option<String> {
         drop(self.shared.idle());
-        let chain = self.shared.chain();
+        let chained = self.shared.chain();
         let log = self.shared.log();
-        let chain = chain.as_ref()?;
+        let chain = &chained.as_ref()?.chain;
         let mut out = String::with_capacity(512);
         out.push_str("{\"primary_cycle\":");
         out.push_str(&log.primary_cycle.to_string());

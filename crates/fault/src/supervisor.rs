@@ -57,14 +57,24 @@
 //! like the sequential tier does. When a [`crate::ReplicationStore`]
 //! is attached, every committed batch is published to it in the cycle
 //! that commits it, and every checkpoint is handed to it in the cycle
-//! that takes it: the store seals the WAL segment there and then and
-//! pushes the checkpoint onto its chain on a thread of its own, and its
-//! reads wait for that push — which is what makes the standby's
-//! catch-up byte-exact whenever it looks.
+//! that takes it: the store seals the WAL segment there and then, and on
+//! a thread of its own writes the checkpoint's image out and pushes it
+//! onto its chain; its reads wait for that push — which is what makes
+//! the standby's catch-up byte-exact whenever it looks.
+//!
+//! A checkpoint costs the matching thread the matcher's changed sections
+//! ([`rete::ReteMatcher::encode_changes`]), the working-memory image
+//! (copied from the last one but for the slots that changed), the
+//! conflict list and a buffer for the image, allocated and handed over
+//! unwritten ([`Draft`]). The image is written from the last one — on
+//! the store's publisher, or here when no store is attached — and that
+//! image is the one copy of the last checkpoint: the supervisor keeps no
+//! decoded one, and [`Supervisor::last_checkpoint`] is a view of the
+//! image, made when a reader asks.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -75,9 +85,9 @@ use ops5::{
 };
 use psm_core::{FaultInjector, ParallelReteMatcher};
 use psm_obs::{Counter, Gauge, Obs, Rng64};
-use rete::{Network, ReteMatcher, ReteSnapshot};
+use rete::{ImageUpdate, Network, ReteMatcher, ReteSnapshot};
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, CheckpointImage, Draft};
 use crate::plan::FaultPlan;
 use crate::replica::ReplicationStore;
 use crate::wal::{Wal, WalChange, WalEntry};
@@ -243,22 +253,17 @@ impl Committed {
         delta
     }
 
-    /// The state, with the committed matcher's `rete` image, as a
-    /// checkpoint covering `cycle` committed cycles. Its working-memory
-    /// image is copied from the last one's but for the slots that
-    /// changed, and kept for the next.
-    fn checkpoint(&mut self, cycle: u64, rete: ReteSnapshot) -> Checkpoint {
+    /// The state, with the committed matcher's changed sections `rete`,
+    /// as the draft of a checkpoint covering `cycle` committed cycles.
+    /// Its working-memory image is copied from the last one's but for
+    /// the slots that changed, and kept for the next.
+    fn draft(&mut self, cycle: u64, rete: ImageUpdate) -> Draft {
         let image = self
             .wm
             .image_since(self.image.as_ref(), &mut self.retracted);
         let wm = Arc::clone(image.bytes());
         self.image = Some(image);
-        Checkpoint {
-            cycle,
-            wm,
-            rete,
-            conflict: Checkpoint::encode_conflict(&self.conflict),
-        }
+        Draft::new(cycle, wm, rete, Checkpoint::encode_conflict(&self.conflict))
     }
 }
 
@@ -350,10 +355,17 @@ pub struct Supervisor {
     /// batch whose assertions do not continue from here means a
     /// mutation went around `process`.
     next_id: usize,
-    /// Shared with the replication store while it pushes it.
-    checkpoint: Arc<Checkpoint>,
-    /// How long [`ReplicationStore::publish_checkpoint`] has made this
-    /// thread wait for the checkpoint before, all told.
+    /// The last checkpoint's image, which the next is written from, while
+    /// no store is attached; an attached store keeps it.
+    last: Option<CheckpointImage>,
+    /// The last checkpoint, once a reader asked for it: a view of its
+    /// image.
+    checkpoint: OnceLock<Checkpoint>,
+    /// The matcher's changed sections are encoded into two updates in
+    /// turn, one of which the store may still be reading: the other.
+    spare: Option<ImageUpdate>,
+    /// How long [`ReplicationStore::publish_draft`] has made this thread
+    /// wait for the checkpoint before, all told.
     publish_wait: Duration,
     wal: Wal,
     cycle: u64,
@@ -373,44 +385,63 @@ impl Supervisor {
     pub fn new(program: &Program, config: SupervisorConfig) -> Result<Self, Error> {
         let network = Arc::new(Network::compile(program)?);
         let parallel = ParallelReteMatcher::from_network(network.clone(), config.threads);
-        let genesis = Checkpoint::genesis(parallel.rete().snapshot());
+        let genesis = Supervisor::at(
+            program,
+            network,
+            config,
+            Tier::Parallel,
+            Committed::default(),
+            (parallel.rete(), 0),
+        );
         Ok(Supervisor {
             parallel: Some(parallel),
-            ..Supervisor::at(program, network, config, Tier::Parallel, genesis)
+            ..genesis
         })
     }
 
     /// Builds a supervisor directly on warm state — the promotion path
     /// out of [`crate::StandbyReplica`]. Starts at [`Tier::Promoted`]
-    /// with the warm sequential matcher live, a checkpoint snapshotted
-    /// from the warm state (so local recovery has a base), and the
-    /// supervised cycle counter continuing at `cycle`.
+    /// with the warm sequential matcher live, a checkpoint taken of the
+    /// warm state (so local recovery has a base), and the supervised
+    /// cycle counter continuing at `cycle`.
     pub(crate) fn from_warm(
         program: &Program,
         network: Arc<Network>,
         config: SupervisorConfig,
-        mut warm: WarmState,
+        warm: WarmState,
         cycle: u64,
     ) -> Self {
-        let checkpoint = warm.committed.checkpoint(cycle, warm.matcher.snapshot());
+        let next_id = warm.committed.wm.next_id().index();
+        let promoted = Supervisor::at(
+            program,
+            network,
+            config,
+            Tier::Promoted,
+            warm.committed,
+            (&warm.matcher, cycle),
+        );
         Supervisor {
             rete: Some(warm.matcher),
-            next_id: warm.committed.wm.next_id().index(),
-            committed: warm.committed,
+            next_id,
             cycle,
-            ..Supervisor::at(program, network, config, Tier::Promoted, checkpoint)
+            ..promoted
         }
     }
 
-    /// A supervisor at `tier` on `checkpoint`, with no matcher, no state
-    /// and no history, for the constructors to fill in.
+    /// A supervisor at `tier` on `committed`, with a checkpoint of it and
+    /// of `matcher` covering `cycle` cycles written out, no matcher, and
+    /// no history, for the constructors to fill in.
     fn at(
         program: &Program,
         network: Arc<Network>,
         config: SupervisorConfig,
         tier: Tier,
-        checkpoint: Checkpoint,
+        mut committed: Committed,
+        (matcher, cycle): (&ReteMatcher, u64),
     ) -> Self {
+        let mut update = ImageUpdate::default();
+        matcher.encode_changes(&mut update);
+        let (last, spare) = committed.draft(cycle, update).write(None);
         Supervisor {
             program: program.clone(),
             network,
@@ -423,9 +454,11 @@ impl Supervisor {
             rete: None,
             naive: None,
             rebuilt: None,
-            committed: Committed::default(),
+            committed,
             next_id: 0,
-            checkpoint: Arc::new(checkpoint),
+            last: Some(last),
+            checkpoint: OnceLock::new(),
+            spare,
             publish_wait: Duration::ZERO,
             wal: Wal::new(),
             cycle: 0,
@@ -466,7 +499,12 @@ impl Supervisor {
     /// standby pulling the store can always catch up to the committed
     /// frontier, byte-exactly.
     pub fn attach_replication(&mut self, store: Arc<ReplicationStore>) {
-        self.publish_wait += store.publish_checkpoint(Arc::clone(&self.checkpoint));
+        let last = match (self.last.take(), &self.replication) {
+            (Some(last), _) => last,
+            (None, Some(other)) => other.last_image(),
+            (None, None) => unreachable!("the last image is kept by the supervisor or its store"),
+        };
+        self.publish_wait += store.publish_image(last);
         for entry in self.wal.entries() {
             store.publish_entry(entry);
         }
@@ -542,9 +580,18 @@ impl Supervisor {
     }
 
     /// The last checkpoint (its `cycle` field says how much of history
-    /// it covers).
+    /// it covers). Its matcher image is a view of the image written out,
+    /// which an attached store writes on its own thread: the first read
+    /// after a checkpoint waits for that, as the store's reads do.
     pub fn last_checkpoint(&self) -> &Checkpoint {
-        &self.checkpoint
+        self.checkpoint
+            .get_or_init(|| match (&self.last, &self.replication) {
+                (Some(last), _) => last.checkpoint(),
+                (None, Some(store)) => store.last_checkpoint(),
+                (None, None) => {
+                    unreachable!("the last image is kept by the supervisor or its store")
+                }
+            })
     }
 
     /// A sequential-Rete snapshot of the committed matcher.
@@ -584,7 +631,7 @@ impl Supervisor {
     /// The cold path: the last checkpoint decoded and the WAL replayed
     /// into it.
     fn rebuild(&self) -> WarmState {
-        let mut cold = WarmState::restore(self.network.clone(), &self.checkpoint)
+        let mut cold = WarmState::restore(self.network.clone(), self.last_checkpoint())
             .expect("the checkpoint was taken by this supervisor on this network");
         for entry in self.wal.entries() {
             cold.replay(entry);
@@ -627,12 +674,15 @@ impl Supervisor {
             }
             Tier::Sequential | Tier::Promoted => self.rete.as_ref().expect("sequential tier"),
             Tier::Naive => {
-                let (network, cp) = (&self.network, &self.checkpoint);
-                let (warm, covered) = self.rebuilt.get_or_insert_with(|| {
-                    let cold = WarmState::restore(network.clone(), cp);
-                    (cold.expect("this supervisor took the checkpoint"), cp.cycle)
-                });
-                let tail = &self.wal.entries()[(*covered - cp.cycle) as usize..];
+                if self.rebuilt.is_none() {
+                    let cp = self.last_checkpoint();
+                    let cold = WarmState::restore(self.network.clone(), cp);
+                    let cold = cold.expect("this supervisor took the checkpoint");
+                    self.rebuilt = Some((cold, cp.cycle));
+                }
+                let (warm, covered) = self.rebuilt.as_mut().expect("rebuilt if it was not");
+                let entries = self.wal.entries();
+                let tail = &entries[entries.partition_point(|entry| entry.cycle < *covered)..];
                 for entry in tail {
                     warm.replay(entry);
                 }
@@ -730,14 +780,27 @@ impl Supervisor {
     fn take_checkpoint(&mut self) {
         // The §3.1 state-saving bet restated for fault tolerance: the
         // committed state is kept because re-deriving it costs a restore
-        // plus a replay; a checkpoint pays a snapshot of what changed.
-        let rete = self.committed_matcher().snapshot();
-        self.checkpoint = Arc::new(self.committed.checkpoint(self.cycle, rete));
+        // plus a replay; a checkpoint pays an encoding of what changed.
+        // The image is written out from the last one elsewhere: on the
+        // store's publisher, or here when no store is attached.
+        let mut update = self.spare.take().unwrap_or_default();
+        self.committed_matcher().encode_changes(&mut update);
+        let draft = self.committed.draft(self.cycle, update);
+        self.checkpoint = OnceLock::new();
         self.wal.clear();
         self.report.checkpoints += 1;
         self.count("fault.checkpoints");
-        if let Some(store) = &self.replication {
-            self.publish_wait += store.publish_checkpoint(Arc::clone(&self.checkpoint));
+        match &self.replication {
+            Some(store) => {
+                let (waited, spare) = store.publish_draft(draft);
+                self.publish_wait += waited;
+                self.spare = spare;
+            }
+            None => {
+                let (last, spare) = draft.write(self.last.as_mut());
+                self.last = Some(last);
+                self.spare = spare;
+            }
         }
     }
 

@@ -196,20 +196,20 @@ impl Heads {
     /// Writes the heads as an image lists them: their count, then each
     /// `(key, head)` in ascending key order, little-endian. A bucket
     /// `key << 32 | head` rotated by 32 bits is that pair's eight bytes,
-    /// so every bucket is written where the cursor is, and the cursor
-    /// moves past the held ones only: no branch per bucket. An empty
-    /// bucket lands on the eight bytes past the held ones, cut off at
-    /// the end.
+    /// so every bucket up to the last held one is written where the
+    /// cursor is, and the cursor moves past the held ones only: no
+    /// branch per bucket. An empty bucket lands where the next held one
+    /// is written over it, so nothing is written past the heads and a
+    /// writer sized for the image never grows.
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
         w.u32(self.len as u32);
-        let end = w.len() + 8 * self.len;
-        let out = w.zeroed(8 * self.len + 8);
+        let out = w.zeroed(8 * self.len);
+        let held = self.buckets.iter().rposition(|&b| b != EMPTY);
         let mut at = 0;
-        for &b in &self.buckets {
+        for &b in &self.buckets[..held.map_or(0, |last| last + 1)] {
             out[at..at + 8].copy_from_slice(&b.rotate_left(32).to_le_bytes());
             at += 8 * usize::from(b != EMPTY);
         }
-        w.truncate(end);
     }
 
     /// Every `(key, head)`, in ascending key order.

@@ -58,7 +58,7 @@ pub use memory::{Memory, NegEntry};
 pub use network::{CompileOptions, JoinTest, Network, NetworkStats, NodeId, NodeSpec};
 pub use profile::MatchProfile;
 pub use runtime::{Memories, MemoryStrategy, ReteMatcher};
-pub use snapshot::{ImageParts, ReteSnapshot};
+pub use snapshot::{Assembly, ImageParts, ImageUpdate, ReteSnapshot, SectionTable};
 pub use stats::MatchStats;
 pub use token::Token;
 pub use trace::{ActivationRecord, ChangeTrace, CycleTrace, Trace, TraceBuilder};

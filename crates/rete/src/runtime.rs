@@ -160,10 +160,11 @@ pub struct ReteMatcher {
     /// counter, so each flush adds only the delta.
     phantom_published: u64,
     /// What [`ReteMatcher::snapshot`] returned last; the next one copies
-    /// its unchanged sections from it.
+    /// its unchanged sections from it. None until a snapshot is taken:
+    /// [`ReteMatcher::encode_changes`] keeps no image.
     pub(crate) last_image: RefCell<Option<LastImage>>,
-    /// The memories changed since then: the sections the next snapshot
-    /// encodes.
+    /// The memories changed since each taker's last image, and each
+    /// section's encoded length.
     pub(crate) marks: Marks,
 }
 

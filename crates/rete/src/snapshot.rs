@@ -19,17 +19,33 @@
 //! byte-for-byte against the snapshot of a matcher that lived through
 //! the same changes.
 //!
-//! A snapshot costs what changed since the one before it (the same §3.1
-//! argument once more): the image is one section per alpha memory and
-//! per node, the matcher keeps the image it returned last with where
-//! each section starts in it, and every site of the matcher that files,
-//! unfiles or recounts a memory lists its section the first time it
-//! changes after an image (`Marks`). The snapshot visits the listed
-//! sections alone, in image order: each goes through `encode_memory`,
-//! and each run of sections between two of them is copied from the kept
-//! image in one piece. The bytes are those of an encode from nothing —
-//! which is the same code with every section listed — so nothing that
-//! reads an image can tell.
+//! An image costs what changed since the one before it (the same §3.1
+//! argument once more). It is a header with the work counters, then one
+//! section per alpha memory and per node, and every site of the matcher
+//! that files, unfiles or recounts a memory lists its section the first
+//! time it changes after an image (`Marks`). An image is made in two
+//! halves:
+//!
+//! 1. [`ReteMatcher::encode_changes`], on the matcher's thread, encodes
+//!    the header and the listed sections alone, in image order, into an
+//!    [`ImageUpdate`] that is reused from one image to the next. It
+//!    keeps each section's last encoded length, so it knows how long the
+//!    image will be without looking at the rest of it.
+//! 2. [`ImageUpdate::assemble`] needs only the image before and its
+//!    [`SectionTable`], not the matcher, and runs wherever they are kept
+//!    — for a supervisor's checkpoint, on the replication store's
+//!    publisher. It lays the listed sections between the runs of
+//!    sections copied from the image before, each run in one piece, and
+//!    re-bases the table.
+//!
+//! The bytes are those of an encode from nothing — which is the same
+//! code with every section listed, into a buffer sized from the
+//! memories beforehand — so nothing that reads an image can tell.
+//! [`ReteMatcher::snapshot`] is both halves at once, against the image
+//! it returned last. Each of the two takers of images —
+//! [`ReteMatcher::snapshot`] and whoever calls
+//! [`ReteMatcher::encode_changes`] — is told every section that changed
+//! since its own last image, whichever of them took one in between.
 //!
 //! A section is written at memory speed: its entries in one sized write,
 //! its links in another, and each slot's heads straight from the slot's
@@ -59,20 +75,29 @@ const MAGIC: [u8; 4] = *b"PSMR";
 // whole index key, not by the value of its first equality test.
 const VERSION: u32 = 5;
 
+/// The bytes before the first section: magic and version, node and
+/// alpha-memory counts, the memory-strategy tag and the 14 work
+/// counters.
+const HEAD: usize = 8 + 8 + 8 + 1 + 8 * 14;
+
 /// A serialized matcher state (see the module docs). Two snapshots are
 /// equal when their bytes are.
 #[derive(Debug, Clone)]
 pub struct ReteSnapshot {
-    /// Shared with the matcher that took it, which copies the next
-    /// image's unchanged sections out of it.
+    /// Shared, not copied, with whoever else holds the image: the
+    /// matcher that took it, which copies the next image's unchanged
+    /// sections out of it, or the checkpoint image it is a part of.
     bytes: Arc<Vec<u8>>,
+    /// The image is `bytes[at..at + len]`.
+    at: usize,
+    len: usize,
     unchanged: Vec<(usize, usize, usize)>,
     encoded: usize,
 }
 
 impl PartialEq for ReteSnapshot {
     fn eq(&self, other: &Self) -> bool {
-        self.bytes == other.bytes
+        self.as_bytes() == other.as_bytes()
     }
 }
 
@@ -81,16 +106,32 @@ impl Eq for ReteSnapshot {}
 impl ReteSnapshot {
     /// The raw snapshot bytes (stable, versioned format).
     pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
+        &self.bytes[self.at..self.at + self.len]
     }
 
     /// Wraps raw bytes previously produced by [`ReteMatcher::snapshot`]
     /// (e.g. read back from a checkpoint file). Validated on restore.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
         ReteSnapshot {
+            len: bytes.len(),
             bytes: Arc::new(bytes),
+            at: 0,
             unchanged: Vec::new(),
             encoded: 0,
+        }
+    }
+
+    /// The image that starts at `at` of `bytes`, written as `written`
+    /// says: shared with whatever else holds `bytes` — the checkpoint
+    /// image an assembly wrote it into — not copied out of it.
+    pub fn within(bytes: Arc<Vec<u8>>, at: usize, written: &Assembly) -> Self {
+        assert!(at + written.len <= bytes.len(), "the image lies in `bytes`");
+        ReteSnapshot {
+            bytes,
+            at,
+            len: written.len,
+            unchanged: written.unchanged.clone(),
+            encoded: written.encoded,
         }
     }
 
@@ -112,13 +153,160 @@ impl ReteSnapshot {
 
     /// Snapshot size in bytes.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.len
     }
 
     /// True when the snapshot holds no bytes (never produced by
     /// [`ReteMatcher::snapshot`]).
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len == 0
+    }
+}
+
+/// How an image was written ([`ImageUpdate::assemble`]): its length,
+/// the runs of it copied from the image before, and how many memories
+/// were encoded for it — what [`ReteSnapshot::within`] makes a snapshot
+/// of.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Assembly {
+    len: usize,
+    unchanged: Vec<(usize, usize, usize)>,
+    encoded: usize,
+}
+
+impl Assembly {
+    /// How `snapshot` says it was written.
+    pub fn of(snapshot: &ReteSnapshot) -> Self {
+        Assembly {
+            len: snapshot.len,
+            unchanged: snapshot.unchanged.clone(),
+            encoded: snapshot.encoded,
+        }
+    }
+
+    /// The image's length in bytes.
+    pub fn image_len(&self) -> usize {
+        self.len
+    }
+
+    /// [`ReteSnapshot::unchanged`] of the image.
+    pub fn unchanged(&self) -> &[(usize, usize, usize)] {
+        &self.unchanged
+    }
+}
+
+/// Where each section of an image starts, and where the image ends:
+/// what [`ImageUpdate::assemble`] finds the unchanged sections by. Kept
+/// beside the image, and re-based by each assembly onto the next.
+#[derive(Debug, Clone, Default)]
+pub struct SectionTable {
+    /// Section `i` is `bounds[i]..bounds[i + 1]` of the image.
+    bounds: Vec<usize>,
+}
+
+impl SectionTable {
+    /// The table of a whole update's image, whose sections are all
+    /// listed: they start after the header and each ends where it is
+    /// listed to.
+    fn fill(&mut self, listed: &[(u32, usize)]) {
+        self.bounds.clear();
+        self.bounds.push(HEAD);
+        self.bounds.extend(listed.iter().map(|&(_, end)| end));
+    }
+}
+
+/// A matcher's next image as its header and the sections that changed
+/// since its last one ([`ReteMatcher::encode_changes`]), to be assembled
+/// with the unchanged ones ([`ImageUpdate::assemble`]). Reused from one
+/// image to the next, it keeps its buffers.
+#[derive(Debug, Clone, Default)]
+pub struct ImageUpdate {
+    /// The header and the work counters, then each listed section, in
+    /// image order.
+    bytes: Vec<u8>,
+    /// Each listed section, and where its bytes end in `bytes`.
+    listed: Vec<(u32, usize)>,
+    /// Sections in the image.
+    sections: usize,
+    /// The image's length.
+    len: usize,
+    /// Every section is listed: `bytes` are the image, which needs no
+    /// image before it.
+    whole: bool,
+    encoded: usize,
+    parts: ImageParts,
+    /// Room for the runs an assembly copies, one more than the sections
+    /// listed, made by the thread that encodes: an assembly allocates
+    /// nothing.
+    runs: Vec<(usize, usize, usize)>,
+}
+
+impl ImageUpdate {
+    /// The length of the image the update makes.
+    pub fn image_len(&self) -> usize {
+        self.len
+    }
+
+    /// Appends the image to `out`: the header, then the listed sections
+    /// in image order and between them the runs of unchanged ones, each
+    /// copied from `base` in one piece. `base` is the image `table` is
+    /// the table of — the one made by this matcher's previous update for
+    /// the same taker — and is not read for a whole update. `table` is
+    /// re-based onto the new image. Returns how it was written, the
+    /// copied runs as offsets into `base` and into the new image (which
+    /// starts where `out` ended).
+    ///
+    /// # Panics
+    ///
+    /// When the update is not whole and `table` is not one of an image of
+    /// as many sections.
+    pub fn assemble(
+        &mut self,
+        base: &[u8],
+        table: &mut SectionTable,
+        out: &mut Vec<u8>,
+    ) -> Assembly {
+        let written = |unchanged| Assembly {
+            len: self.len,
+            unchanged,
+            encoded: self.encoded,
+        };
+        if self.whole {
+            out.extend_from_slice(&self.bytes);
+            table.fill(&self.listed);
+            return written(Vec::new());
+        }
+        let bounds = &mut table.bounds;
+        assert_eq!(
+            bounds.len(),
+            self.sections + 1,
+            "an update assembled onto the image of another matcher"
+        );
+        let start = out.len();
+        let mut unchanged = std::mem::take(&mut self.runs);
+        out.extend_from_slice(&self.bytes[..HEAD]);
+        // Sections `..next` are in the image, `bounds[next..]` still the
+        // base's; the end of the image comes last.
+        let (mut next, mut from) = (0, HEAD);
+        let end = (self.sections as u32, self.bytes.len());
+        for &(i, to) in self.listed.iter().chain([&end]) {
+            let i = i as usize;
+            if next < i {
+                let (a, b) = (bounds[next], bounds[i]);
+                let here = out.len() - start;
+                unchanged.push((a, here, b - a));
+                out.extend_from_slice(&base[a..b]);
+                let shift = here.wrapping_sub(a);
+                for bound in &mut bounds[next..i] {
+                    *bound = bound.wrapping_add(shift);
+                }
+            }
+            bounds[i] = out.len() - start;
+            out.extend_from_slice(&self.bytes[from..to]);
+            (next, from) = (i + 1, to);
+        }
+        debug_assert_eq!(out.len() - start, self.len, "sized before it was written");
+        written(unchanged)
     }
 }
 
@@ -222,6 +410,14 @@ pub(crate) fn encode_memory<T>(
     parts.heads += w.len() - start;
 }
 
+/// How many bytes [`encode_memory`] writes for `memory`, each entry
+/// taking `entry` bytes.
+fn memory_len<T>(memory: &Memory<T>, entry: impl Fn(&T) -> usize) -> usize {
+    let heads: usize = memory.heads.iter().map(|heads| 4 + 8 * heads.len()).sum();
+    let entries: usize = memory.entries.iter().map(entry).sum();
+    4 + 4 + entries + 4 * memory.links.len() + heads
+}
+
 /// Reads a memory of the given `slots`, rejecting a slot count that is
 /// not theirs, a slot whose heads do not strictly ascend by key (each
 /// slot's table is then built in one pass, however its keys cluster)
@@ -287,27 +483,47 @@ fn decode_negative(r: &mut ByteReader<'_>) -> Result<NegEntry, CodecError> {
     })
 }
 
-/// The image a matcher returned last, with where its sections lie.
+/// The image [`ReteMatcher::snapshot`] returned last, with its table.
 #[derive(Debug)]
 pub(crate) struct LastImage {
     bytes: Arc<Vec<u8>>,
-    /// Section `i` is `bounds[i]..bounds[i + 1]` of `bytes`.
-    bounds: Vec<usize>,
+    table: SectionTable,
 }
 
-/// Which sections changed since the image a matcher returned last.
+/// Who an image is taken for; each is told the sections that changed
+/// since its own last image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Taker {
+    /// [`ReteMatcher::snapshot`], which keeps its last image itself.
+    Snapshot,
+    /// [`ReteMatcher::encode_changes`], whose caller keeps it.
+    Changes,
+}
+
+/// Which sections changed since each taker's last image, and how long
+/// each section is.
 ///
 /// Every image opens a new epoch. A matcher site that files, unfiles or
 /// recounts a memory marks it ([`Marks::mark`]): the first mark in an
 /// epoch stamps the memory with the epoch and lists its section, so the
 /// list holds each changed section once and grows with what changed,
 /// not with what is resident. An image takes the list
-/// ([`Marks::drain`]) and opens the next epoch. The epoch is 64 bits
+/// ([`Marks::drain`]), hands a copy to the other taker if that one has
+/// an image to build on, and opens the next epoch. The epoch is 64 bits
 /// wide so that it never comes round to a memory's stale stamp.
 #[derive(Debug, Default)]
 pub(crate) struct Marks {
     epoch: Cell<u64>,
     touched: RefCell<Vec<u32>>,
+    /// Per [`Taker`]: the sections changed since its last image that the
+    /// other's images took off `touched`, or `None` while it has no
+    /// image to build on — its next image then lists every section.
+    carried: [RefCell<Option<Vec<u32>>>; 2],
+    /// Each section's length when it was last encoded, for either taker,
+    /// and their sum. A section no image lists has not changed since, so
+    /// its bytes in either taker's last image are that long.
+    lens: RefCell<Vec<u32>>,
+    body: Cell<usize>,
 }
 
 impl Marks {
@@ -321,14 +537,55 @@ impl Marks {
         }
     }
 
-    /// Hands `image` the sections marked since the last call, in image
-    /// order, then opens a new epoch with none marked.
-    fn drain(&self, image: impl FnOnce(&[u32])) {
+    /// Hands `image` the sections marked since `taker`'s last image, in
+    /// image order — `None` when it has none to build on, and every one
+    /// of the `sections` is to be written — then opens a new epoch with
+    /// none marked.
+    fn drain<R>(
+        &self,
+        taker: Taker,
+        sections: usize,
+        image: impl FnOnce(Option<&[u32]>) -> R,
+    ) -> R {
         let mut touched = self.touched.borrow_mut();
-        touched.sort_unstable();
-        image(&touched);
-        touched.clear();
+        let [mine, other] = match taker {
+            Taker::Snapshot => [&self.carried[0], &self.carried[1]],
+            Taker::Changes => [&self.carried[1], &self.carried[0]],
+        };
+        if let Some(carried) = other.borrow_mut().as_mut() {
+            carried.extend_from_slice(&touched);
+            if carried.len() > sections {
+                carried.sort_unstable();
+                carried.dedup();
+            }
+        }
+        let mut mine = mine.borrow_mut();
+        let out = match mine.as_mut() {
+            Some(listed) => {
+                listed.append(&mut touched);
+                listed.sort_unstable();
+                listed.dedup();
+                let out = image(Some(listed));
+                listed.clear();
+                out
+            }
+            None => {
+                touched.clear();
+                *mine = Some(Vec::new());
+                image(None)
+            }
+        };
         self.epoch.set(self.epoch.get() + 1);
+        out
+    }
+
+    /// Forgets `taker`'s last image: its next one lists every section.
+    fn forget(&self, taker: Taker) {
+        let i = match taker {
+            Taker::Snapshot => 0,
+            Taker::Changes => 1,
+        };
+        self.carried[i].replace(None);
     }
 }
 
@@ -342,7 +599,7 @@ impl ReteMatcher {
     /// to recompile — so [`ReteMatcher::restore`] needs the same
     /// [`Network`] the snapshot was taken against.
     pub fn snapshot(&self) -> ReteSnapshot {
-        self.encode().0
+        self.image().0
     }
 
     /// [`ReteMatcher::snapshot`] encoded from nothing — the same bytes,
@@ -350,79 +607,121 @@ impl ReteMatcher {
     pub fn snapshot_parts(&self) -> (ReteSnapshot, ImageParts) {
         // With no image kept every section is encoded.
         self.last_image.take();
-        self.encode()
+        self.marks.forget(Taker::Snapshot);
+        self.image()
     }
 
-    /// The image, and where the bytes of its encoded sections went:
-    /// the marked sections are encoded, and every run of sections
-    /// between two of them is copied from the last image in one piece,
-    /// its bounds re-based. Without a last image every section is
-    /// encoded.
-    fn encode(&self) -> (ReteSnapshot, ImageParts) {
-        let last = self.last_image.take();
-        let mut w = ByteWriter::with_header(MAGIC, VERSION);
-        // What the last image took, and room for what arrived since.
-        w.reserve(last.as_ref().map_or(0, |last| last.bytes.len() * 9 / 8));
-        w.usize(self.network().nodes.len());
-        w.usize(self.alpha_mems.len());
-        w.u8(match self.memory {
-            MemoryStrategy::Linear => 0,
-            MemoryStrategy::Hashed => 1,
-        });
-        for field in stat_fields(&mut self.stats.clone()) {
-            w.u64(*field);
-        }
-        let sections = self.alpha_mems.len() + self.states.len();
-        let (old, mut bounds) = match last {
-            Some(LastImage { bytes, bounds }) => (Some(bytes), bounds),
-            None => (None, vec![0; sections + 1]),
-        };
-        let (mut unchanged, mut encoded) = (Vec::new(), 0);
-        let mut parts = ImageParts::default();
-        self.marks.drain(|touched| {
-            let every: Vec<u32>;
-            let marked = match old {
-                Some(_) => touched,
-                None => {
-                    every = (0..sections as u32).collect();
-                    &every
-                }
-            };
-            // Sections `..next` are in the image; `bounds[next..]` are
-            // still the last image's. The end of the image comes last.
-            let mut next = 0;
-            for i in marked.iter().map(|&i| i as usize).chain([sections]) {
-                if next < i {
-                    let old = old.as_deref().expect("with no image kept all are marked");
-                    let (from, to) = (bounds[next], bounds[i]);
-                    let shift = w.len().wrapping_sub(from);
-                    unchanged.push((from, w.len(), to - from));
-                    w.bytes(&old[from..to]);
-                    for bound in &mut bounds[next..i] {
-                        *bound = bound.wrapping_add(shift);
-                    }
-                }
-                bounds[i] = w.len();
-                if i < sections {
-                    let memory = self.encode_section(&mut w, i, &mut parts);
-                    encoded += usize::from(memory);
-                }
-                next = i + 1;
+    /// The first half of an image (see the module docs): the header and
+    /// the sections that changed since the last call — every section on
+    /// the first — encoded into `update`, whose buffers are reused.
+    /// [`ImageUpdate::assemble`] makes the image of it, given the image
+    /// the last call's update made and its table.
+    pub fn encode_changes(&self, update: &mut ImageUpdate) {
+        self.encode(Taker::Changes, update);
+    }
+
+    /// [`ReteMatcher::snapshot`]: both halves against the image it
+    /// returned last, or the update alone when it lists every section —
+    /// its buffer then sized beforehand, as the image — and where the
+    /// bytes of its encoded sections went.
+    fn image(&self) -> (ReteSnapshot, ImageParts) {
+        let mut update = ImageUpdate::default();
+        self.encode(Taker::Snapshot, &mut update);
+        let mut last = self.last_image.borrow_mut();
+        let (bytes, written, table) = match last.take() {
+            Some(LastImage { bytes, mut table }) if !update.whole => {
+                let mut out = Vec::with_capacity(update.len);
+                let written = update.assemble(&bytes, &mut table, &mut out);
+                (out, written, table)
             }
-        });
-        let bytes = Arc::new(w.finish());
-        let copied: usize = unchanged.iter().map(|&(_, _, len)| len).sum();
-        parts.rest = bytes.len() - copied - parts.entries - parts.links - parts.heads;
-        self.last_image.replace(Some(LastImage {
+            last => {
+                debug_assert!(update.whole, "with no image kept all are listed");
+                let mut table = last.map_or_else(SectionTable::default, |last| last.table);
+                table.fill(&update.listed);
+                let written = Assembly {
+                    len: update.len,
+                    unchanged: Vec::new(),
+                    encoded: update.encoded,
+                };
+                (std::mem::take(&mut update.bytes), written, table)
+            }
+        };
+        let bytes = Arc::new(bytes);
+        let copied: usize = written.unchanged.iter().map(|&(_, _, len)| len).sum();
+        let mut parts = update.parts;
+        parts.rest = written.len - copied - parts.entries - parts.links - parts.heads;
+        *last = Some(LastImage {
             bytes: Arc::clone(&bytes),
-            bounds,
-        }));
+            table,
+        });
         let snapshot = ReteSnapshot {
             bytes,
-            unchanged,
-            encoded,
+            at: 0,
+            len: written.len,
+            unchanged: written.unchanged,
+            encoded: written.encoded,
         };
         (snapshot, parts)
+    }
+
+    /// Writes the header and the sections changed since `taker`'s last
+    /// image — every section, into a buffer sized beforehand, when it
+    /// has none — into `update`, and how long the image is.
+    fn encode(&self, taker: Taker, update: &mut ImageUpdate) {
+        let sections = self.alpha_mems.len() + self.states.len();
+        update.listed.clear();
+        update.sections = sections;
+        update.encoded = 0;
+        update.parts = ImageParts::default();
+        let mut bytes = std::mem::take(&mut update.bytes);
+        bytes.clear();
+        self.marks.drain(taker, sections, |listed| {
+            let mut lens = self.marks.lens.borrow_mut();
+            update.whole = listed.is_none();
+            if update.whole {
+                lens.clear();
+                lens.extend((0..sections).map(|i| self.section_len(i) as u32));
+                self.marks
+                    .body
+                    .set(lens.iter().map(|&len| len as usize).sum());
+                bytes.reserve_exact(HEAD + self.marks.body.get());
+            }
+            let mut w = ByteWriter::over(bytes);
+            w.bytes(&MAGIC);
+            w.u32(VERSION);
+            w.usize(self.network().nodes.len());
+            w.usize(self.alpha_mems.len());
+            w.u8(match self.memory {
+                MemoryStrategy::Linear => 0,
+                MemoryStrategy::Hashed => 1,
+            });
+            for field in stat_fields(&mut self.stats.clone()) {
+                w.u64(*field);
+            }
+            debug_assert_eq!(w.len(), HEAD);
+            let mut body = self.marks.body.get();
+            let mut encode = |i: usize| {
+                let start = w.len();
+                let memory = self.encode_section(&mut w, i, &mut update.parts);
+                update.encoded += usize::from(memory);
+                let len = w.len() - start;
+                debug_assert!(listed.is_some() || len == lens[i] as usize, "sized right");
+                body = body - lens[i] as usize + len;
+                lens[i] = len as u32;
+                update.listed.push((i as u32, w.len()));
+            };
+            match listed {
+                Some(listed) => listed.iter().for_each(|&i| encode(i as usize)),
+                None => (0..sections).for_each(encode),
+            }
+            self.marks.body.set(body);
+            update.bytes = w.finish();
+        });
+        update.len = HEAD + self.marks.body.get();
+        update.runs = match update.whole {
+            true => Vec::new(),
+            false => Vec::with_capacity(update.listed.len() + 1),
+        };
     }
 
     /// Writes section `i`: alpha memory `i`, or past the alpha memories
@@ -447,6 +746,19 @@ impl ReteMatcher {
             }
         }
         true
+    }
+
+    /// How many bytes [`ReteMatcher::encode_section`] writes for
+    /// section `i`.
+    fn section_len(&self, i: usize) -> usize {
+        let Some(node) = i.checked_sub(self.alpha_mems.len()) else {
+            return memory_len(&self.alpha_mems[i], |_| 4);
+        };
+        1 + match &self.states[node] {
+            NodeState::Mem(memory) => memory_len(memory, |token| 4 * (1 + token.len())),
+            NodeState::Neg(memory) => memory_len(memory, |entry| 4 * (2 + entry.token.len())),
+            NodeState::Stateless => 0,
+        }
     }
 
     /// Rebuilds a matcher from `snapshot` over `network`.
@@ -974,6 +1286,90 @@ mod tests {
             assert_eq!(next.as_bytes(), m.snapshot_parts().0.as_bytes(), "{what}");
         }
         assert_eq!(m.stats().phantom_removes, 2, "alpha memories count none");
+    }
+
+    /// An image written from nothing — a matcher's first, one after
+    /// [`ReteMatcher::snapshot_parts`] dropped the kept one, a restored
+    /// matcher's first — is written into a buffer sized for it
+    /// beforehand and never grown: its capacity is its length. So is
+    /// every image after it, each assembled into a buffer of its size.
+    #[test]
+    fn an_image_is_written_into_a_buffer_of_its_size() {
+        use crate::runtime::tests::{closure_churn, CHURN_STEPS, CLOSURE};
+        let program = parse_program(CLOSURE).unwrap();
+        let mut live = ReteMatcher::compile(&program).unwrap();
+        let exact = |snapshot: &ReteSnapshot, what: &str| {
+            assert_eq!(snapshot.bytes.capacity(), snapshot.len(), "{what}");
+            assert_eq!(
+                (snapshot.at, snapshot.bytes.len()),
+                (0, snapshot.len()),
+                "{what}"
+            );
+        };
+        exact(&live.snapshot(), "empty, first");
+        let mut step = 0;
+        closure_churn(&program, 0xB0F, CHURN_STEPS, |wm, change| {
+            step += 1;
+            live.process(wm, &[change]);
+            if step % 97 == 0 {
+                exact(&live.snapshot(), &format!("step {step}, kept"));
+                let (fresh, _) = live.snapshot_parts();
+                exact(&fresh, &format!("step {step}, from nothing"));
+                let restored = ReteMatcher::restore(live.network().clone(), &fresh).unwrap();
+                let first = restored.snapshot();
+                exact(&first, &format!("step {step}, restored"));
+                assert_eq!(first, fresh);
+            }
+        });
+        assert!(step > 97 * 4, "{step} steps");
+    }
+
+    /// The two takers of images are each told every section that changed
+    /// since their own last image, whichever took one in between: on a
+    /// churn, snapshots and updates assembled onto the image and table
+    /// their caller keeps, taken in every interleaving, are each the
+    /// image a twin fed the same changes encodes from nothing, and most
+    /// updates leave sections to copy.
+    #[test]
+    fn snapshots_between_updates_leave_no_update_stale() {
+        use crate::runtime::tests::{closure_churn, CHURN_STEPS, CLOSURE};
+        let program = parse_program(CLOSURE).unwrap();
+        let mut live = ReteMatcher::compile(&program).unwrap();
+        let mut twin = ReteMatcher::from_network(live.network().clone());
+        let (mut update, mut table) = (ImageUpdate::default(), SectionTable::default());
+        live.encode_changes(&mut update);
+        assert!(update.whole, "the first update lists every section");
+        let mut kept = Vec::new();
+        update.assemble(&[], &mut table, &mut kept);
+        let (mut step, mut assembled, mut partial) = (0, 0, 0);
+        closure_churn(&program, 0x7A4E, CHURN_STEPS, |wm, change| {
+            step += 1;
+            live.process(wm, &[change]);
+            twin.process(wm, &[change]);
+            let fresh = || twin.snapshot_parts().0;
+            // A snapshot on two steps in three, an update on every
+            // fifth: runs of each with none of the other between.
+            if step % 3 != 0 {
+                assert_eq!(live.snapshot(), fresh(), "step {step}: snapshot");
+            }
+            if step % 5 == 0 {
+                live.encode_changes(&mut update);
+                let mut next = Vec::with_capacity(update.image_len());
+                let written = update.assemble(&kept, &mut table, &mut next);
+                assert_eq!(next, fresh().as_bytes(), "step {step}: update");
+                for &(old, new, len) in written.unchanged() {
+                    assert_eq!(kept[old..old + len], next[new..new + len], "step {step}");
+                }
+                partial += usize::from(!written.unchanged().is_empty());
+                assert!(!update.whole);
+                kept = next;
+                assembled += 1;
+            }
+        });
+        assert!(
+            assembled > 100 && partial > assembled / 2,
+            "{partial} of {assembled}"
+        );
     }
 
     /// Two tokens on the one chain of a negative node; the image ends
