@@ -19,19 +19,21 @@
 //!   stream with a replication store attached, every cycle timed from
 //!   outside and split into checkpoint cycles and plain ones. The run
 //!   fails (exit 1) when a checkpoint cycle's median exceeds
-//!   [`MAX_CHECKPOINT_RATIO`] plain cycles. The same stream is then
-//!   taken through a checkpoint's steps by hand, each step timed and
-//!   listed under the thread that pays it — the matching thread matches
-//!   the batches, encodes the matcher's changed sections, images the
-//!   working memory, lists the conflict set in its `PSMC` bytes,
-//!   allocates the `PSMC` image's buffer and hands the draft to the
-//!   store; the store's publisher writes the image (the matcher's
-//!   unchanged sections copied from the tip's), checksums it, diffs it
-//!   against the tip and encodes the `PSMD` — with the share of a
-//!   checkpoint interval the publisher is busy for, how often the
-//!   matching thread had to wait for it, and a census of the image's
-//!   sections: how many there are, how many were encoded and how many
-//!   bytes were copied instead.
+//!   [`MAX_CHECKPOINT_RATIO`] plain cycles. The store's publisher times
+//!   itself on its own thread in that run: how long it writes each image
+//!   (the matcher's unchanged sections copied from the tip's) and pushes
+//!   it (checksum, diff against the tip, `PSMD`), summed, which gives the
+//!   share of the run's checkpoint interval it is busy for; beside it,
+//!   how often the matching thread had to wait for it. The same stream
+//!   is then taken through the matching thread's steps of a checkpoint
+//!   by hand, each step timed — it matches the batches, encodes the
+//!   matcher's changed sections, images the working memory, lists the
+//!   conflict set in its `PSMC` bytes, allocates the `PSMC` image's
+//!   buffer and hands the draft to a store. A third run of the stream,
+//!   through a supervisor with no store and timed nowhere, takes a
+//!   census of the image's sections — how many there are, how many were
+//!   encoded and how many bytes were copied instead — and times the
+//!   CRC-32 of each image.
 //!
 //! * **Checkpoint after-effect** — what a checkpoint costs the cycles
 //!   after it: the same stream through a supervisor with checkpoints
@@ -68,8 +70,8 @@ use std::time::Instant;
 use ops5::{Change, Instantiation, MatchDelta, Matcher, WmImage, WmeId, WorkingMemory};
 use psm_bench::{capture, f, print_table, CliOptions};
 use psm_fault::{
-    crc32, Checkpoint, CheckpointChain, Draft, FaultPlan, ReplicationConfig, ReplicationStore,
-    Supervisor, SupervisorConfig,
+    crc32, Checkpoint, Draft, FaultPlan, ReplicationConfig, ReplicationStore, Supervisor,
+    SupervisorConfig,
 };
 use psm_obs::json::{number, push_escaped};
 use psm_sim::{
@@ -180,6 +182,12 @@ struct CheckpointCost {
     /// and how long the matching thread waited for those in all.
     publish_waits: u64,
     publish_wait_us: f64,
+    /// Mean microseconds per checkpoint the store's publisher spent on
+    /// each of [`PUBLISHER_STEPS`], as it timed them.
+    publisher_us: [f64; 2],
+    /// Wall-clock microseconds of the timed cycles, over the checkpoints
+    /// taken in them: the run's checkpoint interval.
+    interval_us: f64,
 }
 
 impl CheckpointCost {
@@ -187,50 +195,44 @@ impl CheckpointCost {
         self.checkpoint_cycle_p50_us / self.plain_cycle_p50_us
     }
 
-    /// Wall-clock microseconds from one checkpoint to the next.
-    fn interval_us(&self) -> f64 {
-        7.0 * self.plain_cycle_p50_us + self.checkpoint_cycle_p50_us
+    /// The share of a checkpoint interval the publisher is busy for.
+    fn publisher_busy_share(&self) -> f64 {
+        self.publisher_us.iter().sum::<f64>() / self.interval_us
     }
 }
 
-/// The steps of a checkpoint, in the order it takes them, and the
-/// thread each runs on.
-const STEPS: [(&str, &str); 9] = [
-    (MATCHING, "live matching of the 8 batches"),
-    (MATCHING, "changed sections (PSMR update)"),
-    (MATCHING, "WM image (PSMW)"),
-    (MATCHING, "conflict list (PSMC bytes)"),
-    (MATCHING, "draft: PSMC buffer allocated"),
-    (MATCHING, "publish: hand-off"),
-    (PUBLISHER, "PSMC image written"),
-    (PUBLISHER, "chain push (CRC, diff, PSMD)"),
-    (PUBLISHER, "  of which CRC-32 of the image"),
+/// The matching thread's steps of a checkpoint, in the order it takes
+/// them.
+const MATCHING_STEPS: [&str; 6] = [
+    "live matching of the 8 batches",
+    "changed sections (PSMR update)",
+    "WM image (PSMW)",
+    "conflict list (PSMC bytes)",
+    "draft: PSMC buffer allocated",
+    "publish: hand-off",
 ];
-const MATCHING: &str = "matching thread";
-const PUBLISHER: &str = "publisher";
-/// Where the publisher's two steps, the image written and the chain
-/// push, are among [`STEPS`].
-const PUBLISHED: [usize; 2] = [6, 7];
+/// The publisher's steps of a checkpoint, as the store times them.
+const PUBLISHER_STEPS: [&str; 2] = ["PSMC image written", "chain push (CRC, diff, PSMD)"];
 
-/// [`checkpoint_steps`]: medians over the checkpoints stored as deltas,
-/// and means of what their snapshots reused.
+/// [`checkpoint_steps`]: medians over the checkpoints.
 struct CheckpointSteps {
     checkpoints: usize,
-    /// Median microseconds of each of [`STEPS`].
-    step_us: [f64; 9],
+    /// Median microseconds of each of [`MATCHING_STEPS`].
+    step_us: [f64; 6],
     /// Memories (one image section each) and how many hold an entry, at
     /// the end of the run.
     sections: (usize, usize),
+}
+
+/// [`section_census`]: over the stream's checkpoints, the load's left
+/// out.
+struct SectionCensus {
+    checkpoints: usize,
     /// Per checkpoint: sections encoded, image bytes, bytes encoded,
     /// bytes copied, runs copied.
     per_checkpoint: [f64; 5],
-}
-
-impl CheckpointSteps {
-    /// Median microseconds the publisher is busy for per checkpoint.
-    fn published_us(&self) -> f64 {
-        PUBLISHED.iter().map(|&i| self.step_us[i]).sum()
-    }
+    /// Median microseconds of the CRC-32 of a checkpoint's `PSMC` image.
+    crc_us: f64,
 }
 
 const CENSUS: [&str; 5] = [
@@ -433,29 +435,38 @@ fn main() {
     );
 
     let steps = checkpoint_steps(400);
-    let rows: Vec<Vec<String>> = STEPS
-        .iter()
-        .zip(steps.step_us)
-        .map(|((thread, step), us)| vec![thread.to_string(), step.to_string(), f(us, 0)])
+    let census = section_census(400);
+    let matching = MATCHING_STEPS.iter().zip(steps.step_us);
+    let mut rows: Vec<Vec<String>> = matching
+        .map(|(step, us)| vec!["matching thread".into(), step.to_string(), f(us, 0)])
         .collect();
+    for (step, us) in PUBLISHER_STEPS.iter().zip(cost.publisher_us) {
+        rows.push(vec!["publisher (mean)".into(), step.to_string(), f(us, 0)]);
+    }
+    rows.push(vec![
+        "publisher".into(),
+        "  of which CRC-32 of the image".into(),
+        f(census.crc_us, 0),
+    ]);
     print_table(
-        "a checkpoint step by step, by hand on the same stream (median us per checkpoint)",
+        "a checkpoint step by step: the matching thread's by hand on the same stream (median us \
+         per checkpoint), the publisher's as it timed them in the run above",
         &["thread", "step", "us"],
         &rows,
     );
     println!(
-        "\nthe publisher is busy {:.0} % of a checkpoint interval ({:.0} of {:.0} us: seven \
-         plain cycles and the checkpoint cycle)",
-        100.0 * steps.published_us() / cost.interval_us(),
-        steps.published_us(),
-        cost.interval_us()
+        "\nthe publisher is busy {:.0} % of a checkpoint interval ({:.0} of {:.0} us: the run's \
+         wall-clock time over its checkpoints)",
+        100.0 * cost.publisher_busy_share(),
+        cost.publisher_us.iter().sum::<f64>(),
+        cost.interval_us
     );
-    let [encoded, image, bytes_encoded, bytes_copied, runs] = steps.per_checkpoint;
+    let [encoded, image, bytes_encoded, bytes_copied, runs] = census.per_checkpoint;
     println!(
         "\nsection census over {} checkpoints: {} memory sections, {} non-empty; per checkpoint \
          {encoded:.0} encoded, {bytes_encoded:.0} bytes of a {image:.0}-byte image, the other \
          {bytes_copied:.0} copied in {runs:.0} runs",
-        steps.checkpoints, steps.sections.0, steps.sections.1
+        census.checkpoints, steps.sections.0, steps.sections.1
     );
 
     // ---- checkpoint after-effect -----------------------------------
@@ -532,7 +543,15 @@ fn main() {
         &rows,
     );
 
-    write_json(&out, &sweeps, &chaos, &cost, &steps, &after, &images);
+    write_json(
+        &out,
+        &sweeps,
+        &chaos,
+        &cost,
+        (&steps, &census),
+        &after,
+        &images,
+    );
     if cost.ratio() > MAX_CHECKPOINT_RATIO {
         eprintln!("FAIL: a checkpoint cycle costs more than {MAX_CHECKPOINT_RATIO} plain cycles");
         std::process::exit(1);
@@ -558,6 +577,7 @@ fn checkpoint_cost(cycles: usize) -> CheckpointCost {
     // not the stream's.
     let loaded = store.stats();
     let (mut plain, mut checkpointed) = (Vec::new(), Vec::new());
+    let run = Instant::now();
     for _ in 0..cycles {
         let batch = driver.next_batch();
         let before = sup.report().checkpoints;
@@ -571,18 +591,26 @@ fn checkpoint_cost(cycles: usize) -> CheckpointCost {
             plain.push(us);
         }
     }
+    let run_us = run.elapsed().as_secs_f64() * 1e6;
     let median = |v: &mut Vec<f64>| {
         v.sort_by(f64::total_cmp);
         v[v.len() / 2]
     };
     let stats = store.stats();
+    let checkpoints = checkpointed.len();
+    let per_checkpoint_us = |ns: u64, before: u64| (ns - before) as f64 / 1e3 / checkpoints as f64;
     CheckpointCost {
         cycles,
-        checkpoints: checkpointed.len(),
+        checkpoints,
         plain_cycle_p50_us: median(&mut plain),
         checkpoint_cycle_p50_us: median(&mut checkpointed),
         publish_waits: stats.publish_waits - loaded.publish_waits,
         publish_wait_us: (stats.publish_wait_ns - loaded.publish_wait_ns) as f64 / 1e3,
+        publisher_us: [
+            per_checkpoint_us(stats.publisher_write_ns, loaded.publisher_write_ns),
+            per_checkpoint_us(stats.publisher_push_ns, loaded.publisher_push_ns),
+        ],
+        interval_us: run_us / checkpoints as f64,
     }
 }
 
@@ -594,13 +622,10 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// Takes the vt stream of [`checkpoint_cost`] through what a checkpoint
-/// does, every eighth cycle, with the pieces a [`Supervisor`] makes it
-/// of — a sequential matcher's changed sections, the working-memory
-/// image, the ordered conflict set's `PSMC` bytes, a draft published
-/// into a [`ReplicationStore`] — timing each; what the store's publisher
-/// then does is waited for and done again here, on a twin of the draft
-/// written from the image before and pushed onto a [`CheckpointChain`]
-/// of the same checkpoints, to be timed as well.
+/// costs the matching thread, every eighth cycle, with the pieces a
+/// [`Supervisor`] makes it of — a sequential matcher's changed sections,
+/// the working-memory image, the ordered conflict set's `PSMC` bytes, a
+/// draft published into a [`ReplicationStore`] — timing each.
 fn checkpoint_steps(cycles: usize) -> CheckpointSteps {
     let workload = GeneratedWorkload::generate(Preset::Vt.spec()).expect("workload generates");
     let mut driver = WorkloadDriver::new(workload, 0x5EED);
@@ -622,62 +647,41 @@ fn checkpoint_steps(cycles: usize) -> CheckpointSteps {
         conflict.extend(hashed);
     }
     // The working memory's last image and the slots retracted since, as
-    // a supervisor keeps them, and the matcher's image update.
+    // a supervisor keeps them, and the matcher's image update, which
+    // each publish hands back once the draft before is written.
     let (mut image, mut retracted) = (None::<WmImage>, Vec::new());
-    let mut update = ImageUpdate::default();
-    // A checkpoint's drafts — one for the store, its twin for the chain
-    // here — and the matching thread's steps.
-    let mut checkpoint = |cycle,
-                          matcher: &ReteMatcher,
-                          update: &mut ImageUpdate,
-                          wm: &WorkingMemory,
-                          retracted: &mut Vec<WmeId>,
-                          conflict: &BTreeSet<_>| {
-        let ((), changes_us) = timed(|| matcher.encode_changes(update));
-        let (next, wm_us) = timed(|| wm.image_since(image.as_ref(), retracted));
+    let mut update = Some(ImageUpdate::default());
+    let store = ReplicationStore::new(ReplicationConfig::default());
+    let mut steps: [Vec<f64>; 6] = Default::default();
+    let mut matching_us = 0.0;
+    for cycle in 0..=cycles as u64 {
+        if cycle > 0 {
+            let batch = driver.next_batch();
+            let (delta, match_us) = timed(|| matcher.process(driver.working_memory(), &batch));
+            matching_us += match_us;
+            fold(&mut conflict, delta);
+            driver.commit_batch(&batch);
+            retracted.extend(batch.iter().filter_map(|change| match change {
+                Change::Remove(id) => Some(*id),
+                Change::Add(_) => None,
+            }));
+            if cycle % 8 != 0 {
+                continue;
+            }
+        }
+        let mut rete = update.take().unwrap_or_default();
+        let ((), changes_us) = timed(|| matcher.encode_changes(&mut rete));
+        let wm = driver.working_memory();
+        let (next, wm_us) = timed(|| wm.image_since(image.as_ref(), &mut retracted));
         let wm = Arc::clone(next.bytes());
         image = Some(next);
-        let (conflict, conflict_us) = timed(|| Checkpoint::encode_conflict(conflict));
-        let twin = Draft::new(cycle, Arc::clone(&wm), update.clone(), conflict.clone());
-        let rete = std::mem::take(update);
-        let (draft, draft_us) = timed(|| Draft::new(cycle, wm, rete, conflict));
-        (draft, twin, [changes_us, wm_us, conflict_us, draft_us])
-    };
-    let wm = driver.working_memory();
-    let (genesis, twin, _) = checkpoint(0, &matcher, &mut update, wm, &mut retracted, &conflict);
-    let store = ReplicationStore::new(ReplicationConfig::default());
-    store.publish_draft(twin);
-    let (mut last, spare) = genesis.write(None);
-    update = spare.expect("an update to reuse");
-    let mut chain = CheckpointChain::anchored(&last, ReplicationConfig::default().anchor_every);
-
-    let mut steps: [Vec<f64>; 9] = Default::default();
-    let mut census = [0.0; 5];
-    let mut matching_us = 0.0;
-    for cycle in 1..=cycles as u64 {
-        let batch = driver.next_batch();
-        let (delta, match_us) = timed(|| matcher.process(driver.working_memory(), &batch));
-        matching_us += match_us;
-        fold(&mut conflict, delta);
-        driver.commit_batch(&batch);
-        retracted.extend(batch.iter().filter_map(|change| match change {
-            Change::Remove(id) => Some(*id),
-            Change::Add(_) => None,
-        }));
-        if cycle % 8 != 0 {
-            continue;
-        }
-        let wm = driver.working_memory();
-        let (draft, twin, [changes_us, wm_us, conflict_us, draft_us]) =
-            checkpoint(cycle, &matcher, &mut update, wm, &mut retracted, &conflict);
-        let (_, publish_us) = timed(|| store.publish_draft(twin));
+        let (list, conflict_us) = timed(|| Checkpoint::encode_conflict(&conflict));
+        let (draft, draft_us) = timed(|| Draft::new(cycle, wm, rete, list));
+        let ((_, spare), publish_us) = timed(|| store.publish_draft(draft));
+        update = spare;
         // The publisher has the other core to itself meanwhile, as it
         // has under a supervisor matching the next batch.
         store.stats();
-        let ((mut next, spare), write_us) = timed(|| draft.write(Some(&mut last)));
-        update = spare.expect("an update to reuse");
-        let (_, crc_us) = timed(|| crc32(next.bytes()));
-        let (artifact, push_us) = timed(|| chain.push_image(&mut next));
         let times = [
             matching_us,
             changes_us,
@@ -685,19 +689,51 @@ fn checkpoint_steps(cycles: usize) -> CheckpointSteps {
             conflict_us,
             draft_us,
             publish_us,
-            write_us,
-            push_us,
-            crc_us,
         ];
         matching_us = 0.0;
-        let rete = next.checkpoint().rete;
-        last = next;
-        if artifact.is_full() {
+        if cycle > 0 {
+            for (step, us) in steps.iter_mut().zip(times) {
+                step.push(us);
+            }
+        }
+    }
+    CheckpointSteps {
+        checkpoints: steps[0].len(),
+        step_us: steps.map(|mut us| {
+            us.sort_by(f64::total_cmp);
+            us[us.len() / 2]
+        }),
+        sections: matcher.memory_sections(),
+    }
+}
+
+/// Runs the vt stream of [`checkpoint_cost`] through a supervisor with
+/// no store, which writes each checkpoint's image itself, timing no
+/// cycle: after each checkpoint of the stream, how its matcher image was
+/// written — sections encoded, bytes and runs copied — and how long a
+/// CRC-32 of its `PSMC` image takes.
+fn section_census(cycles: usize) -> SectionCensus {
+    let workload = GeneratedWorkload::generate(Preset::Vt.spec()).expect("workload generates");
+    let config = SupervisorConfig {
+        threads: 1,
+        ..SupervisorConfig::default()
+    };
+    let mut sup = Supervisor::new(&workload.program, config).expect("program compiles");
+    let mut driver = WorkloadDriver::new(workload, 0x5EED);
+    driver.init(&mut sup);
+    let (mut census, mut crc_us) = ([0.0; 5], Vec::new());
+    for _ in 0..cycles {
+        let batch = driver.next_batch();
+        let before = sup.report().checkpoints;
+        sup.process(driver.working_memory(), &batch);
+        driver.commit_batch(&batch);
+        if sup.report().checkpoints == before {
             continue;
         }
-        for (step, us) in steps.iter_mut().zip(times) {
-            step.push(us);
-        }
+        let cp = sup.last_checkpoint();
+        let image = cp.to_bytes();
+        crc_us.push(timed(|| crc32(&image)).1);
+        let rete = &cp.rete;
         let copied: usize = rete.unchanged().iter().map(|&(_, _, len)| len).sum();
         let counts = [
             rete.encoded_sections(),
@@ -710,15 +746,12 @@ fn checkpoint_steps(cycles: usize) -> CheckpointSteps {
             *sum += n as f64;
         }
     }
-    let checkpoints = steps[0].len();
-    CheckpointSteps {
+    let checkpoints = crc_us.len();
+    crc_us.sort_by(f64::total_cmp);
+    SectionCensus {
         checkpoints,
-        step_us: steps.map(|mut us| {
-            us.sort_by(f64::total_cmp);
-            us[us.len() / 2]
-        }),
-        sections: matcher.memory_sections(),
         per_checkpoint: census.map(|sum| sum / checkpoints as f64),
+        crc_us: crc_us[checkpoints / 2],
     }
 }
 
@@ -944,12 +977,21 @@ fn sim_json(r: &SimResult) -> String {
     )
 }
 
+/// Appends `"name":value` pairs, comma-separated.
+fn push_fields<'a>(j: &mut String, fields: impl IntoIterator<Item = (&'a str, f64)>) {
+    for (i, (name, value)) in fields.into_iter().enumerate() {
+        j.push_str(if i > 0 { "," } else { "" });
+        push_escaped(j, name);
+        j.push_str(&format!(":{}", number(value)));
+    }
+}
+
 fn write_json(
     out: &str,
     sweeps: &[KillSweep],
     chaos: &[ChaosRun],
     cost: &CheckpointCost,
-    steps: &CheckpointSteps,
+    (steps, census): (&CheckpointSteps, &SectionCensus),
     after: &AfterEffect,
     images: &[(&'static str, [usize; 6])],
 ) {
@@ -1008,7 +1050,7 @@ fn write_json(
         "],\"checkpoint_cost\":{{\"preset\":\"vt\",\"cycles\":{},\"checkpoints\":{},\
          \"plain_cycle_p50_us\":{},\"checkpoint_cycle_p50_us\":{},\"ratio\":{},\
          \"max_ratio\":{},\"publish_waits\":{},\"publish_wait_us\":{},\
-         \"publisher_busy_share\":{},\"delta_checkpoints\":{},\"step_p50_us\":{{",
+         \"publisher_busy_share\":{},\"checkpoint_interval_us\":{},\"publisher_mean_us\":{{",
         cost.cycles,
         cost.checkpoints,
         number(cost.plain_cycle_p50_us),
@@ -1017,28 +1059,23 @@ fn write_json(
         number(MAX_CHECKPOINT_RATIO),
         cost.publish_waits,
         number(cost.publish_wait_us),
-        number(steps.published_us() / cost.interval_us()),
-        steps.checkpoints
+        number(cost.publisher_busy_share()),
+        number(cost.interval_us)
     ));
-    for (t, thread) in [MATCHING, PUBLISHER].into_iter().enumerate() {
-        j.push_str(if t > 0 { "}," } else { "" });
-        push_escaped(&mut j, thread);
-        j.push_str(":{");
-        let on_thread = STEPS
-            .iter()
-            .zip(steps.step_us)
-            .filter(|(s, _)| s.0 == thread);
-        for (i, ((_, step), us)) in on_thread.enumerate() {
-            j.push_str(if i > 0 { "," } else { "" });
-            push_escaped(&mut j, step.trim());
-            j.push_str(&format!(":{}", number(us)));
-        }
-    }
+    push_fields(&mut j, PUBLISHER_STEPS.into_iter().zip(cost.publisher_us));
+    j.push_str("},\"matching_step_p50_us\":{");
+    push_fields(&mut j, MATCHING_STEPS.into_iter().zip(steps.step_us));
+    j.push_str("},");
     j.push_str(&format!(
-        "}}}},\"sections\":{{\"memories\":{},\"non_empty\":{}",
-        steps.sections.0, steps.sections.1
+        "\"matching_step_checkpoints\":{},\"crc32_image_p50_us\":{},\
+         \"sections\":{{\"checkpoints\":{},\"memories\":{},\"non_empty\":{}",
+        steps.checkpoints,
+        number(census.crc_us),
+        census.checkpoints,
+        steps.sections.0,
+        steps.sections.1
     ));
-    for (name, mean) in CENSUS.iter().zip(steps.per_checkpoint) {
+    for (name, mean) in CENSUS.iter().zip(census.per_checkpoint) {
         j.push_str(&format!(",\"{name}_mean\":{}", number(mean)));
     }
     j.push_str(&format!(

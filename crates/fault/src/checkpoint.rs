@@ -24,7 +24,10 @@
 //! written ([`CheckpointImage`]). That runs on the replication store's
 //! publisher when a store is attached. The image written is the one copy
 //! of the checkpoint: [`CheckpointImage::checkpoint`] is a view of it,
-//! made for the readers that ask.
+//! made for the readers that ask. Drafts are all a store is handed; a
+//! decoded [`Checkpoint`] joins a chain pushed by hand through
+//! [`Checkpoint::to_bytes`], the reference writer whose bytes every
+//! written image equals.
 //!
 //! Serialized under magic `PSMC`, version 1.
 
@@ -172,16 +175,6 @@ impl Checkpoint {
     }
 }
 
-/// What a draft's matcher image is written from.
-#[derive(Debug)]
-enum DraftRete {
-    /// The sections that changed since the matcher's last update, to be
-    /// laid between the unchanged ones of the image written from it.
-    Changes(ImageUpdate),
-    /// An image as it is, of a checkpoint handed over whole.
-    Whole(ReteSnapshot),
-}
-
 /// A checkpoint on its way to being written: its working-memory image
 /// and conflict list, its matcher image as the sections that changed,
 /// and the buffers its `PSMC` image and `PSMD` artifact are to be written
@@ -191,7 +184,7 @@ enum DraftRete {
 pub struct Draft {
     cycle: u64,
     wm: Arc<Vec<u8>>,
-    rete: DraftRete,
+    rete: ImageUpdate,
     conflict: Vec<u8>,
     bytes: Serialised,
 }
@@ -205,20 +198,9 @@ impl Draft {
         Draft {
             cycle,
             wm,
-            rete: DraftRete::Changes(rete),
+            rete,
             conflict,
             bytes: Serialised::reserve(len),
-        }
-    }
-
-    /// `cp`, to be written as it is.
-    pub fn of(cp: &Checkpoint) -> Draft {
-        Draft {
-            cycle: cp.cycle,
-            wm: Arc::clone(&cp.wm),
-            rete: DraftRete::Whole(cp.rete.clone()),
-            conflict: cp.conflict.clone(),
-            bytes: Serialised::reserve(cp.encoded_len()),
         }
     }
 
@@ -238,14 +220,11 @@ impl Draft {
     /// When the draft lists some of its matcher's sections only and
     /// `last` is not the image written from that matcher's previous
     /// update.
-    pub fn write(
-        self,
-        last: Option<&mut CheckpointImage>,
-    ) -> (CheckpointImage, Option<ImageUpdate>) {
+    pub fn write(self, last: Option<&mut CheckpointImage>) -> (CheckpointImage, ImageUpdate) {
         let Draft {
             cycle,
             wm,
-            rete,
+            mut rete,
             conflict,
             bytes: Serialised { mut image, delta },
         } = self;
@@ -257,10 +236,7 @@ impl Draft {
         w.u64(cycle);
         w.usize(wm.len());
         w.bytes(&wm);
-        w.usize(match &rete {
-            DraftRete::Changes(update) => update.image_len(),
-            DraftRete::Whole(snapshot) => snapshot.len(),
-        });
+        w.usize(rete.image_len());
         let rete_at = w.len();
         let mut out = w.finish();
         let (base, mut table, from) = match last {
@@ -274,18 +250,7 @@ impl Draft {
             }
             None => (&[][..], SectionTable::default(), Weak::new()),
         };
-        let (written, spare) = match rete {
-            DraftRete::Changes(mut update) => {
-                let written = update.assemble(base, &mut table, &mut out);
-                (written, Some(update))
-            }
-            DraftRete::Whole(snapshot) => {
-                out.extend_from_slice(snapshot.as_bytes());
-                (Assembly::of(&snapshot), None)
-            }
-        };
-        // Runs are copied out of `last` only by an update.
-        let from = if spare.is_some() { from } else { Weak::new() };
+        let written = rete.assemble(base, &mut table, &mut out);
         out.extend_from_slice(&conflict);
         debug_assert_eq!(out.len(), out.capacity(), "sized before it was written");
         *Arc::get_mut(&mut image).expect("still the draft's own") = out;
@@ -299,7 +264,7 @@ impl Draft {
             from,
             delta,
         };
-        (written, spare)
+        (written, rete)
     }
 }
 
@@ -327,6 +292,22 @@ pub struct CheckpointImage {
 }
 
 impl CheckpointImage {
+    /// `cp` written by [`Checkpoint::to_bytes`], with the runs its
+    /// matcher image says it copied as the hints of a diff against the
+    /// image before: how a decoded checkpoint joins a chain.
+    pub(crate) fn of(cp: &Checkpoint) -> CheckpointImage {
+        CheckpointImage {
+            cycle: cp.cycle,
+            image: Arc::new(cp.to_bytes()),
+            wm: Arc::clone(&cp.wm),
+            rete_at: cp.rete_at(),
+            rete: Assembly::of(&cp.rete),
+            table: SectionTable::default(),
+            from: Weak::new(),
+            delta: Vec::new(),
+        }
+    }
+
     /// The cycles the checkpoint covers.
     pub(crate) fn cycle(&self) -> u64 {
         self.cycle

@@ -53,7 +53,7 @@ use std::sync::Arc;
 
 use ops5::{ByteReader, ByteWriter, CodecError, FxHashMap};
 
-use crate::checkpoint::{Checkpoint, CheckpointImage, Draft};
+use crate::checkpoint::{Checkpoint, CheckpointImage};
 use crate::segment::crc32;
 
 const MAGIC: [u8; 4] = *b"PSMD";
@@ -488,10 +488,6 @@ impl Image {
         }
     }
 
-    fn of(cp: &Checkpoint) -> Image {
-        Image::new(&Draft::of(cp).write(None).0)
-    }
-
     /// `unchanged` — what this image's `PSMR` part was written copying
     /// out of the image before it, which is `old` when the image was
     /// written from the chain's tip — as offsets into the two `PSMC`
@@ -554,8 +550,9 @@ fn write_delta<'a>(
 impl DeltaCheckpoint {
     /// Diffs `next` against `prev` (both as full checkpoints).
     pub fn encode(prev: &Checkpoint, next: &Checkpoint) -> DeltaCheckpoint {
-        let (old, new) = (Image::of(prev), Image::of(next));
-        let unchanged: Vec<_> = new.hints(&old, next.rete.unchanged()).collect();
+        let written = CheckpointImage::of(next);
+        let (old, new) = (Image::new(&CheckpointImage::of(prev)), Image::new(&written));
+        let unchanged: Vec<_> = new.hints(&old, written.unchanged()).collect();
         DeltaCheckpoint {
             cycle: new.cycle,
             parent: old.cycle,
@@ -650,6 +647,29 @@ impl DeltaCheckpoint {
     }
 }
 
+/// Replays a chain on serialised images: the `PSMD` artifacts `deltas`,
+/// in order, onto the `PSMC` image `anchor` of checkpoint `cycle`, each
+/// with its parent cycle and both CRCs checked, and decodes the last
+/// image once.
+///
+/// # Errors
+///
+/// Any [`CodecError`] from a corrupt artifact, a failed chain link or
+/// the final decode.
+pub(crate) fn replay<'a>(
+    mut cycle: u64,
+    anchor: &[u8],
+    deltas: impl IntoIterator<Item = &'a [u8]>,
+) -> Result<Checkpoint, CodecError> {
+    let mut image = Cow::Borrowed(anchor);
+    for bytes in deltas {
+        let delta = DeltaCheckpoint::from_bytes(bytes)?;
+        image = Cow::Owned(delta.apply_image(cycle, &image)?);
+        cycle = delta.cycle;
+    }
+    Checkpoint::from_bytes(&image)
+}
+
 /// One stored artifact in a chain, as advertised to replicas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainArtifact {
@@ -708,7 +728,7 @@ impl CheckpointChain {
     /// snapshot every `anchor_every` pushes (the pushes in between
     /// store deltas).
     pub fn new(genesis: &Checkpoint, anchor_every: u64) -> Self {
-        Self::anchored(&Draft::of(genesis).write(None).0, anchor_every)
+        Self::anchored(&CheckpointImage::of(genesis), anchor_every)
     }
 
     /// [`CheckpointChain::new`] on an image written already.
@@ -758,7 +778,7 @@ impl CheckpointChain {
     /// When `cp` does not commit more cycles than the tip: a cycle is
     /// an artifact's id, and a chain lists them in order.
     pub fn push(&mut self, cp: &Checkpoint) -> ChainArtifact {
-        self.push_image(&mut Draft::of(cp).write(None).0)
+        self.push_image(&mut CheckpointImage::of(cp))
     }
 
     /// [`CheckpointChain::push`] of an image written already
@@ -851,14 +871,8 @@ impl CheckpointChain {
     ///
     /// Any [`CodecError`] from a corrupt anchor or a failed chain link.
     pub fn restore_tip(&self) -> Result<Checkpoint, CodecError> {
-        let mut cycle = self.anchor.cycle;
-        let mut image = Cow::Borrowed(&self.anchor.bytes[..]);
-        for bytes in &self.deltas {
-            let delta = DeltaCheckpoint::from_bytes(bytes)?;
-            image = Cow::Owned(delta.apply_image(cycle, &image)?);
-            cycle = delta.cycle;
-        }
-        Checkpoint::from_bytes(&image)
+        let deltas = self.deltas.iter().map(|bytes| &bytes[..]);
+        replay(self.anchor.cycle, &self.anchor.bytes, deltas)
     }
 
     /// Cumulative (bytes, count) of full-anchor artifacts stored.

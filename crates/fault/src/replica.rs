@@ -50,7 +50,7 @@ use rete::Network;
 use rete::ImageUpdate;
 
 use crate::checkpoint::{Checkpoint, CheckpointImage, Draft};
-use crate::delta::{CheckpointChain, DeltaCheckpoint};
+use crate::delta::{replay, CheckpointChain};
 use crate::placement;
 use crate::plan::FaultPlan;
 use crate::segment::{SegmentedWal, WalSegment};
@@ -101,6 +101,13 @@ pub struct ReplicationStats {
     /// How long those publishes waited in all — time the publishing
     /// (matching) thread stood still — in nanoseconds.
     pub publish_wait_ns: u64,
+    /// How long the publisher spent writing the `PSMC` images of the
+    /// drafts it was handed, in nanoseconds, summed, timed on its own
+    /// thread.
+    pub publisher_write_ns: u64,
+    /// How long it spent pushing them onto the chain (CRC, diff, `PSMD`)
+    /// and collecting the segments they cover, the same way.
+    pub publisher_push_ns: u64,
 }
 
 /// The shipped WAL and the committed frontier: what
@@ -144,6 +151,10 @@ struct Handoff {
     /// [`ReplicationStats::publish_wait_ns`].
     waits: u64,
     wait_ns: u64,
+    /// [`ReplicationStats::publisher_write_ns`] and
+    /// [`ReplicationStats::publisher_push_ns`].
+    write_ns: u64,
+    push_ns: u64,
     /// The image update of the last draft written, for the publishing
     /// thread to reuse.
     spare: Option<ImageUpdate>,
@@ -235,8 +246,10 @@ impl Shared {
             let died = outcome.is_err();
             let mut handoff = self.handoff();
             handoff.push = match outcome {
-                Ok(spare) => {
-                    handoff.spare = spare;
+                Ok((spare, [write, push])) => {
+                    handoff.spare = Some(spare);
+                    handoff.write_ns += write.as_nanos() as u64;
+                    handoff.push_ns += push.as_nanos() as u64;
                     Push::Idle
                 }
                 Err(payload) => Push::Died(Some(payload)),
@@ -250,33 +263,41 @@ impl Shared {
     }
 
     /// One push: the draft is written out from the image pushed before
-    /// it and joins the chain (anchor or delta per
-    /// [`ReplicationConfig::anchor_every`]), and only then are the
-    /// segments it covers dropped — so the chain a reader finds and the
-    /// segments beside it always reach the committed frontier. Returns
-    /// the draft's image update, to be reused.
-    fn push(&self, Job { draft, core }: Job) -> Option<ImageUpdate> {
+    /// it and appended to the chain. Returns the draft's image update,
+    /// to be reused, and how long the writing and the append took.
+    fn push(&self, Job { draft, core }: Job) -> (ImageUpdate, [Duration; 2]) {
         if let Some(core) = core {
             placement::leave_core(core);
         }
-        let cycle = draft.cycle();
         let mut chained = self.chain();
-        let spare = match &mut *chained {
+        let started = Instant::now();
+        let (written, spare) = draft.write(chained.as_mut().map(|c| &mut c.last));
+        let wrote = started.elapsed();
+        self.append(&mut chained, written);
+        (spare, [wrote, started.elapsed() - wrote])
+    }
+
+    /// Makes `written` the chain's next image — an anchor or a delta per
+    /// [`ReplicationConfig::anchor_every`], the anchor on a store that
+    /// has none — and only then drops the segments it covers, so the
+    /// chain a reader finds and the segments beside it always reach the
+    /// committed frontier.
+    fn append(&self, chained: &mut Option<Chained>, mut written: CheckpointImage) {
+        let cycle = written.cycle();
+        match chained {
             Some(Chained { chain, last }) => {
-                let (mut next, spare) = draft.write(Some(last));
-                chain.push_image(&mut next);
-                *last = next;
-                spare
+                chain.push_image(&mut written);
+                *last = written;
             }
             None => {
-                let (last, spare) = draft.write(None);
-                let chain = CheckpointChain::anchored(&last, self.config.anchor_every);
-                *chained = Some(Chained { chain, last });
-                spare
+                let chain = CheckpointChain::anchored(&written, self.config.anchor_every);
+                *chained = Some(Chained {
+                    chain,
+                    last: written,
+                });
             }
-        };
+        }
         self.log().wal.gc_covered(cycle);
-        spare
     }
 
     /// Draws the segment boundary of a checkpoint covering `cycle` and
@@ -338,6 +359,8 @@ impl ReplicationStore {
                 closing: false,
                 waits: 0,
                 wait_ns: 0,
+                write_ns: 0,
+                push_ns: 0,
                 spare: None,
             }),
             turn: Condvar::new(),
@@ -363,25 +386,18 @@ impl ReplicationStore {
         log.primary_cycle = log.primary_cycle.max(entry.cycle + 1);
     }
 
-    /// Publishes a checkpoint: [`ReplicationStore::publish_draft`] of
-    /// [`Draft::of`]`(cp)`, which the publisher writes out as it is.
-    ///
-    /// # Panics
-    ///
-    /// As [`ReplicationStore::publish_draft`].
-    pub fn publish_checkpoint(&self, cp: Arc<Checkpoint>) -> Duration {
-        self.publish_draft(Draft::of(&cp)).0
-    }
-
-    /// Publishes a drafted checkpoint. On the calling thread, what must
-    /// stay in order with [`ReplicationStore::publish_entry`] — the
-    /// frontier advances and the open WAL segment is sealed — and the
-    /// draft is handed over; the publisher thread writes its `PSMC`
-    /// image into the buffer the draft brought (the matcher's unchanged
-    /// sections copied from the image pushed last, see [`Draft::write`]),
-    /// pushes it onto the chain and collects the segments it covers. The
-    /// draft's buffers were allocated by the calling thread, so they live
-    /// on its heap, where they are freed when the chain retires them.
+    /// Publishes a checkpoint, drafted — the one way a checkpoint reaches
+    /// a store. On the calling thread, what must stay in order with
+    /// [`ReplicationStore::publish_entry`] — the frontier advances and the
+    /// open WAL segment is sealed — and the draft is handed over; the
+    /// publisher thread writes its `PSMC` image into the buffer the draft
+    /// brought (the matcher's unchanged sections copied from the image
+    /// pushed last, see [`Draft::write`]), pushes it onto the chain and
+    /// collects the segments it covers, timing the writing and the push
+    /// ([`ReplicationStats::publisher_write_ns`],
+    /// [`ReplicationStats::publisher_push_ns`]). The draft's buffers were
+    /// allocated by the calling thread, so they live on its heap, where
+    /// they are freed when the chain retires them.
     ///
     /// One checkpoint may be in flight. A publish that finds the one
     /// before it still being pushed waits for it — a bounded lag, not a
@@ -408,25 +424,10 @@ impl ReplicationStore {
     /// store attached — the chain's next image: its anchor on a store
     /// that has none. Written on the calling thread, as a publish that
     /// waited returns. Returns how long it waited.
-    pub(crate) fn publish_image(&self, mut written: CheckpointImage) -> Duration {
+    pub(crate) fn publish_image(&self, written: CheckpointImage) -> Duration {
         let (handoff, waited) = self.shared.seal(written.cycle());
         drop(handoff);
-        let mut chained = self.shared.chain();
-        match &mut *chained {
-            Some(Chained { chain, last }) => {
-                chain.push_image(&mut written);
-                *last = written;
-            }
-            None => {
-                let chain = CheckpointChain::anchored(&written, self.shared.config.anchor_every);
-                *chained = Some(Chained {
-                    chain,
-                    last: written,
-                });
-            }
-        }
-        let cycle = chained.as_ref().expect("just pushed").last.cycle();
-        self.shared.log().wal.gc_covered(cycle);
+        self.shared.append(&mut self.shared.chain(), written);
         waited
     }
 
@@ -480,9 +481,15 @@ impl ReplicationStore {
     /// with it yet. A chain that has stopped growing is never served as
     /// if it had not.
     pub fn stats(&self) -> ReplicationStats {
-        let (publish_waits, publish_wait_ns) = {
+        let handed = {
             let handoff = self.shared.idle();
-            (handoff.waits, handoff.wait_ns)
+            ReplicationStats {
+                publish_waits: handoff.waits,
+                publish_wait_ns: handoff.wait_ns,
+                publisher_write_ns: handoff.write_ns,
+                publisher_push_ns: handoff.push_ns,
+                ..ReplicationStats::default()
+            }
         };
         let chained = self.shared.chain();
         let log = self.shared.log();
@@ -503,8 +510,7 @@ impl ReplicationStore {
             wal_bytes: log.wal.total_bytes(),
             segments_gced: log.wal.gc_dropped(),
             primary_cycle: log.primary_cycle,
-            publish_waits,
-            publish_wait_ns,
+            ..handed
         }
     }
 }
@@ -675,15 +681,17 @@ impl StandbyReplica {
         self.rebases
     }
 
-    /// Fetches the manifest's checkpoint chain and restores it to a
-    /// warm state. Returns `false` when any artifact is missing or
+    /// Fetches the manifest's checkpoint chain, replays it on its images
+    /// as [`CheckpointChain::restore_tip`] does — each delta applied to
+    /// the image before, one decode at the end — and restores the result
+    /// to a warm state. Returns `false` when any artifact is missing or
     /// invalid (the next poll retries).
     fn rebase(&mut self, manifest: &Json) -> bool {
         let rows = manifest
             .get("checkpoints")
             .map(Json::items)
             .unwrap_or_default();
-        let mut cp: Option<Checkpoint> = None;
+        let (mut anchor, mut deltas) = (None, Vec::new());
         for row in rows {
             let Some(id) = row.get("id").and_then(Json::as_u64) else {
                 return false;
@@ -692,20 +700,21 @@ impl StandbyReplica {
                 return false;
             };
             self.bytes_fetched += bytes.len() as u64;
-            let is_full = matches!(row.get("parent"), Some(Json::Null) | None);
-            cp = if is_full {
-                Checkpoint::from_bytes(&bytes).ok()
+            if matches!(row.get("parent"), Some(Json::Null) | None) {
+                anchor = Some((id, bytes));
+                deltas.clear();
+            } else if anchor.is_some() {
+                deltas.push(bytes);
             } else {
-                let Some(parent) = cp else { return false };
-                DeltaCheckpoint::from_bytes(&bytes)
-                    .ok()
-                    .and_then(|d| d.apply(&parent).ok())
-            };
-            if cp.is_none() {
                 return false;
             }
         }
-        let Some(cp) = cp else { return false };
+        let Some((cycle, anchor)) = anchor else {
+            return false;
+        };
+        let Ok(cp) = replay(cycle, &anchor, deltas.iter().map(|bytes| &bytes[..])) else {
+            return false;
+        };
         let Ok(state) = WarmState::restore(self.network.clone(), &cp) else {
             return false;
         };
@@ -1058,13 +1067,24 @@ impl Matcher for FailoverPair {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rete::ReteSnapshot;
+    use rete::ReteMatcher;
 
-    fn checkpoint(cycle: u64, fill: u8) -> Arc<Checkpoint> {
-        Arc::new(Checkpoint {
+    /// A draft of a checkpoint covering `cycle` cycles — a fresh tiny
+    /// matcher's first update, a whole one, and a working-memory blob of
+    /// 4 KiB of `fill` — and the `PSMC` image it is written as.
+    fn draft(cycle: u64, fill: u8) -> (Draft, Vec<u8>) {
+        let program = ops5::parse_program("(p r (a ^x <v>) --> (halt))").unwrap();
+        let matcher = ReteMatcher::compile(&program).unwrap();
+        let mut update = ImageUpdate::default();
+        matcher.encode_changes(&mut update);
+        let cp = Checkpoint {
             cycle,
-            ..Checkpoint::genesis(ReteSnapshot::from_bytes(vec![fill; 4096]))
-        })
+            wm: Arc::new(vec![fill; 4096]),
+            rete: matcher.snapshot(),
+            conflict: Checkpoint::encode_conflict(&[]),
+        };
+        let image = cp.to_bytes();
+        (Draft::new(cycle, cp.wm, update, cp.conflict), image)
     }
 
     /// `checkpoint` — a replica's `GET /replicate/checkpoint/<id>` — holds
@@ -1077,8 +1097,8 @@ mod tests {
             anchor_every: 1,
             ..ReplicationConfig::default()
         });
-        let genesis = checkpoint(0, 7);
-        store.publish_checkpoint(genesis.clone());
+        let (genesis, genesis_image) = draft(0, 7);
+        store.publish_draft(genesis);
         let held = store.shared_checkpoint(0).expect("the anchor");
         assert!(
             store.shared.chain.try_lock().is_ok(),
@@ -1089,16 +1109,16 @@ mod tests {
             cycle: 0,
             changes: Vec::new(),
         });
-        let next = checkpoint(1, 9);
-        store.publish_checkpoint(next.clone());
+        let (next, next_image) = draft(1, 9);
+        store.publish_draft(next);
         assert_eq!(
             store.stats().full_count,
             2,
             "the second one is an anchor too"
         );
         assert_eq!(store.checkpoint(0), None, "re-anchored and pruned");
-        assert_eq!(*held, genesis.to_bytes());
-        assert_eq!(store.checkpoint(1), Some(next.to_bytes()));
+        assert_eq!(*held, genesis_image);
+        assert_eq!(store.checkpoint(1), Some(next_image));
     }
 
     /// A push that panics — here the chain refusing a checkpoint that is
@@ -1114,12 +1134,12 @@ mod tests {
         };
         for read in [false, true] {
             let store = ReplicationStore::new(ReplicationConfig::default());
-            store.publish_checkpoint(checkpoint(8, 1));
+            store.publish_draft(draft(8, 1).0);
             assert_eq!(store.stats().full_count, 1);
-            store.publish_checkpoint(checkpoint(8, 2));
+            store.publish_draft(draft(8, 2).0);
             let next = catch_unwind(AssertUnwindSafe(|| match read {
                 true => drop(store.manifest()),
-                false => drop(store.publish_checkpoint(checkpoint(16, 3))),
+                false => drop(store.publish_draft(draft(16, 3).0)),
             }));
             assert_eq!(
                 message(next.expect_err("the push's panic resurfaces")),
@@ -1129,7 +1149,7 @@ mod tests {
             let stats = catch_unwind(AssertUnwindSafe(|| store.stats()));
             let later = message(stats.expect_err("and the store stays failed"));
             assert!(later.contains("publisher died"), "{later}");
-            let publish = || store.publish_checkpoint(checkpoint(24, 4));
+            let publish = || store.publish_draft(draft(24, 4).0);
             assert!(catch_unwind(AssertUnwindSafe(publish)).is_err());
             drop(store);
         }
@@ -1137,17 +1157,18 @@ mod tests {
 
     /// Back-pressure is counted: a publish that finds the checkpoint
     /// before it in flight waits for it, and the store says how often
-    /// and for how long. The chain's lock stands in for a slow push.
+    /// and for how long — and how long its publisher wrote and pushed.
+    /// The chain's lock stands in for a slow push.
     #[test]
     fn a_publish_behind_one_in_flight_waits_and_is_counted() {
         let store = ReplicationStore::new(ReplicationConfig::default());
-        assert_eq!(store.publish_checkpoint(checkpoint(0, 1)), Duration::ZERO);
+        assert_eq!(store.publish_draft(draft(0, 1).0).0, Duration::ZERO);
         assert_eq!(store.stats().publish_waits, 0);
 
         let chain = store.shared.chain();
-        store.publish_checkpoint(checkpoint(8, 2));
+        store.publish_draft(draft(8, 2).0);
         thread::scope(|scope| {
-            let third = scope.spawn(|| store.publish_checkpoint(checkpoint(16, 3)));
+            let third = scope.spawn(|| store.publish_draft(draft(16, 3).0).0);
             // The second checkpoint cannot be pushed while this thread
             // holds the chain, so the third is waiting — or about to —
             // whenever the lock is let go.
@@ -1159,6 +1180,7 @@ mod tests {
             assert_eq!(stats.publish_wait_ns, waited.as_nanos() as u64);
             assert!(waited > Duration::ZERO);
             assert_eq!((stats.full_count, stats.delta_count), (1, 2));
+            assert!(stats.publisher_write_ns > 0 && stats.publisher_push_ns > 0);
         });
     }
 }

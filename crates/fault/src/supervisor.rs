@@ -70,7 +70,9 @@
 //! the store's publisher, or here when no store is attached — and that
 //! image is the one copy of the last checkpoint: the supervisor keeps no
 //! decoded one, and [`Supervisor::last_checkpoint`] is a view of the
-//! image, made when a reader asks.
+//! image, made when a reader asks. The matcher tracks its changed
+//! sections for the checkpoints alone: [`Supervisor::committed_snapshot`]
+//! encodes it from nothing and changes nothing the next checkpoint reads.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -458,7 +460,7 @@ impl Supervisor {
             next_id: 0,
             last: Some(last),
             checkpoint: OnceLock::new(),
-            spare,
+            spare: Some(spare),
             publish_wait: Duration::ZERO,
             wal: Wal::new(),
             cycle: 0,
@@ -799,7 +801,7 @@ impl Supervisor {
             None => {
                 let (last, spare) = draft.write(self.last.as_mut());
                 self.last = Some(last);
-                self.spare = spare;
+                self.spare = Some(spare);
             }
         }
     }

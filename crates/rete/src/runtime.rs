@@ -7,7 +7,6 @@
 //! schedules onto processors, and it gives the trace builder natural
 //! parent/child dependency edges.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -20,7 +19,7 @@ use crate::kernel::{self, ActivationKind, FlightStage, Sign, Work};
 use crate::memory::{alpha_memories, beta_memories, negative_memories, Memory, NegEntry};
 use crate::network::{CompileOptions, Network, NodeId, NodeKind, NodeSpec};
 use crate::profile::MatchProfile;
-use crate::snapshot::{LastImage, Marks};
+use crate::snapshot::Marks;
 use crate::stats::MatchStats;
 use crate::token::Token;
 use crate::trace::{Trace, TraceBuilder};
@@ -159,12 +158,8 @@ pub struct ReteMatcher {
     /// `stats.phantom_removes` already published to the attached obs
     /// counter, so each flush adds only the delta.
     phantom_published: u64,
-    /// What [`ReteMatcher::snapshot`] returned last; the next one copies
-    /// its unchanged sections from it. None until a snapshot is taken:
-    /// [`ReteMatcher::encode_changes`] keeps no image.
-    pub(crate) last_image: RefCell<Option<LastImage>>,
-    /// The memories changed since each taker's last image, and each
-    /// section's encoded length.
+    /// The memories changed since [`ReteMatcher::encode_changes`] last
+    /// ran, and each section's encoded length.
     pub(crate) marks: Marks,
 }
 
@@ -315,7 +310,6 @@ impl ReteMatcher {
             sanitizer: None,
             phantom_published: 0,
             scratch: Scratch::default(),
-            last_image: RefCell::new(None),
             marks: Marks::default(),
         }
     }

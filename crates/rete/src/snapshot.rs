@@ -19,12 +19,12 @@
 //! byte-for-byte against the snapshot of a matcher that lived through
 //! the same changes.
 //!
-//! An image costs what changed since the one before it (the same §3.1
-//! argument once more). It is a header with the work counters, then one
-//! section per alpha memory and per node, and every site of the matcher
-//! that files, unfiles or recounts a memory lists its section the first
-//! time it changes after an image (`Marks`). An image is made in two
-//! halves:
+//! A checkpoint's image costs what changed since the one before it (the
+//! same §3.1 argument once more). An image is a header with the work
+//! counters, then one section per alpha memory and per node, and every
+//! site of the matcher that files, unfiles or recounts a memory lists its
+//! section the first time it changes after an update (`Marks`). A
+//! checkpoint's image is made in two halves:
 //!
 //! 1. [`ReteMatcher::encode_changes`], on the matcher's thread, encodes
 //!    the header and the listed sections alone, in image order, into an
@@ -38,14 +38,11 @@
 //!    sections copied from the image before, each run in one piece, and
 //!    re-bases the table.
 //!
-//! The bytes are those of an encode from nothing — which is the same
-//! code with every section listed, into a buffer sized from the
-//! memories beforehand — so nothing that reads an image can tell.
-//! [`ReteMatcher::snapshot`] is both halves at once, against the image
-//! it returned last. Each of the two takers of images —
-//! [`ReteMatcher::snapshot`] and whoever calls
-//! [`ReteMatcher::encode_changes`] — is told every section that changed
-//! since its own last image, whichever of them took one in between.
+//! The bytes are those of an encode from nothing, which is what
+//! [`ReteMatcher::snapshot`] is: every section, into a buffer sized from
+//! the memories beforehand, with nothing read or changed of what
+//! [`ReteMatcher::encode_changes`] keeps — so nothing that reads an image
+//! can tell, and a reader's snapshot leaves the next update as it was.
 //!
 //! A section is written at memory speed: its entries in one sized write,
 //! its links in another, and each slot's heads straight from the slot's
@@ -84,9 +81,8 @@ const HEAD: usize = 8 + 8 + 8 + 1 + 8 * 14;
 /// equal when their bytes are.
 #[derive(Debug, Clone)]
 pub struct ReteSnapshot {
-    /// Shared, not copied, with whoever else holds the image: the
-    /// matcher that took it, which copies the next image's unchanged
-    /// sections out of it, or the checkpoint image it is a part of.
+    /// Shared, not copied, with the checkpoint image it is a part of
+    /// ([`ReteSnapshot::within`]).
     bytes: Arc<Vec<u8>>,
     /// The image is `bytes[at..at + len]`.
     at: usize,
@@ -135,12 +131,13 @@ impl ReteSnapshot {
         }
     }
 
-    /// The ranges this image shares with the one its matcher returned
-    /// before it, as `(offset there, offset here, length)` in image
-    /// order: the runs of sections that were copied, not encoded. Empty
-    /// for a matcher's first snapshot and for wrapped bytes. A hint for
-    /// whoever diffs the two images, and only that — no part of the
-    /// image, and true of no other pair.
+    /// The ranges this image shares with the image its assembly copied
+    /// from ([`ReteSnapshot::within`]), as `(offset there, offset here,
+    /// length)` in image order: the runs of sections that were copied,
+    /// not encoded. Empty for [`ReteMatcher::snapshot`], which copies
+    /// nothing, and for wrapped bytes. A hint for whoever diffs the two
+    /// images, and only that — no part of the image, and true of no
+    /// other pair.
     pub fn unchanged(&self) -> &[(usize, usize, usize)] {
         &self.unchanged
     }
@@ -234,7 +231,6 @@ pub struct ImageUpdate {
     /// image before it.
     whole: bool,
     encoded: usize,
-    parts: ImageParts,
     /// Room for the runs an assembly copies, one more than the sections
     /// listed, made by the thread that encodes: an assembly allocates
     /// nothing.
@@ -250,8 +246,8 @@ impl ImageUpdate {
     /// Appends the image to `out`: the header, then the listed sections
     /// in image order and between them the runs of unchanged ones, each
     /// copied from `base` in one piece. `base` is the image `table` is
-    /// the table of — the one made by this matcher's previous update for
-    /// the same taker — and is not read for a whole update. `table` is
+    /// the table of — the one made by this matcher's previous update —
+    /// and is not read for a whole update. `table` is
     /// re-based onto the new image. Returns how it was written, the
     /// copied runs as offsets into `base` and into the new image (which
     /// starts where `out` ended).
@@ -483,45 +479,26 @@ fn decode_negative(r: &mut ByteReader<'_>) -> Result<NegEntry, CodecError> {
     })
 }
 
-/// The image [`ReteMatcher::snapshot`] returned last, with its table.
-#[derive(Debug)]
-pub(crate) struct LastImage {
-    bytes: Arc<Vec<u8>>,
-    table: SectionTable,
-}
-
-/// Who an image is taken for; each is told the sections that changed
-/// since its own last image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Taker {
-    /// [`ReteMatcher::snapshot`], which keeps its last image itself.
-    Snapshot,
-    /// [`ReteMatcher::encode_changes`], whose caller keeps it.
-    Changes,
-}
-
-/// Which sections changed since each taker's last image, and how long
-/// each section is.
+/// Which sections changed since [`ReteMatcher::encode_changes`] last
+/// ran, and how long each section is.
 ///
-/// Every image opens a new epoch. A matcher site that files, unfiles or
+/// Every update opens a new epoch. A matcher site that files, unfiles or
 /// recounts a memory marks it ([`Marks::mark`]): the first mark in an
 /// epoch stamps the memory with the epoch and lists its section, so the
 /// list holds each changed section once and grows with what changed,
-/// not with what is resident. An image takes the list
-/// ([`Marks::drain`]), hands a copy to the other taker if that one has
-/// an image to build on, and opens the next epoch. The epoch is 64 bits
+/// not with what is resident. An update takes the list
+/// ([`Marks::drain`]) and opens the next epoch. The epoch is 64 bits
 /// wide so that it never comes round to a memory's stale stamp.
 #[derive(Debug, Default)]
 pub(crate) struct Marks {
     epoch: Cell<u64>,
     touched: RefCell<Vec<u32>>,
-    /// Per [`Taker`]: the sections changed since its last image that the
-    /// other's images took off `touched`, or `None` while it has no
-    /// image to build on — its next image then lists every section.
-    carried: [RefCell<Option<Vec<u32>>>; 2],
-    /// Each section's length when it was last encoded, for either taker,
-    /// and their sum. A section no image lists has not changed since, so
-    /// its bytes in either taker's last image are that long.
+    /// Whether an update was taken: until one is, the next lists every
+    /// section.
+    taken: Cell<bool>,
+    /// Each section's length when an update last encoded it, and their
+    /// sum. A section no update lists has not changed since, so its
+    /// bytes in the last update's image are that long.
     lens: RefCell<Vec<u32>>,
     body: Cell<usize>,
 }
@@ -537,145 +514,70 @@ impl Marks {
         }
     }
 
-    /// Hands `image` the sections marked since `taker`'s last image, in
-    /// image order — `None` when it has none to build on, and every one
-    /// of the `sections` is to be written — then opens a new epoch with
-    /// none marked.
-    fn drain<R>(
-        &self,
-        taker: Taker,
-        sections: usize,
-        image: impl FnOnce(Option<&[u32]>) -> R,
-    ) -> R {
+    /// Hands `image` the sections marked since the last update, in image
+    /// order — `None` for the first update, which writes every section —
+    /// then opens a new epoch with none marked.
+    fn drain<R>(&self, image: impl FnOnce(Option<&[u32]>) -> R) -> R {
         let mut touched = self.touched.borrow_mut();
-        let [mine, other] = match taker {
-            Taker::Snapshot => [&self.carried[0], &self.carried[1]],
-            Taker::Changes => [&self.carried[1], &self.carried[0]],
-        };
-        if let Some(carried) = other.borrow_mut().as_mut() {
-            carried.extend_from_slice(&touched);
-            if carried.len() > sections {
-                carried.sort_unstable();
-                carried.dedup();
-            }
-        }
-        let mut mine = mine.borrow_mut();
-        let out = match mine.as_mut() {
-            Some(listed) => {
-                listed.append(&mut touched);
-                listed.sort_unstable();
-                listed.dedup();
-                let out = image(Some(listed));
-                listed.clear();
-                out
-            }
-            None => {
-                touched.clear();
-                *mine = Some(Vec::new());
-                image(None)
-            }
-        };
+        touched.sort_unstable();
+        debug_assert!(touched.windows(2).all(|w| w[0] < w[1]), "listed once");
+        let out = image(self.taken.replace(true).then_some(&touched[..]));
+        touched.clear();
         self.epoch.set(self.epoch.get() + 1);
         out
-    }
-
-    /// Forgets `taker`'s last image: its next one lists every section.
-    fn forget(&self, taker: Taker) {
-        let i = match taker {
-            Taker::Snapshot => 0,
-            Taker::Changes => 1,
-        };
-        self.carried[i].replace(None);
     }
 }
 
 impl ReteMatcher {
-    /// Serializes all dynamic matcher state into a versioned snapshot,
-    /// at the cost of the memories that changed since the last one (see
-    /// the module docs; [`ReteSnapshot::unchanged`] says what was
-    /// reused).
+    /// Serializes all dynamic matcher state into a versioned snapshot:
+    /// every section encoded from nothing into a buffer sized first (see
+    /// the module docs). It reads and changes nothing that
+    /// [`ReteMatcher::encode_changes`] keeps.
     ///
     /// The compiled network is *not* included — it is static and cheap
     /// to recompile — so [`ReteMatcher::restore`] needs the same
     /// [`Network`] the snapshot was taken against.
     pub fn snapshot(&self) -> ReteSnapshot {
-        self.image().0
+        self.snapshot_parts().0
     }
 
-    /// [`ReteMatcher::snapshot`] encoded from nothing — the same bytes,
-    /// none of them copied — with where they went.
+    /// [`ReteMatcher::snapshot`], with where its bytes went.
     pub fn snapshot_parts(&self) -> (ReteSnapshot, ImageParts) {
-        // With no image kept every section is encoded.
-        self.last_image.take();
-        self.marks.forget(Taker::Snapshot);
-        self.image()
-    }
-
-    /// The first half of an image (see the module docs): the header and
-    /// the sections that changed since the last call — every section on
-    /// the first — encoded into `update`, whose buffers are reused.
-    /// [`ImageUpdate::assemble`] makes the image of it, given the image
-    /// the last call's update made and its table.
-    pub fn encode_changes(&self, update: &mut ImageUpdate) {
-        self.encode(Taker::Changes, update);
-    }
-
-    /// [`ReteMatcher::snapshot`]: both halves against the image it
-    /// returned last, or the update alone when it lists every section —
-    /// its buffer then sized beforehand, as the image — and where the
-    /// bytes of its encoded sections went.
-    fn image(&self) -> (ReteSnapshot, ImageParts) {
-        let mut update = ImageUpdate::default();
-        self.encode(Taker::Snapshot, &mut update);
-        let mut last = self.last_image.borrow_mut();
-        let (bytes, written, table) = match last.take() {
-            Some(LastImage { bytes, mut table }) if !update.whole => {
-                let mut out = Vec::with_capacity(update.len);
-                let written = update.assemble(&bytes, &mut table, &mut out);
-                (out, written, table)
-            }
-            last => {
-                debug_assert!(update.whole, "with no image kept all are listed");
-                let mut table = last.map_or_else(SectionTable::default, |last| last.table);
-                table.fill(&update.listed);
-                let written = Assembly {
-                    len: update.len,
-                    unchanged: Vec::new(),
-                    encoded: update.encoded,
-                };
-                (std::mem::take(&mut update.bytes), written, table)
-            }
-        };
-        let bytes = Arc::new(bytes);
-        let copied: usize = written.unchanged.iter().map(|&(_, _, len)| len).sum();
-        let mut parts = update.parts;
-        parts.rest = written.len - copied - parts.entries - parts.links - parts.heads;
-        *last = Some(LastImage {
-            bytes: Arc::clone(&bytes),
-            table,
-        });
+        let sections = self.alpha_mems.len() + self.states.len();
+        let len = HEAD + (0..sections).map(|i| self.section_len(i)).sum::<usize>();
+        let mut w = ByteWriter::over(Vec::with_capacity(len));
+        self.encode_head(&mut w);
+        let mut parts = ImageParts::default();
+        let encoded = (0..sections)
+            .filter(|&i| self.encode_section(&mut w, i, &mut parts))
+            .count();
+        let bytes = w.finish();
+        debug_assert_eq!(bytes.len(), len, "sized before it was written");
+        parts.rest = len - parts.entries - parts.links - parts.heads;
         let snapshot = ReteSnapshot {
-            bytes,
+            bytes: Arc::new(bytes),
             at: 0,
-            len: written.len,
-            unchanged: written.unchanged,
-            encoded: written.encoded,
+            len,
+            unchanged: Vec::new(),
+            encoded,
         };
         (snapshot, parts)
     }
 
-    /// Writes the header and the sections changed since `taker`'s last
-    /// image — every section, into a buffer sized beforehand, when it
-    /// has none — into `update`, and how long the image is.
-    fn encode(&self, taker: Taker, update: &mut ImageUpdate) {
+    /// The first half of an image (see the module docs): the header and
+    /// the sections that changed since the last call — every section on
+    /// the first, into a buffer sized beforehand — encoded into
+    /// `update`, whose buffers are reused, and how long the image is.
+    /// [`ImageUpdate::assemble`] makes the image of it, given the image
+    /// the last call's update made and its table.
+    pub fn encode_changes(&self, update: &mut ImageUpdate) {
         let sections = self.alpha_mems.len() + self.states.len();
         update.listed.clear();
         update.sections = sections;
         update.encoded = 0;
-        update.parts = ImageParts::default();
         let mut bytes = std::mem::take(&mut update.bytes);
         bytes.clear();
-        self.marks.drain(taker, sections, |listed| {
+        self.marks.drain(|listed| {
             let mut lens = self.marks.lens.borrow_mut();
             update.whole = listed.is_none();
             if update.whole {
@@ -687,22 +589,11 @@ impl ReteMatcher {
                 bytes.reserve_exact(HEAD + self.marks.body.get());
             }
             let mut w = ByteWriter::over(bytes);
-            w.bytes(&MAGIC);
-            w.u32(VERSION);
-            w.usize(self.network().nodes.len());
-            w.usize(self.alpha_mems.len());
-            w.u8(match self.memory {
-                MemoryStrategy::Linear => 0,
-                MemoryStrategy::Hashed => 1,
-            });
-            for field in stat_fields(&mut self.stats.clone()) {
-                w.u64(*field);
-            }
-            debug_assert_eq!(w.len(), HEAD);
+            self.encode_head(&mut w);
             let mut body = self.marks.body.get();
             let mut encode = |i: usize| {
                 let start = w.len();
-                let memory = self.encode_section(&mut w, i, &mut update.parts);
+                let memory = self.encode_section(&mut w, i, &mut ImageParts::default());
                 update.encoded += usize::from(memory);
                 let len = w.len() - start;
                 debug_assert!(listed.is_some() || len == lens[i] as usize, "sized right");
@@ -722,6 +613,23 @@ impl ReteMatcher {
             true => Vec::new(),
             false => Vec::with_capacity(update.listed.len() + 1),
         };
+    }
+
+    /// Writes the header: magic and version, node and alpha-memory
+    /// counts, the memory-strategy tag and the work counters.
+    fn encode_head(&self, w: &mut ByteWriter) {
+        w.bytes(&MAGIC);
+        w.u32(VERSION);
+        w.usize(self.network().nodes.len());
+        w.usize(self.alpha_mems.len());
+        w.u8(match self.memory {
+            MemoryStrategy::Linear => 0,
+            MemoryStrategy::Hashed => 1,
+        });
+        for field in stat_fields(&mut self.stats.clone()) {
+            w.u64(*field);
+        }
+        debug_assert_eq!(w.len(), HEAD);
     }
 
     /// Writes section `i`: alpha memory `i`, or past the alpha memories
@@ -825,6 +733,28 @@ mod tests {
 
     const SRC: &str = "(p r1 (a ^x <v>) - (b ^y <v>) (c ^z <v>) --> (halt))\n\
                        (p r2 (a ^x <v>) (c ^z <v>) --> (remove 1))";
+
+    /// The image a checkpoint keeps, with its table: what the next
+    /// update is assembled onto.
+    #[derive(Default)]
+    struct Kept {
+        update: ImageUpdate,
+        table: SectionTable,
+        image: Arc<Vec<u8>>,
+    }
+
+    impl Kept {
+        /// `m`'s next update assembled onto the kept image into a buffer
+        /// of its size, kept in its place: a snapshot of it, with the
+        /// runs it copied as its `unchanged()`.
+        fn next(&mut self, m: &ReteMatcher) -> ReteSnapshot {
+            m.encode_changes(&mut self.update);
+            let mut out = Vec::with_capacity(self.update.image_len());
+            let written = self.update.assemble(&self.image, &mut self.table, &mut out);
+            self.image = Arc::new(out);
+            ReteSnapshot::within(Arc::clone(&self.image), 0, &written)
+        }
+    }
 
     fn build_state(
         hashed: bool,
@@ -1183,7 +1113,8 @@ mod tests {
         let mut fresh = ReteMatcher::from_network(live.network().clone());
         let mut wm = WorkingMemory::new();
         let mut syms = program.symbols.clone();
-        let mut previous = live.snapshot();
+        let mut kept = Kept::default();
+        let mut previous = kept.next(&live);
         // The token arrives; one blocker retracts the instantiation, a
         // second changes no conflict set, and each leaving undoes that.
         let mut blockers = Vec::new();
@@ -1203,13 +1134,13 @@ mod tests {
                 Change::Add(_) => {}
                 Change::Remove(id) => drop(wm.remove(id)),
             }
-            let next = live.snapshot();
+            let next = kept.next(&live);
             assert_eq!(next.as_bytes(), fresh.snapshot_parts().0.as_bytes());
             assert_ne!(next, previous, "step {step}");
             assert!(!next.unchanged().is_empty(), "step {step}: the rest copied");
             previous = next;
         }
-        assert_eq!(live.snapshot(), previous);
+        assert_eq!(kept.next(&live), previous);
     }
 
     /// Each filer the parallel engine calls between its phases marks
@@ -1239,7 +1170,8 @@ mod tests {
             Token::from_wmes(vec![stray]),
             Token::from_wmes(vec![stray, c]),
         );
-        m.snapshot();
+        let mut kept = Kept::default();
+        kept.next(&m);
         type Filing<'a> = Box<dyn Fn(&mut ReteMatcher) + 'a>;
         let filings: [(&str, usize, Filing); 8] = [
             (
@@ -1281,18 +1213,18 @@ mod tests {
         ];
         for (what, sections, filing) in filings {
             filing(&mut m);
-            let next = m.snapshot();
+            let next = kept.next(&m);
             assert_eq!(next.encoded_sections(), sections, "{what}");
             assert_eq!(next.as_bytes(), m.snapshot_parts().0.as_bytes(), "{what}");
         }
         assert_eq!(m.stats().phantom_removes, 2, "alpha memories count none");
     }
 
-    /// An image written from nothing — a matcher's first, one after
-    /// [`ReteMatcher::snapshot_parts`] dropped the kept one, a restored
-    /// matcher's first — is written into a buffer sized for it
-    /// beforehand and never grown: its capacity is its length. So is
-    /// every image after it, each assembled into a buffer of its size.
+    /// An image written from nothing — every snapshot, a matcher's first
+    /// update, a restored matcher's first snapshot — is written into a
+    /// buffer sized for it beforehand and never grown: its capacity is
+    /// its length. So is every update's image after the first, each
+    /// assembled into a buffer of its size.
     #[test]
     fn an_image_is_written_into_a_buffer_of_its_size() {
         use crate::runtime::tests::{closure_churn, CHURN_STEPS, CLOSURE};
@@ -1306,13 +1238,17 @@ mod tests {
                 "{what}"
             );
         };
-        exact(&live.snapshot(), "empty, first");
+        let mut kept = Kept::default();
+        exact(&live.snapshot(), "empty, snapshot");
+        exact(&kept.next(&live), "empty, first update");
+        assert!(kept.update.whole, "the first update lists every section");
+        assert_eq!(kept.update.bytes.capacity(), kept.update.image_len());
         let mut step = 0;
         closure_churn(&program, 0xB0F, CHURN_STEPS, |wm, change| {
             step += 1;
             live.process(wm, &[change]);
             if step % 97 == 0 {
-                exact(&live.snapshot(), &format!("step {step}, kept"));
+                exact(&kept.next(&live), &format!("step {step}, update"));
                 let (fresh, _) = live.snapshot_parts();
                 exact(&fresh, &format!("step {step}, from nothing"));
                 let restored = ReteMatcher::restore(live.network().clone(), &fresh).unwrap();
@@ -1324,10 +1260,9 @@ mod tests {
         assert!(step > 97 * 4, "{step} steps");
     }
 
-    /// The two takers of images are each told every section that changed
-    /// since their own last image, whichever took one in between: on a
-    /// churn, snapshots and updates assembled onto the image and table
-    /// their caller keeps, taken in every interleaving, are each the
+    /// A snapshot reads nothing the updates keep: on a churn, updates
+    /// assembled onto the image and table their caller keeps, with
+    /// snapshots taken between them in every interleaving, are each the
     /// image a twin fed the same changes encodes from nothing, and most
     /// updates leave sections to copy.
     #[test]
@@ -1336,11 +1271,9 @@ mod tests {
         let program = parse_program(CLOSURE).unwrap();
         let mut live = ReteMatcher::compile(&program).unwrap();
         let mut twin = ReteMatcher::from_network(live.network().clone());
-        let (mut update, mut table) = (ImageUpdate::default(), SectionTable::default());
-        live.encode_changes(&mut update);
-        assert!(update.whole, "the first update lists every section");
-        let mut kept = Vec::new();
-        update.assemble(&[], &mut table, &mut kept);
+        let mut kept = Kept::default();
+        kept.next(&live);
+        assert!(kept.update.whole, "the first update lists every section");
         let (mut step, mut assembled, mut partial) = (0, 0, 0);
         closure_churn(&program, 0x7A4E, CHURN_STEPS, |wm, change| {
             step += 1;
@@ -1353,16 +1286,15 @@ mod tests {
                 assert_eq!(live.snapshot(), fresh(), "step {step}: snapshot");
             }
             if step % 5 == 0 {
-                live.encode_changes(&mut update);
-                let mut next = Vec::with_capacity(update.image_len());
-                let written = update.assemble(&kept, &mut table, &mut next);
-                assert_eq!(next, fresh().as_bytes(), "step {step}: update");
-                for &(old, new, len) in written.unchanged() {
-                    assert_eq!(kept[old..old + len], next[new..new + len], "step {step}");
+                let previous = Arc::clone(&kept.image);
+                let next = kept.next(&live);
+                assert_eq!(next, fresh(), "step {step}: update");
+                for &(old, new, len) in next.unchanged() {
+                    let copied = &next.as_bytes()[new..new + len];
+                    assert_eq!(previous[old..old + len], *copied, "step {step}");
                 }
-                partial += usize::from(!written.unchanged().is_empty());
-                assert!(!update.whole);
-                kept = next;
+                partial += usize::from(!next.unchanged().is_empty());
+                assert!(!kept.update.whole);
                 assembled += 1;
             }
         });

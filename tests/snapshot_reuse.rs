@@ -1,20 +1,22 @@
-//! A snapshot that costs what changed is the snapshot it always was:
-//! on the vt stream, small and full size, a matcher snapshotted every one
-//! to three cycles — each image copying the sections of the memories
-//! that did not change out of the image before it — returns, byte for
-//! byte, what a twin fed the same batches encodes from nothing; every
-//! range it says it took over is those bytes of the previous image; most
-//! bytes are taken over; and a matcher restored from an image encodes
-//! that image again, with nothing to take over. The same holds of the
-//! node-parallel engine's matcher when the engine files bulk batches
-//! between its phases.
+//! An image that costs what changed is the image it always was: on the
+//! vt stream, small and full size, a matcher whose changed sections are
+//! encoded every one to three cycles ([`ReteMatcher::encode_changes`])
+//! and assembled onto the image before ([`ImageUpdate::assemble`]) —
+//! each image copying the sections of the memories that did not change
+//! out of the one before it — makes, byte for byte, what a twin fed the
+//! same batches encodes from nothing; every range it says it took over is
+//! those bytes of the previous image; most bytes are taken over; and a
+//! matcher restored from an image encodes that image again, with nothing
+//! to take over. The same holds of the node-parallel engine's matcher
+//! when the engine files bulk batches between its phases, and of a
+//! matcher whose snapshots are read between its updates.
 
 use std::sync::Arc;
 
 use psm::core::ParallelReteMatcher;
 use psm::obs::Rng64;
 use psm::ops5::{MatchDelta, Matcher, WmeId, WorkingMemory};
-use psm::rete::{Network, ReteMatcher, ReteSnapshot};
+use psm::rete::{ImageUpdate, Network, ReteMatcher, ReteSnapshot, SectionTable};
 use psm::workloads::{GeneratedWorkload, Preset, WorkloadDriver, WorkloadSpec};
 
 /// Feeds two matchers the same changes.
@@ -34,6 +36,28 @@ impl Matcher for Both<'_> {
     }
 }
 
+/// The image a checkpoint keeps, with its table: what the next update is
+/// assembled onto.
+#[derive(Default)]
+struct Kept {
+    update: ImageUpdate,
+    table: SectionTable,
+    image: Arc<Vec<u8>>,
+}
+
+impl Kept {
+    /// `m`'s next update assembled onto the kept image, kept in its
+    /// place: a snapshot of it, with the runs it copied as its
+    /// `unchanged()`.
+    fn next(&mut self, m: &ReteMatcher) -> ReteSnapshot {
+        m.encode_changes(&mut self.update);
+        let mut out = Vec::with_capacity(self.update.image_len());
+        let written = self.update.assemble(&self.image, &mut self.table, &mut out);
+        self.image = Arc::new(out);
+        ReteSnapshot::within(Arc::clone(&self.image), 0, &written)
+    }
+}
+
 /// Checks `next` against the image before it and returns how many of
 /// its bytes it took over.
 fn reused(previous: &ReteSnapshot, next: &ReteSnapshot) -> usize {
@@ -50,7 +74,7 @@ fn reused(previous: &ReteSnapshot, next: &ReteSnapshot) -> usize {
     next.unchanged().iter().map(|&(_, _, len)| len).sum()
 }
 
-/// Runs `rounds` snapshots 1–3 cycles apart and returns the share of
+/// Runs `rounds` updates 1–3 cycles apart and returns the share of
 /// image bytes that were copied.
 fn reuse_share(spec: WorkloadSpec, rounds: usize) -> f64 {
     let workload = GeneratedWorkload::generate(spec).expect("vt generates");
@@ -59,7 +83,8 @@ fn reuse_share(spec: WorkloadSpec, rounds: usize) -> f64 {
     let mut twin = ReteMatcher::from_network(live.network().clone());
     driver.init(&mut Both(&mut live, &mut twin));
 
-    let mut previous = live.snapshot();
+    let mut kept = Kept::default();
+    let mut previous = kept.next(&live);
     assert!(previous.unchanged().is_empty(), "nothing to take over yet");
     let (memories, non_empty) = live.memory_sections();
     assert_eq!(previous.encoded_sections(), memories);
@@ -73,7 +98,7 @@ fn reuse_share(spec: WorkloadSpec, rounds: usize) -> f64 {
             Both(&mut live, &mut twin).process(driver.working_memory(), &batch);
             driver.commit_batch(&batch);
         }
-        let next = live.snapshot();
+        let next = kept.next(&live);
         let (fresh, parts) = twin.snapshot_parts();
         assert_eq!(next.as_bytes(), fresh.as_bytes(), "round {round}");
         assert!(fresh.unchanged().is_empty() && fresh.encoded_sections() == memories);
@@ -87,15 +112,16 @@ fn reuse_share(spec: WorkloadSpec, rounds: usize) -> f64 {
 
         if round % 16 == 0 {
             // Nothing changed: everything but the counters is one copy.
-            let again = live.snapshot();
+            let again = kept.next(&live);
             assert_eq!(again, next);
             assert_eq!((again.unchanged().len(), again.encoded_sections()), (1, 0));
             assert_eq!(reused(&next, &again), next.len() - again.unchanged()[0].1);
 
             let restored = ReteMatcher::restore(live.network().clone(), &next).expect("restores");
-            let first = restored.snapshot();
+            let first = Kept::default().next(&restored);
             assert_eq!(first.as_bytes(), next.as_bytes(), "round {round}");
             assert!(first.unchanged().is_empty());
+            assert_eq!(restored.snapshot(), first);
         }
         previous = next;
     }
@@ -119,9 +145,9 @@ fn a_reusing_snapshot_is_the_fresh_one_on_full_size_vt() {
 /// The engine files a batch of 1 024 changes or more between its phases,
 /// through the sequential matcher's filers, which must mark every memory
 /// they change: a 2-thread engine fed bulk batches of the vt stream
-/// snapshots its matcher after every batch, every range an image takes
-/// over is the previous image's bytes, and every third image is the one
-/// the matcher encodes from nothing.
+/// takes an update of its matcher after every batch, every range an
+/// image takes over is the previous image's bytes, and every third image
+/// is the one the matcher encodes from nothing.
 #[test]
 fn a_reusing_snapshot_is_the_fresh_one_through_the_engines_filers() {
     const ROUNDS: u64 = 12;
@@ -130,7 +156,8 @@ fn a_reusing_snapshot_is_the_fresh_one_through_the_engines_filers() {
     let network = Network::compile(&driver.workload().program).expect("compiles");
     let mut engine = ParallelReteMatcher::from_network(Arc::new(network), 2);
     driver.init(&mut engine);
-    let mut previous = engine.rete().snapshot();
+    let mut kept = Kept::default();
+    let mut previous = kept.next(engine.rete());
     let (mut copied, mut total) = (0, 0);
     for round in 0..ROUNDS {
         let mut batch = Vec::new();
@@ -139,7 +166,7 @@ fn a_reusing_snapshot_is_the_fresh_one_through_the_engines_filers() {
         }
         engine.process(driver.working_memory(), &batch);
         driver.commit_batch(&batch);
-        let next = engine.rete().snapshot();
+        let next = kept.next(engine.rete());
         copied += reused(&previous, &next);
         total += next.len();
         if round % 3 == 0 {
@@ -158,4 +185,40 @@ fn a_reusing_snapshot_is_the_fresh_one_through_the_engines_filers() {
         100.0 * copied as f64 / total as f64
     );
     assert!(copied > 0, "sections no bulk batch touched are copied");
+}
+
+/// A snapshot reads nothing an update keeps: a matcher whose snapshots
+/// are read between its updates — none, one or several between two —
+/// makes each update byte-identical to a twin's that no reader touched,
+/// its copied runs and encoded sections the same.
+#[test]
+fn a_readers_snapshot_between_updates_leaves_the_next_update_as_it_was() {
+    let workload = GeneratedWorkload::generate(Preset::Vt.spec_small()).expect("vt generates");
+    let mut driver = WorkloadDriver::new(workload, 0x5EAD);
+    let mut read = ReteMatcher::compile(&driver.workload().program).expect("compiles");
+    let mut twin = ReteMatcher::from_network(read.network().clone());
+    driver.init(&mut Both(&mut read, &mut twin));
+    let (mut kept_read, mut kept_twin) = (Kept::default(), Kept::default());
+    let mut rng = Rng64::new(0x8EAD);
+    let mut reads = 0;
+    for round in 0..40 {
+        if round > 0 {
+            for _ in 0..rng.gen_range(0..=2u32) {
+                // Only `read` is read: a snapshot of the twin would be
+                // the reader it must not have.
+                reads += usize::from(!read.snapshot().is_empty());
+            }
+        }
+        let (next, alone) = (kept_read.next(&read), kept_twin.next(&twin));
+        assert_eq!(next.as_bytes(), alone.as_bytes(), "round {round}");
+        assert_eq!(next.unchanged(), alone.unchanged(), "round {round}");
+        assert_eq!(next.encoded_sections(), alone.encoded_sections());
+        assert!(round == 0 || !next.unchanged().is_empty(), "round {round}");
+        for _ in 0..rng.gen_range(1..=3u32) {
+            let batch = driver.next_batch();
+            Both(&mut read, &mut twin).process(driver.working_memory(), &batch);
+            driver.commit_batch(&batch);
+        }
+    }
+    assert!(reads > 20, "{reads} snapshots read");
 }
