@@ -899,7 +899,7 @@ mod tests {
         let rete: Vec<u8> = (0..600u32).map(|i| (i as u8).wrapping_add(seed)).collect();
         Checkpoint {
             cycle,
-            wm: Arc::new(WorkingMemory::new().snapshot_bytes()),
+            wm: WorkingMemory::new().snapshot_bytes(),
             rete: ReteSnapshot::from_bytes(rete),
             conflict: Checkpoint::encode_conflict(
                 &(0..insts)

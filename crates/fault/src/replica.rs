@@ -47,9 +47,7 @@ use psm_telemetry::client::Json;
 use psm_telemetry::replicate::ReplicaSource;
 use rete::Network;
 
-use rete::ImageUpdate;
-
-use crate::checkpoint::{Checkpoint, CheckpointImage, Draft};
+use crate::checkpoint::{Checkpoint, CheckpointImage, Draft, Updates};
 use crate::delta::{replay, CheckpointChain};
 use crate::placement;
 use crate::plan::FaultPlan;
@@ -155,9 +153,9 @@ struct Handoff {
     /// [`ReplicationStats::publisher_push_ns`].
     write_ns: u64,
     push_ns: u64,
-    /// The image update of the last draft written, for the publishing
-    /// thread to reuse.
-    spare: Option<ImageUpdate>,
+    /// The updates of the last draft written, for the publishing thread
+    /// to reuse.
+    spare: Option<Updates>,
 }
 
 /// The chain and the image it was last pushed, which the next draft is
@@ -263,9 +261,9 @@ impl Shared {
     }
 
     /// One push: the draft is written out from the image pushed before
-    /// it and appended to the chain. Returns the draft's image update,
-    /// to be reused, and how long the writing and the append took.
-    fn push(&self, Job { draft, core }: Job) -> (ImageUpdate, [Duration; 2]) {
+    /// it and appended to the chain. Returns the draft's updates, to be
+    /// reused, and how long the writing and the append took.
+    fn push(&self, Job { draft, core }: Job) -> (Updates, [Duration; 2]) {
         if let Some(core) = core {
             placement::leave_core(core);
         }
@@ -391,8 +389,8 @@ impl ReplicationStore {
     /// [`ReplicationStore::publish_entry`] — the frontier advances and the
     /// open WAL segment is sealed — and the draft is handed over; the
     /// publisher thread writes its `PSMC` image into the buffer the draft
-    /// brought (the matcher's unchanged sections copied from the image
-    /// pushed last, see [`Draft::write`]), pushes it onto the chain and
+    /// brought (each part from its counterpart in the image pushed last,
+    /// see [`Draft::write`]), pushes it onto the chain and
     /// collects the segments it covers, timing the writing and the push
     /// ([`ReplicationStats::publisher_write_ns`],
     /// [`ReplicationStats::publisher_push_ns`]). The draft's buffers were
@@ -401,8 +399,8 @@ impl ReplicationStore {
     ///
     /// One checkpoint may be in flight. A publish that finds the one
     /// before it still being pushed waits for it — a bounded lag, not a
-    /// queue — and returns how long it waited, with the image update of
-    /// the draft before, written out and free to be reused; every read
+    /// queue — and returns how long it waited, with the updates of the
+    /// draft before, written out and free to be reused; every read
     /// waits the same way, so a read that starts after this call
     /// returned finds the checkpoint in the chain.
     ///
@@ -410,7 +408,7 @@ impl ReplicationStore {
     ///
     /// When an earlier push panicked, with that push's payload (see
     /// [`ReplicationStore::stats`] for the reads).
-    pub fn publish_draft(&self, draft: Draft) -> (Duration, Option<ImageUpdate>) {
+    pub fn publish_draft(&self, draft: Draft) -> (Duration, Option<Updates>) {
         let (mut handoff, waited) = self.shared.seal(draft.cycle());
         let core = placement::current_core();
         let spare = handoff.spare.take();
@@ -1070,21 +1068,32 @@ mod tests {
     use rete::ReteMatcher;
 
     /// A draft of a checkpoint covering `cycle` cycles — a fresh tiny
-    /// matcher's first update, a whole one, and a working-memory blob of
-    /// 4 KiB of `fill` — and the `PSMC` image it is written as.
+    /// matcher's first update and a working memory's, both whole, the
+    /// working memory of 64 WMEs of `fill`, about 2 KiB — and the `PSMC`
+    /// image it is written as.
     fn draft(cycle: u64, fill: u8) -> (Draft, Vec<u8>) {
         let program = ops5::parse_program("(p r (a ^x <v>) --> (halt))").unwrap();
         let matcher = ReteMatcher::compile(&program).unwrap();
-        let mut update = ImageUpdate::default();
-        matcher.encode_changes(&mut update);
+        let mut wm = WorkingMemory::new();
+        for _ in 0..64 {
+            let (a, x) = (ops5::SymbolId::from_index(0), ops5::SymbolId::from_index(1));
+            wm.add(ops5::Wme::new(
+                a,
+                vec![(x, ops5::Value::Int(i64::from(fill)))],
+            ));
+        }
+        let mut updates = Updates::default();
+        matcher.encode_changes(&mut updates.rete);
+        wm.encode_changes(&mut ops5::WmMarks::default(), &mut updates.wm);
+        let conflict = std::collections::BTreeSet::new();
+        (crate::ConflictMarks::default()).take(&conflict, &mut updates.conflict);
         let cp = Checkpoint {
             cycle,
-            wm: Arc::new(vec![fill; 4096]),
+            wm: wm.snapshot_bytes(),
             rete: matcher.snapshot(),
             conflict: Checkpoint::encode_conflict(&[]),
         };
-        let image = cp.to_bytes();
-        (Draft::new(cycle, cp.wm, update, cp.conflict), image)
+        (Draft::new(cycle, updates), cp.to_bytes())
     }
 
     /// `checkpoint` — a replica's `GET /replicate/checkpoint/<id>` — holds

@@ -73,4 +73,4 @@ pub use matcher::{Change, Instantiation, MatchDelta, Matcher};
 pub use parser::{parse_program, parse_program_lenient, parse_wme, parse_wmes, Parser};
 pub use symbol::{SymbolId, SymbolTable};
 pub use value::Value;
-pub use wme::{TimeTag, WmImage, Wme, WmeId, WorkingMemory};
+pub use wme::{TimeTag, WmMarks, WmUpdate, Wme, WmeId, WorkingMemory};

@@ -5,16 +5,19 @@
 //! its element, a retracted one as a single `0`. Ids are never reused
 //! and a slot changes once, from live to retracted, so what changes
 //! between two images is the slots retracted in between and the slots
-//! appended. [`WorkingMemory::image_since`] builds the next image from
-//! the last ([`WmImage`], kept with where each slot starts in it): each
-//! run of slots between two retracted ones is copied in one piece, each
-//! retracted slot becomes its `0`, the appended slots are encoded, and
-//! the header's counter and count are written anew. An image from
-//! nothing (no last image, or [`WorkingMemory::snapshot_bytes`]) is the
-//! same code with every slot appended, so the bytes are the same.
+//! appended. The next image is made in two halves, the way a matcher's
+//! is (`rete::ImageUpdate`). Its owner notes each retraction as it makes
+//! it ([`WmMarks::retract`]), and at the image
+//! [`WorkingMemory::encode_changes`] lists those slots and encodes the
+//! appended ones ([`WmUpdate`]): no pass over the slots that did not
+//! change. [`WmUpdate::assemble`] then writes the image from the last
+//! one, wherever that is kept: each run of slots between two retracted
+//! ones is copied in one piece, each retracted slot becomes its `0`, the
+//! appended slots follow, and the header's counter and count are written
+//! anew. An image from nothing ([`WorkingMemory::snapshot_bytes`]) is the
+//! same pair with every slot appended, so the bytes are the same.
 
 use std::fmt;
-use std::sync::Arc;
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::symbol::{SymbolId, SymbolTable};
@@ -202,26 +205,120 @@ const IMAGE_VERSION: u32 = 1;
 /// slot of an image starts.
 const IMAGE_HEADER: usize = 4 + 4 + 8 + 8;
 
-/// A working memory's `PSMW` image with where each of its slots starts
-/// in it: what [`WorkingMemory::image_since`] copies the next image of
-/// the same working memory from (see the module docs).
-#[derive(Debug, Clone)]
-pub struct WmImage {
-    /// Shared with whoever holds the image besides (a checkpoint).
-    bytes: Arc<Vec<u8>>,
-    /// Slot `i` is `starts[i]..starts[i + 1]` of `bytes`.
+/// What changed in a working memory since its last image, as its owner
+/// notes it: the slots of that image retracted since, and the image's
+/// length less what they shrink it by. Read and emptied by
+/// [`WorkingMemory::encode_changes`]; before the first image it notes
+/// nothing.
+#[derive(Debug, Clone, Default)]
+pub struct WmMarks {
+    /// The last image's slot count and its length as the slots retracted
+    /// since leave it; `None` before the first image.
+    last: Option<(usize, usize)>,
+    retracted: Vec<WmeId>,
+}
+
+impl WmMarks {
+    /// Notes that slot `id`, which held `wme`, was retracted. A slot the
+    /// last image does not hold is not noted: it is encoded with the
+    /// slots appended since.
+    pub fn retract(&mut self, id: WmeId, wme: &Wme) {
+        if let Some((kept, len)) = &mut self.last {
+            if id.index() < *kept {
+                self.retracted.push(id);
+                *len -= 8 + wme.encoded_len();
+            }
+        }
+    }
+}
+
+/// A working memory's next `PSMW` image as the slots that changed since
+/// its last one ([`WorkingMemory::encode_changes`]), to be assembled with
+/// the slots that did not ([`WmUpdate::assemble`]). Reused from one image
+/// to the next, it keeps its buffers.
+#[derive(Debug, Clone, Default)]
+pub struct WmUpdate {
+    /// The header's time-tag counter and slot count.
+    next_tag: u64,
+    slots: usize,
+    /// Slots in the image the update is assembled onto.
+    kept: usize,
+    /// No image before it: every slot is appended.
+    whole: bool,
+    /// The slots of that image retracted since, ascending.
+    retracted: Vec<WmeId>,
+    /// The slots appended since, encoded, and where each starts in the
+    /// image.
+    appended: Vec<u8>,
+    appended_at: Vec<u32>,
+    /// The image's length.
+    len: usize,
+    /// Room for the image's slot starts, made by the thread that encodes:
+    /// an assembly allocates nothing.
     starts: Vec<u32>,
 }
 
-impl WmImage {
-    /// The image's bytes, exactly [`WorkingMemory::snapshot_bytes`].
-    pub fn bytes(&self) -> &Arc<Vec<u8>> {
-        &self.bytes
+impl WmUpdate {
+    /// The length of the image the update makes.
+    pub fn image_len(&self) -> usize {
+        self.len
     }
 
-    /// How many slots the image holds.
-    fn slots(&self) -> usize {
-        self.starts.len() - 1
+    /// Appends the image to `out`: the header, then the slots of `base`
+    /// copied in runs between the retracted ones, each of those written
+    /// as retracted, then the slots appended since. `base` is the image
+    /// before, `starts` where each of its slots starts in it — neither is
+    /// read for a whole update — and `starts` is left holding where each
+    /// slot starts in the new image.
+    ///
+    /// # Panics
+    ///
+    /// When the update is not whole and `starts` is not the slot starts
+    /// of an image of as many slots as the last one of its working memory.
+    pub fn assemble(&mut self, base: &[u8], starts: &mut Vec<u32>, out: &mut Vec<u8>) {
+        assert!(
+            self.whole || starts.len() == self.kept + 1,
+            "an update assembled onto the image of another working memory"
+        );
+        let at = out.len();
+        let mut w = ByteWriter::over(std::mem::take(out));
+        w.bytes(&IMAGE_MAGIC);
+        w.u32(IMAGE_VERSION);
+        w.u64(self.next_tag);
+        w.usize(self.slots);
+        let next = &mut self.starts;
+        next.clear();
+        if !self.whole {
+            // Slots `..from` are in the image. A retracted slot only
+            // shrinks, so a run lands at or before where it was.
+            let mut from = 0;
+            for i in self
+                .retracted
+                .iter()
+                .map(|id| id.index())
+                .chain([self.kept])
+            {
+                let (a, b) = (starts[from] as usize, starts[i] as usize);
+                let back = start(a - (w.len() - at));
+                w.bytes(&base[a..b]);
+                next.extend(starts[from..i].iter().map(|&s| s - back));
+                if i < self.kept {
+                    next.push(start(w.len() - at));
+                    w.u8(0);
+                }
+                from = i + 1;
+            }
+        }
+        next.extend_from_slice(&self.appended_at);
+        w.bytes(&self.appended);
+        next.push(start(w.len() - at));
+        assert_eq!(
+            w.len() - at,
+            self.len,
+            "the image is as long as its update said"
+        );
+        *out = w.finish();
+        std::mem::swap(starts, next);
     }
 }
 
@@ -345,90 +442,65 @@ impl WorkingMemory {
     }
 
     /// Serializes the whole working memory — including tombstoned slots
-    /// and the time-tag counter — into a versioned snapshot.
+    /// and the time-tag counter — into a versioned snapshot: the image
+    /// of an update from nothing.
     ///
     /// Restoring the snapshot and replaying the same `add`/`remove`
     /// sequence reproduces identical [`WmeId`]s and [`TimeTag`]s, which
     /// is what makes snapshot + write-ahead-log replay a faithful
     /// recovery strategy (`psm-fault`).
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        Arc::unwrap_or_clone(self.image_since(None, &mut Vec::new()).bytes)
-    }
-
-    /// The image of this working memory, copied from `last` — an earlier
-    /// image of it — except the slots that changed since: `retracted`
-    /// names, in any order and once each, every slot retracted since
-    /// `last` was taken (a slot appended since may be named or not), and
-    /// is left empty. The bytes are [`WorkingMemory::snapshot_bytes`]'s;
-    /// the cost is a copy of `last` and the encoding of the slots
-    /// appended since. With no `last` every slot is encoded.
-    ///
-    /// # Panics
-    ///
-    /// When `retracted` names a slot twice or names a slot of `last` that
-    /// is live, or `last` holds more slots than this working memory.
-    pub fn image_since(&self, last: Option<&WmImage>, retracted: &mut Vec<WmeId>) -> WmImage {
-        retracted.sort_unstable();
-        let image = self.encode(last, retracted);
-        retracted.clear();
+        let mut update = WmUpdate::default();
+        self.encode_changes(&mut WmMarks::default(), &mut update);
+        let mut image = Vec::with_capacity(update.image_len());
+        update.assemble(&[], &mut Vec::new(), &mut image);
         image
     }
 
-    /// The one `PSMW` encoder: the slots of `last` copied from it in
-    /// runs, with each of `retracted` (ascending) among them written as a
-    /// retracted slot, then every slot appended since, each encoded. With
-    /// no `last` every slot is appended.
-    fn encode(&self, last: Option<&WmImage>, retracted: &[WmeId]) -> WmImage {
-        let kept = last.map_or(0, WmImage::slots);
-        assert!(kept <= self.slots.len(), "an image of this working memory");
+    /// The slots that changed since the last image `marks` were taken
+    /// with — each slot of it retracted since, listed, and each slot
+    /// appended since, encoded — as `update`, which
+    /// [`WmUpdate::assemble`] makes the next image of: the bytes are
+    /// [`WorkingMemory::snapshot_bytes`]'s. The marks are emptied and
+    /// taken as of that image. With marks that took no image yet, every
+    /// slot is appended and the update needs no image before it.
+    ///
+    /// # Panics
+    ///
+    /// When the marks list a slot twice or list one that is live, or are
+    /// of an image of more slots than this working memory holds.
+    pub fn encode_changes(&self, marks: &mut WmMarks, update: &mut WmUpdate) {
+        let (kept, len) = marks.last.unwrap_or((0, IMAGE_HEADER));
+        assert!(kept <= self.slots.len(), "marks of this working memory");
+        update.whole = marks.last.is_none();
+        update.kept = kept;
+        update.next_tag = self.next_tag;
+        update.slots = self.slots.len();
+        update.retracted.clear();
+        std::mem::swap(&mut update.retracted, &mut marks.retracted);
+        update.retracted.sort_unstable();
         assert!(
-            retracted.windows(2).all(|two| two[0] < two[1]),
+            update.retracted.windows(2).all(|two| two[0] < two[1]),
             "each retracted slot listed once"
         );
-        let retracted = retracted.iter().map(|id| id.index()).filter(|&i| i < kept);
-        for i in retracted.clone() {
+        for id in &update.retracted {
+            let i = id.index();
             assert!(self.slots[i].is_none(), "slot {i} listed retracted is live");
         }
         let appended = &self.slots[kept..];
-        let copied = last.map_or(IMAGE_HEADER, |last| {
-            let shrunk = retracted
-                .clone()
-                .map(|i| last.starts[i + 1] - last.starts[i] - 1);
-            last.bytes.len() - shrunk.map(|n| n as usize).sum::<usize>()
-        });
-        let size = copied + appended.iter().map(slot_len).sum::<usize>();
-        let mut w = ByteWriter::over(Vec::with_capacity(size));
-        w.bytes(&IMAGE_MAGIC);
-        w.u32(IMAGE_VERSION);
-        w.u64(self.next_tag);
-        w.usize(self.slots.len());
-        let mut starts = Vec::with_capacity(self.slots.len() + 1);
-        if let Some(last) = last {
-            // Slots `..next` are in the image. A retracted slot only
-            // shrinks, so a run lands at or before where it was.
-            let mut next = 0;
-            for i in retracted.chain([kept]) {
-                let (from, to) = (last.starts[next] as usize, last.starts[i] as usize);
-                let back = start(from - w.len());
-                w.bytes(&last.bytes[from..to]);
-                starts.extend(last.starts[next..i].iter().map(|&at| at - back));
-                if i < kept {
-                    starts.push(start(w.len()));
-                    w.u8(0);
-                }
-                next = i + 1;
-            }
-        }
+        update.appended.clear();
+        let mut w = ByteWriter::over(std::mem::take(&mut update.appended));
+        w.reserve(appended.iter().map(slot_len).sum());
+        update.appended_at.clear();
         for slot in appended {
-            starts.push(start(w.len()));
+            update.appended_at.push(start(len + w.len()));
             encode_slot(&mut w, slot);
         }
-        starts.push(start(w.len()));
-        debug_assert_eq!(w.len(), size, "the image fills what was reserved");
-        WmImage {
-            bytes: Arc::new(w.finish()),
-            starts,
-        }
+        update.appended = w.finish();
+        update.len = len + update.appended.len();
+        update.starts.clear();
+        update.starts.reserve(self.slots.len() + 1);
+        marks.last = Some((self.slots.len(), update.len));
     }
 
     /// Rebuilds a working memory from [`WorkingMemory::snapshot_bytes`].
@@ -608,12 +680,35 @@ mod tests {
         assert_eq!(t1, t2);
     }
 
+    /// An image with where each of its slots starts in it.
+    #[derive(Default)]
+    struct Image {
+        bytes: Vec<u8>,
+        starts: Vec<u32>,
+    }
+
+    /// The image of `wm` that `marks` and `update` make from `last`,
+    /// written into a buffer of the size the update says.
+    fn image(
+        wm: &WorkingMemory,
+        marks: &mut WmMarks,
+        update: &mut WmUpdate,
+        last: &Image,
+    ) -> Image {
+        wm.encode_changes(marks, update);
+        let mut starts = last.starts.clone();
+        let mut bytes = Vec::with_capacity(update.image_len());
+        update.assemble(&last.bytes, &mut starts, &mut bytes);
+        Image { bytes, starts }
+    }
+
     /// An image copied from the last one is the image from nothing,
     /// slot starts included, after every step of seeded add / retract /
     /// modify batches — a step of no change, the first and the last slot
-    /// retracted, a WME added and retracted between two images, named
+    /// retracted, a WME added and retracted between two images, noted
     /// among the retracted ones or not — starting from an empty working
-    /// memory, and after several steps between two images.
+    /// memory, and after several steps between two images. Two updates
+    /// take turns, as they do in a checkpointing supervisor.
     #[test]
     fn an_image_copied_from_the_last_is_the_image_from_nothing() {
         use psm_obs::Rng64;
@@ -636,14 +731,17 @@ mod tests {
                 Wme::new(*rng.choose(&classes), pairs)
             };
             let mut wm = WorkingMemory::new();
-            let mut last = wm.image_since(None, &mut Vec::new());
+            let (mut marks, mut updates) = (
+                WmMarks::default(),
+                [WmUpdate::default(), WmUpdate::default()],
+            );
+            let mut last = image(&wm, &mut marks, &mut updates[1], &Image::default());
             assert_eq!(last.bytes[..], wm.snapshot_bytes(), "empty");
-            let mut retracted = Vec::new();
             for step in 0..steps {
                 let live: Vec<WmeId> = wm.iter().map(|(id, _, _)| id).collect();
-                let mut retract = |wm: &mut WorkingMemory, id: WmeId, named: bool| {
-                    if wm.remove(id).is_some() && named {
-                        retracted.push(id);
+                let mut retract = |wm: &mut WorkingMemory, id: WmeId, noted: bool| {
+                    if let Some(wme) = wm.remove(id).filter(|_| noted) {
+                        marks.retract(id, &wme);
                     }
                 };
                 match rng.gen_range(0..8u32) {
@@ -658,8 +756,8 @@ mod tests {
                     // Added and retracted before the next image.
                     2 => {
                         let (id, _) = wm.add(wme(&mut rng));
-                        let named = rng.gen_bool(0.5);
-                        retract(&mut wm, id, named);
+                        let noted = rng.gen_bool(0.5);
+                        retract(&mut wm, id, noted);
                     }
                     // A modify: the old element out, the new one in.
                     3 if !live.is_empty() => {
@@ -678,10 +776,12 @@ mod tests {
                     }
                 }
                 if step % every == 0 {
-                    let next = wm.image_since(Some(&last), &mut retracted);
-                    let fresh = wm.image_since(None, &mut Vec::new());
+                    let update = &mut updates[step / every % 2];
+                    let next = image(&wm, &mut marks, update, &last);
+                    let (mut nothing, mut whole) = (WmMarks::default(), WmUpdate::default());
+                    let fresh = image(&wm, &mut nothing, &mut whole, &Image::default());
                     let at = format!("seed {seed}, step {step}");
-                    assert!(retracted.is_empty(), "{at}: the list is taken");
+                    assert!(marks.retracted.is_empty(), "{at}: the list is taken");
                     assert_eq!(next.bytes, fresh.bytes, "{at}");
                     assert_eq!(next.starts, fresh.starts, "{at}");
                     assert_eq!(fresh.bytes[..], wm.snapshot_bytes(), "{at}");
@@ -694,15 +794,17 @@ mod tests {
         }
     }
 
-    /// A slot listed as retracted that is live is refused, not imaged.
+    /// A slot noted as retracted that is live is refused, not imaged.
     #[test]
     #[should_panic(expected = "listed retracted is live")]
     fn an_image_refuses_a_live_slot_listed_retracted() {
         let (_t, wme) = fixture();
         let mut wm = WorkingMemory::new();
-        let (id, _) = wm.add(wme);
-        let last = wm.image_since(None, &mut Vec::new());
-        wm.image_since(Some(&last), &mut vec![id]);
+        let (id, _) = wm.add(wme.clone());
+        let (mut marks, mut update) = (WmMarks::default(), WmUpdate::default());
+        let last = image(&wm, &mut marks, &mut update, &Image::default());
+        marks.retract(id, &wme);
+        image(&wm, &mut marks, &mut update, &last);
     }
 
     #[test]
